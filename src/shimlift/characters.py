@@ -288,6 +288,10 @@ def character_from_json(obj) -> DirichletCharacter:
             pairs = obj.get("values")
             if not isinstance(pairs, list):
                 raise SchemaError("explicit character needs 'values'")
+            for item in pairs:
+                if not (isinstance(item, list) and len(item) == 2
+                        and isinstance(item[0], int) and not isinstance(item[0], bool)):
+                    raise SchemaError("explicit character value must be [residue, scalar] with an integer residue")
             return DirichletCharacter(modulus, {d: scalar_from_json(v) for d, v in pairs})
     except ValueError as exc:
         raise SchemaError("invalid character: %s" % exc) from exc

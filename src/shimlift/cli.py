@@ -121,6 +121,13 @@ def _series_human(f: QExp, limit: int = 12) -> str:
 
 
 def _cmd_lift(args) -> int:
+    N = _resolve(args, "N", 1)
+    for flag, value in (("--t", args.t), ("--s", args.s), ("--M", args.M), ("--N", N)):
+        if value < 1:
+            raise SchemaError("%s must be a positive integer, got %d" % (flag, value))
+    level = args.M * N
+    chi = _parse_character(args.character, level)
+    orbit = CharacterOrbit(chi) if chi is not None else None
     T = args.t * args.s * args.s
     needed = T * args.prec * args.prec + 1
     f = _load_series(args, needed_hi=needed)
@@ -128,10 +135,6 @@ def _cmd_lift(args) -> int:
     if k is None:
         raise SchemaError("weight parameter k is not fixed by the input; pass --k")
     eps = _resolve(args, "eps", 1)
-    N = _resolve(args, "N", 1)
-    level = args.M * N
-    chi = _parse_character(args.character, level)
-    orbit = CharacterOrbit(chi) if chi is not None else None
     if args.extended or args.s > 1:
         out = shimura_general(f, level, k, args.t, args.s, eps, args.prec, orbit)
     else:

@@ -3,15 +3,21 @@
 Everything here is built from scratch: theta functions by enumerating
 squares, Eisenstein series by divisor-power sieves, the discriminant and
 the j-invariant through the pentagonal number expansion of the Euler
-product, and the half-integral weight Eisenstein series from quadratic
-L-values.  These are the independent side of every comparison; none of
-them go through the lift code.
+product.  The half-integral weight Eisenstein series H_k are built from
+integer products in the basis theta^(2k+1-4j) F^j of M_{k+1/2}(Gamma_0(4)),
+F the odd-index part of sum sigma_1(n) q^n; quadratic L-values supply the
+first dim + _CHECK_TERMS coefficients, which fix H_k's coordinates in that
+basis and check them.  These are the independent side of every comparison;
+none of them go through the lift code.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+from . import _intpoly
+from .errors import VerificationFailure
 from .qseries import QExp, add, invert_unit, mul, rescale, scale
 from .scalars import bernoulli_number, kronecker, quadratic_L_neg
 
@@ -65,13 +71,13 @@ def theta_component(j: int, prec: int) -> QExp:
     raise ValueError("theta has components 0 and 1 only")
 
 
-def _sigma_sieve(power: int, prec: int, odd_only: bool = False) -> dict[int, int]:
+def _sigma_sieve(power: int, prec: int, odd_only: bool = False) -> list[int]:
     out = [0] * max(prec, 1)
     for d in range(1, prec, 2 if odd_only else 1):
         dp = d**power
         for n in range(d, prec, 2 * d if odd_only else d):
             out[n] += dp
-    return {n: v for n, v in enumerate(out) if v}
+    return out
 
 
 _EISENSTEIN_WEIGHTS = (4, 6, 8, 10, 14)
@@ -84,7 +90,7 @@ def eisenstein(weight: int, prec: int) -> QExp:
         raise ValueError("weight must be one of %r" % (_EISENSTEIN_WEIGHTS,))
     c = Fraction(-2 * weight) / bernoulli_number(weight)
     assert c.denominator == 1
-    coeffs: dict[int, Fraction] = {n: c * v for n, v in _sigma_sieve(weight - 1, prec).items()}
+    coeffs: dict[int, Fraction] = {n: c * v for n, v in enumerate(_sigma_sieve(weight - 1, prec)) if v}
     coeffs[0] = Fraction(1)
     return QExp(Fraction(weight), 1, coeffs, 0, prec)
 
@@ -211,35 +217,84 @@ def _cohen_value(k: int, n: int) -> Fraction:
     return quadratic_L_neg(D0, k) * total
 
 
-def _odd_sigma1(prec: int) -> QExp:
-    return QExp(Fraction(2), 1, _sigma_sieve(1, prec, odd_only=True), 0, prec)
+# Coefficients past the solving prefix that are re-checked against the
+# L-value formula on every build: two more linear conditions on the
+# coordinates, enough to catch a wrong basis.  The tests compare whole
+# windows of a few thousand terms.
+_CHECK_TERMS = 2
+
+
+def _theta_list(n: int) -> list[int]:
+    out = [0] * n
+    m = 0
+    while m * m < n:
+        out[m * m] = 2 if m else 1
+        m += 1
+    return out
+
+
+def _mul_list(a: list[int], b: list[int], n: int) -> list[int]:
+    return _intpoly.convolve(a, b)[:n]
+
+
+def _cohen_basis(k: int, n: int) -> list[list[int]]:
+    """theta^(2k+1-4j) F^j for j = 0 .. floor((2k+1)/4), on n >= 1 terms,
+    with F = sum over odd m of sigma_1(m) q^m; element j is q^j + O(q^(j+1)).
+    """
+    dim = (2 * k + 1) // 4 + 1
+    th = _theta_list(n)
+    th2 = _mul_list(th, th, n)
+    th4 = _mul_list(th2, th2, n)
+    odd_sigma = _sigma_sieve(1, n, odd_only=True)
+    # theta^(2k+1-4j) for j = dim-1 down to 0, climbing by theta^4
+    th_part = _mul_list(th2, th, n) if (2 * k + 1) % 4 == 3 else th
+    th_parts = [th_part]
+    for _ in range(dim - 1):
+        th_part = _mul_list(th_part, th4, n)
+        th_parts.append(th_part)
+    th_parts.reverse()
+    basis = [th_parts[0]]
+    f_part = None
+    for j in range(1, dim):
+        f_part = odd_sigma if f_part is None else _mul_list(f_part, odd_sigma, n)
+        basis.append(_mul_list(th_parts[j], f_part, n))
+    return basis
 
 
 def cohen_eisenstein(k: int, prec: int) -> QExp:
     """The weight k + 1/2 Eisenstein series on level 4 whose coefficients
     are the class number-like values H(k, n).
 
-    For k = 2 and large windows the direct L-value evaluation is replaced
-    by the identity H = theta^5 / 120 - theta F / 6 with F the odd-index
-    part of sum sigma_1(n) q^n; the two paths are compared in the tests.
+    H_k lies in M_{k+1/2}(Gamma_0(4)), which has the basis
+    theta^(2k+1-4j) F^j, 0 <= j <= floor((2k+1)/4), with F the odd-index
+    part of sum sigma_1(n) q^n (Koblitz IV.4; Cohen 1975).  Element j
+    starts at q^j, so the L-value formula is evaluated only on the first
+    dim coefficients, which fix H_k's coordinates by forward substitution,
+    and on _CHECK_TERMS more, which must agree with the combination;
+    the rest of the window comes from the integer basis products.
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    if k == 2 and prec > 2000:
-        th = theta(prec)
-        th5 = mul(_power(th, 4), th)
-        tf = mul(th, _odd_sigma1(prec))
-        coeffs: dict[int, Fraction] = {}
-        for a in range(prec):
-            v = th5.coeff(a) / 120 - tf.coeff(a) / 6
-            if v:
-                coeffs[a] = v
-        return QExp(Fraction(2 * k + 1, 2), 1, coeffs, 0, prec)
-    coeffs = {}
-    for n in range(prec):
-        v = _cohen_value(k, n)
+    dim = (2 * k + 1) // 4 + 1
+    basis = _cohen_basis(k, max(prec, dim + _CHECK_TERMS))
+    coords: list[Fraction] = []
+    for n in range(dim):
+        coords.append(_cohen_value(k, n) - sum(c * b[n] for c, b in zip(coords, basis)))
+    for n in range(dim, dim + _CHECK_TERMS):
+        got = sum(c * b[n] for c, b in zip(coords, basis))
+        want = _cohen_value(k, n)
+        if got != want:
+            raise VerificationFailure(
+                "theta/F basis combination for H_%d disagrees with the L-value at q^%d" % (k, n),
+                first_mismatch=(n, got, want),
+            )
+    den = math.lcm(*(c.denominator for c in coords))
+    nums = [c.numerator * (den // c.denominator) for c in coords]
+    coeffs: dict[int, Fraction] = {}
+    for n, column in zip(range(prec), zip(*basis)):
+        v = sum(a * b for a, b in zip(nums, column))
         if v:
-            coeffs[n] = v
+            coeffs[n] = Fraction(v, den)
     return QExp(Fraction(2 * k + 1, 2), 1, coeffs, 0, prec)
 
 

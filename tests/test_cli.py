@@ -261,3 +261,35 @@ def test_human_error_goes_to_stderr(capsys):
     assert code == 2
     assert not out.strip()
     assert "eta-conductor-8" in err or "conductor" in err
+
+
+def test_character_json_with_string_residue_is_schema_error(capsys, tmp_path):
+    p = tmp_path / "chi.json"
+    p.write_text(json.dumps({"modulus": 5, "kind": "explicit", "values": [["1", "1"], [2, "1"]]}))
+    code, out, _ = run(
+        capsys, "lift", "--fixture", "cohen52", "--N", "5", "--t", "1", "--prec", "5",
+        "--character", "json:%s" % p, "--json",
+    )
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "SchemaError"
+    assert "residue" in payload["message"]
+
+
+@pytest.mark.parametrize("flag", ["--t", "--s", "--M", "--N"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_lift_rejects_nonpositive_index_flags(capsys, monkeypatch, flag, value):
+    import shimlift.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("series built before the arguments were checked")
+
+    monkeypatch.setattr(cli, "fixture", no_build)
+    code, payload, _ = run_json(
+        capsys, "lift", "--fixture", "cohen52", flag, value, "--prec", "5", "--json"
+    )
+    assert code == 2
+    assert payload["error"] == "SchemaError"
+    assert payload["message"].startswith(flag + " ")

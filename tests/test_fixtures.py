@@ -10,8 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shimlift import fixtures
+from shimlift.errors import VerificationFailure
 from shimlift.fixtures import (
+    _cohen_value,
     cohen_eisenstein,
     delta,
     eisenstein,
@@ -143,6 +148,43 @@ def test_cohen_combo_route_agrees_with_direct():
     direct = cohen_eisenstein(2, 400)
     combo = cohen_eisenstein(2, 2100)
     assert combo.truncate(400) == direct
+
+
+@pytest.mark.parametrize("k, terms", [(2, 1000), (3, 3000), (4, 3000), (5, 1000), (6, 1000)])
+def test_cohen_basis_route_matches_l_values(k, terms):
+    # the theta/F products against the per-coefficient L-value formula
+    h = cohen_eisenstein(k, terms)
+    assert h.hi == terms
+    for n in range(terms):
+        assert h.coeff(n) == _cohen_value(k, n), (k, n)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_cohen_short_windows(k):
+    dim = (2 * k + 1) // 4 + 1
+    for prec in range(dim + 2):
+        h = cohen_eisenstein(k, prec)
+        assert (h.lo, h.hi) == (0, prec)
+        assert h == QExp(Fraction(2 * k + 1, 2), 1, {n: _cohen_value(k, n) for n in range(prec)}, 0, prec)
+
+
+@settings(deadline=None)
+@given(k=st.integers(2, 6), a=st.integers(0, 400), data=st.data())
+def test_cohen_window_rule(k, a, data):
+    b = data.draw(st.integers(0, a))
+    assert cohen_eisenstein(k, a).truncate(b) == cohen_eisenstein(k, b)
+
+
+def test_cohen_basis_mismatch_is_typed(monkeypatch):
+    def off_by_one(k, n):
+        v = _cohen_value(k, n)
+        return v + 1 if n == 2 else v
+
+    # k = 2: q^0 and q^1 fix the coordinates, q^2 is the first one checked
+    monkeypatch.setattr(fixtures, "_cohen_value", off_by_one)
+    with pytest.raises(VerificationFailure) as info:
+        cohen_eisenstein(2, 50)
+    assert info.value.first_mismatch[0] == 2
 
 
 def test_plus_product_coefficients():
