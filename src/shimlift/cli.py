@@ -120,6 +120,11 @@ def _series_human(f: QExp, limit: int = 12) -> str:
     return "window [%d, %d)/%d, weight %s\n  " % (f.lo, f.hi, f.denom, f.weight) + "\n  ".join(names)
 
 
+def _check_prec(args) -> None:
+    if args.prec < 0:
+        raise SchemaError("--prec must be a nonnegative integer, got %d" % args.prec)
+
+
 def _cmd_lift(args) -> int:
     N = _resolve(args, "N", 1)
     for flag, value in (("--t", args.t), ("--s", args.s), ("--M", args.M), ("--N", N)):
@@ -158,6 +163,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    _check_prec(args)
     f = _load_series(args)
     k = _resolve(args, "k")
     if k is None:
@@ -191,6 +197,7 @@ def _cmd_level_predict(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_prec(args)
     f = _load_series(args)
     weight = Fraction(args.weight)
     if args.mode == "exact":
@@ -240,6 +247,7 @@ def _cmd_weil_selftest(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    _check_prec(args)
     if args.list:
         _emit(args, {"fixtures": fixture_names()}, "\n".join(fixture_names()))
         return 0

@@ -233,31 +233,27 @@ def _theta_list(n: int) -> list[int]:
     return out
 
 
-def _mul_list(a: list[int], b: list[int], n: int) -> list[int]:
-    return _intpoly.convolve(a, b)[:n]
-
-
 def _cohen_basis(k: int, n: int) -> list[list[int]]:
     """theta^(2k+1-4j) F^j for j = 0 .. floor((2k+1)/4), on n >= 1 terms,
     with F = sum over odd m of sigma_1(m) q^m; element j is q^j + O(q^(j+1)).
     """
     dim = (2 * k + 1) // 4 + 1
     th = _theta_list(n)
-    th2 = _mul_list(th, th, n)
-    th4 = _mul_list(th2, th2, n)
+    th2 = _intpoly.convolve(th, th, n)
+    th4 = _intpoly.convolve(th2, th2, n)
     odd_sigma = _sigma_sieve(1, n, odd_only=True)
     # theta^(2k+1-4j) for j = dim-1 down to 0, climbing by theta^4
-    th_part = _mul_list(th2, th, n) if (2 * k + 1) % 4 == 3 else th
+    th_part = _intpoly.convolve(th2, th, n) if (2 * k + 1) % 4 == 3 else th
     th_parts = [th_part]
     for _ in range(dim - 1):
-        th_part = _mul_list(th_part, th4, n)
+        th_part = _intpoly.convolve(th_part, th4, n)
         th_parts.append(th_part)
     th_parts.reverse()
     basis = [th_parts[0]]
     f_part = None
     for j in range(1, dim):
-        f_part = odd_sigma if f_part is None else _mul_list(f_part, odd_sigma, n)
-        basis.append(_mul_list(th_parts[j], f_part, n))
+        f_part = odd_sigma if f_part is None else _intpoly.convolve(f_part, odd_sigma, n)
+        basis.append(_intpoly.convolve(th_parts[j], f_part, n))
     return basis
 
 

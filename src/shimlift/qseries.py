@@ -53,9 +53,6 @@ __all__ = [
     "u_op",
 ]
 
-_DICT_CONV_CUTOFF = 1 << 16
-
-
 def _cdiv(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -252,18 +249,15 @@ def _conv_rational(da: dict, db: dict, cap: int) -> dict:
     """Convolution of rational coefficient dicts, exponents below cap only.
 
     Clears denominators, exploits the coarser of the two support strides,
-    and runs the integer convolutions through the packed multiplier.
+    and runs the integer convolutions through the packed multiplier, which
+    computes only the terms below cap.
     """
     sa = sorted(da)
     sb = sorted(db)
-    den_a = 1
-    for c in da.values():
-        den_a = _lcm(den_a, c.denominator)
-    den_b = 1
-    for c in db.values():
-        den_b = _lcm(den_b, c.denominator)
-    ia = {a: int(c * den_a) for a, c in da.items()}
-    ib = {b: int(c * den_b) for b, c in db.items()}
+    den_a = math.lcm(*[c.denominator for c in da.values()])
+    den_b = math.lcm(*[c.denominator for c in db.values()])
+    ia = {a: c.numerator * (den_a // c.denominator) for a, c in da.items()}
+    ib = {b: c.numerator * (den_b // c.denominator) for b, c in db.items()}
     ga = _stride(sa)
     gb = _stride(sb)
     if ga >= gb:
@@ -279,20 +273,21 @@ def _conv_rational(da: dict, db: dict, cap: int) -> dict:
         classes.setdefault(b % H, []).append(b)
     den = den_a * den_b
     out: dict[int, Fraction] = {}
+    # the classes sit in distinct residues mod H, so no exponent is hit twice
     for members in classes.values():
         base_o = members[0]
+        base = base_o + base_s
+        n = _cdiv(cap - base, H)
+        if n <= 0:
+            continue
         arr_o = [0] * ((members[-1] - base_o) // H + 1)
         for b in members:
             arr_o[(b - base_o) // H] = other[b]
-        conv = _intpoly.convolve(arr_o, arr_s)
-        base = base_o + base_s
+        conv = _intpoly.convolve(arr_o, arr_s, n)
         for i, v in enumerate(conv):
             if v:
-                n = base + i * H
-                if n < cap:
-                    prev = out.get(n)
-                    out[n] = Fraction(v, den) if prev is None else prev + Fraction(v, den)
-    return {n: c for n, c in out.items() if c}
+                out[base + i * H] = Fraction(v, den)
+    return out
 
 
 def _conv_generic(da: dict, db: dict, cap: int) -> dict:
@@ -308,9 +303,9 @@ def _conv_generic(da: dict, db: dict, cap: int) -> dict:
 def _conv(da: dict, db: dict, cap: int) -> dict:
     if not da or not db:
         return {}
-    if len(da) * len(db) > _DICT_CONV_CUTOFF and all(
-        isinstance(c, Fraction) for c in da.values()
-    ) and all(isinstance(c, Fraction) for c in db.values()):
+    if all(isinstance(c, Fraction) for c in da.values()) and all(
+        isinstance(c, Fraction) for c in db.values()
+    ):
         return _conv_rational(da, db, cap)
     return _conv_generic(da, db, cap)
 
@@ -402,8 +397,13 @@ def invert_unit(f: QExp, hi: int | None = None) -> QExp:
 
     Newton doubling; each step is justified by the algebraic identity
     x(2 - fx) = 1/f mod q^(2m), which the window algebra alone cannot see,
-    so this works on raw coefficient dicts and stamps the final window.
+    so this works on raw coefficients and stamps the final window.
     Rational coefficients only, integer exponents, lo = 0.
+
+    The iteration runs on integers: f = F/d with F an integer list, and
+    with u = F[0] the inverse of F mod q^m is X/u^e for an integer list X.
+    A step writes x(2 - Fx) as x - x(Fx - 1); Fx - 1 vanishes below q^m,
+    so the second product needs only its top half.
     """
     if f.denom != 1 or f.lo != 0:
         raise ValueError("inversion needs integer exponents starting at 0")
@@ -415,16 +415,25 @@ def invert_unit(f: QExp, hi: int | None = None) -> QExp:
     H = f.hi if hi is None else min(hi, f.hi)
     if H < 1:
         raise ValueError("no constant term inside the window")
-    x = {0: 1 / c0}
+    low = {a: c for a, c in f.coeffs.items() if a < H}
+    d = math.lcm(*[c.denominator for c in low.values()])
+    F = [0] * H
+    for a, c in low.items():
+        F[a] = c.numerator * (d // c.denominator)
+    ue = F[0]  # u^e, the denominator of X
+    X = [1]
     m = 1
     while m < H:
         m2 = min(2 * m, H)
-        ftrunc = {a: c for a, c in f.coeffs.items() if a < m2}
-        fx = _conv(ftrunc, x, m2)
-        corr = {a: -c for a, c in fx.items()}
-        corr[0] = corr.get(0, Fraction(0)) + 2
-        x = _conv(x, {a: c for a, c in corr.items() if c}, m2)
+        # F X = u^e + q^m T mod q^m2
+        T = _intpoly.convolve(F, X, m2)[m:]
+        tail = _intpoly.convolve(X, T, m2 - m)
+        if ue != 1:
+            X = [v * ue for v in X]
+        X.extend([-v for v in tail])
+        ue *= ue
         m = m2
+    x = {a: Fraction(d * v, ue) for a, v in enumerate(X) if v}
     return QExp(-f.weight, 1, x, 0, H)
 
 

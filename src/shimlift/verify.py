@@ -170,9 +170,15 @@ def _monomials(weight: int) -> list[tuple[int, int]]:
 
 
 def _power(f: QExp, e: int, one_hi: int) -> QExp:
+    """f^e by square-and-multiply, starting from the one on [0, one_hi)."""
     out = QExp(Fraction(0), 1, {0: 1}, 0, one_hi)
-    for _ in range(e):
-        out = mul(out, f)
+    sq = f
+    while e:
+        if e & 1:
+            out = mul(out, sq)
+        e >>= 1
+        if e:
+            sq = mul(sq, sq)
     return out
 
 

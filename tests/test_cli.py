@@ -293,3 +293,35 @@ def test_lift_rejects_nonpositive_index_flags(capsys, monkeypatch, flag, value):
     assert code == 2
     assert payload["error"] == "SchemaError"
     assert payload["message"].startswith(flag + " ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixtures", "--name", "cohen72"],
+        ["project", "--fixture", "cohen52", "--k", "2"],
+        ["verify", "--fixture", "theta", "--weight", "1/2", "--level", "4"],
+    ],
+    ids=["fixtures", "project", "verify"],
+)
+def test_negative_prec_is_schema_error(capsys, monkeypatch, argv):
+    import shimlift.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("series built before --prec was checked")
+
+    monkeypatch.setattr(cli, "fixture", no_build)
+    code, out, _ = run(capsys, *argv, "--prec", "-1", "--json")
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "SchemaError"
+    assert payload["message"].startswith("--prec ")
+
+
+def test_zero_prec_fixture_is_empty_window(capsys):
+    code, payload, _ = run_json(capsys, "fixtures", "--name", "cohen72", "--prec", "0", "--json")
+    assert code == 0
+    assert payload["window"] == [0, 0]
+    assert payload["coefficients"] == []

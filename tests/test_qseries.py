@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
 from shimlift.errors import PrecisionError, SchemaError
@@ -225,6 +227,43 @@ def test_invert_unit_newton_matches_direct_product():
     assert one.coeff(0) == 1
     for n in range(1, one.hi):
         assert one.coeff(n) == 0, n
+
+
+rational = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+unit = rational.filter(lambda c: c != 0 and c != 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c0=unit, rest=st.lists(rational, min_size=1, max_size=30))
+def test_invert_unit_is_inverse_for_rational_units(c0, rest):
+    # a constant term other than 1 and non-integral coefficients: the inverse
+    # carries powers of the constant term in its denominators
+    coeffs = {0: c0}
+    coeffs.update((a, c) for a, c in enumerate(rest, 1) if c)
+    coeffs[1] = coeffs.get(1, Fraction(0)) + Fraction(1, 3)
+    f = QExp(Fraction(1, 2), 1, coeffs, 0, len(rest) + 1)
+    inv = invert_unit(f)
+    assert (inv.lo, inv.hi, inv.weight) == (0, f.hi, Fraction(-1, 2))
+    one = mul(f, inv)
+    assert one.hi == f.hi
+    assert one.coeff(0) == 1
+    assert all(one.coeff(n) == 0 for n in range(1, one.hi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(c0=unit, rest=st.lists(rational, max_size=30), data=st.data())
+def test_invert_unit_window_is_sound(c0, rest, data):
+    # inverting a truncated input agrees with inverting the full input
+    # inside the truncated window, and an explicit hi means the same
+    coeffs = {0: c0}
+    coeffs.update((a, c) for a, c in enumerate(rest, 1) if c)
+    f = QExp(0, 1, coeffs, 0, len(rest) + 1)
+    h = data.draw(st.integers(1, f.hi))
+    full = invert_unit(f)
+    short = invert_unit(f.truncate(h))
+    assert (short.lo, short.hi) == (0, h)
+    assert short == full.truncate(h)
+    assert invert_unit(f, h) == short
 
 
 def test_invert_unit_rejects_non_units():
