@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import HypothesisError
+from .errors import HypothesisError, SchemaError
 from .scalars import (
     Scalar,
     as_exact,
@@ -20,6 +20,8 @@ from .scalars import (
     exact_is_zero,
     exact_mul,
     kronecker,
+    scalar_from_json,
+    scalar_to_json,
 )
 
 __all__ = [
@@ -254,25 +256,16 @@ def eta_char(chi: DirichletCharacter, t: int, eps: int) -> DirichletCharacter:
         raise
 
 
-def _cyc_json(v: Scalar):
-    from .scalars import scalar_to_json
-
-    return scalar_to_json(v)
-
-
 def character_to_json(chi: DirichletCharacter) -> dict:
     out: dict = {"modulus": chi.modulus, "kind": chi.kind}
     if chi.kind == "kronecker":
         out["t"] = chi.kind_param
     if chi.kind == "explicit":
-        out["values"] = [[d, _cyc_json(v)] for d, v in sorted(chi.values.items())]
+        out["values"] = [[d, scalar_to_json(v)] for d, v in sorted(chi.values.items())]
     return out
 
 
 def character_from_json(obj) -> DirichletCharacter:
-    from .errors import SchemaError
-    from .scalars import scalar_from_json
-
     if not isinstance(obj, dict) or "modulus" not in obj or "kind" not in obj:
         raise SchemaError("character object needs 'modulus' and 'kind'")
     modulus = obj["modulus"]
@@ -299,6 +292,4 @@ def character_from_json(obj) -> DirichletCharacter:
 
 
 def _bad_t():
-    from .errors import SchemaError
-
     raise SchemaError("kronecker character needs integer 't'")

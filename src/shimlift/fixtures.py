@@ -89,7 +89,8 @@ def eisenstein(weight: int, prec: int) -> QExp:
     if weight not in _EISENSTEIN_WEIGHTS:
         raise ValueError("weight must be one of %r" % (_EISENSTEIN_WEIGHTS,))
     c = Fraction(-2 * weight) / bernoulli_number(weight)
-    assert c.denominator == 1
+    if c.denominator != 1:
+        raise AssertionError("-2w/B_w = %s is not an integer for w = %d" % (c, weight))
     coeffs: dict[int, Fraction] = {n: c * v for n, v in enumerate(_sigma_sieve(weight - 1, prec)) if v}
     coeffs[0] = Fraction(1)
     return QExp(Fraction(weight), 1, coeffs, 0, prec)

@@ -22,6 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Union
 
+from .errors import SchemaError
+
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .characters import DirichletCharacter
 
@@ -162,7 +164,8 @@ def _cyclotomic(m: int) -> tuple[int, ...]:
                 if c:
                     for j, pc in enumerate(phi_d):
                         rem[i + j] -= c * pc
-            assert not any(rem), "cyclotomic division left a remainder"
+            if any(rem):
+                raise AssertionError("cyclotomic division left a remainder")
             num = quot
     return tuple(num)
 
@@ -232,7 +235,8 @@ class CycScalar:
     # -- structure ------------------------------------------------------
 
     def _promoted_terms(self, order: int) -> dict:
-        assert order % self.order == 0
+        if order % self.order:
+            raise AssertionError("order %d is not a multiple of %d" % (order, self.order))
         q = order // self.order
         return {e * q: c for e, c in self.terms.items()}
 
@@ -459,23 +463,20 @@ def rational_to_str(r: Fraction) -> str:
 
 
 def rational_from_str(s) -> Fraction:
-    from .errors import SchemaError
-
     if not isinstance(s, str):
         raise SchemaError("rational must be a string, got %r" % (s,))
+    p, slash, q = s.partition("/")
     try:
-        if "/" in s:
-            p, q = s.split("/", 1)
-            return Fraction(int(p), int(q))
-        return Fraction(int(s))
+        return Fraction(int(p), int(q) if slash else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError("bad rational %r" % s) from exc
 
 
 def scalar_to_json(x):
-    x = as_exact(x)
+    if not isinstance(x, Fraction):
+        x = as_exact(x)
     if isinstance(x, Fraction):
-        return rational_to_str(x)
+        return str(x)  # "p" or "p/q", the same text as rational_to_str
     return {
         "order": x.order,
         "terms": [[e, rational_to_str(c)] for e, c in sorted(x.terms.items())],
@@ -483,8 +484,6 @@ def scalar_to_json(x):
 
 
 def scalar_from_json(obj) -> Scalar:
-    from .errors import SchemaError
-
     if isinstance(obj, str):
         return rational_from_str(obj)
     if isinstance(obj, dict):

@@ -485,8 +485,9 @@ class LevelVerdict:
     covered: bool
 
     def __post_init__(self):
-        if self.covered and self.level is not None:
-            assert self.level == self.factor * self.p_J * self.lcm_ns
+        product = self.factor * self.p_J * self.lcm_ns
+        if self.covered and self.level is not None and self.level != product:
+            raise AssertionError("level %d != factor * p_J * lcm_ns = %d" % (self.level, product))
 
     def to_json(self) -> dict:
         return {
@@ -532,7 +533,8 @@ def predict_level(N: int, t: int, s: int, M: int, *, plus_space_matching_eps: bo
         return LevelVerdict("vi", 2 * base, False, pj, lcm_ns, 2, True)
     if N % 4 == 2 and s % 4 != 0:
         return LevelVerdict("vii", 2 * base, False, pj, lcm_ns, 2, True)
-    assert (M * N * s * t) % 2 == 1, "case fallthrough with an even parameter"
+    if (M * N * s * t) % 2 == 0:
+        raise AssertionError("case fallthrough with an even parameter")
     if psi_subspace_known:
         return LevelVerdict("viii", 2 * base, True, pj, lcm_ns, 2, True)
     return LevelVerdict("viii", None, True, pj, lcm_ns, 2, False)

@@ -238,7 +238,8 @@ def _solve_exact(rows: list[list], dim: int) -> list[Fraction]:
     m = [[Fraction(x) for x in row] for row in rows]
     for col in range(dim):
         piv = next((r for r in range(col, dim) if m[r][col] != 0), None)
-        assert piv is not None, "Eisenstein monomials went dependent"
+        if piv is None:
+            raise AssertionError("Eisenstein monomials went dependent")
         m[col], m[piv] = m[piv], m[col]
         inv = 1 / m[col][col]
         m[col] = [x * inv for x in m[col]]

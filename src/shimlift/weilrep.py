@@ -5,6 +5,9 @@ Matrices are numpy complex arrays indexed by the module's element order.
 Exactness is not needed here: representation identities are checked
 numerically at tight tolerance, while all lift arithmetic stays exact on
 the scalar side.
+
+numpy is imported inside the functions that build arrays, so importing
+this module (and with it `shimlift` and its CLI) does not load numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import math
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import VerificationFailure
 from .qseries import QExp
@@ -100,6 +101,8 @@ class FqModule:
         """Integer tables: L*Q(g) by element index, and the n x n pairing
         table L*B(a, b) mod L.  Cached; everything downstream of these is
         numpy work."""
+        import numpy as np
+
         if self._btab is not None:
             return self._q_arr, self._btab
         n = self.size
@@ -121,6 +124,8 @@ class FqModule:
         return q_arr, btab
 
     def _validate(self) -> None:
+        import numpy as np
+
         n = self.size
         L = self._level
         q_arr, btab = self._tables()
@@ -153,6 +158,8 @@ class FqModule:
 
     def _sum_row(self, gidx: int) -> np.ndarray:
         """Indices of g + a for fixed g (by index) and all a."""
+        import numpy as np
+
         n = self.size
         idx = np.arange(n)
         out = np.zeros(n, dtype=np.int64)
@@ -211,12 +218,16 @@ class FqModule:
 
 def weil_T(module: FqModule) -> np.ndarray:
     """rho(T): diagonal with entries e(Q(gamma))."""
+    import numpy as np
+
     q_arr, _ = module._tables()
     return np.diag(np.exp(2j * np.pi * q_arr / module._level))
 
 
 def weil_S(module: FqModule) -> np.ndarray:
     """rho(S): (zeta_8^(-sig) / sqrt(|D|)) e(-(gamma, delta))."""
+    import numpy as np
+
     _, btab = module._tables()
     front = _e(Fraction(-module.signature_mod_8, 8)) / math.sqrt(module.size)
     return front * np.exp(-2j * np.pi * btab.T / module._level)
@@ -244,6 +255,8 @@ def weil_word(module: FqModule, word: Sequence[str]):
     sqrt(c tau + d).  Branches are propagated by evaluating the cocycle at
     tau = i and comparing against the principal value.
     """
+    import numpy as np
+
     rho_gens = {
         "S": weil_S(module),
         "T": weil_T(module),
@@ -294,6 +307,8 @@ def psi_char(a: int, b: int, c: int, d: int, branch: int = 1) -> complex:
 def rho1_gamma04(a: int, b: int, c: int, d: int, branch: int = 1, dual: bool = False) -> np.ndarray:
     """Closed form of the rank-one Weil representation on Gamma_0(4) words:
     psi(alpha) diag(1, i^(bd)); the dual module takes the conjugate."""
+    import numpy as np
+
     mat = psi_char(a, b, c, d, branch) * np.diag([1.0 + 0j, 1j ** ((b * d) % 4)])
     return mat.conj() if dual else mat
 
@@ -319,6 +334,8 @@ def m_h_map(module: FqModule, h: int) -> dict:
 
 def m_h(module: FqModule, h: int) -> np.ndarray:
     """Permutation matrix of m_h_map, acting on coefficient vectors."""
+    import numpy as np
+
     mapping = m_h_map(module, h)
     n = module.size
     mat = np.zeros((n, n), dtype=complex)
@@ -415,6 +432,8 @@ def weil_selftest(max_n: int = 12, words: int = 100, seed: int = 2024, perturb: 
     perturb=True injects a small error into rho(S) first, as a negative
     control for the harness around this function.
     """
+    import numpy as np
+
     modules = [FqModule.d1(), FqModule.d1_minus()]
     modules += [FqModule.d1_n(n) for n in range(1, max_n + 1)]
     max_rel = 0.0

@@ -2,13 +2,18 @@
 byte-stable round trips.
 
 Everything runs in-process through main(argv) so exit codes and streams
-are observable without spawning subprocesses.
+are observable without spawning subprocesses, except the cold-start tests,
+which need a fresh interpreter to see which modules a call imports.
 """
 from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +330,82 @@ def test_zero_prec_fixture_is_empty_window(capsys):
     assert code == 0
     assert payload["window"] == [0, 0]
     assert payload["coefficients"] == []
+
+
+# Runs main(argv) in a fresh interpreter, then reports on stderr whether
+# numpy was imported.  With --json, the command's own output is on stdout.
+_COLD_START = """
+import sys
+from shimlift.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write("numpy=%s exit=%d\\n" % ("numpy" in sys.modules, code))
+"""
+
+
+def _fresh_python(code, *argv, flags=()):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def _cold_start(*argv):
+    proc = _fresh_python(_COLD_START, *argv)
+    return proc.stderr.strip().splitlines()[-1], proc.stdout
+
+
+def test_import_does_not_load_numpy():
+    proc = _fresh_python("import sys, shimlift; print('numpy' in sys.modules)")
+    assert proc.stdout.strip() == "False", proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", "--fixture", "cohen52", "--t", "1", "--prec", "6"],
+        ["project", "--fixture", "cohen52", "--prec", "40", "--k", "2", "--epsilon", "1", "--N", "4"],
+        ["verify", "--fixture", "e4", "--prec", "20", "--weight", "4", "--mode", "exact"],
+        ["level-predict", "--N", "1", "--t", "1", "--plus"],
+        ["fixtures", "--reemit", "REEMIT"],
+    ],
+    ids=["lift", "project", "verify-exact", "level-predict", "fixtures-reemit"],
+)
+def test_cli_commands_do_not_load_numpy(capsys, tmp_path, argv):
+    if "REEMIT" in argv:
+        code, out, _ = run(capsys, "fixtures", "--name", "theta_e4", "--prec", "50", "--json")
+        assert code == 0
+        src = tmp_path / "theta_e4.json"
+        src.write_text(out)
+        argv = [str(src) if a == "REEMIT" else a for a in argv]
+    status, out = _cold_start(*argv, "--json")
+    assert status == "numpy=False exit=0", out
+    assert len(out.strip().splitlines()) == 1
+
+
+def test_weil_selftest_loads_numpy_and_passes():
+    status, out = _cold_start("weil-selftest", "--max-n", "3", "--words", "5", "--json")
+    assert status == "numpy=True exit=0", out
+    assert json.loads(out)["modules"] == 5
+
+
+_BROKEN_INVARIANTS = """
+from shimlift.scalars import CycScalar
+from shimlift.shimura import LevelVerdict
+from shimlift.verify import _solve_exact
+checks = [
+    lambda: CycScalar.root_of_unity(4, 1)._promoted_terms(6),
+    lambda: LevelVerdict("i", 5, False, 1, 1, 1, True),
+    lambda: _solve_exact([[0, 0], [0, 0]], 2),
+]
+for check in checks:
+    try:
+        check()
+        print("passed")
+    except AssertionError:
+        print("raised")
+"""
+
+
+def test_invariant_checks_survive_optimize_flag():
+    proc = _fresh_python(_BROKEN_INVARIANTS, flags=["-O"])
+    assert proc.stdout.split() == ["raised"] * 3, proc.stderr

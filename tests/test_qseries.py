@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
+from shimlift import _intpoly, qseries
 from shimlift.errors import PrecisionError, SchemaError
 from shimlift.qseries import (
     QExp,
@@ -28,6 +29,7 @@ from shimlift.qseries import (
     scale,
     u_op,
 )
+from shimlift.scalars import CycScalar, FourthRoot, exact_eq, rational_to_str
 
 
 def test_construction_drops_zeros_and_validates_window():
@@ -307,3 +309,58 @@ def test_json_rejects_malformed():
         qexp_from_json({"weight": "2"})
     with pytest.raises(SchemaError):
         qexp_from_json([])
+
+
+def test_construction_canonicalises_non_fraction_coefficients():
+    i = CycScalar.root_of_unity(4, 1)
+    f = QExp(0, 1, {
+        0: 3,
+        1: CycScalar.from_rational(Fraction(1, 2)),
+        2: FourthRoot(2),
+        3: FourthRoot(1),
+        4: i,
+        5: 0,
+        6: Fraction(0),
+        7: CycScalar(3, {}),
+        8: FourthRoot(4),
+    }, 0, 9)
+    assert f.support() == [0, 1, 2, 3, 4, 8]
+    for a, want in ((0, Fraction(3)), (1, Fraction(1, 2)), (2, Fraction(-1)), (8, Fraction(1))):
+        assert type(f.coeffs[a]) is Fraction and f.coeffs[a] == want, a
+    for a in (3, 4):
+        assert isinstance(f.coeffs[a], CycScalar) and exact_eq(f.coeffs[a], i), a
+
+
+coefficient = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10**12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=st.dictionaries(st.integers(-5, 60), coefficient, max_size=40))
+def test_json_emits_rational_to_str_and_round_trips_with_zeros(coeffs):
+    f = QExp(Fraction(5, 2), 1, coeffs, -5, 61)
+    nonzero = {a: c for a, c in coeffs.items() if c}
+    doc = qexp_to_json(f)
+    assert doc["coefficients"] == [[a, rational_to_str(c)] for a, c in sorted(nonzero.items())]
+    g = qexp_from_json(doc)
+    assert g == f and g.coeffs == nonzero
+    assert all(type(c) is Fraction for c in g.coeffs.values())
+
+
+def test_sparse_rational_product_skips_the_packed_multiplier(monkeypatch):
+    # a gap of 10^5 would pack 2 * 10^5 slots for 9 term products
+    a = QExp(0, 1, {0: 1, 1: Fraction(-1, 2), 10**5: 3}, 0, 2 * 10**5)
+    b = QExp(0, 1, {0: Fraction(2, 3), 1: 5, 7: -1}, 0, 2 * 10**5)
+    with monkeypatch.context() as m:
+        m.setattr(qseries, "_SPARSE_FACTOR", 0)  # force the packed route
+        packed = qseries._conv_rational(a.coeffs, b.coeffs, 2 * 10**5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("packed multiplier called for a sparse product")
+
+    monkeypatch.setattr(_intpoly, "convolve", refuse)
+    prod = mul(a, b)
+    assert prod.coeffs == packed == util.brute_convolve(a.coeffs, b.coeffs, prod.hi)
+    # a dense product of the same length still takes the packed route
+    dense = QExp(0, 1, {n: n + 1 for n in range(40)}, 0, 40)
+    with pytest.raises(AssertionError, match="packed multiplier"):
+        mul(dense, dense)

@@ -7,6 +7,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
 from shimlift.errors import SchemaError
@@ -282,3 +284,54 @@ def test_scalar_json_rejects_malformed_payloads():
         scalar_from_json({"order": 4})
     with pytest.raises(SchemaError):
         scalar_from_json([1, 2])
+
+
+def _reference_rational_from_str(s) -> Fraction:
+    # the two-step reader (split on the first slash, then int() and
+    # Fraction), kept as the reference for the one-pass reader
+    if not isinstance(s, str):
+        raise SchemaError("rational must be a string, got %r" % (s,))
+    try:
+        if "/" in s:
+            p, q = s.split("/", 1)
+            return Fraction(int(p), int(q))
+        return Fraction(int(s))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError("bad rational %r" % s) from exc
+
+
+def _read(reader, s):
+    try:
+        return reader(s)
+    except SchemaError as exc:
+        return "SchemaError: %s" % exc
+
+
+def test_noncanonical_rational_strings_parse_to_the_reduced_value():
+    cases = {"2/4": Fraction(1, 2), "-3/-6": Fraction(1, 2), "+5": Fraction(5),
+             "0/7": Fraction(0), "-0": Fraction(0), "6/-4": Fraction(-3, 2), " 3 ": Fraction(3)}
+    for s, want in cases.items():
+        got = rational_from_str(s)
+        assert type(got) is Fraction and got == want == _reference_rational_from_str(s), s
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_malformed_rationals_raise_the_same_schema_error():
+    for bad in ("1/0", "a", "1/2/3", "", "1/", "/2", "/", "1.5", "a/b", 7, None, Fraction(1, 2)):
+        msg = _read(rational_from_str, bad)
+        assert msg.startswith("SchemaError: ") and msg == _read(_reference_rational_from_str, bad), bad
+    assert _read(rational_from_str, "1/2/3") == "SchemaError: bad rational '1/2/3'"
+    assert _read(rational_from_str, 7) == "SchemaError: rational must be a string, got 7"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789/-+ _a", max_size=10))
+def test_rational_reader_agrees_with_reference_on_any_string(s):
+    assert _read(rational_from_str, s) == _read(_reference_rational_from_str, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(max_denominator=10**30))
+def test_scalar_to_json_of_a_fraction_is_rational_to_str(r):
+    assert scalar_to_json(r) == rational_to_str(r)
+    assert rational_from_str(scalar_to_json(r)) == r
