@@ -7,11 +7,18 @@ back as balanced digits, a borrow carrying into the next slot wherever a
 column sum is negative.  Only the first n slots are ever read, and operands
 are trimmed to n terms first.
 
-The big multiply is gmpy2 when it imports, else the decimal module (whose
-libmpdec multiplies large numbers by a number-theoretic transform) on
-decimal-digit slots once the shorter packed operand is large, else Python's
-int on binary slots; short operands are multiplied by schoolbook.  Every route
-gives the same coefficients.
+Routes, in the order `convolve` tries them:
+  1. schoolbook, when the shorter operand is short;
+  2. shift-add, without gmpy2, when one operand is sparse (few nonzero
+     terms, each weighted by the size of the largest, spread thin): the
+     denser operand is packed once and a shifted multiple of it is added
+     for each nonzero term of the sparser one, so no big multiply runs;
+  3. decimal, without gmpy2, once the shorter packed operand is large: the
+     decimal module (whose libmpdec multiplies large numbers by a
+     number-theoretic transform) on decimal-digit slots;
+  4. int, without gmpy2 otherwise: Python's int on binary slots;
+  5. gmpy2, whenever it imports, on binary slots.
+Every route gives the same coefficients.
 """
 
 from __future__ import annotations
@@ -31,6 +38,11 @@ _HAVE_GMPY2 = _mpz.__module__ != __name__
 
 # shorter operand at most this long: schoolbook
 _SCHOOLBOOK_TERMS = 10
+# sparser operand has at most this many nonzero terms, each counted once
+# per 128 bits of its largest coefficient: shift-add ...
+_SHIFT_ADD_TERMS = 256
+# ... if they also fill at most one slot in this many of it
+_SHIFT_ADD_SPREAD = 4
 # shorter operand packs to at least this many bits: decimal instead of int
 _DECIMAL_BITS = 150_000
 # coefficients per chunk while packing, to bound the temporary strings
@@ -101,6 +113,20 @@ def _pack_bytes(a: list, slot: int, sign: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _pack(a: list, slot: int) -> int:
+    """a on binary slots of `slot` bytes, as one signed int."""
+    p = _pack_bytes(a, slot, 1)
+    if min(a) < 0:
+        p -= _pack_bytes(a, slot, -1)
+    return p
+
+
+def _unpack(raw: bytes, slot: int, n: int) -> list:
+    """The first n slots of a little-endian byte string, as unsigned digits."""
+    raw = memoryview(raw)
+    return [int.from_bytes(raw[i:i + slot], "little") for i in range(0, n * slot, slot)]
+
+
 def _binary(a: list, b: list, n: int, big=_mpz) -> list:
     """First n coefficients of a*b through binary slots, the big multiply
     done on big(.) of the packed operands (int or gmpy2.mpz)."""
@@ -109,23 +135,58 @@ def _binary(a: list, b: list, n: int, big=_mpz) -> list:
     if not bits:
         return [0] * n
     slot = (bits + 7) // 8
-    packed = []
-    for x in (a, b):
-        p = _pack_bytes(x, slot, 1)
-        if min(x) < 0:
-            p -= _pack_bytes(x, slot, -1)
-        packed.append(big(p))
-    c = int(packed[0] * packed[1])
-    del packed
+    c = int(big(_pack(a, slot)) * big(_pack(b, slot)))
     negative = c < 0
     if negative:
         c = -c
-    raw = memoryview(c.to_bytes((c.bit_length() + 7) // 8, "little"))
+    raw = c.to_bytes((c.bit_length() + 7) // 8, "little")
     del c
-    out = [int.from_bytes(raw[i:i + slot], "little") for i in range(0, n * slot, slot)]
+    out = _unpack(raw, slot, n)
     if min(a) < 0 or min(b) < 0:
         _balance(out, 1 << (8 * slot), negative)
     return out
+
+
+def _nonzero(a: list) -> int:
+    return len(a) - a.count(0)
+
+
+def _shift_add(a: list, b: list, n: int) -> list:
+    """First n coefficients of a*b without a big multiply: the denser
+    operand B packed on binary slots of width w, and x * (B mod
+    2^((n-e) w)) << e w summed over the nonzero terms x q^e of the sparser
+    one.  The sum is the packed product mod 2^(n w), so its n slots read
+    back as balanced digits."""
+    a, b = a[:n], b[:n]
+    bits = _slot_bits(a, b)
+    if not bits:
+        return [0] * n
+    if _nonzero(a) > _nonzero(b):
+        a, b = b, a
+    slot = (bits + 7) // 8
+    w = 8 * slot
+    packed = _pack(b, slot)
+    window = (1 << n * w) - 1
+    total = 0
+    for e, x in enumerate(a):
+        if x:
+            total += x * (packed & (window >> e * w)) << e * w
+    raw = (total & window).to_bytes(n * slot, "little")
+    del total
+    out = _unpack(raw, slot, n)
+    if min(a) < 0 or min(b) < 0:
+        _balance(out, 1 << w, False)
+    return out
+
+
+def _shift_add_pays(a: list, b: list) -> bool:
+    """Whether one operand is sparse enough for `_shift_add` to beat a big
+    multiply (measured crossover without gmpy2)."""
+    ka, kb = _nonzero(a), _nonzero(b)
+    sparse, k = (a, ka) if ka <= kb else (b, kb)
+    if k:
+        k *= 1 + max(max(sparse), -min(sparse)).bit_length() // 128
+    return k <= _SHIFT_ADD_TERMS and k * _SHIFT_ADD_SPREAD <= len(sparse)
 
 
 def _pack_digits(a: list, digits: int, sign: int) -> decimal.Decimal:
@@ -194,6 +255,8 @@ def convolve(a: list, b: list, n: int | None = None) -> list:
     if short <= _SCHOOLBOOK_TERMS:
         return _schoolbook(a, b, n)
     if not _HAVE_GMPY2:
+        if _shift_add_pays(a, b):
+            return _shift_add(a, b, n)
         bits = _slot_bits(a, b)
         limit = _int_max_str_digits()
         if bits * short >= _DECIMAL_BITS and (not limit or _decimal_slot_digits(bits) < limit):

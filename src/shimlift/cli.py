@@ -120,16 +120,21 @@ def _series_human(f: QExp, limit: int = 12) -> str:
     return "window [%d, %d)/%d, weight %s\n  " % (f.lo, f.hi, f.denom, f.weight) + "\n  ".join(names)
 
 
+def _check_at_least(least: int, *flags: tuple[str, int]) -> None:
+    """SchemaError naming the first (flag, value) pair below `least` (0 or 1)."""
+    for flag, value in flags:
+        if value < least:
+            kind = "positive" if least else "nonnegative"
+            raise SchemaError("%s must be a %s integer, got %d" % (flag, kind, value))
+
+
 def _check_prec(args) -> None:
-    if args.prec < 0:
-        raise SchemaError("--prec must be a nonnegative integer, got %d" % args.prec)
+    _check_at_least(0, ("--prec", args.prec))
 
 
 def _cmd_lift(args) -> int:
     N = _resolve(args, "N", 1)
-    for flag, value in (("--t", args.t), ("--s", args.s), ("--M", args.M), ("--N", N)):
-        if value < 1:
-            raise SchemaError("%s must be a positive integer, got %d" % (flag, value))
+    _check_at_least(1, ("--t", args.t), ("--s", args.s), ("--M", args.M), ("--N", N))
     level = args.M * N
     chi = _parse_character(args.character, level)
     orbit = CharacterOrbit(chi) if chi is not None else None
@@ -198,6 +203,7 @@ def _cmd_level_predict(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_prec(args)
+    _check_at_least(1, ("--level", args.level))
     f = _load_series(args)
     weight = Fraction(args.weight)
     if args.mode == "exact":
@@ -240,6 +246,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_weil_selftest(args) -> int:
+    _check_at_least(0, ("--words", args.words))
     report = weil_selftest(max_n=args.max_n, words=args.words, perturb=args.perturb)
     report = {k: (v.item() if hasattr(v, "item") else v) for k, v in report.items()}
     _emit(args, report, "weil selftest ok: %r" % (report,))

@@ -3,12 +3,14 @@
 Everything here is built from scratch: theta functions by enumerating
 squares, Eisenstein series by divisor-power sieves, the discriminant and
 the j-invariant through the pentagonal number expansion of the Euler
-product.  The half-integral weight Eisenstein series H_k are built from
-integer products in the basis theta^(2k+1-4j) F^j of M_{k+1/2}(Gamma_0(4)),
-F the odd-index part of sum sigma_1(n) q^n; quadratic L-values supply the
-first dim + _CHECK_TERMS coefficients, which fix H_k's coordinates in that
-basis and check them.  These are the independent side of every comparison;
-none of them go through the lift code.
+product.  The half-integral weight Eisenstein series H_k lie in the span
+of theta^(2k+1-4j) F^j, F the odd-index part of sum sigma_1(n) q^n;
+quadratic L-values supply the first dim + _CHECK_TERMS coefficients, which
+fix H_k's coordinates in that basis and check them.  The combination is
+evaluated as theta^r P(theta^4, F), r = (2k+1) mod 4, with theta^4 sieved
+from Jacobi's four-square formula, P by Horner on integer lists, and the r
+factors of theta by sparse products.  These are the independent side of
+every comparison; none of them go through the lift code.
 """
 
 from __future__ import annotations
@@ -36,43 +38,42 @@ __all__ = [
 ]
 
 
+def _theta_terms(prec: int, odd: bool = False) -> dict[int, int]:
+    """The coefficient of q^(n^2) in theta for n >= 0 with n^2 < prec (odd
+    n only, if odd): 1 at n = 0, else 2 for the pair +-n."""
+    coeffs = {}
+    n = 1 if odd else 0
+    while n * n < prec:
+        coeffs[n * n] = 2 if n else 1
+        n += 2 if odd else 1
+    return coeffs
+
+
 def theta(prec: int) -> QExp:
     """Sum of q^(n^2) over all integers n; weight 1/2, level 4."""
-    coeffs = {0: 1}
-    n = 1
-    while n * n < prec:
-        coeffs[n * n] = 2
-        n += 1
-    return QExp(Fraction(1, 2), 1, coeffs, 0, prec)
+    return QExp(Fraction(1, 2), 1, _theta_terms(prec), 0, prec)
 
 
 def theta_component(j: int, prec: int) -> QExp:
     """The two pieces of theta on the quarter-integral lattice.
 
     Component 0 collects even n, so its exponents n^2/4 are integers and
-    the result has denominator 1.  Component 1 collects odd n and lives on
-    exponents with denominator 4; the window is in numerator units.
-    Substituting tau -> 4 tau (rescale by 4) and adding recovers theta.
+    the result has denominator 1: it is theta itself.  Component 1 collects
+    odd n and lives on exponents with denominator 4; the window is in
+    numerator units.  Substituting tau -> 4 tau (rescale by 4) and adding
+    recovers theta.
     """
     if j == 0:
-        coeffs = {0: 1}
-        m = 1
-        while m * m < prec:
-            coeffs[m * m] = 2
-            m += 1
-        return QExp(Fraction(1, 2), 1, coeffs, 0, prec)
+        return theta(prec)
     if j == 1:
-        coeffs = {}
-        n = 1
-        while n * n < prec:
-            coeffs[n * n] = 2
-            n += 2
-        return QExp(Fraction(1, 2), 4, coeffs, 0, prec)
+        return QExp(Fraction(1, 2), 4, _theta_terms(prec, odd=True), 0, prec)
     raise ValueError("theta has components 0 and 1 only")
 
 
 def _sigma_sieve(power: int, prec: int, odd_only: bool = False) -> list[int]:
-    out = [0] * max(prec, 1)
+    """sigma_power(n) for 0 < n < prec (odd n only, if odd_only; 0 at every
+    other index), as a list of max(prec, 0) entries."""
+    out = [0] * max(prec, 0)
     for d in range(1, prec, 2 if odd_only else 1):
         dp = d**power
         for n in range(d, prec, 2 * d if odd_only else d):
@@ -91,8 +92,10 @@ def eisenstein(weight: int, prec: int) -> QExp:
     c = Fraction(-2 * weight) / bernoulli_number(weight)
     if c.denominator != 1:
         raise AssertionError("-2w/B_w = %s is not an integer for w = %d" % (c, weight))
-    coeffs: dict[int, Fraction] = {n: c * v for n, v in enumerate(_sigma_sieve(weight - 1, prec)) if v}
-    coeffs[0] = Fraction(1)
+    c = c.numerator
+    coeffs = {n: Fraction(c * v) for n, v in enumerate(_sigma_sieve(weight - 1, prec)) if v}
+    if prec > 0:
+        coeffs[0] = Fraction(1)
     return QExp(Fraction(weight), 1, coeffs, 0, prec)
 
 
@@ -225,37 +228,48 @@ def _cohen_value(k: int, n: int) -> Fraction:
 _CHECK_TERMS = 2
 
 
-def _theta_list(n: int) -> list[int]:
-    out = [0] * n
-    m = 0
-    while m * m < n:
-        out[m * m] = 2 if m else 1
-        m += 1
-    return out
+def _theta4_and_f(n: int) -> tuple[list[int], list[int]]:
+    """theta^4 and F = sum over odd m of sigma_1(m) q^m on n terms, both
+    from one sieve of odd divisor sums.
 
-
-def _cohen_basis(k: int, n: int) -> list[list[int]]:
-    """theta^(2k+1-4j) F^j for j = 0 .. floor((2k+1)/4), on n >= 1 terms,
-    with F = sum over odd m of sigma_1(m) q^m; element j is q^j + O(q^(j+1)).
+    Jacobi's four-square theorem: r_4(m) = 8 sigma_1(m) - 32 sigma_1(m/4),
+    the second term only when 4 | m.  With m = 2^a u, u odd, that is
+    8 sigma_1(u) for a = 0 and 24 sigma_1(u) for a >= 1.
     """
-    dim = (2 * k + 1) // 4 + 1
-    th = _theta_list(n)
-    th2 = _intpoly.convolve(th, th, n)
-    th4 = _intpoly.convolve(th2, th2, n)
-    odd_sigma = _sigma_sieve(1, n, odd_only=True)
-    # theta^(2k+1-4j) for j = dim-1 down to 0, climbing by theta^4
-    th_part = _intpoly.convolve(th2, th, n) if (2 * k + 1) % 4 == 3 else th
-    th_parts = [th_part]
-    for _ in range(dim - 1):
-        th_part = _intpoly.convolve(th_part, th4, n)
-        th_parts.append(th_part)
-    th_parts.reverse()
-    basis = [th_parts[0]]
-    f_part = None
-    for j in range(1, dim):
-        f_part = odd_sigma if f_part is None else _intpoly.convolve(f_part, odd_sigma, n)
-        basis.append(_intpoly.convolve(th_parts[j], f_part, n))
-    return basis
+    f = _sigma_sieve(1, n, odd_only=True)
+    th4 = [0] * n
+    for u in range(1, n, 2):
+        th4[u] = 8 * f[u]
+        m = 2 * u
+        while m < n:
+            th4[m] = 24 * f[u]
+            m *= 2
+    if n > 0:
+        th4[0] = 1
+    return th4, f
+
+
+def _cohen_combination(k: int, nums: list[int], n: int) -> list[int]:
+    """sum_j nums[j] theta^(2k+1-4j) F^j on n terms, j = 0 .. dim - 1.
+
+    With 2k+1 = 4m + r, r in {1, 3}, this is theta^r P(theta^4, F) for
+    P = sum_j nums[j] (theta^4)^(m-j) F^j, evaluated by Horner as
+    acc <- acc theta^4 + nums[j] F^j on integer lists; the r factors of
+    theta are sparse products.
+    """
+    th4, f = _theta4_and_f(n)
+    acc = [nums[0] * t + nums[1] * x for t, x in zip(th4, f)]
+    f_power = f
+    for c in nums[2:]:
+        acc = _intpoly.convolve(acc, th4, n)
+        f_power = _intpoly.convolve(f_power, f, n)
+        acc = [v + c * x for v, x in zip(acc, f_power)]
+    th = [0] * n
+    for m, c in _theta_terms(n).items():
+        th[m] = c
+    for _ in range((2 * k + 1) % 4):
+        acc = _intpoly.convolve(acc, th, n)
+    return acc
 
 
 def cohen_eisenstein(k: int, prec: int) -> QExp:
@@ -267,17 +281,21 @@ def cohen_eisenstein(k: int, prec: int) -> QExp:
     part of sum sigma_1(n) q^n (Koblitz IV.4; Cohen 1975).  Element j
     starts at q^j, so the L-value formula is evaluated only on the first
     dim coefficients, which fix H_k's coordinates by forward substitution,
-    and on _CHECK_TERMS more, which must agree with the combination;
-    the rest of the window comes from the integer basis products.
+    and on _CHECK_TERMS more, which must agree with the combination.
+    The basis values for that solve and the whole window both come from
+    `_cohen_combination`: theta^r P(theta^4, F), r = (2k+1) mod 4, with
+    theta^4 sieved by Jacobi's four-square formula and P evaluated by
+    Horner, so k = 2 costs one sparse product and k = 4 three products.
     """
     if k < 2:
         raise ValueError("need k >= 2")
     dim = (2 * k + 1) // 4 + 1
-    basis = _cohen_basis(k, max(prec, dim + _CHECK_TERMS))
+    terms = dim + _CHECK_TERMS
+    basis = [_cohen_combination(k, [int(i == j) for i in range(dim)], terms) for j in range(dim)]
     coords: list[Fraction] = []
     for n in range(dim):
         coords.append(_cohen_value(k, n) - sum(c * b[n] for c, b in zip(coords, basis)))
-    for n in range(dim, dim + _CHECK_TERMS):
+    for n in range(dim, terms):
         got = sum(c * b[n] for c, b in zip(coords, basis))
         want = _cohen_value(k, n)
         if got != want:
@@ -287,11 +305,7 @@ def cohen_eisenstein(k: int, prec: int) -> QExp:
             )
     den = math.lcm(*(c.denominator for c in coords))
     nums = [c.numerator * (den // c.denominator) for c in coords]
-    coeffs: dict[int, Fraction] = {}
-    for n, column in zip(range(prec), zip(*basis)):
-        v = sum(a * b for a, b in zip(nums, column))
-        if v:
-            coeffs[n] = Fraction(v, den)
+    coeffs = {n: Fraction(v, den) for n, v in enumerate(_cohen_combination(k, nums, prec)) if v}
     return QExp(Fraction(2 * k + 1, 2), 1, coeffs, 0, prec)
 
 

@@ -325,6 +325,39 @@ def test_negative_prec_is_schema_error(capsys, monkeypatch, argv):
     assert payload["message"].startswith("--prec ")
 
 
+@pytest.mark.parametrize("name", ["e4", "delta", "theta", "theta0", "theta_e6"])
+def test_zero_prec_fixture_exits_0_with_empty_window(capsys, name):
+    code, payload, _ = run_json(capsys, "fixtures", "--name", name, "--prec", "0", "--json")
+    assert code == 0
+    assert payload["window"] == [0, 0]
+    assert payload["coefficients"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag, builder",
+    [
+        (["weil-selftest", "--max-n", "2", "--words", "-1"], "--words", "weil_selftest"),
+        (["verify", "--fixture", "theta", "--weight", "1/2", "--level", "0"], "--level", "fixture"),
+        (["verify", "--fixture", "theta", "--weight", "1/2", "--level", "-3"], "--level", "fixture"),
+    ],
+    ids=["words", "level-0", "level-negative"],
+)
+def test_out_of_range_flags_are_schema_errors(capsys, monkeypatch, argv, flag, builder):
+    import shimlift.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("work started before %s was checked" % flag)
+
+    monkeypatch.setattr(cli, builder, no_build)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "SchemaError"
+    assert payload["message"].startswith(flag + " ")
+
+
 def test_zero_prec_fixture_is_empty_window(capsys):
     code, payload, _ = run_json(capsys, "fixtures", "--name", "cohen72", "--prec", "0", "--json")
     assert code == 0

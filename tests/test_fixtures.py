@@ -7,13 +7,14 @@ not use internally.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shimlift import fixtures
+from shimlift import _intpoly, fixtures
 from shimlift.errors import VerificationFailure
 from shimlift.fixtures import (
     _cohen_value,
@@ -175,6 +176,69 @@ def test_cohen_window_rule(k, a, data):
     assert cohen_eisenstein(k, a).truncate(b) == cohen_eisenstein(k, b)
 
 
+def _theta_list(n):
+    th = theta(n)
+    return [int(th.coeff(m)) for m in range(n)]
+
+
+def test_sieved_theta4_is_jacobi_four_squares():
+    th4, f = fixtures._theta4_and_f(5000)
+    th = _theta_list(5000)
+    th2 = _intpoly.convolve(th, th, 5000)
+    assert th4 == _intpoly.convolve(th2, th2, 5000)
+    # r_4(n) counted by brute force over (a, b, c, d) in Z^4
+    r4 = [0] * 200
+    s = range(-14, 15)
+    for a in s:
+        for b in s:
+            for c in s:
+                for d in s:
+                    m = a * a + b * b + c * c + d * d
+                    if m < 200:
+                        r4[m] += 1
+    assert th4[:200] == r4
+    assert f[:200] == [sum(d for d in range(1, m + 1) if m % d == 0) if m % 2 else 0 for m in range(200)]
+
+
+def _basis_product_cohen(k, prec):
+    """H_k as the combination of the explicit basis products
+    theta^(2k+1-4j) F^j, each formed by its own chain of convolutions: an
+    independent route to the Horner evaluation of the builder."""
+    n = max(prec, (2 * k + 1) // 4 + 3)
+    dim = (2 * k + 1) // 4 + 1
+    th = _theta_list(n)
+    th2 = _intpoly.convolve(th, th, n)
+    th4 = _intpoly.convolve(th2, th2, n)
+    odd_sigma = fixtures._sigma_sieve(1, n, odd_only=True)
+    th_part = _intpoly.convolve(th2, th, n) if (2 * k + 1) % 4 == 3 else th
+    th_parts = [th_part]
+    for _ in range(dim - 1):
+        th_part = _intpoly.convolve(th_part, th4, n)
+        th_parts.append(th_part)
+    th_parts.reverse()
+    basis = [th_parts[0]]
+    f_part = None
+    for j in range(1, dim):
+        f_part = odd_sigma if f_part is None else _intpoly.convolve(f_part, odd_sigma, n)
+        basis.append(_intpoly.convolve(th_parts[j], f_part, n))
+    coords = []
+    for m in range(dim):
+        coords.append(_cohen_value(k, m) - sum(c * b[m] for c, b in zip(coords, basis)))
+    den = math.lcm(*(c.denominator for c in coords))
+    nums = [c.numerator * (den // c.denominator) for c in coords]
+    coeffs = {}
+    for m, column in zip(range(prec), zip(*basis)):
+        v = sum(a * b for a, b in zip(nums, column))
+        if v:
+            coeffs[m] = Fraction(v, den)
+    return QExp(Fraction(2 * k + 1, 2), 1, coeffs, 0, prec)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_cohen_horner_matches_basis_products(k):
+    assert cohen_eisenstein(k, 3000) == _basis_product_cohen(k, 3000)
+
+
 def test_cohen_basis_mismatch_is_typed(monkeypatch):
     def off_by_one(k, n):
         v = _cohen_value(k, n)
@@ -224,6 +288,19 @@ def test_registry_names_and_defaults():
     assert d["N"] == 1 and d["k"] == 3 and d["eps"] == -1
     with pytest.raises(ValueError):
         fixture_defaults("nope")
+
+
+@settings(deadline=None, max_examples=60)
+@given(name=st.sampled_from(fixture_names()), a=st.integers(0, 200), data=st.data())
+def test_every_fixture_obeys_the_window_rule(name, a, data):
+    b = data.draw(st.integers(0, a))
+    assert fixture(name, a).truncate(b) == fixture(name, b)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_every_fixture_builds_an_empty_window(name):
+    f = fixture(name, 0)
+    assert f.hi == 0 and all(e < 0 for e in f.coeffs)
 
 
 def test_fixture_builder_stamps_name():
