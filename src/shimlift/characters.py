@@ -36,10 +36,6 @@ __all__ = [
 ]
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
 class DirichletCharacter:
     """Character modulo N, stored as its value table on units.
 
@@ -95,7 +91,7 @@ class DirichletCharacter:
         requested modulus.
         """
         if period % modulus != 0:
-            period = _lcm(period, modulus)
+            period = math.lcm(period, modulus)
         seen: dict[int, Scalar] = {}
         for h in range(1, period + 1):
             if math.gcd(h, modulus) != 1:
@@ -121,7 +117,7 @@ class DirichletCharacter:
         """
         if t == 0:
             raise ValueError("kronecker character needs nonzero t")
-        period = _lcm(modulus, 8 * abs(t))
+        period = math.lcm(modulus, 8 * abs(t))
         return cls.from_function(modulus, lambda d: kronecker(t, d), period, kind="kronecker", kind_param=t)
 
     def __call__(self, n: int) -> Scalar:
@@ -144,7 +140,7 @@ class DirichletCharacter:
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
-        m = _lcm(self.modulus, other.modulus)
+        m = math.lcm(self.modulus, other.modulus)
         values = {
             r: exact_mul(self(r), other(r))
             for r in range(m)
@@ -190,7 +186,7 @@ def omega_chi(chi: DirichletCharacter) -> DirichletCharacter:
     def fn(d: int):
         return exact_mul(as_exact(kronecker(4 * xi, d)), chi(d))
 
-    return DirichletCharacter.from_function(n4, fn, _lcm(n4, 16))
+    return DirichletCharacter.from_function(n4, fn, math.lcm(n4, 16))
 
 
 def chi_t(t: int) -> DirichletCharacter:
@@ -205,7 +201,7 @@ def chi_t(t: int) -> DirichletCharacter:
         t2 //= 2
     modulus = 8 * t2
     return DirichletCharacter.from_function(
-        modulus, lambda d: kronecker(t, d), _lcm(modulus, 8 * t), kind="kronecker", kind_param=t
+        modulus, lambda d: kronecker(t, d), math.lcm(modulus, 8 * t), kind="kronecker", kind_param=t
     )
 
 
@@ -238,7 +234,7 @@ def eta_char(chi: DirichletCharacter, t: int, eps: int) -> DirichletCharacter:
         return exact_mul(as_exact(kronecker(eps * t, d)), chi(d))
 
     try:
-        return DirichletCharacter.from_function(nt, fn, _lcm(nt, 8 * t))
+        return DirichletCharacter.from_function(nt, fn, math.lcm(nt, 8 * t))
     except ValueError as exc:
         if t % 4 == 2 and N % 4 != 0:
             raise HypothesisError(

@@ -12,6 +12,7 @@ With --json all output is a single deterministic JSON object on stdout
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -108,12 +109,12 @@ def _series_payload(f: QExp) -> dict:
 def _series_human(f: QExp, limit: int = 12) -> str:
     names = []
     shown = 0
-    for a in sorted(f.coeffs):
+    for a in f.support():
         if shown >= limit:
             names.append("...")
             break
         e = "q^%d" % a if f.denom == 1 else "q^(%d/%d)" % (a, f.denom)
-        names.append("%s: %s" % (e, f.coeffs[a]))
+        names.append("%s: %s" % (e, f.coeff(a)))
         shown += 1
     if not names:
         names = ["0"]
@@ -203,7 +204,7 @@ def _cmd_level_predict(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_prec(args)
-    _check_at_least(1, ("--level", args.level))
+    _check_at_least(1, ("--level", args.level), ("--terms", args.terms))
     f = _load_series(args)
     weight = Fraction(args.weight)
     if args.mode == "exact":
@@ -246,7 +247,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_weil_selftest(args) -> int:
-    _check_at_least(0, ("--words", args.words))
+    _check_at_least(0, ("--words", args.words), ("--max-n", args.max_n))
     report = weil_selftest(max_n=args.max_n, words=args.words, perturb=args.perturb)
     report = {k: (v.item() if hasattr(v, "item") else v) for k, v in report.items()}
     _emit(args, report, "weil selftest ok: %r" % (report,))
@@ -272,7 +273,10 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than most requests."""
     p = argparse.ArgumentParser(prog="shimlift", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -51,7 +51,7 @@ def _theta_terms(prec: int, odd: bool = False) -> dict[int, int]:
 
 def theta(prec: int) -> QExp:
     """Sum of q^(n^2) over all integers n; weight 1/2, level 4."""
-    return QExp(Fraction(1, 2), 1, _theta_terms(prec), 0, prec)
+    return QExp.from_numerators(Fraction(1, 2), 1, _theta_terms(prec), 1, 0, prec)
 
 
 def theta_component(j: int, prec: int) -> QExp:
@@ -66,7 +66,7 @@ def theta_component(j: int, prec: int) -> QExp:
     if j == 0:
         return theta(prec)
     if j == 1:
-        return QExp(Fraction(1, 2), 4, _theta_terms(prec, odd=True), 0, prec)
+        return QExp.from_numerators(Fraction(1, 2), 4, _theta_terms(prec, odd=True), 1, 0, prec)
     raise ValueError("theta has components 0 and 1 only")
 
 
@@ -93,10 +93,10 @@ def eisenstein(weight: int, prec: int) -> QExp:
     if c.denominator != 1:
         raise AssertionError("-2w/B_w = %s is not an integer for w = %d" % (c, weight))
     c = c.numerator
-    coeffs = {n: Fraction(c * v) for n, v in enumerate(_sigma_sieve(weight - 1, prec)) if v}
+    coeffs = {n: c * v for n, v in enumerate(_sigma_sieve(weight - 1, prec)) if v}
     if prec > 0:
-        coeffs[0] = Fraction(1)
-    return QExp(Fraction(weight), 1, coeffs, 0, prec)
+        coeffs[0] = 1
+    return QExp.from_numerators(Fraction(weight), 1, coeffs, 1, 0, prec)
 
 
 def euler_function(prec: int) -> QExp:
@@ -113,7 +113,7 @@ def euler_function(prec: int) -> QExp:
         if not placed and j > 0:
             break
         j += 1
-    return QExp(Fraction(0), 1, coeffs, 0, prec)
+    return QExp.from_numerators(Fraction(0), 1, coeffs, 1, 0, prec)
 
 
 def _power(f: QExp, e: int) -> QExp:
@@ -144,8 +144,8 @@ def j_invariant(prec: int) -> QExp:
     inv = invert_unit(eta24, span)
     e4 = eisenstein(4, span)
     series = mul(_power(e4, 3), inv)
-    shifted = {a - 1: c for a, c in series.coeffs.items() if a - 1 < prec}
-    return QExp(Fraction(0), 1, shifted, -1, prec)
+    shifted = {a - 1: v for a, v in series.numerators.items() if a - 1 < prec}
+    return QExp.from_numerators(Fraction(0), 1, shifted, series.cden, -1, prec)
 
 
 def _fundamental(m: int) -> tuple[int, int]:
@@ -305,8 +305,8 @@ def cohen_eisenstein(k: int, prec: int) -> QExp:
             )
     den = math.lcm(*(c.denominator for c in coords))
     nums = [c.numerator * (den // c.denominator) for c in coords]
-    coeffs = {n: Fraction(v, den) for n, v in enumerate(_cohen_combination(k, nums, prec)) if v}
-    return QExp(Fraction(2 * k + 1, 2), 1, coeffs, 0, prec)
+    coeffs = {n: v for n, v in enumerate(_cohen_combination(k, nums, prec)) if v}
+    return QExp.from_numerators(Fraction(2 * k + 1, 2), 1, coeffs, den, 0, prec)
 
 
 def plus_product(weight: int, prec: int) -> QExp:

@@ -24,17 +24,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import _intpoly
 from .errors import PrecisionError, SchemaError
 from .scalars import (
+    CycScalar,
     Scalar,
     as_exact,
     exact_add,
     exact_eq,
     exact_is_zero,
     exact_mul,
+    rational_parts,
     scalar_from_json,
     scalar_to_json,
 )
@@ -58,29 +61,101 @@ def _cdiv(a: int, b: int) -> int:
 
 
 class QExp:
-    __slots__ = ("weight", "denom", "coeffs", "lo", "hi", "metadata")
+    """A windowed q-expansion, stored in one of two forms.
+
+    Rational form, whenever every coefficient is rational: a table
+    {exponent numerator: int} of nonzero integer numerators over one
+    positive coefficient denominator `cden`, kept canonical (the gcd of
+    `cden` and all numerators is 1), as in FLINT's fmpq_poly.  `cden` is
+    unrelated to `denom`, which fixes the exponent lattice (1/denom) Z.
+
+    Scalar form, when some coefficient is cyclotomic, or when the rational
+    coefficients share no common denominator of moderate size (see
+    `_common_denominator`): a table {exponent numerator: Scalar} of nonzero
+    canonical scalars, and `cden` is None.
+
+    Ring operations, lattice changes, filters, `==` and the JSON reader
+    and writer work on the table directly.  A Fraction is built only when a
+    caller reads a coefficient: `coeff()`, `coeff_exponent()`, and
+    `.coeffs`, a read-only {exponent: Scalar} view built on first access
+    and cached.  `exponents()` reads the support without building it.
+    """
+
+    __slots__ = ("weight", "denom", "lo", "hi", "metadata", "_table", "cden", "_view")
 
     def __init__(self, weight, denom: int, coeffs: Mapping[int, object], lo: int, hi: int, metadata: dict | None = None):
         if denom < 1:
             raise ValueError("exponent denominator must be positive")
         if hi < lo:
             raise ValueError("window [%d, %d) is inverted" % (lo, hi))
-        table: dict[int, Scalar] = {}
+        table: dict[int, object] = {}
         for a, c in coeffs.items():
             if not lo <= a < hi:
                 raise ValueError("coefficient at %d outside window [%d, %d)" % (a, lo, hi))
-            if not isinstance(c, Fraction):
+            if type(c) is not int and not isinstance(c, Fraction):
                 c = as_exact(c)
             if c:
                 table[a] = c
+        self._fill(weight, denom, table, None, lo, hi, metadata)
+
+    def _fill(self, weight, denom, table, cden, lo, hi, metadata) -> None:
+        """Store `table` over `cden` canonically; cden None means a table of
+        nonzero scalars (ints, Fractions, CycScalars), which takes rational
+        form when it can."""
+        if cden is None:
+            table, cden = _from_scalars(table)
+        elif cden != 1:
+            if not table:
+                cden = 1
+            else:
+                g = math.gcd(cden, *table.values())
+                if g != 1:
+                    table = {a: v // g for a, v in table.items()}
+                    cden //= g
         self.weight = Fraction(weight)
         self.denom = denom
-        self.coeffs = table
         self.lo = lo
         self.hi = hi
         self.metadata = dict(metadata) if metadata else {}
+        self._table = table
+        self.cden = cden
+        self._view = None
+
+    @classmethod
+    def from_numerators(cls, weight, denom: int, numerators: dict, cden: int, lo: int, hi: int, metadata: dict | None = None) -> "QExp":
+        """The series sum (numerators[a] / cden) q^(a/denom) on [lo, hi).
+
+        The caller guarantees nonzero integer numerators inside the window
+        and cden >= 1; the table is reduced to canonical form and then
+        owned by the series, so it must not be changed afterwards.
+        """
+        f = cls.__new__(cls)
+        f._fill(weight, denom, numerators, cden, lo, hi, metadata)
+        return f
 
     # -- access ----------------------------------------------------------
+
+    @property
+    def coeffs(self) -> Mapping[int, Scalar]:
+        """Read-only {exponent numerator: coefficient}; rational form builds
+        one Fraction per stored coefficient on the first access."""
+        if self._view is None:
+            self._view = MappingProxyType(self._build_view())
+        return self._view
+
+    def _build_view(self) -> dict:
+        if self.cden is None:
+            return self._table
+        cden = self.cden
+        return {a: Fraction(v, cden) for a, v in self._table.items()}
+
+    @property
+    def numerators(self) -> Mapping[int, int]:
+        """Read-only {exponent numerator: integer numerator over cden};
+        rational form only."""
+        if self.cden is None:
+            raise ValueError("series has no common coefficient denominator")
+        return MappingProxyType(self._table)
 
     def coeff(self, a: int) -> Scalar:
         """Coefficient of q^(a/denom); PrecisionError outside the window."""
@@ -92,7 +167,10 @@ class QExp:
                 required_lo=self.lo,
                 required_hi=a + 1,
             )
-        return self.coeffs.get(a, Fraction(0))
+        v = self._table.get(a)
+        if v is None:
+            return Fraction(0)
+        return v if self.cden is None else Fraction(v, self.cden)
 
     def coeff_exponent(self, x) -> Scalar:
         """Coefficient at exponent value x (a Fraction); off-lattice is zero."""
@@ -102,21 +180,35 @@ class QExp:
             return Fraction(0)
         return self.coeff(num.numerator)
 
+    def exponents(self):
+        """The exponent numerators of the stored (nonzero) coefficients, in
+        no particular order."""
+        return self._table.keys()
+
     def support(self) -> list[int]:
-        return sorted(self.coeffs)
+        return sorted(self._table)
 
     def min_support(self) -> int | None:
-        return min(self.coeffs) if self.coeffs else None
+        return min(self._table) if self._table else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._table
 
     # -- window bookkeeping ----------------------------------------------
 
+    def _derived(self, table: dict, lo: int, hi: int, denom: int | None = None, metadata: dict | None = None) -> "QExp":
+        """A series with the same form and coefficient denominator whose
+        table holds some of this one's values, possibly at new exponents."""
+        if denom is None:
+            denom = self.denom
+        if self.cden is None:
+            return QExp(self.weight, denom, table, lo, hi, metadata)
+        return QExp.from_numerators(self.weight, denom, table, self.cden, lo, hi, metadata)
+
     def truncate(self, hi: int) -> "QExp":
         hi = max(self.lo, min(hi, self.hi))
-        kept = {a: c for a, c in self.coeffs.items() if a < hi}
-        return QExp(self.weight, self.denom, kept, self.lo, hi, self.metadata)
+        kept = {a: v for a, v in self._table.items() if a < hi}
+        return self._derived(kept, self.lo, hi, metadata=self.metadata)
 
     def _promoted(self, denom: int) -> "QExp":
         if denom == self.denom:
@@ -124,14 +216,8 @@ class QExp:
         q, r = divmod(denom, self.denom)
         if r:
             raise ValueError("cannot promote denominator %d to %d" % (self.denom, denom))
-        return QExp(
-            self.weight,
-            denom,
-            {a * q: c for a, c in self.coeffs.items()},
-            self.lo * q,
-            self.hi * q,
-            self.metadata,
-        )
+        table = {a * q: v for a, v in self._table.items()}
+        return self._derived(table, self.lo * q, self.hi * q, denom, self.metadata)
 
     def _reduced(self, g: int) -> "QExp":
         # caller guarantees the whole series, unknown part included, lies on
@@ -139,17 +225,11 @@ class QExp:
         g = math.gcd(g, self.denom)
         if g <= 1:
             return self
-        for a in self.coeffs:
+        for a in self._table:
             if a % g:
                 raise AssertionError("stored numerator %d not divisible by %d" % (a, g))
-        return QExp(
-            self.weight,
-            self.denom // g,
-            {a // g: c for a, c in self.coeffs.items()},
-            _cdiv(self.lo, g),
-            _cdiv(self.hi, g),
-            self.metadata,
-        )
+        table = {a // g: v for a, v in self._table.items()}
+        return self._derived(table, _cdiv(self.lo, g), _cdiv(self.hi, g), self.denom // g, self.metadata)
 
     def normalized(self) -> "QExp":
         """Reduce the denominator by the gcd of the stored numerators.
@@ -157,12 +237,9 @@ class QExp:
         Asserts that the visible support generates the true lattice; only
         call this on a series whose expansion you know completely.
         """
-        if not self.coeffs:
+        if not self._table:
             return self
-        g = self.denom
-        for a in self.coeffs:
-            g = math.gcd(g, a)
-        return self._reduced(g)
+        return self._reduced(math.gcd(self.denom, *self._table))
 
     # -- comparison ------------------------------------------------------
 
@@ -171,39 +248,79 @@ class QExp:
             return NotImplemented
         if self.weight != other.weight:
             return False
-        m = _lcm(self.denom, other.denom)
+        m = math.lcm(self.denom, other.denom)
         a = self._promoted(m)
         b = other._promoted(m)
         if (a.lo, a.hi) != (b.lo, b.hi):
             return False
-        if set(a.coeffs) != set(b.coeffs):
+        if a.cden is not None and b.cden is not None:
+            return a.cden == b.cden and a._table == b._table
+        ca, cb = a.coeffs, b.coeffs
+        if ca.keys() != cb.keys():
             return False
-        return all(exact_eq(a.coeffs[n], b.coeffs[n]) for n in a.coeffs)
+        return all(exact_eq(ca[n], cb[n]) for n in ca)
 
     def agrees_with(self, other: "QExp") -> bool:
         """Equality of coefficients on the overlap of the two windows."""
-        m = _lcm(self.denom, other.denom)
+        m = math.lcm(self.denom, other.denom)
         a = self._promoted(m)
         b = other._promoted(m)
         lo = max(a.lo, b.lo)
         hi = min(a.hi, b.hi)
-        for n in set(a.coeffs) | set(b.coeffs):
+        for n in a.exponents() | b.exponents():
             if lo <= n < hi:
-                if not exact_eq(a.coeffs.get(n, Fraction(0)), b.coeffs.get(n, Fraction(0))):
+                if not exact_eq(a.coeff(n), b.coeff(n)):
                     return False
         return True
 
     def __repr__(self) -> str:
         head = []
         for a in self.support()[:4]:
-            head.append("%r q^(%d/%d)" % (self.coeffs[a], a, self.denom))
-        tail = ", ..." if len(self.coeffs) > 4 else ""
+            head.append("%r q^(%d/%d)" % (self.coeff(a), a, self.denom))
+        tail = ", ..." if len(self._table) > 4 else ""
         return "QExp(wt %s, window [%d,%d)/%d: %s%s)" % (
             self.weight, self.lo, self.hi, self.denom, " + ".join(head) or "0", tail)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
+def _common_denominator(dens: Iterable[int]) -> int | None:
+    """lcm of the positive integers dens, or None once it passes twice the
+    bits of the largest plus 64.
+
+    The coefficients of one modular form have denominators that divide a
+    few large ones (those of H_k divide one integer; those of 1/f are
+    powers of f's constant term), so their lcm stays near the largest.
+    Unrelated denominators, say n distinct primes, would instead give
+    every numerator the size of their product: n times the memory of the
+    Fractions.  Such tables stay in scalar form.
+    """
+    dens = set(dens)
+    dens.discard(1)
+    if not dens:
+        return 1
+    cap = 2 * max(dens).bit_length() + 64
+    d = 1
+    for q in dens:
+        d = math.lcm(d, q)
+        if d.bit_length() > cap:
+            return None
+    return d
+
+
+def _from_scalars(table: dict) -> tuple[dict, int | None]:
+    """Canonical (table, cden) for a table of nonzero exact scalars."""
+    d = None
+    if not any(isinstance(c, CycScalar) for c in table.values()):
+        d = _common_denominator([c.denominator for c in table.values()])
+    if d is None:
+        return {a: Fraction(c) if type(c) is int else c for a, c in table.items()}, None
+    # reduced Fractions over the lcm of their denominators: no common factor
+    return {a: c.numerator * (d // c.denominator) for a, c in table.items()}, d
+
+
+def _integers(coeffs: Mapping[int, Fraction]) -> tuple[dict, int]:
+    """Integer numerators over the lcm of the denominators."""
+    d = math.lcm(*[c.denominator for c in coeffs.values()])
+    return {a: c.numerator * (d // c.denominator) for a, c in coeffs.items()}, d
 
 
 # -- arithmetic ----------------------------------------------------------
@@ -218,15 +335,24 @@ def add(f: QExp, g: QExp, ignore_weight: bool = False) -> QExp:
     """
     if not ignore_weight and f.weight != g.weight:
         raise ValueError("weight mismatch %s vs %s" % (f.weight, g.weight))
-    m = _lcm(f.denom, g.denom)
+    m = math.lcm(f.denom, g.denom)
     a = f._promoted(m)
     b = g._promoted(m)
     lo = min(a.lo, b.lo)
     hi = max(lo, min(a.hi, b.hi))
-    out: dict[int, Scalar] = {}
-    for n, c in a.coeffs.items():
-        if n < hi:
-            out[n] = c
+    if a.cden is not None and b.cden is not None:
+        d = math.lcm(a.cden, b.cden)
+        sa, sb = d // a.cden, d // b.cden
+        out = {n: v * sa for n, v in a._table.items() if n < hi}
+        for n, v in b._table.items():
+            if n < hi:
+                s = out.get(n, 0) + v * sb
+                if s:
+                    out[n] = s
+                else:
+                    del out[n]
+        return QExp.from_numerators(f.weight, m, out, d, lo, hi)
+    out = {n: c for n, c in a.coeffs.items() if n < hi}
     for n, c in b.coeffs.items():
         if n < hi:
             out[n] = exact_add(out.get(n, Fraction(0)), c)
@@ -235,6 +361,12 @@ def add(f: QExp, g: QExp, ignore_weight: bool = False) -> QExp:
 
 def scale(f: QExp, c) -> QExp:
     c = as_exact(c)
+    if f.cden is not None and isinstance(c, Fraction):
+        if not c:
+            return QExp.from_numerators(f.weight, f.denom, {}, 1, f.lo, f.hi)
+        p = c.numerator
+        table = f._table if p == 1 else {a: v * p for a, v in f._table.items()}
+        return QExp.from_numerators(f.weight, f.denom, table, f.cden * c.denominator, f.lo, f.hi)
     return QExp(f.weight, f.denom, {a: exact_mul(v, c) for a, v in f.coeffs.items()}, f.lo, f.hi)
 
 
@@ -246,35 +378,38 @@ def _stride(support: list[int]) -> int:
     return g if g else 1
 
 
-# A rational product goes term by term when its term pairs number fewer
+# An integer product goes term by term when its term pairs number fewer
 # than 1/_SPARSE_FACTOR of the exponents the packed route would span: {0, 1,
 # 10**6} times three terms costs 9 products that way, against two million
 # packed slots.  The two routes cost about the same at a factor of 2.
 _SPARSE_FACTOR = 16
 
 
-def _conv_rational(da: dict, db: dict, cap: int) -> dict:
-    """Convolution of rational coefficient dicts, exponents below cap only.
+def _conv_int(da: dict, db: dict, cap: int) -> dict:
+    """Convolution of nonempty {exponent: int} tables, exponents below cap
+    only, zeros dropped.
 
-    Clears denominators, exploits the coarser of the two support strides,
-    and runs the integer convolutions through the packed multiplier, which
-    computes only the terms below cap.  Sparse products go term by term.
+    Exploits the coarser of the two support strides and runs the integer
+    convolutions through the packed multiplier, which computes only the
+    terms below cap.  Sparse products go term by term.
     """
     sa = sorted(da)
     sb = sorted(db)
     span = min(cap, sa[-1] + sb[-1] + 1) - sa[0] - sb[0]
     if len(sa) * len(sb) * _SPARSE_FACTOR < span:
-        return _conv_generic(da, db, cap)
-    den_a = math.lcm(*[c.denominator for c in da.values()])
-    den_b = math.lcm(*[c.denominator for c in db.values()])
-    ia = {a: c.numerator * (den_a // c.denominator) for a, c in da.items()}
-    ib = {b: c.numerator * (den_b // c.denominator) for b, c in db.items()}
+        out: dict[int, int] = {}
+        for a, x in da.items():
+            for b, y in db.items():
+                n = a + b
+                if n < cap:
+                    out[n] = out.get(n, 0) + x * y
+        return {n: v for n, v in out.items() if v}
     ga = _stride(sa)
     gb = _stride(sb)
     if ga >= gb:
-        strider, s_sup, other, o_sup, H = ia, sa, ib, sb, ga
+        strider, s_sup, other, o_sup, H = da, sa, db, sb, ga
     else:
-        strider, s_sup, other, o_sup, H = ib, sb, ia, sa, gb
+        strider, s_sup, other, o_sup, H = db, sb, da, sa, gb
     base_s = s_sup[0]
     arr_s = [0] * ((s_sup[-1] - base_s) // H + 1)
     for a, v in strider.items():
@@ -282,8 +417,7 @@ def _conv_rational(da: dict, db: dict, cap: int) -> dict:
     classes: dict[int, list[int]] = {}
     for b in o_sup:
         classes.setdefault(b % H, []).append(b)
-    den = den_a * den_b
-    out: dict[int, Fraction] = {}
+    out = {}
     # the classes sit in distinct residues mod H, so no exponent is hit twice
     for members in classes.values():
         base_o = members[0]
@@ -295,10 +429,20 @@ def _conv_rational(da: dict, db: dict, cap: int) -> dict:
         for b in members:
             arr_o[(b - base_o) // H] = other[b]
         conv = _intpoly.convolve(arr_o, arr_s, n)
-        for i, v in enumerate(conv):
-            if v:
-                out[base + i * H] = Fraction(v, den)
+        part = {base + i * H: v for i, v in enumerate(conv) if v}
+        if out:
+            out.update(part)
+        else:
+            out = part
     return out
+
+
+def _conv_rational(da: dict, db: dict, cap: int) -> dict:
+    """`_conv_int` on nonempty {exponent: Fraction} tables."""
+    ia, den_a = _integers(da)
+    ib, den_b = _integers(db)
+    den = den_a * den_b
+    return {n: Fraction(v, den) for n, v in _conv_int(ia, ib, cap).items()}
 
 
 def _conv_generic(da: dict, db: dict, cap: int) -> dict:
@@ -312,6 +456,7 @@ def _conv_generic(da: dict, db: dict, cap: int) -> dict:
 
 
 def _conv(da: dict, db: dict, cap: int) -> dict:
+    """Convolution of {exponent: Scalar} tables, exponents below cap only."""
     if not da or not db:
         return {}
     if all(isinstance(c, Fraction) for c in da.values()) and all(
@@ -329,7 +474,7 @@ def mul(f: QExp, g: QExp) -> QExp:
     min(hi_f + S_g, hi_g + S_f): a smaller exponent cannot receive a
     contribution involving any unknown coefficient.
     """
-    m = _lcm(f.denom, g.denom)
+    m = math.lcm(f.denom, g.denom)
     a = f._promoted(m)
     b = g._promoted(m)
     sa = a.min_support()
@@ -338,30 +483,29 @@ def mul(f: QExp, g: QExp) -> QExp:
     Sb = sb if sb is not None else b.hi
     lo = Sa + Sb
     hi = max(lo, min(a.hi + Sb, b.hi + Sa))
+    weight = f.weight + g.weight
+    if a.cden is not None and b.cden is not None:
+        out = _conv_int(a._table, b._table, hi) if hi > lo else {}
+        return QExp.from_numerators(weight, m, out, a.cden * b.cden, lo, hi)
     out = _conv(a.coeffs, b.coeffs, hi) if hi > lo else {}
-    return QExp(f.weight + g.weight, m, out, lo, hi)
+    return QExp(weight, m, out, lo, hi)
 
 
 def rescale(f: QExp, t: int) -> QExp:
     """f(t tau): exponents multiply by t.
 
-    The image lattice gains a global factor gcd(t, w), which is reduced
-    away immediately.
+    The image lattice gains a global factor g = gcd(t, w), which is reduced
+    away at once: exponents multiply by t / g on the lattice (g/w) Z.
     """
     if t < 1:
         raise ValueError("rescale factor must be positive")
     meta = dict(f.metadata)
     if isinstance(meta.get("level"), int):
         meta["level"] *= t
-    stretched = QExp(
-        f.weight,
-        f.denom,
-        {a * t: c for a, c in f.coeffs.items()},
-        f.lo * t,
-        f.hi * t,
-        meta,
-    )
-    return stretched._reduced(math.gcd(t, f.denom))
+    g = math.gcd(t, f.denom)
+    s = t // g
+    table = f._table if s == 1 else {a * s: v for a, v in f._table.items()}
+    return f._derived(table, f.lo * s, f.hi * s, f.denom // g, meta)
 
 
 def u_op(f: QExp, s: int) -> QExp:
@@ -369,9 +513,9 @@ def u_op(f: QExp, s: int) -> QExp:
     if s < 1:
         raise ValueError("u_op index must be positive")
     if s == 1:
-        return QExp(f.weight, f.denom, dict(f.coeffs), f.lo, f.hi)
-    kept = {a // s: c for a, c in f.coeffs.items() if a % s == 0}
-    return QExp(f.weight, f.denom, kept, _cdiv(f.lo, s), _cdiv(f.hi, s))
+        return f._derived(f._table, f.lo, f.hi)
+    kept = {a // s: v for a, v in f._table.items() if a % s == 0}
+    return f._derived(kept, _cdiv(f.lo, s), _cdiv(f.hi, s))
 
 
 def filter_residues(f: QExp, modulus: int, allowed: Iterable[int]) -> QExp:
@@ -381,8 +525,8 @@ def filter_residues(f: QExp, modulus: int, allowed: Iterable[int]) -> QExp:
     if modulus < 1:
         raise ValueError("modulus must be positive")
     keep = {r % modulus for r in allowed}
-    kept = {a: c for a, c in f.coeffs.items() if a % modulus in keep}
-    return QExp(f.weight, 1, kept, f.lo, f.hi)
+    kept = {a: v for a, v in f._table.items() if a % modulus in keep}
+    return f._derived(kept, f.lo, f.hi)
 
 
 def decompose_mod4(f: QExp) -> tuple[QExp, QExp, QExp, QExp]:
@@ -394,13 +538,11 @@ def decompose_mod4(f: QExp) -> tuple[QExp, QExp, QExp, QExp]:
     """
     if f.denom != 1:
         raise ValueError("mod-4 decomposition needs integer exponents")
-    pieces = []
-    for j in range(4):
-        part = {a: c for a, c in f.coeffs.items() if a % 4 == j}
-        piece = QExp(f.weight, 4, part, f.lo, f.hi)
-        g = 4 if j == 0 else math.gcd(j, 4)
-        pieces.append(piece._reduced(g))
-    return tuple(pieces)
+    parts: list[dict] = [{}, {}, {}, {}]
+    for a, v in f._table.items():
+        parts[a % 4][a] = v
+    return tuple(f._derived(part, f.lo, f.hi, 4)._reduced(4 if j == 0 else math.gcd(j, 4))
+                 for j, part in enumerate(parts))
 
 
 def invert_unit(f: QExp, hi: int | None = None) -> QExp:
@@ -418,19 +560,20 @@ def invert_unit(f: QExp, hi: int | None = None) -> QExp:
     """
     if f.denom != 1 or f.lo != 0:
         raise ValueError("inversion needs integer exponents starting at 0")
-    c0 = f.coeffs.get(0)
+    c0 = f.coeff(0) if 0 in f.exponents() else None
     if c0 is None or not isinstance(c0, Fraction):
         raise ValueError("inversion needs a nonzero rational constant term")
-    if not all(isinstance(c, Fraction) for c in f.coeffs.values()):
+    if f.cden is None and not all(isinstance(c, Fraction) for c in f.coeffs.values()):
         raise ValueError("inversion implemented for rational coefficients only")
     H = f.hi if hi is None else min(hi, f.hi)
     if H < 1:
         raise ValueError("no constant term inside the window")
-    low = {a: c for a, c in f.coeffs.items() if a < H}
-    d = math.lcm(*[c.denominator for c in low.values()])
+    # integer numerators over the least common denominator below H
+    low = f.truncate(H)
+    table, d = (low._table, low.cden) if low.cden is not None else _integers(low.coeffs)
     F = [0] * H
-    for a, c in low.items():
-        F[a] = c.numerator * (d // c.denominator)
+    for a, v in table.items():
+        F[a] = v
     ue = F[0]  # u^e, the denominator of X
     X = [1]
     m = 1
@@ -444,19 +587,44 @@ def invert_unit(f: QExp, hi: int | None = None) -> QExp:
         X.extend([-v for v in tail])
         ue *= ue
         m = m2
-    x = {a: Fraction(d * v, ue) for a, v in enumerate(X) if v}
-    return QExp(-f.weight, 1, x, 0, H)
+    if ue < 0:
+        ue, d = -ue, -d
+    x = {a: d * v for a, v in enumerate(X) if v}
+    return QExp.from_numerators(-f.weight, 1, x, ue, 0, H)
 
 
 # -- JSON forms ----------------------------------------------------------
 
 
+def _rational_texts(table: dict, cden: int) -> list:
+    """[[a, text of table[a] / cden reduced]] in exponent order; the text
+    is that of str(Fraction): "p" or "p/q"."""
+    if cden == 1:
+        return [[a, str(table[a])] for a in sorted(table)]
+    gcd = math.gcd
+    suffixes = {cden: ""}  # gcd(v, cden) -> "/q"
+    out = []
+    for a in sorted(table):
+        v = table[a]
+        g = gcd(v, cden)
+        tail = suffixes.get(g)
+        if tail is None:
+            tail = suffixes[g] = "/%d" % (cden // g)
+        out.append([a, "%d%s" % (v // g, tail)])
+    return out
+
+
 def qexp_to_json(f: QExp) -> dict:
+    table = f._table
+    if f.cden is None:
+        coefficients = [[a, scalar_to_json(table[a])] for a in sorted(table)]
+    else:
+        coefficients = _rational_texts(table, f.cden)
     return {
         "weight": {"num": f.weight.numerator, "den": f.weight.denominator},
         "exponent_denominator": f.denom,
         "window": [f.lo, f.hi],
-        "coefficients": [[a, scalar_to_json(f.coeffs[a])] for a in f.support()],
+        "coefficients": coefficients,
         "metadata": dict(f.metadata),
     }
 
@@ -483,20 +651,57 @@ def qexp_from_json(obj) -> QExp:
         or window[1] < window[0]
     ):
         raise SchemaError("window must be [lo, hi] with integers lo <= hi")
-    coeffs: dict[int, Scalar] = {}
     pairs = obj["coefficients"]
     if not isinstance(pairs, list):
         raise SchemaError("coefficients must be a list")
+    # one pass: reduced rationals as numerators plus, where not 1, their
+    # denominators (one int object per distinct value); cyclotomic values
+    # (rare) as scalars.  Zero numerators are kept until the end, so that
+    # duplicates of them are caught too.
+    nums: dict[int, int] = {}
+    dens: dict[int, int] = {}
+    distinct: dict[int, int] = {}
+    cyc: dict[int, Scalar] = {}
+    gcd = math.gcd
     for item in pairs:
         if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], int):
             raise SchemaError("coefficient entry must be [exponent, scalar]")
         a, raw = item
-        if a in coeffs:
+        if a in nums or a in cyc:
             raise SchemaError("duplicate coefficient at exponent %d" % a)
         if not window[0] <= a < window[1]:
             raise SchemaError("coefficient exponent %d outside window" % a)
-        coeffs[a] = scalar_from_json(raw)
+        if isinstance(raw, str):
+            p, q = rational_parts(raw)
+        else:
+            c = scalar_from_json(raw)
+            if not isinstance(c, Fraction):
+                cyc[a] = c
+                continue
+            p, q = c.numerator, c.denominator
+        if q != 1:
+            g = gcd(p, q)
+            if g != 1:
+                p //= g
+                q //= g
+            if q != 1:
+                dens[a] = distinct.setdefault(q, q)
+        nums[a] = p
     meta = obj.get("metadata", {})
     if not isinstance(meta, dict):
         raise SchemaError("metadata must be an object")
-    return QExp(Fraction(wt["num"], wt["den"]), denom, coeffs, window[0], window[1], meta)
+    weight = Fraction(wt["num"], wt["den"])
+    if 0 in nums.values():
+        nums = {a: p for a, p in nums.items() if p}
+    d = _common_denominator(distinct) if not cyc else None
+    if d is None:
+        table = {a: Fraction(p, dens.get(a, 1)) for a, p in nums.items()}
+        table.update(cyc)
+        return QExp(weight, denom, table, window[0], window[1], meta)
+    if d != 1:
+        # reduced fractions over the lcm of their denominators: canonical
+        factor = {q: d // q for q in distinct}
+        for a, p in nums.items():
+            q = dens.get(a)
+            nums[a] = p * (d if q is None else factor[q])
+    return QExp.from_numerators(weight, denom, nums, d, window[0], window[1], meta)

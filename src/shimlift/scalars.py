@@ -45,6 +45,7 @@ __all__ = [
     "partial_zeta_neg",
     "quadratic_L_neg",
     "rational_from_str",
+    "rational_parts",
     "rational_to_str",
     "scalar_from_json",
     "scalar_to_json",
@@ -268,7 +269,7 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        m = _lcm(self.order, o.order)
+        m = math.lcm(self.order, o.order)
         terms = dict(self._promoted_terms(m))
         for e, c in o._promoted_terms(m).items():
             terms[e] = terms.get(e, Fraction(0)) + c
@@ -295,7 +296,7 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        m = _lcm(self.order, o.order)
+        m = math.lcm(self.order, o.order)
         a = self._promoted_terms(m)
         b = o._promoted_terms(m)
         out: dict[int, Fraction] = {}
@@ -318,7 +319,7 @@ class CycScalar:
             other = CycScalar.from_rational(other)
         if not isinstance(other, CycScalar):
             return NotImplemented
-        m = _lcm(self.order, other.order)
+        m = math.lcm(self.order, other.order)
         return self._promoted_terms(m) == other._promoted_terms(m)
 
     def __complex__(self) -> complex:
@@ -333,10 +334,6 @@ class CycScalar:
             return "Cyc(0)"
         parts = ["%s*z%d^%d" % (c, self.order, e) for e, c in sorted(self.terms.items())]
         return "Cyc(" + " + ".join(parts) + ")"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
 
 
 Scalar = Union[Fraction, CycScalar]
@@ -462,14 +459,23 @@ def rational_to_str(r: Fraction) -> str:
     return "%d/%d" % (r.numerator, r.denominator)
 
 
-def rational_from_str(s) -> Fraction:
+def rational_parts(s) -> tuple[int, int]:
+    """Numerator and positive denominator of the rational string s, not
+    reduced: "6/-4" gives (-6, 4)."""
     if not isinstance(s, str):
         raise SchemaError("rational must be a string, got %r" % (s,))
     p, slash, q = s.partition("/")
     try:
-        return Fraction(int(p), int(q) if slash else 1)
-    except (ValueError, ZeroDivisionError) as exc:
+        p, q = int(p), int(q) if slash else 1
+    except ValueError as exc:
         raise SchemaError("bad rational %r" % s) from exc
+    if q == 0:
+        raise SchemaError("bad rational %r" % s)
+    return (-p, -q) if q < 0 else (p, q)
+
+
+def rational_from_str(s) -> Fraction:
+    return Fraction(*rational_parts(s))
 
 
 def scalar_to_json(x):

@@ -118,7 +118,7 @@ def modularity_residual(
     weight = Fraction(weight)
     if level < 1:
         raise ValueError("level must be positive")
-    if f.lo < 0 or (f.coeffs and min(f.coeffs) < 0):
+    if f.lo < 0:  # every stored exponent lies in [lo, hi)
         raise ValueError("meromorphic expansion: numeric check refused")
     if weight.denominator not in (1, 2):
         raise ValueError("weight must be integral or half-integral")
@@ -156,7 +156,7 @@ def modularity_residual(
         if tau not in taus_seen:
             taus_seen.append(tau)
     return ResidualReport(
-        tuple(mats_seen), tuple(taus_seen), worst, len(g.coeffs), tails, tuple(residuals)
+        tuple(mats_seen), tuple(taus_seen), worst, len(g.exponents()), tails, tuple(residuals)
     )
 
 
@@ -194,10 +194,11 @@ def level1_exact_check(f: QExp, weight: int) -> dict:
         raise ValueError("weight must be a nonnegative even integer")
     if f.denom != 1:
         raise ValueError("integer exponents required")
-    if any(a < 0 for a in f.coeffs):
+    first = f.min_support()
+    if first is not None and first < 0:
         raise VerificationFailure(
             "negative exponent present; not in the holomorphic level-one space",
-            first_mismatch=(min(f.coeffs), Fraction(0), f.coeffs[min(f.coeffs)]),
+            first_mismatch=(first, Fraction(0), f.coeff(first)),
         )
     mons = _monomials(weight)
     dim = len(mons)

@@ -376,7 +376,7 @@ def vv_support_check(form: VVQExp) -> None:
     bad = []
     for g, f in form.components.items():
         qg = form.module.q(g)
-        for a in f.coeffs:
+        for a in f.exponents():
             if (Fraction(a, f.denom) - qg).denominator != 1:
                 bad.append((g, a, f.denom))
     if bad:

@@ -442,3 +442,73 @@ for check in checks:
 def test_invariant_checks_survive_optimize_flag():
     proc = _fresh_python(_BROKEN_INVARIANTS, flags=["-O"])
     assert proc.stdout.split() == ["raised"] * 3, proc.stderr
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_terms_below_one_is_schema_error(capsys, monkeypatch, value):
+    import shimlift.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --terms was checked")
+
+    monkeypatch.setattr(cli, "fixture", no_work)
+    monkeypatch.setattr(cli, "modularity_residual", no_work)
+    code, out, _ = run(
+        capsys, "verify", "--fixture", "theta", "--weight", "1/2", "--level", "4",
+        "--terms", value, "--json",
+    )
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "SchemaError"
+    assert payload["message"] == "--terms must be a positive integer, got %s" % value
+
+
+@pytest.mark.parametrize("value", ["-1", "-2"])
+def test_weil_selftest_negative_max_n_is_schema_error(capsys, monkeypatch, value):
+    import shimlift.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --max-n was checked")
+
+    monkeypatch.setattr(cli, "weil_selftest", no_work)
+    code, payload, _ = run_json(capsys, "weil-selftest", "--max-n", value, "--json")
+    assert code == 2
+    assert payload == {
+        "error": "SchemaError",
+        "message": "--max-n must be a nonnegative integer, got %s" % value,
+    }
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # argparse usage errors
+        code = ("exit", e.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_reuses_one_parser_with_fresh_parser_results(capsys):
+    import shimlift.cli as cli
+
+    calls = [
+        ["level-predict", "--N", "3", "--t", "2", "--json"],
+        ["lift", "--fixture", "cohen52", "--prec", "4", "--json"],
+        ["lift", "--fixture", "cohen52", "--t", "x"],  # usage error, exit 2
+        ["fixtures", "--name", "theta", "--prec", "10", "--json"],
+        ["lift", "--fixture", "cohen52", "--t", "0", "--json"],  # SchemaError
+        ["level-predict", "--N", "4"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    cli._build_parser.cache_clear()
+    reused = [_outcome(capsys, argv) for argv in calls]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    assert reused == fresh
+    assert fresh[2][0] == ("exit", 2) and "usage: shimlift lift" in fresh[2][2]
+    assert [r[0] for r in fresh] == [0, 0, ("exit", 2), 0, 2, 0]

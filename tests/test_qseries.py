@@ -6,6 +6,7 @@ build the truth from untruncated series and compare against the claims.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import util
 from shimlift import _intpoly, qseries
 from shimlift.errors import PrecisionError, SchemaError
+from shimlift.plusspace import is_plus_space
 from shimlift.qseries import (
     QExp,
     add,
@@ -364,3 +366,308 @@ def test_sparse_rational_product_skips_the_packed_multiplier(monkeypatch):
     dense = QExp(0, 1, {n: n + 1 for n in range(40)}, 0, 40)
     with pytest.raises(AssertionError, match="packed multiplier"):
         mul(dense, dense)
+
+
+# -- storage: integer numerators over one coefficient denominator ----------
+#
+# Every series below is also kept as a plain reference: (weight, denom, lo,
+# hi, {exponent numerator: reduced Fraction}).  The reference operations are
+# written out on those dicts, independently of qseries.
+
+scalar_value = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.fractions(max_denominator=10**9),
+)
+
+
+@st.composite
+def series_with_reference(draw, denoms=(1, 2, 4), lo=None, max_len=30):
+    denom = draw(st.sampled_from(denoms))
+    lo = draw(st.integers(-6, 4)) if lo is None else lo
+    hi = lo + draw(st.integers(0, max_len))
+    weight = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(3)]))
+    raw = {}
+    if hi > lo:
+        raw = draw(st.dictionaries(st.integers(lo, hi - 1), scalar_value, max_size=25))
+    ref = (weight, denom, lo, hi, {a: Fraction(c) for a, c in raw.items() if c})
+    return QExp(weight, denom, raw, lo, hi), ref
+
+
+def _ref(f):
+    return (f.weight, f.denom, f.lo, f.hi, dict(f.coeffs))
+
+
+def _cdiv(a, b):
+    return -((-a) // b)
+
+
+def _ref_promote(r, m):
+    w, d, lo, hi, t = r
+    q = m // d
+    return (w, m, lo * q, hi * q, {a * q: c for a, c in t.items()})
+
+
+def _ref_add(r, s):
+    m = r[1] * s[1] // math.gcd(r[1], s[1])
+    (w, _, lo1, hi1, t1), (_, _, lo2, hi2, t2) = _ref_promote(r, m), _ref_promote(s, m)
+    lo = min(lo1, lo2)
+    hi = max(lo, min(hi1, hi2))
+    out = {}
+    for t in (t1, t2):
+        for a, c in t.items():
+            if a < hi:
+                out[a] = out.get(a, Fraction(0)) + c
+    return (w, m, lo, hi, {a: c for a, c in out.items() if c})
+
+
+def _ref_scale(r, c):
+    w, d, lo, hi, t = r
+    return (w, d, lo, hi, {a: v * c for a, v in t.items() if v * c})
+
+
+def _ref_mul(r, s):
+    m = r[1] * s[1] // math.gcd(r[1], s[1])
+    (w1, _, lo1, hi1, t1), (w2, _, lo2, hi2, t2) = _ref_promote(r, m), _ref_promote(s, m)
+    S1 = min(t1) if t1 else hi1
+    S2 = min(t2) if t2 else hi2
+    lo = S1 + S2
+    hi = max(lo, min(hi1 + S2, hi2 + S1))
+    return (w1 + w2, m, lo, hi, util.brute_convolve(t1, t2, hi))
+
+
+def _ref_rescale(r, t):
+    w, d, lo, hi, tab = r
+    g = math.gcd(t, d)
+    return (w, d // g, lo * t // g, hi * t // g, {a * t // g: c for a, c in tab.items()})
+
+
+def _ref_u_op(r, s):
+    w, d, lo, hi, t = r
+    return (w, d, _cdiv(lo, s), _cdiv(hi, s), {a // s: c for a, c in t.items() if a % s == 0})
+
+
+def _ref_truncate(r, h):
+    w, d, lo, hi, t = r
+    h = max(lo, min(h, hi))
+    return (w, d, lo, h, {a: c for a, c in t.items() if a < h})
+
+
+def _ref_filter(r, modulus, allowed):
+    w, d, lo, hi, t = r
+    keep = {x % modulus for x in allowed}
+    return (w, d, lo, hi, {a: c for a, c in t.items() if a % modulus in keep})
+
+
+def _ref_decompose(r):
+    w, d, lo, hi, t = r
+    out = []
+    for j in range(4):
+        g = 4 if j == 0 else math.gcd(j, 4)
+        out.append((w, 4 // g, _cdiv(lo, g), _cdiv(hi, g), {a // g: c for a, c in t.items() if a % 4 == j}))
+    return out
+
+
+def _ref_invert(r):
+    w, d, lo, hi, t = r
+    inv0 = 1 / t[0]
+    g = []
+    for n in range(hi):
+        acc = sum((t.get(k, Fraction(0)) * g[n - k] for k in range(1, n + 1)), Fraction(0))
+        g.append(inv0 if n == 0 else -inv0 * acc)
+    return (-w, 1, 0, hi, {n: c for n, c in enumerate(g) if c})
+
+
+def _ref_equal(r, s):
+    if r[0] != s[0]:
+        return False
+    m = r[1] * s[1] // math.gcd(r[1], s[1])
+    return _ref_promote(r, m)[2:] == _ref_promote(s, m)[2:]
+
+
+def _assert_window_sound(short, full):
+    # the short result's claims (nothing below lo, exact on [lo, hi)) hold
+    # for the full result; full.coeff raises if short claims past full.hi
+    assert short.denom == full.denom
+    for n in range(min(short.lo, full.lo), short.hi):
+        assert short.coeff(n) == full.coeff(n), n
+
+
+def _assert_canonical(f):
+    assert f.cden is not None and f.cden >= 1
+    assert math.gcd(f.cden, *f.numerators.values()) == 1
+    assert all(type(v) is int and v for v in f.numerators.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=series_with_reference())
+def test_numerator_storage_round_trips_the_fraction_dict(pair):
+    f, (weight, denom, lo, hi, ref) = pair
+    g = QExp(weight, denom, ref, lo, hi)  # from the reduced Fraction dict
+    for q in (f, g):
+        assert dict(q.coeffs) == ref
+        assert all(type(c) is Fraction for c in q.coeffs.values())
+        assert q.support() == sorted(ref)
+        assert sorted(q.exponents()) == sorted(ref)
+        assert all(q.coeff(a) == ref.get(a, 0) for a in range(lo - 2, hi))
+        assert q.coeff(lo - 1) == 0 and type(q.coeff(lo - 1)) is Fraction
+    assert f == g and g == f
+    doc = qexp_to_json(f)
+    assert doc == qexp_to_json(g)
+    assert doc["coefficients"] == [[a, rational_to_str(c)] for a, c in sorted(ref.items())]
+    assert qexp_from_json(doc) == f
+    den = math.lcm(*[c.denominator for c in ref.values()])
+    if den.bit_length() <= 64:  # every common denominator this small is used
+        _assert_canonical(f)
+        assert f.cden == den
+        # a non-canonical numerator table over a multiple of cden reduces
+        k = 6
+        same = QExp.from_numerators(weight, denom, {a: v * k for a, v in f.numerators.items()},
+                                    f.cden * k, lo, hi)
+        assert same == f and same.cden == f.cden
+    with pytest.raises(TypeError):
+        f.coeffs[lo] = 1
+
+
+def test_unrelated_denominators_stay_fractions_and_still_compute():
+    # 400 distinct primes: a common denominator would give each of the 400
+    # numerators the size of their product
+    primes = [p for p in range(3, 6000) if all(p % q for q in range(2, int(p**0.5) + 1))][:400]
+    raw = {a: Fraction(1, p) for a, p in enumerate(primes)}
+    f = QExp(0, 1, raw, 0, 400)
+    assert f.cden is None and dict(f.coeffs) == raw
+    back = qexp_from_json(qexp_to_json(f))
+    assert back.cden is None and back == f
+    # arithmetic on them keeps its values; a short piece goes back to integers
+    assert dict(add(f, f).coeffs) == {a: 2 * c for a, c in raw.items()}
+    assert dict(mul(f, f).coeffs) == util.brute_convolve(raw, raw, 400)
+    short = f.truncate(3)
+    assert short.cden == 3 * 5 * 7 and dict(short.coeffs) == {0: Fraction(1, 3), 1: Fraction(1, 5), 2: Fraction(1, 7)}
+    forty = f.truncate(40)
+    assert forty.cden is None
+    assert _ref(invert_unit(forty)) == _ref_invert(_ref(forty))
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=series_with_reference(), q=series_with_reference(), data=st.data())
+def test_add_and_mul_match_fraction_reference_and_windows(p, q, data):
+    (f, rf), (g, rg) = p, q
+    g = QExp(f.weight, g.denom, dict(g.coeffs), g.lo, g.hi)
+    rg = (f.weight,) + rg[1:]
+    s = add(f, g)
+    assert _ref(s) == _ref_add(rf, rg)
+    prod = mul(f, g)
+    assert _ref(prod) == _ref_mul(rf, rg)
+    diff = add(f, scale(f, Fraction(-1)))  # everything cancels
+    assert diff.is_zero() and _ref(diff) == _ref_add(rf, _ref_scale(rf, -1))
+    for out in (s, prod):
+        if out.cden is not None:
+            _assert_canonical(out)
+    h1 = data.draw(st.integers(f.lo, f.hi))
+    h2 = data.draw(st.integers(g.lo, g.hi))
+    _assert_window_sound(add(f.truncate(h1), g.truncate(h2)), s)
+    _assert_window_sound(mul(f.truncate(h1), g.truncate(h2)), prod)
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=series_with_reference(), c=st.one_of(st.just(0), st.integers(-5, 5), scalar_value),
+       h=st.integers(-8, 40))
+def test_scale_matches_fraction_reference_and_windows(p, c, h):
+    f, rf = p
+    out = scale(f, c)
+    assert _ref(out) == _ref_scale(rf, Fraction(c))
+    if out.cden is not None:
+        _assert_canonical(out)
+    if not c:
+        assert out.is_zero() and out.cden == 1
+    _assert_window_sound(scale(f.truncate(h), c), out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=series_with_reference(), t=st.integers(1, 8), h=st.integers(-8, 40),
+       modulus=st.integers(1, 6), allowed=st.sets(st.integers(0, 5), max_size=4))
+def test_lattice_operations_match_fraction_reference_and_windows(p, t, h, modulus, allowed):
+    f, rf = p
+    short = f.truncate(h)
+    assert _ref(short) == _ref_truncate(rf, h)
+    assert _ref(rescale(f, t)) == _ref_rescale(rf, t)
+    _assert_window_sound(rescale(short, t), rescale(f, t))
+    assert _ref(u_op(f, t)) == _ref_u_op(rf, t)
+    _assert_window_sound(u_op(short, t), u_op(f, t))
+    if f.denom == 1:
+        kept = filter_residues(f, modulus, allowed)
+        assert _ref(kept) == _ref_filter(rf, modulus, allowed)
+        _assert_window_sound(filter_residues(short, modulus, allowed), kept)
+        pieces = decompose_mod4(f)
+        assert [_ref(x) for x in pieces] == _ref_decompose(rf)
+        for piece, short_piece in zip(pieces, decompose_mod4(short)):
+            _assert_window_sound(short_piece, piece)
+        for eps in (1, -1):
+            assert is_plus_space(f, eps) == all(a % 4 in (0, eps % 4) for a in rf[4])
+    for out in (short, rescale(f, t), u_op(f, t)):
+        if out.cden is not None:
+            _assert_canonical(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=series_with_reference(denoms=(1,), lo=0, max_len=25), c0=unit, h=st.integers(1, 26))
+def test_invert_unit_matches_fraction_recurrence(p, c0, h):
+    f, (w, d, lo, hi, t) = p
+    t = dict(t)
+    t[0] = c0
+    hi = max(hi, 1)
+    f = QExp(w, 1, t, 0, hi)
+    inv = invert_unit(f)
+    assert _ref(inv) == _ref_invert((w, 1, 0, hi, t))
+    _assert_canonical(inv)
+    _assert_window_sound(invert_unit(f.truncate(h)), inv)
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=series_with_reference(), q=series_with_reference(), bump=st.booleans())
+def test_equality_matches_fraction_reference(p, q, bump):
+    (f, rf), (g, rg) = p, q
+    assert (f == g) == _ref_equal(rf, rg)
+    if f.hi > f.lo:
+        # the same series with one coefficient changed, and unchanged
+        a = f.lo
+        t = dict(rf[4])
+        t[a] = t.get(a, Fraction(0)) + (Fraction(1, 7) if bump else 0)
+        other = QExp(f.weight, f.denom, t, f.lo, f.hi)
+        assert (f == other) is (not bump)
+        assert (rescale(f, 2) == rescale(other, 2)) is (not bump)
+
+
+def test_cyclotomic_series_keep_the_scalar_form():
+    i = CycScalar.root_of_unity(4, 1)
+    f = QExp(0, 1, {0: 1, 1: i, 2: Fraction(1, 2)}, 0, 5)
+    assert f.cden is None
+    g = QExp(0, 1, {0: 2, 3: Fraction(-1, 3)}, 0, 5)
+    assert exact_eq(mul(f, g).coeff(1), 2 * i)
+    # once the cyclotomic part cancels, the result is rational again
+    r = add(f, scale(QExp(0, 1, {1: i}, 0, 5), -1))
+    assert r.cden == 2 and dict(r.coeffs) == {0: 1, 2: Fraction(1, 2)}
+    doc = qexp_to_json(f)
+    assert qexp_from_json(doc) == f and qexp_from_json(doc).cden is None
+
+
+def test_hot_paths_never_build_the_fraction_view(monkeypatch):
+    from shimlift import fixtures, shimura
+
+    doc = qexp_to_json(fixtures.cohen_eisenstein(2, 2601))
+
+    def refuse(self):
+        raise AssertionError("Fraction view built on a hot path")
+
+    monkeypatch.setattr(QExp, "_build_view", refuse)
+    f = qexp_from_json(doc)
+    assert f.cden is not None and f.cden > 1
+    lift = shimura.shimura_St(f, 1, 2, 1, 1, 50)
+    out = qexp_to_json(lift)
+    assert out["coefficients"][0] == [0, "-1/2880"]
+    assert is_plus_space(f, 1)
+    theta_e4 = fixtures.plus_product(4, 2601)
+    cohen = fixtures.cohen_eisenstein(3, 2601)
+    prod = mul(cohen, theta_e4)
+    assert qexp_to_json(prod)["window"] == [0, 2601]
+    assert is_plus_space(theta_e4, 1) and not is_plus_space(prod, 1)
