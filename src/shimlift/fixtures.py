@@ -19,6 +19,7 @@ import math
 from fractions import Fraction
 
 from . import _intpoly
+from .arith import cdiv, divisors, mobius, power, sigma, split_square
 from .errors import VerificationFailure
 from .qseries import QExp, add, invert_unit, mul, rescale, scale
 from .scalars import bernoulli_number, kronecker, quadratic_L_neg
@@ -116,18 +117,6 @@ def euler_function(prec: int) -> QExp:
     return QExp.from_numerators(Fraction(0), 1, coeffs, 1, 0, prec)
 
 
-def _power(f: QExp, e: int) -> QExp:
-    out = None
-    sq = f
-    while e:
-        if e & 1:
-            out = sq if out is None else mul(out, sq)
-        e >>= 1
-        if e:
-            sq = mul(sq, sq)
-    return out
-
-
 def delta(prec: int) -> QExp:
     """The discriminant from the Eisenstein side: (E4^3 - E6^2) / 1728."""
     e4 = eisenstein(4, prec)
@@ -140,60 +129,12 @@ def j_invariant(prec: int) -> QExp:
     """E4^3 / Delta, with Delta through the eta product; window [-1, prec)."""
     span = prec + 1
     phi = euler_function(span)
-    eta24 = _power(phi, 24)
+    eta24 = power(phi, 24, mul)
     inv = invert_unit(eta24, span)
     e4 = eisenstein(4, span)
-    series = mul(_power(e4, 3), inv)
+    series = mul(power(e4, 3, mul), inv)
     shifted = {a - 1: v for a, v in series.numerators.items() if a - 1 < prec}
     return QExp.from_numerators(Fraction(0), 1, shifted, series.cden, -1, prec)
-
-
-def _fundamental(m: int) -> tuple[int, int]:
-    """Square-free core and square cofactor: m = core * f^2."""
-    core, f = 1, 1
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e % 2:
-                core *= p
-            f *= p ** (e // 2)
-        p += 1 if p == 2 else 2
-    core *= n
-    return core, f
-
-
-def _mu(n: int) -> int:
-    m = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            m = -m
-        p += 1 if p == 2 else 2
-    if n > 1:
-        m = -m
-    return m
-
-
-def _sigma(power: int, n: int) -> int:
-    total = 1 if n >= 1 else 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            total += d**power
-            if d != n // d:
-                total += (n // d) ** power
-        d += 1
-    if n > 1:
-        total += n**power
-    return total
 
 
 def _cohen_value(k: int, n: int) -> Fraction:
@@ -203,7 +144,7 @@ def _cohen_value(k: int, n: int) -> Fraction:
     m = sign * n
     if m % 4 not in (0, 1):
         return Fraction(0)
-    core, f = _fundamental(abs(m))
+    core, f = split_square(abs(m))
     D0 = core if m > 0 else -core
     if D0 % 4 != 1:
         D0 *= 4
@@ -211,13 +152,11 @@ def _cohen_value(k: int, n: int) -> Fraction:
             return Fraction(0)
         f //= 2
     total = Fraction(0)
-    for d in range(1, f + 1):
-        if f % d:
-            continue
-        md = _mu(d)
+    for d in divisors(f):
+        md = mobius(d)
         if md == 0:
             continue
-        total += md * kronecker(D0, d) * d ** (k - 1) * _sigma(2 * k - 1, f // d)
+        total += md * kronecker(D0, d) * d ** (k - 1) * sigma(2 * k - 1, f // d)
     return quadratic_L_neg(D0, k) * total
 
 
@@ -312,19 +251,15 @@ def cohen_eisenstein(k: int, prec: int) -> QExp:
 def plus_product(weight: int, prec: int) -> QExp:
     """theta(tau) E_w(4 tau), a plus-space form of weight w + 1/2 on
     level 4."""
-    e = eisenstein(weight, _cdiv4(prec))
+    e = eisenstein(weight, cdiv(prec, 4))
     return mul(theta(prec), rescale(e, 4))
-
-
-def _cdiv4(a: int) -> int:
-    return -((-a) // 4)
 
 
 def weakly_holomorphic_product(prec: int) -> QExp:
     """cohen_eisenstein(2) times j(4 tau): weight 5/2, level 4, pole of
     order 4 at infinity."""
     h = cohen_eisenstein(2, prec + 4)
-    j4 = rescale(j_invariant(_cdiv4(prec)), 4)
+    j4 = rescale(j_invariant(cdiv(prec, 4)), 4)
     return mul(h, j4)
 
 

@@ -28,6 +28,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import _intpoly
+from .arith import cdiv
 from .errors import PrecisionError, SchemaError
 from .scalars import (
     CycScalar,
@@ -55,9 +56,6 @@ __all__ = [
     "scale",
     "u_op",
 ]
-
-def _cdiv(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 class QExp:
@@ -229,7 +227,7 @@ class QExp:
             if a % g:
                 raise AssertionError("stored numerator %d not divisible by %d" % (a, g))
         table = {a // g: v for a, v in self._table.items()}
-        return self._derived(table, _cdiv(self.lo, g), _cdiv(self.hi, g), self.denom // g, self.metadata)
+        return self._derived(table, cdiv(self.lo, g), cdiv(self.hi, g), self.denom // g, self.metadata)
 
     def normalized(self) -> "QExp":
         """Reduce the denominator by the gcd of the stored numerators.
@@ -422,7 +420,7 @@ def _conv_int(da: dict, db: dict, cap: int) -> dict:
     for members in classes.values():
         base_o = members[0]
         base = base_o + base_s
-        n = _cdiv(cap - base, H)
+        n = cdiv(cap - base, H)
         if n <= 0:
             continue
         arr_o = [0] * ((members[-1] - base_o) // H + 1)
@@ -515,7 +513,7 @@ def u_op(f: QExp, s: int) -> QExp:
     if s == 1:
         return f._derived(f._table, f.lo, f.hi)
     kept = {a // s: v for a, v in f._table.items() if a % s == 0}
-    return f._derived(kept, _cdiv(f.lo, s), _cdiv(f.hi, s))
+    return f._derived(kept, cdiv(f.lo, s), cdiv(f.hi, s))
 
 
 def filter_residues(f: QExp, modulus: int, allowed: Iterable[int]) -> QExp:

@@ -1,16 +1,21 @@
 """The lift from weight k + 1/2 to weight 2k on exact q-expansions.
 
-Coefficient side, for index t and level N: the q^l coefficient of the lift
+Coefficient side, for index T and level N: the q^l coefficient of the lift
 is
 
-    sum over d | l with gcd(d, N t) = 1 of
-        d^(k-1) * kronecker(eps * t, d) * c(d, t l^2 / d^2),
+    sum over d | l with gcd(d, N T) = 1 of
+        d^(k-1) * kronecker(eps * T, d) * c(d, T l^2 / d^2),
 
 where c(d, n) is the n-th coefficient of the diamond translate <d> f.  The
 constant term is a linear combination of the c(d, 0) weighted by partial
-zeta values at 1 - k; two equivalent shapes of that combination are
-implemented, the double sum at modulus N t for square-free t and the
-single sum at modulus 4 N t that extends to every index.
+zeta values at 1 - k, one sum over the residues h mod P prime to N T,
+
+    1/2 * sum of kronecker(eps * T, h) * zeta(P, h, 1 - k) * c(h, 0),
+
+with P = N T when kronecker(eps * T, .) has a period dividing N T (eps T
+= 0 or 1 mod 4, or 4 | N) and P = 4 N T otherwise.  A sum of this shape
+may be taken over any multiple of the period of its summand, so the
+smallest such modulus gives the same value as the sum at 4 N T.
 
 CONSTANT_TERM_SIGN fixes the orientation of the constant term relative to
 the positive-index coefficients.  It is pinned by the classical fixtures:
@@ -25,8 +30,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
+from .arith import divisors, prime_factors, split_square
 from .characters import DirichletCharacter
 from .errors import HypothesisError, PrecisionError, SchemaError
 from .plusspace import is_plus_space
@@ -58,27 +63,6 @@ __all__ = [
 ]
 
 CONSTANT_TERM_SIGN = -1
-
-
-def split_square(T: int) -> tuple[int, int]:
-    """T = t * s^2 with t square-free; trial division."""
-    if T < 1:
-        raise ValueError("index must be positive")
-    t, s = 1, 1
-    n = T
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e % 2:
-                t *= p
-            s *= p ** (e // 2)
-        p += 1 if p == 2 else 2
-    t *= n
-    return t, s
 
 
 class DiamondOrbit:
@@ -219,86 +203,44 @@ def _check_input(f: QExp, orbit: DiamondOrbit, N: int, k: int, T: int, prec: int
         )
 
 
-def _lift_coefficient(read: Callable[[int, int], Scalar], N: int, k: int, T: int, eps: int, l: int) -> Scalar:
-    acc: Scalar = Fraction(0)
-    for d in _divisors(l):
-        if math.gcd(d, N * T) != 1:
-            continue
-        sym = kronecker(eps * T, d)
-        if sym == 0:
-            continue
-        c = read(d, T * (l // d) * (l // d))
-        if exact_is_zero(c):
-            continue
-        term = exact_mul(Fraction(sym * d ** (k - 1)), c)
-        acc = exact_add(acc, term)
-    return acc
-
-
-def _divisors(l: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= l:
-        if l % d == 0:
-            out.append(d)
-            if d != l // d:
-                out.append(l // d)
-        d += 1
-    return sorted(out)
-
-
-def _constant_squarefree(read: Callable[[int, int], Scalar], N: int, k: int, t: int, eps: int) -> Scalar:
-    """Constant term for square-free t: the double sum over units d mod N
-    and shifts d + N m coprime to t, weighted by partial zeta values at
-    modulus N t."""
+def _constant_term(f: QExp, orbit: DiamondOrbit, N: int, k: int, T: int, eps: int) -> Scalar:
+    """The constant term: the partial-zeta sum at the smallest modulus P in
+    {N T, 4 N T} over which kronecker(eps * T, .) is periodic."""
+    D = eps * T
+    P = N * T if D % 4 in (0, 1) or N % 4 == 0 else 4 * N * T
     total: Scalar = Fraction(0)
-    for d in range(1, N + 1):
-        if math.gcd(d, N) != 1:
-            continue
-        c0 = read(d, 0)
-        if exact_is_zero(c0):
-            continue
-        w = Fraction(0)
-        for m in range(t):
-            dm = d + N * m
-            if math.gcd(dm, t) != 1:
-                continue
-            sym = kronecker(eps * t, dm)
-            if sym == 0:
-                continue
-            w += Fraction(sym, 2) * partial_zeta_neg(N * t, dm, k)
-        total = exact_add(total, exact_mul(w, c0))
-    return exact_mul(Fraction(-CONSTANT_TERM_SIGN), total)
-
-
-def _constant_extended(read: Callable[[int, int], Scalar], N: int, k: int, T: int, eps: int) -> Scalar:
-    """Constant term valid for every index T: a single sum over residues
-    mod 4 N T coprime to N T."""
-    total: Scalar = Fraction(0)
-    modulus = 4 * N * T
-    for h in range(1, modulus + 1):
+    for h in range(1, P + 1):
         if math.gcd(h, N * T) != 1:
             continue
-        sym = kronecker(eps * T, h)
+        sym = kronecker(D, h)
         if sym == 0:
             continue
-        c0 = read(h, 0)
+        c0 = orbit.coefficient(f, h, 0)
         if exact_is_zero(c0):
             continue
-        w = Fraction(sym, 2) * partial_zeta_neg(modulus, h, k)
+        w = Fraction(sym, 2) * partial_zeta_neg(P, h, k)
         total = exact_add(total, exact_mul(w, c0))
     return exact_mul(Fraction(-CONSTANT_TERM_SIGN), total)
 
 
-def _reader(f: QExp, orbit: DiamondOrbit) -> Callable[[int, int], Scalar]:
-    def read(d: int, n: int) -> Scalar:
-        return orbit.coefficient(f, d, n)
-
-    return read
-
-
-def _assemble(coeffs: dict, constant: Scalar, k: int, prec: int) -> QExp:
-    table = dict(coeffs)
+def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOrbit) -> QExp:
+    """The index-T lift to q^prec, without support gating."""
+    _check_input(f, orbit, N, k, T, prec)
+    table: dict[int, Scalar] = {}
+    for l in range(1, prec + 1):
+        acc: Scalar = Fraction(0)
+        for d in divisors(l):
+            if math.gcd(d, N * T) != 1:
+                continue
+            sym = kronecker(eps * T, d)
+            if sym == 0:
+                continue
+            c = orbit.coefficient(f, d, T * (l // d) * (l // d))
+            if exact_is_zero(c):
+                continue
+            acc = exact_add(acc, exact_mul(Fraction(sym * d ** (k - 1)), c))
+        table[l] = acc
+    constant = _constant_term(f, orbit, N, k, T, eps)
     if not exact_is_zero(constant):
         table[0] = constant
     return QExp(Fraction(2 * k), 1, table, 0, prec + 1)
@@ -307,12 +249,7 @@ def _assemble(coeffs: dict, constant: Scalar, k: int, prec: int) -> QExp:
 def shimura_S1(f: QExp, N: int, k: int, prec: int, orbit: DiamondOrbit | None = None) -> QExp:
     """The index-1 lift; defined for every form of its level, no support
     hypotheses."""
-    orbit = _default_orbit(orbit)
-    _check_input(f, orbit, N, k, 1, prec)
-    read = _reader(f, orbit)
-    coeffs = {l: _lift_coefficient(read, N, k, 1, 1, l) for l in range(1, prec + 1)}
-    constant = _constant_squarefree(read, N, k, 1, 1)
-    return _assemble(coeffs, constant, k, prec)
+    return _lift(f, N, k, 1, 1, prec, _default_orbit(orbit))
 
 
 def _gate_squarefree(f: QExp, N: int, t: int, eps: int) -> None:
@@ -356,20 +293,15 @@ def shimura_St(f: QExp, N: int, k: int, t: int, eps: int, prec: int, orbit: Diam
     t0, s0 = split_square(t)
     if s0 != 1:
         return shimura_general(f, N, k, t0, s0, eps, prec, orbit)
-    orbit = _default_orbit(orbit)
     if f.denom != 1:
         raise SchemaError("lift input needs integer exponents")
     _gate_squarefree(f, N, t, eps)
-    _check_input(f, orbit, N, k, t, prec)
-    read = _reader(f, orbit)
-    coeffs = {l: _lift_coefficient(read, N, k, t, eps, l) for l in range(1, prec + 1)}
-    constant = _constant_squarefree(read, N, k, t, eps)
-    return _assemble(coeffs, constant, k, prec)
+    return _lift(f, N, k, t, eps, prec, _default_orbit(orbit))
 
 
 def shimura_general(f: QExp, N: int, k: int, t: int, s: int, eps: int, prec: int, orbit: DiamondOrbit | None = None) -> QExp:
     """The lift of index t s^2, defined for every input by the same
-    coefficient formula, with the constant term from the modulus 4NT sum.
+    coefficient formula and constant term.
 
     No support gating: this is the formula's maximal domain.  The index is
     refactored so the square-free part is canonical.
@@ -378,24 +310,15 @@ def shimura_general(f: QExp, N: int, k: int, t: int, s: int, eps: int, prec: int
         raise SchemaError("eps must be +1 or -1")
     if s < 1:
         raise SchemaError("s must be positive")
-    T = t * s * s
-    orbit = _default_orbit(orbit)
-    _check_input(f, orbit, N, k, T, prec)
-    read = _reader(f, orbit)
-    coeffs = {l: _lift_coefficient(read, N, k, T, eps, l) for l in range(1, prec + 1)}
-    constant = _constant_extended(read, N, k, T, eps)
-    return _assemble(coeffs, constant, k, prec)
+    return _lift(f, N, k, t * s * s, eps, prec, _default_orbit(orbit))
 
 
 def _ungated_squarefree(f: QExp, N: int, k: int, t: int, eps: int, prec: int, orbit: DiamondOrbit) -> QExp:
     """Square-free-index lift without the support gate, used by the level
     change combination whose terms are formed before hypotheses are
     re-examined."""
-    _check_input(f, orbit, N, k, t, prec)
-    read = _reader(f, orbit)
-    coeffs = {l: _lift_coefficient(read, N, k, t, eps, l) for l in range(1, prec + 1)}
-    constant = _constant_squarefree(read, N, k, t, eps)
-    return _assemble(coeffs, constant, k, prec)
+    # kept as its own name: bench/tracer.py wraps it to count level-change lifts
+    return _lift(f, N, k, t, eps, prec, orbit)
 
 
 def level_change_rhs(f: QExp, N: int, M: int, k: int, t: int, eps: int, prec: int, orbit: DiamondOrbit | None = None) -> QExp:
@@ -412,7 +335,7 @@ def level_change_rhs(f: QExp, N: int, M: int, k: int, t: int, eps: int, prec: in
     if M < 1:
         raise SchemaError("M must be positive")
     orbit = _default_orbit(orbit)
-    primes = sorted({p for p in _prime_factors(M) if math.gcd(p, N * t) == 1})
+    primes = sorted({p for p in prime_factors(M) if math.gcd(p, N * t) == 1})
     total: QExp | None = None
     for r in range(len(primes) + 1):
         for J in itertools.combinations(primes, r):
@@ -423,21 +346,6 @@ def level_change_rhs(f: QExp, N: int, M: int, k: int, t: int, eps: int, prec: in
             term = scale(rescale(inner, pj), coeff)
             total = term if total is None else add(total, term)
     return total
-
-
-def _prime_factors(M: int) -> list[int]:
-    out = []
-    n = M
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def corrected_combination(f: QExp, N: int, M: int, k: int, t: int, s: int, eps: int, prec: int, orbit: DiamondOrbit | None = None) -> QExp:
@@ -513,7 +421,7 @@ def predict_level(N: int, t: int, s: int, M: int, *, plus_space_matching_eps: bo
         raise SchemaError("all parameters must be positive")
     t, extra = split_square(t)
     s = s * extra
-    I = [p for p in _prime_factors(M) if math.gcd(p, N * t) == 1]
+    I = [p for p in prime_factors(M) if math.gcd(p, N * t) == 1]
     J = [p for p in I if s % p != 0]
     pj = math.prod(J) if J else 1
     lcm_ns = N * s // math.gcd(N, s)

@@ -17,6 +17,7 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .arith import power
 from .characters import DirichletCharacter
 from .errors import PrecisionError, TailBoundError, VerificationFailure
 from .fixtures import eisenstein
@@ -169,19 +170,6 @@ def _monomials(weight: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def _power(f: QExp, e: int, one_hi: int) -> QExp:
-    """f^e by square-and-multiply, starting from the one on [0, one_hi)."""
-    out = QExp(Fraction(0), 1, {0: 1}, 0, one_hi)
-    sq = f
-    while e:
-        if e & 1:
-            out = mul(out, sq)
-        e >>= 1
-        if e:
-            sq = mul(sq, sq)
-    return out
-
-
 def level1_exact_check(f: QExp, weight: int) -> dict:
     """Exact decomposition over E4^a E6^b with 4a + 6b = weight, or
     VerificationFailure carrying the first mismatching coefficient.
@@ -210,10 +198,11 @@ def level1_exact_check(f: QExp, weight: int) -> dict:
             required_hi=dim + 1,
         )
     hi = f.hi
+    one = QExp(Fraction(0), 1, {0: 1}, 0, hi)
     basis = []
     for a_pow, b_pow in mons:
-        g = _power(eisenstein(4, hi), a_pow, hi)
-        h = _power(eisenstein(6, hi), b_pow, hi)
+        g = power(eisenstein(4, hi), a_pow, mul, one)
+        h = power(eisenstein(6, hi), b_pow, mul, one)
         basis.append(mul(g, h).truncate(hi))
     # solve sum x_j basis_j = f on rows 0..dim-1
     rows = [[basis[j].coeff(n) for j in range(dim)] + [f.coeff(n)] for n in range(dim)]

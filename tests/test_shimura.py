@@ -4,21 +4,26 @@ prediction.
 
 Two structural comparisons carry most of the weight here. The index
 refactoring route (full index in one step vs square-free lift at raised
-level followed by coefficient extraction) and the two constant-term sums
-(residue double sum vs the single extended sum) are implemented
-separately, so their agreement on random inputs checks both.
+level followed by coefficient extraction) checks the coefficient formula
+against itself at two levels, and the constant term is compared with the
+two sums it replaced (residue double sum at modulus N t, single sum at
+modulus 4 N T), kept as independent references in `util`.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
+from shimlift.arith import power
 from shimlift.characters import DirichletCharacter
 from shimlift.errors import HypothesisError, PrecisionError, SchemaError
-from shimlift.fixtures import cohen_eisenstein, eisenstein, fixture
+from shimlift.fixtures import cohen_eisenstein, eisenstein, fixture, theta
 from shimlift.qseries import QExp, add, mul, rescale, scale, u_op
 from shimlift.shimura import (
     CharacterOrbit,
@@ -201,6 +206,88 @@ def test_s1_has_no_support_gate():
     f = util.random_qexp(rng, 0, 150, weight=Fraction(5, 2), density=0.9)
     out = shimura_S1(f, N=1, k=2, prec=12)
     assert out.weight == 4
+
+
+def _orbits_at(N: int, f: QExp, rng: random.Random):
+    """The trivial orbit, every quadratic character orbit of a small
+    discriminant defined mod N, and an explicit orbit with random entries."""
+    yield CharacterOrbit(DirichletCharacter.trivial(N))
+    for D in (-4, -3, 5, 8, -8, 12):
+        try:
+            yield CharacterOrbit(DirichletCharacter.from_kronecker(D, N))
+        except ValueError:
+            pass
+    table = {d: f if d == 1 % N else util.random_qexp(rng, 0, f.hi, weight=f.weight, density=1.0)
+             for d in range(N) if math.gcd(d, N) == 1}
+    yield ExplicitOrbit(N, table)
+
+
+def test_constant_term_matches_both_reference_sums():
+    # production constant (a prec-0 lift) against the modulus-4NT sum
+    # everywhere, and against the residue double sum at modulus N t
+    # wherever that one applies: square-free t with kronecker(eps t, .)
+    # periodic mod N t
+    rng = random.Random(22)
+    checked_nt = 0
+    for N in (1, 2, 3, 4, 5, 6, 7, 8, 10, 12):
+        f = QExp(Fraction(5, 2), 1, {0: Fraction(rng.randint(1, 9), rng.randint(1, 5))}, 0, 1)
+        for orbit in _orbits_at(N, f, rng):
+            read = lambda d, n, orbit=orbit: orbit.coefficient(f, d, n)  # noqa: E731
+            for T in (1, 2, 3, 4, 5, 6, 8, 9, 12, 18):
+                t, s = split_square(T)
+                for eps in (1, -1):
+                    k = 1 + (N + T) % 3
+                    got = shimura_general(f, N=N, k=k, t=t, s=s, eps=eps, prec=0, orbit=orbit).coeff(0)
+                    assert got == util._constant_extended(read, N, k, T, eps), (N, orbit, T, eps)
+                    if s == 1 and ((eps * t) % 4 in (0, 1) or N % 4 == 0):
+                        assert got == util._constant_squarefree(read, N, k, t, eps), (N, orbit, t, eps)
+                        checked_nt += 1
+    assert checked_nt > 100
+
+
+def _theta5(prec: int) -> QExp:
+    """theta^5: weight 5/2, not in a plus space, level 1 in this lift's
+    convention."""
+    return power(theta(prec), 5, mul)
+
+
+def test_level_change_constant_matches_lift_outside_gated_domain():
+    # kronecker(eps t, .) with eps t = 2 mod 4 is not periodic mod N t at
+    # N = 1: the constant term needs modulus 4 N t there
+    f = _theta5(6 * 16 + 1)
+    rhs = level_change_rhs(f, N=1, M=1, k=2, t=2, eps=1, prec=4)
+    assert rhs == shimura_general(f, N=1, k=2, t=2, s=1, eps=1, prec=4)
+    assert rhs.coeff(0) == Fraction(-1, 2)
+    for t, constant in ((2, Fraction(-1, 2)), (6, Fraction(-3))):
+        rhs = level_change_rhs(f, N=1, M=4, k=2, t=t, eps=1, prec=4)
+        assert rhs == shimura_St(f, N=4, k=2, t=t, eps=1, prec=4), t
+        assert rhs.coeff(0) == constant, t
+
+
+@settings(deadline=None, max_examples=60)
+@given(which=st.sampled_from(["S1", "St", "general"]), seed=st.integers(0, 2**32),
+       prec=st.integers(0, 5), extra=st.integers(1, 30))
+def test_lift_reads_exactly_its_window(which, seed, prec, extra):
+    # an input ending at T prec^2 + 1 lifts as a longer one does; one term
+    # fewer is refused with that window
+    rng = random.Random(seed)
+    eps = rng.choice((1, -1))
+    if which == "S1":
+        N, T = rng.randint(1, 6), 1
+        lift = lambda g: shimura_S1(g, N=N, k=2, prec=prec)  # noqa: E731
+    elif which == "St":
+        N, T = rng.choice((4, 8, 12)), rng.choice((1, 2, 3, 5, 6, 7))
+        lift = lambda g: shimura_St(g, N=N, k=2, t=T, eps=eps, prec=prec)  # noqa: E731
+    else:
+        N, t, s = rng.randint(1, 6), rng.choice((1, 2, 3, 5)), rng.choice((1, 2, 3))
+        T = t * s * s
+        lift = lambda g: shimura_general(g, N=N, k=3, t=t, s=s, eps=eps, prec=prec)  # noqa: E731
+    needed = T * prec * prec + 1
+    longer = _random_4n_input(rng, needed + extra)
+    assert lift(longer.truncate(needed)) == lift(longer)
+    with pytest.raises(PrecisionError) as exc:
+        lift(longer.truncate(needed - 1))
+    assert exc.value.required_window[1] == needed
 
 
 # -- diamond orbits ------------------------------------------------------

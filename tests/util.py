@@ -9,8 +9,11 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from typing import Callable
 
 from shimlift.qseries import QExp
+from shimlift.scalars import Scalar, exact_add, exact_is_zero, exact_mul, kronecker, partial_zeta_neg
+from shimlift.shimura import CONSTANT_TERM_SIGN
 
 
 def brute_convolve(da: dict, db: dict, cap: int) -> dict:
@@ -121,3 +124,51 @@ def random_plus_series(rng: random.Random, eps: int, hi: int, weight=Fraction(5,
             if num:
                 coeffs[a] = Fraction(num, rng.randint(1, 6))
     return QExp(weight, 1, coeffs, 0, hi)
+
+
+# The two constant-term sums the lift used before it had one: the double
+# sum at modulus N t for square-free t, and the single sum at modulus 4 N T.
+# `read(d, n)` is the n-th coefficient of <d> f.
+
+
+def _constant_squarefree(read: Callable[[int, int], Scalar], N: int, k: int, t: int, eps: int) -> Scalar:
+    """Constant term for square-free t: the double sum over units d mod N
+    and shifts d + N m coprime to t, weighted by partial zeta values at
+    modulus N t."""
+    total: Scalar = Fraction(0)
+    for d in range(1, N + 1):
+        if math.gcd(d, N) != 1:
+            continue
+        c0 = read(d, 0)
+        if exact_is_zero(c0):
+            continue
+        w = Fraction(0)
+        for m in range(t):
+            dm = d + N * m
+            if math.gcd(dm, t) != 1:
+                continue
+            sym = kronecker(eps * t, dm)
+            if sym == 0:
+                continue
+            w += Fraction(sym, 2) * partial_zeta_neg(N * t, dm, k)
+        total = exact_add(total, exact_mul(w, c0))
+    return exact_mul(Fraction(-CONSTANT_TERM_SIGN), total)
+
+
+def _constant_extended(read: Callable[[int, int], Scalar], N: int, k: int, T: int, eps: int) -> Scalar:
+    """Constant term valid for every index T: a single sum over residues
+    mod 4 N T coprime to N T."""
+    total: Scalar = Fraction(0)
+    modulus = 4 * N * T
+    for h in range(1, modulus + 1):
+        if math.gcd(h, N * T) != 1:
+            continue
+        sym = kronecker(eps * T, h)
+        if sym == 0:
+            continue
+        c0 = read(h, 0)
+        if exact_is_zero(c0):
+            continue
+        w = Fraction(sym, 2) * partial_zeta_neg(modulus, h, k)
+        total = exact_add(total, exact_mul(w, c0))
+    return exact_mul(Fraction(-CONSTANT_TERM_SIGN), total)
