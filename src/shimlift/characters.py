@@ -13,16 +13,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import HypothesisError, SchemaError
-from .scalars import (
-    Scalar,
-    as_exact,
-    exact_eq,
-    exact_is_zero,
-    exact_mul,
-    kronecker,
-    scalar_from_json,
-    scalar_to_json,
-)
+from .scalars import Scalar, as_exact, kronecker, scalar_from_json, scalar_to_json
 
 __all__ = [
     "DirichletCharacter",
@@ -61,13 +52,13 @@ class DirichletCharacter:
         missing = [r for r in units if r not in table]
         if missing:
             raise ValueError("value table misses units %r mod %d" % (missing, modulus))
-        if not exact_eq(table[1 % modulus], 1):
+        if table[1 % modulus] != 1:
             raise ValueError("chi(1) must be 1")
         for a in units:
-            if exact_is_zero(table[a]):
+            if not table[a]:
                 raise ValueError("character value at %d is zero" % a)
             for b in units:
-                if not exact_eq(exact_mul(table[a], table[b]), table[a * b % modulus]):
+                if table[a] * table[b] != table[a * b % modulus]:
                     raise ValueError(
                         "table is not multiplicative: chi(%d)chi(%d) != chi(%d)" % (a, b, a * b % modulus)
                     )
@@ -99,7 +90,7 @@ class DirichletCharacter:
             v = as_exact(fn(h))
             r = h % modulus
             if r in seen:
-                if not exact_eq(seen[r], v):
+                if seen[r] != v:
                     raise ValueError(
                         "function is not defined modulo %d: class %d takes two values" % (modulus, r)
                     )
@@ -128,21 +119,21 @@ class DirichletCharacter:
     def parity(self) -> int:
         """chi(-1) as an integer, +1 for even and -1 for odd."""
         v = self(-1)
-        if exact_eq(v, 1):
+        if v == 1:
             return 1
-        if exact_eq(v, -1):
+        if v == -1:
             return -1
         raise AssertionError("chi(-1) is not a sign")
 
     def is_trivial(self) -> bool:
-        return all(exact_eq(v, 1) for v in self.values.values())
+        return all(v == 1 for v in self.values.values())
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
         m = math.lcm(self.modulus, other.modulus)
         values = {
-            r: exact_mul(self(r), other(r))
+            r: self(r) * other(r)
             for r in range(m)
             if math.gcd(r, m) == 1
         }
@@ -152,7 +143,7 @@ class DirichletCharacter:
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
         return self.modulus == other.modulus and all(
-            exact_eq(self.values[r], other.values[r]) for r in self.values
+            self.values[r] == other.values[r] for r in self.values
         )
 
     def __repr__(self) -> str:
@@ -160,7 +151,8 @@ class DirichletCharacter:
 
 
 def make_character(modulus: int, kind: str, *, t: int | None = None, values: Mapping[int, object] | None = None) -> DirichletCharacter:
-    """Uniform constructor used by the CLI: trivial, kronecker, or explicit."""
+    """Uniform constructor: trivial, kronecker (needs t), or explicit (needs
+    a value table); `character_from_json` builds through it."""
     if kind == "trivial":
         return DirichletCharacter.trivial(modulus)
     if kind == "kronecker":
@@ -184,7 +176,7 @@ def omega_chi(chi: DirichletCharacter) -> DirichletCharacter:
     n4 = 4 * chi.modulus
 
     def fn(d: int):
-        return exact_mul(as_exact(kronecker(4 * xi, d)), chi(d))
+        return kronecker(4 * xi, d) * chi(d)
 
     return DirichletCharacter.from_function(n4, fn, math.lcm(n4, 16))
 
@@ -231,7 +223,7 @@ def eta_char(chi: DirichletCharacter, t: int, eps: int) -> DirichletCharacter:
     nt = N * t
 
     def fn(d: int):
-        return exact_mul(as_exact(kronecker(eps * t, d)), chi(d))
+        return kronecker(eps * t, d) * chi(d)
 
     try:
         return DirichletCharacter.from_function(nt, fn, math.lcm(nt, 8 * t))
@@ -268,11 +260,13 @@ def character_from_json(obj) -> DirichletCharacter:
     kind = obj["kind"]
     if not isinstance(modulus, int) or modulus < 1:
         raise SchemaError("character modulus must be a positive integer")
+    if kind not in ("trivial", "kronecker", "explicit"):
+        raise SchemaError("unknown character kind %r" % kind)
+    t = obj.get("t")
+    values = None
     try:
-        if kind == "trivial":
-            return DirichletCharacter.trivial(modulus)
-        if kind == "kronecker":
-            return DirichletCharacter.from_kronecker(obj.get("t"), modulus) if isinstance(obj.get("t"), int) else _bad_t()
+        if kind == "kronecker" and not isinstance(t, int):
+            raise SchemaError("kronecker character needs integer 't'")
         if kind == "explicit":
             pairs = obj.get("values")
             if not isinstance(pairs, list):
@@ -281,11 +275,7 @@ def character_from_json(obj) -> DirichletCharacter:
                 if not (isinstance(item, list) and len(item) == 2
                         and isinstance(item[0], int) and not isinstance(item[0], bool)):
                     raise SchemaError("explicit character value must be [residue, scalar] with an integer residue")
-            return DirichletCharacter(modulus, {d: scalar_from_json(v) for d, v in pairs})
+            values = {d: scalar_from_json(v) for d, v in pairs}
+        return make_character(modulus, kind, t=t, values=values)
     except ValueError as exc:
         raise SchemaError("invalid character: %s" % exc) from exc
-    raise SchemaError("unknown character kind %r" % kind)
-
-
-def _bad_t():
-    raise SchemaError("kronecker character needs integer 't'")

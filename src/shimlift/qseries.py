@@ -30,18 +30,7 @@ from typing import Iterable, Mapping
 from . import _intpoly
 from .arith import cdiv
 from .errors import PrecisionError, SchemaError
-from .scalars import (
-    CycScalar,
-    Scalar,
-    as_exact,
-    exact_add,
-    exact_eq,
-    exact_is_zero,
-    exact_mul,
-    rational_parts,
-    scalar_from_json,
-    scalar_to_json,
-)
+from .scalars import CycScalar, Scalar, as_exact, rational_parts, scalar_from_json, scalar_to_json
 
 __all__ = [
     "QExp",
@@ -256,7 +245,7 @@ class QExp:
         ca, cb = a.coeffs, b.coeffs
         if ca.keys() != cb.keys():
             return False
-        return all(exact_eq(ca[n], cb[n]) for n in ca)
+        return all(ca[n] == cb[n] for n in ca)
 
     def agrees_with(self, other: "QExp") -> bool:
         """Equality of coefficients on the overlap of the two windows."""
@@ -267,7 +256,7 @@ class QExp:
         hi = min(a.hi, b.hi)
         for n in a.exponents() | b.exponents():
             if lo <= n < hi:
-                if not exact_eq(a.coeff(n), b.coeff(n)):
+                if a.coeff(n) != b.coeff(n):
                     return False
         return True
 
@@ -353,7 +342,7 @@ def add(f: QExp, g: QExp, ignore_weight: bool = False) -> QExp:
     out = {n: c for n, c in a.coeffs.items() if n < hi}
     for n, c in b.coeffs.items():
         if n < hi:
-            out[n] = exact_add(out.get(n, Fraction(0)), c)
+            out[n] = out.get(n, Fraction(0)) + c
     return QExp(f.weight, m, out, lo, hi)
 
 
@@ -365,7 +354,7 @@ def scale(f: QExp, c) -> QExp:
         p = c.numerator
         table = f._table if p == 1 else {a: v * p for a, v in f._table.items()}
         return QExp.from_numerators(f.weight, f.denom, table, f.cden * c.denominator, f.lo, f.hi)
-    return QExp(f.weight, f.denom, {a: exact_mul(v, c) for a, v in f.coeffs.items()}, f.lo, f.hi)
+    return QExp(f.weight, f.denom, {a: v * c for a, v in f.coeffs.items()}, f.lo, f.hi)
 
 
 def _stride(support: list[int]) -> int:
@@ -449,8 +438,8 @@ def _conv_generic(da: dict, db: dict, cap: int) -> dict:
         for b, cb in db.items():
             n = a + b
             if n < cap:
-                out[n] = exact_add(out.get(n, Fraction(0)), exact_mul(ca, cb))
-    return {n: c for n, c in out.items() if not exact_is_zero(c)}
+                out[n] = out.get(n, Fraction(0)) + ca * cb
+    return {n: c for n, c in out.items() if c}
 
 
 def _conv(da: dict, db: dict, cap: int) -> dict:

@@ -29,18 +29,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 
 __all__ = [
     "CycScalar",
-    "FourthRoot",
     "Scalar",
     "as_exact",
     "bernoulli_number",
     "bernoulli_poly",
     "dirichlet_L_neg",
     "eps_d",
-    "exact_add",
-    "exact_eq",
-    "exact_is_zero",
-    "exact_mul",
-    "exact_to_complex",
     "kronecker",
     "partial_zeta_neg",
     "quadratic_L_neg",
@@ -93,51 +87,14 @@ def kronecker(t: int, d: int) -> int:
     return k if d == 1 else 0
 
 
-class FourthRoot:
-    """A fourth root of unity i^e, closed under multiplication."""
+def eps_d(d: int) -> complex:
+    """eps_d = 1 for d = 1 mod 4 and i for d = 3 mod 4; rejects even d.
 
-    __slots__ = ("exp",)
-
-    def __init__(self, exp: int):
-        self.exp = exp % 4
-
-    def __mul__(self, other: "FourthRoot") -> "FourthRoot":
-        if not isinstance(other, FourthRoot):
-            return NotImplemented
-        return FourthRoot(self.exp + other.exp)
-
-    def conjugate(self) -> "FourthRoot":
-        return FourthRoot(-self.exp)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FourthRoot) and self.exp == other.exp
-
-    def __hash__(self) -> int:
-        return hash(("FourthRoot", self.exp))
-
-    def __complex__(self) -> complex:
-        return (1 + 0j, 1j, -1 + 0j, -1j)[self.exp]
-
-    def to_cyc(self) -> "CycScalar":
-        return CycScalar.root_of_unity(4, self.exp)
-
-    def as_int(self) -> int:
-        """The value as an integer, only for +-1."""
-        if self.exp == 0:
-            return 1
-        if self.exp == 2:
-            return -1
-        raise ValueError("fourth root %r is not rational" % (self,))
-
-    def __repr__(self) -> str:
-        return ("1", "i", "-1", "-i")[self.exp]
-
-
-def eps_d(d: int) -> FourthRoot:
-    """eps_d = 1 for d = 1 mod 4 and i for d = 3 mod 4; rejects even d."""
+    Both values, and their conjugates, are exact in binary floating point.
+    """
     if d % 2 == 0:
         raise ValueError("eps_d needs odd d, got %d" % d)
-    return FourthRoot(0) if d % 4 == 1 else FourthRoot(1)
+    return 1 + 0j if d % 4 == 1 else 1j
 
 
 @lru_cache(maxsize=None)
@@ -179,6 +136,12 @@ class CycScalar:
     equal representations.  Arithmetic between different orders promotes both
     operands to the least common multiple.  An element that reduces to a
     rational collapses to order 1.
+
+    Arithmetic mixes with int and Fraction through the operators (their own
+    methods return NotImplemented for a CycScalar, so the reflected one here
+    runs), and every result is canonical in the sense of `as_exact`: a
+    Fraction whenever its value is rational.  So `a + b`, `a * b`, `a == b`,
+    `not a` and `complex(a)` serve any mix of exact scalars.
     """
 
     __slots__ = ("order", "terms")
@@ -273,12 +236,16 @@ class CycScalar:
         terms = dict(self._promoted_terms(m))
         for e, c in o._promoted_terms(m).items():
             terms[e] = terms.get(e, Fraction(0)) + c
-        return CycScalar(m, terms)
+        return as_exact(CycScalar(m, terms))
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        # the left operand's terms come first, as in a + b with both cyclotomic,
+        # so complex() sums the same floats in the same order
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + self
 
     def __neg__(self):
-        return CycScalar(self.order, {e: -c for e, c in self.terms.items()})
+        return as_exact(CycScalar(self.order, {e: -c for e, c in self.terms.items()}))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -304,12 +271,12 @@ class CycScalar:
             for e2, c2 in b.items():
                 e = (e1 + e2) % m
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return CycScalar(m, out)
+        return as_exact(CycScalar(m, out))
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "CycScalar":
-        return CycScalar(self.order, {-e % self.order: c for e, c in self.terms.items()})
+    def conjugate(self) -> Scalar:
+        return as_exact(CycScalar(self.order, {-e % self.order: c for e, c in self.terms.items()}))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -345,44 +312,9 @@ def as_exact(x) -> Scalar:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, FourthRoot):
-        x = x.to_cyc()
     if isinstance(x, CycScalar):
         return x.as_rational() if x.is_rational() else x
     raise TypeError("not an exact scalar: %r" % (x,))
-
-
-def exact_add(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return as_exact(_cyc(a) + _cyc(b))
-
-
-def exact_mul(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    return as_exact(_cyc(a) * _cyc(b))
-
-
-def exact_eq(a, b) -> bool:
-    a = as_exact(a)
-    b = as_exact(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    return _cyc(a) == _cyc(b)
-
-
-def exact_is_zero(a) -> bool:
-    return not as_exact(a)
-
-
-def exact_to_complex(a) -> complex:
-    a = as_exact(a)
-    return complex(float(a), 0.0) if isinstance(a, Fraction) else complex(a)
-
-
-def _cyc(x) -> CycScalar:
-    return x if isinstance(x, CycScalar) else CycScalar.from_rational(x)
 
 
 # -- Bernoulli machinery ------------------------------------------------
@@ -439,9 +371,8 @@ def dirichlet_L_neg(chi: "DirichletCharacter", k: int) -> Scalar:
     acc: Scalar = Fraction(0)
     for d in range(1, N + 1):
         v = chi(d)
-        if exact_is_zero(v):
-            continue
-        acc = exact_add(acc, exact_mul(as_exact(v), partial_zeta_neg(N, d, k)))
+        if v:
+            acc += v * partial_zeta_neg(N, d, k)
     return acc
 
 

@@ -36,15 +36,7 @@ from .characters import DirichletCharacter
 from .errors import HypothesisError, PrecisionError, SchemaError
 from .plusspace import is_plus_space
 from .qseries import QExp, add, rescale, scale
-from .scalars import (
-    Scalar,
-    as_exact,
-    exact_add,
-    exact_is_zero,
-    exact_mul,
-    kronecker,
-    partial_zeta_neg,
-)
+from .scalars import Scalar, kronecker, partial_zeta_neg
 
 __all__ = [
     "CONSTANT_TERM_SIGN",
@@ -96,9 +88,7 @@ class CharacterOrbit(DiamondOrbit):
 
     def coefficient(self, f, d, n):
         v = self.chi(d)
-        if exact_is_zero(v):
-            return Fraction(0)
-        return exact_mul(as_exact(v), f.coeff(n))
+        return v * f.coeff(n) if v else Fraction(0)
 
     def series(self, f, d):
         return scale(f, self.chi(d))
@@ -216,11 +206,9 @@ def _constant_term(f: QExp, orbit: DiamondOrbit, N: int, k: int, T: int, eps: in
         if sym == 0:
             continue
         c0 = orbit.coefficient(f, h, 0)
-        if exact_is_zero(c0):
-            continue
-        w = Fraction(sym, 2) * partial_zeta_neg(P, h, k)
-        total = exact_add(total, exact_mul(w, c0))
-    return exact_mul(Fraction(-CONSTANT_TERM_SIGN), total)
+        if c0:
+            total += Fraction(sym, 2) * partial_zeta_neg(P, h, k) * c0
+    return -CONSTANT_TERM_SIGN * total
 
 
 def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOrbit) -> QExp:
@@ -236,12 +224,11 @@ def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOr
             if sym == 0:
                 continue
             c = orbit.coefficient(f, d, T * (l // d) * (l // d))
-            if exact_is_zero(c):
-                continue
-            acc = exact_add(acc, exact_mul(Fraction(sym * d ** (k - 1)), c))
+            if c:
+                acc += Fraction(sym * d ** (k - 1)) * c
         table[l] = acc
     constant = _constant_term(f, orbit, N, k, T, eps)
-    if not exact_is_zero(constant):
+    if constant:
         table[0] = constant
     return QExp(Fraction(2 * k), 1, table, 0, prec + 1)
 
@@ -310,6 +297,8 @@ def shimura_general(f: QExp, N: int, k: int, t: int, s: int, eps: int, prec: int
         raise SchemaError("eps must be +1 or -1")
     if s < 1:
         raise SchemaError("s must be positive")
+    if t < 1:
+        raise SchemaError("t must be positive")
     return _lift(f, N, k, t * s * s, eps, prec, _default_orbit(orbit))
 
 
@@ -331,11 +320,21 @@ def level_change_rhs(f: QExp, N: int, M: int, k: int, t: int, eps: int, prec: in
 
     the rescaling realizing the weight-2k Atkin-Lehner style shift on
     expansions.
+
+    Refused when 2 is in I and eps t = 3 mod 4: there the combination's
+    constant term differs from the level-M N lift's, though every
+    coefficient at q^1 and above agrees.
     """
     if M < 1:
         raise SchemaError("M must be positive")
     orbit = _default_orbit(orbit)
     primes = sorted({p for p in prime_factors(M) if math.gcd(p, N * t) == 1})
+    if 2 in primes and (eps * t) % 4 == 3:
+        raise HypothesisError(
+            "level-change-constant-at-2",
+            "level change by M = %d with N t = %d odd and eps t = %d = 3 mod 4: "
+            "the combination's constant term is not the lift's" % (M, N * t, eps * t),
+        )
     total: QExp | None = None
     for r in range(len(primes) + 1):
         for J in itertools.combinations(primes, r):

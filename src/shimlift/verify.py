@@ -22,7 +22,7 @@ from .characters import DirichletCharacter
 from .errors import PrecisionError, TailBoundError, VerificationFailure
 from .fixtures import eisenstein
 from .qseries import QExp, mul
-from .scalars import eps_d, exact_to_complex, kronecker
+from .scalars import eps_d, kronecker
 
 __all__ = [
     "ResidualReport",
@@ -51,7 +51,7 @@ def eval_qexp(f: QExp, tau: complex, wt_exponent: float | None = None) -> tuple[
     E = float(f.weight) if wt_exponent is None else wt_exponent
     E = max(E, 0.0)
     for a, c in sorted(f.coeffs.items()):
-        z = exact_to_complex(c)
+        z = complex(c)
         total += z * q1**a
         base = max(abs(a) / w, 1.0)
         cmax = max(cmax, abs(z) / base**E)
@@ -73,11 +73,11 @@ def _multiplier(weight: Fraction, mat: tuple[int, int, int, int], character) -> 
     a, b, c, d = mat
     out = 1.0 + 0j
     if character is not None:
-        out *= exact_to_complex(character(d))
+        out *= complex(character(d))
     if weight.denominator == 2:
         if c % 4 != 0 or d % 2 == 0:
             raise ValueError("half-integral multiplier needs 4 | c and odd d")
-        unit = kronecker(c, d) * complex(eps_d(d).conjugate())
+        unit = kronecker(c, d) * eps_d(d).conjugate()
         out *= unit ** int(2 * weight)
     return out
 

@@ -301,7 +301,7 @@ def psi_char(a: int, b: int, c: int, d: int, branch: int = 1) -> complex:
         raise ValueError("psi_char needs odd d")
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
-    return branch * kronecker(c, d) * complex(eps_d(d).conjugate())
+    return branch * kronecker(c, d) * eps_d(d).conjugate()
 
 
 def rho1_gamma04(a: int, b: int, c: int, d: int, branch: int = 1, dual: bool = False) -> np.ndarray:

@@ -18,7 +18,8 @@ from shimlift.characters import (
     valid_eta,
 )
 from shimlift.errors import HypothesisError, SchemaError
-from shimlift.scalars import CycScalar, exact_eq, kronecker
+from shimlift.scalars import CycScalar, kronecker
+from util import exact_eq
 
 
 def _chi5_order4() -> DirichletCharacter:
@@ -212,3 +213,28 @@ def test_character_json_rejects_malformed():
         character_from_json({"modulus": 5})
     with pytest.raises(SchemaError):
         character_from_json("trivial")
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"modulus": 5}, "character object needs 'modulus' and 'kind'"),
+    ({"modulus": 0, "kind": "trivial"}, "character modulus must be a positive integer"),
+    ({"modulus": 5, "kind": "nonsense"}, "unknown character kind 'nonsense'"),
+    ({"modulus": 5, "kind": ["x"]}, "unknown character kind ['x']"),
+    ({"modulus": 5, "kind": "kronecker"}, "invalid character: kronecker character needs integer 't'"),
+    ({"modulus": 5, "kind": "kronecker", "t": "5"}, "invalid character: kronecker character needs integer 't'"),
+    ({"modulus": 5, "kind": "kronecker", "t": 0}, "invalid character: kronecker character needs nonzero t"),
+    ({"modulus": 6, "kind": "kronecker", "t": 5},
+     "invalid character: function is not defined modulo 6: class 1 takes two values"),
+    ({"modulus": 5, "kind": "explicit"}, "invalid character: explicit character needs 'values'"),
+    ({"modulus": 5, "kind": "explicit", "values": [[True, "1"]]},
+     "invalid character: explicit character value must be [residue, scalar] with an integer residue"),
+    ({"modulus": 5, "kind": "explicit", "values": [[1, "x"]]}, "invalid character: bad rational 'x'"),
+    ({"modulus": 5, "kind": "explicit", "values": [[1, "1"], [2, "1"]]},
+     "invalid character: value table misses units [3, 4] mod 5"),
+    ({"modulus": 5, "kind": "explicit", "values": [[1, "1"], [2, "-1"], [3, "-1"], [4, "-1"]]},
+     "invalid character: table is not multiplicative: chi(2)chi(2) != chi(4)"),
+])
+def test_character_json_error_messages(obj, message):
+    with pytest.raises(SchemaError) as exc:
+        character_from_json(obj)
+    assert str(exc.value) == message

@@ -31,7 +31,8 @@ from shimlift.qseries import (
     scale,
     u_op,
 )
-from shimlift.scalars import CycScalar, FourthRoot, exact_eq, rational_to_str
+from shimlift.scalars import CycScalar, rational_to_str
+from util import exact_eq
 
 
 def test_construction_drops_zeros_and_validates_window():
@@ -318,13 +319,13 @@ def test_construction_canonicalises_non_fraction_coefficients():
     f = QExp(0, 1, {
         0: 3,
         1: CycScalar.from_rational(Fraction(1, 2)),
-        2: FourthRoot(2),
-        3: FourthRoot(1),
+        2: CycScalar.root_of_unity(4, 2),
+        3: CycScalar.root_of_unity(4, 1),
         4: i,
         5: 0,
         6: Fraction(0),
         7: CycScalar(3, {}),
-        8: FourthRoot(4),
+        8: CycScalar.root_of_unity(4, 4),
     }, 0, 9)
     assert f.support() == [0, 1, 2, 3, 4, 8]
     for a, want in ((0, Fraction(3)), (1, Fraction(1, 2)), (2, Fraction(-1)), (8, Fraction(1))):

@@ -19,11 +19,6 @@ from shimlift.scalars import (
     bernoulli_poly,
     dirichlet_L_neg,
     eps_d,
-    exact_add,
-    exact_eq,
-    exact_is_zero,
-    exact_mul,
-    exact_to_complex,
     kronecker,
     partial_zeta_neg,
     quadratic_L_neg,
@@ -32,6 +27,7 @@ from shimlift.scalars import (
     scalar_from_json,
     scalar_to_json,
 )
+from util import exact_add, exact_eq, exact_is_zero, exact_mul, exact_to_complex
 
 
 # -- kronecker -----------------------------------------------------------
@@ -249,6 +245,73 @@ def test_as_exact_accepts_ints_fractions_and_cyc():
     assert exact_eq(as_exact(z), z)
     with pytest.raises(TypeError):
         as_exact(0.5)
+
+
+def test_eps_d_is_a_python_complex():
+    assert type(eps_d(1)) is complex and eps_d(1) == 1
+    assert type(eps_d(-1)) is complex and eps_d(-1) == 1j
+
+
+# -- the operators against the reference dispatch -------------------------
+
+_small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+_roots = st.builds(CycScalar.root_of_unity, st.integers(1, 12), st.integers(0, 11))
+
+
+def _sum(values):
+    total = Fraction(0)
+    for v in values:
+        total = exact_add(total, v)
+    return total
+
+
+# one- to three-term combinations r zeta_m^e, canonicalised by the reference
+_combinations = st.lists(st.tuples(_small_fractions, _roots), min_size=1, max_size=3).map(
+    lambda pairs: _sum(exact_mul(r, z) for r, z in pairs))
+_exact_scalars = st.one_of(st.integers(-5, 5), _small_fractions, _roots, _combinations)
+
+
+@st.composite
+def _complementary(draw):
+    """Two sums of m-th roots over complementary exponent sets, so that
+    a + b = sum of all m-th roots = 0 (1 + zeta_3 + zeta_3^2 among them),
+    plus a rational shift on one side."""
+    m = draw(st.integers(2, 12))
+    part = draw(st.sets(st.integers(0, m - 1)))
+    a = _sum(CycScalar.root_of_unity(m, e) for e in part)
+    b = _sum(CycScalar.root_of_unity(m, e) for e in range(m) if e not in part)
+    return exact_add(a, draw(_small_fractions)), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.one_of(st.tuples(_exact_scalars, _exact_scalars), _complementary()))
+def test_operators_match_reference_helpers(pair):
+    a, b = pair
+    minus_one = Fraction(-1)
+    cases = [  # (result, reference, operands)
+        (a + b, exact_add(a, b), (a, b)),
+        (b + a, exact_add(b, a), (a, b)),
+        (a - b, exact_add(a, exact_mul(minus_one, b)), (a, b)),
+        (b - a, exact_add(b, exact_mul(minus_one, a)), (a, b)),
+        (a * b, exact_mul(a, b), (a, b)),
+        (b * a, exact_mul(b, a), (a, b)),
+        (-a, exact_mul(minus_one, a), (a,)),
+        (a.conjugate(), as_exact(a.conjugate()), (a,)),
+    ]
+    for got, want, operands in cases:
+        assert exact_eq(got, want), (a, b, got, want)
+        # a rational value comes back as a Fraction, or as an int from ints
+        if all(type(x) is int for x in operands):
+            assert type(got) is int
+        else:
+            assert isinstance(got, Fraction) == isinstance(want, Fraction), (a, b, got, want)
+        assert complex(got) == exact_to_complex(want)
+        assert bool(got) == (not exact_is_zero(want))
+    assert (a == b) == exact_eq(a, b) and (b == a) == exact_eq(a, b)
+    assert (a != b) == (not exact_eq(a, b))
+    assert bool(a) == (not exact_is_zero(a))
+    assert complex(a) == exact_to_complex(a)
+    assert abs(complex(a.conjugate()) - complex(a).conjugate()) < 1e-9
 
 
 # -- string and JSON forms ----------------------------------------------

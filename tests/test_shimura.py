@@ -149,6 +149,14 @@ def test_lift_rejects_bad_parameters():
         shimura_St(half, N=4, k=2, t=1, eps=1, prec=2)
 
 
+@pytest.mark.parametrize("t", [0, -1])
+def test_general_rejects_nonpositive_t(t):
+    # a one-term window: the argument check comes before the window check
+    h = cohen_eisenstein(2, 1)
+    with pytest.raises(SchemaError, match="t must be positive"):
+        shimura_general(h, N=1, k=2, t=t, s=1, eps=1, prec=4)
+
+
 def test_general_equals_st_at_square_free_index():
     rng = random.Random(14)
     for N in (4, 8, 12):
@@ -390,6 +398,37 @@ def test_level_change_composite_m_uses_inclusion_exclusion():
     lhs = shimura_St(h, N=15, k=2, t=1, eps=1, prec=10)
     rhs = level_change_rhs(h, N=1, M=15, k=2, t=1, eps=1, prec=10).truncate(11)
     assert lhs == rhs
+
+
+def test_level_change_refuses_constant_term_domain_before_any_lift():
+    # 2 new to N t = 3 and eps t = 3 mod 4; a 5-term window would make any
+    # lift raise PrecisionError, so the refusal comes first
+    with pytest.raises(HypothesisError) as exc:
+        level_change_rhs(_theta5(5), N=1, M=4, k=2, t=3, eps=1, prec=4)
+    assert exc.value.obstruction == "level-change-constant-at-2"
+
+
+def test_level_change_at_m_two_outside_refused_domain():
+    h = cohen_eisenstein(2, 200)
+    rhs = level_change_rhs(h, N=1, M=2, k=2, t=1, eps=1, prec=6).truncate(7)
+    assert rhs == shimura_St(h, N=2, k=2, t=1, eps=1, prec=6)
+
+
+def test_level_change_refuses_exactly_where_the_constant_term_differs():
+    # outside the refused domain the combination is the level-M N lift
+    prec = 3
+    inputs = (cohen_eisenstein(2, 7 * prec * prec + 1), _theta5(7 * prec * prec + 1))
+    for f in inputs:
+        for N in (1, 3, 5):
+            for t in (1, 3, 5, 7):
+                for eps in (1, -1):
+                    for M in (2, 4, 6, 10):
+                        if (eps * t) % 4 == 3:
+                            with pytest.raises(HypothesisError):
+                                level_change_rhs(f, N, M, 2, t, eps, prec)
+                            continue
+                        rhs = level_change_rhs(f, N, M, 2, t, eps, prec).truncate(prec + 1)
+                        assert rhs == shimura_general(f, M * N, 2, t, 1, eps, prec), (N, t, eps, M)
 
 
 # -- corrected combination ----------------------------------------------

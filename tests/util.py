@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable
 
 from shimlift.qseries import QExp
-from shimlift.scalars import Scalar, exact_add, exact_is_zero, exact_mul, kronecker, partial_zeta_neg
+from shimlift.scalars import CycScalar, Scalar, as_exact, kronecker, partial_zeta_neg
 from shimlift.shimura import CONSTANT_TERM_SIGN
 
 
@@ -25,6 +25,44 @@ def brute_convolve(da: dict, db: dict, cap: int) -> dict:
             if n < cap:
                 out[n] = out.get(n, Fraction(0)) + ca * cb
     return {n: c for n, c in out.items() if c}
+
+
+# Reference exact-scalar helpers: the explicit dispatch the library used
+# before CycScalar arithmetic returned canonical values.  The operators are
+# checked against them.
+
+
+def exact_add(a: Scalar, b: Scalar) -> Scalar:
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a + b
+    return as_exact(_cyc(a) + _cyc(b))
+
+
+def exact_mul(a: Scalar, b: Scalar) -> Scalar:
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a * b
+    return as_exact(_cyc(a) * _cyc(b))
+
+
+def exact_eq(a, b) -> bool:
+    a = as_exact(a)
+    b = as_exact(b)
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a == b
+    return _cyc(a) == _cyc(b)
+
+
+def exact_is_zero(a) -> bool:
+    return not as_exact(a)
+
+
+def exact_to_complex(a) -> complex:
+    a = as_exact(a)
+    return complex(float(a), 0.0) if isinstance(a, Fraction) else complex(a)
+
+
+def _cyc(x) -> CycScalar:
+    return x if isinstance(x, CycScalar) else CycScalar.from_rational(x)
 
 
 def _bern(k: int) -> Fraction:
