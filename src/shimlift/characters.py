@@ -19,6 +19,7 @@ __all__ = [
     "DirichletCharacter",
     "chi_t",
     "eta_char",
+    "kronecker_is_character",
     "make_character",
     "omega_chi",
     "valid_eta",
@@ -188,32 +189,36 @@ def chi_t(t: int) -> DirichletCharacter:
     """
     if t < 1:
         raise ValueError("t must be positive")
-    t2 = t
-    while t2 % 2 == 0:
-        t2 //= 2
-    modulus = 8 * t2
-    return DirichletCharacter.from_function(
-        modulus, lambda d: kronecker(t, d), math.lcm(modulus, 8 * t), kind="kronecker", kind_param=t
-    )
+    return DirichletCharacter.from_kronecker(t, 8 * (t // (t & -t)))
+
+
+def kronecker_is_character(N: int, T: int, eps: int) -> bool:
+    """Whether d -> kronecker(eps * T, d) is a character modulo N * T.
+
+    The symbol is periodic mod |eps T| when eps T = 0 or 1 mod 4, and only
+    mod 4 |eps T| otherwise, a period N * T contains exactly when 4 | N.
+    The lift's constant-term modulus, its index and sign gates, and the
+    obstructions of eta_char all read this test.
+    """
+    return (eps * T) % 4 in (0, 1) or N % 4 == 0
 
 
 def valid_eta(N: int, t: int) -> bool:
-    """Whether rescaling by t admits a consistent sign at level N.
+    """Whether rescaling by t admits a consistent sign at level N: some
+    eps = +1 or -1 makes kronecker(eps * t, .) a character mod N * t.
 
-    True when 4 | N, 4 | t, or t is odd. The excluded case t = 2 mod 4 with
-    4 not dividing N is a genuine obstruction: the symbol kronecker(2, .)
-    has conductor 8, which the available modulus N*t cannot absorb.
+    False exactly for t = 2 mod 4 with 4 not dividing N: kronecker(2, .)
+    has conductor 8, which the available modulus N * t cannot absorb.
     """
-    return N % 4 == 0 or t % 4 == 0 or t % 2 == 1
+    return kronecker_is_character(N, t, 1) or kronecker_is_character(N, t, -1)
 
 
 def eta_char(chi: DirichletCharacter, t: int, eps: int) -> DirichletCharacter:
     """The twisted character d -> chi(d) * kronecker(eps*t, d) modulo N*t.
 
-    Raises HypothesisError when that function is not defined modulo N*t.
-    The two failure modes are t = 2 mod 4 with 4 not dividing N (conductor
-    8), and odd t whose sign does not match eps (conductor 4*t), again
-    without 4 | N to absorb it.
+    Raises HypothesisError when that function is not defined modulo N*t:
+    t = 2 mod 4 with 4 not dividing N (conductor 8), or odd t whose sign
+    does not match eps (conductor 4*t), again without 4 | N to absorb it.
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
@@ -221,27 +226,24 @@ def eta_char(chi: DirichletCharacter, t: int, eps: int) -> DirichletCharacter:
         raise ValueError("t must be positive")
     N = chi.modulus
     nt = N * t
-
-    def fn(d: int):
-        return kronecker(eps * t, d) * chi(d)
-
-    try:
-        return DirichletCharacter.from_function(nt, fn, math.lcm(nt, 8 * t))
-    except ValueError as exc:
-        if t % 4 == 2 and N % 4 != 0:
+    if not kronecker_is_character(N, t, eps):
+        if t % 2 == 0:
             raise HypothesisError(
                 "eta-conductor-8",
                 "d -> kronecker(%d, d) has conductor divisible by 8, not defined mod %d "
                 "(t = 2 mod 4 needs 4 | N)" % (eps * t, nt),
                 case="vi",
-            ) from exc
-        if t % 2 == 1 and eps != kronecker(-1, t) and N % 4 != 0:
-            raise HypothesisError(
-                "eta-sign-mismatch",
-                "odd t = %d pairs with the sign %d only; with eps = %d the symbol has "
-                "conductor 4t and needs 4 | N" % (t, kronecker(-1, t), eps),
-            ) from exc
-        raise
+            )
+        raise HypothesisError(
+            "eta-sign-mismatch",
+            "odd t = %d pairs with the sign %d only; with eps = %d the symbol has "
+            "conductor 4t and needs 4 | N" % (t, kronecker(-1, t), eps),
+        )
+
+    def fn(d: int):
+        return kronecker(eps * t, d) * chi(d)
+
+    return DirichletCharacter.from_function(nt, fn, math.lcm(nt, 8 * t))
 
 
 def character_to_json(chi: DirichletCharacter) -> dict:

@@ -26,15 +26,15 @@ from .errors import (
     VerificationFailure,
 )
 from .fixtures import fixture, fixture_defaults, fixture_names
-from .plusspace import PlusContext, is_plus_space, project_plus, project_two
+from .plusspace import PlusContext, project_plus, project_two
 from .qseries import QExp, qexp_from_json, qexp_to_json
-from .scalars import kronecker, scalar_to_json
+from .scalars import scalar_to_json
 from .shimura import (
     CharacterOrbit,
+    matches_plus_space,
     predict_level,
     shimura_St,
     shimura_general,
-    split_square,
 )
 from .verify import level1_exact_check, modularity_residual
 from .weilrep import weil_selftest
@@ -102,10 +102,6 @@ def _parse_character(spec: str | None, modulus: int):
     )
 
 
-def _series_payload(f: QExp) -> dict:
-    return qexp_to_json(f)
-
-
 def _series_human(f: QExp, limit: int = 12) -> str:
     names = []
     shown = 0
@@ -150,19 +146,12 @@ def _cmd_lift(args) -> int:
         out = shimura_general(f, level, k, args.t, args.s, eps, args.prec, orbit)
     else:
         out = shimura_St(f, level, k, args.t, eps, args.prec, orbit)
-    t0, _ = split_square(T)
-    plus_flag = (
-        t0 % 2 == 1
-        and f.denom == 1
-        and eps == kronecker(-1, t0)
-        and is_plus_space(f, eps)
-    )
     verdict = predict_level(
         N, args.t, args.s, args.M,
-        plus_space_matching_eps=plus_flag,
+        plus_space_matching_eps=matches_plus_space(f, T, eps),
         psi_subspace_known=args.psi_known,
     )
-    payload = {"lift": _series_payload(out), "verdict": verdict.to_json()}
+    payload = {"lift": qexp_to_json(out), "verdict": verdict.to_json()}
     human = "case (%s), level %s\n%s" % (verdict.case_tag, verdict.level, _series_human(out))
     _emit(args, payload, human)
     return 0
@@ -180,7 +169,7 @@ def _cmd_project(args) -> int:
         eps = _resolve(args, "eps", 1)
         ctx = PlusContext.from_epsilon(k, eps, args.N)
     out = project_two(f, ctx) if args.two else project_plus(f, ctx)
-    _emit(args, {"projection": _series_payload(out)}, _series_human(out))
+    _emit(args, {"projection": qexp_to_json(out)}, _series_human(out))
     return 0
 
 

@@ -12,10 +12,13 @@ zeta values at 1 - k, one sum over the residues h mod P prime to N T,
 
     1/2 * sum of kronecker(eps * T, h) * zeta(P, h, 1 - k) * c(h, 0),
 
-with P = N T when kronecker(eps * T, .) has a period dividing N T (eps T
-= 0 or 1 mod 4, or 4 | N) and P = 4 N T otherwise.  A sum of this shape
+with P = N T when kronecker(eps * T, .) is a character mod N T
+(`kronecker_is_character`) and P = 4 N T otherwise.  A sum of this shape
 may be taken over any multiple of the period of its summand, so the
 smallest such modulus gives the same value as the sum at 4 N T.
+
+Every public lift checks its integer arguments (`_check_args`) before any
+gate, refusal or series work.
 
 CONSTANT_TERM_SIGN fixes the orientation of the constant term relative to
 the positive-index coefficients.  It is pinned by the classical fixtures:
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import divisors, prime_factors, split_square
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, kronecker_is_character
 from .errors import HypothesisError, PrecisionError, SchemaError
 from .plusspace import is_plus_space
 from .qseries import QExp, add, rescale, scale
@@ -47,6 +50,7 @@ __all__ = [
     "corrected_combination",
     "diamond",
     "level_change_rhs",
+    "matches_plus_space",
     "predict_level",
     "shimura_S1",
     "shimura_St",
@@ -172,13 +176,26 @@ def _default_orbit(orbit: DiamondOrbit | None) -> DiamondOrbit:
     return orbit if orbit is not None else CharacterOrbit(DirichletCharacter.trivial(1))
 
 
-def _check_input(f: QExp, orbit: DiamondOrbit, N: int, k: int, T: int, prec: int) -> None:
+def _check_args(N: int, k: int, prec: int, eps: int = 1, t: int = 1, s: int = 1, M: int = 1) -> None:
+    """SchemaError naming the first lift argument out of range."""
     if N < 1:
         raise SchemaError("level must be positive")
+    if M < 1:
+        raise SchemaError("M must be positive")
     if k < 1:
         raise SchemaError("the integer weight parameter k must be positive")
     if prec < 0:
         raise SchemaError("requested precision must be nonnegative")
+    if eps not in (1, -1):
+        raise SchemaError("eps must be +1 or -1")
+    if t < 1:
+        raise SchemaError("t must be positive")
+    if s < 1:
+        raise SchemaError("s must be positive")
+
+
+def _check_input(f: QExp, orbit: DiamondOrbit, N: int, T: int, prec: int) -> None:
+    """The checks that depend on the series: exponents, orbit, window."""
     if f.denom != 1:
         raise SchemaError("lift input needs integer exponents")
     orbit.validate_for(f, N)
@@ -197,7 +214,7 @@ def _constant_term(f: QExp, orbit: DiamondOrbit, N: int, k: int, T: int, eps: in
     """The constant term: the partial-zeta sum at the smallest modulus P in
     {N T, 4 N T} over which kronecker(eps * T, .) is periodic."""
     D = eps * T
-    P = N * T if D % 4 in (0, 1) or N % 4 == 0 else 4 * N * T
+    P = N * T if kronecker_is_character(N, T, eps) else 4 * N * T
     total: Scalar = Fraction(0)
     for h in range(1, P + 1):
         if math.gcd(h, N * T) != 1:
@@ -213,7 +230,7 @@ def _constant_term(f: QExp, orbit: DiamondOrbit, N: int, k: int, T: int, eps: in
 
 def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOrbit) -> QExp:
     """The index-T lift to q^prec, without support gating."""
-    _check_input(f, orbit, N, k, T, prec)
+    _check_input(f, orbit, N, T, prec)
     table: dict[int, Scalar] = {}
     for l in range(1, prec + 1):
         acc: Scalar = Fraction(0)
@@ -236,35 +253,32 @@ def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOr
 def shimura_S1(f: QExp, N: int, k: int, prec: int, orbit: DiamondOrbit | None = None) -> QExp:
     """The index-1 lift; defined for every form of its level, no support
     hypotheses."""
+    _check_args(N, k, prec)
     return _lift(f, N, k, 1, 1, prec, _default_orbit(orbit))
 
 
 def _gate_squarefree(f: QExp, N: int, t: int, eps: int) -> None:
-    if N % 4 == 0:
-        return
-    if t % 2 == 1:
-        want = kronecker(-1, t)
-        if eps != want:
+    if not kronecker_is_character(N, t, eps):
+        if t % 2 == 1:
             raise HypothesisError(
                 "sign-vs-index",
                 "odd index t = %d works with eps = %d at level %d; eps = %d needs 4 | N"
-                % (t, want, N, eps),
+                % (t, kronecker(-1, t), N, eps),
             )
-        if not is_plus_space(f, eps):
-            raise HypothesisError(
-                "not-plus-space",
-                "index t = %d at level %d needs support in {0, %d} mod 4"
-                % (t, N, eps % 4),
-            )
-        return
-    # square-free even t is 2 mod 4; rescaling by it carries a conductor-8
-    # character that the level cannot absorb without 4 | N
-    raise HypothesisError(
-        "eta-conductor-8",
-        "even index t = %d at level %d: the attached quadratic character has "
-        "conductor divisible by 8 and is not defined mod %d" % (t, N, N * t),
-        case="vi",
-    )
+        # square-free even t is 2 mod 4; rescaling by it carries a conductor-8
+        # character that the level cannot absorb without 4 | N
+        raise HypothesisError(
+            "eta-conductor-8",
+            "even index t = %d at level %d: the attached quadratic character has "
+            "conductor divisible by 8 and is not defined mod %d" % (t, N, N * t),
+            case="vi",
+        )
+    if N % 4 != 0 and not is_plus_space(f, eps):
+        raise HypothesisError(
+            "not-plus-space",
+            "index t = %d at level %d needs support in {0, %d} mod 4"
+            % (t, N, eps % 4),
+        )
 
 
 def shimura_St(f: QExp, N: int, k: int, t: int, eps: int, prec: int, orbit: DiamondOrbit | None = None) -> QExp:
@@ -275,8 +289,7 @@ def shimura_St(f: QExp, N: int, k: int, t: int, eps: int, prec: int, orbit: Diam
     an even index is obstructed outright.  A non-square-free index is
     routed to shimura_general.
     """
-    if eps not in (1, -1):
-        raise SchemaError("eps must be +1 or -1")
+    _check_args(N, k, prec, eps, t)
     t0, s0 = split_square(t)
     if s0 != 1:
         return shimura_general(f, N, k, t0, s0, eps, prec, orbit)
@@ -293,12 +306,7 @@ def shimura_general(f: QExp, N: int, k: int, t: int, s: int, eps: int, prec: int
     No support gating: this is the formula's maximal domain.  The index is
     refactored so the square-free part is canonical.
     """
-    if eps not in (1, -1):
-        raise SchemaError("eps must be +1 or -1")
-    if s < 1:
-        raise SchemaError("s must be positive")
-    if t < 1:
-        raise SchemaError("t must be positive")
+    _check_args(N, k, prec, eps, t, s)
     return _lift(f, N, k, t * s * s, eps, prec, _default_orbit(orbit))
 
 
@@ -321,15 +329,15 @@ def level_change_rhs(f: QExp, N: int, M: int, k: int, t: int, eps: int, prec: in
     the rescaling realizing the weight-2k Atkin-Lehner style shift on
     expansions.
 
-    Refused when 2 is in I and eps t = 3 mod 4: there the combination's
-    constant term differs from the level-M N lift's, though every
-    coefficient at q^1 and above agrees.
+    Refused when 2 is in I and kronecker(eps t, .) is not a character mod
+    N t (so eps t = 3 mod 4): there the combination's constant term differs
+    from the level-M N lift's, though every coefficient at q^1 and above
+    agrees.
     """
-    if M < 1:
-        raise SchemaError("M must be positive")
+    _check_args(N, k, prec, eps, t, M=M)
     orbit = _default_orbit(orbit)
     primes = sorted({p for p in prime_factors(M) if math.gcd(p, N * t) == 1})
-    if 2 in primes and (eps * t) % 4 == 3:
+    if 2 in primes and not kronecker_is_character(N, t, eps):
         raise HypothesisError(
             "level-change-constant-at-2",
             "level change by M = %d with N t = %d odd and eps t = %d = 3 mod 4: "
@@ -347,6 +355,14 @@ def level_change_rhs(f: QExp, N: int, M: int, k: int, t: int, eps: int, prec: in
     return total
 
 
+def matches_plus_space(f: QExp, T: int, eps: int) -> bool:
+    """Whether f lies in the plus space that the index-T lift with sign eps
+    asks for: the square-free part t of T is odd with eps t = 1 mod 4, and
+    f has integer exponents supported on {0, eps} mod 4."""
+    t, _ = split_square(T)
+    return (eps * t) % 4 == 1 and f.denom == 1 and is_plus_space(f, eps)
+
+
 def corrected_combination(f: QExp, N: int, M: int, k: int, t: int, s: int, eps: int, prec: int, orbit: DiamondOrbit | None = None) -> QExp:
     """The two-term combination that restores level 2 p_J lcm(N, s) in the
     all-odd case:
@@ -356,6 +372,7 @@ def corrected_combination(f: QExp, N: int, M: int, k: int, t: int, s: int, eps: 
     with S the index t s^2 lift at level M N.  Requires M N s t odd and an
     input that is not already in the matching plus-space (that case needs
     no correction)."""
+    _check_args(N, k, prec, eps, t, s, M)
     t0, s0 = split_square(t * s * s)
     if (M * N * s * t) % 2 == 0:
         raise HypothesisError(
@@ -363,7 +380,7 @@ def corrected_combination(f: QExp, N: int, M: int, k: int, t: int, s: int, eps: 
             "the corrected combination applies when M, N, s, t are all odd",
             case="viii",
         )
-    if eps == kronecker(-1, t0) and f.denom == 1 and is_plus_space(f, eps):
+    if matches_plus_space(f, t0, eps):
         raise HypothesisError(
             "plus-space-needs-no-correction",
             "input already satisfies the plus condition with matching eps; "

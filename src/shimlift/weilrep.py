@@ -69,12 +69,11 @@ class FqModule:
         self.q_values = {g: Fraction(q_values[g]) % 1 for g in elems}
         self.signature_mod_8 = signature_mod_8 % 8
         self._index = {g: i for i, g in enumerate(elems)}
-        self._level = 1
-        for v in self.q_values.values():
-            self._level = self._level // math.gcd(self._level, v.denominator) * v.denominator
-        self._q_arr = None
-        self._btab = None
-        self._validate()
+        self._level = math.lcm(*(v.denominator for v in self.q_values.values()))
+        q_arr, sum_idx, btab = self._tables()
+        self._validate(q_arr, sum_idx, btab)
+        self._q_arr = q_arr
+        self._btab = btab
 
     def elements(self) -> Iterable[tuple]:
         return itertools.product(*[range(o) for o in self.orders])
@@ -98,13 +97,12 @@ class FqModule:
         return (self.q(self.add(a, b)) - self.q(a) - self.q(b)) % 1
 
     def _tables(self):
-        """Integer tables: L*Q(g) by element index, and the n x n pairing
-        table L*B(a, b) mod L.  Cached; everything downstream of these is
-        numpy work."""
+        """Integer tables: L*Q(g) by element index, the n x n index table of
+        componentwise sums, and the n x n pairing table L*B(a, b) mod L.
+        The module keeps the first and last; everything downstream of them
+        is numpy work."""
         import numpy as np
 
-        if self._btab is not None:
-            return self._q_arr, self._btab
         n = self.size
         L = self._level
         q_arr = np.empty(n, dtype=np.int64)
@@ -119,16 +117,13 @@ class FqModule:
             comp = (idx // stride) % o
             sum_idx += ((comp[:, None] + comp[None, :]) % o) * stride
         btab = (q_arr[sum_idx] - q_arr[:, None] - q_arr[None, :]) % L
-        self._q_arr = q_arr
-        self._btab = btab
-        return q_arr, btab
+        return q_arr, sum_idx, btab
 
-    def _validate(self) -> None:
+    def _validate(self, q_arr, sum_idx, btab) -> None:
         import numpy as np
 
         n = self.size
         L = self._level
-        q_arr, btab = self._tables()
         # evenness: Q(-g) = Q(g)
         neg_idx = np.array([self._index[self.neg(g)] for g in self.elements()])
         if not np.array_equal(q_arr, q_arr[neg_idx]):
@@ -140,7 +135,7 @@ class FqModule:
             if o == 1:
                 continue
             gidx = stride  # index of the generator of this factor
-            lhs = btab[self._sum_row(gidx), :]
+            lhs = btab[sum_idx[gidx], :]
             rhs = (btab[gidx][None, :] + btab) % L
             if not np.array_equal(lhs, rhs):
                 raise ValueError("pairing is not bilinear")
@@ -155,21 +150,6 @@ class FqModule:
             raise ValueError(
                 "Milgram sum disagrees with declared signature %d" % self.signature_mod_8
             )
-
-    def _sum_row(self, gidx: int) -> np.ndarray:
-        """Indices of g + a for fixed g (by index) and all a."""
-        import numpy as np
-
-        n = self.size
-        idx = np.arange(n)
-        out = np.zeros(n, dtype=np.int64)
-        stride = n
-        for o in self.orders:
-            stride //= o
-            comp = (idx // stride) % o
-            gcomp = (gidx // stride) % o
-            out += ((comp + gcomp) % o) * stride
-        return out
 
     def direct_sum(self, other: "FqModule") -> "FqModule":
         n = len(self.orders)
@@ -220,17 +200,15 @@ def weil_T(module: FqModule) -> np.ndarray:
     """rho(T): diagonal with entries e(Q(gamma))."""
     import numpy as np
 
-    q_arr, _ = module._tables()
-    return np.diag(np.exp(2j * np.pi * q_arr / module._level))
+    return np.diag(np.exp(2j * np.pi * module._q_arr / module._level))
 
 
 def weil_S(module: FqModule) -> np.ndarray:
     """rho(S): (zeta_8^(-sig) / sqrt(|D|)) e(-(gamma, delta))."""
     import numpy as np
 
-    _, btab = module._tables()
     front = _e(Fraction(-module.signature_mod_8, 8)) / math.sqrt(module.size)
-    return front * np.exp(-2j * np.pi * btab.T / module._level)
+    return front * np.exp(-2j * np.pi * module._btab.T / module._level)
 
 
 _GEN_MATS = {

@@ -13,6 +13,7 @@ from shimlift.characters import (
     character_to_json,
     chi_t,
     eta_char,
+    kronecker_is_character,
     make_character,
     omega_chi,
     valid_eta,
@@ -156,6 +157,24 @@ def test_valid_eta_classification():
     assert not valid_eta(1, 2)
     assert not valid_eta(2, 6)
     assert not valid_eta(6, 2)
+
+
+def test_kronecker_is_character_decides_the_eta_scan():
+    # the predicate holds exactly where the class-constancy scan over
+    # residues mod N t succeeds, and valid_eta is the predicate at some sign
+    for N in range(1, 13):
+        for t in range(1, 31):
+            for eps in (1, -1):
+                if kronecker_is_character(N, t, eps):
+                    assert eta_char(DirichletCharacter.trivial(N), t, eps).modulus == N * t
+                    continue
+                with pytest.raises(HypothesisError):
+                    eta_char(DirichletCharacter.trivial(N), t, eps)
+                with pytest.raises(ValueError, match="not defined modulo"):
+                    DirichletCharacter.from_function(
+                        N * t, lambda d: kronecker(eps * t, d), math.lcm(N * t, 8 * t)
+                    )
+            assert valid_eta(N, t) == any(kronecker_is_character(N, t, e) for e in (1, -1))
 
 
 def test_eta_char_odd_t_matching_sign():

@@ -24,7 +24,9 @@ from shimlift.arith import power
 from shimlift.characters import DirichletCharacter
 from shimlift.errors import HypothesisError, PrecisionError, SchemaError
 from shimlift.fixtures import cohen_eisenstein, eisenstein, fixture, theta
+from shimlift.plusspace import is_plus_space
 from shimlift.qseries import QExp, add, mul, rescale, scale, u_op
+from shimlift.scalars import kronecker
 from shimlift.shimura import (
     CharacterOrbit,
     ExplicitOrbit,
@@ -32,6 +34,7 @@ from shimlift.shimura import (
     corrected_combination,
     diamond,
     level_change_rhs,
+    matches_plus_space,
     predict_level,
     shimura_S1,
     shimura_St,
@@ -155,6 +158,42 @@ def test_general_rejects_nonpositive_t(t):
     h = cohen_eisenstein(2, 1)
     with pytest.raises(SchemaError, match="t must be positive"):
         shimura_general(h, N=1, k=2, t=t, s=1, eps=1, prec=4)
+
+
+@pytest.mark.parametrize("entry, kwargs, message", [
+    (level_change_rhs, dict(N=1, M=1, k=2, t=0, eps=1, prec=3), "t must be positive"),
+    (level_change_rhs, dict(N=1, M=1, k=2, t=-1, eps=1, prec=3), "t must be positive"),
+    (level_change_rhs, dict(N=1, M=1, k=2, t=1, eps=5, prec=3), "eps must be"),
+    (corrected_combination, dict(N=1, M=3, k=2, t=-1, s=1, eps=1, prec=3), "t must be positive"),
+    (corrected_combination, dict(N=1, M=3, k=2, t=1, s=0, eps=1, prec=3), "s must be positive"),
+    (shimura_St, dict(N=1, k=2, t=0, eps=1, prec=3), "t must be positive"),
+])
+def test_argument_check_precedes_any_lift(monkeypatch, entry, kwargs, message):
+    import shimlift.shimura as shimura
+
+    def no_lift(*args):
+        raise AssertionError("a lift ran before the argument check")
+
+    monkeypatch.setattr(shimura, "_lift", no_lift)
+    with pytest.raises(SchemaError, match=message):
+        entry(cohen_eisenstein(2, 50), **kwargs)
+
+
+def test_matches_plus_space_reads_the_square_free_part():
+    rng = random.Random(22)
+    inputs = [
+        util.random_plus_series(rng, 1, 60, weight=Fraction(5, 2)),
+        util.random_plus_series(rng, -1, 60, weight=Fraction(5, 2)),
+        util.random_qexp(rng, 0, 60, weight=Fraction(5, 2), density=0.9),
+        QExp(Fraction(5, 2), 2, {1: 1}, 0, 60),
+    ]
+    for f in inputs:
+        for T in range(1, 41):
+            t0, _ = split_square(T)
+            for eps in (1, -1):
+                want = (t0 % 2 == 1 and f.denom == 1 and eps == kronecker(-1, t0)
+                        and is_plus_space(f, eps))
+                assert matches_plus_space(f, T, eps) == want, (T, eps)
 
 
 def test_general_equals_st_at_square_free_index():
