@@ -36,9 +36,9 @@ class DirichletCharacter:
     character kill the forbidden ones.
     """
 
-    __slots__ = ("modulus", "values", "kind", "kind_param")
+    __slots__ = ("modulus", "values")
 
-    def __init__(self, modulus: int, values: Mapping[int, object], kind: str = "explicit", kind_param: int | None = None):
+    def __init__(self, modulus: int, values: Mapping[int, object]):
         if modulus < 1:
             raise ValueError("modulus must be positive")
         table: dict[int, Scalar] = {}
@@ -55,26 +55,27 @@ class DirichletCharacter:
             raise ValueError("value table misses units %r mod %d" % (missing, modulus))
         if table[1 % modulus] != 1:
             raise ValueError("chi(1) must be 1")
+        # chi(a g) = chi(a) chi(g) for g in a generating set gives it for
+        # every unit b, by induction on a word in the generators for b
+        gens = _unit_generators(units, modulus)
         for a in units:
             if not table[a]:
                 raise ValueError("character value at %d is zero" % a)
-            for b in units:
-                if table[a] * table[b] != table[a * b % modulus]:
+            for g in gens:
+                if table[a] * table[g] != table[a * g % modulus]:
                     raise ValueError(
-                        "table is not multiplicative: chi(%d)chi(%d) != chi(%d)" % (a, b, a * b % modulus)
+                        "table is not multiplicative: chi(%d)chi(%d) != chi(%d)" % (a, g, a * g % modulus)
                     )
         self.modulus = modulus
         self.values = table
-        self.kind = kind
-        self.kind_param = kind_param
 
     @classmethod
     def trivial(cls, modulus: int) -> "DirichletCharacter":
         values = {r: 1 for r in range(modulus) if math.gcd(r, modulus) == 1}
-        return cls(modulus, values, kind="trivial")
+        return cls(modulus, values)
 
     @classmethod
-    def from_function(cls, modulus: int, fn: Callable[[int], object], period: int, kind: str = "explicit", kind_param: int | None = None) -> "DirichletCharacter":
+    def from_function(cls, modulus: int, fn: Callable[[int], object], period: int) -> "DirichletCharacter":
         """Build a character mod `modulus` from a function on the integers.
 
         `period` must be a period of fn on integers coprime to `modulus`.
@@ -97,7 +98,7 @@ class DirichletCharacter:
                     )
             else:
                 seen[r] = v
-        return cls(modulus, seen, kind=kind, kind_param=kind_param)
+        return cls(modulus, seen)
 
     @classmethod
     def from_kronecker(cls, t: int, modulus: int) -> "DirichletCharacter":
@@ -110,7 +111,7 @@ class DirichletCharacter:
         if t == 0:
             raise ValueError("kronecker character needs nonzero t")
         period = math.lcm(modulus, 8 * abs(t))
-        return cls.from_function(modulus, lambda d: kronecker(t, d), period, kind="kronecker", kind_param=t)
+        return cls.from_function(modulus, lambda d: kronecker(t, d), period)
 
     def __call__(self, n: int) -> Scalar:
         r = n % self.modulus
@@ -148,7 +149,28 @@ class DirichletCharacter:
         )
 
     def __repr__(self) -> str:
-        return "DirichletCharacter(mod %d, %s)" % (self.modulus, self.kind)
+        return "DirichletCharacter(mod %d)" % self.modulus
+
+
+def _unit_generators(units: list[int], modulus: int) -> list[int]:
+    """A generating set of the units mod `modulus`, greedily: a unit joins
+    when the subgroup the earlier ones span misses it.
+
+    Adding u to a subgroup H spans the cosets H u^i for i below the order
+    of u modulo H, so each generator costs one pass over the units.
+    """
+    gens: list[int] = []
+    span = {1 % modulus}
+    for u in units:
+        if u in span:
+            continue
+        gens.append(u)
+        base = list(span)
+        x = u
+        while x not in span:
+            span.update(h * x % modulus for h in base)
+            x = x * u % modulus
+    return gens
 
 
 def make_character(modulus: int, kind: str, *, t: int | None = None, values: Mapping[int, object] | None = None) -> DirichletCharacter:
@@ -247,12 +269,9 @@ def eta_char(chi: DirichletCharacter, t: int, eps: int) -> DirichletCharacter:
 
 
 def character_to_json(chi: DirichletCharacter) -> dict:
-    out: dict = {"modulus": chi.modulus, "kind": chi.kind}
-    if chi.kind == "kronecker":
-        out["t"] = chi.kind_param
-    if chi.kind == "explicit":
-        out["values"] = [[d, scalar_to_json(v)] for d, v in sorted(chi.values.items())]
-    return out
+    """The explicit value table, which `character_from_json` reads back."""
+    values = [[d, scalar_to_json(v)] for d, v in sorted(chi.values.items())]
+    return {"modulus": chi.modulus, "kind": "explicit", "values": values}
 
 
 def character_from_json(obj) -> DirichletCharacter:

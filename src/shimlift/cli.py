@@ -93,7 +93,11 @@ def _parse_character(spec: str | None, modulus: int):
     if spec is None or spec == "trivial":
         return None
     if spec.startswith("kronecker:"):
-        t = int(spec.split(":", 1)[1])
+        text = spec.split(":", 1)[1]
+        try:
+            t = int(text)
+        except ValueError:
+            raise SchemaError("--character kronecker:t needs an integer t, got %r" % text) from None
         return DirichletCharacter.from_kronecker(t, modulus)
     if spec.startswith("json:"):
         return character_from_json(_read_json_source(spec.split(":", 1)[1]))
@@ -160,14 +164,14 @@ def _cmd_lift(args) -> int:
 def _cmd_project(args) -> int:
     _check_prec(args)
     f = _load_series(args)
-    k = _resolve(args, "k")
-    if k is None:
-        raise SchemaError("pass --k (not fixed by the input)")
     if args.xi is not None:
+        k = _resolve(args, "k")
+        if k is None:
+            raise SchemaError("pass --k (not fixed by the input)")
         ctx = PlusContext(k, args.xi, args.N)
     else:
-        eps = _resolve(args, "eps", 1)
-        ctx = PlusContext.from_epsilon(k, eps, args.N)
+        # the projections read only eps and N, so the weight is immaterial
+        ctx = PlusContext.from_epsilon(0, _resolve(args, "eps", 1), args.N)
     out = project_two(f, ctx) if args.two else project_plus(f, ctx)
     _emit(args, {"projection": qexp_to_json(out)}, _series_human(out))
     return 0
@@ -237,7 +241,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_weil_selftest(args) -> int:
     _check_at_least(0, ("--words", args.words), ("--max-n", args.max_n))
-    report = weil_selftest(max_n=args.max_n, words=args.words, perturb=args.perturb)
+    report = weil_selftest(max_n=args.max_n, words=args.words)
     report = {k: (v.item() if hasattr(v, "item") else v) for k, v in report.items()}
     _emit(args, report, "weil selftest ok: %r" % (report,))
     return 0
@@ -324,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("weil-selftest", help="representation relation suite")
     sp.add_argument("--max-n", type=int, default=12, dest="max_n")
     sp.add_argument("--words", type=int, default=100)
-    sp.add_argument("--perturb", action="store_true", help=argparse.SUPPRESS)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_weil_selftest)
 

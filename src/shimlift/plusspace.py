@@ -55,7 +55,8 @@ class PlusContext:
     def from_epsilon(cls, k: int, eps: int, N: int = 1) -> "PlusContext":
         if eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
-        return cls(k, eps if k % 2 == 0 else -eps, N)
+        # xi -> (-1)^k xi is its own inverse, so it also takes eps to xi
+        return cls(k, epsilon_for(k, eps), N)
 
 
 def _eps_residue(ctx) -> int:

@@ -313,14 +313,14 @@ def _integers(coeffs: Mapping[int, Fraction]) -> tuple[dict, int]:
 # -- arithmetic ----------------------------------------------------------
 
 
-def add(f: QExp, g: QExp, ignore_weight: bool = False) -> QExp:
+def add(f: QExp, g: QExp) -> QExp:
     """Sum, on the window where both operands are known.
 
     Window: [min(lo), min(hi)) after promotion to the common lattice; below
     the larger lo the other term is known to vanish, so the sum is still
     complete there.
     """
-    if not ignore_weight and f.weight != g.weight:
+    if f.weight != g.weight:
         raise ValueError("weight mismatch %s vs %s" % (f.weight, g.weight))
     m = math.lcm(f.denom, g.denom)
     a = f._promoted(m)
@@ -486,13 +486,10 @@ def rescale(f: QExp, t: int) -> QExp:
     """
     if t < 1:
         raise ValueError("rescale factor must be positive")
-    meta = dict(f.metadata)
-    if isinstance(meta.get("level"), int):
-        meta["level"] *= t
     g = math.gcd(t, f.denom)
     s = t // g
     table = f._table if s == 1 else {a * s: v for a, v in f._table.items()}
-    return f._derived(table, f.lo * s, f.hi * s, f.denom // g, meta)
+    return f._derived(table, f.lo * s, f.hi * s, f.denom // g, f.metadata)
 
 
 def u_op(f: QExp, s: int) -> QExp:

@@ -190,12 +190,6 @@ class CycScalar:
         """zeta_m^e = exp(2 pi i e / m)."""
         return cls(m, {e % m: Fraction(1)})
 
-    @classmethod
-    def from_e(cls, x: Fraction) -> "CycScalar":
-        """e(x) = exp(2 pi i x) for rational x."""
-        x = Fraction(x)
-        return cls.root_of_unity(x.denominator, x.numerator % x.denominator)
-
     # -- structure ------------------------------------------------------
 
     def _promoted_terms(self, order: int) -> dict:
@@ -203,11 +197,6 @@ class CycScalar:
             raise AssertionError("order %d is not a multiple of %d" % (order, self.order))
         q = order // self.order
         return {e * q: c for e, c in self.terms.items()}
-
-    def promote(self, order: int) -> "CycScalar":
-        if order == self.order:
-            return self
-        return CycScalar(order, self._promoted_terms(order))
 
     def is_rational(self) -> bool:
         return all(e == 0 for e in self.terms)
@@ -334,10 +323,10 @@ def bernoulli_number(k: int) -> Fraction:
     return -acc / (k + 1)
 
 
-def bernoulli_poly(k: int, x, bound: int = BERNOULLI_BOUND) -> Fraction:
+def bernoulli_poly(k: int, x) -> Fraction:
     """B_k(x) = sum_j C(k, j) B_j x^(k-j), exact; B_1(0) = -1/2."""
-    if not 0 <= k <= bound:
-        raise ValueError("Bernoulli degree %d outside [0, %d]" % (k, bound))
+    if not 0 <= k <= BERNOULLI_BOUND:
+        raise ValueError("Bernoulli degree %d outside [0, %d]" % (k, BERNOULLI_BOUND))
     x = Fraction(x)
     acc = Fraction(0)
     xp = Fraction(1)

@@ -396,22 +396,24 @@ def corrected_combination(f: QExp, N: int, M: int, k: int, t: int, s: int, eps: 
 
 @dataclass(frozen=True)
 class LevelVerdict:
-    """Outcome of the level prediction: which case matched, the predicted
-    level factor * p_J * lcm(N, s), and whether that level is for the
-    case-viii corrected combination rather than the plain lift."""
+    """Outcome of the level prediction: which case matched, the factors of
+    the predicted level factor * p_J * lcm(N, s), and whether the case is
+    covered.  The level of case viii is that of the corrected combination
+    rather than of the plain lift."""
 
     case_tag: str
-    level: int | None
-    needs_correction: bool
     p_J: int
     lcm_ns: int
     factor: int
     covered: bool
 
-    def __post_init__(self):
-        product = self.factor * self.p_J * self.lcm_ns
-        if self.covered and self.level is not None and self.level != product:
-            raise AssertionError("level %d != factor * p_J * lcm_ns = %d" % (self.level, product))
+    @property
+    def level(self) -> int | None:
+        return self.factor * self.p_J * self.lcm_ns if self.covered else None
+
+    @property
+    def needs_correction(self) -> bool:
+        return self.case_tag == "viii"
 
     def to_json(self) -> dict:
         return {
@@ -441,24 +443,21 @@ def predict_level(N: int, t: int, s: int, M: int, *, plus_space_matching_eps: bo
     J = [p for p in I if s % p != 0]
     pj = math.prod(J) if J else 1
     lcm_ns = N * s // math.gcd(N, s)
-    base = pj * lcm_ns
 
     if t % 2 == 1 and plus_space_matching_eps:
-        return LevelVerdict("i", base, False, pj, lcm_ns, 1, True)
+        return LevelVerdict("i", pj, lcm_ns, 1, True)
     if N % 4 == 0:
-        return LevelVerdict("ii", base, False, pj, lcm_ns, 1, True)
+        return LevelVerdict("ii", pj, lcm_ns, 1, True)
     if (N * t) % 2 == 1 and M % 2 == 0:
-        return LevelVerdict("iii", base, False, pj, lcm_ns, 1, True)
+        return LevelVerdict("iii", pj, lcm_ns, 1, True)
     if s % 4 == 0:
-        return LevelVerdict("iv", base, False, pj, lcm_ns, 1, True)
+        return LevelVerdict("iv", pj, lcm_ns, 1, True)
     if N % 2 == 1 and s % 2 == 0:
-        return LevelVerdict("v", base, False, pj, lcm_ns, 1, True)
+        return LevelVerdict("v", pj, lcm_ns, 1, True)
     if (N * s) % 2 == 1 and t % 2 == 0:
-        return LevelVerdict("vi", 2 * base, False, pj, lcm_ns, 2, True)
+        return LevelVerdict("vi", pj, lcm_ns, 2, True)
     if N % 4 == 2 and s % 4 != 0:
-        return LevelVerdict("vii", 2 * base, False, pj, lcm_ns, 2, True)
+        return LevelVerdict("vii", pj, lcm_ns, 2, True)
     if (M * N * s * t) % 2 == 0:
         raise AssertionError("case fallthrough with an even parameter")
-    if psi_subspace_known:
-        return LevelVerdict("viii", 2 * base, True, pj, lcm_ns, 2, True)
-    return LevelVerdict("viii", None, True, pj, lcm_ns, 2, False)
+    return LevelVerdict("viii", pj, lcm_ns, 2, psi_subspace_known)

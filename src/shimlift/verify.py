@@ -22,7 +22,7 @@ from .characters import DirichletCharacter
 from .errors import PrecisionError, TailBoundError, VerificationFailure
 from .fixtures import eisenstein
 from .qseries import QExp, mul
-from .scalars import eps_d, kronecker
+from .weilrep import psi_char
 
 __all__ = [
     "ResidualReport",
@@ -34,11 +34,11 @@ __all__ = [
 _DEFAULT_TAUS = (0.3 + 0.8j, -0.25 + 1.1j, 0.05 + 0.6j)
 
 
-def eval_qexp(f: QExp, tau: complex, wt_exponent: float | None = None) -> tuple[complex, float]:
+def eval_qexp(f: QExp, tau: complex) -> tuple[complex, float]:
     """Partial sum of f at tau plus a tail bound.
 
     The bound majorizes the unknown coefficients at and above the window
-    end by C n^E with E the weight (overridable) and C twice the largest
+    end by C n^E with E the weight and C twice the largest
     observed ratio; it raises TailBoundError only when the majorant series
     itself fails to contract.
     """
@@ -48,8 +48,7 @@ def eval_qexp(f: QExp, tau: complex, wt_exponent: float | None = None) -> tuple[
     q1 = cmath.exp(2j * cmath.pi * tau / w)
     total = 0j
     cmax = 0.0
-    E = float(f.weight) if wt_exponent is None else wt_exponent
-    E = max(E, 0.0)
+    E = max(float(f.weight), 0.0)
     for a, c in sorted(f.coeffs.items()):
         z = complex(c)
         total += z * q1**a
@@ -68,17 +67,13 @@ def eval_qexp(f: QExp, tau: complex, wt_exponent: float | None = None) -> tuple[
 
 
 def _multiplier(weight: Fraction, mat: tuple[int, int, int, int], character) -> complex:
-    """chi(d) for integral weight; the odd power of (c/d) conj(eps_d) on
-    top of that when the weight is half-integral (then 4 | c, d odd)."""
-    a, b, c, d = mat
+    """chi(d) for integral weight; times the odd power 2 * weight of the
+    theta multiplier when the weight is half-integral (then 4 | c, d odd)."""
     out = 1.0 + 0j
     if character is not None:
-        out *= complex(character(d))
+        out *= complex(character(mat[3]))
     if weight.denominator == 2:
-        if c % 4 != 0 or d % 2 == 0:
-            raise ValueError("half-integral multiplier needs 4 | c and odd d")
-        unit = kronecker(c, d) * eps_d(d).conjugate()
-        out *= unit ** int(2 * weight)
+        out *= psi_char(*mat) ** int(2 * weight)
     return out
 
 

@@ -188,12 +188,10 @@ class FqModule:
         return cls((N, N), q, 0)
 
     @classmethod
-    def d1_n(cls, N: int, eps: int = 1) -> "FqModule":
-        """The lift target: d1 (or its negative) plus the rescaled plane."""
-        if eps not in (1, -1):
-            raise ValueError("eps must be +1 or -1")
-        head = cls.d1() if eps == 1 else cls.d1_minus()
-        return head.direct_sum(cls.d_b(N))
+    def d1_n(cls, N: int) -> "FqModule":
+        """The lift target: d1 plus the rescaled plane (its negative is
+        d1_minus().direct_sum(d_b(N)))."""
+        return cls.d1().direct_sum(cls.d_b(N))
 
 
 def weil_T(module: FqModule) -> np.ndarray:
@@ -403,13 +401,9 @@ def random_gamma04(rng) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
-def weil_selftest(max_n: int = 12, words: int = 100, seed: int = 2024, perturb: bool = False) -> dict:
+def weil_selftest(max_n: int = 12, words: int = 100, seed: int = 2024) -> dict:
     """Relation, unitarity and closed-form checks; raises
-    VerificationFailure on any miss.
-
-    perturb=True injects a small error into rho(S) first, as a negative
-    control for the harness around this function.
-    """
+    VerificationFailure on any miss."""
     import numpy as np
 
     modules = [FqModule.d1(), FqModule.d1_minus()]
@@ -418,9 +412,6 @@ def weil_selftest(max_n: int = 12, words: int = 100, seed: int = 2024, perturb: 
     for mod in modules:
         S = weil_S(mod)
         T = weil_T(mod)
-        if perturb:
-            S = S.copy()
-            S[0, 0] += 1e-6
         eye = np.eye(mod.size)
         checks = {
             "S^2 = (ST)^3": np.abs(S @ S - np.linalg.matrix_power(S @ T, 3)).max(),

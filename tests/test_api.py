@@ -1,8 +1,10 @@
 """The package API: every advertised name resolves, and the top-level
-`shimlift.__all__` is pinned, so a change to it is a deliberate edit here."""
+`shimlift.__all__` and the parameter names of its callables are pinned, so
+a change to either is a deliberate edit here."""
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -39,3 +41,71 @@ def test_every_module_all_entry_resolves(module):
     assert len(set(names)) == len(names), module
     missing = [name for name in names if not hasattr(mod, name)]
     assert not missing, (module, missing)
+
+
+# Parameter names, self omitted, of every callable in __all__ and of every
+# public method of its classes; None for an exception that keeps
+# ValueError's constructor.
+SIGNATURES = {
+    "CharacterOrbit": "chi", "CharacterOrbit.coefficient": "f d n", "CharacterOrbit.series": "f d",
+    "CharacterOrbit.twist": "f m", "CharacterOrbit.validate_for": "f N",
+    "CycScalar": "order terms", "CycScalar.from_rational": "r", "CycScalar.root_of_unity": "m e",
+    "CycScalar.is_rational": "", "CycScalar.as_rational": "", "CycScalar.conjugate": "",
+    "DiamondOrbit": "", "DiamondOrbit.coefficient": "f d n", "DiamondOrbit.series": "f d",
+    "DiamondOrbit.twist": "f m", "DiamondOrbit.min_hi": "f", "DiamondOrbit.validate_for": "f N",
+    "DirichletCharacter": "modulus values", "DirichletCharacter.trivial": "modulus",
+    "DirichletCharacter.from_function": "modulus fn period",
+    "DirichletCharacter.from_kronecker": "t modulus", "DirichletCharacter.parity": "",
+    "DirichletCharacter.is_trivial": "", "ExplicitOrbit": "modulus table",
+    "ExplicitOrbit.coefficient": "f d n", "ExplicitOrbit.series": "f d",
+    "ExplicitOrbit.twist": "f m", "ExplicitOrbit.min_hi": "f", "ExplicitOrbit.validate_for": "f N",
+    "FqModule": "orders q_values signature_mod_8", "FqModule.elements": "",
+    "FqModule.index": "gamma", "FqModule.reduce": "gamma", "FqModule.add": "a b",
+    "FqModule.neg": "a", "FqModule.q": "gamma", "FqModule.bilinear": "a b",
+    "FqModule.direct_sum": "other", "FqModule.d1": "", "FqModule.d1_minus": "",
+    "FqModule.d_b": "N", "FqModule.d1_n": "N", "HypothesisError": "obstruction detail case",
+    "LevelVerdict": "case_tag p_J lcm_ns factor covered", "LevelVerdict.to_json": "",
+    "PlusContext": "k xi N", "PlusContext.from_epsilon": "k eps N",
+    "PrecisionError": "detail required_lo required_hi",
+    "QExp": "weight denom coeffs lo hi metadata",
+    "QExp.from_numerators": "weight denom numerators cden lo hi metadata", "QExp.coeff": "a",
+    "QExp.coeff_exponent": "x", "QExp.exponents": "", "QExp.support": "", "QExp.min_support": "",
+    "QExp.is_zero": "", "QExp.truncate": "hi", "QExp.normalized": "", "QExp.agrees_with": "other",
+    "SchemaError": None, "TailBoundError": None, "VVQExp": "module weight components",
+    "VVQExp.component": "gamma", "VerificationFailure": "detail first_mismatch", "add": "f g",
+    "chi_t": "t", "corrected_combination": "f N M k t s eps prec orbit", "decompose_mod4": "f",
+    "diamond": "f orbit d", "epsilon_for": "k xi", "eta_char": "chi t eps", "eval_qexp": "f tau",
+    "filter_residues": "f modulus allowed", "fixture": "name prec", "fixture_names": "",
+    "invert_unit": "f hi", "is_plus_space": "f ctx", "kronecker": "t d",
+    "level1_exact_check": "f weight", "level_change_rhs": "f N M k t eps prec orbit",
+    "lift_L": "f ctx", "lift_L_inverse": "vv ctx", "make_character": "modulus kind t values",
+    "modularity_residual": "f weight level character samples terms tail_tol", "mul": "f g",
+    "omega_chi": "chi", "partial_zeta_neg": "N d k",
+    "predict_level": "N t s M plus_space_matching_eps psi_subspace_known", "project_plus": "f ctx",
+    "project_two": "f ctx", "qexp_from_json": "obj", "qexp_to_json": "f", "rescale": "f t",
+    "scale": "f c", "shimura_S1": "f N k prec orbit", "shimura_St": "f N k t eps prec orbit",
+    "shimura_general": "f N k t s eps prec orbit", "split_square": "T", "u_op": "f s",
+    "weil_S": "module", "weil_T": "module", "weil_selftest": "max_n words seed",
+    "weil_word": "module word",
+}
+
+
+def _parameters(obj):
+    try:
+        return " ".join(p for p in inspect.signature(obj).parameters if p != "self")
+    except ValueError:
+        return None
+
+
+def test_public_signatures_are_pinned():
+    got = {}
+    for name in PUBLIC:
+        obj = getattr(shimlift, name)
+        if not callable(obj):
+            continue
+        got[name] = _parameters(obj)
+        if inspect.isclass(obj):
+            for attr in vars(obj):
+                if not attr.startswith("_") and callable(getattr(obj, attr)):
+                    got[name + "." + attr] = _parameters(getattr(obj, attr))
+    assert got == SIGNATURES

@@ -2,6 +2,7 @@
 companion, and the rescaling-sign character with its obstruction cases."""
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -45,6 +46,22 @@ def test_explicit_table_validation():
         DirichletCharacter(5, {1: 1, 2: 1, 3: 1, 4: -1})  # not multiplicative
     with pytest.raises(ValueError):
         DirichletCharacter(3, {1: -1, 2: 1})  # chi(1) != 1
+
+
+@pytest.mark.parametrize("modulus", range(1, 25))
+def test_generator_check_agrees_with_all_pairs(modulus):
+    """The constructor checks chi(a g) = chi(a) chi(g) only for g in a
+    generating set of the units; on every table with at most two -1 values
+    it accepts exactly what the check over all pairs accepts."""
+    units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
+    rest = [r for r in units if r != 1 % modulus]
+    for flips in [()] + [(u,) for u in rest] + list(itertools.combinations(rest, 2)):
+        table = {r: -1 if r in flips else 1 for r in units}
+        if all(table[a] * table[b] == table[a * b % modulus] for a in units for b in units):
+            assert DirichletCharacter(modulus, table).values == table
+        else:
+            with pytest.raises(ValueError, match="not multiplicative"):
+                DirichletCharacter(modulus, table)
 
 
 def test_order_four_character_mod_5():
@@ -94,7 +111,7 @@ def test_square_of_quartic_character_is_quadratic():
 def test_make_character_dispatch():
     assert make_character(7, "trivial").is_trivial()
     k = make_character(12, "kronecker", t=12)
-    assert k.kind == "kronecker" and k.kind_param == 12
+    assert all(k(d) == kronecker(12, d) for d in range(24))
     e = make_character(5, "explicit", values={1: 1, 2: -1, 3: -1, 4: 1})
     assert exact_eq(e(3), Fraction(-1))
     with pytest.raises((SchemaError, ValueError)):
@@ -214,6 +231,12 @@ def test_eta_char_four_divides_t():
 
 
 # -- JSON ----------------------------------------------------------------
+
+
+def test_character_json_writes_the_value_table():
+    assert character_to_json(DirichletCharacter.from_kronecker(-4, 4)) == {
+        "modulus": 4, "kind": "explicit", "values": [[1, "1"], [3, "-1"]],
+    }
 
 
 def test_character_json_round_trip():

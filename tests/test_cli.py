@@ -17,9 +17,11 @@ from pathlib import Path
 
 import pytest
 
+from shimlift import weilrep
 from shimlift.cli import main
-from shimlift.fixtures import fixture_names
+from shimlift.fixtures import fixture, fixture_names
 from shimlift.qseries import qexp_from_json, qexp_to_json
+from util import perturbed_weil_S
 
 
 def run(capsys, *argv):
@@ -150,6 +152,18 @@ def test_project_plus_and_two(capsys):
     assert all(a % 4 in (0, 2) for a in two.coeffs)
 
 
+def test_project_with_epsilon_needs_no_k(capsys, tmp_path):
+    src = tmp_path / "cohen52.json"
+    src.write_text(json.dumps(qexp_to_json(fixture("cohen52", 40))))
+    argv = ("project", "--input", str(src), "--N", "4", "--epsilon", "1", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--k", "2")[:2] == (0, out)
+    code, payload, _ = run_json(capsys, "project", "--input", str(src), "--N", "4", "--xi", "1", "--json")
+    assert code == 2
+    assert payload["message"] == "pass --k (not fixed by the input)"
+
+
 def test_level_predict_worked_verdicts(capsys):
     code, payload, _ = run_json(
         capsys, "level-predict", "--N", "1", "--t", "1", "--plus", "--json"
@@ -210,15 +224,16 @@ def test_verify_exact_mode_failure_names_mismatch(capsys, tmp_path):
     assert "exponent" in payload["first_mismatch"]
 
 
-def test_weil_selftest_cli(capsys):
+def test_weil_selftest_cli(capsys, monkeypatch):
     code, payload, _ = run_json(
         capsys, "weil-selftest", "--max-n", "4", "--words", "10", "--json"
     )
     assert code == 0
     assert payload["modules"] == 6
     assert payload["max_word_error"] < 1e-10
+    monkeypatch.setattr(weilrep, "weil_S", perturbed_weil_S(weilrep.weil_S))
     code2, _, _ = run_json(
-        capsys, "weil-selftest", "--max-n", "2", "--words", "5", "--perturb", "--json"
+        capsys, "weil-selftest", "--max-n", "2", "--words", "5", "--json"
     )
     assert code2 == 1
 
@@ -281,6 +296,25 @@ def test_character_json_with_string_residue_is_schema_error(capsys, tmp_path):
     payload = json.loads(lines[0])
     assert payload["error"] == "SchemaError"
     assert "residue" in payload["message"]
+
+
+@pytest.mark.parametrize("spec", ["kronecker:x", "kronecker:", "kronecker:1.5"])
+def test_lift_malformed_kronecker_character_is_schema_error(capsys, monkeypatch, spec):
+    import shimlift.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("series built before the character was parsed")
+
+    monkeypatch.setattr(cli, "fixture", no_build)
+    code, out, _ = run(
+        capsys, "lift", "--fixture", "cohen52", "--prec", "5", "--character", spec, "--json"
+    )
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "SchemaError"
+    assert payload["message"].startswith("--character ")
 
 
 @pytest.mark.parametrize("flag", ["--t", "--s", "--M", "--N"])
@@ -423,11 +457,9 @@ def test_weil_selftest_loads_numpy_and_passes():
 
 _BROKEN_INVARIANTS = """
 from shimlift.scalars import CycScalar
-from shimlift.shimura import LevelVerdict
 from shimlift.verify import _solve_exact
 checks = [
     lambda: CycScalar.root_of_unity(4, 1)._promoted_terms(6),
-    lambda: LevelVerdict("i", 5, False, 1, 1, 1, True),
     lambda: _solve_exact([[0, 0], [0, 0]], 2),
 ]
 for check in checks:
@@ -441,7 +473,7 @@ for check in checks:
 
 def test_invariant_checks_survive_optimize_flag():
     proc = _fresh_python(_BROKEN_INVARIANTS, flags=["-O"])
-    assert proc.stdout.split() == ["raised"] * 3, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 2, proc.stderr
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

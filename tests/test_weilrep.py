@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shimlift import weilrep
 from shimlift.errors import VerificationFailure
 from shimlift.qseries import QExp
 from shimlift.weilrep import (
@@ -25,6 +26,7 @@ from shimlift.weilrep import (
     weil_selftest,
     weil_word,
 )
+from util import perturbed_weil_S
 
 
 def test_d1_shape():
@@ -211,10 +213,11 @@ def test_vv_component_reduces_labels():
     assert vv.component((2,)) is vv.component((0,))
 
 
-def test_selftest_clean_run_and_negative_control():
+def test_selftest_clean_run_and_negative_control(monkeypatch):
     report = weil_selftest(max_n=6, words=25, seed=5)
     assert report["modules"] == 8
     assert report["max_relation_error"] < 1e-12
     assert report["max_word_error"] < 1e-10
+    monkeypatch.setattr(weilrep, "weil_S", perturbed_weil_S(weilrep.weil_S))
     with pytest.raises(VerificationFailure):
-        weil_selftest(max_n=2, words=5, perturb=True)
+        weil_selftest(max_n=2, words=5)

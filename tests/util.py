@@ -210,3 +210,15 @@ def _constant_extended(read: Callable[[int, int], Scalar], N: int, k: int, T: in
         w = Fraction(sym, 2) * partial_zeta_neg(modulus, h, k)
         total = exact_add(total, exact_mul(w, c0))
     return exact_mul(Fraction(-CONSTANT_TERM_SIGN), total)
+
+
+def perturbed_weil_S(weil_S: Callable) -> Callable:
+    """weil_S with an error of 1e-6 in the top-left entry: a negative
+    control that the Weil representation self-test must catch."""
+
+    def perturbed(module):
+        S = weil_S(module)
+        S[0, 0] += 1e-6
+        return S
+
+    return perturbed
