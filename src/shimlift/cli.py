@@ -98,7 +98,10 @@ def _parse_character(spec: str | None, modulus: int):
             t = int(text)
         except ValueError:
             raise SchemaError("--character kronecker:t needs an integer t, got %r" % text) from None
-        return DirichletCharacter.from_kronecker(t, modulus)
+        try:
+            return DirichletCharacter.from_kronecker(t, modulus)
+        except ValueError as exc:
+            raise SchemaError("--character kronecker:%d at modulus %d: %s" % (t, modulus, exc)) from None
     if spec.startswith("json:"):
         return character_from_json(_read_json_source(spec.split(":", 1)[1]))
     raise SchemaError(

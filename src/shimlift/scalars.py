@@ -352,17 +352,39 @@ def partial_zeta_neg(N: int, d: int, k: int) -> Fraction:
     return -(Fraction(N) ** (k - 1)) * bernoulli_poly(k, Fraction(d, N)) / k
 
 
+def _partial_zeta_sum(P: int, k: int, weights) -> Scalar:
+    """The sum of w * partial_zeta_neg(P, h, k) over the pairs (h, w) of
+    `weights`, 1 <= h <= P, with exact weights (int, Fraction, CycScalar).
+
+    B_k(x) = sum_j C(k, j) B_j x^(k-j) is expanded once, so the sum is
+
+        -(1/k) sum_j C(k, j) B_j P^(j-1) S_(k-j),    S_i = sum w h^i,
+
+    and only the k + 1 power sums S_i run over the residues: integer
+    arithmetic for integer weights.  k is bounded as in `bernoulli_poly`.
+    """
+    if not 1 <= k <= BERNOULLI_BOUND:
+        raise ValueError("Bernoulli degree %d outside [1, %d]" % (k, BERNOULLI_BOUND))
+    sums = [0] * (k + 1)
+    for h, w in weights:
+        if w:
+            for i in range(k + 1):
+                sums[i] += w
+                w *= h
+    total = 0
+    for j in range(k + 1):
+        b = bernoulli_number(j)
+        if b and sums[k - j]:
+            total += math.comb(k, j) * b * Fraction(P) ** (j - 1) * sums[k - j]
+    return total * Fraction(-1, k)
+
+
 def dirichlet_L_neg(chi: "DirichletCharacter", k: int) -> Scalar:
     """L(1-k, chi) for chi as a character of its stated modulus N (not the
     primitive version): the sum of chi(d) partial_zeta_neg(N, d, k) over
     units d mod N."""
     N = chi.modulus
-    acc: Scalar = Fraction(0)
-    for d in range(1, N + 1):
-        v = chi(d)
-        if v:
-            acc += v * partial_zeta_neg(N, d, k)
-    return acc
+    return _partial_zeta_sum(N, k, ((d, chi(d)) for d in range(1, N + 1)))
 
 
 # -- JSON forms ---------------------------------------------------------
@@ -428,31 +450,12 @@ def scalar_from_json(obj) -> Scalar:
 
 
 def quadratic_L_neg(D: int, k: int) -> Fraction:
-    """L(1-k, (D/.)) at modulus |D|, via generalized Bernoulli numbers.
-
-    Integer-weighted inner sums keep this fast enough to sit inside
-    coefficient formulas; for fundamental D it is the same value as
+    """L(1-k, (D/.)) at modulus |D|: the generalized Bernoulli number
+    B_(k, chi) = |D|^(k-1) sum_a chi(a) B_k(a/|D|) from integer power sums
+    (`_partial_zeta_sum`).  For fundamental D it is the same value as
     dirichlet_L_neg of the Kronecker character mod |D|.
     """
     if D == 0:
         raise ValueError("discriminant must be nonzero")
     F = abs(D)
-    if F == 1:
-        return partial_zeta_neg(1, 1, k)
-    # B_{k,chi} = F^(k-1) sum_a chi(a) B_k(a/F); expand B_k once and take
-    # integer power sums S_j = sum_a chi(a) a^j.
-    powsums = [0] * (k + 1)
-    for a in range(1, F):
-        ch = kronecker(D, a)
-        if ch == 0:
-            continue
-        pw = 1
-        for j in range(k + 1):
-            powsums[j] += ch * pw
-            pw *= a
-    bk = Fraction(0)
-    for j in range(k + 1):
-        coeff = math.comb(k, j) * bernoulli_number(j)  # of x^(k-j)
-        bk += coeff * Fraction(powsums[k - j], F ** (k - j))
-    bk *= Fraction(F) ** (k - 1)
-    return -bk / k
+    return _partial_zeta_sum(F, k, ((a, kronecker(D, a)) for a in range(1, F + 1)))

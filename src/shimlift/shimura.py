@@ -1,21 +1,27 @@
 """The lift from weight k + 1/2 to weight 2k on exact q-expansions.
 
 Coefficient side, for index T and level N: the q^l coefficient of the lift
-is
+is the Dirichlet convolution
 
-    sum over d | l with gcd(d, N T) = 1 of
-        d^(k-1) * kronecker(eps * T, d) * c(d, T l^2 / d^2),
+    sum over d m = l with gcd(d, N T) = 1 of
+        d^(k-1) * kronecker(eps * T, d) * c(d, T m^2),
 
 where c(d, n) is the n-th coefficient of the diamond translate <d> f.  The
-constant term is a linear combination of the c(d, 0) weighted by partial
-zeta values at 1 - k, one sum over the residues h mod P prime to N T,
+lift therefore reads the input only on the read set {T m^2 : 0 <= m <= prec}
+and computes every coefficient at once by one sieve, out[d m] += w(d) a[m]
+(`_lift`); on rational input it runs on the integer numerators over one
+common denominator.  The constant term is a linear combination of the
+c(d, 0) weighted by partial zeta values at 1 - k, one sum over the residues
+h mod P prime to N T,
 
     1/2 * sum of kronecker(eps * T, h) * zeta(P, h, 1 - k) * c(h, 0),
 
 with P = N T when kronecker(eps * T, .) is a character mod N T
 (`kronecker_is_character`) and P = 4 N T otherwise.  A sum of this shape
 may be taken over any multiple of the period of its summand, so the
-smallest such modulus gives the same value as the sum at 4 N T.
+smallest such modulus gives the same value as the sum at 4 N T.  It is
+evaluated from integer power sums of the weights
+(`scalars._partial_zeta_sum`).
 
 Every public lift checks its integer arguments (`_check_args`) before any
 gate, refusal or series work.
@@ -34,12 +40,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors, prime_factors, split_square
+from .arith import prime_factors, split_square
 from .characters import DirichletCharacter, kronecker_is_character
 from .errors import HypothesisError, PrecisionError, SchemaError
 from .plusspace import is_plus_space
 from .qseries import QExp, add, rescale, scale
-from .scalars import Scalar, kronecker, partial_zeta_neg
+from .scalars import Scalar, _partial_zeta_sum, kronecker
 
 __all__ = [
     "CONSTANT_TERM_SIGN",
@@ -71,6 +77,11 @@ class DiamondOrbit:
     def series(self, f: QExp, d: int) -> QExp:
         raise NotImplementedError
 
+    def _translates(self, f: QExp) -> tuple[int, dict]:
+        """(m, {r: (c, g)}) with <d> f = c g for every unit d = r mod m;
+        the lift reads each distinct g once."""
+        raise NotImplementedError
+
     def twist(self, f: QExp, m: int) -> tuple[QExp, "DiamondOrbit"]:
         """The pair (<m> f, orbit of <m> f)."""
         raise NotImplementedError
@@ -96,6 +107,9 @@ class CharacterOrbit(DiamondOrbit):
 
     def series(self, f, d):
         return scale(f, self.chi(d))
+
+    def _translates(self, f):
+        return self.chi.modulus, {r: (v, f) for r, v in self.chi.values.items()}
 
     def twist(self, f, m):
         return scale(f, self.chi(m)), self
@@ -144,6 +158,9 @@ class ExplicitOrbit(DiamondOrbit):
 
     def series(self, f, d):
         return self._entry(d)
+
+    def _translates(self, f):
+        return self.modulus, {r: (1, g) for r, g in self.table.items()}
 
     def twist(self, f, m):
         if math.gcd(m, self.modulus) != 1:
@@ -210,44 +227,69 @@ def _check_input(f: QExp, orbit: DiamondOrbit, N: int, T: int, prec: int) -> Non
         )
 
 
-def _constant_term(f: QExp, orbit: DiamondOrbit, N: int, k: int, T: int, eps: int) -> Scalar:
-    """The constant term: the partial-zeta sum at the smallest modulus P in
-    {N T, 4 N T} over which kronecker(eps * T, .) is periodic."""
-    D = eps * T
-    P = N * T if kronecker_is_character(N, T, eps) else 4 * N * T
-    total: Scalar = Fraction(0)
-    for h in range(1, P + 1):
-        if math.gcd(h, N * T) != 1:
-            continue
-        sym = kronecker(D, h)
-        if sym == 0:
-            continue
-        c0 = orbit.coefficient(f, h, 0)
-        if c0:
-            total += Fraction(sym, 2) * partial_zeta_neg(P, h, k) * c0
-    return -CONSTANT_TERM_SIGN * total
+def _read_set(g: QExp, T: int, prec: int, D: int) -> list:
+    """D c(T m^2) for m = 0..prec: integer numerators when g is rational
+    and D is a multiple of g.cden, scalars otherwise."""
+    if g.cden is None:
+        return [g.coeff(T * m * m) * D for m in range(prec + 1)]
+    table, s = g.numerators, D // g.cden
+    return [table.get(T * m * m, 0) * s for m in range(prec + 1)]
 
 
 def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOrbit) -> QExp:
-    """The index-T lift to q^prec, without support gating."""
+    """The index-T lift to q^prec, without support gating.
+
+    One Dirichlet-convolution sieve, out[d m] += w(d) a_d[m], with
+    w(d) = kronecker(eps T, d) d^(k-1) c_d for d prime to N T and
+    a_d[m] = D c(g_d, T m^2), where <d> f = c_d g_d (`_translates`) and D
+    is the lcm of the rational g_d's coefficient denominators.  On
+    rational input with rational c_d every term is an integer.  The
+    constant term is the partial-zeta sum over h mod P of
+    kronecker(eps T, h) c(<h> f, 0), taken from integer power sums.
+    """
     _check_input(f, orbit, N, T, prec)
-    table: dict[int, Scalar] = {}
-    for l in range(1, prec + 1):
-        acc: Scalar = Fraction(0)
-        for d in divisors(l):
-            if math.gcd(d, N * T) != 1:
-                continue
-            sym = kronecker(eps * T, d)
-            if sym == 0:
-                continue
-            c = orbit.coefficient(f, d, T * (l // d) * (l // d))
-            if c:
-                acc += Fraction(sym * d ** (k - 1)) * c
-        table[l] = acc
-    constant = _constant_term(f, orbit, N, k, T, eps)
-    if constant:
-        table[0] = constant
-    return QExp(Fraction(2 * k), 1, table, 0, prec + 1)
+    modulus, translates = orbit._translates(f)
+    translates = {r: (_integral(c), g) for r, (c, g) in translates.items()}
+    series = {id(g): g for _, g in translates.values()}
+    D = math.lcm(*[g.cden for g in series.values() if g.cden is not None])
+    reads = {key: _read_set(g, T, prec, D) for key, g in series.items()}
+
+    def twisted(d: int):
+        """(kronecker(eps T, d) c_d, a_d), or (0, None) off the units."""
+        if math.gcd(d, N * T) != 1:
+            return 0, None
+        c, g = translates[d % modulus]
+        return kronecker(eps * T, d) * c, reads[id(g)]
+
+    out = [0] * (prec + 1)
+    for d in range(1, prec + 1):
+        w, a = twisted(d)
+        if w:
+            w *= d ** (k - 1)
+            for m in range(1, prec // d + 1):
+                if a[m]:
+                    out[d * m] += w * a[m]
+    P = N * T if kronecker_is_character(N, T, eps) else 4 * N * T
+    weights = []
+    for h in range(1, P + 1):
+        w, a = twisted(h)
+        if w:
+            weights.append((h, w * a[0]))
+    constant = _partial_zeta_sum(P, k, weights) * Fraction(-CONSTANT_TERM_SIGN, 2 * D)
+    if isinstance(constant, Fraction) and all(type(v) is int for v in out):
+        E = math.lcm(D, constant.denominator)
+        table = {l: v * (E // D) for l, v in enumerate(out) if v}
+        if constant:
+            table[0] = constant.numerator * (E // constant.denominator)
+        return QExp.from_numerators(2 * k, 1, table, E, 0, prec + 1)
+    coeffs = {l: v * Fraction(1, D) for l, v in enumerate(out) if v}
+    coeffs[0] = constant
+    return QExp(2 * k, 1, coeffs, 0, prec + 1)
+
+
+def _integral(c: Scalar):
+    """c as an int when it is an integer, so integer reads stay integers."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
 def shimura_S1(f: QExp, N: int, k: int, prec: int, orbit: DiamondOrbit | None = None) -> QExp:

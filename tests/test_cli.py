@@ -317,6 +317,28 @@ def test_lift_malformed_kronecker_character_is_schema_error(capsys, monkeypatch,
     assert payload["message"].startswith("--character ")
 
 
+@pytest.mark.parametrize("args, detail", [
+    (["--character", "kronecker:0"], "needs nonzero t"),
+    (["--N", "3", "--character", "kronecker:5"], "not defined modulo 3"),
+])
+def test_lift_invalid_kronecker_character_is_schema_error(capsys, monkeypatch, args, detail):
+    # well-formed kronecker:t that names no character at the level
+    import shimlift.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("series built before the character was parsed")
+
+    monkeypatch.setattr(cli, "fixture", no_build)
+    code, out, _ = run(capsys, "lift", "--fixture", "cohen52", "--prec", "5", *args, "--json")
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "SchemaError"
+    assert payload["message"].startswith("--character kronecker:")
+    assert detail in payload["message"]
+
+
 @pytest.mark.parametrize("flag", ["--t", "--s", "--M", "--N"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_lift_rejects_nonpositive_index_flags(capsys, monkeypatch, flag, value):

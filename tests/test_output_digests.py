@@ -3,18 +3,24 @@ change, the corrected combination and fixture builds.
 
 The digests were taken before the four lift bodies became one kernel with
 one constant-term sum and before the number-theory helpers moved to
-`shimlift.arith`; any change to a coefficient, a window or the JSON text
-of these outputs shows here.  Inputs have T prec^2 + 1 = 6481 terms
-(prec 12, largest index 45).
+`shimlift.arith`; the orbit digests (a quadratic and an order-4
+character, an explicit orbit, non-square-free indices of hj4) were taken
+before that kernel became the Dirichlet-convolution sieve over the read
+set {T m^2} with integer power sums for the constant term.  Any change to
+a coefficient, a window or the JSON text of these outputs shows here.
+Inputs have T prec^2 + 1 = 6481 terms (prec 12, largest index 45).
 """
 from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from shimlift import fixtures, qseries, shimura
+from shimlift.characters import DirichletCharacter
+from shimlift.scalars import CycScalar
 
 PREC = 12
 WINDOW = 45 * PREC * PREC + 1
@@ -33,12 +39,20 @@ DIGESTS = {
     "St/theta_e4/13": "0a2eb5f04c3e1fc7ebe5331dd29d4516fdd94b7342376d39175aefc98771b081",
     "St/theta_e4/5": "9ea55f00b6df169536b57b609ecf1d7393a61b79a26ff8b5076bf6f7996c07f1",
     "corrected_combination": "959715c20a68ae0b49ff3eb20876685ece074f27318a24d815638a8f8549d7db",
+    "cyclotomic/S1/theta_e4": "235a4a3a83b2f6f46c26198ed499fc0bf9a21dbd36e98330983eed4c52dedd94",
+    "cyclotomic/general/hj4/4/-1": "bba8e93c13836803ec61dd6989a5746bf9eb0c4c98637041ed2ebe8503bf36c2",
+    "cyclotomic/level_change_rhs/3/-1": "dc995ed6de856a002d81312ba86235e08821b97ff36848b29a31fd56e99d8c1a",
+    "explicit/S1": "20bf9198fa653fb5c6835958e2e0700446f835425b6937feef7f6fcdc2b43ff5",
+    "explicit/general/4": "440f733bc425ed72b7804eeee98b78c6cb2ce39e678b839a2ffa8a41c536be7d",
+    "explicit/level_change_rhs/5": "127269d3b369115f1b801d2dade5e48d37a6f5d3ab32127fc3406db209e99622",
     "fixture/cohen72": "11ad8453fa7bf0d167de52ca930dcdf2303c99572f7c770317bb43a0b15d3f15",
     "fixture/cohen92": "4d745d64f16cb39f7f07d7846497cce2e11346509590f1b5457437ac77e2870d",
     "fixture/j": "a2d09e2e6a8b744705250981b0d0636b38df749a699d47c60bde8a54ca2d8d80",
     "general/cohen52/20": "bf2bc4a9dde8442c311f723752bfc8d8efc1e5988df704eb921281b9e9e4da42",
     "general/cohen52/4": "443e7d2ab3b213dcc4e85c1696ee0e0010ee47e2c8ad4c588824285abf44f4ef",
     "general/cohen52/45": "3c6df534eeffad69f6120c5be55b85e7bdf0662cd68d370d5c880644cfb5a201",
+    "general/hj4/12/-1": "2f8cfa06f2642c99750527a48433cd613daeb859bc6d98d4c5147bdd549f51a5",
+    "general/hj4/18/N4": "ecca79985e92925d8d356fc0723cf84e701c7bcfaf9142b33cc7f04600e51078",
     "general/hj4/20": "0d22ae718328fb9f98987aba0d2f6bd8eb5446c677d6d2beb2e5cb03a29f1937",
     "general/hj4/4": "d6479da2074cf00ce51261d5d7ff587f8cde92f9891a1b7b27d153aa45196ff5",
     "general/hj4/45": "528a9b866324521f73774e46aaf33e75a81202fe0665272877c0c7978bc5ce1c",
@@ -47,6 +61,9 @@ DIGESTS = {
     "general/theta_e4/45": "64c81b5e113daeadade6a8465f78f44f775ecf53271d369079902d1ac9032037",
     "level_change_rhs/5": "6104d67a0e09f8b66da4320b2f01f0f046b37ee1b48eccada217c8a181b1914f",
     "level_change_rhs/7": "a01a6c71ba07130bfc46efb078f73dbe09475bc665dcef8c2a9a0a0034b05722",
+    "quadratic/S1/cohen52": "295e18e2c800845e8eeafb5a42b964cff58bc4b2b8bf8eb1fca7ee231a3d2b47",
+    "quadratic/general/cohen52/12": "1fbb380bc089f7f37268b48bee1efe37dbebd8d778f9882aa7189fbb911ebfc8",
+    "quadratic/level_change_rhs/3": "d2c363ed707b4bc1bbf20fea6b7bb65451aa2e07a4f25fe98de33cb769c37b94",
 }
 
 
@@ -77,6 +94,35 @@ def test_level_change_and_correction_digests(inputs):
         assert _sha(shimura.level_change_rhs(h, 1, M, 2, 1, 1, PREC)) == DIGESTS["level_change_rhs/%d" % M], M
     got = _sha(shimura.corrected_combination(h, 1, 3, 2, 1, 1, -1, PREC))
     assert got == DIGESTS["corrected_combination"]
+
+
+def _orbit_lifts(inputs) -> dict:
+    """Lifts through a quadratic character, an order-4 character, an
+    explicit orbit with two coefficient denominators, and non-square-free
+    indices of the weakly holomorphic hj4."""
+    h, e4, hj4 = inputs["cohen52"], inputs["theta_e4"], inputs["hj4"]
+    quad = shimura.CharacterOrbit(DirichletCharacter.from_kronecker(5, 5))
+    i = CycScalar.root_of_unity(4, 1)
+    cyc = shimura.CharacterOrbit(DirichletCharacter(5, {1: 1, 2: i, 4: -1, 3: -i}))
+    explicit = shimura.ExplicitOrbit(3, {1: h, 2: qseries.scale(hj4, Fraction(2, 7))})
+    return {
+        "quadratic/S1/cohen52": shimura.shimura_S1(h, 5, 2, PREC, quad),
+        "quadratic/general/cohen52/12": shimura.shimura_general(h, 5, 2, 3, 2, -1, PREC, quad),
+        "quadratic/level_change_rhs/3": shimura.level_change_rhs(h, 5, 3, 2, 1, 1, PREC, quad),
+        "cyclotomic/S1/theta_e4": shimura.shimura_S1(e4, 5, 4, PREC, cyc),
+        "cyclotomic/general/hj4/4/-1": shimura.shimura_general(hj4, 5, 2, 1, 2, -1, PREC, cyc),
+        "cyclotomic/level_change_rhs/3/-1": shimura.level_change_rhs(h, 5, 3, 2, 1, -1, PREC, cyc),
+        "explicit/S1": shimura.shimura_S1(h, 3, 2, PREC, explicit),
+        "explicit/general/4": shimura.shimura_general(h, 3, 2, 1, 2, 1, PREC, explicit),
+        "explicit/level_change_rhs/5": shimura.level_change_rhs(h, 3, 5, 2, 1, 1, PREC, explicit),
+        "general/hj4/12/-1": shimura.shimura_general(hj4, 1, 2, 3, 2, -1, PREC),
+        "general/hj4/18/N4": shimura.shimura_general(hj4, 4, 2, 2, 3, 1, PREC),
+    }
+
+
+def test_orbit_lift_digests(inputs):
+    got = {key: _sha(f) for key, f in _orbit_lifts(inputs).items()}
+    assert got == {key: DIGESTS.get(key) for key in got}
 
 
 @pytest.mark.parametrize("name", ["cohen72", "cohen92", "j"])

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util
+from shimlift.characters import DirichletCharacter
 from shimlift.errors import SchemaError
 from shimlift.scalars import (
     CycScalar,
+    _partial_zeta_sum,
     as_exact,
     bernoulli_number,
     bernoulli_poly,
@@ -312,6 +314,48 @@ def test_operators_match_reference_helpers(pair):
     assert bool(a) == (not exact_is_zero(a))
     assert complex(a) == exact_to_complex(a)
     assert abs(complex(a.conjugate()) - complex(a).conjugate()) < 1e-9
+
+
+# -- the power-sum form of a weighted partial-zeta sum -------------------
+
+
+@st.composite
+def _weighted_residues(draw):
+    """A modulus P <= 60 and weights on some residues 1..P, all of one
+    kind: int, Fraction, or rational multiples of m-th roots of unity for
+    one m (mixed orders would promote every sum to their lcm)."""
+    P = draw(st.integers(1, 60))
+    m = draw(st.sampled_from([3, 4, 5, 8, 12]))
+    cyclotomic = st.builds(lambda r, e: r * CycScalar.root_of_unity(m, e), _small_fractions, st.integers(0, m - 1))
+    kind = draw(st.sampled_from([st.integers(-9, 9), _small_fractions, cyclotomic]))
+    residues = draw(st.lists(st.integers(1, P), max_size=12, unique=True))
+    return P, [(h, draw(kind)) for h in residues]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_weighted_residues(), k=st.integers(1, 8))
+def test_partial_zeta_sum_matches_one_value_per_residue(case, k):
+    P, weights = case
+    want = Fraction(0)
+    for h, w in weights:
+        want = exact_add(want, exact_mul(as_exact(w), partial_zeta_neg(P, h, k)))
+    got = _partial_zeta_sum(P, k, weights)
+    assert exact_eq(got, want), (P, k, weights)
+    assert isinstance(got, Fraction) == isinstance(want, Fraction)
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: _partial_zeta_sum(5, k, [(1, 1)]),
+    lambda k: quadratic_L_neg(-3, k),
+    lambda k: dirichlet_L_neg(DirichletCharacter.trivial(3), k),
+])
+def test_partial_zeta_sum_bounds_the_degree(call):
+    # beyond the bound bernoulli_number would recurse past the interpreter's
+    # limit for large k; the sum refuses with a ValueError instead
+    assert call(64) is not None
+    for k in (0, 65, 5000):
+        with pytest.raises(ValueError, match="Bernoulli degree"):
+            call(k)
 
 
 # -- string and JSON forms ----------------------------------------------

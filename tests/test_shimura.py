@@ -7,7 +7,10 @@ refactoring route (full index in one step vs square-free lift at raised
 level followed by coefficient extraction) checks the coefficient formula
 against itself at two levels, and the constant term is compared with the
 two sums it replaced (residue double sum at modulus N t, single sum at
-modulus 4 N T), kept as independent references in `util`.
+modulus 4 N T), kept as independent references in `util`.  The sieve over
+the read set {T m^2} is compared with the divisor-sum loop it replaced
+(`util.reference_lift`) on random rational and cyclotomic inputs through
+all three orbit kinds.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from shimlift.errors import HypothesisError, PrecisionError, SchemaError
 from shimlift.fixtures import cohen_eisenstein, eisenstein, fixture, theta
 from shimlift.plusspace import is_plus_space
 from shimlift.qseries import QExp, add, mul, rescale, scale, u_op
-from shimlift.scalars import kronecker
+from shimlift.scalars import CycScalar, kronecker
 from shimlift.shimura import (
     CharacterOrbit,
     ExplicitOrbit,
@@ -406,6 +409,68 @@ def test_explicit_orbit_twist_shifts_table():
     assert tw == g
     back, _ = orb2.twist(tw, 3)
     assert back == f  # 3 * 3 = 9 = 1 mod 4
+
+
+# -- the sieve against the divisor-sum reference --------------------------
+
+
+def _random_read_series(rng: random.Random, lo: int, hi: int, T: int, prec: int, cyclotomic: bool) -> QExp:
+    """A series on [lo, hi) with random values on its principal part, on
+    every exponent below 4 T prec and on the read set {T m^2}; rational
+    with a random denominator, or with some cyclotomic values."""
+    den = rng.randint(1, 9)
+    exponents = set(range(lo, min(hi, 4 * T * prec + 1))) | {T * m * m for m in range(prec + 1)}
+    coeffs = {}
+    for a in exponents:
+        if rng.random() < 0.8:
+            c = Fraction(rng.randint(-20, 20), den * rng.randint(1, 3))
+            if cyclotomic and rng.random() < 0.3:
+                c = c * CycScalar.root_of_unity(rng.choice((3, 4, 5)), rng.randint(1, 4))
+            coeffs[a] = c
+    return QExp(Fraction(5, 2), 1, coeffs, lo, hi)
+
+
+def _cyclic_character(p: int, g: int, j: int) -> DirichletCharacter:
+    """The character mod p (cyclic unit group generated by g) sending g
+    to zeta^j, zeta a primitive phi(p)-th root of unity."""
+    order = sum(1 for r in range(1, p) if math.gcd(r, p) == 1)
+    return DirichletCharacter(p, {pow(g, e, p): CycScalar.root_of_unity(order, j * e) for e in range(order)})
+
+
+def _random_character(rng: random.Random, N: int) -> DirichletCharacter:
+    """A quadratic or higher-order character whose modulus divides N."""
+    choices = [DirichletCharacter.trivial(N)]
+    for D in (-3, -4, 5, -7, 8, -8, 12):
+        if N % abs(D) == 0:
+            choices.append(DirichletCharacter.from_kronecker(D, abs(D)))
+    for p, g in ((5, 2), (7, 3), (9, 2), (11, 2)):
+        if N % p == 0:
+            choices.append(_cyclic_character(p, g, rng.randint(1, 10)))
+    return rng.choice(choices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), N=st.integers(1, 12), k=st.integers(1, 6), T=st.integers(1, 12),
+       eps=st.sampled_from([1, -1]), prec=st.integers(0, 40),
+       kind=st.sampled_from(["default", "character", "explicit"]), cyclotomic=st.booleans())
+def test_sieve_equals_divisor_sum_reference(seed, N, k, T, eps, prec, kind, cyclotomic):
+    rng = random.Random(seed)
+    hi = T * prec * prec + 1 + rng.randint(0, 3)
+    lo = -rng.randint(0, 4)
+    f = _random_read_series(rng, lo, hi, T, prec, cyclotomic)
+    if kind == "default":
+        orbit = None
+        reference_orbit = CharacterOrbit(DirichletCharacter.trivial(1))
+    elif kind == "character":
+        orbit = reference_orbit = CharacterOrbit(_random_character(rng, N))
+    else:
+        m = rng.choice([m for m in range(1, N + 1) if N % m == 0])
+        table = {r: f if r == 1 % m else _random_read_series(rng, lo, hi, T, prec, rng.random() < 0.3)
+                 for r in range(m) if math.gcd(r, m) == 1}
+        orbit = reference_orbit = ExplicitOrbit(m, table)
+    t, s = split_square(T)
+    got = shimura_general(f, N=N, k=k, t=t, s=s, eps=eps, prec=prec, orbit=orbit)
+    assert got == util.reference_lift(f, N, k, T, eps, prec, reference_orbit)
 
 
 # -- level change --------------------------------------------------------

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 from typing import Callable
 
+from shimlift.arith import divisors
+from shimlift.characters import kronecker_is_character
 from shimlift.qseries import QExp
 from shimlift.scalars import CycScalar, Scalar, as_exact, kronecker, partial_zeta_neg
 from shimlift.shimura import CONSTANT_TERM_SIGN
@@ -210,6 +212,48 @@ def _constant_extended(read: Callable[[int, int], Scalar], N: int, k: int, T: in
         w = Fraction(sym, 2) * partial_zeta_neg(modulus, h, k)
         total = exact_add(total, exact_mul(w, c0))
     return exact_mul(Fraction(-CONSTANT_TERM_SIGN), total)
+
+
+# The lift kernel before it became a sieve over the read set {T m^2}: one
+# divisor loop per output coefficient, reading each c(<d> f, T (l/d)^2) as
+# a scalar through `orbit.coefficient`, and the constant term as one
+# `partial_zeta_neg` per residue.  No window check and no gates.
+
+
+def reference_lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit) -> QExp:
+    """The index-T lift to q^prec by the divisor-sum formula."""
+    table: dict[int, Scalar] = {}
+    for l in range(1, prec + 1):
+        acc: Scalar = Fraction(0)
+        for d in divisors(l):
+            if math.gcd(d, N * T) != 1:
+                continue
+            sym = kronecker(eps * T, d)
+            if sym == 0:
+                continue
+            c = orbit.coefficient(f, d, T * (l // d) * (l // d))
+            if c:
+                acc += Fraction(sym * d ** (k - 1)) * c
+        table[l] = acc
+    table[0] = reference_constant_term(f, orbit, N, k, T, eps)
+    return QExp(Fraction(2 * k), 1, table, 0, prec + 1)
+
+
+def reference_constant_term(f: QExp, orbit, N: int, k: int, T: int, eps: int) -> Scalar:
+    """The partial-zeta sum at the smallest modulus P in {N T, 4 N T}
+    over which kronecker(eps * T, .) is periodic, one term per residue."""
+    P = N * T if kronecker_is_character(N, T, eps) else 4 * N * T
+    total: Scalar = Fraction(0)
+    for h in range(1, P + 1):
+        if math.gcd(h, N * T) != 1:
+            continue
+        sym = kronecker(eps * T, h)
+        if sym == 0:
+            continue
+        c0 = orbit.coefficient(f, h, 0)
+        if c0:
+            total += Fraction(sym, 2) * partial_zeta_neg(P, h, k) * c0
+    return -CONSTANT_TERM_SIGN * total
 
 
 def perturbed_weil_S(weil_S: Callable) -> Callable:
