@@ -11,7 +11,7 @@ Entry points: the `shimura_*` functions for the lifts themselves,
 checks, and the `shimlift` console script.
 """
 
-from .characters import DirichletCharacter, chi_t, eta_char, make_character, omega_chi
+from .characters import DirichletCharacter, chi_t, eta_char, omega_chi
 from .errors import (
     HypothesisError,
     PrecisionError,
@@ -21,7 +21,6 @@ from .errors import (
 )
 from .fixtures import fixture, fixture_names
 from .plusspace import (
-    PlusContext,
     epsilon_for,
     is_plus_space,
     lift_L,
@@ -73,7 +72,6 @@ __all__ = [
     "FqModule",
     "HypothesisError",
     "LevelVerdict",
-    "PlusContext",
     "PrecisionError",
     "QExp",
     "SchemaError",
@@ -98,7 +96,6 @@ __all__ = [
     "level_change_rhs",
     "lift_L",
     "lift_L_inverse",
-    "make_character",
     "modularity_residual",
     "mul",
     "omega_chi",

@@ -20,7 +20,6 @@ __all__ = [
     "chi_t",
     "eta_char",
     "kronecker_is_character",
-    "make_character",
     "omega_chi",
     "valid_eta",
     "character_to_json",
@@ -173,22 +172,6 @@ def _unit_generators(units: list[int], modulus: int) -> list[int]:
     return gens
 
 
-def make_character(modulus: int, kind: str, *, t: int | None = None, values: Mapping[int, object] | None = None) -> DirichletCharacter:
-    """Uniform constructor: trivial, kronecker (needs t), or explicit (needs
-    a value table); `character_from_json` builds through it."""
-    if kind == "trivial":
-        return DirichletCharacter.trivial(modulus)
-    if kind == "kronecker":
-        if t is None:
-            raise ValueError("kronecker kind needs t")
-        return DirichletCharacter.from_kronecker(t, modulus)
-    if kind == "explicit":
-        if values is None:
-            raise ValueError("explicit kind needs a value table")
-        return DirichletCharacter(modulus, values)
-    raise ValueError("unknown character kind %r" % kind)
-
-
 def omega_chi(chi: DirichletCharacter) -> DirichletCharacter:
     """The mod-4N extension d -> kronecker(4*chi(-1), d) * chi(d).
 
@@ -283,20 +266,21 @@ def character_from_json(obj) -> DirichletCharacter:
         raise SchemaError("character modulus must be a positive integer")
     if kind not in ("trivial", "kronecker", "explicit"):
         raise SchemaError("unknown character kind %r" % kind)
-    t = obj.get("t")
-    values = None
     try:
-        if kind == "kronecker" and not isinstance(t, int):
-            raise SchemaError("kronecker character needs integer 't'")
-        if kind == "explicit":
-            pairs = obj.get("values")
-            if not isinstance(pairs, list):
-                raise SchemaError("explicit character needs 'values'")
-            for item in pairs:
-                if not (isinstance(item, list) and len(item) == 2
-                        and isinstance(item[0], int) and not isinstance(item[0], bool)):
-                    raise SchemaError("explicit character value must be [residue, scalar] with an integer residue")
-            values = {d: scalar_from_json(v) for d, v in pairs}
-        return make_character(modulus, kind, t=t, values=values)
+        if kind == "trivial":
+            return DirichletCharacter.trivial(modulus)
+        if kind == "kronecker":
+            t = obj.get("t")
+            if not isinstance(t, int):
+                raise SchemaError("kronecker character needs integer 't'")
+            return DirichletCharacter.from_kronecker(t, modulus)
+        pairs = obj.get("values")
+        if not isinstance(pairs, list):
+            raise SchemaError("explicit character needs 'values'")
+        for item in pairs:
+            if not (isinstance(item, list) and len(item) == 2
+                    and isinstance(item[0], int) and not isinstance(item[0], bool)):
+                raise SchemaError("explicit character value must be [residue, scalar] with an integer residue")
+        return DirichletCharacter(modulus, {d: scalar_from_json(v) for d, v in pairs})
     except ValueError as exc:
         raise SchemaError("invalid character: %s" % exc) from exc

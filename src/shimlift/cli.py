@@ -26,11 +26,12 @@ from .errors import (
     VerificationFailure,
 )
 from .fixtures import fixture, fixture_defaults, fixture_names
-from .plusspace import PlusContext, project_plus, project_two
+from .plusspace import epsilon_for, project_plus, project_two
 from .qseries import QExp, qexp_from_json, qexp_to_json
 from .scalars import scalar_to_json
 from .shimura import (
     CharacterOrbit,
+    _check_args,
     matches_plus_space,
     predict_level,
     shimura_St,
@@ -142,13 +143,14 @@ def _cmd_lift(args) -> int:
     level = args.M * N
     chi = _parse_character(args.character, level)
     orbit = CharacterOrbit(chi) if chi is not None else None
-    T = args.t * args.s * args.s
-    needed = T * args.prec * args.prec + 1
-    f = _load_series(args, needed_hi=needed)
     k = _resolve(args, "k")
     if k is None:
         raise SchemaError("weight parameter k is not fixed by the input; pass --k")
     eps = _resolve(args, "eps", 1)
+    # the lift's own argument check, before any series is built or read
+    _check_args(level, k, args.prec, eps, args.t, args.s)
+    T = args.t * args.s * args.s
+    f = _load_series(args, needed_hi=T * args.prec * args.prec + 1)
     if args.extended or args.s > 1:
         out = shimura_general(f, level, k, args.t, args.s, eps, args.prec, orbit)
     else:
@@ -171,11 +173,10 @@ def _cmd_project(args) -> int:
         k = _resolve(args, "k")
         if k is None:
             raise SchemaError("pass --k (not fixed by the input)")
-        ctx = PlusContext(k, args.xi, args.N)
+        eps = epsilon_for(k, args.xi)
     else:
-        # the projections read only eps and N, so the weight is immaterial
-        ctx = PlusContext.from_epsilon(0, _resolve(args, "eps", 1), args.N)
-    out = project_two(f, ctx) if args.two else project_plus(f, ctx)
+        eps = _resolve(args, "eps", 1)
+    out = project_two(f, args.N) if args.two else project_plus(f, eps, args.N)
     _emit(args, {"projection": qexp_to_json(out)}, _series_human(out))
     return 0
 

@@ -130,7 +130,7 @@ def j_invariant(prec: int) -> QExp:
     span = prec + 1
     phi = euler_function(span)
     eta24 = power(phi, 24, mul)
-    inv = invert_unit(eta24, span)
+    inv = invert_unit(eta24)
     e4 = eisenstein(4, span)
     series = mul(power(e4, 3, mul), inv)
     shifted = {a - 1: v for a, v in series.numerators.items() if a - 1 < prec}
@@ -268,23 +268,23 @@ def zero_form(prec: int) -> QExp:
 
 
 FIXTURES = {
-    "theta": (theta, {"weight": Fraction(1, 2), "N": 1, "eps": 1}),
-    "theta0": (lambda p: theta_component(0, p), {"weight": Fraction(1, 2)}),
-    "theta1": (lambda p: theta_component(1, p), {"weight": Fraction(1, 2)}),
-    "e4": (lambda p: eisenstein(4, p), {"weight": Fraction(4)}),
-    "e6": (lambda p: eisenstein(6, p), {"weight": Fraction(6)}),
-    "e8": (lambda p: eisenstein(8, p), {"weight": Fraction(8)}),
-    "e10": (lambda p: eisenstein(10, p), {"weight": Fraction(10)}),
-    "e14": (lambda p: eisenstein(14, p), {"weight": Fraction(14)}),
-    "delta": (delta, {"weight": Fraction(12)}),
-    "j": (j_invariant, {"weight": Fraction(0)}),
-    "cohen52": (lambda p: cohen_eisenstein(2, p), {"weight": Fraction(5, 2), "N": 1, "k": 2, "eps": 1}),
-    "cohen72": (lambda p: cohen_eisenstein(3, p), {"weight": Fraction(7, 2), "N": 1, "k": 3, "eps": -1}),
-    "cohen92": (lambda p: cohen_eisenstein(4, p), {"weight": Fraction(9, 2), "N": 1, "k": 4, "eps": 1}),
-    "theta_e4": (lambda p: plus_product(4, p), {"weight": Fraction(9, 2), "N": 1, "k": 4, "eps": 1}),
-    "theta_e6": (lambda p: plus_product(6, p), {"weight": Fraction(13, 2), "N": 1, "k": 6, "eps": 1}),
-    "hj4": (weakly_holomorphic_product, {"weight": Fraction(5, 2), "N": 1, "k": 2, "eps": 1}),
-    "zero": (zero_form, {"weight": Fraction(5, 2), "N": 1, "k": 2, "eps": 1}),
+    "theta": (theta, {"N": 1, "eps": 1}),
+    "theta0": (lambda p: theta_component(0, p), {}),
+    "theta1": (lambda p: theta_component(1, p), {}),
+    "e4": (lambda p: eisenstein(4, p), {}),
+    "e6": (lambda p: eisenstein(6, p), {}),
+    "e8": (lambda p: eisenstein(8, p), {}),
+    "e10": (lambda p: eisenstein(10, p), {}),
+    "e14": (lambda p: eisenstein(14, p), {}),
+    "delta": (delta, {}),
+    "j": (j_invariant, {}),
+    "cohen52": (lambda p: cohen_eisenstein(2, p), {"N": 1, "k": 2, "eps": 1}),
+    "cohen72": (lambda p: cohen_eisenstein(3, p), {"N": 1, "k": 3, "eps": -1}),
+    "cohen92": (lambda p: cohen_eisenstein(4, p), {"N": 1, "k": 4, "eps": 1}),
+    "theta_e4": (lambda p: plus_product(4, p), {"N": 1, "k": 4, "eps": 1}),
+    "theta_e6": (lambda p: plus_product(6, p), {"N": 1, "k": 6, "eps": 1}),
+    "hj4": (weakly_holomorphic_product, {"N": 1, "k": 2, "eps": 1}),
+    "zero": (zero_form, {"N": 1, "k": 2, "eps": 1}),
 }
 
 

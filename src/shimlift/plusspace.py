@@ -1,16 +1,19 @@
 """Plus-space support conditions, the level-divisible-by-4 projections, and
-the two-component vector-valued realization of a plus form."""
+the two-component vector-valued realization of a plus form.
+
+The plus condition is one sign: a form of weight k + 1/2 lies in the
+eps plus space when its coefficients are supported on exponents 0 and
+eps mod 4, with eps = (-1)^k xi (`epsilon_for`).  Every function here takes
+that sign, and the projections also the level N, as plain arguments.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import HypothesisError
 from .qseries import QExp, add, decompose_mod4, filter_residues, rescale
 from .weilrep import FqModule, VVQExp
 
 __all__ = [
-    "PlusContext",
     "epsilon_for",
     "is_plus_space",
     "lift_L",
@@ -28,83 +31,50 @@ def epsilon_for(k: int, xi: int) -> int:
     return xi if k % 2 == 0 else -xi
 
 
-@dataclass(frozen=True)
-class PlusContext:
-    """Weight parameter k, fourth-root sign xi and level N; the support
-    sign epsilon = (-1)^k xi is derived, never stored."""
-
-    k: int
-    xi: int
-    N: int = 1
-
-    def __post_init__(self):
-        if self.xi not in (1, -1):
-            raise ValueError("xi must be +1 or -1")
-        if self.N < 1:
-            raise ValueError("N must be positive")
-
-    @property
-    def epsilon(self) -> int:
-        return epsilon_for(self.k, self.xi)
-
-    @property
-    def four_divides_N(self) -> bool:
-        return self.N % 4 == 0
-
-    @classmethod
-    def from_epsilon(cls, k: int, eps: int, N: int = 1) -> "PlusContext":
-        if eps not in (1, -1):
-            raise ValueError("eps must be +1 or -1")
-        # xi -> (-1)^k xi is its own inverse, so it also takes eps to xi
-        return cls(k, epsilon_for(k, eps), N)
-
-
-def _eps_residue(ctx) -> int:
-    """Accepts a PlusContext or a bare sign; returns eps mod 4 (1 or 3)."""
-    eps = ctx.epsilon if isinstance(ctx, PlusContext) else ctx
+def _check_eps(eps: int) -> None:
     if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1, or wrapped in a PlusContext")
-    return eps % 4
+        raise ValueError("eps must be +1 or -1")
 
 
-def is_plus_space(f: QExp, ctx) -> bool:
-    """Whether every known exponent is 0 or epsilon mod 4.
+def is_plus_space(f: QExp, eps: int) -> bool:
+    """Whether every known exponent is 0 or eps mod 4.
 
     Integer exponents required; the test sees only the window, so a True
-    answer is as strong as the window is long.  ctx may be a PlusContext
-    or the bare sign.
+    answer is as strong as the window is long.
     """
-    r = _eps_residue(ctx)
+    _check_eps(eps)
     if f.denom != 1:
         raise ValueError("plus-space test needs integer exponents")
-    return {a % 4 for a in f.exponents()} <= {0, r}
+    return {a % 4 for a in f.exponents()} <= {0, eps % 4}
 
 
-def _require_4n(ctx: PlusContext, what: str) -> None:
-    if not ctx.four_divides_N:
+def _require_4n(N: int, what: str) -> None:
+    if N < 1:
+        raise ValueError("N must be positive")
+    if N % 4 != 0:
         raise HypothesisError(
             "projection-needs-4|N",
             "%s at level N = %d: the slash average defining it exists on the "
             "group only when 4 | N; below that no coefficient filter is a "
-            "projection" % (what, ctx.N),
+            "projection" % (what, N),
         )
 
 
-def project_plus(f: QExp, ctx: PlusContext) -> QExp:
-    """Coefficient projection onto the epsilon plus-space; 4 | N only."""
-    r = _eps_residue(ctx)
-    _require_4n(ctx, "plus projection")
-    return filter_residues(f, 4, {0, r})
+def project_plus(f: QExp, eps: int, N: int) -> QExp:
+    """Coefficient projection onto the eps plus-space at level N; 4 | N only."""
+    _check_eps(eps)
+    _require_4n(N, "plus projection")
+    return filter_residues(f, 4, {0, eps % 4})
 
 
-def project_two(f: QExp, ctx: PlusContext) -> QExp:
+def project_two(f: QExp, N: int) -> QExp:
     """The companion projection keeping exponents 0 and 2 mod 4; same
     level confinement as project_plus."""
-    _require_4n(ctx, "mod-two projection")
+    _require_4n(N, "mod-two projection")
     return filter_residues(f, 4, {0, 2})
 
 
-def lift_L(f: QExp, ctx) -> VVQExp:
+def lift_L(f: QExp, eps: int) -> VVQExp:
     """The isomorphism onto two-component vector-valued forms:
     e_0 carries f_0 and e_1 carries f_eps, exponents divided by 4.
 
@@ -112,10 +82,11 @@ def lift_L(f: QExp, ctx) -> VVQExp:
     one module for eps = +1 and its negative for eps = -1, matching the
     support law Q(1) = 1/4 resp. 3/4.
     """
-    r = _eps_residue(ctx)
+    _check_eps(eps)
     if f.denom != 1:
         raise ValueError("vector-valued lift needs integer exponents")
-    if not is_plus_space(f, 1 if r == 1 else -1):
+    r = eps % 4
+    if not is_plus_space(f, eps):
         raise HypothesisError(
             "not-plus-space",
             "support contains an exponent not congruent to 0 or %d mod 4" % r,
@@ -125,19 +96,14 @@ def lift_L(f: QExp, ctx) -> VVQExp:
     return VVQExp(module, f.weight, {(0,): pieces[0], (1,): pieces[r]})
 
 
-def lift_L_inverse(vv: VVQExp, ctx=None) -> QExp:
+def lift_L_inverse(vv: VVQExp) -> QExp:
     """Back from the two-component form: g_0(4 tau) + g_1(4 tau).
 
-    The module already knows which sign it belongs to; a ctx argument, if
-    given, is checked against it.
+    The sign is read from the module: Q(1) = 1/4 for eps = +1 and 3/4
+    for eps = -1.
     """
     if vv.module.orders != (2,):
         raise ValueError("inverse lift expects a rank-one module")
-    if ctx is not None:
-        want = 1 if _eps_residue(ctx) == 1 else 3
-        have = 1 if vv.module.q_values[(1,)].numerator == 1 else 3
-        if want != have:
-            raise ValueError("context sign disagrees with the module")
     parts = []
     for key in ((0,), (1,)):
         comp = vv.component(key)

@@ -529,7 +529,7 @@ def decompose_mod4(f: QExp) -> tuple[QExp, QExp, QExp, QExp]:
                  for j, part in enumerate(parts))
 
 
-def invert_unit(f: QExp, hi: int | None = None) -> QExp:
+def invert_unit(f: QExp) -> QExp:
     """Multiplicative inverse of a series with unit constant term.
 
     Newton doubling; each step is justified by the algebraic identity
@@ -549,12 +549,11 @@ def invert_unit(f: QExp, hi: int | None = None) -> QExp:
         raise ValueError("inversion needs a nonzero rational constant term")
     if f.cden is None and not all(isinstance(c, Fraction) for c in f.coeffs.values()):
         raise ValueError("inversion implemented for rational coefficients only")
-    H = f.hi if hi is None else min(hi, f.hi)
+    H = f.hi
     if H < 1:
         raise ValueError("no constant term inside the window")
-    # integer numerators over the least common denominator below H
-    low = f.truncate(H)
-    table, d = (low._table, low.cden) if low.cden is not None else _integers(low.coeffs)
+    # integer numerators over the least common denominator
+    table, d = (f._table, f.cden) if f.cden is not None else _integers(f.coeffs)
     F = [0] * H
     for a, v in table.items():
         F[a] = v

@@ -23,8 +23,12 @@ smallest such modulus gives the same value as the sum at 4 N T.  It is
 evaluated from integer power sums of the weights
 (`scalars._partial_zeta_sum`).
 
+The translates <d> f = c_d g_d are read through one path, the orbit's
+`_translates`, by the lift and by `diamond` alike.
+
 Every public lift checks its integer arguments (`_check_args`) before any
-gate, refusal or series work.
+gate, refusal or series work, k included: the constant term needs the
+Bernoulli numbers up to B_k, so k is bounded by `BERNOULLI_BOUND`.
 
 CONSTANT_TERM_SIGN fixes the orientation of the constant term relative to
 the positive-index coefficients.  It is pinned by the classical fixtures:
@@ -45,7 +49,7 @@ from .characters import DirichletCharacter, kronecker_is_character
 from .errors import HypothesisError, PrecisionError, SchemaError
 from .plusspace import is_plus_space
 from .qseries import QExp, add, rescale, scale
-from .scalars import Scalar, _partial_zeta_sum, kronecker
+from .scalars import BERNOULLI_BOUND, Scalar, _partial_zeta_sum, kronecker
 
 __all__ = [
     "CONSTANT_TERM_SIGN",
@@ -69,13 +73,8 @@ CONSTANT_TERM_SIGN = -1
 
 class DiamondOrbit:
     """How the diamond translates <d> f are known: through a character, or
-    as an explicit table of expansions indexed by units."""
-
-    def coefficient(self, f: QExp, d: int, n: int) -> Scalar:
-        raise NotImplementedError
-
-    def series(self, f: QExp, d: int) -> QExp:
-        raise NotImplementedError
+    as an explicit table of expansions indexed by units.  `_translates` is
+    the one read path; the lift and `diamond` both go through it."""
 
     def _translates(self, f: QExp) -> tuple[int, dict]:
         """(m, {r: (c, g)}) with <d> f = c g for every unit d = r mod m;
@@ -100,13 +99,6 @@ class CharacterOrbit(DiamondOrbit):
 
     def __init__(self, chi: DirichletCharacter):
         self.chi = chi
-
-    def coefficient(self, f, d, n):
-        v = self.chi(d)
-        return v * f.coeff(n) if v else Fraction(0)
-
-    def series(self, f, d):
-        return scale(f, self.chi(d))
 
     def _translates(self, f):
         return self.chi.modulus, {r: (v, f) for r, v in self.chi.values.items()}
@@ -147,18 +139,6 @@ class ExplicitOrbit(DiamondOrbit):
         self.modulus = modulus
         self.table = reduced
 
-    def _entry(self, d: int) -> QExp:
-        r = d % self.modulus
-        if r not in self.table:
-            raise ValueError("%d is not a unit mod %d" % (d, self.modulus))
-        return self.table[r]
-
-    def coefficient(self, f, d, n):
-        return self._entry(d).coeff(n)
-
-    def series(self, f, d):
-        return self._entry(d)
-
     def _translates(self, f):
         return self.modulus, {r: (1, g) for r, g in self.table.items()}
 
@@ -185,8 +165,13 @@ class ExplicitOrbit(DiamondOrbit):
 
 
 def diamond(f: QExp, orbit: DiamondOrbit, d: int) -> QExp:
-    """The translate <d> f as a series."""
-    return orbit.series(f, d)
+    """The translate <d> f as a series; ValueError unless d is a unit
+    modulo the orbit's modulus."""
+    modulus, translates = orbit._translates(f)
+    if math.gcd(d, modulus) != 1:
+        raise ValueError("%d is not a unit mod %d" % (d, modulus))
+    c, g = translates[d % modulus]
+    return g if c == 1 else scale(g, c)
 
 
 def _default_orbit(orbit: DiamondOrbit | None) -> DiamondOrbit:
@@ -194,13 +179,19 @@ def _default_orbit(orbit: DiamondOrbit | None) -> DiamondOrbit:
 
 
 def _check_args(N: int, k: int, prec: int, eps: int = 1, t: int = 1, s: int = 1, M: int = 1) -> None:
-    """SchemaError naming the first lift argument out of range."""
+    """SchemaError naming the first lift argument out of range; the CLI
+    runs it before it builds or reads the input series."""
     if N < 1:
         raise SchemaError("level must be positive")
     if M < 1:
         raise SchemaError("M must be positive")
     if k < 1:
         raise SchemaError("the integer weight parameter k must be positive")
+    if k > BERNOULLI_BOUND:
+        raise SchemaError(
+            "the integer weight parameter k = %d exceeds %d, the largest "
+            "Bernoulli degree of the constant term" % (k, BERNOULLI_BOUND)
+        )
     if prec < 0:
         raise SchemaError("requested precision must be nonnegative")
     if eps not in (1, -1):

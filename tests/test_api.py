@@ -13,12 +13,12 @@ import shimlift
 
 PUBLIC = [
     "CONSTANT_TERM_SIGN", "CharacterOrbit", "CycScalar", "DiamondOrbit", "DirichletCharacter",
-    "ExplicitOrbit", "FqModule", "HypothesisError", "LevelVerdict", "PlusContext",
+    "ExplicitOrbit", "FqModule", "HypothesisError", "LevelVerdict",
     "PrecisionError", "QExp", "SchemaError", "TailBoundError", "VVQExp", "VerificationFailure",
     "add", "chi_t", "corrected_combination", "decompose_mod4", "diamond", "epsilon_for",
     "eta_char", "eval_qexp", "filter_residues", "fixture", "fixture_names", "invert_unit",
     "is_plus_space", "kronecker", "level1_exact_check", "level_change_rhs", "lift_L",
-    "lift_L_inverse", "make_character", "modularity_residual", "mul", "omega_chi",
+    "lift_L_inverse", "modularity_residual", "mul", "omega_chi",
     "partial_zeta_neg", "predict_level", "project_plus", "project_two", "qexp_from_json",
     "qexp_to_json", "rescale", "scale", "shimura_S1", "shimura_St", "shimura_general",
     "split_square", "u_op", "weil_S", "weil_T", "weil_selftest", "weil_word",
@@ -28,7 +28,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(shimlift.__path__))
 
 
 def test_package_all_is_pinned():
-    assert len(PUBLIC) == 55
+    assert len(PUBLIC) == 53
     assert list(shimlift.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(shimlift, name), name
@@ -47,17 +47,16 @@ def test_every_module_all_entry_resolves(module):
 # public method of its classes; None for an exception that keeps
 # ValueError's constructor.
 SIGNATURES = {
-    "CharacterOrbit": "chi", "CharacterOrbit.coefficient": "f d n", "CharacterOrbit.series": "f d",
+    "CharacterOrbit": "chi",
     "CharacterOrbit.twist": "f m", "CharacterOrbit.validate_for": "f N",
     "CycScalar": "order terms", "CycScalar.from_rational": "r", "CycScalar.root_of_unity": "m e",
     "CycScalar.is_rational": "", "CycScalar.as_rational": "", "CycScalar.conjugate": "",
-    "DiamondOrbit": "", "DiamondOrbit.coefficient": "f d n", "DiamondOrbit.series": "f d",
+    "DiamondOrbit": "",
     "DiamondOrbit.twist": "f m", "DiamondOrbit.min_hi": "f", "DiamondOrbit.validate_for": "f N",
     "DirichletCharacter": "modulus values", "DirichletCharacter.trivial": "modulus",
     "DirichletCharacter.from_function": "modulus fn period",
     "DirichletCharacter.from_kronecker": "t modulus", "DirichletCharacter.parity": "",
     "DirichletCharacter.is_trivial": "", "ExplicitOrbit": "modulus table",
-    "ExplicitOrbit.coefficient": "f d n", "ExplicitOrbit.series": "f d",
     "ExplicitOrbit.twist": "f m", "ExplicitOrbit.min_hi": "f", "ExplicitOrbit.validate_for": "f N",
     "FqModule": "orders q_values signature_mod_8", "FqModule.elements": "",
     "FqModule.index": "gamma", "FqModule.reduce": "gamma", "FqModule.add": "a b",
@@ -65,7 +64,6 @@ SIGNATURES = {
     "FqModule.direct_sum": "other", "FqModule.d1": "", "FqModule.d1_minus": "",
     "FqModule.d_b": "N", "FqModule.d1_n": "N", "HypothesisError": "obstruction detail case",
     "LevelVerdict": "case_tag p_J lcm_ns factor covered", "LevelVerdict.to_json": "",
-    "PlusContext": "k xi N", "PlusContext.from_epsilon": "k eps N",
     "PrecisionError": "detail required_lo required_hi",
     "QExp": "weight denom coeffs lo hi metadata",
     "QExp.from_numerators": "weight denom numerators cden lo hi metadata", "QExp.coeff": "a",
@@ -76,13 +74,13 @@ SIGNATURES = {
     "chi_t": "t", "corrected_combination": "f N M k t s eps prec orbit", "decompose_mod4": "f",
     "diamond": "f orbit d", "epsilon_for": "k xi", "eta_char": "chi t eps", "eval_qexp": "f tau",
     "filter_residues": "f modulus allowed", "fixture": "name prec", "fixture_names": "",
-    "invert_unit": "f hi", "is_plus_space": "f ctx", "kronecker": "t d",
+    "invert_unit": "f", "is_plus_space": "f eps", "kronecker": "t d",
     "level1_exact_check": "f weight", "level_change_rhs": "f N M k t eps prec orbit",
-    "lift_L": "f ctx", "lift_L_inverse": "vv ctx", "make_character": "modulus kind t values",
+    "lift_L": "f eps", "lift_L_inverse": "vv",
     "modularity_residual": "f weight level character samples terms tail_tol", "mul": "f g",
     "omega_chi": "chi", "partial_zeta_neg": "N d k",
-    "predict_level": "N t s M plus_space_matching_eps psi_subspace_known", "project_plus": "f ctx",
-    "project_two": "f ctx", "qexp_from_json": "obj", "qexp_to_json": "f", "rescale": "f t",
+    "predict_level": "N t s M plus_space_matching_eps psi_subspace_known", "project_plus": "f eps N",
+    "project_two": "f N", "qexp_from_json": "obj", "qexp_to_json": "f", "rescale": "f t",
     "scale": "f c", "shimura_S1": "f N k prec orbit", "shimura_St": "f N k t eps prec orbit",
     "shimura_general": "f N k t s eps prec orbit", "split_square": "T", "u_op": "f s",
     "weil_S": "module", "weil_T": "module", "weil_selftest": "max_n words seed",

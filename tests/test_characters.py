@@ -15,7 +15,6 @@ from shimlift.characters import (
     chi_t,
     eta_char,
     kronecker_is_character,
-    make_character,
     omega_chi,
     valid_eta,
 )
@@ -108,14 +107,14 @@ def test_square_of_quartic_character_is_quadratic():
         assert exact_eq(sq(d), Fraction(kronecker(5, d)))
 
 
-def test_make_character_dispatch():
-    assert make_character(7, "trivial").is_trivial()
-    k = make_character(12, "kronecker", t=12)
+def test_character_from_json_dispatch():
+    assert character_from_json({"modulus": 7, "kind": "trivial"}).is_trivial()
+    k = character_from_json({"modulus": 12, "kind": "kronecker", "t": 12})
     assert all(k(d) == kronecker(12, d) for d in range(24))
-    e = make_character(5, "explicit", values={1: 1, 2: -1, 3: -1, 4: 1})
+    e = character_from_json({"modulus": 5, "kind": "explicit", "values": [[1, "1"], [2, "-1"], [3, "-1"], [4, "1"]]})
     assert exact_eq(e(3), Fraction(-1))
-    with pytest.raises((SchemaError, ValueError)):
-        make_character(5, "nonsense")
+    with pytest.raises(SchemaError):
+        character_from_json({"modulus": 5, "kind": "nonsense"})
 
 
 # -- omega_chi -----------------------------------------------------------

@@ -356,6 +356,29 @@ def test_lift_rejects_nonpositive_index_flags(capsys, monkeypatch, flag, value):
     assert payload["message"].startswith(flag + " ")
 
 
+@pytest.mark.parametrize("k", ["65", "1000"])
+def test_lift_weight_beyond_bernoulli_bound_is_schema_error(capsys, monkeypatch, k):
+    import shimlift.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("series built before k was checked")
+
+    monkeypatch.setattr(cli, "fixture", no_build)
+    code, out, _ = run(capsys, "lift", "--fixture", "cohen52", "--k", k, "--prec", "2", "--json")
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "SchemaError"
+    assert "k = %s exceeds 64" % k in payload["message"]
+
+
+def test_lift_weight_at_bernoulli_bound_lifts(capsys):
+    code, payload, _ = run_json(capsys, "lift", "--fixture", "cohen52", "--k", "64", "--prec", "2", "--json")
+    assert code == 0
+    assert payload["lift"]["weight"] == {"den": 1, "num": 128}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

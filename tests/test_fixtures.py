@@ -284,8 +284,8 @@ def test_registry_names_and_defaults():
     for expected in ("theta", "cohen52", "e4", "delta", "j", "hj4", "zero"):
         assert expected in names
     d = fixture_defaults("cohen72")
-    assert d["weight"] == Fraction(7, 2)
-    assert d["N"] == 1 and d["k"] == 3 and d["eps"] == -1
+    assert fixture("cohen72", 8).weight == Fraction(7, 2)
+    assert d == {"N": 1, "k": 3, "eps": -1}
     with pytest.raises(ValueError):
         fixture_defaults("nope")
 

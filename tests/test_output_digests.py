@@ -9,6 +9,13 @@ before that kernel became the Dirichlet-convolution sieve over the read
 set {T m^2} with integer power sums for the constant term.  Any change to
 a coefficient, a window or the JSON text of these outputs shows here.
 Inputs have T prec^2 + 1 = 6481 terms (prec 12, largest index 45).
+
+The `project` digests lock the in-process `cli.main` stdout and exit
+code of the projection subcommand: both signs through --epsilon and
+through --xi with --k, the mod-two projection, levels 4 and 8, and the
+refusals at N = 0, at N = 2 and of --xi without --k on an --input file.
+They were taken while the projections still read a context object
+holding k, xi and N.
 """
 from __future__ import annotations
 
@@ -19,6 +26,7 @@ from fractions import Fraction
 import pytest
 
 from shimlift import fixtures, qseries, shimura
+from shimlift.cli import main
 from shimlift.characters import DirichletCharacter
 from shimlift.scalars import CycScalar
 
@@ -29,6 +37,86 @@ DIGESTS = {
     "S1/cohen52": "9cb12f3f96fcfd32077fd394e57feda9da4ecff70187994da15db2b48c53b81f",
     "S1/hj4": "5fc759fe918c54e35b59fa01928823f67e23e64dc748468fdb1e0c36012aca58",
     "S1/theta_e4": "9c17e0a067d46144cc9c0cb935d0b352c16b9be154c27de8692634101ec5875f",
+    "project/cohen72/N0": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "project/cohen72/N0/json": "ad2917c98cfebcace59b35fa31aa041c43b97795328c1e194c9aa89caffb988b",
+    "project/cohen72/N0/two": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "project/cohen72/N0/two/json": "ad2917c98cfebcace59b35fa31aa041c43b97795328c1e194c9aa89caffb988b",
+    "project/cohen72/N2": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "project/cohen72/N2/json": "806c8bb7070dfd0b24faba0e8fd0c260c3e0357cbada80d32a1c11b15d1a5962",
+    "project/cohen72/N2/two": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "project/cohen72/N2/two/json": "370b2d24b966e5ffc91d75f4b90a3e95ec65fedbcd94731df42229cba4a44bb1",
+    "project/cohen72/N4/default": "28bbcca3a3f23fab5da194e1c6dee702047341409850625f25a6b1622311cb06",
+    "project/cohen72/N4/default/json": "bba4f33dc1a292d3b0b25f2894c1b1ae041e144eb450aa9d285ccfefe74e58f9",
+    "project/cohen72/N4/eps+1": "c0dfd9f5ca7c056bea065cb0f9f9ccb16811c5d16dd78a43988773d6324d0b5f",
+    "project/cohen72/N4/eps+1/json": "88ae4f423cc085ae4f9e22057ef6c6a01614ed36347debb684677251e1620cef",
+    "project/cohen72/N4/eps-1": "28bbcca3a3f23fab5da194e1c6dee702047341409850625f25a6b1622311cb06",
+    "project/cohen72/N4/eps-1/json": "bba4f33dc1a292d3b0b25f2894c1b1ae041e144eb450aa9d285ccfefe74e58f9",
+    "project/cohen72/N4/two": "c0dfd9f5ca7c056bea065cb0f9f9ccb16811c5d16dd78a43988773d6324d0b5f",
+    "project/cohen72/N4/two/json": "88ae4f423cc085ae4f9e22057ef6c6a01614ed36347debb684677251e1620cef",
+    "project/cohen72/N4/xi+1/k3": "28bbcca3a3f23fab5da194e1c6dee702047341409850625f25a6b1622311cb06",
+    "project/cohen72/N4/xi+1/k3/json": "bba4f33dc1a292d3b0b25f2894c1b1ae041e144eb450aa9d285ccfefe74e58f9",
+    "project/cohen72/N4/xi+1/k4": "c0dfd9f5ca7c056bea065cb0f9f9ccb16811c5d16dd78a43988773d6324d0b5f",
+    "project/cohen72/N4/xi+1/k4/json": "88ae4f423cc085ae4f9e22057ef6c6a01614ed36347debb684677251e1620cef",
+    "project/cohen72/N4/xi-1/k3": "c0dfd9f5ca7c056bea065cb0f9f9ccb16811c5d16dd78a43988773d6324d0b5f",
+    "project/cohen72/N4/xi-1/k3/json": "88ae4f423cc085ae4f9e22057ef6c6a01614ed36347debb684677251e1620cef",
+    "project/cohen72/N4/xi-1/k4": "28bbcca3a3f23fab5da194e1c6dee702047341409850625f25a6b1622311cb06",
+    "project/cohen72/N4/xi-1/k4/json": "bba4f33dc1a292d3b0b25f2894c1b1ae041e144eb450aa9d285ccfefe74e58f9",
+    "project/cohen72/N8/eps+1": "c0dfd9f5ca7c056bea065cb0f9f9ccb16811c5d16dd78a43988773d6324d0b5f",
+    "project/cohen72/N8/eps+1/json": "88ae4f423cc085ae4f9e22057ef6c6a01614ed36347debb684677251e1620cef",
+    "project/cohen72/N8/eps-1": "28bbcca3a3f23fab5da194e1c6dee702047341409850625f25a6b1622311cb06",
+    "project/cohen72/N8/eps-1/json": "bba4f33dc1a292d3b0b25f2894c1b1ae041e144eb450aa9d285ccfefe74e58f9",
+    "project/cohen72/N8/two": "c0dfd9f5ca7c056bea065cb0f9f9ccb16811c5d16dd78a43988773d6324d0b5f",
+    "project/cohen72/N8/two/json": "88ae4f423cc085ae4f9e22057ef6c6a01614ed36347debb684677251e1620cef",
+    "project/cohen72/N8/xi+1/k3": "28bbcca3a3f23fab5da194e1c6dee702047341409850625f25a6b1622311cb06",
+    "project/cohen72/N8/xi+1/k3/json": "bba4f33dc1a292d3b0b25f2894c1b1ae041e144eb450aa9d285ccfefe74e58f9",
+    "project/cohen72/N8/xi+1/k4": "c0dfd9f5ca7c056bea065cb0f9f9ccb16811c5d16dd78a43988773d6324d0b5f",
+    "project/cohen72/N8/xi+1/k4/json": "88ae4f423cc085ae4f9e22057ef6c6a01614ed36347debb684677251e1620cef",
+    "project/cohen72/N8/xi-1/k3": "c0dfd9f5ca7c056bea065cb0f9f9ccb16811c5d16dd78a43988773d6324d0b5f",
+    "project/cohen72/N8/xi-1/k3/json": "88ae4f423cc085ae4f9e22057ef6c6a01614ed36347debb684677251e1620cef",
+    "project/cohen72/N8/xi-1/k4": "28bbcca3a3f23fab5da194e1c6dee702047341409850625f25a6b1622311cb06",
+    "project/cohen72/N8/xi-1/k4/json": "bba4f33dc1a292d3b0b25f2894c1b1ae041e144eb450aa9d285ccfefe74e58f9",
+    "project/input/N4/eps-1": "28bbcca3a3f23fab5da194e1c6dee702047341409850625f25a6b1622311cb06",
+    "project/input/N4/eps-1/json": "bba4f33dc1a292d3b0b25f2894c1b1ae041e144eb450aa9d285ccfefe74e58f9",
+    "project/input/xi-without-k": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "project/input/xi-without-k/json": "9af9e9128e3872327dec1c3efb419cfdd1ed431447369795638d123b3cafb7c7",
+    "project/theta_e4/N0": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "project/theta_e4/N0/json": "ad2917c98cfebcace59b35fa31aa041c43b97795328c1e194c9aa89caffb988b",
+    "project/theta_e4/N0/two": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "project/theta_e4/N0/two/json": "ad2917c98cfebcace59b35fa31aa041c43b97795328c1e194c9aa89caffb988b",
+    "project/theta_e4/N2": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "project/theta_e4/N2/json": "806c8bb7070dfd0b24faba0e8fd0c260c3e0357cbada80d32a1c11b15d1a5962",
+    "project/theta_e4/N2/two": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "project/theta_e4/N2/two/json": "370b2d24b966e5ffc91d75f4b90a3e95ec65fedbcd94731df42229cba4a44bb1",
+    "project/theta_e4/N4/default": "e0d35cc0e13f04a368b3266ff60c854437fbad17023d4cd4375efb46ecdb971c",
+    "project/theta_e4/N4/default/json": "e04d61314b3ffab59ed46a34348ee5863a2981ee07d3b931fbdab028fa4e0d57",
+    "project/theta_e4/N4/eps+1": "e0d35cc0e13f04a368b3266ff60c854437fbad17023d4cd4375efb46ecdb971c",
+    "project/theta_e4/N4/eps+1/json": "e04d61314b3ffab59ed46a34348ee5863a2981ee07d3b931fbdab028fa4e0d57",
+    "project/theta_e4/N4/eps-1": "ff30002a4d6f9fad001ec7bcc336d07709d94eb9a4263bc3f58c2d9bbf0284e5",
+    "project/theta_e4/N4/eps-1/json": "55181233d3d4db4665a901b7aabfb541232a39fc8b389ce1aa1ec3bc68764fda",
+    "project/theta_e4/N4/two": "ff30002a4d6f9fad001ec7bcc336d07709d94eb9a4263bc3f58c2d9bbf0284e5",
+    "project/theta_e4/N4/two/json": "55181233d3d4db4665a901b7aabfb541232a39fc8b389ce1aa1ec3bc68764fda",
+    "project/theta_e4/N4/xi+1/k3": "ff30002a4d6f9fad001ec7bcc336d07709d94eb9a4263bc3f58c2d9bbf0284e5",
+    "project/theta_e4/N4/xi+1/k3/json": "55181233d3d4db4665a901b7aabfb541232a39fc8b389ce1aa1ec3bc68764fda",
+    "project/theta_e4/N4/xi+1/k4": "e0d35cc0e13f04a368b3266ff60c854437fbad17023d4cd4375efb46ecdb971c",
+    "project/theta_e4/N4/xi+1/k4/json": "e04d61314b3ffab59ed46a34348ee5863a2981ee07d3b931fbdab028fa4e0d57",
+    "project/theta_e4/N4/xi-1/k3": "e0d35cc0e13f04a368b3266ff60c854437fbad17023d4cd4375efb46ecdb971c",
+    "project/theta_e4/N4/xi-1/k3/json": "e04d61314b3ffab59ed46a34348ee5863a2981ee07d3b931fbdab028fa4e0d57",
+    "project/theta_e4/N4/xi-1/k4": "ff30002a4d6f9fad001ec7bcc336d07709d94eb9a4263bc3f58c2d9bbf0284e5",
+    "project/theta_e4/N4/xi-1/k4/json": "55181233d3d4db4665a901b7aabfb541232a39fc8b389ce1aa1ec3bc68764fda",
+    "project/theta_e4/N8/eps+1": "e0d35cc0e13f04a368b3266ff60c854437fbad17023d4cd4375efb46ecdb971c",
+    "project/theta_e4/N8/eps+1/json": "e04d61314b3ffab59ed46a34348ee5863a2981ee07d3b931fbdab028fa4e0d57",
+    "project/theta_e4/N8/eps-1": "ff30002a4d6f9fad001ec7bcc336d07709d94eb9a4263bc3f58c2d9bbf0284e5",
+    "project/theta_e4/N8/eps-1/json": "55181233d3d4db4665a901b7aabfb541232a39fc8b389ce1aa1ec3bc68764fda",
+    "project/theta_e4/N8/two": "ff30002a4d6f9fad001ec7bcc336d07709d94eb9a4263bc3f58c2d9bbf0284e5",
+    "project/theta_e4/N8/two/json": "55181233d3d4db4665a901b7aabfb541232a39fc8b389ce1aa1ec3bc68764fda",
+    "project/theta_e4/N8/xi+1/k3": "ff30002a4d6f9fad001ec7bcc336d07709d94eb9a4263bc3f58c2d9bbf0284e5",
+    "project/theta_e4/N8/xi+1/k3/json": "55181233d3d4db4665a901b7aabfb541232a39fc8b389ce1aa1ec3bc68764fda",
+    "project/theta_e4/N8/xi+1/k4": "e0d35cc0e13f04a368b3266ff60c854437fbad17023d4cd4375efb46ecdb971c",
+    "project/theta_e4/N8/xi+1/k4/json": "e04d61314b3ffab59ed46a34348ee5863a2981ee07d3b931fbdab028fa4e0d57",
+    "project/theta_e4/N8/xi-1/k3": "e0d35cc0e13f04a368b3266ff60c854437fbad17023d4cd4375efb46ecdb971c",
+    "project/theta_e4/N8/xi-1/k3/json": "e04d61314b3ffab59ed46a34348ee5863a2981ee07d3b931fbdab028fa4e0d57",
+    "project/theta_e4/N8/xi-1/k4": "ff30002a4d6f9fad001ec7bcc336d07709d94eb9a4263bc3f58c2d9bbf0284e5",
+    "project/theta_e4/N8/xi-1/k4/json": "55181233d3d4db4665a901b7aabfb541232a39fc8b389ce1aa1ec3bc68764fda",
     "St/cohen52/1": "9cb12f3f96fcfd32077fd394e57feda9da4ecff70187994da15db2b48c53b81f",
     "St/cohen52/13": "2fc986106cb7027fa74361c76d457683be846f10ebc0adbefe9a3237c2431f09",
     "St/cohen52/5": "8bf61e04874b9b290a18c15f64f5bc6fb81c2155dda39bd525598c48c889b69b",
@@ -128,3 +216,43 @@ def test_orbit_lift_digests(inputs):
 @pytest.mark.parametrize("name", ["cohen72", "cohen92", "j"])
 def test_fixture_digests(name):
     assert _sha(fixtures.fixture(name, 1200)) == DIGESTS["fixture/%s" % name]
+
+
+_PROJECT_MODES = {
+    "eps+1": ("--epsilon", "1"),
+    "eps-1": ("--epsilon", "-1"),
+    "xi+1/k3": ("--xi", "1", "--k", "3"),
+    "xi-1/k3": ("--xi", "-1", "--k", "3"),
+    "xi+1/k4": ("--xi", "1", "--k", "4"),
+    "xi-1/k4": ("--xi", "-1", "--k", "4"),
+    "two": ("--two",),
+}
+
+
+def _project_cases() -> dict:
+    """Digest key -> project argv after the source flags ("{input}" stands
+    for the path of a cohen72 window written as JSON)."""
+    cases = {}
+    for name in ("cohen72", "theta_e4"):
+        for N in ("4", "8"):
+            for mode, flags in _PROJECT_MODES.items():
+                cases["project/%s/N%s/%s" % (name, N, mode)] = ("--fixture", name, "--N", N, *flags)
+        cases["project/%s/N4/default" % name] = ("--fixture", name, "--N", "4")
+        for N in ("0", "2"):
+            cases["project/%s/N%s" % (name, N)] = ("--fixture", name, "--N", N)
+            cases["project/%s/N%s/two" % (name, N)] = ("--fixture", name, "--N", N, "--two")
+    cases["project/input/N4/eps-1"] = ("--input", "{input}", "--N", "4", "--epsilon", "-1")
+    cases["project/input/xi-without-k"] = ("--input", "{input}", "--N", "4", "--xi", "1")
+    return cases
+
+
+@pytest.mark.parametrize("key, argv", sorted(_project_cases().items()))
+@pytest.mark.parametrize("json_flag", [("--json",), ()], ids=["json", "human"])
+def test_project_cli_digests(capsys, tmp_path, key, argv, json_flag):
+    src = tmp_path / "cohen72.json"
+    src.write_text(json.dumps(qseries.qexp_to_json(fixtures.fixture("cohen72", 60))))
+    argv = ["project", *(str(src) if a == "{input}" else a for a in argv), "--prec", "60", *json_flag]
+    code = main(argv)
+    text = "%d\n%s" % (code, capsys.readouterr().out)
+    key = key + ("/json" if json_flag else "")
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[key]

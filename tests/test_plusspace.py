@@ -11,7 +11,6 @@ import util
 from shimlift.errors import HypothesisError
 from shimlift.fixtures import fixture
 from shimlift.plusspace import (
-    PlusContext,
     epsilon_for,
     is_plus_space,
     lift_L,
@@ -32,25 +31,23 @@ def test_epsilon_for_parity_rule():
         epsilon_for(2, 0)
 
 
-def test_context_derives_epsilon_and_round_trips():
+def test_sign_and_level_arguments_are_checked():
+    # xi -> (-1)^k xi is its own inverse, so it also takes eps back to xi
     for k in range(1, 6):
         for eps in (1, -1):
-            ctx = PlusContext.from_epsilon(k, eps, N=4)
-            assert ctx.epsilon == eps
-            assert epsilon_for(ctx.k, ctx.xi) == eps
-    assert PlusContext(2, 1).N == 1
-    assert not PlusContext(2, 1).four_divides_N
-    assert PlusContext(2, 1, 8).four_divides_N
-    with pytest.raises(ValueError):
-        PlusContext(2, 2)
-    with pytest.raises(ValueError):
-        PlusContext(2, 1, 0)
+            assert epsilon_for(k, epsilon_for(k, eps)) == eps
+    f = QExp(Fraction(5, 2), 1, {n: 1 for n in range(8)}, 0, 8)
+    for call in (lambda: is_plus_space(f, 0), lambda: project_plus(f, 3, 4), lambda: lift_L(f, 2)):
+        with pytest.raises(ValueError, match="^eps must be \\+1 or -1$"):
+            call()
+    for call in (lambda: project_plus(f, 1, 0), lambda: project_two(f, -4)):
+        with pytest.raises(ValueError, match="^N must be positive$"):
+            call()
 
 
-def test_is_plus_space_accepts_context_or_bare_sign():
+def test_is_plus_space_reads_the_sign():
     f = QExp(Fraction(5, 2), 1, {0: 1, 1: 2, 4: 3, 5: 4}, 0, 8)
     assert is_plus_space(f, 1)
-    assert is_plus_space(f, PlusContext(2, 1))
     assert not is_plus_space(f, -1)
     g = QExp(Fraction(7, 2), 1, {0: 1, 3: 2}, 0, 8)
     assert is_plus_space(g, -1)
@@ -79,39 +76,35 @@ def test_weakly_holomorphic_fixture_is_plus():
 def test_projections_need_level_divisible_by_four():
     f = QExp(Fraction(5, 2), 1, {n: 1 for n in range(8)}, 0, 8)
     with pytest.raises(HypothesisError) as exc:
-        project_plus(f, PlusContext(2, 1, N=1))
-    assert "4" in exc.value.obstruction
+        project_plus(f, 1, 1)
+    assert exc.value.obstruction == "projection-needs-4|N"
     with pytest.raises(HypothesisError):
-        project_two(f, PlusContext(2, 1, N=2))
+        project_two(f, 2)
 
 
 def test_project_plus_keeps_allowed_residues():
     f = QExp(Fraction(5, 2), 1, {n: n + 1 for n in range(12)}, 0, 12)
-    ctx = PlusContext(2, 1, N=4)
-    p = project_plus(f, ctx)
+    p = project_plus(f, 1, 4)
     assert p.support() == [0, 1, 4, 5, 8, 9]
-    ctx_minus = PlusContext.from_epsilon(2, -1, N=4)
-    m = project_plus(f, ctx_minus)
+    m = project_plus(f, -1, 4)
     assert m.support() == [0, 3, 4, 7, 8, 11]
-    two = project_two(f, ctx)
+    two = project_two(f, 4)
     assert two.support() == [0, 2, 4, 6, 8, 10]
 
 
 def test_project_plus_fixes_members():
     rng = random.Random(61)
-    ctx = PlusContext(2, 1, N=4)
     for _ in range(10):
         f = util.random_plus_series(rng, 1, 40)
-        assert project_plus(f, ctx) == f
+        assert project_plus(f, 1, 4) == f
 
 
 def test_projection_is_idempotent():
     rng = random.Random(62)
-    ctx = PlusContext.from_epsilon(3, -1, N=8)
     for _ in range(10):
         f = util.random_qexp(rng, 0, 30, weight=Fraction(7, 2), density=0.8)
-        p = project_plus(f, ctx)
-        assert project_plus(p, ctx) == p
+        p = project_plus(f, -1, 8)
+        assert project_plus(p, -1, 8) == p
 
 
 def test_lift_L_component_exponent_classes():
@@ -153,22 +146,8 @@ def test_round_trip_random_series_both_signs():
     for eps in (1, -1):
         for _ in range(10):
             f = util.random_plus_series(rng, eps, 60)
-            back = lift_L_inverse(lift_L(f, eps), eps)
+            back = lift_L_inverse(lift_L(f, eps))
             assert back == f, eps
-
-
-def test_round_trip_with_context_objects():
-    rng = random.Random(66)
-    ctx = PlusContext.from_epsilon(4, 1, N=4)
-    f = util.random_plus_series(rng, 1, 40, weight=Fraction(9, 2))
-    assert lift_L_inverse(lift_L(f, ctx), ctx) == f
-
-
-def test_inverse_rejects_mismatched_context():
-    rng = random.Random(67)
-    vv = lift_L(util.random_plus_series(rng, 1, 30), 1)
-    with pytest.raises(ValueError):
-        lift_L_inverse(vv, -1)
 
 
 def test_inverse_rejects_wrong_module_shape():

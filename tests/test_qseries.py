@@ -257,7 +257,7 @@ def test_invert_unit_is_inverse_for_rational_units(c0, rest):
 @given(c0=unit, rest=st.lists(rational, max_size=30), data=st.data())
 def test_invert_unit_window_is_sound(c0, rest, data):
     # inverting a truncated input agrees with inverting the full input
-    # inside the truncated window, and an explicit hi means the same
+    # inside the truncated window
     coeffs = {0: c0}
     coeffs.update((a, c) for a, c in enumerate(rest, 1) if c)
     f = QExp(0, 1, coeffs, 0, len(rest) + 1)
@@ -266,7 +266,6 @@ def test_invert_unit_window_is_sound(c0, rest, data):
     short = invert_unit(f.truncate(h))
     assert (short.lo, short.hi) == (0, h)
     assert short == full.truncate(h)
-    assert invert_unit(f, h) == short
 
 
 def test_invert_unit_rejects_non_units():

@@ -282,7 +282,7 @@ def test_constant_term_matches_both_reference_sums():
     for N in (1, 2, 3, 4, 5, 6, 7, 8, 10, 12):
         f = QExp(Fraction(5, 2), 1, {0: Fraction(rng.randint(1, 9), rng.randint(1, 5))}, 0, 1)
         for orbit in _orbits_at(N, f, rng):
-            read = lambda d, n, orbit=orbit: orbit.coefficient(f, d, n)  # noqa: E731
+            read = lambda d, n, orbit=orbit: util.orbit_coefficient(orbit, f, d, n)  # noqa: E731
             for T in (1, 2, 3, 4, 5, 6, 8, 9, 12, 18):
                 t, s = split_square(T)
                 for eps in (1, -1):
@@ -351,6 +351,29 @@ def test_character_orbit_twist_and_series():
     g, orb2 = orbit.twist(f, 3)
     assert g == scale(f, chi(3))
     assert orb2 is orbit
+
+
+def test_diamond_reads_every_unit_and_refuses_non_units():
+    rng = random.Random(23)
+    f = util.random_qexp(rng, 0, 12, weight=Fraction(5, 2), density=1.0)
+    i = CycScalar.root_of_unity(4, 1)
+    characters = [
+        DirichletCharacter.from_kronecker(-4, 4),
+        DirichletCharacter(5, {1: 1, 2: i, 4: -1, 3: -i}),
+        DirichletCharacter.trivial(1),
+    ]
+    table = {d: util.random_qexp(rng, 0, 12, weight=f.weight, density=1.0) for d in (2, 3, 4)}
+    orbits = [CharacterOrbit(chi) for chi in characters] + [ExplicitOrbit(5, {1: f, **table})]
+    for orbit in orbits:
+        modulus = orbit.chi.modulus if isinstance(orbit, CharacterOrbit) else orbit.modulus
+        for d in range(-12, 13):
+            if math.gcd(d, modulus) != 1:
+                with pytest.raises(ValueError, match="is not a unit mod"):
+                    diamond(f, orbit, d)
+            elif isinstance(orbit, CharacterOrbit):
+                assert diamond(f, orbit, d) == scale(f, orbit.chi(d)), (modulus, d)
+            else:
+                assert diamond(f, orbit, d) is orbit.table[d % 5], d
 
 
 def test_character_orbit_modulus_must_divide_level():

@@ -15,7 +15,7 @@ from shimlift.arith import divisors
 from shimlift.characters import kronecker_is_character
 from shimlift.qseries import QExp
 from shimlift.scalars import CycScalar, Scalar, as_exact, kronecker, partial_zeta_neg
-from shimlift.shimura import CONSTANT_TERM_SIGN
+from shimlift.shimura import CONSTANT_TERM_SIGN, CharacterOrbit
 
 
 def brute_convolve(da: dict, db: dict, cap: int) -> dict:
@@ -216,8 +216,21 @@ def _constant_extended(read: Callable[[int, int], Scalar], N: int, k: int, T: in
 
 # The lift kernel before it became a sieve over the read set {T m^2}: one
 # divisor loop per output coefficient, reading each c(<d> f, T (l/d)^2) as
-# a scalar through `orbit.coefficient`, and the constant term as one
+# a scalar through `orbit_coefficient`, and the constant term as one
 # `partial_zeta_neg` per residue.  No window check and no gates.
+
+
+def orbit_coefficient(orbit, f: QExp, d: int, n: int) -> Scalar:
+    """c(<d> f, n) by the per-class `coefficient` methods the orbits had
+    before `_translates` became their one read path, so the references
+    below do not read through the code they check."""
+    if isinstance(orbit, CharacterOrbit):
+        v = orbit.chi(d)
+        return v * f.coeff(n) if v else Fraction(0)
+    r = d % orbit.modulus
+    if r not in orbit.table:
+        raise ValueError("%d is not a unit mod %d" % (d, orbit.modulus))
+    return orbit.table[r].coeff(n)
 
 
 def reference_lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit) -> QExp:
@@ -231,7 +244,7 @@ def reference_lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit) 
             sym = kronecker(eps * T, d)
             if sym == 0:
                 continue
-            c = orbit.coefficient(f, d, T * (l // d) * (l // d))
+            c = orbit_coefficient(orbit, f, d, T * (l // d) * (l // d))
             if c:
                 acc += Fraction(sym * d ** (k - 1)) * c
         table[l] = acc
@@ -250,7 +263,7 @@ def reference_constant_term(f: QExp, orbit, N: int, k: int, T: int, eps: int) ->
         sym = kronecker(eps * T, h)
         if sym == 0:
             continue
-        c0 = orbit.coefficient(f, h, 0)
+        c0 = orbit_coefficient(orbit, f, h, 0)
         if c0:
             total += Fraction(sym, 2) * partial_zeta_neg(P, h, k) * c0
     return -CONSTANT_TERM_SIGN * total
