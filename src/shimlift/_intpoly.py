@@ -228,15 +228,20 @@ def _decimal(a: list, b: list, n: int) -> list:
         packed.append(p)
     c = _EXACT.multiply(packed[0], packed[1])
     del packed
-    negative = c.is_signed()
-    s = _EXACT.to_sci_string(c.copy_abs())
+    # c mod 10^(n D) >= 0: its n slots read back as balanced digits, and
+    # only they are formatted
+    width = n * digits
+    high = _EXACT.scaleb(c, -width).to_integral_value(rounding=decimal.ROUND_FLOOR, context=_EXACT)
+    c = _EXACT.subtract(c, _EXACT.scaleb(high, width))
+    del high
+    s = _EXACT.to_sci_string(c)
     del c
     top = len(s)
-    out = [int(s[max(0, end - digits):end]) for end in range(top, max(0, top - n * digits), -digits)]
+    out = [int(s[max(0, end - digits):end]) for end in range(top, max(0, top - width), -digits)]
     del s
     out.extend([0] * (n - len(out)))
     if min(a) < 0 or min(b) < 0:
-        _balance(out, 10**digits, negative)
+        _balance(out, 10**digits, False)
     return out
 
 

@@ -1,10 +1,11 @@
 """Small number-theory helpers shared by the lift, the fixtures and the
-checks: trial-division factoring, divisors, the Moebius function, divisor
-power sums, ceiling division and square-and-multiply.  Standard library
-only."""
+checks: trial-division factoring, the units mod m, divisors, the Moebius
+function, divisor power sums, ceiling division and square-and-multiply.
+Standard library only."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable, TypeVar
 
 X = TypeVar("X")
@@ -44,6 +45,11 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def units(m: int) -> list[int]:
+    """The residues r in [0, m) prime to m >= 1, increasing."""
+    return [r for r in range(m) if math.gcd(r, m) == 1]
 
 
 def divisors(n: int) -> list[int]:

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping
 
+from .arith import units
 from .errors import HypothesisError, SchemaError
 from .scalars import Scalar, as_exact, kronecker, scalar_from_json, scalar_to_json
 
@@ -48,16 +49,16 @@ class DirichletCharacter:
             if r in table:
                 raise ValueError("duplicate residue %d" % d)
             table[r] = as_exact(v)
-        units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
-        missing = [r for r in units if r not in table]
+        residues = units(modulus)
+        missing = [r for r in residues if r not in table]
         if missing:
             raise ValueError("value table misses units %r mod %d" % (missing, modulus))
         if table[1 % modulus] != 1:
             raise ValueError("chi(1) must be 1")
         # chi(a g) = chi(a) chi(g) for g in a generating set gives it for
         # every unit b, by induction on a word in the generators for b
-        gens = _unit_generators(units, modulus)
-        for a in units:
+        gens = _unit_generators(residues, modulus)
+        for a in residues:
             if not table[a]:
                 raise ValueError("character value at %d is zero" % a)
             for g in gens:
@@ -70,8 +71,7 @@ class DirichletCharacter:
 
     @classmethod
     def trivial(cls, modulus: int) -> "DirichletCharacter":
-        values = {r: 1 for r in range(modulus) if math.gcd(r, modulus) == 1}
-        return cls(modulus, values)
+        return cls(modulus, {r: 1 for r in units(modulus)})
 
     @classmethod
     def from_function(cls, modulus: int, fn: Callable[[int], object], period: int) -> "DirichletCharacter":
@@ -133,12 +133,7 @@ class DirichletCharacter:
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
         m = math.lcm(self.modulus, other.modulus)
-        values = {
-            r: self(r) * other(r)
-            for r in range(m)
-            if math.gcd(r, m) == 1
-        }
-        return DirichletCharacter(m, values)
+        return DirichletCharacter(m, {r: self(r) * other(r) for r in units(m)})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirichletCharacter):

@@ -168,6 +168,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_project(args) -> int:
     _check_prec(args)
+    _check_at_least(1, ("--N", args.N))
     f = _load_series(args)
     if args.xi is not None:
         k = _resolve(args, "k")
@@ -302,7 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("project", help="plus-space / mod-two coefficient projection")
     add_io(sp)
     sp.add_argument("--N", type=int, default=4)
-    sp.add_argument("--k", type=int, default=None)
+    sp.add_argument("--k", type=int, default=None,
+                    help="integral part of the input weight; read only with --xi")
     sp.add_argument("--xi", type=int, choices=(1, -1), default=None)
     sp.add_argument("--epsilon", dest="eps", type=int, choices=(1, -1), default=None)
     sp.add_argument("--two", action="store_true", help="project onto residues {0,2} instead")

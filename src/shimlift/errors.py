@@ -41,9 +41,14 @@ class SchemaError(ValueError):
 
 
 class VerificationFailure(ValueError):
-    """A verification check ran to completion and the object failed it."""
+    """A verification check ran to completion and the object failed it.
 
-    def __init__(self, detail: str, first_mismatch: int | None = None):
+    `first_mismatch` optionally locates the first disagreement as a tuple:
+    (exponent, got, want) for a coefficient check, (component, exponent,
+    denominator) for the support law of a vector-valued form.
+    """
+
+    def __init__(self, detail: str, first_mismatch: tuple | None = None):
         super().__init__(detail)
         self.first_mismatch = first_mismatch
 

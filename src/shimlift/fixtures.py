@@ -292,18 +292,19 @@ def fixture_names() -> list[str]:
     return sorted(FIXTURES)
 
 
-def fixture(name: str, prec: int) -> QExp:
+def _entry(name: str) -> tuple:
+    """(builder, defaults) of a registered fixture."""
     try:
-        builder, meta = FIXTURES[name]
+        return FIXTURES[name]
     except KeyError:
         raise ValueError("unknown fixture %r; have %s" % (name, ", ".join(fixture_names()))) from None
-    f = builder(prec)
+
+
+def fixture(name: str, prec: int) -> QExp:
+    f = _entry(name)[0](prec)
     f.metadata.setdefault("fixture", name)
     return f
 
 
 def fixture_defaults(name: str) -> dict:
-    try:
-        return dict(FIXTURES[name][1])
-    except KeyError:
-        raise ValueError("unknown fixture %r; have %s" % (name, ", ".join(fixture_names()))) from None
+    return dict(_entry(name)[1])

@@ -40,7 +40,6 @@ __all__ = [
     "quadratic_L_neg",
     "rational_from_str",
     "rational_parts",
-    "rational_to_str",
     "scalar_from_json",
     "scalar_to_json",
 ]
@@ -394,13 +393,6 @@ def dirichlet_L_neg(chi: "DirichletCharacter", k: int) -> Scalar:
 # exponent.  Emission is deterministic so round-trips are byte-stable.
 
 
-def rational_to_str(r: Fraction) -> str:
-    r = Fraction(r)
-    if r.denominator == 1:
-        return str(r.numerator)
-    return "%d/%d" % (r.numerator, r.denominator)
-
-
 def rational_parts(s) -> tuple[int, int]:
     """Numerator and positive denominator of the rational string s, not
     reduced: "6/-4" gives (-6, 4)."""
@@ -424,10 +416,10 @@ def scalar_to_json(x):
     if not isinstance(x, Fraction):
         x = as_exact(x)
     if isinstance(x, Fraction):
-        return str(x)  # "p" or "p/q", the same text as rational_to_str
+        return str(x)  # "p" or "p/q"
     return {
         "order": x.order,
-        "terms": [[e, rational_to_str(c)] for e, c in sorted(x.terms.items())],
+        "terms": [[e, str(c)] for e, c in sorted(x.terms.items())],
     }
 
 

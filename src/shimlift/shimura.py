@@ -24,7 +24,9 @@ evaluated from integer power sums of the weights
 (`scalars._partial_zeta_sum`).
 
 The translates <d> f = c_d g_d are read through one path, the orbit's
-`_translates`, by the lift and by `diamond` alike.
+`_translates`, by the lift, by `diamond` and by the orbit checks alike.
+Level change and the case (viii) correction are one inclusion-exclusion
+sum over the subsets of a set of primes (`_prime_sum`).
 
 Every public lift checks its integer arguments (`_check_args`) before any
 gate, refusal or series work, k included: the constant term needs the
@@ -44,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import prime_factors, split_square
+from .arith import prime_factors, split_square, units
 from .characters import DirichletCharacter, kronecker_is_character
 from .errors import HypothesisError, PrecisionError, SchemaError
 from .plusspace import is_plus_space
@@ -74,7 +76,8 @@ CONSTANT_TERM_SIGN = -1
 class DiamondOrbit:
     """How the diamond translates <d> f are known: through a character, or
     as an explicit table of expansions indexed by units.  `_translates` is
-    the one read path; the lift and `diamond` both go through it."""
+    the one read path; the lift, `diamond` and the checks below all go
+    through it."""
 
     def _translates(self, f: QExp) -> tuple[int, dict]:
         """(m, {r: (c, g)}) with <d> f = c g for every unit d = r mod m;
@@ -86,10 +89,20 @@ class DiamondOrbit:
         raise NotImplementedError
 
     def min_hi(self, f: QExp) -> int:
-        return f.hi
+        """The shortest window among the translates."""
+        return min(g.hi for _, g in self._translates(f)[1].values())
 
     def validate_for(self, f: QExp, N: int) -> None:
-        pass
+        """SchemaError unless the orbit lives at level N, its translate at 1
+        is f itself and every translate has integer exponents."""
+        modulus, translates = self._translates(f)
+        if N % modulus != 0:
+            raise SchemaError("orbit modulus %d does not divide the level %d" % (modulus, N))
+        c, g = translates[1 % modulus]
+        if c != 1 or (g is not f and g != f):
+            raise SchemaError("orbit entry at 1 disagrees with the input expansion")
+        if any(g.denom != 1 for _, g in translates.values()):
+            raise SchemaError("orbit entries need integer exponents")
 
 
 class CharacterOrbit(DiamondOrbit):
@@ -106,13 +119,6 @@ class CharacterOrbit(DiamondOrbit):
     def twist(self, f, m):
         return scale(f, self.chi(m)), self
 
-    def validate_for(self, f, N):
-        if N % self.chi.modulus != 0:
-            raise SchemaError(
-                "orbit character modulus %d does not divide the level %d"
-                % (self.chi.modulus, N)
-            )
-
 
 class ExplicitOrbit(DiamondOrbit):
     """A table d -> <d> f over the units mod its modulus; entry 1 is f."""
@@ -122,18 +128,18 @@ class ExplicitOrbit(DiamondOrbit):
     def __init__(self, modulus: int, table: dict):
         if modulus < 1:
             raise ValueError("modulus must be positive")
-        units = {r for r in range(modulus) if math.gcd(r, modulus) == 1}
+        residues = set(units(modulus))
         reduced = {}
         for d, g in table.items():
             r = d % modulus
-            if r not in units:
+            if r not in residues:
                 raise ValueError("orbit entry at non-unit %d" % d)
             if r in reduced:
                 raise ValueError("duplicate orbit entry at %d" % d)
             if not isinstance(g, QExp):
                 raise TypeError("orbit entries must be QExp")
             reduced[r] = g
-        missing = units - set(reduced)
+        missing = residues - set(reduced)
         if missing:
             raise ValueError("orbit table misses units %r" % sorted(missing))
         self.modulus = modulus
@@ -148,21 +154,6 @@ class ExplicitOrbit(DiamondOrbit):
         shifted = {d: self.table[(d * m) % self.modulus] for d in self.table}
         return self.table[m % self.modulus], ExplicitOrbit(self.modulus, shifted)
 
-    def min_hi(self, f):
-        return min(g.hi for g in self.table.values())
-
-    def validate_for(self, f, N):
-        if N % self.modulus != 0:
-            raise SchemaError(
-                "orbit modulus %d does not divide the level %d" % (self.modulus, N)
-            )
-        base = self.table[1 % self.modulus]
-        if base is not f and base != f:
-            raise SchemaError("orbit entry at 1 disagrees with the input expansion")
-        for g in self.table.values():
-            if g.denom != 1:
-                raise SchemaError("orbit entries need integer exponents")
-
 
 def diamond(f: QExp, orbit: DiamondOrbit, d: int) -> QExp:
     """The translate <d> f as a series; ValueError unless d is a unit
@@ -174,8 +165,8 @@ def diamond(f: QExp, orbit: DiamondOrbit, d: int) -> QExp:
     return g if c == 1 else scale(g, c)
 
 
-def _default_orbit(orbit: DiamondOrbit | None) -> DiamondOrbit:
-    return orbit if orbit is not None else CharacterOrbit(DirichletCharacter.trivial(1))
+# the orbit of a lift called without one: <d> f = f
+_TRIVIAL_ORBIT = CharacterOrbit(DirichletCharacter.trivial(1))
 
 
 def _check_args(N: int, k: int, prec: int, eps: int = 1, t: int = 1, s: int = 1, M: int = 1) -> None:
@@ -287,7 +278,7 @@ def shimura_S1(f: QExp, N: int, k: int, prec: int, orbit: DiamondOrbit | None = 
     """The index-1 lift; defined for every form of its level, no support
     hypotheses."""
     _check_args(N, k, prec)
-    return _lift(f, N, k, 1, 1, prec, _default_orbit(orbit))
+    return _lift(f, N, k, 1, 1, prec, orbit or _TRIVIAL_ORBIT)
 
 
 def _gate_squarefree(f: QExp, N: int, t: int, eps: int) -> None:
@@ -329,7 +320,7 @@ def shimura_St(f: QExp, N: int, k: int, t: int, eps: int, prec: int, orbit: Diam
     if f.denom != 1:
         raise SchemaError("lift input needs integer exponents")
     _gate_squarefree(f, N, t, eps)
-    return _lift(f, N, k, t, eps, prec, _default_orbit(orbit))
+    return _lift(f, N, k, t, eps, prec, orbit or _TRIVIAL_ORBIT)
 
 
 def shimura_general(f: QExp, N: int, k: int, t: int, s: int, eps: int, prec: int, orbit: DiamondOrbit | None = None) -> QExp:
@@ -340,7 +331,7 @@ def shimura_general(f: QExp, N: int, k: int, t: int, s: int, eps: int, prec: int
     refactored so the square-free part is canonical.
     """
     _check_args(N, k, prec, eps, t, s)
-    return _lift(f, N, k, t * s * s, eps, prec, _default_orbit(orbit))
+    return _lift(f, N, k, t * s * s, eps, prec, orbit or _TRIVIAL_ORBIT)
 
 
 def _ungated_squarefree(f: QExp, N: int, k: int, t: int, eps: int, prec: int, orbit: DiamondOrbit) -> QExp:
@@ -349,6 +340,24 @@ def _ungated_squarefree(f: QExp, N: int, k: int, t: int, eps: int, prec: int, or
     re-examined."""
     # kept as its own name: bench/tracer.py wraps it to count level-change lifts
     return _lift(f, N, k, t, eps, prec, orbit)
+
+
+def _prime_sum(f: QExp, orbit: DiamondOrbit, primes: list, k: int, et: int, lift) -> QExp:
+    """The inclusion-exclusion sum over the subsets J of `primes`,
+
+        sum of (-1)^|J| kronecker(et, p_J) p_J^(k-1) (lift <p_J> f)(p_J tau),
+
+    with p_J the product of J and lift(g, orbit of g) the lift applied to
+    each translate."""
+    total: QExp | None = None
+    for r in range(len(primes) + 1):
+        for J in itertools.combinations(primes, r):
+            pj = math.prod(J)
+            fj, orbj = orbit.twist(f, pj)
+            coeff = Fraction((-1) ** r * kronecker(et, pj) * pj ** (k - 1))
+            term = scale(rescale(lift(fj, orbj), pj), coeff)
+            total = term if total is None else add(total, term)
+    return total
 
 
 def level_change_rhs(f: QExp, N: int, M: int, k: int, t: int, eps: int, prec: int, orbit: DiamondOrbit | None = None) -> QExp:
@@ -368,24 +377,17 @@ def level_change_rhs(f: QExp, N: int, M: int, k: int, t: int, eps: int, prec: in
     agrees.
     """
     _check_args(N, k, prec, eps, t, M=M)
-    orbit = _default_orbit(orbit)
-    primes = sorted({p for p in prime_factors(M) if math.gcd(p, N * t) == 1})
+    primes = [p for p in prime_factors(M) if math.gcd(p, N * t) == 1]
     if 2 in primes and not kronecker_is_character(N, t, eps):
         raise HypothesisError(
             "level-change-constant-at-2",
             "level change by M = %d with N t = %d odd and eps t = %d = 3 mod 4: "
             "the combination's constant term is not the lift's" % (M, N * t, eps * t),
         )
-    total: QExp | None = None
-    for r in range(len(primes) + 1):
-        for J in itertools.combinations(primes, r):
-            pj = math.prod(J) if J else 1
-            fj, orbj = orbit.twist(f, pj)
-            inner = _ungated_squarefree(fj, N, k, t, eps, prec, orbj)
-            coeff = Fraction((-1) ** r * kronecker(eps * t, pj) * pj ** (k - 1))
-            term = scale(rescale(inner, pj), coeff)
-            total = term if total is None else add(total, term)
-    return total
+    return _prime_sum(
+        f, orbit or _TRIVIAL_ORBIT, primes, k, eps * t,
+        lambda g, orb: _ungated_squarefree(g, N, k, t, eps, prec, orb),
+    )
 
 
 def matches_plus_space(f: QExp, T: int, eps: int) -> bool:
@@ -419,12 +421,11 @@ def corrected_combination(f: QExp, N: int, M: int, k: int, t: int, s: int, eps: 
             "input already satisfies the plus condition with matching eps; "
             "the plain lift has the smaller level",
         )
-    orbit = _default_orbit(orbit)
-    main = shimura_general(f, M * N, k, t0, s0, eps, prec, orbit)
-    f2, orb2 = orbit.twist(f, 2)
-    twisted = shimura_general(f2, M * N, k, t0, s0, eps, prec, orb2)
-    corr = scale(rescale(twisted, 2), Fraction(-kronecker(2, t0) * 2 ** (k - 1)))
-    return add(main, corr)
+    # kronecker(eps t0, 2) = kronecker(2, t0) for the odd t0 admitted here
+    return _prime_sum(
+        f, orbit or _TRIVIAL_ORBIT, [2], k, eps * t0,
+        lambda g, orb: shimura_general(g, M * N, k, t0, s0, eps, prec, orb),
+    )
 
 
 @dataclass(frozen=True)
@@ -474,8 +475,8 @@ def predict_level(N: int, t: int, s: int, M: int, *, plus_space_matching_eps: bo
     s = s * extra
     I = [p for p in prime_factors(M) if math.gcd(p, N * t) == 1]
     J = [p for p in I if s % p != 0]
-    pj = math.prod(J) if J else 1
-    lcm_ns = N * s // math.gcd(N, s)
+    pj = math.prod(J)
+    lcm_ns = math.lcm(N, s)
 
     if t % 2 == 1 and plus_space_matching_eps:
         return LevelVerdict("i", pj, lcm_ns, 1, True)

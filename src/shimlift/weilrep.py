@@ -12,7 +12,6 @@ this module (and with it `shimlift` and its CLI) does not load numpy.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import random
@@ -216,20 +215,19 @@ _GEN_MATS = {
 }
 
 
-def _gen_phi_at(token: str, tau: complex) -> complex:
-    if token == "S":
-        return cmath.sqrt(tau)
-    return 1.0 + 0.0j
-
-
 def weil_word(module: FqModule, word: Sequence[str]):
     """Multiply out a word in S, T, Ti.
 
     Returns (rho, mat, branch): the representation matrix, the underlying
     integer matrix (a, b, c, d), and the branch sign beta meaning the
     element's square-root slot is beta times the principal branch of
-    sqrt(c tau + d).  Branches are propagated by evaluating the cocycle at
-    tau = i and comparing against the principal value.
+    sqrt(c tau + d).
+
+    T and Ti leave the slot alone.  S maps tau to -1/tau, so after it the
+    slot is sqrt(c (-1/tau) + d) sqrt(tau), whose square is d tau - c.  At
+    tau = i this product of principal roots is the principal root of
+    d tau - c unless arg(d + c i) > pi/2, that is unless d < 0 <= c for the
+    prefix before the S; there the branch flips.
     """
     import numpy as np
 
@@ -242,28 +240,18 @@ def weil_word(module: FqModule, word: Sequence[str]):
     rho = np.eye(n, dtype=complex)
     a, b, c, d = 1, 0, 0, 1
     branch = 1
-    base = complex(0.0, 1.0)
     for token in word:
         if token not in _GEN_MATS:
             raise ValueError("unknown generator %r" % token)
+        if token == "S" and d < 0 <= c:
+            branch = -branch
         ga, gb, gc, gd = _GEN_MATS[token]
-        g_at_i = (ga * base + gb) / (gc * base + gd)
-        phi_left = branch * cmath.sqrt(c * g_at_i + complex(d, 0.0))
-        phi_val = phi_left * _gen_phi_at(token, base)
         a, b, c, d = (
             a * ga + b * gc,
             a * gb + b * gd,
             c * ga + d * gc,
             c * gb + d * gd,
         )
-        principal = cmath.sqrt(complex(d, c)) if c == 0 else cmath.sqrt(c * base + d)
-        ratio = phi_val / principal
-        if abs(ratio - 1.0) < 1e-6:
-            branch = 1
-        elif abs(ratio + 1.0) < 1e-6:
-            branch = -1
-        else:
-            raise AssertionError("cocycle value %r is not a branch sign" % ratio)
         rho = rho @ rho_gens[token]
     return rho, (a, b, c, d), branch
 

@@ -48,7 +48,7 @@ def test_every_module_all_entry_resolves(module):
 # ValueError's constructor.
 SIGNATURES = {
     "CharacterOrbit": "chi",
-    "CharacterOrbit.twist": "f m", "CharacterOrbit.validate_for": "f N",
+    "CharacterOrbit.twist": "f m",
     "CycScalar": "order terms", "CycScalar.from_rational": "r", "CycScalar.root_of_unity": "m e",
     "CycScalar.is_rational": "", "CycScalar.as_rational": "", "CycScalar.conjugate": "",
     "DiamondOrbit": "",
@@ -57,7 +57,7 @@ SIGNATURES = {
     "DirichletCharacter.from_function": "modulus fn period",
     "DirichletCharacter.from_kronecker": "t modulus", "DirichletCharacter.parity": "",
     "DirichletCharacter.is_trivial": "", "ExplicitOrbit": "modulus table",
-    "ExplicitOrbit.twist": "f m", "ExplicitOrbit.min_hi": "f", "ExplicitOrbit.validate_for": "f N",
+    "ExplicitOrbit.twist": "f m",
     "FqModule": "orders q_values signature_mod_8", "FqModule.elements": "",
     "FqModule.index": "gamma", "FqModule.reduce": "gamma", "FqModule.add": "a b",
     "FqModule.neg": "a", "FqModule.q": "gamma", "FqModule.bilinear": "a b",

@@ -19,8 +19,10 @@ import pytest
 
 from shimlift import weilrep
 from shimlift.cli import main
+from shimlift.errors import HypothesisError
 from shimlift.fixtures import fixture, fixture_names
 from shimlift.qseries import qexp_from_json, qexp_to_json
+from shimlift.shimura import shimura_general, shimura_St
 from util import perturbed_weil_S
 
 
@@ -72,6 +74,20 @@ def test_lift_even_index_obstruction_exit_2(capsys):
     assert payload["error"] == "HypothesisError"
     assert payload["case"] == "vi"
     assert payload["obstruction"] == "eta-conductor-8"
+
+
+@pytest.mark.parametrize("flags, t, s", [(("--s", "2"), 1, 2), (("--t", "2", "--extended"), 2, 1)],
+                         ids=["s2", "extended-t2"])
+def test_lift_general_route_matches_in_process_lift(capsys, flags, t, s):
+    prec = 5
+    code, payload, _ = run_json(capsys, "lift", "--fixture", "cohen52", *flags, "--prec", str(prec), "--json")
+    assert code == 0
+    f = fixture("cohen52", t * s * s * prec * prec + 1)
+    assert payload["lift"] == qexp_to_json(shimura_general(f, 1, 2, t, s, 1, prec))
+    if s == 1:
+        # the route matters: the square-free lift refuses this index
+        with pytest.raises(HypothesisError):
+            shimura_St(f, 1, 2, t, 1, prec)
 
 
 def test_lift_precision_exit_3(capsys, tmp_path):
@@ -131,6 +147,22 @@ def test_project_requires_4n_exit_2(capsys):
     assert code == 2
     assert payload["error"] == "HypothesisError"
     assert "4" in payload["obstruction"]
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_project_nonpositive_level_is_schema_error(capsys, monkeypatch, value):
+    import shimlift.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --N was checked")
+
+    monkeypatch.setattr(cli, "fixture", no_work)
+    code, payload, _ = run_json(capsys, "project", "--fixture", "theta_e4", "--N", value, "--json")
+    assert code == 2
+    assert payload == {
+        "error": "SchemaError",
+        "message": "--N must be a positive integer, got %s" % value,
+    }
 
 
 def test_project_plus_and_two(capsys):

@@ -38,9 +38,9 @@ DIGESTS = {
     "S1/hj4": "5fc759fe918c54e35b59fa01928823f67e23e64dc748468fdb1e0c36012aca58",
     "S1/theta_e4": "9c17e0a067d46144cc9c0cb935d0b352c16b9be154c27de8692634101ec5875f",
     "project/cohen72/N0": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
-    "project/cohen72/N0/json": "ad2917c98cfebcace59b35fa31aa041c43b97795328c1e194c9aa89caffb988b",
+    "project/cohen72/N0/json": "4ba5c66b784de5ff1836e1a30b61df87066db3f5b1b6c5ffb53db476df9041db",
     "project/cohen72/N0/two": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
-    "project/cohen72/N0/two/json": "ad2917c98cfebcace59b35fa31aa041c43b97795328c1e194c9aa89caffb988b",
+    "project/cohen72/N0/two/json": "4ba5c66b784de5ff1836e1a30b61df87066db3f5b1b6c5ffb53db476df9041db",
     "project/cohen72/N2": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
     "project/cohen72/N2/json": "806c8bb7070dfd0b24faba0e8fd0c260c3e0357cbada80d32a1c11b15d1a5962",
     "project/cohen72/N2/two": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
@@ -80,9 +80,9 @@ DIGESTS = {
     "project/input/xi-without-k": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
     "project/input/xi-without-k/json": "9af9e9128e3872327dec1c3efb419cfdd1ed431447369795638d123b3cafb7c7",
     "project/theta_e4/N0": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
-    "project/theta_e4/N0/json": "ad2917c98cfebcace59b35fa31aa041c43b97795328c1e194c9aa89caffb988b",
+    "project/theta_e4/N0/json": "4ba5c66b784de5ff1836e1a30b61df87066db3f5b1b6c5ffb53db476df9041db",
     "project/theta_e4/N0/two": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
-    "project/theta_e4/N0/two/json": "ad2917c98cfebcace59b35fa31aa041c43b97795328c1e194c9aa89caffb988b",
+    "project/theta_e4/N0/two/json": "4ba5c66b784de5ff1836e1a30b61df87066db3f5b1b6c5ffb53db476df9041db",
     "project/theta_e4/N2": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
     "project/theta_e4/N2/json": "806c8bb7070dfd0b24faba0e8fd0c260c3e0357cbada80d32a1c11b15d1a5962",
     "project/theta_e4/N2/two": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",

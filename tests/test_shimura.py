@@ -170,6 +170,12 @@ def test_general_rejects_nonpositive_t(t):
     (corrected_combination, dict(N=1, M=3, k=2, t=-1, s=1, eps=1, prec=3), "t must be positive"),
     (corrected_combination, dict(N=1, M=3, k=2, t=1, s=0, eps=1, prec=3), "s must be positive"),
     (shimura_St, dict(N=1, k=2, t=0, eps=1, prec=3), "t must be positive"),
+    (shimura_S1, dict(N=0, k=2, prec=3), "^level must be positive$"),
+    (level_change_rhs, dict(N=1, M=0, k=2, t=1, eps=1, prec=3), "^M must be positive$"),
+    (shimura_general, dict(N=1, k=0, t=1, s=1, eps=1, prec=3),
+     "^the integer weight parameter k must be positive$"),
+    (corrected_combination, dict(N=1, M=3, k=2, t=1, s=1, eps=-1, prec=-1),
+     "^requested precision must be nonnegative$"),
 ])
 def test_argument_check_precedes_any_lift(monkeypatch, entry, kwargs, message):
     import shimlift.shimura as shimura
@@ -379,7 +385,7 @@ def test_diamond_reads_every_unit_and_refuses_non_units():
 def test_character_orbit_modulus_must_divide_level():
     chi = DirichletCharacter.from_kronecker(-3, 3)
     h = cohen_eisenstein(2, 200)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^orbit modulus 3 does not divide the level 1$"):
         shimura_St(h, N=1, k=2, t=1, eps=1, orbit=CharacterOrbit(chi), prec=3)
     # N = 3 is fine; input must be plus (it is), index odd sign ok
     out = shimura_St(h, N=3, k=2, t=1, eps=1, orbit=CharacterOrbit(chi), prec=3)

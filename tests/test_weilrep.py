@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shimlift import weilrep
 from shimlift.errors import VerificationFailure
@@ -26,7 +28,7 @@ from shimlift.weilrep import (
     weil_selftest,
     weil_word,
 )
-from util import perturbed_weil_S
+from util import numeric_weil_branch, perturbed_weil_S
 
 
 def test_d1_shape():
@@ -157,6 +159,18 @@ def test_closed_form_matches_representation_on_sample_words():
             continue
         closed = rho1_gamma04(*mat, branch=branch)
         assert np.abs(rho - closed).max() < 1e-10, word
+
+
+gamma04_words = st.integers(0, 2**32).map(lambda seed: sl2_word(random_gamma04(random.Random(seed))))
+free_words = st.lists(st.sampled_from(["S", "T", "Ti"]), max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word=st.one_of(gamma04_words, free_words))
+def test_weil_word_branch_matches_numeric_tracking(word):
+    # the integer branch test against the cocycle evaluated at tau = i
+    _, mat, branch = weil_word(FqModule.d1(), word)
+    assert (mat, branch) == numeric_weil_branch(word)
 
 
 def test_dual_module_takes_conjugate_closed_form():

@@ -279,3 +279,36 @@ def perturbed_weil_S(weil_S: Callable) -> Callable:
         return S
 
     return perturbed
+
+
+_WORD_MATS = {"S": (0, -1, 1, 0), "T": (1, 1, 0, 1), "Ti": (1, -1, 0, 1)}
+
+
+def numeric_weil_branch(word) -> tuple[tuple[int, int, int, int], int]:
+    """(mat, branch) of a word in S, T, Ti by the numeric tracking
+    `weilrep.weil_word` used before its integer test: the cocycle is
+    evaluated at tau = i with complex principal roots and the ratio to the
+    principal value is matched against +1 and -1."""
+    a, b, c, d = 1, 0, 0, 1
+    branch = 1
+    base = complex(0.0, 1.0)
+    for token in word:
+        ga, gb, gc, gd = _WORD_MATS[token]
+        g_at_i = (ga * base + gb) / (gc * base + gd)
+        phi_left = branch * cmath.sqrt(c * g_at_i + complex(d, 0.0))
+        phi_val = phi_left * (cmath.sqrt(base) if token == "S" else 1.0 + 0.0j)
+        a, b, c, d = (
+            a * ga + b * gc,
+            a * gb + b * gd,
+            c * ga + d * gc,
+            c * gb + d * gd,
+        )
+        principal = cmath.sqrt(complex(d, c)) if c == 0 else cmath.sqrt(c * base + d)
+        ratio = phi_val / principal
+        if abs(ratio - 1.0) < 1e-6:
+            branch = 1
+        elif abs(ratio + 1.0) < 1e-6:
+            branch = -1
+        else:
+            raise AssertionError("cocycle value %r is not a branch sign" % ratio)
+    return (a, b, c, d), branch
