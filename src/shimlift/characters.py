@@ -82,8 +82,7 @@ class DirichletCharacter:
         constant; a non-constant class means fn does not descend to the
         requested modulus.
         """
-        if period % modulus != 0:
-            period = math.lcm(period, modulus)
+        period = math.lcm(period, modulus)
         seen: dict[int, Scalar] = {}
         for h in range(1, period + 1):
             if math.gcd(h, modulus) != 1:
@@ -103,14 +102,23 @@ class DirichletCharacter:
     def from_kronecker(cls, t: int, modulus: int) -> "DirichletCharacter":
         """The character d -> kronecker(t, d) at the stated modulus.
 
-        Fails when the modulus is incompatible with the symbol's conductor
-        (detected by the class-constancy scan, which also rejects t sharing
-        a factor with some unit, where the symbol would vanish).
-        """
+        Scans classes up to the period lcm(modulus, 8|t|) or to 8 * modulus,
+        whichever is shorter.  On units the symbol has period dividing
+        8 rad(t), so the scan is complete when every prime of t divides the
+        modulus; otherwise the part u > 1 of |t| prime to the modulus is a
+        unit where the symbol vanishes, though not at u + modulus."""
         if t == 0:
             raise ValueError("kronecker character needs nonzero t")
-        period = math.lcm(modulus, 8 * abs(t))
-        return cls.from_function(modulus, lambda d: kronecker(t, d), period)
+        period = min(8 * modulus, math.lcm(modulus, 8 * abs(t)))
+        chi = cls.from_function(modulus, lambda d: kronecker(t, d), period)
+        u = abs(t)
+        while (g := math.gcd(u, modulus)) > 1:
+            u //= g
+        if u > 1:
+            raise ValueError(
+                "function is not defined modulo %d: kronecker(%d, .) vanishes at the unit %d" % (modulus, t, u)
+            )
+        return chi
 
     def __call__(self, n: int) -> Scalar:
         r = n % self.modulus
@@ -119,12 +127,7 @@ class DirichletCharacter:
 
     def parity(self) -> int:
         """chi(-1) as an integer, +1 for even and -1 for odd."""
-        v = self(-1)
-        if v == 1:
-            return 1
-        if v == -1:
-            return -1
-        raise AssertionError("chi(-1) is not a sign")
+        return 1 if self(-1) == 1 else -1
 
     def is_trivial(self) -> bool:
         return all(v == 1 for v in self.values.values())
@@ -257,7 +260,7 @@ def character_from_json(obj) -> DirichletCharacter:
         raise SchemaError("character object needs 'modulus' and 'kind'")
     modulus = obj["modulus"]
     kind = obj["kind"]
-    if not isinstance(modulus, int) or modulus < 1:
+    if type(modulus) is not int or modulus < 1:
         raise SchemaError("character modulus must be a positive integer")
     if kind not in ("trivial", "kronecker", "explicit"):
         raise SchemaError("unknown character kind %r" % kind)
@@ -266,15 +269,14 @@ def character_from_json(obj) -> DirichletCharacter:
             return DirichletCharacter.trivial(modulus)
         if kind == "kronecker":
             t = obj.get("t")
-            if not isinstance(t, int):
+            if type(t) is not int:
                 raise SchemaError("kronecker character needs integer 't'")
             return DirichletCharacter.from_kronecker(t, modulus)
         pairs = obj.get("values")
         if not isinstance(pairs, list):
             raise SchemaError("explicit character needs 'values'")
         for item in pairs:
-            if not (isinstance(item, list) and len(item) == 2
-                    and isinstance(item[0], int) and not isinstance(item[0], bool)):
+            if not (isinstance(item, list) and len(item) == 2 and type(item[0]) is int):
                 raise SchemaError("explicit character value must be [residue, scalar] with an integer residue")
         return DirichletCharacter(modulus, {d: scalar_from_json(v) for d, v in pairs})
     except ValueError as exc:

@@ -55,10 +55,14 @@ def _emit(args, payload: dict, human: str) -> None:
 
 
 def _read_json_source(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document at path (- for stdin), or SchemaError."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as e:
+        raise SchemaError("input is not JSON: %s" % e) from None
 
 
 def _load_series(args, needed_hi: int | None = None) -> QExp:
@@ -66,10 +70,7 @@ def _load_series(args, needed_hi: int | None = None) -> QExp:
         prec = needed_hi if needed_hi is not None else args.prec
         return fixture(args.fixture, prec)
     if getattr(args, "input", None):
-        try:
-            doc = _read_json_source(args.input)
-        except json.JSONDecodeError as e:
-            raise SchemaError("input is not JSON: %s" % e) from None
+        doc = _read_json_source(args.input)
         if isinstance(doc, dict):
             for wrapper in ("lift", "projection"):
                 if wrapper in doc and "coefficients" not in doc:
@@ -133,10 +134,6 @@ def _check_at_least(least: int, *flags: tuple[str, int]) -> None:
             raise SchemaError("%s must be a %s integer, got %d" % (flag, kind, value))
 
 
-def _check_prec(args) -> None:
-    _check_at_least(0, ("--prec", args.prec))
-
-
 def _cmd_lift(args) -> int:
     N = _resolve(args, "N", 1)
     _check_at_least(1, ("--t", args.t), ("--s", args.s), ("--M", args.M), ("--N", N))
@@ -167,7 +164,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    _check_prec(args)
+    _check_at_least(0, ("--prec", args.prec))
     _check_at_least(1, ("--N", args.N))
     f = _load_series(args)
     if args.xi is not None:
@@ -201,10 +198,13 @@ def _cmd_level_predict(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_prec(args)
+    _check_at_least(0, ("--prec", args.prec))
     _check_at_least(1, ("--level", args.level), ("--terms", args.terms))
+    try:
+        weight = Fraction(args.weight)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError("--weight must be a rational like 4 or 5/2, got %r" % args.weight) from None
     f = _load_series(args)
-    weight = Fraction(args.weight)
     if args.mode == "exact":
         if weight.denominator != 1:
             raise SchemaError("exact mode decomposes integral weights only")
@@ -253,7 +253,7 @@ def _cmd_weil_selftest(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    _check_prec(args)
+    _check_at_least(0, ("--prec", args.prec))
     if args.list:
         _emit(args, {"fixtures": fixture_names()}, "\n".join(fixture_names()))
         return 0

@@ -22,7 +22,7 @@ from . import _intpoly
 from .arith import cdiv, divisors, mobius, power, sigma, split_square
 from .errors import VerificationFailure
 from .qseries import QExp, add, invert_unit, mul, rescale, scale
-from .scalars import bernoulli_number, kronecker, quadratic_L_neg
+from .scalars import kronecker, quadratic_L_neg
 
 __all__ = [
     "FIXTURES",
@@ -82,18 +82,16 @@ def _sigma_sieve(power: int, prec: int, odd_only: bool = False) -> list[int]:
     return out
 
 
-_EISENSTEIN_WEIGHTS = (4, 6, 8, 10, 14)
+# -2w / B_w for the weights w with dim M_w = 1
+_EISENSTEIN = {4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
 
 
 def eisenstein(weight: int, prec: int) -> QExp:
     """Level 1 Eisenstein series E_w = 1 - (2w / B_w) sum sigma_{w-1}(n) q^n
     for w in {4, 6, 8, 10, 14} (the one-dimensional weights)."""
-    if weight not in _EISENSTEIN_WEIGHTS:
-        raise ValueError("weight must be one of %r" % (_EISENSTEIN_WEIGHTS,))
-    c = Fraction(-2 * weight) / bernoulli_number(weight)
-    if c.denominator != 1:
-        raise AssertionError("-2w/B_w = %s is not an integer for w = %d" % (c, weight))
-    c = c.numerator
+    if weight not in _EISENSTEIN:
+        raise ValueError("weight must be one of %r" % (tuple(_EISENSTEIN),))
+    c = _EISENSTEIN[weight]
     coeffs = {n: c * v for n, v in enumerate(_sigma_sieve(weight - 1, prec)) if v}
     if prec > 0:
         coeffs[0] = 1

@@ -208,20 +208,18 @@ class QExp:
 
     def _reduced(self, g: int) -> "QExp":
         # caller guarantees the whole series, unknown part included, lies on
-        # the g-coarser lattice
+        # the g-coarser lattice: `normalized` passes the gcd of the stored
+        # numerators, `decompose_mod4` a divisor of each piece's residue
         g = math.gcd(g, self.denom)
         if g <= 1:
             return self
-        for a in self._table:
-            if a % g:
-                raise AssertionError("stored numerator %d not divisible by %d" % (a, g))
         table = {a // g: v for a, v in self._table.items()}
         return self._derived(table, cdiv(self.lo, g), cdiv(self.hi, g), self.denom // g, self.metadata)
 
     def normalized(self) -> "QExp":
         """Reduce the denominator by the gcd of the stored numerators.
 
-        Asserts that the visible support generates the true lattice; only
+        Assumes that the visible support generates the true lattice; only
         call this on a series whose expansion you know completely.
         """
         if not self._table:
@@ -619,18 +617,18 @@ def qexp_from_json(obj) -> QExp:
         if key not in obj:
             raise SchemaError("q-expansion is missing %r" % key)
     wt = obj["weight"]
-    if not isinstance(wt, dict) or not isinstance(wt.get("num"), int) or not isinstance(wt.get("den"), int):
+    if not isinstance(wt, dict) or type(wt.get("num")) is not int or type(wt.get("den")) is not int:
         raise SchemaError("weight must be {num, den} with integers")
     if wt["den"] == 0:
         raise SchemaError("weight denominator is zero")
     denom = obj["exponent_denominator"]
-    if not isinstance(denom, int) or denom < 1:
+    if type(denom) is not int or denom < 1:
         raise SchemaError("exponent_denominator must be a positive integer")
     window = obj["window"]
     if (
         not isinstance(window, list)
         or len(window) != 2
-        or not all(isinstance(x, int) for x in window)
+        or not all(type(x) is int for x in window)
         or window[1] < window[0]
     ):
         raise SchemaError("window must be [lo, hi] with integers lo <= hi")
@@ -647,7 +645,7 @@ def qexp_from_json(obj) -> QExp:
     cyc: dict[int, Scalar] = {}
     gcd = math.gcd
     for item in pairs:
-        if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], int):
+        if not isinstance(item, list) or len(item) != 2 or type(item[0]) is not int:
             raise SchemaError("coefficient entry must be [exponent, scalar]")
         a, raw = item
         if a in nums or a in cyc:

@@ -492,6 +492,4 @@ def predict_level(N: int, t: int, s: int, M: int, *, plus_space_matching_eps: bo
         return LevelVerdict("vi", pj, lcm_ns, 2, True)
     if N % 4 == 2 and s % 4 != 0:
         return LevelVerdict("vii", pj, lcm_ns, 2, True)
-    if (M * N * s * t) % 2 == 0:
-        raise AssertionError("case fallthrough with an even parameter")
     return LevelVerdict("viii", pj, lcm_ns, 2, psi_subspace_known)

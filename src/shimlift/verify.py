@@ -129,28 +129,31 @@ def modularity_residual(
     tails = 0.0
     residuals = []
     mats_seen, taus_seen = [], []
-    kap = float(weight)
-    for mat, tau in samples:
-        a, b, c, d = mat
-        if a * d - b * c != 1 or c % L != 0:
-            raise ValueError("sample matrix %r is not in the level-%d group" % (mat, L))
-        gt = (a * tau + b) / (c * tau + d)
-        v1, t1 = eval_qexp(g, tau)
-        v2, t2 = eval_qexp(g, gt)
-        if max(t1, t2) > tail_tol:
-            raise TailBoundError(
-                "tail bound %.3g exceeds %.3g at sample tau = %s" % (max(t1, t2), tail_tol, tau)
-            )
-        aut = cmath.exp(kap * cmath.log(c * tau + d)) if weight else 1.0
-        mult = _multiplier(weight, mat, character)
-        res = abs(v2 - mult * aut * v1) / max(1.0, abs(v1))
-        residuals.append(res)
-        worst = max(worst, res)
-        tails = max(tails, t1, t2)
-        if mat not in mats_seen:
-            mats_seen.append(mat)
-        if tau not in taus_seen:
-            taus_seen.append(tau)
+    try:
+        kap = float(weight)
+        for mat, tau in samples:
+            a, b, c, d = mat
+            if a * d - b * c != 1 or c % L != 0:
+                raise ValueError("sample matrix %r is not in the level-%d group" % (mat, L))
+            gt = (a * tau + b) / (c * tau + d)
+            v1, t1 = eval_qexp(g, tau)
+            v2, t2 = eval_qexp(g, gt)
+            if max(t1, t2) > tail_tol:
+                raise TailBoundError(
+                    "tail bound %.3g exceeds %.3g at sample tau = %s" % (max(t1, t2), tail_tol, tau)
+                )
+            aut = cmath.exp(kap * cmath.log(c * tau + d)) if weight else 1.0
+            mult = _multiplier(weight, mat, character)
+            res = abs(v2 - mult * aut * v1) / max(1.0, abs(v1))
+            residuals.append(res)
+            worst = max(worst, res)
+            tails = max(tails, t1, t2)
+            if mat not in mats_seen:
+                mats_seen.append(mat)
+            if tau not in taus_seen:
+                taus_seen.append(tau)
+    except OverflowError as e:
+        raise ValueError("numeric check leaves the float range: %s" % e) from None
     return ResidualReport(
         tuple(mats_seen), tuple(taus_seen), worst, len(g.exponents()), tails, tuple(residuals)
     )
@@ -177,6 +180,8 @@ def level1_exact_check(f: QExp, weight: int) -> dict:
         raise ValueError("weight must be a nonnegative even integer")
     if f.denom != 1:
         raise ValueError("integer exponents required")
+    if f.cden is None and not all(isinstance(c, Fraction) for c in f.coeffs.values()):
+        raise ValueError("exact decomposition needs rational coefficients")
     first = f.min_support()
     if first is not None and first < 0:
         raise VerificationFailure(
@@ -220,11 +225,12 @@ def level1_exact_check(f: QExp, weight: int) -> dict:
 
 
 def _solve_exact(rows: list[list], dim: int) -> list[Fraction]:
+    # The monomials are a basis of M_weight, and a nonzero form there cannot
+    # vanish at q^0 .. q^(dim-1) (it would be Delta^dim times a form of
+    # weight 2 or below 0), so every column has a pivot.
     m = [[Fraction(x) for x in row] for row in rows]
     for col in range(dim):
-        piv = next((r for r in range(col, dim) if m[r][col] != 0), None)
-        if piv is None:
-            raise AssertionError("Eisenstein monomials went dependent")
+        piv = next(r for r in range(col, dim) if m[r][col] != 0)
         m[col], m[piv] = m[piv], m[col]
         inv = 1 / m[col][col]
         m[col] = [x * inv for x in m[col]]

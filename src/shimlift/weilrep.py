@@ -291,7 +291,7 @@ def m_h_map(module: FqModule, h: int) -> dict:
         head, c, r = g[:-2], g[-2], g[-1]
         img = head + (h * c % N, hinv * r % N)
         if module.q(img) != module.q(g):
-            raise AssertionError("m_h does not preserve Q at %r" % (g,))
+            raise ValueError("m_h does not preserve Q at %r" % (g,))
         out[g] = img
     return out
 

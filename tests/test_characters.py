@@ -274,8 +274,60 @@ def test_character_json_rejects_malformed():
      "invalid character: value table misses units [3, 4] mod 5"),
     ({"modulus": 5, "kind": "explicit", "values": [[1, "1"], [2, "-1"], [3, "-1"], [4, "-1"]]},
      "invalid character: table is not multiplicative: chi(2)chi(2) != chi(4)"),
+    ({"modulus": True, "kind": "trivial"}, "character modulus must be a positive integer"),
+    ({"modulus": 5, "kind": "kronecker", "t": True}, "invalid character: kronecker character needs integer 't'"),
+    ({"modulus": 1, "kind": "kronecker", "t": 1009},
+     "invalid character: function is not defined modulo 1: kronecker(1009, .) vanishes at the unit 1009"),
 ])
 def test_character_json_error_messages(obj, message):
     with pytest.raises(SchemaError) as exc:
         character_from_json(obj)
     assert str(exc.value) == message
+
+
+def _scan_from_kronecker(t, modulus):
+    """The unbounded scan from_kronecker replaced: every class sampled over
+    lcm(modulus, 8|t|)."""
+    return DirichletCharacter.from_function(modulus, lambda d: kronecker(t, d), math.lcm(modulus, 8 * abs(t)))
+
+
+def test_from_kronecker_agrees_with_the_full_period_scan():
+    for modulus in range(1, 41):
+        for t in itertools.chain(range(-200, 0), range(1, 201)):
+            outcomes = []
+            for build in (DirichletCharacter.from_kronecker, _scan_from_kronecker):
+                try:
+                    outcomes.append(build(t, modulus))
+                except ValueError:
+                    outcomes.append(None)
+            assert outcomes[0] == outcomes[1], (t, modulus)
+
+
+def test_from_kronecker_scan_is_bounded_by_the_modulus():
+    # t = 9^8: all primes of t divide 3, so 24 samples decide; a scan over
+    # the period 8 |t| took more than 15 s
+    chi = DirichletCharacter.from_kronecker(9**8, 3)
+    assert chi == DirichletCharacter.trivial(3)
+    # kronecker(1009, d) = 1 for d = 1 .. 8, yet it vanishes at the unit 1009
+    with pytest.raises(ValueError, match=r"^function is not defined modulo 1: .* vanishes at the unit 1009$"):
+        DirichletCharacter.from_kronecker(1009, 1)
+
+
+def test_parity_is_the_sign_at_minus_one():
+    # chi(1) = 1 and multiplicativity give chi(-1)^2 = 1
+    chars = [_chi5_order4(), _chi5_order4() * _chi5_order4()]
+    chars += [chi_t(t) for t in range(1, 30)]
+    chars += [DirichletCharacter.from_kronecker(t, 4 * abs(t)) for t in range(-30, 0)]
+    for chi in chars:
+        assert chi(-1) * chi(-1) == 1
+        assert chi.parity() == chi(-1)
+
+
+def test_values_given_at_mixed_cyclotomic_orders_make_a_character():
+    # chi(3) = zeta_6 generates the units mod 7; chi(2) = chi(3)^2 = zeta_3
+    # is given at order 3, and products at order 6 must still compare equal
+    vals = {pow(3, k, 7): CycScalar.root_of_unity(6, k) for k in range(6)}
+    vals[2] = CycScalar.root_of_unity(3, 1)
+    chi = DirichletCharacter(7, vals)
+    assert chi.parity() == -1
+    assert chi(2) == CycScalar.root_of_unity(6, 2)

@@ -532,27 +532,6 @@ def test_weil_selftest_loads_numpy_and_passes():
     assert json.loads(out)["modules"] == 5
 
 
-_BROKEN_INVARIANTS = """
-from shimlift.scalars import CycScalar
-from shimlift.verify import _solve_exact
-checks = [
-    lambda: CycScalar.root_of_unity(4, 1)._promoted_terms(6),
-    lambda: _solve_exact([[0, 0], [0, 0]], 2),
-]
-for check in checks:
-    try:
-        check()
-        print("passed")
-    except AssertionError:
-        print("raised")
-"""
-
-
-def test_invariant_checks_survive_optimize_flag():
-    proc = _fresh_python(_BROKEN_INVARIANTS, flags=["-O"])
-    assert proc.stdout.split() == ["raised"] * 2, proc.stderr
-
-
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_verify_terms_below_one_is_schema_error(capsys, monkeypatch, value):
     import shimlift.cli as cli

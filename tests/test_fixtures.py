@@ -33,6 +33,7 @@ from shimlift.fixtures import (
     zero_form,
 )
 from shimlift.qseries import QExp, add, invert_unit, mul, rescale, scale
+from shimlift.scalars import bernoulli_number
 
 
 def test_theta_counts_square_representations():
@@ -78,6 +79,12 @@ def test_eisenstein_ring_identities():
     assert mul(e4, e6).agrees_with(eisenstein(10, 80))
     assert mul(e4, eisenstein(10, 80)).agrees_with(eisenstein(14, 80))
     assert mul(e6, eisenstein(8, 80)).agrees_with(eisenstein(14, 80))
+
+
+def test_eisenstein_table_is_minus_2w_over_bernoulli():
+    assert set(fixtures._EISENSTEIN) == {4, 6, 8, 10, 14}
+    for w, c in fixtures._EISENSTEIN.items():
+        assert c == Fraction(-2 * w) / bernoulli_number(w), w
 
 
 def test_eisenstein_rejects_weights_outside_table():

@@ -285,6 +285,24 @@ def test_truncate_and_normalized():
     assert n.denom == 3 and n.support() == [0, 1, 2]
 
 
+def test_lattice_reductions_keep_every_coefficient():
+    # normalized() divides by the gcd of the stored numerators and
+    # decompose_mod4 by a divisor of each piece's residue, so the stored
+    # exponents stay integral and each coefficient keeps its exponent value
+    rng = random.Random(2024)
+    for _ in range(40):
+        f = util.random_qexp(rng, -8, 40, weight=Fraction(5, 2), denom=rng.choice((1, 2, 4, 6, 12)), density=0.3)
+        n = f.normalized()
+        assert f.denom % n.denom == 0
+        assert {Fraction(a, n.denom): v for a, v in n.coeffs.items()} == \
+            {Fraction(a, f.denom): v for a, v in f.coeffs.items()}
+        if f.denom == 1:
+            for j, piece in enumerate(decompose_mod4(f)):
+                assert piece.denom == 4 // math.gcd(j, 4)
+                assert {Fraction(4 * a, piece.denom): v for a, v in piece.coeffs.items()} == \
+                    {Fraction(a): v for a, v in f.coeffs.items() if a % 4 == j}
+
+
 def test_agrees_with_on_overlap_only():
     a = QExp(0, 1, {1: 1, 3: 9}, 0, 4)
     b = QExp(0, 1, {1: 1, 5: 7}, 0, 8)
@@ -309,6 +327,29 @@ def test_json_rejects_malformed():
         qexp_from_json({"weight": "2"})
     with pytest.raises(SchemaError):
         qexp_from_json([])
+
+
+def _series_doc(**changes):
+    doc = {"weight": {"num": 5, "den": 2}, "exponent_denominator": 1, "window": [0, 5],
+           "coefficients": [[1, "1"]], "metadata": {}}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_series_doc(weight={"num": True, "den": 2}), "weight must be {num, den} with integers"),
+    (_series_doc(weight={"num": 5, "den": True}), "weight must be {num, den} with integers"),
+    (_series_doc(exponent_denominator=True), "exponent_denominator must be a positive integer"),
+    (_series_doc(window=[False, 5]), "window must be [lo, hi] with integers lo <= hi"),
+    (_series_doc(window=[0, True]), "window must be [lo, hi] with integers lo <= hi"),
+    (_series_doc(coefficients=[[True, "1"]]), "coefficient entry must be [exponent, scalar]"),
+], ids=["weight-num", "weight-den", "exponent-denominator", "window-lo", "window-hi", "exponent"])
+def test_json_refuses_a_bool_for_an_integer(doc, message):
+    # a JSON true is a Python bool, an int subclass, and must not pass for 1
+    assert qexp_from_json(_series_doc()).coeff(1) == 1
+    with pytest.raises(SchemaError) as exc:
+        qexp_from_json(doc)
+    assert str(exc.value) == message
 
 
 def test_construction_canonicalises_non_fraction_coefficients():

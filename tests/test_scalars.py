@@ -3,6 +3,7 @@ values, cyclotomic arithmetic, JSON codecs."""
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from shimlift.characters import DirichletCharacter
 from shimlift.errors import SchemaError
 from shimlift.scalars import (
     CycScalar,
+    _cyclotomic,
     _partial_zeta_sum,
     as_exact,
     bernoulli_number,
@@ -225,6 +227,37 @@ def test_cyc_cross_order_promotion():
     assert exact_eq(exact_mul(z8, CycScalar.root_of_unity(8, 7)), Fraction(1))
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_one():
+    # x^m - 1 is the product of Phi_d over d | m, so every division in
+    # _cyclotomic is exact
+    for m in range(1, 300):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = _poly_mul(prod, list(_cyclotomic(d)))
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+
+
+def test_cyc_arithmetic_across_orders_matches_the_complex_values():
+    # operands of orders a and b are promoted to lcm(a, b)
+    for a, b in itertools.product((1, 2, 3, 4, 6, 8, 12), repeat=2):
+        for i, j in ((1, 1), (a - 1, 1), (1, b - 1)):
+            x = exact_add(CycScalar.root_of_unity(a, i), Fraction(1, 3))
+            y = CycScalar.root_of_unity(b, j)
+            zx, zy = cmath.exp(2j * cmath.pi * i / a) + 1 / 3, cmath.exp(2j * cmath.pi * j / b)
+            assert abs(complex(x + y) - (zx + zy)) < 1e-12
+            assert abs(complex(x * y) - zx * zy) < 1e-12
+            assert x == x + y - y
+
+
 def test_cyc_vanishing_sum_collapses_to_rational_zero():
     z3 = CycScalar.root_of_unity(3, 1)
     total = exact_add(exact_add(z3, exact_mul(z3, z3)), Fraction(1))
@@ -390,6 +423,16 @@ def test_scalar_json_rejects_malformed_payloads():
         scalar_from_json({"order": 4})
     with pytest.raises(SchemaError):
         scalar_from_json([1, 2])
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"order": True, "terms": [[1, "1"]]}, "cyclotomic scalar needs integer 'order' and list 'terms'"),
+    ({"order": 4, "terms": [[True, "1"]]}, "cyclotomic term must be [exponent, rational]"),
+], ids=["order", "term-exponent"])
+def test_scalar_json_refuses_a_bool_for_an_integer(obj, message):
+    with pytest.raises(SchemaError) as exc:
+        scalar_from_json(obj)
+    assert str(exc.value) == message
 
 
 def _reference_rational_from_str(s) -> Fraction:

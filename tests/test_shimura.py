@@ -672,3 +672,16 @@ def test_predict_level_json_shape():
 def test_predict_level_rejects_nonpositive():
     with pytest.raises(SchemaError):
         predict_level(0, 1, 1, 1, plus_space_matching_eps=False)
+
+
+def test_predict_level_case_viii_is_the_all_odd_remainder():
+    # cases ii-vii each need an even parameter and cover every even
+    # combination once case i fails, so the fall-through is all-odd
+    for N in range(1, 33):
+        for t in range(1, 33):
+            for s in range(1, 9):
+                for M in range(1, 9):
+                    odd = (M * N * s * t) % 2 == 1
+                    for plus in (False, True):
+                        v = predict_level(N, t, s, M, plus_space_matching_eps=plus)
+                        assert (v.case_tag == "viii") == (odd and not plus), (N, t, s, M, plus)

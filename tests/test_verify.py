@@ -9,9 +9,11 @@ from fractions import Fraction
 import pytest
 
 import util
+from shimlift.arith import power
 from shimlift.errors import PrecisionError, TailBoundError, VerificationFailure
 from shimlift.fixtures import cohen_eisenstein, delta, eisenstein, fixture, theta
 from shimlift.qseries import QExp, add, mul, scale
+from shimlift.scalars import CycScalar
 from shimlift.verify import (
     eval_qexp,
     level1_exact_check,
@@ -188,3 +190,25 @@ def test_level1_exact_rejects_weakly_holomorphic():
     lifted = QExp(4, 1, dict(hj.coeffs), hj.lo, hj.hi)
     with pytest.raises(VerificationFailure):
         level1_exact_check(lifted, 4)
+
+
+def test_level1_exact_recovers_every_monomial_up_to_weight_120():
+    # the monomials E4^a E6^b of weight w are a basis of M_w, and the first
+    # dim(M_w) coefficients determine a form there, so the solve always
+    # finds its pivots
+    for w in range(0, 121, 2):
+        for a in range(w // 4 + 1):
+            b, rest = divmod(w - 4 * a, 6)
+            if rest:
+                continue
+            hi = w // 12 + 2
+            f = mul(power(eisenstein(4, hi), a, mul, QExp(0, 1, {0: 1}, 0, hi)),
+                    power(eisenstein(6, hi), b, mul, QExp(0, 1, {0: 1}, 0, hi)))
+            assert level1_exact_check(f, w) == {(a, b): 1}, (w, a, b)
+
+
+def test_level1_exact_refuses_cyclotomic_coefficients():
+    f = QExp(4, 1, {0: 1, 1: CycScalar.root_of_unity(3, 1)}, 0, 5)
+    with pytest.raises(ValueError, match="rational coefficients"):
+        level1_exact_check(f, 4)
+

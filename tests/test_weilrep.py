@@ -202,6 +202,14 @@ def test_m_h_rejects_non_units_and_wrong_shape():
         m_h_map(FqModule.d1(), 1)
 
 
+def test_m_h_refuses_a_plane_whose_form_it_does_not_preserve():
+    # (c, r) -> (2c, r/2) preserves c r / N, not (c^2 + r^2) / 5
+    plane = FqModule((5, 5), {(c, r): Fraction(c * c + r * r, 5) % 1 for c in range(5) for r in range(5)}, 0)
+    for build in (m_h_map, m_h):
+        with pytest.raises(ValueError, match=r"^m_h does not preserve Q at \(0, 1\)$"):
+            build(plane, 2)
+
+
 def test_m_h_composes_multiplicatively():
     m = FqModule.d1_n(7)
     m2 = m_h(m, 2)
