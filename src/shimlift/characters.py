@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .arith import units
-from .errors import HypothesisError, SchemaError
+from .errors import HypothesisError, SchemaError, check_budget
 from .scalars import Scalar, as_exact, kronecker, scalar_from_json, scalar_to_json
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "eta_char",
     "kronecker_is_character",
     "omega_chi",
-    "valid_eta",
     "character_to_json",
     "character_from_json",
 ]
@@ -176,13 +175,7 @@ def omega_chi(chi: DirichletCharacter) -> DirichletCharacter:
     Always an even character; it encodes how chi interacts with the theta
     multiplier when a level-N character rides on a half-integral form.
     """
-    xi = chi.parity()
-    n4 = 4 * chi.modulus
-
-    def fn(d: int):
-        return kronecker(4 * xi, d) * chi(d)
-
-    return DirichletCharacter.from_function(n4, fn, math.lcm(n4, 16))
+    return chi * DirichletCharacter.from_kronecker(4 * chi.parity(), 4 * chi.modulus)
 
 
 def chi_t(t: int) -> DirichletCharacter:
@@ -200,53 +193,49 @@ def kronecker_is_character(N: int, T: int, eps: int) -> bool:
 
     The symbol is periodic mod |eps T| when eps T = 0 or 1 mod 4, and only
     mod 4 |eps T| otherwise, a period N * T contains exactly when 4 | N.
-    The lift's constant-term modulus, its index and sign gates, and the
-    obstructions of eta_char all read this test.
+    The lift's constant-term modulus and the obstruction its gate shares
+    with eta_char (`_require_eta`) read this test.
     """
     return (eps * T) % 4 in (0, 1) or N % 4 == 0
 
 
-def valid_eta(N: int, t: int) -> bool:
-    """Whether rescaling by t admits a consistent sign at level N: some
-    eps = +1 or -1 makes kronecker(eps * t, .) a character mod N * t.
-
-    False exactly for t = 2 mod 4 with 4 not dividing N: kronecker(2, .)
-    has conductor 8, which the available modulus N * t cannot absorb.
-    """
-    return kronecker_is_character(N, t, 1) or kronecker_is_character(N, t, -1)
+def _require_eta(N: int, t: int, eps: int) -> None:
+    """HypothesisError unless kronecker(eps * t, .) is a character mod N t:
+    the obstruction of the index-t lift at level N, shared by its gate and
+    by eta_char."""
+    if kronecker_is_character(N, t, eps):
+        return
+    if t % 2 == 1:
+        raise HypothesisError(
+            "sign-vs-index",
+            "odd index t = %d works with eps = %d at level %d; eps = %d needs 4 | N"
+            % (t, kronecker(-1, t), N, eps),
+        )
+    # t = 2 mod 4 here; rescaling by it carries a conductor-8 character that
+    # the level cannot absorb without 4 | N
+    raise HypothesisError(
+        "eta-conductor-8",
+        "even index t = %d at level %d: the attached quadratic character has "
+        "conductor divisible by 8 and is not defined mod %d" % (t, N, N * t),
+        case="vi",
+    )
 
 
 def eta_char(chi: DirichletCharacter, t: int, eps: int) -> DirichletCharacter:
     """The twisted character d -> chi(d) * kronecker(eps*t, d) modulo N*t.
 
-    Raises HypothesisError when that function is not defined modulo N*t:
-    t = 2 mod 4 with 4 not dividing N (conductor 8), or odd t whose sign
-    does not match eps (conductor 4*t), again without 4 | N to absorb it.
+    Raises the index-t lift's own HypothesisError (`_require_eta`) when that
+    function is not defined modulo N*t: odd t whose sign does not match eps
+    (conductor 4*t), or t = 2 mod 4 (conductor 8), either without 4 | N to
+    absorb it.
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     if t < 1:
         raise ValueError("t must be positive")
     N = chi.modulus
-    nt = N * t
-    if not kronecker_is_character(N, t, eps):
-        if t % 2 == 0:
-            raise HypothesisError(
-                "eta-conductor-8",
-                "d -> kronecker(%d, d) has conductor divisible by 8, not defined mod %d "
-                "(t = 2 mod 4 needs 4 | N)" % (eps * t, nt),
-                case="vi",
-            )
-        raise HypothesisError(
-            "eta-sign-mismatch",
-            "odd t = %d pairs with the sign %d only; with eps = %d the symbol has "
-            "conductor 4t and needs 4 | N" % (t, kronecker(-1, t), eps),
-        )
-
-    def fn(d: int):
-        return kronecker(eps * t, d) * chi(d)
-
-    return DirichletCharacter.from_function(nt, fn, math.lcm(nt, 8 * t))
+    _require_eta(N, t, eps)
+    return chi * DirichletCharacter.from_kronecker(eps * t, N * t)
 
 
 def character_to_json(chi: DirichletCharacter) -> dict:
@@ -262,6 +251,7 @@ def character_from_json(obj) -> DirichletCharacter:
     kind = obj["kind"]
     if type(modulus) is not int or modulus < 1:
         raise SchemaError("character modulus must be a positive integer")
+    check_budget(modulus, "the character modulus")
     if kind not in ("trivial", "kronecker", "explicit"):
         raise SchemaError("unknown character kind %r" % kind)
     try:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
-from fractions import Fraction
 
 from .characters import DirichletCharacter, character_from_json
 from .errors import (
@@ -24,11 +24,12 @@ from .errors import (
     SchemaError,
     TailBoundError,
     VerificationFailure,
+    check_budget,
 )
 from .fixtures import fixture, fixture_defaults, fixture_names
 from .plusspace import epsilon_for, project_plus, project_two
 from .qseries import QExp, qexp_from_json, qexp_to_json
-from .scalars import scalar_to_json
+from .scalars import rational_from_str, scalar_to_json
 from .shimura import (
     CharacterOrbit,
     _check_args,
@@ -66,9 +67,13 @@ def _read_json_source(path: str):
 
 
 def _load_series(args, needed_hi: int | None = None) -> QExp:
+    """The --input or --fixture series; a fixture is built to needed_hi,
+    which the caller has checked against the budget, or to --prec."""
     if getattr(args, "fixture", None):
-        prec = needed_hi if needed_hi is not None else args.prec
-        return fixture(args.fixture, prec)
+        if needed_hi is None:
+            needed_hi = args.prec
+            check_budget(needed_hi, "the --fixture window --prec")
+        return fixture(args.fixture, needed_hi)
     if getattr(args, "input", None):
         doc = _read_json_source(args.input)
         if isinstance(doc, dict):
@@ -100,6 +105,7 @@ def _parse_character(spec: str | None, modulus: int):
             t = int(text)
         except ValueError:
             raise SchemaError("--character kronecker:t needs an integer t, got %r" % text) from None
+        check_budget(modulus, "the modulus of --character kronecker:t")
         try:
             return DirichletCharacter.from_kronecker(t, modulus)
         except ValueError as exc:
@@ -138,6 +144,12 @@ def _cmd_lift(args) -> int:
     N = _resolve(args, "N", 1)
     _check_at_least(1, ("--t", args.t), ("--s", args.s), ("--M", args.M), ("--N", N))
     level = args.M * N
+    T = args.t * args.s * args.s
+    needed_hi = T * args.prec * args.prec + 1
+    # before the character scans the level and before any series is built
+    check_budget(4 * level * T, "the constant-term modulus 4 M N t s^2 of --M, --N, --t and --s")
+    if args.fixture:
+        check_budget(needed_hi, "the --fixture window t s^2 prec^2 + 1 of --t, --s and --prec")
     chi = _parse_character(args.character, level)
     orbit = CharacterOrbit(chi) if chi is not None else None
     k = _resolve(args, "k")
@@ -146,8 +158,7 @@ def _cmd_lift(args) -> int:
     eps = _resolve(args, "eps", 1)
     # the lift's own argument check, before any series is built or read
     _check_args(level, k, args.prec, eps, args.t, args.s)
-    T = args.t * args.s * args.s
-    f = _load_series(args, needed_hi=T * args.prec * args.prec + 1)
+    f = _load_series(args, needed_hi)
     if args.extended or args.s > 1:
         out = shimura_general(f, level, k, args.t, args.s, eps, args.prec, orbit)
     else:
@@ -180,6 +191,9 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_level_predict(args) -> int:
+    # trial division tries about sqrt(n) / 2 divisors of n
+    check_budget(math.isqrt(max(args.t, 0)) // 2, "the trial division of --t")
+    check_budget(math.isqrt(max(args.M, 0)) // 2, "the trial division of --M")
     verdict = predict_level(
         args.N, args.t, args.s, args.M,
         plus_space_matching_eps=args.plus,
@@ -201,8 +215,8 @@ def _cmd_verify(args) -> int:
     _check_at_least(0, ("--prec", args.prec))
     _check_at_least(1, ("--level", args.level), ("--terms", args.terms))
     try:
-        weight = Fraction(args.weight)
-    except (ValueError, ZeroDivisionError):
+        weight = rational_from_str(args.weight)
+    except SchemaError:
         raise SchemaError("--weight must be a rational like 4 or 5/2, got %r" % args.weight) from None
     f = _load_series(args)
     if args.mode == "exact":
@@ -263,6 +277,7 @@ def _cmd_fixtures(args) -> int:
         return 0
     if not args.name:
         raise SchemaError("need --name, --list, or --reemit")
+    check_budget(args.prec, "the fixture window --prec")
     f = fixture(args.name, args.prec)
     if args.json:
         print(_dump(qexp_to_json(f)))

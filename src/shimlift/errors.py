@@ -3,10 +3,14 @@
 The CLI maps these onto exit codes: HypothesisError and SchemaError mean the
 request itself is invalid (exit 2), PrecisionError means the inputs are fine
 but too short (exit 3), VerificationFailure means a check ran and failed
-(exit 1).
+(exit 1).  `REQUEST_BUDGET` bounds what one request may cost.
 """
 
 from __future__ import annotations
+
+# The most series terms, character residues or trial divisions one request
+# may ask for; `check_budget` refuses a larger one before any work starts.
+REQUEST_BUDGET = 4_000_000
 
 
 class HypothesisError(ValueError):
@@ -38,6 +42,14 @@ class PrecisionError(ValueError):
 
 class SchemaError(ValueError):
     """Malformed serialized input (JSON shape, not mathematics)."""
+
+
+def check_budget(size: int, what: str) -> None:
+    """SchemaError when `size`, the cost `what` names, exceeds REQUEST_BUDGET.
+    The size itself is not printed: it may have more digits than Python
+    converts to text."""
+    if size > REQUEST_BUDGET:
+        raise SchemaError("%s exceeds the request budget of %d" % (what, REQUEST_BUDGET))
 
 
 class VerificationFailure(ValueError):

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import prime_factors, split_square, units
-from .characters import DirichletCharacter, kronecker_is_character
+from .characters import DirichletCharacter, _require_eta, kronecker_is_character
 from .errors import HypothesisError, PrecisionError, SchemaError
 from .plusspace import is_plus_space
 from .qseries import QExp, add, rescale, scale
@@ -282,21 +282,7 @@ def shimura_S1(f: QExp, N: int, k: int, prec: int, orbit: DiamondOrbit | None = 
 
 
 def _gate_squarefree(f: QExp, N: int, t: int, eps: int) -> None:
-    if not kronecker_is_character(N, t, eps):
-        if t % 2 == 1:
-            raise HypothesisError(
-                "sign-vs-index",
-                "odd index t = %d works with eps = %d at level %d; eps = %d needs 4 | N"
-                % (t, kronecker(-1, t), N, eps),
-            )
-        # square-free even t is 2 mod 4; rescaling by it carries a conductor-8
-        # character that the level cannot absorb without 4 | N
-        raise HypothesisError(
-            "eta-conductor-8",
-            "even index t = %d at level %d: the attached quadratic character has "
-            "conductor divisible by 8 and is not defined mod %d" % (t, N, N * t),
-            case="vi",
-        )
+    _require_eta(N, t, eps)
     if N % 4 != 0 and not is_plus_space(f, eps):
         raise HypothesisError(
             "not-plus-space",

@@ -21,7 +21,7 @@ from .arith import power
 from .characters import DirichletCharacter
 from .errors import PrecisionError, TailBoundError, VerificationFailure
 from .fixtures import eisenstein
-from .qseries import QExp, mul
+from .qseries import QExp, add, mul, scale
 from .weilrep import psi_char
 
 __all__ = [
@@ -188,8 +188,9 @@ def level1_exact_check(f: QExp, weight: int) -> dict:
             "negative exponent present; not in the holomorphic level-one space",
             first_mismatch=(first, Fraction(0), f.coeff(first)),
         )
-    mons = _monomials(weight)
-    dim = len(mons)
+    # dim M_weight, ahead of the monomials so a short window is refused
+    # before any work that grows with the weight
+    dim = weight // 12 + (weight % 12 != 2)
     if f.hi < dim + 1:
         raise PrecisionError(
             "decomposition at weight %d needs %d coefficients; window ends at %d"
@@ -197,29 +198,36 @@ def level1_exact_check(f: QExp, weight: int) -> dict:
             required_lo=min(f.lo, 0),
             required_hi=dim + 1,
         )
+    mons = _monomials(weight)
     hi = f.hi
-    one = QExp(Fraction(0), 1, {0: 1}, 0, hi)
     basis = []
-    for a_pow, b_pow in mons:
-        g = power(eisenstein(4, hi), a_pow, mul, one)
-        h = power(eisenstein(6, hi), b_pow, mul, one)
-        basis.append(mul(g, h).truncate(hi))
+    if mons:
+        # along the sorted monomials a rises by 3 and b falls by 2, so each
+        # power of E4 (of E6) is the one before it times E4^3 (times E6^2)
+        one = QExp(Fraction(0), 1, {0: 1}, 0, hi)
+        e4, e6 = eisenstein(4, hi), eisenstein(6, hi)
+        e4_pows = [power(e4, mons[0][0], mul, one)]
+        e6_pows = [power(e6, mons[-1][1], mul, one)]
+        if dim > 1:
+            e4_cubed, e6_squared = power(e4, 3, mul), mul(e6, e6)
+            for _ in mons[1:]:
+                e4_pows.append(mul(e4_pows[-1], e4_cubed))
+                e6_pows.append(mul(e6_pows[-1], e6_squared))
+        basis = [mul(g, h) for g, h in zip(e4_pows, reversed(e6_pows))]
     # solve sum x_j basis_j = f on rows 0..dim-1
     rows = [[basis[j].coeff(n) for j in range(dim)] + [f.coeff(n)] for n in range(dim)]
     sol = _solve_exact(rows, dim)
-    combo: dict[int, Fraction] = {}
-    for j, x in enumerate(sol):
-        if x == 0:
-            continue
-        for n, cval in basis[j].coeffs.items():
-            combo[n] = combo.get(n, Fraction(0)) + x * cval
-    for n in range(max(f.lo, 0), hi):
-        want = f.coeff(n)
-        got = combo.get(n, Fraction(0))
-        if want != got:
+    combo = QExp(weight, 1, {}, 0, hi)
+    for x, g in zip(sol, basis):
+        if x:
+            combo = add(combo, scale(g, x))
+    # off both supports the two sides agree at 0
+    lo = max(f.lo, 0)
+    for n in sorted(set(f.exponents()) | set(combo.exponents())):
+        if n >= lo and f.coeff(n) != combo.coeff(n):
             raise VerificationFailure(
                 "decomposition mismatch at q^%d" % n,
-                first_mismatch=(n, got, want),
+                first_mismatch=(n, combo.coeff(n), f.coeff(n)),
             )
     return {mons[j]: sol[j] for j in range(dim) if sol[j] != 0}
 

@@ -25,8 +25,6 @@ from .scalars import eps_d, kronecker
 __all__ = [
     "FqModule",
     "VVQExp",
-    "m_h",
-    "m_h_map",
     "psi_char",
     "random_gamma04",
     "rho1_gamma04",
@@ -76,9 +74,6 @@ class FqModule:
 
     def elements(self) -> Iterable[tuple]:
         return itertools.product(*[range(o) for o in self.orders])
-
-    def index(self, gamma: tuple) -> int:
-        return self._index[self.reduce(gamma)]
 
     def reduce(self, gamma: Sequence[int]) -> tuple:
         return tuple(x % o for x, o in zip(gamma, self.orders))
@@ -275,37 +270,6 @@ def rho1_gamma04(a: int, b: int, c: int, d: int, branch: int = 1, dual: bool = F
 
     mat = psi_char(a, b, c, d, branch) * np.diag([1.0 + 0j, 1j ** ((b * d) % 4)])
     return mat.conj() if dual else mat
-
-
-def m_h_map(module: FqModule, h: int) -> dict:
-    """The automorphism on a module ending in a rescaled plane (orders N, N):
-    (c, r) -> (h c, h^(-1) r), fixing any leading components."""
-    if len(module.orders) < 2 or module.orders[-1] != module.orders[-2]:
-        raise ValueError("module has no trailing rescaled plane")
-    N = module.orders[-1]
-    if math.gcd(h, N) != 1:
-        raise ValueError("h = %d is not a unit mod %d" % (h, N))
-    hinv = pow(h, -1, N)
-    out = {}
-    for g in module.elements():
-        head, c, r = g[:-2], g[-2], g[-1]
-        img = head + (h * c % N, hinv * r % N)
-        if module.q(img) != module.q(g):
-            raise ValueError("m_h does not preserve Q at %r" % (g,))
-        out[g] = img
-    return out
-
-
-def m_h(module: FqModule, h: int) -> np.ndarray:
-    """Permutation matrix of m_h_map, acting on coefficient vectors."""
-    import numpy as np
-
-    mapping = m_h_map(module, h)
-    n = module.size
-    mat = np.zeros((n, n), dtype=complex)
-    for g, img in mapping.items():
-        mat[module.index(img), module.index(g)] = 1.0
-    return mat
 
 
 class VVQExp:

@@ -59,7 +59,7 @@ SIGNATURES = {
     "DirichletCharacter.is_trivial": "", "ExplicitOrbit": "modulus table",
     "ExplicitOrbit.twist": "f m",
     "FqModule": "orders q_values signature_mod_8", "FqModule.elements": "",
-    "FqModule.index": "gamma", "FqModule.reduce": "gamma", "FqModule.add": "a b",
+    "FqModule.reduce": "gamma", "FqModule.add": "a b",
     "FqModule.neg": "a", "FqModule.q": "gamma", "FqModule.bilinear": "a b",
     "FqModule.direct_sum": "other", "FqModule.d1": "", "FqModule.d1_minus": "",
     "FqModule.d_b": "N", "FqModule.d1_n": "N", "HypothesisError": "obstruction detail case",

@@ -16,11 +16,10 @@ from shimlift.characters import (
     eta_char,
     kronecker_is_character,
     omega_chi,
-    valid_eta,
 )
-from shimlift.errors import HypothesisError, SchemaError
+from shimlift.errors import REQUEST_BUDGET, HypothesisError, SchemaError
 from shimlift.scalars import CycScalar, kronecker
-from util import exact_eq
+from util import eta_char_scan, exact_eq, omega_chi_scan
 
 
 def _chi5_order4() -> DirichletCharacter:
@@ -166,18 +165,23 @@ def test_chi_t_even_for_every_t():
 
 
 def test_valid_eta_classification():
-    assert valid_eta(4, 2)
-    assert valid_eta(8, 6)
-    assert valid_eta(1, 3)
-    assert valid_eta(3, 4)
-    assert not valid_eta(1, 2)
-    assert not valid_eta(2, 6)
-    assert not valid_eta(6, 2)
+    # the classification valid_eta gave, read from kronecker_is_character:
+    # some sign admits eta unless t = 2 mod 4 and 4 does not divide N
+    def some_sign(N, t):
+        return any(kronecker_is_character(N, t, eps) for eps in (1, -1))
+
+    assert some_sign(4, 2)
+    assert some_sign(8, 6)
+    assert some_sign(1, 3)
+    assert some_sign(3, 4)
+    assert not some_sign(1, 2)
+    assert not some_sign(2, 6)
+    assert not some_sign(6, 2)
 
 
 def test_kronecker_is_character_decides_the_eta_scan():
     # the predicate holds exactly where the class-constancy scan over
-    # residues mod N t succeeds, and valid_eta is the predicate at some sign
+    # residues mod N t succeeds
     for N in range(1, 13):
         for t in range(1, 31):
             for eps in (1, -1):
@@ -190,7 +194,6 @@ def test_kronecker_is_character_decides_the_eta_scan():
                     DirichletCharacter.from_function(
                         N * t, lambda d: kronecker(eps * t, d), math.lcm(N * t, 8 * t)
                     )
-            assert valid_eta(N, t) == any(kronecker_is_character(N, t, e) for e in (1, -1))
 
 
 def test_eta_char_odd_t_matching_sign():
@@ -202,8 +205,9 @@ def test_eta_char_odd_t_matching_sign():
 
 def test_eta_char_sign_mismatch_needs_4_in_level():
     chi1 = DirichletCharacter.trivial(1)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError) as exc:
         eta_char(chi1, 3, 1)  # kronecker(3, .) has conductor 12, not 3
+    assert exc.value.obstruction == "sign-vs-index"
     chi4 = DirichletCharacter.trivial(4)
     eta = eta_char(chi4, 3, 1)
     assert eta.modulus == 12
@@ -215,12 +219,29 @@ def test_eta_char_t_two_mod_four_obstruction():
     chi = DirichletCharacter.trivial(2)
     with pytest.raises(HypothesisError) as exc:
         eta_char(chi, 2, 1)
-    assert exc.value.obstruction
+    assert (exc.value.obstruction, exc.value.case) == ("eta-conductor-8", "vi")
     # 4 | N absorbs the conductor
     eta = eta_char(DirichletCharacter.trivial(4), 2, 1)
     assert eta.modulus == 8
     for d in (1, 3, 5, 7):
         assert exact_eq(eta(d), Fraction(kronecker(2, d)))
+
+
+_CHARACTERS = [DirichletCharacter.trivial(n) for n in range(1, 13)] + [
+    DirichletCharacter.from_kronecker(t, m)
+    for t, m in ((-4, 4), (-3, 3), (5, 5), (8, 8), (-8, 8), (12, 12), (-7, 7), (13, 13), (-3, 6))
+] + [_chi5_order4()]
+
+
+def test_eta_char_and_omega_chi_equal_the_scan_definitions():
+    # the products of chi with a Kronecker character, against one scan of
+    # d -> kronecker(., d) chi(d) over the residues of the period
+    for chi in _CHARACTERS:
+        assert omega_chi(chi) == omega_chi_scan(chi)
+        for t in range(1, 31):
+            for eps in (1, -1):
+                if kronecker_is_character(chi.modulus, t, eps):
+                    assert eta_char(chi, t, eps) == eta_char_scan(chi, t, eps), (chi, t, eps)
 
 
 def test_eta_char_four_divides_t():
@@ -230,6 +251,17 @@ def test_eta_char_four_divides_t():
 
 
 # -- JSON ----------------------------------------------------------------
+
+
+def test_character_json_modulus_above_the_budget_is_refused(monkeypatch):
+    import shimlift.characters as characters
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("units enumerated before the modulus was checked")
+
+    monkeypatch.setattr(characters, "units", no_scan)
+    with pytest.raises(SchemaError, match="^the character modulus exceeds the request budget of 4000000$"):
+        character_from_json({"modulus": REQUEST_BUDGET + 1, "kind": "trivial"})
 
 
 def test_character_json_writes_the_value_table():

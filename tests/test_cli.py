@@ -469,6 +469,59 @@ def test_out_of_range_flags_are_schema_errors(capsys, monkeypatch, argv, flag, b
     assert payload["message"].startswith(flag + " ")
 
 
+_MODULUS_FLAGS = "--M, --N, --t and --s"
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["lift", "--fixture", "cohen52", "--t", "9" * 29, "--prec", "3"], _MODULUS_FLAGS),
+        (["lift", "--fixture", "cohen52", "--t", "100000001", "--prec", "0"], _MODULUS_FLAGS),
+        (["lift", "--input", "-", "--k", "2", "--t", "100000001", "--prec", "0"], _MODULUS_FLAGS),
+        (["lift", "--fixture", "cohen52", "--N", "5", "--t", "1000", "--prec", "1000",
+          "--character", "kronecker:5"], "--t, --s and --prec"),
+        (["level-predict", "--N", "1", "--t", str(10**60 + 1)], "--t"),
+        (["level-predict", "--N", "1", "--M", str(10**60)], "--M"),
+        (["verify", "--fixture", "theta", "--prec", str(10**10), "--weight", "1/2", "--level", "4"], "--prec"),
+        (["fixtures", "--name", "cohen52", "--prec", str(10**10)], "--prec"),
+    ],
+    ids=["huge-t", "modulus", "modulus-input", "window", "trial-t", "trial-M", "verify-window",
+         "fixtures-window"],
+)
+def test_requests_over_the_budget_are_refused_before_any_work(capsys, monkeypatch, argv, flags):
+    import shimlift.cli as cli
+    from shimlift.characters import DirichletCharacter
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the request budget was checked")
+
+    for name in ("fixture", "qexp_from_json", "predict_level", "character_from_json"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(DirichletCharacter, "from_kronecker", no_work)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "SchemaError"
+    assert flags in payload["message"]
+    assert payload["message"].endswith(" exceeds the request budget of 4000000")
+
+
+def test_kronecker_character_modulus_over_the_budget_is_refused_before_the_scan(capsys, monkeypatch):
+    from shimlift.characters import DirichletCharacter
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("character scanned before the request budget was checked")
+
+    monkeypatch.setattr(DirichletCharacter, "from_kronecker", no_scan)
+    code, payload, _ = run_json(capsys, "verify", "--fixture", "theta", "--prec", "50", "--weight", "1/2",
+                                "--level", str(10**10), "--character", "kronecker:5", "--json")
+    assert code == 2
+    assert payload == {"error": "SchemaError",
+                       "message": "the modulus of --character kronecker:t exceeds the request budget of 4000000"}
+
+
 def test_zero_prec_fixture_is_empty_window(capsys):
     code, payload, _ = run_json(capsys, "fixtures", "--name", "cohen72", "--prec", "0", "--json")
     assert code == 0

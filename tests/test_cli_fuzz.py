@@ -205,7 +205,7 @@ def test_exact_verify_refuses_cyclotomic_coefficients(tmp_path):
     assert payload == {"error": "ValueError", "message": "exact decomposition needs rational coefficients"}
 
 
-@pytest.mark.parametrize("weight", ["1/0", "x", ""])
+@pytest.mark.parametrize("weight", ["1/0", "x", "", "1e1000000000", "0.5", "5/2.0"])
 def test_verify_weight_is_parsed_before_the_series_is_built(tmp_path, monkeypatch, weight):
     import shimlift.cli as cli
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import util
 from shimlift.arith import power
-from shimlift.characters import DirichletCharacter
+from shimlift.characters import DirichletCharacter, eta_char
 from shimlift.errors import HypothesisError, PrecisionError, SchemaError
 from shimlift.fixtures import cohen_eisenstein, eisenstein, fixture, theta
 from shimlift.plusspace import is_plus_space
@@ -123,6 +123,27 @@ def test_odd_index_sign_mismatch_gate():
     # matching sign at index 5: kronecker(-1, 5) = +1
     out = shimura_St(h, N=1, k=2, t=5, eps=1, prec=5)
     assert out.coeff(0) == Fraction(-1, 600)
+
+
+def _refusal(call):
+    """(obstruction, text, case) of the HypothesisError call raises, or None."""
+    try:
+        call()
+    except HypothesisError as e:
+        return e.obstruction, str(e), e.case
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.integers(1, 12), t=st.sampled_from([t for t in range(1, 31) if split_square(t)[1] == 1]),
+       eps=st.sampled_from([1, -1]))
+def test_gate_and_eta_char_share_one_obstruction(N, t, eps):
+    # a constant is in both plus spaces, so only the index and sign gate can
+    # refuse the lift
+    f = QExp(Fraction(5, 2), 1, {0: 1}, 0, t + 1)
+    lift = _refusal(lambda: shimura_St(f, N, 2, t, eps, 1))
+    eta = _refusal(lambda: eta_char(DirichletCharacter.trivial(N), t, eps))
+    assert lift == eta
 
 
 def test_non_plus_input_gate_at_odd_level():

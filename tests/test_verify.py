@@ -2,6 +2,7 @@
 level-one decomposition check."""
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import util
+from shimlift import verify
 from shimlift.arith import power
 from shimlift.errors import PrecisionError, TailBoundError, VerificationFailure
 from shimlift.fixtures import cohen_eisenstein, delta, eisenstein, fixture, theta
@@ -205,6 +207,36 @@ def test_level1_exact_recovers_every_monomial_up_to_weight_120():
             f = mul(power(eisenstein(4, hi), a, mul, QExp(0, 1, {0: 1}, 0, hi)),
                     power(eisenstein(6, hi), b, mul, QExp(0, 1, {0: 1}, 0, hi)))
             assert level1_exact_check(f, w) == {(a, b): 1}, (w, a, b)
+
+
+def test_level1_exact_builds_each_monomial_from_its_predecessor(monkeypatch):
+    # weight 1000 has 84 monomials; one power table each for E4 and E6 costs
+    # about three products per monomial, where one power chain per monomial
+    # cost 1633.  E4 is not of weight 1000, so the check fails where the
+    # solved rows end, with the same combination as before
+    calls = []
+
+    def counting_mul(f, g):
+        calls.append(None)
+        return mul(f, g)
+
+    monkeypatch.setattr(verify, "mul", counting_mul)
+    e4 = eisenstein(4, 200)
+    with pytest.raises(VerificationFailure) as exc:
+        level1_exact_check(e4, 1000)
+    n, got, want = exc.value.first_mismatch
+    assert (n, want) == (84, e4.coeff(84))
+    assert hashlib.sha256(str(got).encode()).hexdigest() == (
+        "fc504bfda87e69f4a20325526cc1bd5d2ca83419cd9f228909c98f4ce7bc7fbe")
+    assert len(calls) <= 3 * 84 + 20
+
+
+def test_level1_exact_refuses_a_short_window_before_the_monomials():
+    # dim M_w = w // 12 + 1 here, taken from the closed formula: listing the
+    # monomials of this weight would not end
+    with pytest.raises(PrecisionError) as exc:
+        level1_exact_check(eisenstein(4, 40), 12 * 10**30)
+    assert exc.value.required_window == (0, 10**30 + 2)
 
 
 def test_level1_exact_refuses_cyclotomic_coefficients():

@@ -16,8 +16,6 @@ from shimlift.qseries import QExp
 from shimlift.weilrep import (
     FqModule,
     VVQExp,
-    m_h,
-    m_h_map,
     psi_char,
     random_gamma04,
     rho1_gamma04,
@@ -182,40 +180,6 @@ def test_dual_module_takes_conjugate_closed_form():
         assert got == mat
         closed = rho1_gamma04(*mat, branch=branch, dual=True)
         assert np.abs(rho - closed).max() < 1e-10, mat
-
-
-def test_m_h_is_a_q_preserving_permutation():
-    m = FqModule.d1_n(5)
-    for h in (1, 2, 3, 4):
-        mapping = m_h_map(m, h)
-        assert sorted(mapping.values()) == sorted(m.elements())
-        for g, img in mapping.items():
-            assert m.q(g) == m.q(img)
-        mat = m_h(m, h)
-        assert np.abs(mat @ mat.conj().T - np.eye(m.size)).max() == 0
-
-
-def test_m_h_rejects_non_units_and_wrong_shape():
-    with pytest.raises(ValueError):
-        m_h_map(FqModule.d1_n(4), 2)
-    with pytest.raises(ValueError):
-        m_h_map(FqModule.d1(), 1)
-
-
-def test_m_h_refuses_a_plane_whose_form_it_does_not_preserve():
-    # (c, r) -> (2c, r/2) preserves c r / N, not (c^2 + r^2) / 5
-    plane = FqModule((5, 5), {(c, r): Fraction(c * c + r * r, 5) % 1 for c in range(5) for r in range(5)}, 0)
-    for build in (m_h_map, m_h):
-        with pytest.raises(ValueError, match=r"^m_h does not preserve Q at \(0, 1\)$"):
-            build(plane, 2)
-
-
-def test_m_h_composes_multiplicatively():
-    m = FqModule.d1_n(7)
-    m2 = m_h(m, 2)
-    m3 = m_h(m, 3)
-    m6 = m_h(m, 6)
-    assert np.abs(m2 @ m3 - m6).max() == 0
 
 
 def test_vv_support_law_enforced():

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable
 
 from shimlift.arith import divisors
-from shimlift.characters import kronecker_is_character
+from shimlift.characters import DirichletCharacter, kronecker_is_character
 from shimlift.qseries import QExp
 from shimlift.scalars import CycScalar, Scalar, as_exact, kronecker, partial_zeta_neg
 from shimlift.shimura import CONSTANT_TERM_SIGN, CharacterOrbit
@@ -267,6 +267,18 @@ def reference_constant_term(f: QExp, orbit, N: int, k: int, T: int, eps: int) ->
         if c0:
             total += Fraction(sym, 2) * partial_zeta_neg(P, h, k) * c0
     return -CONSTANT_TERM_SIGN * total
+
+
+def eta_char_scan(chi: DirichletCharacter, t: int, eps: int) -> DirichletCharacter:
+    """eta_char as one scan of d -> kronecker(eps t, d) chi(d) over a period."""
+    nt = chi.modulus * t
+    return DirichletCharacter.from_function(nt, lambda d: kronecker(eps * t, d) * chi(d), math.lcm(nt, 8 * t))
+
+
+def omega_chi_scan(chi: DirichletCharacter) -> DirichletCharacter:
+    """omega_chi as one scan of d -> kronecker(4 chi(-1), d) chi(d)."""
+    n4 = 4 * chi.modulus
+    return DirichletCharacter.from_function(n4, lambda d: kronecker(4 * chi.parity(), d) * chi(d), math.lcm(n4, 16))
 
 
 def perturbed_weil_S(weil_S: Callable) -> Callable:
