@@ -1,11 +1,26 @@
 """Dense integer polynomial multiplication by Kronecker substitution.
 
-A signed coefficient list is packed into one big integer, its positive part
-minus its negative part, in fixed-width slots wide enough that no column sum
-reaches half a slot.  One big multiply gives the product; its slots are read
-back as balanced digits, a borrow carrying into the next slot wherever a
-column sum is negative.  Only the first n slots are ever read, and operands
-are trimmed to n terms first.
+A coefficient list is packed into one big integer in fixed-width slots of
+base B (B = 2^(8 w) for binary slots of w bytes, 10^D for decimal slots of
+D digits), wide enough that every coefficient and every column sum of the
+product stays below B/2 in magnitude.  Slots are offset-encoded: slot i
+holds x_i + B/2, which lies in [0, B), so the slots of a signed operand are
+independent unsigned digits U, and the operand is U - H, where H has B/2 in
+every slot.  One big multiply gives the signed product c, and the first n
+slots of (c mod B^n + H) mod B^n are exactly c_i + B/2, again each in
+[0, B): no slot borrows from the next, and a slot reads back by subtracting
+B/2 alone.  A product of two non-negative operands needs no offset.  Only
+the first n slots are ever read, and operands are trimmed to n terms first.
+
+Binary slots of 1, 2, 4 or 8 bytes are packed and read by `struct`, in C,
+`_CHUNK` slots per call.  On a binary slot, x + B/2 and the two's
+complement of x differ only in the top bit, so for these widths one xor
+with H turns the whole packed number from one form into the other, and
+`struct` writes and reads two's complement.  Other widths go one slot at a
+time through int.to_bytes and int.from_bytes on the offset slots.  The
+strings, lists and tuples of every path are built `_CHUNK` coefficients at
+a time, so apart from the packed bytes themselves no temporary grows with
+the operands.
 
 Routes, in the order `convolve` tries them:
   1. schoolbook, when the shorter operand is short;
@@ -24,6 +39,7 @@ Every route gives the same coefficients.
 from __future__ import annotations
 
 import decimal
+import struct
 import sys
 
 __all__ = ["convolve"]
@@ -45,8 +61,12 @@ _SHIFT_ADD_TERMS = 256
 _SHIFT_ADD_SPREAD = 4
 # shorter operand packs to at least this many bits: decimal instead of int
 _DECIMAL_BITS = 150_000
-# coefficients per chunk while packing, to bound the temporary strings
+# coefficients per chunk while packing and unpacking, to bound the
+# temporary strings, lists and tuples
 _CHUNK = 4096
+# struct format of a signed slot of each machine-word width; with "<" it is
+# little-endian two's complement on every host
+_WORD = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 # exact integer arithmetic: any rounding raises instead of losing digits
 _EXACT = decimal.Context(
@@ -69,6 +89,11 @@ def _schoolbook(a: list, b: list, n: int) -> list:
     return out
 
 
+def _trim(a: list, n: int) -> list:
+    """The first n terms of a, copied only when a is longer."""
+    return a[:n] if len(a) > n else a
+
+
 def _slot_bits(a: list, b: list) -> int:
     """Bits per slot that hold every column sum below half a slot, or 0 if
     a product of these operands is zero."""
@@ -82,69 +107,73 @@ def _slot_bits(a: list, b: list) -> int:
     return ma.bit_length() + mb.bit_length() + terms.bit_length() + 1
 
 
-def _balance(out: list, base: int, negative: bool) -> None:
-    """Turn the unsigned base-`base` digits of |c| into the signed
-    coefficients of c, in place; the carry out of the last slot is dropped."""
-    half = base >> 1
-    carry = 0
-    for i, d in enumerate(out):
-        d += carry
-        if d >= half:
-            out[i] = d - base
-            carry = 1
-        else:
-            out[i] = d
-            carry = 0
-    if negative:
-        for i, d in enumerate(out):
-            out[i] = -d
-
-
-def _pack_bytes(a: list, slot: int, sign: int) -> int:
-    zero = bytes(slot)
-    buf = bytearray(len(a) * slot)
-    for start in range(0, len(a), _CHUNK):
-        part = a[start:start + _CHUNK]
-        if sign > 0:
-            chunk = b"".join([x.to_bytes(slot, "little") if x > 0 else zero for x in part])
-        else:
-            chunk = b"".join([(-x).to_bytes(slot, "little") if x < 0 else zero for x in part])
-        buf[start * slot:start * slot + len(chunk)] = chunk
-    return int.from_bytes(buf, "little")
+def _halves(slot: int, n: int) -> int:
+    """H = sum of B/2 * B^i over i < n, B = 2^(8 slot): B/2 in each of n
+    binary slots."""
+    return int.from_bytes((bytes(slot - 1) + b"\x80") * n, "little")
 
 
 def _pack(a: list, slot: int) -> int:
-    """a on binary slots of `slot` bytes, as one signed int."""
-    p = _pack_bytes(a, slot, 1)
-    if min(a) < 0:
-        p -= _pack_bytes(a, slot, -1)
+    """a on binary slots of `slot` bytes, as one signed int: U - H for the
+    offset slots U, or the plain slots when no term is negative."""
+    half = 1 << (8 * slot - 1) if min(a) < 0 else 0
+    word = _WORD.get(slot)
+    buf = bytearray(len(a) * slot)
+    for start in range(0, len(a), _CHUNK):
+        part = a[start:start + _CHUNK]
+        if word:
+            # two's complement slots, which are the offset slots xor H
+            struct.pack_into("<%d%s" % (len(part), word), buf, start * slot, *part)
+        else:
+            buf[start * slot:(start + len(part)) * slot] = b"".join(
+                [(x + half).to_bytes(slot, "little") for x in part])
+    p = int.from_bytes(buf, "little")
+    del buf
+    if half:
+        h = _halves(slot, len(a))
+        p = (p ^ h if word else p) - h
     return p
 
 
-def _unpack(raw: bytes, slot: int, n: int) -> list:
-    """The first n slots of a little-endian byte string, as unsigned digits."""
-    raw = memoryview(raw)
-    return [int.from_bytes(raw[i:i + slot], "little") for i in range(0, n * slot, slot)]
+def _window(c: int, slot: int, n: int, offset: bool) -> bytes:
+    """The first n slots of the packed product c, as bytes.  With `offset`,
+    (c + H) mod B^n holds c_i + B/2 in slot i, with no borrow between slots;
+    word-sized slots are then xored with H into the two's complement of c_i,
+    the form `struct` reads."""
+    window = (1 << 8 * slot * n) - 1
+    c &= window
+    if offset:
+        h = _halves(slot, n)
+        c = (c + h) & window
+        if slot in _WORD:
+            c ^= h
+    return c.to_bytes(n * slot, "little")
+
+
+def _unpack(raw: bytes, slot: int, n: int, offset: bool) -> list:
+    """The n coefficients in the slots `_window` wrote."""
+    word = _WORD.get(slot)
+    if not word:
+        half = 1 << (8 * slot - 1) if offset else 0
+        return [int.from_bytes(raw[i:i + slot], "little") - half for i in range(0, n * slot, slot)]
+    out = [0] * n
+    for start in range(0, n, _CHUNK):
+        k = min(_CHUNK, n - start)
+        out[start:start + k] = struct.unpack_from("<%d%s" % (k, word), raw, start * slot)
+    return out
 
 
 def _binary(a: list, b: list, n: int, big=_mpz) -> list:
     """First n coefficients of a*b through binary slots, the big multiply
     done on big(.) of the packed operands (int or gmpy2.mpz)."""
-    a, b = a[:n], b[:n]
+    a, b = _trim(a, n), _trim(b, n)
     bits = _slot_bits(a, b)
     if not bits:
         return [0] * n
     slot = (bits + 7) // 8
-    c = int(big(_pack(a, slot)) * big(_pack(b, slot)))
-    negative = c < 0
-    if negative:
-        c = -c
-    raw = c.to_bytes((c.bit_length() + 7) // 8, "little")
-    del c
-    out = _unpack(raw, slot, n)
-    if min(a) < 0 or min(b) < 0:
-        _balance(out, 1 << (8 * slot), negative)
-    return out
+    offset = min(a) < 0 or min(b) < 0
+    raw = _window(int(big(_pack(a, slot)) * big(_pack(b, slot))), slot, n, offset)
+    return _unpack(raw, slot, n, offset)
 
 
 def _nonzero(a: list) -> int:
@@ -155,9 +184,9 @@ def _shift_add(a: list, b: list, n: int) -> list:
     """First n coefficients of a*b without a big multiply: the denser
     operand B packed on binary slots of width w, and x * (B mod
     2^((n-e) w)) << e w summed over the nonzero terms x q^e of the sparser
-    one.  The sum is the packed product mod 2^(n w), so its n slots read
-    back as balanced digits."""
-    a, b = a[:n], b[:n]
+    one.  The sum is the packed product mod 2^(n w), read back like the
+    product of `_binary`."""
+    a, b = _trim(a, n), _trim(b, n)
     bits = _slot_bits(a, b)
     if not bits:
         return [0] * n
@@ -171,12 +200,11 @@ def _shift_add(a: list, b: list, n: int) -> list:
     for e, x in enumerate(a):
         if x:
             total += x * (packed & (window >> e * w)) << e * w
-    raw = (total & window).to_bytes(n * slot, "little")
+    del packed
+    offset = min(a) < 0 or min(b) < 0
+    raw = _window(total, slot, n, offset)
     del total
-    out = _unpack(raw, slot, n)
-    if min(a) < 0 or min(b) < 0:
-        _balance(out, 1 << w, False)
-    return out
+    return _unpack(raw, slot, n, offset)
 
 
 def _shift_add_pays(a: list, b: list) -> bool:
@@ -189,18 +217,31 @@ def _shift_add_pays(a: list, b: list) -> bool:
     return k <= _SHIFT_ADD_TERMS and k * _SHIFT_ADD_SPREAD <= len(sparse)
 
 
-def _pack_digits(a: list, digits: int, sign: int) -> decimal.Decimal:
-    zero = "0" * digits
+def _pack_digits(a: list, digits: int, half: int) -> decimal.Decimal:
+    """a on decimal slots of `digits` digits, slot i holding a[i] + half."""
     fmt = "%0" + str(digits) + "d"
     chunks = []
     for end in range(len(a), 0, -_CHUNK):
         part = a[max(0, end - _CHUNK):end]
         part.reverse()
-        if sign > 0:
-            chunks.append("".join([fmt % x if x > 0 else zero for x in part]))
-        else:
-            chunks.append("".join([fmt % -x if x < 0 else zero for x in part]))
+        # one format per chunk, not one string object per slot: thousands of
+        # those at once left partly used allocator arenas behind and raised
+        # the process's resident peak
+        chunks.append((fmt * len(part)) % tuple([x + half for x in part]))
     return decimal.Decimal("".join(chunks))
+
+
+def _decimal_halves(digits: int, n: int) -> decimal.Decimal:
+    """H = sum of 10^D/2 * 10^(D i) over i < n: 10^D/2 in each of n decimal
+    slots of D digits, doubled up from one slot (parsing n D digits costs
+    about ten times more)."""
+    if n == 1:
+        return decimal.Decimal("5" + "0" * (digits - 1))
+    h = _decimal_halves(digits, n // 2)
+    h = _EXACT.add(h, _EXACT.scaleb(h, n // 2 * digits))
+    if n % 2:
+        h = _EXACT.add(_EXACT.scaleb(h, digits), _decimal_halves(digits, 1))
+    return h
 
 
 def _decimal_slot_digits(bits: int) -> int:
@@ -215,33 +256,36 @@ def _decimal(a: list, b: list, n: int) -> list:
     """First n coefficients of a*b through decimal-digit slots, multiplied
     as exact Decimals (libmpdec switches to a number-theoretic transform
     for large operands)."""
-    a, b = a[:n], b[:n]
+    a, b = _trim(a, n), _trim(b, n)
     bits = _slot_bits(a, b)
     if not bits:
         return [0] * n
     digits = _decimal_slot_digits(bits)
+    # offset slots (see the module docstring) unless both are non-negative
+    half = 5 * 10 ** (digits - 1) if min(a) < 0 or min(b) < 0 else 0
     packed = []
     for x in (a, b):
-        p = _pack_digits(x, digits, 1)
         if min(x) < 0:
-            p = _EXACT.subtract(p, _pack_digits(x, digits, -1))
-        packed.append(p)
+            packed.append(_EXACT.subtract(_pack_digits(x, digits, half), _decimal_halves(digits, len(x))))
+        else:
+            packed.append(_pack_digits(x, digits, 0))
     c = _EXACT.multiply(packed[0], packed[1])
     del packed
-    # c mod 10^(n D) >= 0: its n slots read back as balanced digits, and
-    # only they are formatted
+    # only the n slots of c mod 10^(n D) are formatted; with the offset they
+    # hold c_i + half, and a carry out of the top slot is never read
     width = n * digits
     high = _EXACT.scaleb(c, -width).to_integral_value(rounding=decimal.ROUND_FLOOR, context=_EXACT)
     c = _EXACT.subtract(c, _EXACT.scaleb(high, width))
     del high
+    if half:
+        c = _EXACT.add(c, _decimal_halves(digits, n))
     s = _EXACT.to_sci_string(c)
     del c
     top = len(s)
-    out = [int(s[max(0, end - digits):end]) for end in range(top, max(0, top - width), -digits)]
+    out = [int(s[max(0, end - digits):end]) - half for end in range(top, max(0, top - width), -digits)]
     del s
+    # zero slots at the top have no digits; with the offset none is zero
     out.extend([0] * (n - len(out)))
-    if min(a) < 0 or min(b) < 0:
-        _balance(out, 10**digits, False)
     return out
 
 
@@ -252,10 +296,7 @@ def convolve(a: list, b: list, n: int | None = None) -> list:
         return []
     full = len(a) + len(b) - 1
     n = full if n is None else max(0, min(n, full))
-    if len(a) > n:
-        a = a[:n]
-    if len(b) > n:
-        b = b[:n]
+    a, b = _trim(a, n), _trim(b, n)
     short = min(len(a), len(b))
     if short <= _SCHOOLBOOK_TERMS:
         return _schoolbook(a, b, n)

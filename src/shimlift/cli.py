@@ -150,6 +150,8 @@ def _cmd_lift(args) -> int:
     check_budget(4 * level * T, "the constant-term modulus 4 M N t s^2 of --M, --N, --t and --s")
     if args.fixture:
         check_budget(needed_hi, "the --fixture window t s^2 prec^2 + 1 of --t, --s and --prec")
+    # an --input window is not budgeted, but the lift's output always is
+    check_budget(args.prec + 1, "the lift's length prec + 1 of --prec")
     chi = _parse_character(args.character, level)
     orbit = CharacterOrbit(chi) if chi is not None else None
     k = _resolve(args, "k")

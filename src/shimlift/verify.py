@@ -14,6 +14,7 @@ never silent either way.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -233,17 +234,41 @@ def level1_exact_check(f: QExp, weight: int) -> dict:
 
 
 def _solve_exact(rows: list[list], dim: int) -> list[Fraction]:
+    """The x with sum_j rows[n][j] x_j = rows[n][dim] for n < dim.
+
+    Fraction-free: each row is scaled to integers, forward elimination
+    cross-multiplies and divides each new row by the gcd of its entries
+    (the rows of these bases share large factors, so they stay about as
+    long as the input), and back substitution runs on integers over one
+    common denominator; Fractions are built only for the answer."""
     # The monomials are a basis of M_weight, and a nonzero form there cannot
     # vanish at q^0 .. q^(dim-1) (it would be Delta^dim times a form of
     # weight 2 or below 0), so every column has a pivot.
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
     for col in range(dim):
         piv = next(r for r in range(col, dim) if m[r][col] != 0)
         m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(dim):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][dim] for r in range(dim)]
+        top = m[col]
+        for r in range(col + 1, dim):
+            if m[r][col] != 0:
+                g = math.gcd(top[col], m[r][col])
+                p, f = top[col] // g, m[r][col] // g
+                row = [p * x - f * y for x, y in zip(m[r], top)]
+                g = math.gcd(*row)
+                m[r] = [x // g for x in row]
+    # x_i = y_i / den (den may be negative), from the last row up
+    den = 1
+    y = [0] * dim
+    for i in range(dim - 1, -1, -1):
+        s = m[i][dim] * den - sum(m[i][j] * y[j] for j in range(i + 1, dim))
+        g = math.gcd(s, m[i][i])
+        s, q = s // g, m[i][i] // g
+        if q != 1:
+            y = [v * q for v in y]
+            den *= q
+        y[i] = s
+    return [Fraction(v, den) for v in y]

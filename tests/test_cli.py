@@ -21,7 +21,7 @@ from shimlift import weilrep
 from shimlift.cli import main
 from shimlift.errors import HypothesisError
 from shimlift.fixtures import fixture, fixture_names
-from shimlift.qseries import qexp_from_json, qexp_to_json
+from shimlift.qseries import QExp, qexp_from_json, qexp_to_json
 from shimlift.shimura import shimura_general, shimura_St
 from util import perturbed_weil_S
 
@@ -506,6 +506,26 @@ def test_requests_over_the_budget_are_refused_before_any_work(capsys, monkeypatc
     assert payload["error"] == "SchemaError"
     assert flags in payload["message"]
     assert payload["message"].endswith(" exceeds the request budget of 4000000")
+
+
+def test_lift_output_length_over_the_budget_is_refused_before_the_lift(capsys, monkeypatch, tmp_path):
+    # a sparse --input series may end anywhere, so its window budgets
+    # nothing; the prec + 1 coefficients of the lift itself are budgeted
+    from shimlift import shimura
+
+    def no_lift(*args, **kwargs):
+        raise AssertionError("the lift started before its length was checked")
+
+    monkeypatch.setattr(shimura, "_lift", no_lift)
+    p = tmp_path / "sparse.json"
+    p.write_text(json.dumps(qexp_to_json(QExp(Fraction(5, 2), 1, {0: 1, 3: 2}, 0, 10**19))))
+    code, out, _ = run(capsys, "lift", "--input", str(p), "--k", "2", "--prec", str(10**9), "--json")
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "SchemaError",
+        "message": "the lift's length prec + 1 of --prec exceeds the request budget of 4000000"}
 
 
 def test_kronecker_character_modulus_over_the_budget_is_refused_before_the_scan(capsys, monkeypatch):

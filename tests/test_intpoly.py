@@ -3,25 +3,30 @@
 Every big multiplier behind `convolve` (schoolbook, shift-add, binary
 slots on int, decimal-digit slots, binary slots on gmpy2 when it imports)
 is called directly and compared with the O(n^2) definition, on every
-truncation length, so the sign handling and the borrow propagation of the
-balanced unpack are checked for each of them, not only for the one this
-machine picks.
+truncation length, so the offset slot format (each slot x + B/2 on the
+way in and c_i + B/2 on the way out, read back without a borrow) is
+checked for each of them, not only for the one this machine picks: at
+every slot width the packing distinguishes, at the largest coefficients a
+slot holds, and across the chunk edges of packing and unpacking.
 """
 from __future__ import annotations
 
 import decimal
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shimlift import _intpoly
+from shimlift import _intpoly, fixtures
 
 
 def naive(a: list, b: list, n: int) -> list:
     out = [0] * n
     for i, x in enumerate(a):
+        if not x:
+            continue
         for j, y in enumerate(b):
             if i + j < n:
                 out[i + j] += x * y
@@ -71,12 +76,12 @@ def test_multiplier_edge_operands(mul):
 
 @pytest.mark.parametrize("mul", MULTIPLIERS)
 def test_multiplier_top_carry(mul):
-    # 1 - q packs to 1 - R < 0: |1 - R| = R - 1 fills one slot, and the
-    # balanced unpack must carry into a second slot the product lacks
+    # 1 - q packs to 1 - R < 0: its two slots are read from (c + H) mod R^2,
+    # which holds 1 + R/2 and R/2 - 1 with no carry between them
     assert mul([1, -1], [1], 2) == [1, -1]
     assert mul([-1, 1], [1], 2) == [-1, 1]
     assert mul([1, -1], [1, 1], 3) == [1, 0, -1]
-    # the carry out of the last slot read is dropped, not wrapped around
+    # slots past the window are cut off by the mod, not wrapped around
     assert mul([1, -1], [1, 1], 2) == [1, 0]
     assert mul([0, 0, -1], [0, 1], 4) == [0, 0, 0, -1]
 
@@ -186,3 +191,75 @@ def test_shift_add_route_on_both_sides_of_the_crossover(monkeypatch, extra, bits
         monkeypatch.setattr(_intpoly, "_shift_add", _refuse)
     assert _intpoly.convolve(a, b, span) == want
     assert _intpoly.convolve(b, a, span) == want
+
+
+def _extreme_operands(rng, width, length):
+    # a dense operand of `length` terms and a sparse one of four, each at the
+    # largest magnitude that still packs on `width`-byte slots: with four
+    # nonzero terms _slot_bits is bits(max a) + bits(max b) + 3 + 1
+    room = 8 * width - 4
+    ma, mb = (1 << (room - room // 2)) - 1, (1 << (room // 2)) - 1
+    dense = [rng.choice((-ma, ma, rng.randrange(-ma, ma + 1))) for _ in range(length)]
+    # runs of one sign across the chunk edge give the largest column sums
+    dense[_intpoly._CHUNK - 3:_intpoly._CHUNK + 3] = [ma, ma, ma, -ma, -ma, -ma]
+    dense[-1] = -ma
+    sparse = [0] * length
+    for e, x in zip((0, 1, length // 2, length - 1), (mb, -mb, -mb, mb)):
+        sparse[e] = x
+    return dense, sparse
+
+
+@pytest.mark.parametrize("mul", MULTIPLIERS)
+@pytest.mark.parametrize("length", [_intpoly._CHUNK - 1, _intpoly._CHUNK, _intpoly._CHUNK + 1])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9, 16])
+def test_multiplier_at_the_largest_coefficients_of_each_slot_width(mul, width, length):
+    # word widths (1, 2, 4, 8) go through struct, the others slot by slot;
+    # operand and product lengths cross a chunk edge
+    rng = random.Random(width * 7919 + length)
+    dense, sparse = _extreme_operands(rng, width, length)
+    assert (_intpoly._slot_bits(sparse, dense) + 7) // 8 == width
+    for n in (2 * length - 1, length, _intpoly._CHUNK + 2):
+        assert mul(sparse, dense, n) == naive(sparse, dense, n), n
+
+
+def test_slots_pack_and_read_back_at_every_width():
+    # the packed int of a coefficient list is its value at q = B, whatever
+    # the slot encoding, and a product's slots read back as its coefficients
+    rng = random.Random(12)
+    for width in (1, 2, 3, 4, 5, 8, 9, 16):
+        half = 1 << (8 * width - 1)
+        signed = [-half, half - 1, 0, -1] + [rng.randrange(-half, half) for _ in range(2 * _intpoly._CHUNK)]
+        plain = [abs(x) % half for x in signed]
+        for values, offset in ((signed, True), (plain, False)):
+            c = sum(x << (8 * width * i) for i, x in enumerate(values))
+            assert _intpoly._pack(values, width) == c
+            for n in (len(values), _intpoly._CHUNK + 1):
+                raw = _intpoly._window(c, width, n, offset)
+                assert _intpoly._unpack(raw, width, n, offset) == values[:n]
+
+
+def test_cohen52_product_peak_memory_stays_within_twice_its_result(monkeypatch):
+    # the last product of cohen_eisenstein(2, 40001) is acc * theta on 40001
+    # terms (shift-add without gmpy2): packing and reading back may hold at
+    # most as much again as the result
+    calls = []
+    convolve = _intpoly.convolve
+
+    def record(a, b, n=None):
+        calls.append((a, b, n))
+        return convolve(a, b, n)
+
+    monkeypatch.setattr(_intpoly, "convolve", record)
+    fixtures.cohen_eisenstein(2, 40001)
+    monkeypatch.undo()
+    acc, theta, n = calls[-1]
+    assert n == 40001 and _intpoly._nonzero(theta) == 201
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = _intpoly.convolve(acc, theta, n)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == n
+    assert peak - base <= 2 * (size - base), (peak - base, size - base)

@@ -209,6 +209,21 @@ def test_level1_exact_recovers_every_monomial_up_to_weight_120():
             assert level1_exact_check(f, w) == {(a, b): 1}, (w, a, b)
 
 
+@pytest.mark.parametrize("weight", range(4, 121, 2))
+def test_fraction_free_solve_matches_gauss_jordan(weight):
+    # the monomial rows of level1_exact_check against random rational right
+    # sides (non-unit denominators, so each row is scaled before elimination)
+    mons = verify._monomials(weight)
+    dim = len(mons)
+    one = QExp(0, 1, {0: 1}, 0, dim)
+    basis = [mul(power(eisenstein(4, dim), a, mul, one), power(eisenstein(6, dim), b, mul, one))
+             for a, b in mons]
+    rng = random.Random(weight)
+    rows = [[g.coeff(n) for g in basis] + [Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**4))]
+            for n in range(dim)]
+    assert verify._solve_exact(rows, dim) == util.gauss_jordan_solve(rows, dim)
+
+
 def test_level1_exact_builds_each_monomial_from_its_predecessor(monkeypatch):
     # weight 1000 has 84 monomials; one power table each for E4 and E6 costs
     # about three products per monomial, where one power chain per monomial

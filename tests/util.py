@@ -324,3 +324,20 @@ def numeric_weil_branch(word) -> tuple[tuple[int, int, int, int], int]:
         else:
             raise AssertionError("cocycle value %r is not a branch sign" % ratio)
     return (a, b, c, d), branch
+
+
+def gauss_jordan_solve(rows: list[list], dim: int) -> list[Fraction]:
+    """The x with sum_j rows[n][j] x_j = rows[n][dim] for n < dim, by
+    Gauss-Jordan elimination over Fraction: the reference for the
+    fraction-free `verify._solve_exact`."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    for col in range(dim):
+        piv = next(r for r in range(col, dim) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(dim):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [m[r][dim] for r in range(dim)]
