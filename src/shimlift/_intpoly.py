@@ -12,22 +12,34 @@ slots of (c mod B^n + H) mod B^n are exactly c_i + B/2, again each in
 B/2 alone.  A product of two non-negative operands needs no offset.  Only
 the first n slots are ever read, and operands are trimmed to n terms first.
 
-Binary slots of 1, 2, 4 or 8 bytes are packed and read by `struct`, in C,
+Binary slots of up to 8 bytes are packed and read by `struct`, in C,
 `_CHUNK` slots per call.  On a binary slot, x + B/2 and the two's
 complement of x differ only in the top bit, so for these widths one xor
 with H turns the whole packed number from one form into the other, and
-`struct` writes and reads two's complement.  Other widths go one slot at a
-time through int.to_bytes and int.from_bytes on the offset slots.  The
-strings, lists and tuples of every path are built `_CHUNK` coefficients at
-a time, so apart from the packed bytes themselves no temporary grows with
-the operands.
+`struct` writes and reads two's complement.  A slot of 1, 2, 4 or 8 bytes
+is a machine word; one of 3 or 5-7 bytes goes through a lane, the next
+wider word: packed into lanes and cut down to its low bytes by one strided
+byte copy per slot byte, and read back by the same copies into zeroed
+lanes, whose upper bytes then repeat the slot's sign bit (a 256-byte
+translate table gives them from the slot's top byte).  Slots of 9 or more
+bytes go one at a time through int.to_bytes and int.from_bytes on the
+offset slots.  The strings, lists, tuples and lanes of every path are
+built `_CHUNK` coefficients at a time, so apart from the packed bytes
+themselves no temporary grows with the operands.
+
+`convolve` trims each operand to n terms and scans it once (`_scan`:
+largest magnitude, sign, nonzero count); the routes take the trimmed
+operands with their scans, and the route choice, the slot width and the
+offset test all read those scans.
 
 Routes, in the order `convolve` tries them:
   1. schoolbook, when the shorter operand is short;
   2. shift-add, without gmpy2, when one operand is sparse (few nonzero
      terms, each weighted by the size of the largest, spread thin): the
-     denser operand is packed once and a shifted multiple of it is added
-     for each nonzero term of the sparser one, so no big multiply runs;
+     denser operand is packed once, its shifted copies are summed over the
+     exponents of each coefficient value of the sparser one, and each sum
+     is multiplied by its value once (not at all for 1), so no big
+     multiply runs;
   3. decimal, without gmpy2, once the shorter packed operand is large: the
      decimal module (whose libmpdec multiplies large numbers by a
      number-theoretic transform) on decimal-digit slots;
@@ -39,6 +51,7 @@ Every route gives the same coefficients.
 from __future__ import annotations
 
 import decimal
+import itertools
 import struct
 import sys
 
@@ -64,9 +77,14 @@ _DECIMAL_BITS = 150_000
 # coefficients per chunk while packing and unpacking, to bound the
 # temporary strings, lists and tuples
 _CHUNK = 4096
-# struct format of a signed slot of each machine-word width; with "<" it is
+# struct format of a signed machine word of each width; with "<" it is
 # little-endian two's complement on every host
 _WORD = {1: "b", 2: "h", 4: "i", 8: "q"}
+# the narrowest machine word (lane) that holds a slot of each width
+_LANE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
+# byte b -> 0xFF if its top bit is set, else 0: the bytes that sign-extend
+# a two's complement slot whose top byte is b
+_SIGN_FILL = bytes(128) + b"\xff" * 128
 
 # exact integer arithmetic: any rounding raises instead of losing digits
 _EXACT = decimal.Context(
@@ -94,17 +112,22 @@ def _trim(a: list, n: int) -> list:
     return a[:n] if len(a) > n else a
 
 
-def _slot_bits(a: list, b: list) -> int:
+def _scan(a: list) -> tuple[int, bool, int]:
+    """(largest magnitude, whether a term is negative, nonzero terms) of a:
+    everything the routes read of an operand besides its terms."""
+    if not a:
+        return 0, False, 0
+    lo, hi = min(a), max(a)
+    return max(hi, -lo), lo < 0, len(a) - a.count(0)
+
+
+def _slot_bits(sa: tuple, sb: tuple) -> int:
     """Bits per slot that hold every column sum below half a slot, or 0 if
-    a product of these operands is zero."""
-    if not a or not b:
-        return 0
-    ma = max(max(a), -min(a))
-    mb = max(max(b), -min(b))
+    a product of operands with these scans is zero."""
+    (ma, _, ka), (mb, _, kb) = sa, sb
     if not ma or not mb:
         return 0
-    terms = min(len(a) - a.count(0), len(b) - b.count(0))
-    return ma.bit_length() + mb.bit_length() + terms.bit_length() + 1
+    return ma.bit_length() + mb.bit_length() + min(ka, kb).bit_length() + 1
 
 
 def _halves(slot: int, n: int) -> int:
@@ -113,108 +136,129 @@ def _halves(slot: int, n: int) -> int:
     return int.from_bytes((bytes(slot - 1) + b"\x80") * n, "little")
 
 
-def _pack(a: list, slot: int) -> int:
+def _pack(a: list, slot: int, signed: bool) -> int:
     """a on binary slots of `slot` bytes, as one signed int: U - H for the
-    offset slots U, or the plain slots when no term is negative."""
-    half = 1 << (8 * slot - 1) if min(a) < 0 else 0
-    word = _WORD.get(slot)
+    offset slots U when `signed` (some term is negative), else the plain
+    slots."""
+    lane = _LANE.get(slot)
+    half = 1 << (8 * slot - 1) if signed else 0
     buf = bytearray(len(a) * slot)
     for start in range(0, len(a), _CHUNK):
         part = a[start:start + _CHUNK]
-        if word:
+        base, end = start * slot, (start + len(part)) * slot
+        if lane == slot:
             # two's complement slots, which are the offset slots xor H
-            struct.pack_into("<%d%s" % (len(part), word), buf, start * slot, *part)
+            struct.pack_into("<%d%s" % (len(part), _WORD[lane]), buf, base, *part)
+        elif lane:
+            # two's complement lanes, cut down to their low `slot` bytes
+            wide = struct.pack("<%d%s" % (len(part), _WORD[lane]), *part)
+            for j in range(slot):
+                buf[base + j:end:slot] = wide[j::lane]
         else:
-            buf[start * slot:(start + len(part)) * slot] = b"".join(
-                [(x + half).to_bytes(slot, "little") for x in part])
+            buf[base:end] = b"".join([(x + half).to_bytes(slot, "little") for x in part])
     p = int.from_bytes(buf, "little")
     del buf
-    if half:
+    if signed:
         h = _halves(slot, len(a))
-        p = (p ^ h if word else p) - h
+        p = (p ^ h if lane else p) - h
     return p
 
 
 def _window(c: int, slot: int, n: int, offset: bool) -> bytes:
     """The first n slots of the packed product c, as bytes.  With `offset`,
     (c + H) mod B^n holds c_i + B/2 in slot i, with no borrow between slots;
-    word-sized slots are then xored with H into the two's complement of c_i,
-    the form `struct` reads."""
+    slots of at most 8 bytes are then xored with H into the two's complement
+    of c_i, the form `struct` reads."""
     window = (1 << 8 * slot * n) - 1
     c &= window
     if offset:
         h = _halves(slot, n)
         c = (c + h) & window
-        if slot in _WORD:
+        if slot in _LANE:
             c ^= h
     return c.to_bytes(n * slot, "little")
 
 
 def _unpack(raw: bytes, slot: int, n: int, offset: bool) -> list:
     """The n coefficients in the slots `_window` wrote."""
-    word = _WORD.get(slot)
-    if not word:
+    lane = _LANE.get(slot)
+    if not lane:
         half = 1 << (8 * slot - 1) if offset else 0
         return [int.from_bytes(raw[i:i + slot], "little") - half for i in range(0, n * slot, slot)]
     out = [0] * n
     for start in range(0, n, _CHUNK):
         k = min(_CHUNK, n - start)
-        out[start:start + k] = struct.unpack_from("<%d%s" % (k, word), raw, start * slot)
+        fmt = "<%d%s" % (k, _WORD[lane])
+        if lane == slot:
+            out[start:start + k] = struct.unpack_from(fmt, raw, start * slot)
+            continue
+        # each slot widened to its lane; the bytes above it repeat the
+        # slot's sign bit when the slots are two's complement, and are 0
+        # when they are plain
+        part = raw[start * slot:(start + k) * slot]
+        wide = bytearray(k * lane)
+        for j in range(slot):
+            wide[j::lane] = part[j::slot]
+        if offset:
+            fill = part[slot - 1::slot].translate(_SIGN_FILL)
+            for j in range(slot, lane):
+                wide[j::lane] = fill
+        out[start:start + k] = struct.unpack(fmt, wide)
     return out
 
 
-def _binary(a: list, b: list, n: int, big=_mpz) -> list:
+def _binary(a: list, b: list, n: int, sa: tuple, sb: tuple, big=_mpz) -> list:
     """First n coefficients of a*b through binary slots, the big multiply
     done on big(.) of the packed operands (int or gmpy2.mpz)."""
-    a, b = _trim(a, n), _trim(b, n)
-    bits = _slot_bits(a, b)
+    bits = _slot_bits(sa, sb)
     if not bits:
         return [0] * n
     slot = (bits + 7) // 8
-    offset = min(a) < 0 or min(b) < 0
-    raw = _window(int(big(_pack(a, slot)) * big(_pack(b, slot))), slot, n, offset)
+    offset = sa[1] or sb[1]
+    raw = _window(int(big(_pack(a, slot, sa[1])) * big(_pack(b, slot, sb[1]))), slot, n, offset)
     return _unpack(raw, slot, n, offset)
 
 
-def _nonzero(a: list) -> int:
-    return len(a) - a.count(0)
-
-
-def _shift_add(a: list, b: list, n: int) -> list:
+def _shift_add(a: list, b: list, n: int, sa: tuple, sb: tuple) -> list:
     """First n coefficients of a*b without a big multiply: the denser
-    operand B packed on binary slots of width w, and x * (B mod
-    2^((n-e) w)) << e w summed over the nonzero terms x q^e of the sparser
-    one.  The sum is the packed product mod 2^(n w), read back like the
+    operand B packed on binary slots of width w, and x * sum of
+    (B << e w) mod 2^(n w) over the exponents e of each value x among the
+    nonzero terms x q^e of the sparser one, one multiply per value (none
+    for 1).  The sum is the packed product mod 2^(n w), read back like the
     product of `_binary`."""
-    a, b = _trim(a, n), _trim(b, n)
-    bits = _slot_bits(a, b)
+    bits = _slot_bits(sa, sb)
     if not bits:
         return [0] * n
-    if _nonzero(a) > _nonzero(b):
-        a, b = b, a
+    if sa[2] > sb[2]:
+        a, b, sa, sb = b, a, sb, sa
+    exponents: dict[int, list] = {}
+    for e in itertools.compress(range(len(a)), a):
+        exponents.setdefault(a[e], []).append(e)
     slot = (bits + 7) // 8
     w = 8 * slot
-    packed = _pack(b, slot)
+    packed = _pack(b, slot, sb[1])
     window = (1 << n * w) - 1
     total = 0
-    for e, x in enumerate(a):
-        if x:
-            total += x * (packed & (window >> e * w)) << e * w
+    for x, es in exponents.items():
+        part = 0
+        for e in es:
+            part += (packed << e * w) & window
+        total += part if x == 1 else x * part
+        del part
     del packed
-    offset = min(a) < 0 or min(b) < 0
+    offset = sa[1] or sb[1]
     raw = _window(total, slot, n, offset)
     del total
     return _unpack(raw, slot, n, offset)
 
 
-def _shift_add_pays(a: list, b: list) -> bool:
+def _shift_add_pays(a: list, b: list, sa: tuple, sb: tuple) -> bool:
     """Whether one operand is sparse enough for `_shift_add` to beat a big
     multiply (measured crossover without gmpy2)."""
-    ka, kb = _nonzero(a), _nonzero(b)
-    sparse, k = (a, ka) if ka <= kb else (b, kb)
+    length, (m, _, k) = (len(a), sa) if sa[2] <= sb[2] else (len(b), sb)
     if k:
-        k *= 1 + max(max(sparse), -min(sparse)).bit_length() // 128
-    return k <= _SHIFT_ADD_TERMS and k * _SHIFT_ADD_SPREAD <= len(sparse)
+        k *= 1 + m.bit_length() // 128
+    return k <= _SHIFT_ADD_TERMS and k * _SHIFT_ADD_SPREAD <= length
 
 
 def _pack_digits(a: list, digits: int, half: int) -> decimal.Decimal:
@@ -252,20 +296,19 @@ def _decimal_slot_digits(bits: int) -> int:
     return digits
 
 
-def _decimal(a: list, b: list, n: int) -> list:
+def _decimal(a: list, b: list, n: int, sa: tuple, sb: tuple) -> list:
     """First n coefficients of a*b through decimal-digit slots, multiplied
     as exact Decimals (libmpdec switches to a number-theoretic transform
     for large operands)."""
-    a, b = _trim(a, n), _trim(b, n)
-    bits = _slot_bits(a, b)
+    bits = _slot_bits(sa, sb)
     if not bits:
         return [0] * n
     digits = _decimal_slot_digits(bits)
     # offset slots (see the module docstring) unless both are non-negative
-    half = 5 * 10 ** (digits - 1) if min(a) < 0 or min(b) < 0 else 0
+    half = 5 * 10 ** (digits - 1) if sa[1] or sb[1] else 0
     packed = []
-    for x in (a, b):
-        if min(x) < 0:
+    for x, signed in ((a, sa[1]), (b, sb[1])):
+        if signed:
             packed.append(_EXACT.subtract(_pack_digits(x, digits, half), _decimal_halves(digits, len(x))))
         else:
             packed.append(_pack_digits(x, digits, 0))
@@ -300,11 +343,12 @@ def convolve(a: list, b: list, n: int | None = None) -> list:
     short = min(len(a), len(b))
     if short <= _SCHOOLBOOK_TERMS:
         return _schoolbook(a, b, n)
+    sa, sb = _scan(a), _scan(b)
     if not _HAVE_GMPY2:
-        if _shift_add_pays(a, b):
-            return _shift_add(a, b, n)
-        bits = _slot_bits(a, b)
+        if _shift_add_pays(a, b, sa, sb):
+            return _shift_add(a, b, n, sa, sb)
+        bits = _slot_bits(sa, sb)
         limit = _int_max_str_digits()
         if bits * short >= _DECIMAL_BITS and (not limit or _decimal_slot_digits(bits) < limit):
-            return _decimal(a, b, n)
-    return _binary(a, b, n)
+            return _decimal(a, b, n, sa, sb)
+    return _binary(a, b, n, sa, sb)

@@ -1,16 +1,17 @@
 """Reference expansions used by the tests and the command line.
 
 Everything here is built from scratch: theta functions by enumerating
-squares, Eisenstein series by divisor-power sieves, the discriminant and
-the j-invariant through the pentagonal number expansion of the Euler
-product.  The half-integral weight Eisenstein series H_k lie in the span
-of theta^(2k+1-4j) F^j, F the odd-index part of sum sigma_1(n) q^n;
-quadratic L-values supply the first dim + _CHECK_TERMS coefficients, which
-fix H_k's coordinates in that basis and check them.  The combination is
-evaluated as theta^r P(theta^4, F), r = (2k+1) mod 4, with theta^4 sieved
-from Jacobi's four-square formula, P by Horner on integer lists, and the r
-factors of theta by sparse products.  These are the independent side of
-every comparison; none of them go through the lift code.
+squares, Eisenstein series by a multiplicative divisor-power sieve, the
+discriminant and the j-invariant through the pentagonal number expansion
+of the Euler product.  The half-integral weight Eisenstein series H_k lie
+in the span of theta^(2k+1-4j) F^j, F the odd-index part of sum
+sigma_1(n) q^n; quadratic L-values supply the first dim + _CHECK_TERMS
+coefficients, which fix H_k's coordinates in that basis and check them.
+The combination is evaluated as theta^r P(theta^4, F), r = (2k+1) mod 4,
+with theta^4 sieved from Jacobi's four-square formula, P by Horner on
+integer lists, and the r factors of theta by sparse products.  These are
+the independent side of every comparison; none of them go through the
+lift code.
 """
 
 from __future__ import annotations
@@ -73,12 +74,39 @@ def theta_component(j: int, prec: int) -> QExp:
 
 def _sigma_sieve(power: int, prec: int, odd_only: bool = False) -> list[int]:
     """sigma_power(n) for 0 < n < prec (odd n only, if odd_only; 0 at every
-    other index), as a list of max(prec, 0) entries."""
+    other index), as a list of max(prec, 0) entries.
+
+    One pass over n, in increasing order, from the least prime p of each
+    n = p m: with k = power, sigma_k(n) = 1 + n^k for a prime n,
+    sigma_k(m) sigma_k(p) when p does not divide m, and
+    sigma_k(m) sigma_k(p) - p^k sigma_k(m / p) when it does (multiplicativity
+    and the recurrence of sigma_k over the powers of p), where
+    p^k = sigma_k(p) - 1.  Every index read is below n, and odd when n is.
+    """
     out = [0] * max(prec, 0)
-    for d in range(1, prec, 2 if odd_only else 1):
-        dp = d**power
-        for n in range(d, prec, 2 * d if odd_only else d):
-            out[n] += dp
+    if prec < 2:
+        return out
+    step = 2 if odd_only else 1
+    # least prime factor of each composite n (odd n, if odd_only), 0 at the
+    # primes: each prime r with r^2 < prec marks r^2, r^2 + step r, ...,
+    # the largest r first, so that the least prime is written last
+    lpf = [0] * prec
+    root = math.isqrt(prec - 1)
+    small = [r for r in range(3 if odd_only else 2, root + 1)
+             if all(r % d for d in range(2, math.isqrt(r) + 1))]
+    for r in reversed(small):
+        lpf[r * r::step * r] = [r] * len(range(r * r, prec, step * r))
+    out[1] = 1
+    for n in range(1 + step, prec, step):
+        p = lpf[n]
+        if not p:
+            out[n] = 1 + n**power
+            continue
+        m = n // p
+        if m % p:
+            out[n] = out[m] * out[p]
+        else:
+            out[n] = out[m] * out[p] - (out[p] - 1) * out[m // p]
     return out
 
 
@@ -124,13 +152,14 @@ def delta(prec: int) -> QExp:
 
 
 def j_invariant(prec: int) -> QExp:
-    """E4^3 / Delta, with Delta through the eta product; window [-1, prec)."""
+    """E4^3 / Delta, with Delta through the eta product; window [-1, prec).
+    E4^3 is formed as E4 E8, since E4^2 = E8 (dim M_8 = 1)."""
     span = prec + 1
     phi = euler_function(span)
     eta24 = power(phi, 24, mul)
     inv = invert_unit(eta24)
     e4 = eisenstein(4, span)
-    series = mul(power(e4, 3, mul), inv)
+    series = mul(mul(e4, eisenstein(8, span)), inv)
     shifted = {a - 1: v for a, v in series.numerators.items() if a - 1 < prec}
     return QExp.from_numerators(Fraction(0), 1, shifted, series.cden, -1, prec)
 

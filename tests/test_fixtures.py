@@ -34,6 +34,7 @@ from shimlift.fixtures import (
 )
 from shimlift.qseries import QExp, add, invert_unit, mul, rescale, scale
 from shimlift.scalars import bernoulli_number
+from util import sigma_sieve_loop
 
 
 def test_theta_counts_square_representations():
@@ -79,6 +80,24 @@ def test_eisenstein_ring_identities():
     assert mul(e4, e6).agrees_with(eisenstein(10, 80))
     assert mul(e4, eisenstein(10, 80)).agrees_with(eisenstein(14, 80))
     assert mul(e6, eisenstein(8, 80)).agrees_with(eisenstein(14, 80))
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 701])
+def test_e4_squared_is_e8(n):
+    # dim M_8 = 1; j_invariant forms E4^3 as E4 E8
+    e4 = eisenstein(4, n)
+    assert mul(e4, e4) == eisenstein(8, n)
+
+
+@pytest.mark.parametrize("odd_only", [False, True])
+def test_sigma_sieve_matches_the_divisor_loop(odd_only):
+    # the least-prime table and the pass end at each prec
+    for power in range(14):
+        for prec in range(-1, 301):
+            want = sigma_sieve_loop(power, prec, odd_only)
+            assert fixtures._sigma_sieve(power, prec, odd_only) == want, (power, prec)
+    assert fixtures._sigma_sieve(1, 40001, True) == sigma_sieve_loop(1, 40001, True)
+    assert fixtures._sigma_sieve(5, 10001) == sigma_sieve_loop(5, 10001)
 
 
 def test_eisenstein_table_is_minus_2w_over_bernoulli():

@@ -33,20 +33,31 @@ def naive(a: list, b: list, n: int) -> list:
     return out
 
 
+def direct(route, *extra):
+    """route(a, b, n) called as `convolve` calls it: on the operands trimmed
+    to n, with each one's scan."""
+    def mul(a, b, n):
+        a, b = _intpoly._trim(a, n), _intpoly._trim(b, n)
+        return route(a, b, n, _intpoly._scan(a), _intpoly._scan(b), *extra)
+    return mul
+
+
+shift_add = direct(_intpoly._shift_add)
+binary_int = direct(_intpoly._binary, int)
+decimal_slots = direct(_intpoly._decimal)
+
 MULTIPLIERS = [
     pytest.param(_intpoly._schoolbook, id="schoolbook"),
-    pytest.param(_intpoly._shift_add, id="shift_add"),
-    pytest.param(lambda a, b, n: _intpoly._binary(a, b, n, int), id="int"),
-    pytest.param(_intpoly._decimal, id="decimal"),
+    pytest.param(shift_add, id="shift_add"),
+    pytest.param(binary_int, id="int"),
+    pytest.param(decimal_slots, id="decimal"),
 ]
 try:
     import gmpy2
 except ImportError:
     pass
 else:
-    MULTIPLIERS.append(
-        pytest.param(lambda a, b, n: _intpoly._binary(a, b, n, gmpy2.mpz), id="gmpy2")
-    )
+    MULTIPLIERS.append(pytest.param(direct(_intpoly._binary, gmpy2.mpz), id="gmpy2"))
 
 coefficient = st.one_of(
     st.integers(-2, 2),
@@ -118,7 +129,7 @@ def test_decimal_route_ignores_the_thread_context():
     with decimal.localcontext() as ctx:
         ctx.prec = 5
         ctx.traps[decimal.Inexact] = False
-        assert _intpoly._decimal(a, b, len(want)) == want
+        assert decimal_slots(a, b, len(want)) == want
 
 
 def test_fallback_multiplier_is_a_module_function():
@@ -152,10 +163,26 @@ def test_shift_add_long_sparse_operands(nonzero, sparse_bits, dense_bits, int_te
     a[rng.randrange(n)] = -(1 << (sparse_bits - 1)) - 1
     b = [rng.randrange(-(1 << dense_bits), 1 << dense_bits) for _ in range(n)]
     b[-1] = -(1 << dense_bits)
-    got = _intpoly._shift_add(a, b, n)
-    assert got == _intpoly._decimal(a, b, n)
-    assert got[:int_terms] == _intpoly._binary(a, b, int_terms, int)
-    assert _intpoly._shift_add(b, a, n - 1) == got[:-1]
+    got = shift_add(a, b, n)
+    assert got == decimal_slots(a, b, n)
+    assert got[:int_terms] == binary_int(a, b, int_terms)
+    assert shift_add(b, a, n - 1) == got[:-1]
+
+
+def test_shift_add_groups_repeated_values_of_both_signs():
+    # the sparse operand's terms repeat a few values of both signs, so each
+    # value's shifted copies are summed and multiplied once (1 not at all)
+    rng = random.Random(19)
+    length = 160
+    sparse = [0] * length
+    for e in rng.sample(range(length), 32):
+        sparse[e] = rng.choice((-2, -1, 1, 2, 3))
+    sparse[-1] = -2
+    dense = [rng.randrange(-(1 << 40), 1 << 40) for _ in range(length)]
+    for n in range(2 * length):
+        want = naive(sparse, dense, n)
+        assert shift_add(sparse, dense, n) == want, n
+        assert shift_add(dense, sparse, n) == want, n
 
 
 def _refuse(*args, **kwargs):
@@ -211,13 +238,14 @@ def _extreme_operands(rng, width, length):
 
 @pytest.mark.parametrize("mul", MULTIPLIERS)
 @pytest.mark.parametrize("length", [_intpoly._CHUNK - 1, _intpoly._CHUNK, _intpoly._CHUNK + 1])
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9, 16])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
 def test_multiplier_at_the_largest_coefficients_of_each_slot_width(mul, width, length):
-    # word widths (1, 2, 4, 8) go through struct, the others slot by slot;
-    # operand and product lengths cross a chunk edge
+    # word widths (1, 2, 4, 8) go through struct, 3 and 5-7 through struct
+    # lanes of 4 and 8 bytes, the others slot by slot; operand and product
+    # lengths cross a chunk edge
     rng = random.Random(width * 7919 + length)
     dense, sparse = _extreme_operands(rng, width, length)
-    assert (_intpoly._slot_bits(sparse, dense) + 7) // 8 == width
+    assert (_intpoly._slot_bits(_intpoly._scan(sparse), _intpoly._scan(dense)) + 7) // 8 == width
     for n in (2 * length - 1, length, _intpoly._CHUNK + 2):
         assert mul(sparse, dense, n) == naive(sparse, dense, n), n
 
@@ -226,13 +254,13 @@ def test_slots_pack_and_read_back_at_every_width():
     # the packed int of a coefficient list is its value at q = B, whatever
     # the slot encoding, and a product's slots read back as its coefficients
     rng = random.Random(12)
-    for width in (1, 2, 3, 4, 5, 8, 9, 16):
+    for width in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16):
         half = 1 << (8 * width - 1)
         signed = [-half, half - 1, 0, -1] + [rng.randrange(-half, half) for _ in range(2 * _intpoly._CHUNK)]
         plain = [abs(x) % half for x in signed]
         for values, offset in ((signed, True), (plain, False)):
             c = sum(x << (8 * width * i) for i, x in enumerate(values))
-            assert _intpoly._pack(values, width) == c
+            assert _intpoly._pack(values, width, offset) == c
             for n in (len(values), _intpoly._CHUNK + 1):
                 raw = _intpoly._window(c, width, n, offset)
                 assert _intpoly._unpack(raw, width, n, offset) == values[:n]
@@ -253,7 +281,7 @@ def test_cohen52_product_peak_memory_stays_within_twice_its_result(monkeypatch):
     fixtures.cohen_eisenstein(2, 40001)
     monkeypatch.undo()
     acc, theta, n = calls[-1]
-    assert n == 40001 and _intpoly._nonzero(theta) == 201
+    assert n == 40001 and _intpoly._scan(theta)[2] == 201
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -29,6 +29,17 @@ def brute_convolve(da: dict, db: dict, cap: int) -> dict:
     return {n: c for n, c in out.items() if c}
 
 
+def sigma_sieve_loop(power: int, prec: int, odd_only: bool = False) -> list[int]:
+    """sigma_power(n) for 0 < n < prec (odd n only, if odd_only; 0 at every
+    other index) by adding d^power at every multiple n of every d."""
+    out = [0] * max(prec, 0)
+    for d in range(1, prec, 2 if odd_only else 1):
+        dp = d**power
+        for n in range(d, prec, 2 * d if odd_only else d):
+            out[n] += dp
+    return out
+
+
 # Reference exact-scalar helpers: the explicit dispatch the library used
 # before CycScalar arithmetic returned canonical values.  The operators are
 # checked against them.
