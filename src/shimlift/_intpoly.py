@@ -9,28 +9,38 @@ independent unsigned digits U, and the operand is U - H, where H has B/2 in
 every slot.  One big multiply gives the signed product c, and the first n
 slots of (c mod B^n + H) mod B^n are exactly c_i + B/2, again each in
 [0, B): no slot borrows from the next, and a slot reads back by subtracting
-B/2 alone.  A product of two non-negative operands needs no offset.  Only
-the first n slots are ever read, and operands are trimmed to n terms first.
+B/2 alone.  Only the first n slots are ever read, and operands are trimmed
+to n terms first.
+
+Every binary operand is offset-encoded, whatever its signs: the offset
+costs one xor and one subtraction of H per operand, linear next to the
+multiply.  A decimal operand is offset only when it has a negative term,
+and the product's slots only when either operand has one: a decimal slot
+is formatted as text, x + 10^D/2 always has all D digits, and a
+non-negative operand's plain slots format about a quarter faster, which
+on the decimal route's large operands is worth the exception.
 
 Binary slots of up to 8 bytes are packed and read by `struct`, in C,
-`_CHUNK` slots per call.  On a binary slot, x + B/2 and the two's
-complement of x differ only in the top bit, so for these widths one xor
-with H turns the whole packed number from one form into the other, and
-`struct` writes and reads two's complement.  A slot of 1, 2, 4 or 8 bytes
-is a machine word; one of 3 or 5-7 bytes goes through a lane, the next
-wider word: packed into lanes and cut down to its low bytes by one strided
-byte copy per slot byte, and read back by the same copies into zeroed
-lanes, whose upper bytes then repeat the slot's sign bit (a 256-byte
-translate table gives them from the slot's top byte).  Slots of 9 or more
-bytes go one at a time through int.to_bytes and int.from_bytes on the
-offset slots.  The strings, lists, tuples and lanes of every path are
+one call per `_CHUNK` slots each way.  On a binary
+slot, x + B/2 and the two's complement of x differ only in the top bit, so
+for these widths one xor with H turns the whole packed number from one
+form into the other, and `struct` writes and reads two's complement in a
+lane, the narrowest machine word that holds the slot.  A slot of 1, 2, 4
+or 8 bytes is its own lane; one of 3 or 5-7 bytes is cut down from its
+4- or 8-byte lane by one strided byte copy per slot byte, and widened back
+by the same copies into lanes whose upper bytes repeat the slot's sign bit
+(a 256-byte translate table gives them from the slot's top byte).  Slots
+of 9 or more bytes go one at a time through int.to_bytes and
+int.from_bytes.  The strings, lists, tuples and lanes of every path are
 built `_CHUNK` coefficients at a time, so apart from the packed bytes
 themselves no temporary grows with the operands.
 
-`convolve` trims each operand to n terms and scans it once (`_scan`:
-largest magnitude, sign, nonzero count); the routes take the trimmed
-operands with their scans, and the route choice, the slot width and the
-offset test all read those scans.
+`convolve` decides everything about a product once: it trims each operand
+to n terms, scans it once (`_scan`: largest magnitude, sign, nonzero
+count), and from the two scans answers an all-zero product itself and
+picks the route, the slot size (bytes, or decimal digits) and, for
+shift-add, which operand is the sparser.  The routes only pack, multiply
+and read back.
 
 Routes, in the order `convolve` tries them:
   1. schoolbook, when the shorter operand is short;
@@ -114,7 +124,8 @@ def _trim(a: list, n: int) -> list:
 
 def _scan(a: list) -> tuple[int, bool, int]:
     """(largest magnitude, whether a term is negative, nonzero terms) of a:
-    everything the routes read of an operand besides its terms."""
+    everything `convolve` reads of an operand besides its terms (the sign
+    only for the decimal route)."""
     if not a:
         return 0, False, 0
     lo, hi = min(a), max(a)
@@ -136,107 +147,88 @@ def _halves(slot: int, n: int) -> int:
     return int.from_bytes((bytes(slot - 1) + b"\x80") * n, "little")
 
 
-def _pack(a: list, slot: int, signed: bool) -> int:
+def _pack(a: list, slot: int) -> int:
     """a on binary slots of `slot` bytes, as one signed int: U - H for the
-    offset slots U when `signed` (some term is negative), else the plain
-    slots."""
+    offset slots U."""
     lane = _LANE.get(slot)
-    half = 1 << (8 * slot - 1) if signed else 0
+    half = 1 << (8 * slot - 1)
     buf = bytearray(len(a) * slot)
     for start in range(0, len(a), _CHUNK):
         part = a[start:start + _CHUNK]
         base, end = start * slot, (start + len(part)) * slot
-        if lane == slot:
-            # two's complement slots, which are the offset slots xor H
-            struct.pack_into("<%d%s" % (len(part), _WORD[lane]), buf, base, *part)
-        elif lane:
-            # two's complement lanes, cut down to their low `slot` bytes
+        if lane:
+            # two's complement lanes, which are the offset slots xor H, cut
+            # down to their low `slot` bytes
             wide = struct.pack("<%d%s" % (len(part), _WORD[lane]), *part)
-            for j in range(slot):
-                buf[base + j:end:slot] = wide[j::lane]
+            if lane == slot:
+                buf[base:end] = wide
+            else:
+                for j in range(slot):
+                    buf[base + j:end:slot] = wide[j::lane]
         else:
             buf[base:end] = b"".join([(x + half).to_bytes(slot, "little") for x in part])
     p = int.from_bytes(buf, "little")
     del buf
-    if signed:
-        h = _halves(slot, len(a))
-        p = (p ^ h if lane else p) - h
-    return p
+    h = _halves(slot, len(a))
+    return (p ^ h if lane else p) - h
 
 
-def _window(c: int, slot: int, n: int, offset: bool) -> bytes:
-    """The first n slots of the packed product c, as bytes.  With `offset`,
-    (c + H) mod B^n holds c_i + B/2 in slot i, with no borrow between slots;
-    slots of at most 8 bytes are then xored with H into the two's complement
-    of c_i, the form `struct` reads."""
+def _window(c: int, slot: int, n: int) -> bytes:
+    """The first n slots of the packed product c, as bytes: (c + H) mod B^n
+    holds c_i + B/2 in slot i, with no borrow between slots; slots of at
+    most 8 bytes are then xored with H into the two's complement of c_i,
+    the form `struct` reads."""
     window = (1 << 8 * slot * n) - 1
     c &= window
-    if offset:
-        h = _halves(slot, n)
-        c = (c + h) & window
-        if slot in _LANE:
-            c ^= h
+    h = _halves(slot, n)
+    c = (c + h) & window
+    if slot in _LANE:
+        c ^= h
     return c.to_bytes(n * slot, "little")
 
 
-def _unpack(raw: bytes, slot: int, n: int, offset: bool) -> list:
+def _unpack(raw: bytes, slot: int, n: int) -> list:
     """The n coefficients in the slots `_window` wrote."""
     lane = _LANE.get(slot)
     if not lane:
-        half = 1 << (8 * slot - 1) if offset else 0
+        half = 1 << (8 * slot - 1)
         return [int.from_bytes(raw[i:i + slot], "little") - half for i in range(0, n * slot, slot)]
     out = [0] * n
     for start in range(0, n, _CHUNK):
         k = min(_CHUNK, n - start)
-        fmt = "<%d%s" % (k, _WORD[lane])
-        if lane == slot:
-            out[start:start + k] = struct.unpack_from(fmt, raw, start * slot)
-            continue
-        # each slot widened to its lane; the bytes above it repeat the
-        # slot's sign bit when the slots are two's complement, and are 0
-        # when they are plain
         part = raw[start * slot:(start + k) * slot]
-        wide = bytearray(k * lane)
-        for j in range(slot):
-            wide[j::lane] = part[j::slot]
-        if offset:
+        if lane > slot:
+            # each slot widened to its lane; the bytes above it repeat the
+            # slot's sign bit
+            wide = bytearray(k * lane)
+            for j in range(slot):
+                wide[j::lane] = part[j::slot]
             fill = part[slot - 1::slot].translate(_SIGN_FILL)
             for j in range(slot, lane):
                 wide[j::lane] = fill
-        out[start:start + k] = struct.unpack(fmt, wide)
+            part = wide
+        out[start:start + k] = struct.unpack("<%d%s" % (k, _WORD[lane]), part)
     return out
 
 
-def _binary(a: list, b: list, n: int, sa: tuple, sb: tuple, big=_mpz) -> list:
-    """First n coefficients of a*b through binary slots, the big multiply
-    done on big(.) of the packed operands (int or gmpy2.mpz)."""
-    bits = _slot_bits(sa, sb)
-    if not bits:
-        return [0] * n
-    slot = (bits + 7) // 8
-    offset = sa[1] or sb[1]
-    raw = _window(int(big(_pack(a, slot, sa[1])) * big(_pack(b, slot, sb[1]))), slot, n, offset)
-    return _unpack(raw, slot, n, offset)
+def _binary(a: list, b: list, n: int, slot: int, big=_mpz) -> list:
+    """First n coefficients of a*b through binary slots of `slot` bytes, the
+    big multiply done on big(.) of the packed operands (int or gmpy2.mpz)."""
+    raw = _window(int(big(_pack(a, slot)) * big(_pack(b, slot))), slot, n)
+    return _unpack(raw, slot, n)
 
 
-def _shift_add(a: list, b: list, n: int, sa: tuple, sb: tuple) -> list:
-    """First n coefficients of a*b without a big multiply: the denser
-    operand B packed on binary slots of width w, and x * sum of
-    (B << e w) mod 2^(n w) over the exponents e of each value x among the
-    nonzero terms x q^e of the sparser one, one multiply per value (none
-    for 1).  The sum is the packed product mod 2^(n w), read back like the
-    product of `_binary`."""
-    bits = _slot_bits(sa, sb)
-    if not bits:
-        return [0] * n
-    if sa[2] > sb[2]:
-        a, b, sa, sb = b, a, sb, sa
+def _shift_add(sparse: list, dense: list, n: int, slot: int) -> list:
+    """First n coefficients of sparse*dense without a big multiply: dense
+    packed on binary slots of w bits, and x * sum of (dense << e w) mod
+    2^(n w) over the exponents e of each value x among the nonzero terms
+    x q^e of sparse, one multiply per value (none for 1).  The sum is the
+    packed product mod 2^(n w), read back like the product of `_binary`."""
     exponents: dict[int, list] = {}
-    for e in itertools.compress(range(len(a)), a):
-        exponents.setdefault(a[e], []).append(e)
-    slot = (bits + 7) // 8
+    for e in itertools.compress(range(len(sparse)), sparse):
+        exponents.setdefault(sparse[e], []).append(e)
     w = 8 * slot
-    packed = _pack(b, slot, sb[1])
+    packed = _pack(dense, slot)
     window = (1 << n * w) - 1
     total = 0
     for x, es in exponents.items():
@@ -246,19 +238,18 @@ def _shift_add(a: list, b: list, n: int, sa: tuple, sb: tuple) -> list:
         total += part if x == 1 else x * part
         del part
     del packed
-    offset = sa[1] or sb[1]
-    raw = _window(total, slot, n, offset)
+    raw = _window(total, slot, n)
     del total
-    return _unpack(raw, slot, n, offset)
+    return _unpack(raw, slot, n)
 
 
-def _shift_add_pays(a: list, b: list, sa: tuple, sb: tuple) -> bool:
-    """Whether one operand is sparse enough for `_shift_add` to beat a big
-    multiply (measured crossover without gmpy2)."""
-    length, (m, _, k) = (len(a), sa) if sa[2] <= sb[2] else (len(b), sb)
-    if k:
-        k *= 1 + m.bit_length() // 128
-    return k <= _SHIFT_ADD_TERMS and k * _SHIFT_ADD_SPREAD <= length
+def _shift_add_pays(sparse: list, scan: tuple) -> bool:
+    """Whether `sparse`, the operand with fewer nonzero terms, is sparse
+    enough for `_shift_add` to beat a big multiply (measured crossover
+    without gmpy2)."""
+    m, _, k = scan
+    k *= 1 + m.bit_length() // 128
+    return k <= _SHIFT_ADD_TERMS and k * _SHIFT_ADD_SPREAD <= len(sparse)
 
 
 def _pack_digits(a: list, digits: int, half: int) -> decimal.Decimal:
@@ -296,19 +287,17 @@ def _decimal_slot_digits(bits: int) -> int:
     return digits
 
 
-def _decimal(a: list, b: list, n: int, sa: tuple, sb: tuple) -> list:
-    """First n coefficients of a*b through decimal-digit slots, multiplied
-    as exact Decimals (libmpdec switches to a number-theoretic transform
-    for large operands)."""
-    bits = _slot_bits(sa, sb)
-    if not bits:
-        return [0] * n
-    digits = _decimal_slot_digits(bits)
-    # offset slots (see the module docstring) unless both are non-negative
-    half = 5 * 10 ** (digits - 1) if sa[1] or sb[1] else 0
+def _decimal(a: list, b: list, n: int, digits: int, signed: tuple) -> list:
+    """First n coefficients of a*b through decimal slots of `digits` digits,
+    multiplied as exact Decimals (libmpdec switches to a number-theoretic
+    transform for large operands); `signed` says whether a, and whether b,
+    has a negative term."""
+    # offset slots (see the module docstring) only for an operand with a
+    # negative term: an offset slot always formats all its digits
+    half = 5 * 10 ** (digits - 1) if any(signed) else 0
     packed = []
-    for x, signed in ((a, sa[1]), (b, sb[1])):
-        if signed:
+    for x, negative in zip((a, b), signed):
+        if negative:
             packed.append(_EXACT.subtract(_pack_digits(x, digits, half), _decimal_halves(digits, len(x))))
         else:
             packed.append(_pack_digits(x, digits, 0))
@@ -344,11 +333,17 @@ def convolve(a: list, b: list, n: int | None = None) -> list:
     if short <= _SCHOOLBOOK_TERMS:
         return _schoolbook(a, b, n)
     sa, sb = _scan(a), _scan(b)
+    bits = _slot_bits(sa, sb)
+    if not bits:
+        return [0] * n
+    slot = (bits + 7) // 8
     if not _HAVE_GMPY2:
-        if _shift_add_pays(a, b, sa, sb):
-            return _shift_add(a, b, n, sa, sb)
-        bits = _slot_bits(sa, sb)
-        limit = _int_max_str_digits()
-        if bits * short >= _DECIMAL_BITS and (not limit or _decimal_slot_digits(bits) < limit):
-            return _decimal(a, b, n, sa, sb)
-    return _binary(a, b, n, sa, sb)
+        sparse, dense, scan = (a, b, sa) if sa[2] <= sb[2] else (b, a, sb)
+        if _shift_add_pays(sparse, scan):
+            return _shift_add(sparse, dense, n, slot)
+        if bits * short >= _DECIMAL_BITS:
+            digits = _decimal_slot_digits(bits)
+            limit = _int_max_str_digits()
+            if not limit or digits < limit:
+                return _decimal(a, b, n, digits, (sa[1], sb[1]))
+    return _binary(a, b, n, slot)

@@ -144,10 +144,10 @@ def euler_function(prec: int) -> QExp:
 
 
 def delta(prec: int) -> QExp:
-    """The discriminant from the Eisenstein side: (E4^3 - E6^2) / 1728."""
-    e4 = eisenstein(4, prec)
+    """The discriminant from the Eisenstein side: (E4^3 - E6^2) / 1728, with
+    E4^3 formed as E4 E8, since E4^2 = E8 (dim M_8 = 1)."""
     e6 = eisenstein(6, prec)
-    num = add(mul(mul(e4, e4), e4), scale(mul(e6, e6), -1))
+    num = add(mul(eisenstein(4, prec), eisenstein(8, prec)), scale(mul(e6, e6), -1))
     return scale(num, Fraction(1, 1728))
 
 

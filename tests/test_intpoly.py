@@ -34,11 +34,20 @@ def naive(a: list, b: list, n: int) -> list:
 
 
 def direct(route, *extra):
-    """route(a, b, n) called as `convolve` calls it: on the operands trimmed
-    to n, with each one's scan."""
+    """route called as `convolve` calls it: on the operands trimmed to n,
+    with the all-zero answer, the slot size, the sparser operand first for
+    shift-add and the pair of sign bits for decimal decided from the scans."""
     def mul(a, b, n):
         a, b = _intpoly._trim(a, n), _intpoly._trim(b, n)
-        return route(a, b, n, _intpoly._scan(a), _intpoly._scan(b), *extra)
+        sa, sb = _intpoly._scan(a), _intpoly._scan(b)
+        bits = _intpoly._slot_bits(sa, sb)
+        if not bits:
+            return [0] * n
+        if route is _intpoly._decimal:
+            return route(a, b, n, _intpoly._decimal_slot_digits(bits), (sa[1], sb[1]))
+        if route is _intpoly._shift_add and sa[2] > sb[2]:
+            a, b = b, a
+        return route(a, b, n, (bits + 7) // 8, *extra)
     return mul
 
 
@@ -220,10 +229,11 @@ def test_shift_add_route_on_both_sides_of_the_crossover(monkeypatch, extra, bits
     assert _intpoly.convolve(b, a, span) == want
 
 
-def _extreme_operands(rng, width, length):
+def _extreme_operands(rng, width, length, signs):
     # a dense operand of `length` terms and a sparse one of four, each at the
     # largest magnitude that still packs on `width`-byte slots: with four
-    # nonzero terms _slot_bits is bits(max a) + bits(max b) + 3 + 1
+    # nonzero terms _slot_bits is bits(max a) + bits(max b) + 3 + 1.  With
+    # signs=False both are non-negative, so every column sum is too.
     room = 8 * width - 4
     ma, mb = (1 << (room - room // 2)) - 1, (1 << (room // 2)) - 1
     dense = [rng.choice((-ma, ma, rng.randrange(-ma, ma + 1))) for _ in range(length)]
@@ -233,6 +243,8 @@ def _extreme_operands(rng, width, length):
     sparse = [0] * length
     for e, x in zip((0, 1, length // 2, length - 1), (mb, -mb, -mb, mb)):
         sparse[e] = x
+    if not signs:
+        dense, sparse = [abs(x) for x in dense], [abs(x) for x in sparse]
     return dense, sparse
 
 
@@ -242,28 +254,31 @@ def _extreme_operands(rng, width, length):
 def test_multiplier_at_the_largest_coefficients_of_each_slot_width(mul, width, length):
     # word widths (1, 2, 4, 8) go through struct, 3 and 5-7 through struct
     # lanes of 4 and 8 bytes, the others slot by slot; operand and product
-    # lengths cross a chunk edge
-    rng = random.Random(width * 7919 + length)
-    dense, sparse = _extreme_operands(rng, width, length)
-    assert (_intpoly._slot_bits(_intpoly._scan(sparse), _intpoly._scan(dense)) + 7) // 8 == width
-    for n in (2 * length - 1, length, _intpoly._CHUNK + 2):
-        assert mul(sparse, dense, n) == naive(sparse, dense, n), n
+    # lengths cross a chunk edge; the binary routes offset-encode
+    # non-negative operands like signed ones, decimal packs them plain
+    for signs in (True, False):
+        rng = random.Random(width * 7919 + length)
+        dense, sparse = _extreme_operands(rng, width, length, signs)
+        assert (_intpoly._slot_bits(_intpoly._scan(sparse), _intpoly._scan(dense)) + 7) // 8 == width
+        for n in (2 * length - 1, length, _intpoly._CHUNK + 2):
+            assert mul(sparse, dense, n) == naive(sparse, dense, n), (signs, n)
 
 
 def test_slots_pack_and_read_back_at_every_width():
-    # the packed int of a coefficient list is its value at q = B, whatever
-    # the slot encoding, and a product's slots read back as its coefficients
+    # the packed int of a coefficient list is its value at q = B, whether or
+    # not a term is negative, and a product's slots read back as its
+    # coefficients
     rng = random.Random(12)
     for width in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16):
         half = 1 << (8 * width - 1)
         signed = [-half, half - 1, 0, -1] + [rng.randrange(-half, half) for _ in range(2 * _intpoly._CHUNK)]
         plain = [abs(x) % half for x in signed]
-        for values, offset in ((signed, True), (plain, False)):
+        for values in (signed, plain):
             c = sum(x << (8 * width * i) for i, x in enumerate(values))
-            assert _intpoly._pack(values, width, offset) == c
+            assert _intpoly._pack(values, width) == c
             for n in (len(values), _intpoly._CHUNK + 1):
-                raw = _intpoly._window(c, width, n, offset)
-                assert _intpoly._unpack(raw, width, n, offset) == values[:n]
+                raw = _intpoly._window(c, width, n)
+                assert _intpoly._unpack(raw, width, n) == values[:n]
 
 
 def test_cohen52_product_peak_memory_stays_within_twice_its_result(monkeypatch):
