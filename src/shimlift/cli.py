@@ -7,6 +7,10 @@ it), 3 precision shortfall (the payload carries the required window).
 
 With --json all output is a single deterministic JSON object on stdout
 (sorted keys, no whitespace), suitable for byte-exact round trips.
+
+Each subcommand imports the modules it calls when it runs, so a call loads
+only what its own branch uses: `level-predict` loads `level` and `arith`,
+`fixtures --reemit` only `qseries` and what `qseries` needs.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import functools
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-from .characters import DirichletCharacter, character_from_json
 from .errors import (
     HypothesisError,
     PrecisionError,
@@ -26,20 +30,9 @@ from .errors import (
     VerificationFailure,
     check_budget,
 )
-from .fixtures import fixture, fixture_defaults, fixture_names
-from .plusspace import epsilon_for, project_plus, project_two
-from .qseries import QExp, qexp_from_json, qexp_to_json
-from .scalars import rational_from_str, scalar_to_json
-from .shimura import (
-    CharacterOrbit,
-    _check_args,
-    matches_plus_space,
-    predict_level,
-    shimura_St,
-    shimura_general,
-)
-from .verify import level1_exact_check, modularity_residual
-from .weilrep import weil_selftest
+
+if TYPE_CHECKING:
+    from .qseries import QExp
 
 __all__ = ["main"]
 
@@ -70,11 +63,15 @@ def _load_series(args, needed_hi: int | None = None) -> QExp:
     """The --input or --fixture series; a fixture is built to needed_hi,
     which the caller has checked against the budget, or to --prec."""
     if getattr(args, "fixture", None):
+        from .fixtures import fixture
+
         if needed_hi is None:
             needed_hi = args.prec
             check_budget(needed_hi, "the --fixture window --prec")
         return fixture(args.fixture, needed_hi)
     if getattr(args, "input", None):
+        from .qseries import qexp_from_json
+
         doc = _read_json_source(args.input)
         if isinstance(doc, dict):
             for wrapper in ("lift", "projection"):
@@ -90,6 +87,8 @@ def _resolve(args, field: str, default=None):
     if v is not None:
         return v
     if getattr(args, "fixture", None):
+        from .fixtures import fixture_defaults
+
         meta = fixture_defaults(args.fixture)
         if field in meta:
             return meta[field]
@@ -100,6 +99,8 @@ def _parse_character(spec: str | None, modulus: int):
     if spec is None or spec == "trivial":
         return None
     if spec.startswith("kronecker:"):
+        from .characters import DirichletCharacter
+
         text = spec.split(":", 1)[1]
         try:
             t = int(text)
@@ -111,6 +112,8 @@ def _parse_character(spec: str | None, modulus: int):
         except ValueError as exc:
             raise SchemaError("--character kronecker:%d at modulus %d: %s" % (t, modulus, exc)) from None
     if spec.startswith("json:"):
+        from .characters import character_from_json
+
         return character_from_json(_read_json_source(spec.split(":", 1)[1]))
     raise SchemaError(
         "character spec %r; use trivial, kronecker:t, or json:PATH" % spec
@@ -141,6 +144,10 @@ def _check_at_least(least: int, *flags: tuple[str, int]) -> None:
 
 
 def _cmd_lift(args) -> int:
+    from .level import predict_level
+    from .qseries import qexp_to_json
+    from .shimura import CharacterOrbit, _check_args, matches_plus_space, shimura_general, shimura_St
+
     N = _resolve(args, "N", 1)
     _check_at_least(1, ("--t", args.t), ("--s", args.s), ("--M", args.M), ("--N", N))
     level = args.M * N
@@ -161,6 +168,8 @@ def _cmd_lift(args) -> int:
     # the lift's own argument check, before any series is built or read
     _check_args(level, k, args.prec, eps, args.t, args.s)
     f = _load_series(args, needed_hi)
+    if 2 * f.weight != 2 * k + 1:
+        raise SchemaError("the input has weight %s, but --k %d asks for weight %d/2" % (f.weight, k, 2 * k + 1))
     if args.extended or args.s > 1:
         out = shimura_general(f, level, k, args.t, args.s, eps, args.prec, orbit)
     else:
@@ -177,6 +186,9 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .plusspace import epsilon_for, project_plus, project_two
+    from .qseries import qexp_to_json
+
     _check_at_least(0, ("--prec", args.prec))
     _check_at_least(1, ("--N", args.N))
     f = _load_series(args)
@@ -193,6 +205,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_level_predict(args) -> int:
+    from .level import predict_level
+
     # trial division tries about sqrt(n) / 2 divisors of n
     check_budget(math.isqrt(max(args.t, 0)) // 2, "the trial division of --t")
     check_budget(math.isqrt(max(args.M, 0)) // 2, "the trial division of --M")
@@ -214,6 +228,9 @@ def _cmd_level_predict(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .scalars import rational_from_str, scalar_to_json
+    from .verify import level1_exact_check, modularity_residual
+
     _check_at_least(0, ("--prec", args.prec))
     _check_at_least(1, ("--level", args.level), ("--terms", args.terms))
     try:
@@ -261,6 +278,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_weil_selftest(args) -> int:
+    from .weilrep import weil_selftest
+
     _check_at_least(0, ("--words", args.words), ("--max-n", args.max_n))
     report = weil_selftest(max_n=args.max_n, words=args.words)
     report = {k: (v.item() if hasattr(v, "item") else v) for k, v in report.items()}
@@ -271,8 +290,12 @@ def _cmd_weil_selftest(args) -> int:
 def _cmd_fixtures(args) -> int:
     _check_at_least(0, ("--prec", args.prec))
     if args.list:
+        from .fixtures import fixture_names
+
         _emit(args, {"fixtures": fixture_names()}, "\n".join(fixture_names()))
         return 0
+    from .qseries import qexp_from_json, qexp_to_json
+
     if args.reemit:
         f = qexp_from_json(_read_json_source(args.reemit))
         print(_dump(qexp_to_json(f)))
@@ -280,6 +303,8 @@ def _cmd_fixtures(args) -> int:
     if not args.name:
         raise SchemaError("need --name, --list, or --reemit")
     check_budget(args.prec, "the fixture window --prec")
+    from .fixtures import fixture
+
     f = fixture(args.name, args.prec)
     if args.json:
         print(_dump(qexp_to_json(f)))

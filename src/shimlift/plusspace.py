@@ -5,13 +5,20 @@ The plus condition is one sign: a form of weight k + 1/2 lies in the
 eps plus space when its coefficients are supported on exponents 0 and
 eps mod 4, with eps = (-1)^k xi (`epsilon_for`).  Every function here takes
 that sign, and the projections also the level N, as plain arguments.
+
+Only `lift_L` builds vector-valued forms, and it imports `weilrep` itself,
+so the membership test and the projections load nothing beyond `qseries`.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import HypothesisError
 from .qseries import QExp, add, decompose_mod4, filter_residues, rescale
-from .weilrep import FqModule, VVQExp
+
+if TYPE_CHECKING:
+    from .weilrep import VVQExp
 
 __all__ = [
     "epsilon_for",
@@ -82,6 +89,8 @@ def lift_L(f: QExp, eps: int) -> VVQExp:
     one module for eps = +1 and its negative for eps = -1, matching the
     support law Q(1) = 1/4 resp. 3/4.
     """
+    from .weilrep import FqModule, VVQExp
+
     _check_eps(eps)
     if f.denom != 1:
         raise ValueError("vector-valued lift needs integer exponents")

@@ -21,7 +21,7 @@ from shimlift import weilrep
 from shimlift.cli import main
 from shimlift.errors import HypothesisError
 from shimlift.fixtures import fixture, fixture_names
-from shimlift.qseries import QExp, qexp_from_json, qexp_to_json
+from shimlift.qseries import QExp, mul, qexp_from_json, qexp_to_json, rescale
 from shimlift.shimura import shimura_general, shimura_St
 from util import perturbed_weil_S
 
@@ -151,12 +151,10 @@ def test_project_requires_4n_exit_2(capsys):
 
 @pytest.mark.parametrize("value", ["0", "-4"])
 def test_project_nonpositive_level_is_schema_error(capsys, monkeypatch, value):
-    import shimlift.cli as cli
-
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --N was checked")
 
-    monkeypatch.setattr(cli, "fixture", no_work)
+    monkeypatch.setattr("shimlift.fixtures.fixture", no_work)
     code, payload, _ = run_json(capsys, "project", "--fixture", "theta_e4", "--N", value, "--json")
     assert code == 2
     assert payload == {
@@ -332,12 +330,10 @@ def test_character_json_with_string_residue_is_schema_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("spec", ["kronecker:x", "kronecker:", "kronecker:1.5"])
 def test_lift_malformed_kronecker_character_is_schema_error(capsys, monkeypatch, spec):
-    import shimlift.cli as cli
-
     def no_build(*args, **kwargs):
         raise AssertionError("series built before the character was parsed")
 
-    monkeypatch.setattr(cli, "fixture", no_build)
+    monkeypatch.setattr("shimlift.fixtures.fixture", no_build)
     code, out, _ = run(
         capsys, "lift", "--fixture", "cohen52", "--prec", "5", "--character", spec, "--json"
     )
@@ -355,12 +351,10 @@ def test_lift_malformed_kronecker_character_is_schema_error(capsys, monkeypatch,
 ])
 def test_lift_invalid_kronecker_character_is_schema_error(capsys, monkeypatch, args, detail):
     # well-formed kronecker:t that names no character at the level
-    import shimlift.cli as cli
-
     def no_build(*args, **kwargs):
         raise AssertionError("series built before the character was parsed")
 
-    monkeypatch.setattr(cli, "fixture", no_build)
+    monkeypatch.setattr("shimlift.fixtures.fixture", no_build)
     code, out, _ = run(capsys, "lift", "--fixture", "cohen52", "--prec", "5", *args, "--json")
     assert code == 2
     lines = out.strip().splitlines()
@@ -374,12 +368,10 @@ def test_lift_invalid_kronecker_character_is_schema_error(capsys, monkeypatch, a
 @pytest.mark.parametrize("flag", ["--t", "--s", "--M", "--N"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_lift_rejects_nonpositive_index_flags(capsys, monkeypatch, flag, value):
-    import shimlift.cli as cli
-
     def no_build(*args, **kwargs):
         raise AssertionError("series built before the arguments were checked")
 
-    monkeypatch.setattr(cli, "fixture", no_build)
+    monkeypatch.setattr("shimlift.fixtures.fixture", no_build)
     code, payload, _ = run_json(
         capsys, "lift", "--fixture", "cohen52", flag, value, "--prec", "5", "--json"
     )
@@ -390,12 +382,10 @@ def test_lift_rejects_nonpositive_index_flags(capsys, monkeypatch, flag, value):
 
 @pytest.mark.parametrize("k", ["65", "1000"])
 def test_lift_weight_beyond_bernoulli_bound_is_schema_error(capsys, monkeypatch, k):
-    import shimlift.cli as cli
-
     def no_build(*args, **kwargs):
         raise AssertionError("series built before k was checked")
 
-    monkeypatch.setattr(cli, "fixture", no_build)
+    monkeypatch.setattr("shimlift.fixtures.fixture", no_build)
     code, out, _ = run(capsys, "lift", "--fixture", "cohen52", "--k", k, "--prec", "2", "--json")
     assert code == 2
     lines = out.strip().splitlines()
@@ -405,10 +395,40 @@ def test_lift_weight_beyond_bernoulli_bound_is_schema_error(capsys, monkeypatch,
     assert "k = %s exceeds 64" % k in payload["message"]
 
 
-def test_lift_weight_at_bernoulli_bound_lifts(capsys):
-    code, payload, _ = run_json(capsys, "lift", "--fixture", "cohen52", "--k", "64", "--prec", "2", "--json")
+def test_lift_weight_at_bernoulli_bound_lifts(capsys, tmp_path):
+    # theta(tau) E_4(4 tau)^16, of weight 129/2 = 64 + 1/2
+    f = fixture("theta", 5)
+    e4 = rescale(fixture("e4", 2), 4)
+    for _ in range(16):
+        f = mul(f, e4)
+    p = tmp_path / "theta_e4_16.json"
+    p.write_text(json.dumps(qexp_to_json(f)))
+    code, payload, _ = run_json(capsys, "lift", "--input", str(p), "--k", "64", "--prec", "2", "--json")
     assert code == 0
     assert payload["lift"]["weight"] == {"den": 1, "num": 128}
+
+
+@pytest.mark.parametrize("source, k, weight", [
+    (["--fixture", "theta_e4"], "2", "9/2"),
+    (["--input", "COHEN52"], "3", "5/2"),
+    (["--fixture", "cohen52"], "64", "5/2"),
+], ids=["fixture", "input", "bernoulli-bound"])
+def test_lift_refuses_a_k_that_contradicts_the_input_weight(capsys, monkeypatch, tmp_path, source, k, weight):
+    from shimlift import shimura
+
+    def no_lift(*args, **kwargs):
+        raise AssertionError("the lift ran on an input of another weight")
+
+    p = tmp_path / "cohen52.json"
+    p.write_text(json.dumps(qexp_to_json(fixture("cohen52", 101))))
+    source = [str(p) if a == "COHEN52" else a for a in source]
+    monkeypatch.setattr(shimura, "_lift", no_lift)
+    code, payload, _ = run_json(capsys, "lift", *source, "--k", k, "--prec", "4", "--json")
+    assert code == 2
+    assert payload == {
+        "error": "SchemaError",
+        "message": "the input has weight %s, but --k %s asks for weight %d/2" % (weight, k, 2 * int(k) + 1),
+    }
 
 
 @pytest.mark.parametrize(
@@ -421,12 +441,10 @@ def test_lift_weight_at_bernoulli_bound_lifts(capsys):
     ids=["fixtures", "project", "verify"],
 )
 def test_negative_prec_is_schema_error(capsys, monkeypatch, argv):
-    import shimlift.cli as cli
-
     def no_build(*args, **kwargs):
         raise AssertionError("series built before --prec was checked")
 
-    monkeypatch.setattr(cli, "fixture", no_build)
+    monkeypatch.setattr("shimlift.fixtures.fixture", no_build)
     code, out, _ = run(capsys, *argv, "--prec", "-1", "--json")
     assert code == 2
     lines = out.strip().splitlines()
@@ -447,19 +465,17 @@ def test_zero_prec_fixture_exits_0_with_empty_window(capsys, name):
 @pytest.mark.parametrize(
     "argv, flag, builder",
     [
-        (["weil-selftest", "--max-n", "2", "--words", "-1"], "--words", "weil_selftest"),
-        (["verify", "--fixture", "theta", "--weight", "1/2", "--level", "0"], "--level", "fixture"),
-        (["verify", "--fixture", "theta", "--weight", "1/2", "--level", "-3"], "--level", "fixture"),
+        (["weil-selftest", "--max-n", "2", "--words", "-1"], "--words", "shimlift.weilrep.weil_selftest"),
+        (["verify", "--fixture", "theta", "--weight", "1/2", "--level", "0"], "--level", "shimlift.fixtures.fixture"),
+        (["verify", "--fixture", "theta", "--weight", "1/2", "--level", "-3"], "--level", "shimlift.fixtures.fixture"),
     ],
     ids=["words", "level-0", "level-negative"],
 )
 def test_out_of_range_flags_are_schema_errors(capsys, monkeypatch, argv, flag, builder):
-    import shimlift.cli as cli
-
     def no_build(*args, **kwargs):
         raise AssertionError("work started before %s was checked" % flag)
 
-    monkeypatch.setattr(cli, builder, no_build)
+    monkeypatch.setattr(builder, no_build)
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 2
     lines = out.strip().splitlines()
@@ -489,14 +505,14 @@ _MODULUS_FLAGS = "--M, --N, --t and --s"
          "fixtures-window"],
 )
 def test_requests_over_the_budget_are_refused_before_any_work(capsys, monkeypatch, argv, flags):
-    import shimlift.cli as cli
     from shimlift.characters import DirichletCharacter
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the request budget was checked")
 
-    for name in ("fixture", "qexp_from_json", "predict_level", "character_from_json"):
-        monkeypatch.setattr(cli, name, no_work)
+    for name in ("fixtures.fixture", "qseries.qexp_from_json", "level.predict_level",
+                 "characters.character_from_json"):
+        monkeypatch.setattr("shimlift." + name, no_work)
     monkeypatch.setattr(DirichletCharacter, "from_kronecker", no_work)
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 2
@@ -550,12 +566,14 @@ def test_zero_prec_fixture_is_empty_window(capsys):
 
 
 # Runs main(argv) in a fresh interpreter, then reports on stderr whether
-# numpy was imported.  With --json, the command's own output is on stdout.
+# numpy was imported and, on the next line, which shimlift modules were.
+# With --json, the command's own output is on stdout.
 _COLD_START = """
 import sys
 from shimlift.cli import main
 code = main(sys.argv[1:])
-sys.stderr.write("numpy=%s exit=%d\\n" % ("numpy" in sys.modules, code))
+loaded = sorted(m[len("shimlift."):] for m in sys.modules if m.startswith("shimlift."))
+sys.stderr.write("numpy=%s exit=%d\\n%s\\n" % ("numpy" in sys.modules, code, ",".join(loaded)))
 """
 
 
@@ -567,13 +585,70 @@ def _fresh_python(code, *argv, flags=()):
 
 
 def _cold_start(*argv):
+    """(status line, set of shimlift modules loaded, stdout) of one call."""
     proc = _fresh_python(_COLD_START, *argv)
-    return proc.stderr.strip().splitlines()[-1], proc.stdout
+    status, loaded = proc.stderr.strip().splitlines()[-2:]
+    return status, set(loaded.split(",")), proc.stdout
+
+
+def _theta_e4_file(capsys, tmp_path):
+    code, out, _ = run(capsys, "fixtures", "--name", "theta_e4", "--prec", "50", "--json")
+    assert code == 0
+    src = tmp_path / "theta_e4.json"
+    src.write_text(out)
+    return str(src)
 
 
 def test_import_does_not_load_numpy():
     proc = _fresh_python("import sys, shimlift; print('numpy' in sys.modules)")
     assert proc.stdout.strip() == "False", proc.stderr
+
+
+def test_bare_import_loads_no_submodule():
+    proc = _fresh_python("import sys, shimlift; print(sorted(m for m in sys.modules if 'shimlift' in m))")
+    assert proc.stdout.strip() == "['shimlift']", proc.stderr
+
+
+def test_every_public_name_resolves_lazily():
+    # a fresh interpreter, so that no earlier test has imported a submodule
+    proc = _fresh_python(
+        "import shimlift\n"
+        "missing = [n for n in shimlift.__all__ if n not in dir(shimlift)]\n"
+        "values = [getattr(shimlift, n) for n in shimlift.__all__]\n"
+        "print(missing, len(values))"
+    )
+    assert proc.stdout.strip() == "[] 53", proc.stderr
+
+
+# each call may load at most the modules listed with it; level-predict
+# loads exactly those
+_ALL_MODULES = {"_intpoly", "arith", "characters", "cli", "errors", "fixtures", "level",
+                "plusspace", "qseries", "scalars", "shimura", "verify", "weilrep"}
+
+
+@pytest.mark.parametrize(
+    "argv, allowed",
+    [
+        (["level-predict", "--N", "3", "--t", "5", "--M", "4"], {"cli", "errors", "arith", "level"}),
+        (["fixtures", "--reemit", "THETA_E4"],
+         _ALL_MODULES - {"shimura", "characters", "plusspace", "fixtures", "verify", "weilrep"}),
+        (["lift", "--input", "THETA_E4", "--k", "4", "--prec", "6"],
+         _ALL_MODULES - {"fixtures", "verify", "weilrep"}),
+        (["project", "--fixture", "theta_e4", "--N", "4", "--prec", "40"],
+         _ALL_MODULES - {"shimura", "characters", "verify"}),
+        (["weil-selftest", "--max-n", "3", "--words", "5"], _ALL_MODULES - {"shimura", "fixtures", "verify"}),
+    ],
+    ids=["level-predict", "fixtures-reemit", "lift-input", "project", "weil-selftest"],
+)
+def test_cli_commands_load_only_what_they_run(capsys, tmp_path, argv, allowed):
+    if "THETA_E4" in argv:
+        path = _theta_e4_file(capsys, tmp_path)
+        argv = [path if a == "THETA_E4" else a for a in argv]
+    status, loaded, out = _cold_start(*argv, "--json")
+    assert status.endswith(" exit=0"), out
+    assert {"cli", "errors"} <= loaded <= allowed, sorted(loaded - allowed)
+    if argv[0] == "level-predict":
+        assert loaded == allowed
 
 
 @pytest.mark.parametrize(
@@ -589,31 +664,26 @@ def test_import_does_not_load_numpy():
 )
 def test_cli_commands_do_not_load_numpy(capsys, tmp_path, argv):
     if "REEMIT" in argv:
-        code, out, _ = run(capsys, "fixtures", "--name", "theta_e4", "--prec", "50", "--json")
-        assert code == 0
-        src = tmp_path / "theta_e4.json"
-        src.write_text(out)
-        argv = [str(src) if a == "REEMIT" else a for a in argv]
-    status, out = _cold_start(*argv, "--json")
+        path = _theta_e4_file(capsys, tmp_path)
+        argv = [path if a == "REEMIT" else a for a in argv]
+    status, _, out = _cold_start(*argv, "--json")
     assert status == "numpy=False exit=0", out
     assert len(out.strip().splitlines()) == 1
 
 
 def test_weil_selftest_loads_numpy_and_passes():
-    status, out = _cold_start("weil-selftest", "--max-n", "3", "--words", "5", "--json")
+    status, _, out = _cold_start("weil-selftest", "--max-n", "3", "--words", "5", "--json")
     assert status == "numpy=True exit=0", out
     assert json.loads(out)["modules"] == 5
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_verify_terms_below_one_is_schema_error(capsys, monkeypatch, value):
-    import shimlift.cli as cli
-
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --terms was checked")
 
-    monkeypatch.setattr(cli, "fixture", no_work)
-    monkeypatch.setattr(cli, "modularity_residual", no_work)
+    monkeypatch.setattr("shimlift.fixtures.fixture", no_work)
+    monkeypatch.setattr("shimlift.verify.modularity_residual", no_work)
     code, out, _ = run(
         capsys, "verify", "--fixture", "theta", "--weight", "1/2", "--level", "4",
         "--terms", value, "--json",
@@ -628,12 +698,10 @@ def test_verify_terms_below_one_is_schema_error(capsys, monkeypatch, value):
 
 @pytest.mark.parametrize("value", ["-1", "-2"])
 def test_weil_selftest_negative_max_n_is_schema_error(capsys, monkeypatch, value):
-    import shimlift.cli as cli
-
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --max-n was checked")
 
-    monkeypatch.setattr(cli, "weil_selftest", no_work)
+    monkeypatch.setattr("shimlift.weilrep.weil_selftest", no_work)
     code, payload, _ = run_json(capsys, "weil-selftest", "--max-n", value, "--json")
     assert code == 2
     assert payload == {

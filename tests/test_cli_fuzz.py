@@ -207,12 +207,10 @@ def test_exact_verify_refuses_cyclotomic_coefficients(tmp_path):
 
 @pytest.mark.parametrize("weight", ["1/0", "x", "", "1e1000000000", "0.5", "5/2.0"])
 def test_verify_weight_is_parsed_before_the_series_is_built(tmp_path, monkeypatch, weight):
-    import shimlift.cli as cli
-
     def no_work(*args, **kwargs):
         raise AssertionError("series built before --weight was parsed")
 
-    monkeypatch.setattr(cli, "fixture", no_work)
+    monkeypatch.setattr("shimlift.fixtures.fixture", no_work)
     payload = _refusal(tmp_path, ["verify", "--fixture", "theta", "--prec", "50", "--weight", weight,
                                   "--level", "4", "--json"])
     assert payload == {"error": "SchemaError",
