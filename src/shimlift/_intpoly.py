@@ -50,9 +50,13 @@ Routes, in the order `convolve` tries them:
      exponents of each coefficient value of the sparser one, and each sum
      is multiplied by its value once (not at all for 1), so no big
      multiply runs;
-  3. decimal, without gmpy2, once the shorter packed operand is large: the
-     decimal module (whose libmpdec multiplies large numbers by a
-     number-theoretic transform) on decimal-digit slots;
+  3. decimal, without gmpy2, once the two packed operands are large
+     together and the shorter is not small: the decimal module (whose
+     libmpdec multiplies large numbers by a number-theoretic transform)
+     on decimal-digit slots.  The transform's cost follows the total size,
+     while int's grows with the longer operand times a power of the
+     shorter, so the total decides, and the floor on the shorter keeps
+     lopsided products on int;
   4. int, without gmpy2 otherwise: Python's int on binary slots;
   5. gmpy2, whenever it imports, on binary slots.
 Every route gives the same coefficients.
@@ -82,8 +86,10 @@ _SCHOOLBOOK_TERMS = 10
 _SHIFT_ADD_TERMS = 256
 # ... if they also fill at most one slot in this many of it
 _SHIFT_ADD_SPREAD = 4
-# shorter operand packs to at least this many bits: decimal instead of int
-_DECIMAL_BITS = 150_000
+# both operands pack to at least this many bits together, and the shorter
+# to at least _DECIMAL_SHORT_BITS: decimal instead of int
+_DECIMAL_BITS = 250_000
+_DECIMAL_SHORT_BITS = 50_000
 # coefficients per chunk while packing and unpacking, to bound the
 # temporary strings, lists and tuples
 _CHUNK = 4096
@@ -341,7 +347,7 @@ def convolve(a: list, b: list, n: int | None = None) -> list:
         sparse, dense, scan = (a, b, sa) if sa[2] <= sb[2] else (b, a, sb)
         if _shift_add_pays(sparse, scan):
             return _shift_add(sparse, dense, n, slot)
-        if bits * short >= _DECIMAL_BITS:
+        if bits * (len(a) + len(b)) >= _DECIMAL_BITS and bits * short >= _DECIMAL_SHORT_BITS:
             digits = _decimal_slot_digits(bits)
             limit = _int_max_str_digits()
             if not limit or digits < limit:

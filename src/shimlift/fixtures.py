@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import _intpoly
 from .arith import cdiv, divisors, mobius, power, sigma, split_square
 from .errors import VerificationFailure
-from .qseries import QExp, add, invert_unit, mul, rescale, scale
+from .qseries import QExp, _divide, add, mul, rescale, scale
 from .scalars import kronecker, quadratic_L_neg
 
 __all__ = [
@@ -152,14 +152,12 @@ def delta(prec: int) -> QExp:
 
 
 def j_invariant(prec: int) -> QExp:
-    """E4^3 / Delta, with Delta through the eta product; window [-1, prec).
-    E4^3 is formed as E4 E8, since E4^2 = E8 (dim M_8 = 1)."""
+    """E4^3 / Delta, with Delta through the eta product; window [-1, prec):
+    E4 E8 divided by phi^24, since E4^2 = E8 (dim M_8 = 1) and
+    Delta = q phi^24."""
     span = prec + 1
-    phi = euler_function(span)
-    eta24 = power(phi, 24, mul)
-    inv = invert_unit(eta24)
-    e4 = eisenstein(4, span)
-    series = mul(mul(e4, eisenstein(8, span)), inv)
+    eta24 = power(euler_function(span), 24, mul)
+    series = _divide(mul(eisenstein(4, span), eisenstein(8, span)), eta24)
     shifted = {a - 1: v for a, v in series.numerators.items() if a - 1 < prec}
     return QExp.from_numerators(Fraction(0), 1, shifted, series.cden, -1, prec)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -308,6 +309,17 @@ def _integers(coeffs: Mapping[int, Fraction]) -> tuple[dict, int]:
     return {a: c.numerator * (d // c.denominator) for a, c in coeffs.items()}, d
 
 
+def _dense(f: QExp, H: int) -> tuple[list, int]:
+    """The integer numerators of f on [0, H) as a list, and their common
+    denominator; f is rational with integer exponents from 0 on."""
+    table, d = (f._table, f.cden) if f.cden is not None else _integers(f.coeffs)
+    F = [0] * H
+    for a, v in table.items():
+        if a < H:
+            F[a] = v
+    return F, d
+
+
 # -- arithmetic ----------------------------------------------------------
 
 
@@ -356,11 +368,8 @@ def scale(f: QExp, c) -> QExp:
 
 
 def _stride(support: list[int]) -> int:
-    g = 0
     base = support[0]
-    for a in support[1:]:
-        g = math.gcd(g, a - base)
-    return g if g else 1
+    return math.gcd(*[a - base for a in support]) or 1
 
 
 # An integer product goes term by term when its term pairs number fewer
@@ -414,7 +423,7 @@ def _conv_int(da: dict, db: dict, cap: int) -> dict:
         for b in members:
             arr_o[(b - base_o) // H] = other[b]
         conv = _intpoly.convolve(arr_o, arr_s, n)
-        part = {base + i * H: v for i, v in enumerate(conv) if v}
+        part = dict(zip(compress(range(base, base + len(conv) * H, H), conv), compress(conv, conv)))
         if out:
             out.update(part)
         else:
@@ -550,11 +559,7 @@ def invert_unit(f: QExp) -> QExp:
     H = f.hi
     if H < 1:
         raise ValueError("no constant term inside the window")
-    # integer numerators over the least common denominator
-    table, d = (f._table, f.cden) if f.cden is not None else _integers(f.coeffs)
-    F = [0] * H
-    for a, v in table.items():
-        F[a] = v
+    F, d = _dense(f, H)
     ue = F[0]  # u^e, the denominator of X
     X = [1]
     m = 1
@@ -572,6 +577,43 @@ def invert_unit(f: QExp) -> QExp:
         ue, d = -ue, -d
     x = {a: d * v for a, v in enumerate(X) if v}
     return QExp.from_numerators(-f.weight, 1, x, ue, 0, H)
+
+
+def _divide(f: QExp, g: QExp) -> QExp:
+    """f / g on [0, min(f.hi, g.hi)), for g with a unit constant term.
+
+    Karp-Markstein division: with h = ceil(H/2) and X = 1/g mod q^h, the
+    quotient is Y0 = f X mod q^h below q^h, and f - g Y0 = q^h R vanishes
+    there, so above it the quotient is q^h (X R mod q^(H-h)), since
+    H - h <= h.  The inverse runs to h only and no H x H product is formed,
+    where f * invert_unit(g) needs both.  Like `invert_unit` this works on
+    raw integer coefficients (f = F/df, g = G/dg, X = Xn/cx) and stamps
+    the window; rational coefficients only, integer exponents, f.lo >= 0
+    and g.lo = 0.
+    """
+    if f.denom != 1 or f.lo < 0:
+        raise ValueError("division needs a dividend with integer exponents from 0 on")
+    for series in (f, g):
+        if series.cden is None and not all(isinstance(c, Fraction) for c in series.coeffs.values()):
+            raise ValueError("division implemented for rational coefficients only")
+    H = min(f.hi, g.hi)
+    h = (H + 1) // 2
+    inv = invert_unit(g.truncate(max(h, 1)))
+    Xn, cx = _dense(inv, inv.hi)
+    F, df = _dense(f, H)
+    G, dg = _dense(g, H)
+    Y0 = _intpoly.convolve(F, Xn, h)
+    # f - g Y0 = (F dg cx - G Y0) / (df dg cx), zero below q^h
+    s = dg * cx
+    GY = _intpoly.convolve(G, Y0, H)
+    R = [F[i] * s - GY[i] for i in range(h, H)]
+    del GY
+    # Y0 over df cx is Y0 s over df cx s, the denominator of X R
+    if s != 1:
+        Y0 = [v * s for v in Y0]
+    quotient = Y0 + _intpoly.convolve(Xn, R, H - h)
+    table = dict(zip(compress(range(H), quotient), compress(quotient, quotient)))
+    return QExp.from_numerators(f.weight - g.weight, 1, table, df * cx * s, 0, H)
 
 
 # -- JSON forms ----------------------------------------------------------

@@ -21,9 +21,7 @@ from fractions import Fraction
 from .arith import power
 from .characters import DirichletCharacter
 from .errors import PrecisionError, TailBoundError, VerificationFailure
-from .fixtures import eisenstein
 from .qseries import QExp, add, mul, scale
-from .weilrep import psi_char
 
 __all__ = [
     "ResidualReport",
@@ -74,6 +72,8 @@ def _multiplier(weight: Fraction, mat: tuple[int, int, int, int], character) -> 
     if character is not None:
         out *= complex(character(mat[3]))
     if weight.denominator == 2:
+        from .weilrep import psi_char  # loaded only for half-integral weight
+
         out *= psi_char(*mat) ** int(2 * weight)
     return out
 
@@ -199,6 +199,8 @@ def level1_exact_check(f: QExp, weight: int) -> dict:
             required_lo=min(f.lo, 0),
             required_hi=dim + 1,
         )
+    from .fixtures import eisenstein  # loaded only by the exact check
+
     mons = _monomials(weight)
     hi = f.hi
     basis = []

@@ -637,8 +637,10 @@ _ALL_MODULES = {"_intpoly", "arith", "characters", "cli", "errors", "fixtures", 
         (["project", "--fixture", "theta_e4", "--N", "4", "--prec", "40"],
          _ALL_MODULES - {"shimura", "characters", "verify"}),
         (["weil-selftest", "--max-n", "3", "--words", "5"], _ALL_MODULES - {"shimura", "fixtures", "verify"}),
+        (["verify", "--fixture", "e4", "--prec", "20", "--weight", "4", "--mode", "exact"],
+         _ALL_MODULES - {"shimura", "plusspace", "weilrep"}),
     ],
-    ids=["level-predict", "fixtures-reemit", "lift-input", "project", "weil-selftest"],
+    ids=["level-predict", "fixtures-reemit", "lift-input", "project", "weil-selftest", "verify-exact"],
 )
 def test_cli_commands_load_only_what_they_run(capsys, tmp_path, argv, allowed):
     if "THETA_E4" in argv:

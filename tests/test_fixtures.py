@@ -7,6 +7,7 @@ not use internally.
 """
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shimlift import _intpoly, fixtures
+from shimlift.arith import power
 from shimlift.errors import VerificationFailure
 from shimlift.fixtures import (
     _cohen_value,
@@ -32,7 +34,7 @@ from shimlift.fixtures import (
     weakly_holomorphic_product,
     zero_form,
 )
-from shimlift.qseries import QExp, add, invert_unit, mul, rescale, scale
+from shimlift.qseries import QExp, add, invert_unit, mul, qexp_to_json, rescale, scale
 from shimlift.scalars import bernoulli_number
 from util import sigma_sieve_loop
 
@@ -149,6 +151,23 @@ def test_j_invariant_times_delta_is_e4_cubed():
     e4 = eisenstein(4, 40)
     cube = mul(mul(e4, e4), e4)
     assert mul(jf, d).agrees_with(cube)
+
+
+def _j_by_inverse(prec):
+    # E4 E8 times the inverse of phi^24 to the full window, shifted by q^-1
+    span = prec + 1
+    inv = invert_unit(power(euler_function(span), 24, mul))
+    series = mul(mul(eisenstein(4, span), eisenstein(8, span)), inv)
+    shifted = {a - 1: v for a, v in series.numerators.items() if a - 1 < prec}
+    return QExp.from_numerators(Fraction(0), 1, shifted, series.cden, -1, prec)
+
+
+@pytest.mark.parametrize("n", list(range(12)) + [300])
+def test_j_invariant_by_division_is_byte_identical_to_the_inverse_product(n):
+    # j divides E4 E8 by phi^24 on a half-length inverse: h = ceil((n+1)/2)
+    # is 1 and 2 for the first windows
+    got = json.dumps(qexp_to_json(j_invariant(n)))
+    assert got == json.dumps(qexp_to_json(_j_by_inverse(n)))
 
 
 def test_cohen_eisenstein_pinned_values():

@@ -229,6 +229,44 @@ def test_shift_add_route_on_both_sides_of_the_crossover(monkeypatch, extra, bits
     assert _intpoly.convolve(b, a, span) == want
 
 
+def _full(rng, n, m):
+    # n nonzero terms of both signs, the largest of m bits
+    out = [rng.choice((-1, 1)) * rng.randrange(1, 1 << m) for _ in range(n)]
+    out[0] = (1 << m) - 1
+    return out
+
+
+@pytest.mark.parametrize("floor", [False, True], ids=["total", "shorter"])
+@pytest.mark.parametrize("decimal_route", [False, True], ids=["int", "decimal"])
+def test_decimal_route_on_both_sides_of_the_crossover(monkeypatch, floor, decimal_route):
+    rng = random.Random(2 * floor + decimal_route)
+    if floor:
+        # 64-127 terms against 1000, slots of 2 m + 7 + 1 bits: the packed
+        # total is far above _DECIMAL_BITS, the shorter operand at
+        # _DECIMAL_SHORT_BITS
+        m, lb = 296, 1000
+        bits = 2 * m + 8
+        la = -(-_intpoly._DECIMAL_SHORT_BITS // bits) - (not decimal_route)
+        assert bits * (la + lb) >= _intpoly._DECIMAL_BITS
+    else:
+        # two operands of 256-511 terms, slots of 2 m + 9 + 1 bits: the
+        # shorter is far above _DECIMAL_SHORT_BITS, the total at _DECIMAL_BITS
+        m = 200
+        bits = 2 * m + 10
+        total = -(-_intpoly._DECIMAL_BITS // bits) - (not decimal_route)
+        la, lb = total // 2, total - total // 2
+        assert bits * la >= _intpoly._DECIMAL_SHORT_BITS
+    a, b = _full(rng, la, m), _full(rng, lb, m)
+    assert _intpoly._slot_bits(_intpoly._scan(a), _intpoly._scan(b)) == bits
+    want = _intpoly._schoolbook(a, b, la + lb - 1)
+    # the no-gmpy2 branch, where the decimal route lives; the int route
+    # fails above the crossover and the decimal route below it
+    monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
+    monkeypatch.setattr(_intpoly, "_binary" if decimal_route else "_decimal", _refuse)
+    assert _intpoly.convolve(a, b) == want
+    assert _intpoly.convolve(b, a) == want
+
+
 def _extreme_operands(rng, width, length, signs):
     # a dense operand of `length` terms and a sparse one of four, each at the
     # largest magnitude that still packs on `width`-byte slots: with four

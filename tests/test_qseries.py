@@ -662,6 +662,44 @@ def test_invert_unit_matches_fraction_recurrence(p, c0, h):
     _assert_window_sound(invert_unit(f.truncate(h)), inv)
 
 
+@settings(max_examples=80, deadline=None)
+@given(p=series_with_reference(denoms=(1,), lo=0, max_len=40),
+       q=series_with_reference(denoms=(1,), lo=0, max_len=40), c0=unit, data=st.data())
+def test_divide_is_the_product_with_the_inverse(p, q, c0, data):
+    # a constant term of g other than 1, a coefficient denominator above 1
+    # and windows of 0 to 40 terms, so the half-length inverse runs to 1-20
+    f, _ = p
+    g, (w, _, _, hi, t) = q
+    t = dict(t)
+    t[0] = c0
+    hi = max(hi, 1)
+    if hi > 1:
+        t[1] = t.get(1, Fraction(0)) + Fraction(1, 3)
+    g = QExp(w, 1, t, 0, hi)
+    H = min(f.hi, g.hi)
+    out = qseries._divide(f, g)
+    assert (out.lo, out.hi, out.weight) == (0, H, f.weight - g.weight)
+    _assert_canonical(out)
+    ref = mul(f, invert_unit(g))
+    assert all(out.coeff(n) == ref.coeff(n) for n in range(H))
+    # dividing truncations agrees on the shorter window
+    h1 = data.draw(st.integers(0, f.hi))
+    h2 = data.draw(st.integers(1, g.hi))
+    short = qseries._divide(f.truncate(h1), g.truncate(h2))
+    assert short.hi == min(h1, h2)
+    _assert_window_sound(short, out)
+
+
+def test_divide_rejects_what_it_cannot_divide():
+    g = QExp(0, 1, {0: 2, 1: 1}, 0, 5)
+    with pytest.raises(ValueError):
+        qseries._divide(QExp(0, 1, {0: CycScalar.root_of_unity(4, 1)}, 0, 5), g)
+    with pytest.raises(ValueError):
+        qseries._divide(QExp(0, 2, {0: 1}, 0, 5), g)
+    with pytest.raises(ValueError):
+        qseries._divide(g, QExp(0, 1, {1: 1}, 0, 5))
+
+
 @settings(max_examples=120, deadline=None)
 @given(p=series_with_reference(), q=series_with_reference(), bump=st.booleans())
 def test_equality_matches_fraction_reference(p, q, bump):
