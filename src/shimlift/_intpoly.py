@@ -29,11 +29,14 @@ lane, the narrowest machine word that holds the slot.  A slot of 1, 2, 4
 or 8 bytes is its own lane; one of 3 or 5-7 bytes is cut down from its
 4- or 8-byte lane by one strided byte copy per slot byte, and widened back
 by the same copies into lanes whose upper bytes repeat the slot's sign bit
-(a 256-byte translate table gives them from the slot's top byte).  Slots
-of 9 or more bytes go one at a time through int.to_bytes and
-int.from_bytes.  The strings, lists, tuples and lanes of every path are
-built `_CHUNK` coefficients at a time, so apart from the packed bytes
-themselves no temporary grows with the operands.
+(a 256-byte translate table gives them from the slot's top byte).  Shift-
+add splits an operand on slots of 9 or more bytes into two such lanes,
+an 8-byte one for its low bits and one for its high bits, whenever the
+products of both fit 8 bytes, and adds them back per coefficient; other
+wide slots, and every wide slot of `_binary`, go one at a time through
+int.to_bytes and int.from_bytes.  The strings, lists, tuples and lanes of
+every path are built `_CHUNK` coefficients at a time, so apart from the
+packed bytes themselves no temporary grows with the operands.
 
 `convolve` decides everything about a product once: it trims each operand
 to n terms, scans it once (`_scan`: largest magnitude, sign, nonzero
@@ -93,6 +96,9 @@ _DECIMAL_SHORT_BITS = 50_000
 # coefficients per chunk while packing and unpacking, to bound the
 # temporary strings, lists and tuples
 _CHUNK = 4096
+# ... and while adding the two lanes of a split shift-add, whose values
+# (unlike a single lane's) are all temporaries
+_SPLIT_CHUNK = 1024
 # struct format of a signed machine word of each width; with "<" it is
 # little-endian two's complement on every host
 _WORD = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -153,14 +159,17 @@ def _halves(slot: int, n: int) -> int:
     return int.from_bytes((bytes(slot - 1) + b"\x80") * n, "little")
 
 
-def _pack(a: list, slot: int) -> int:
+def _pack(a: list, slot: int, transform=None) -> int:
     """a on binary slots of `slot` bytes, as one signed int: U - H for the
-    offset slots U."""
+    offset slots U; with `transform`, each chunk of terms is packed as
+    transform(chunk), a list of as many terms."""
     lane = _LANE.get(slot)
     half = 1 << (8 * slot - 1)
     buf = bytearray(len(a) * slot)
     for start in range(0, len(a), _CHUNK):
         part = a[start:start + _CHUNK]
+        if transform:
+            part = transform(part)
         base, end = start * slot, (start + len(part)) * slot
         if lane:
             # two's complement lanes, which are the offset slots xor H, cut
@@ -193,15 +202,12 @@ def _window(c: int, slot: int, n: int) -> bytes:
     return c.to_bytes(n * slot, "little")
 
 
-def _unpack(raw: bytes, slot: int, n: int) -> list:
-    """The n coefficients in the slots `_window` wrote."""
-    lane = _LANE.get(slot)
-    if not lane:
-        half = 1 << (8 * slot - 1)
-        return [int.from_bytes(raw[i:i + slot], "little") - half for i in range(0, n * slot, slot)]
-    out = [0] * n
-    for start in range(0, n, _CHUNK):
-        k = min(_CHUNK, n - start)
+def _lane_chunks(raw: bytes, slot: int, n: int, chunk: int = _CHUNK):
+    """The n coefficients in the slots of at most 8 bytes that `_window`
+    wrote, as one tuple per `chunk` of them."""
+    lane = _LANE[slot]
+    for start in range(0, n, chunk):
+        k = min(chunk, n - start)
         part = raw[start * slot:(start + k) * slot]
         if lane > slot:
             # each slot widened to its lane; the bytes above it repeat the
@@ -213,7 +219,17 @@ def _unpack(raw: bytes, slot: int, n: int) -> list:
             for j in range(slot, lane):
                 wide[j::lane] = fill
             part = wide
-        out[start:start + k] = struct.unpack("<%d%s" % (k, _WORD[lane]), part)
+        yield struct.unpack("<%d%s" % (k, _WORD[lane]), part)
+
+
+def _unpack(raw: bytes, slot: int, n: int) -> list:
+    """The n coefficients in the slots `_window` wrote."""
+    if slot not in _LANE:
+        half = 1 << (8 * slot - 1)
+        return [int.from_bytes(raw[i:i + slot], "little") - half for i in range(0, n * slot, slot)]
+    out = [0] * n
+    for start, part in zip(range(0, n, _CHUNK), _lane_chunks(raw, slot, n)):
+        out[start:start + len(part)] = part
     return out
 
 
@@ -224,17 +240,12 @@ def _binary(a: list, b: list, n: int, slot: int, big=_mpz) -> list:
     return _unpack(raw, slot, n)
 
 
-def _shift_add(sparse: list, dense: list, n: int, slot: int) -> list:
-    """First n coefficients of sparse*dense without a big multiply: dense
-    packed on binary slots of w bits, and x * sum of (dense << e w) mod
-    2^(n w) over the exponents e of each value x among the nonzero terms
-    x q^e of sparse, one multiply per value (none for 1).  The sum is the
-    packed product mod 2^(n w), read back like the product of `_binary`."""
-    exponents: dict[int, list] = {}
-    for e in itertools.compress(range(len(sparse)), sparse):
-        exponents.setdefault(sparse[e], []).append(e)
+def _shift_total(exponents: dict, packed: int, n: int, slot: int) -> int:
+    """Sum over the values x of `exponents` of x * sum of (packed << e w)
+    mod 2^(n w) over x's exponents e: the packed product mod 2^(n w) of
+    the sparse operand and the one packed on binary slots of w = 8 slot
+    bits."""
     w = 8 * slot
-    packed = _pack(dense, slot)
     window = (1 << n * w) - 1
     total = 0
     for x, es in exponents.items():
@@ -243,7 +254,49 @@ def _shift_add(sparse: list, dense: list, n: int, slot: int) -> list:
             part += (packed << e * w) & window
         total += part if x == 1 else x * part
         del part
-    del packed
+    return total
+
+
+def _shift_add(sparse: list, dense: list, n: int, slot: int) -> list:
+    """First n coefficients of sparse*dense without a big multiply: dense
+    packed on binary slots of w bits, and x * sum of (dense << e w) mod
+    2^(n w) over the exponents e of each value x among the nonzero terms
+    x q^e of sparse, one multiply per value (none for 1).  The sum is the
+    packed product mod 2^(n w), read back like the product of `_binary`.
+
+    On slots of 9 or more bytes, dense is split as lo + hi 2^s with
+    0 <= lo < 2^s, s = 64 - room for the room (in bits) a column sum needs
+    beyond the largest term of dense, so lo's product fills 8-byte slots;
+    when hi's product fits 8 bytes too, both run on `struct` lanes and
+    recombine as lo + (hi << s) per coefficient.  Otherwise dense takes the
+    wide slots, packed and read one at a time.
+    """
+    exponents: dict[int, list] = {}
+    for e in itertools.compress(range(len(sparse)), sparse):
+        exponents.setdefault(sparse[e], []).append(e)
+    if slot not in _LANE:
+        scan = _scan(dense)
+        top = scan[0].bit_length()
+        room = _slot_bits(_scan(sparse), scan) - top
+        # room = 1 + the bits of the sparse operand's largest term and of its
+        # term count, so a column of lo < 2^s stays below 2^(s + room - 1)
+        # = 2^63, and one of |hi| <= 2^(top - s) below 2^(top - s + room - 1)
+        s = 64 - room
+        hi_slot = (top - s + room + 7) // 8
+        if hi_slot <= 8:
+            mask = (1 << s) - 1
+            total = _shift_total(exponents, _pack(dense, hi_slot, lambda part: [x >> s for x in part]), n, hi_slot)
+            raw_hi = _window(total, hi_slot, n)
+            total = _shift_total(exponents, _pack(dense, 8, lambda part: [x & mask for x in part]), n, 8)
+            raw_lo = _window(total, 8, n)
+            del total
+            out = [0] * n
+            lanes = zip(range(0, n, _SPLIT_CHUNK), _lane_chunks(raw_lo, 8, n, _SPLIT_CHUNK),
+                        _lane_chunks(raw_hi, hi_slot, n, _SPLIT_CHUNK))
+            for start, lo, hi in lanes:
+                out[start:start + len(lo)] = [x + (y << s) for x, y in zip(lo, hi)]
+            return out
+    total = _shift_total(exponents, _pack(dense, slot), n, slot)
     raw = _window(total, slot, n)
     del total
     return _unpack(raw, slot, n)

@@ -8,14 +8,18 @@ in the span of theta^(2k+1-4j) F^j, F the odd-index part of sum
 sigma_1(n) q^n; quadratic L-values supply the first dim + _CHECK_TERMS
 coefficients, which fix H_k's coordinates in that basis and check them.
 The combination is evaluated as theta^r P(theta^4, F), r = (2k+1) mod 4,
-with theta^4 sieved from Jacobi's four-square formula, P by Horner on
-integer lists, and the r factors of theta by sparse products.  These are
-the independent side of every comparison; none of them go through the
-lift code.
+with P by Horner on integer lists from the start c0 theta^4 + c1 F, which
+Jacobi's four-square formula slices out of one sieve of odd divisor sums
+(as it does theta^4 when Horner takes a further step), and the r factors
+of theta by sparse products.  The last of them is formed only on the two
+residue classes mod 4 of H_k's plus space, where the other two vanish.
+These are the independent side of every comparison; none of them go
+through the lift code.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -192,48 +196,98 @@ def _cohen_value(k: int, n: int) -> Fraction:
 _CHECK_TERMS = 2
 
 
-def _theta4_and_f(n: int) -> tuple[list[int], list[int]]:
-    """theta^4 and F = sum over odd m of sigma_1(m) q^m on n terms, both
-    from one sieve of odd divisor sums.
+def _theta4_combination(f: list[int], a: int, b: int) -> list[int]:
+    """a theta^4 + b F on len(f) terms, from f = sigma_1 at the odd indices
+    and 0 at the even ones (`_sigma_sieve(1, n, odd_only=True)`).
 
     Jacobi's four-square theorem: r_4(m) = 8 sigma_1(m) - 32 sigma_1(m/4),
-    the second term only when 4 | m.  With m = 2^a u, u odd, that is
-    8 sigma_1(u) for a = 0 and 24 sigma_1(u) for a >= 1.
+    the second term only when 4 | m.  With m = 2^e u, u odd, that is
+    8 sigma_1(u) for e = 0 and 24 sigma_1(u) for e >= 1.  So the odd
+    entries are (8a + b) sigma_1(u), and for each e >= 1 the entries at
+    2^e u are one slice, of step 2^(e+1), of 24a sigma_1(u).
     """
+    n = len(f)
+    out = [0] * n
+    odd = f[1::2]
+    c = 8 * a + b
+    out[1::2] = [c * x for x in odd]
+    if a and n:
+        c = 24 * a
+        even = [c * x for x in odd]
+        start = 2
+        while start < n:
+            out[start::2 * start] = even[:len(range(start, n, 2 * start))]
+            start *= 2
+        out[0] = a
+    return out
+
+
+def _theta4_and_f(n: int) -> tuple[list[int], list[int]]:
+    """theta^4 and F = sum over odd m of sigma_1(m) q^m on n terms, both
+    from one sieve of odd divisor sums."""
     f = _sigma_sieve(1, n, odd_only=True)
-    th4 = [0] * n
-    for u in range(1, n, 2):
-        th4[u] = 8 * f[u]
-        m = 2 * u
-        while m < n:
-            th4[m] = 24 * f[u]
-            m *= 2
-    if n > 0:
-        th4[0] = 1
-    return th4, f
+    return _theta4_combination(f, 1, 0), f
+
+
+def _theta_list(n: int) -> list[int]:
+    th = [0] * n
+    for m, c in _theta_terms(n).items():
+        th[m] = c
+    return th
 
 
 def _cohen_combination(k: int, nums: list[int], n: int) -> list[int]:
-    """sum_j nums[j] theta^(2k+1-4j) F^j on n terms, j = 0 .. dim - 1.
+    """sum_j nums[j] theta^(2k-4j) F^j on n terms, j = 0 .. dim - 1: the
+    weight k + 1/2 combination without its last factor of theta.
 
-    With 2k+1 = 4m + r, r in {1, 3}, this is theta^r P(theta^4, F) for
+    With 2k+1 = 4m + r, r in {1, 3}, this is theta^(r-1) P(theta^4, F) for
     P = sum_j nums[j] (theta^4)^(m-j) F^j, evaluated by Horner as
-    acc <- acc theta^4 + nums[j] F^j on integer lists; the r factors of
+    acc <- acc theta^4 + nums[j] F^j on integer lists, from the start
+    nums[0] theta^4 + nums[1] F; theta^4 itself is built only when there is
+    a further step (dim >= 3), from the same sieve.  The r - 1 factors of
     theta are sparse products.
     """
-    th4, f = _theta4_and_f(n)
-    acc = [nums[0] * t + nums[1] * x for t, x in zip(th4, f)]
+    if len(nums) > 2:
+        th4, f = _theta4_and_f(n)
+    else:
+        f = _sigma_sieve(1, n, odd_only=True)
+    acc = _theta4_combination(f, nums[0], nums[1])
     f_power = f
     for c in nums[2:]:
         acc = _intpoly.convolve(acc, th4, n)
         f_power = _intpoly.convolve(f_power, f, n)
         acc = [v + c * x for v, x in zip(acc, f_power)]
-    th = [0] * n
-    for m, c in _theta_terms(n).items():
-        th[m] = c
-    for _ in range((2 * k + 1) % 4):
-        acc = _intpoly.convolve(acc, th, n)
+    if (2 * k + 1) % 4 == 3:
+        th = _theta_list(n)
+        for _ in range(2):
+            acc = _intpoly.convolve(acc, th, n)
     return acc
+
+
+def _theta_plus(acc: list[int], n: int, eps: int) -> dict[int, int]:
+    """theta * acc, for acc on n terms, at the exponents e < n of the plus
+    space of sign eps only (eps e = 0 or 1 mod 4), as {exponent: numerator}
+    without zeros.
+
+    theta's even squares 4j^2 lie in class 0 mod 4 and its odd squares
+    4j(j+1) + 1 in class 1, so on quarter indices class c of the product is
+    theta_even * acc[c::4] + theta_odd * acc[c-1::4], where class -1 is
+    acc[3::4] one index lower: four quarter-length products for the two
+    classes kept, half the work of the full product.
+    """
+    quarter = len(range(0, n, 4))
+    even, odd = [0] * quarter, [0] * quarter
+    for m, c in _theta_terms(n).items():
+        (odd if m % 4 else even)[m // 4] = c
+    parts = [acc[c::4] for c in range(4)]
+    table: dict[int, int] = {}
+    for c in (0, 1) if eps == 1 else (0, 3):
+        size = len(range(c, n, 4))
+        lagged = parts[c - 1] if c else [0] + parts[3]
+        pairs = zip(_intpoly.convolve(even, parts[c], size), _intpoly.convolve(odd, lagged, size))
+        values = [x + y for x, y in pairs]
+        table.update(zip(itertools.compress(range(c, n, 4), values), itertools.compress(values, values)))
+    return table
 
 
 def cohen_eisenstein(k: int, prec: int) -> QExp:
@@ -246,16 +300,24 @@ def cohen_eisenstein(k: int, prec: int) -> QExp:
     starts at q^j, so the L-value formula is evaluated only on the first
     dim coefficients, which fix H_k's coordinates by forward substitution,
     and on _CHECK_TERMS more, which must agree with the combination.
-    The basis values for that solve and the whole window both come from
-    `_cohen_combination`: theta^r P(theta^4, F), r = (2k+1) mod 4, with
-    theta^4 sieved by Jacobi's four-square formula and P evaluated by
-    Horner, so k = 2 costs one sparse product and k = 4 three products.
+    Both the basis values for that solve and the whole window come from
+    `_cohen_combination`, theta^(r-1) P(theta^4, F) with r = (2k+1) mod 4,
+    whose Horner start nums[0] theta^4 + nums[1] F is sliced from one sieve
+    of odd divisor sums.  The solve multiplies by the last theta on all its
+    terms, so the check also covers coefficients outside the plus space;
+    the window takes it on the plus-space classes of H_k alone
+    (`_theta_plus`, eps = (-1)^k), whose other two classes vanish.  So k = 2
+    costs four quarter-length sparse products and k = 4 two products more.
     """
     if k < 2:
         raise ValueError("need k >= 2")
     dim = (2 * k + 1) // 4 + 1
     terms = dim + _CHECK_TERMS
-    basis = [_cohen_combination(k, [int(i == j) for i in range(dim)], terms) for j in range(dim)]
+    th = _theta_list(terms)
+    basis = [
+        _intpoly.convolve(_cohen_combination(k, [int(i == j) for i in range(dim)], terms), th, terms)
+        for j in range(dim)
+    ]
     coords: list[Fraction] = []
     for n in range(dim):
         coords.append(_cohen_value(k, n) - sum(c * b[n] for c, b in zip(coords, basis)))
@@ -269,7 +331,7 @@ def cohen_eisenstein(k: int, prec: int) -> QExp:
             )
     den = math.lcm(*(c.denominator for c in coords))
     nums = [c.numerator * (den // c.denominator) for c in coords]
-    coeffs = {n: v for n, v in enumerate(_cohen_combination(k, nums, prec)) if v}
+    coeffs = _theta_plus(_cohen_combination(k, nums, prec), prec, 1 if k % 2 == 0 else -1)
     return QExp.from_numerators(Fraction(2 * k + 1, 2), 1, coeffs, den, 0, prec)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,28 @@ def test_sieved_theta4_is_jacobi_four_squares():
                         r4[m] += 1
     assert th4[:200] == r4
     assert f[:200] == [sum(d for d in range(1, m + 1) if m % d == 0) if m % 2 else 0 for m in range(200)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 1000, 1001])
+def test_theta4_combination_is_sliced_from_the_odd_divisor_sums(n):
+    th4, f = fixtures._theta4_and_f(n)
+    for a, b in ((1, 0), (0, 1), (3, -5), (-7, 56)):
+        assert fixtures._theta4_combination(f, a, b) == [a * t + b * x for t, x in zip(th4, f)], (a, b)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_theta_plus_is_the_full_theta_product_on_the_plus_classes(eps):
+    # every n mod 4, windows where class 3 (the one-index lag of class 0)
+    # has fewer terms than class 0 or none, zeros and mixed signs, and
+    # coefficients up to 90 bits, so the class products take several slot
+    # widths and routes
+    rng = random.Random(eps)
+    for n in range(301):
+        bits = rng.choice((4, 40, 90))
+        acc = [rng.choice((0, 1, -1)) * rng.randrange(1 << bits) for _ in range(n)]
+        full = _intpoly.convolve(acc, _theta_list(n), n)
+        want = {e: v for e, v in enumerate(full) if v and (eps * e) % 4 in (0, 1)}
+        assert fixtures._theta_plus(acc, n, eps) == want, n
 
 
 def _basis_product_cohen(k, prec):

@@ -319,10 +319,9 @@ def test_slots_pack_and_read_back_at_every_width():
                 assert _intpoly._unpack(raw, width, n) == values[:n]
 
 
-def test_cohen52_product_peak_memory_stays_within_twice_its_result(monkeypatch):
-    # the last product of cohen_eisenstein(2, 40001) is acc * theta on 40001
-    # terms (shift-add without gmpy2): packing and reading back may hold at
-    # most as much again as the result
+def _largest_product(monkeypatch, build):
+    """The operands and window of the convolution with the longest window
+    (the first such) among those `build` runs."""
     calls = []
     convolve = _intpoly.convolve
 
@@ -331,16 +330,76 @@ def test_cohen52_product_peak_memory_stays_within_twice_its_result(monkeypatch):
         return convolve(a, b, n)
 
     monkeypatch.setattr(_intpoly, "convolve", record)
-    fixtures.cohen_eisenstein(2, 40001)
+    build()
     monkeypatch.undo()
-    acc, theta, n = calls[-1]
-    assert n == 40001 and _intpoly._scan(theta)[2] == 201
+    return max(calls, key=lambda call: call[2])
+
+
+def _peak_and_size(mul, a, b, n):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = _intpoly.convolve(acc, theta, n)
+        out = mul(a, b, n)
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(out) == n
-    assert peak - base <= 2 * (size - base), (peak - base, size - base)
+    return peak - base, size - base
+
+
+def test_cohen52_product_peak_memory_stays_within_twice_its_result(monkeypatch):
+    # the largest product of cohen_eisenstein(2, 40001) is one plus-space
+    # class of its last theta factor: theta's even squares (101 terms) times
+    # a quarter of the window, 10001 terms (shift-add without gmpy2);
+    # packing and reading back may hold at most as much again as the result
+    theta, acc, n = _largest_product(monkeypatch, lambda: fixtures.cohen_eisenstein(2, 40001))
+    assert n == 10001 and _intpoly._scan(theta)[2] == 101
+    peak, size = _peak_and_size(_intpoly.convolve, theta, acc, n)
+    assert peak <= 2 * size, (peak, size)
+
+
+def test_theta_e6_product_peak_memory_stays_within_twice_its_result(monkeypatch):
+    # the largest product of theta(tau) E6(4 tau) on 40001 terms is one
+    # residue class of theta (101 terms) times E6 on 10001 terms, whose
+    # 11-byte slots shift-add (the route without gmpy2, called directly so
+    # that every install measures it) splits into two struct lanes
+    a, b, n = _largest_product(monkeypatch, lambda: fixtures.plus_product(6, 40001))
+    sa, sb = _intpoly._scan(a), _intpoly._scan(b)
+    assert n == 10001 and min(sa[2], sb[2]) == 101
+    assert (_intpoly._slot_bits(sa, sb) + 7) // 8 == 11
+    peak, size = _peak_and_size(shift_add, a, b, n)
+    assert peak <= 2 * size, (peak, size)
+
+
+@pytest.mark.parametrize("width", range(9, 17))
+def test_shift_add_on_wide_slots_takes_two_lanes_when_they_hold_it(monkeypatch, width):
+    # a sparse operand of three terms x needs room = 4 bits (x = +-1) or 5
+    # (x = 3) of a column sum over the largest term of dense, 2^top: dense
+    # splits as lo + hi 2^(64 - room), lo on 8-byte slots and hi on its own
+    # lane, while top + 2 room <= 128; past that (at 16 bytes) dense keeps
+    # its wide slots.  Every top of the width is tried, so hi's lane is at
+    # each of its byte edges once; constant dense operands put the largest
+    # lo and hi (-2^(top - s) from -(2^top - 1)) in a column of three equal
+    # products; lengths cross a chunk edge of the recombination
+    slots = []
+    pack = _intpoly._pack
+    monkeypatch.setattr(_intpoly, "_pack", lambda a, slot, transform=None: slots.append(slot) or pack(a, slot, transform))
+    length = _intpoly._SPLIT_CHUNK + 3
+    for signs in (True, False):
+        for values, room in (((1, -1 if signs else 1, 1), 4), ((3, 3, 3), 5)):
+            sparse = [0] * length
+            for e, x in zip((0, 7, length - 1), values):
+                sparse[e] = x
+            for top in range(8 * width - 7 - room, 8 * width + 1 - room):
+                split = top + 2 * room <= 128
+                rng = random.Random(width * 31 + top)
+                largest = (1 << top) - 1
+                low = -largest if signs else 0
+                mixed = [rng.randrange(low, largest + 1) for _ in range(length)]
+                mixed[0], mixed[-1] = largest, low
+                for dense in [mixed, [largest] * length] + [[-largest] * length] * signs:
+                    assert (_intpoly._slot_bits(_intpoly._scan(sparse), _intpoly._scan(dense)) + 7) // 8 == width
+                    for n in (2 * length - 1, length, _intpoly._SPLIT_CHUNK - 1):
+                        slots.clear()
+                        assert shift_add(sparse, dense, n) == naive(sparse, dense, n), (values, top, dense[1], n)
+                        assert (max(slots) <= 8) == split and (8 in slots) == split, slots

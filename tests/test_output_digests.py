@@ -16,6 +16,11 @@ through --xi with --k, the mod-two projection, levels 4 and 8, and the
 refusals at N = 0, at N = 2 and of --xi without --k on an --input file.
 They were taken while the projections still read a context object
 holding k, xi and N.
+
+The `fixture/<name>/<prec>` digests lock the plus-space builders on
+2500- and 40001-term windows; they were taken while the last theta factor
+of a Cohen-Eisenstein series was still formed on all four residue classes
+and while shift-add still packed slots of 9 or more bytes one at a time.
 """
 from __future__ import annotations
 
@@ -133,9 +138,16 @@ DIGESTS = {
     "explicit/S1": "20bf9198fa653fb5c6835958e2e0700446f835425b6937feef7f6fcdc2b43ff5",
     "explicit/general/4": "440f733bc425ed72b7804eeee98b78c6cb2ce39e678b839a2ffa8a41c536be7d",
     "explicit/level_change_rhs/5": "127269d3b369115f1b801d2dade5e48d37a6f5d3ab32127fc3406db209e99622",
+    "fixture/cohen52/40001": "0174a9f5ce3fa47be9e6f8f5a9a4f9cdabf81c5e7e5d7ab5849eba2d4a4ecf59",
     "fixture/cohen72": "11ad8453fa7bf0d167de52ca930dcdf2303c99572f7c770317bb43a0b15d3f15",
+    "fixture/cohen72/2500": "678663fd2177a6a1fc32ef670bdfa8969264e37ed9ce2186b16ce599c0bd08ff",
+    "fixture/cohen72/40001": "ae206f227b2edae0b297913c540cbed326ae384529dbbfcc8c19d2645986b96d",
     "fixture/cohen92": "4d745d64f16cb39f7f07d7846497cce2e11346509590f1b5457437ac77e2870d",
+    "fixture/cohen92/2500": "890c4041dbc5a3f4753fc0d2b0a1c908068b181f8154dcb44d29bbca9557c7bc",
+    "fixture/cohen92/40001": "af33bec881e123799788702a8b4b353473344b8653082130d414e3dd96e7283e",
     "fixture/j": "a2d09e2e6a8b744705250981b0d0636b38df749a699d47c60bde8a54ca2d8d80",
+    "fixture/theta_e4/40001": "54707fcb4976e618e932e69d2e75658a3d055f556784f13641d03a905b259747",
+    "fixture/theta_e6/40001": "31b12281365bbde83e176017930c0892e083dd163917759436de5a59909fa958",
     "general/cohen52/20": "bf2bc4a9dde8442c311f723752bfc8d8efc1e5988df704eb921281b9e9e4da42",
     "general/cohen52/4": "443e7d2ab3b213dcc4e85c1696ee0e0010ee47e2c8ad4c588824285abf44f4ef",
     "general/cohen52/45": "3c6df534eeffad69f6120c5be55b85e7bdf0662cd68d370d5c880644cfb5a201",
@@ -216,6 +228,15 @@ def test_orbit_lift_digests(inputs):
 @pytest.mark.parametrize("name", ["cohen72", "cohen92", "j"])
 def test_fixture_digests(name):
     assert _sha(fixtures.fixture(name, 1200)) == DIGESTS["fixture/%s" % name]
+
+
+@pytest.mark.parametrize("name, prec", [
+    ("cohen52", 40001), ("theta_e4", 40001), ("theta_e6", 40001),
+    ("cohen72", 2500), ("cohen72", 40001), ("cohen92", 2500), ("cohen92", 40001),
+])
+def test_wide_fixture_digests(name, prec):
+    # the plus-space builders on the windows a lift request asks for
+    assert _sha(fixtures.fixture(name, prec)) == DIGESTS["fixture/%s/%d" % (name, prec)]
 
 
 _PROJECT_MODES = {
