@@ -6,17 +6,17 @@ Standard library only."""
 from __future__ import annotations
 
 import math
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 X = TypeVar("X")
 
 
-def split_square(T: int) -> tuple[int, int]:
-    """T = t * s^2 with t square-free; trial division."""
-    if T < 1:
-        raise ValueError("index must be positive")
-    t, s = 1, 1
-    n = T
+def _factorization(n: int) -> Iterator[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n >= 1, p
+    increasing; trial division up to the square root of the unfactored
+    part."""
+    if n < 1:
+        raise ValueError("factoring needs a positive integer")
     p = 2
     while p * p <= n:
         if n % p == 0:
@@ -24,27 +24,25 @@ def split_square(T: int) -> tuple[int, int]:
             while n % p == 0:
                 n //= p
                 e += 1
-            if e % 2:
-                t *= p
-            s *= p ** (e // 2)
+            yield p, e
         p += 1 if p == 2 else 2
-    t *= n
+    if n > 1:
+        yield n, 1
+
+
+def split_square(T: int) -> tuple[int, int]:
+    """T = t * s^2 with t square-free; trial division."""
+    t, s = 1, 1
+    for p, e in _factorization(T):
+        if e % 2:
+            t *= p
+        s *= p ** (e // 2)
     return t, s
 
 
 def prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n >= 1, increasing."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    return [p for p, _ in _factorization(n)]
 
 
 def units(m: int) -> list[int]:
@@ -67,8 +65,12 @@ def divisors(n: int) -> list[int]:
 
 def mobius(n: int) -> int:
     """The Moebius function of n >= 1."""
-    core, s = split_square(n)
-    return 0 if s > 1 else (-1) ** len(prime_factors(core))
+    mu = 1
+    for _, e in _factorization(n):
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
 
 
 def sigma(power: int, n: int) -> int:

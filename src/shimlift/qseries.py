@@ -539,44 +539,21 @@ def decompose_mod4(f: QExp) -> tuple[QExp, QExp, QExp, QExp]:
 def invert_unit(f: QExp) -> QExp:
     """Multiplicative inverse of a series with unit constant term.
 
-    Newton doubling; each step is justified by the algebraic identity
-    x(2 - fx) = 1/f mod q^(2m), which the window algebra alone cannot see,
-    so this works on raw coefficients and stamps the final window.
-    Rational coefficients only, integer exponents, lo = 0.
-
-    The iteration runs on integers: f = F/d with F an integer list, and
-    with u = F[0] the inverse of F mod q^m is X/u^e for an integer list X.
-    A step writes x(2 - Fx) as x - x(Fx - 1); Fx - 1 vanishes below q^m,
-    so the second product needs only its top half.
+    The quotient 1/f by `_divide`, which inverts f to half the window by
+    calling this function: Newton doubling, with the one Karp-Markstein
+    step written once in `_divide`, down to the window [0, 1), where the
+    inverse is 1/c0.  Each level's result is in canonical form, so no
+    power of c0 is carried up.  Rational coefficients only, integer
+    exponents, lo = 0.
     """
     if f.denom != 1 or f.lo != 0:
         raise ValueError("inversion needs integer exponents starting at 0")
     c0 = f.coeff(0) if 0 in f.exponents() else None
     if c0 is None or not isinstance(c0, Fraction):
         raise ValueError("inversion needs a nonzero rational constant term")
-    if f.cden is None and not all(isinstance(c, Fraction) for c in f.coeffs.values()):
-        raise ValueError("inversion implemented for rational coefficients only")
-    H = f.hi
-    if H < 1:
-        raise ValueError("no constant term inside the window")
-    F, d = _dense(f, H)
-    ue = F[0]  # u^e, the denominator of X
-    X = [1]
-    m = 1
-    while m < H:
-        m2 = min(2 * m, H)
-        # F X = u^e + q^m T mod q^m2
-        T = _intpoly.convolve(F, X, m2)[m:]
-        tail = _intpoly.convolve(X, T, m2 - m)
-        if ue != 1:
-            X = [v * ue for v in X]
-        X.extend([-v for v in tail])
-        ue *= ue
-        m = m2
-    if ue < 0:
-        ue, d = -ue, -d
-    x = {a: d * v for a, v in enumerate(X) if v}
-    return QExp.from_numerators(-f.weight, 1, x, ue, 0, H)
+    if f.hi == 1:
+        return QExp(-f.weight, 1, {0: 1 / c0}, 0, 1)
+    return _divide(QExp.from_numerators(0, 1, {0: 1}, 1, 0, f.hi), f)
 
 
 def _divide(f: QExp, g: QExp) -> QExp:
@@ -586,10 +563,13 @@ def _divide(f: QExp, g: QExp) -> QExp:
     quotient is Y0 = f X mod q^h below q^h, and f - g Y0 = q^h R vanishes
     there, so above it the quotient is q^h (X R mod q^(H-h)), since
     H - h <= h.  The inverse runs to h only and no H x H product is formed,
-    where f * invert_unit(g) needs both.  Like `invert_unit` this works on
-    raw integer coefficients (f = F/df, g = G/dg, X = Xn/cx) and stamps
-    the window; rational coefficients only, integer exponents, f.lo >= 0
-    and g.lo = 0.
+    where f * invert_unit(g) needs both.  X comes from `invert_unit`, which
+    is the quotient 1/g through this function, so the two recurse down to
+    a one-term window.  The call reads the module attribute `invert_unit`
+    at every level, so a wrapper installed there (the benchmark's tracer)
+    sees each inversion.  This works on raw integer coefficients (f =
+    F/df, g = G/dg, X = Xn/cx) and stamps the window; rational
+    coefficients only, integer exponents, f.lo >= 0 and g.lo = 0.
     """
     if f.denom != 1 or f.lo < 0:
         raise ValueError("division needs a dividend with integer exponents from 0 on")
@@ -602,7 +582,10 @@ def _divide(f: QExp, g: QExp) -> QExp:
     Xn, cx = _dense(inv, inv.hi)
     F, df = _dense(f, H)
     G, dg = _dense(g, H)
-    Y0 = _intpoly.convolve(F, Xn, h)
+    # F up to its last stored term: as an H-long [1, 0, ...] the dividend of
+    # `invert_unit` would send this product down shift-add, which packs Xn
+    # at every level; Xn has h terms, so Y0 still has h
+    Y0 = _intpoly.convolve(F[:max(f.exponents(), default=0) + 1], Xn, h)
     # f - g Y0 = (F dg cx - G Y0) / (df dg cx), zero below q^h
     s = dg * cx
     GY = _intpoly.convolve(G, Y0, H)

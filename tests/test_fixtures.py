@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shimlift import _intpoly, fixtures
+from shimlift import _intpoly, fixtures, qseries
 from shimlift.arith import power
 from shimlift.errors import VerificationFailure
 from shimlift.fixtures import (
@@ -169,6 +169,23 @@ def test_j_invariant_by_division_is_byte_identical_to_the_inverse_product(n):
     # is 1 and 2 for the first windows
     got = json.dumps(qexp_to_json(j_invariant(n)))
     assert got == json.dumps(qexp_to_json(_j_by_inverse(n)))
+
+
+@pytest.mark.parametrize("build, prec", [(j_invariant, 50), (weakly_holomorphic_product, 101)])
+def test_j_path_calls_invert_unit_through_the_module_attribute(monkeypatch, build, prec):
+    # the benchmark's tracer wraps `qseries.invert_unit` and fails a traced
+    # run whose j builds record no call there: the inverse inside the
+    # division must be looked up on the module, not bound once
+    calls = []
+    inner = qseries.invert_unit
+
+    def counted(f):
+        calls.append(f.hi)
+        return inner(f)
+
+    monkeypatch.setattr(qseries, "invert_unit", counted)
+    build(prec)
+    assert calls
 
 
 def test_cohen_eisenstein_pinned_values():

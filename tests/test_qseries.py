@@ -275,6 +275,9 @@ def test_invert_unit_rejects_non_units():
         invert_unit(QExp(0, 2, {0: 1}, 0, 5))
     with pytest.raises(ValueError):
         invert_unit(QExp(0, 1, {-1: 1, 0: 1}, -1, 5))
+    # a rational unit with a cyclotomic coefficient: refused by the division
+    with pytest.raises(ValueError, match="rational coefficients only"):
+        invert_unit(QExp(0, 1, {0: 1, 1: CycScalar.root_of_unity(4, 1)}, 0, 5))
 
 
 def test_truncate_and_normalized():
@@ -660,6 +663,38 @@ def test_invert_unit_matches_fraction_recurrence(p, c0, h):
     assert _ref(inv) == _ref_invert((w, 1, 0, hi, t))
     _assert_canonical(inv)
     _assert_window_sound(invert_unit(f.truncate(h)), inv)
+
+
+def test_invert_unit_recurses_through_the_module_attribute_on_a_long_rational_series(monkeypatch):
+    # 300 terms, c0 = 3/2 and denominators up to 12: windows 300, 150, ..., 2
+    # divide and the window 1 is the base case, ten inversions in all
+    rng = random.Random(300)
+    t = {0: Fraction(3, 2)}
+    t.update((a, Fraction(rng.randint(-50, 50), rng.randint(1, 12))) for a in range(1, 300))
+    f = QExp(0, 1, t, 0, 300)
+    windows = []
+    inner = qseries.invert_unit
+
+    def counted(g):
+        windows.append(g.hi)
+        return inner(g)
+
+    monkeypatch.setattr(qseries, "invert_unit", counted)
+    inv = qseries.invert_unit(f)
+    assert windows == [300, 150, 75, 38, 19, 10, 5, 3, 2, 1]
+    assert _ref(inv) == _ref_invert((0, 1, 0, 300, t))
+    _assert_canonical(inv)
+
+
+@pytest.mark.parametrize("c0", [Fraction(-3, 2), Fraction(-1), Fraction(1)])
+@pytest.mark.parametrize("hi", [1, 2, 3])
+def test_invert_unit_base_case_and_first_steps(c0, hi):
+    t = {a: c for a, c in {0: c0, 1: Fraction(5, 7), 2: Fraction(-2, 3)}.items() if a < hi}
+    f = QExp(Fraction(1, 2), 1, t, 0, hi)
+    inv = invert_unit(f)
+    assert (inv.lo, inv.hi, inv.weight) == (0, hi, Fraction(-1, 2))
+    assert _ref(inv) == _ref_invert((Fraction(1, 2), 1, 0, hi, t))
+    _assert_canonical(inv)
 
 
 @settings(max_examples=80, deadline=None)
