@@ -53,15 +53,24 @@ Routes, in the order `convolve` tries them:
      exponents of each coefficient value of the sparser one, and each sum
      is multiplied by its value once (not at all for 1), so no big
      multiply runs;
-  3. decimal, without gmpy2, once the two packed operands are large
-     together and the shorter is not small: the decimal module (whose
-     libmpdec multiplies large numbers by a number-theoretic transform)
-     on decimal-digit slots.  The transform's cost follows the total size,
-     while int's grows with the longer operand times a power of the
-     shorter, so the total decides, and the floor on the shorter keeps
-     lopsided products on int;
-  4. int, without gmpy2 otherwise: Python's int on binary slots;
-  5. gmpy2, whenever it imports, on binary slots.
+  3. libgmp, without gmpy2, once the two packed operands are large
+     together and the shorter is not small, when the system's
+     libgmp.so.10 loads through ctypes: GMP's mpz_mul on binary slots,
+     the operands and product passed as little-endian words.  The library
+     is loaded on the first product past this crossover, once per process,
+     so a request that never reaches it never imports ctypes;
+  4. decimal, at the same crossover where libgmp does not load: the
+     decimal module (whose libmpdec multiplies large numbers by a
+     number-theoretic transform) on decimal-digit slots.  The transform's
+     cost follows the total size, while int's grows with the longer
+     operand times a power of the shorter, so the total decides, and the
+     floor on the shorter keeps lopsided products on int.  libgmp takes
+     the decimal route's products only: below this crossover the other
+     routes keep theirs;
+  5. int, without gmpy2 otherwise: Python's int on binary slots, and the
+     decimal route's products whose slots are too long for int's
+     int-to-str limit when libgmp does not load;
+  6. gmpy2, whenever it imports, on binary slots.
 Every route gives the same coefficients.
 """
 
@@ -233,11 +242,95 @@ def _unpack(raw: bytes, slot: int, n: int) -> list:
     return out
 
 
-def _binary(a: list, b: list, n: int, slot: int, big=_mpz) -> list:
+def _big_mul(x: int, y: int) -> int:
+    """x * y as an int, multiplied by gmpy2 when it imports."""
+    return int(_mpz(x) * _mpz(y))
+
+
+def _binary(a: list, b: list, n: int, slot: int, mul=_big_mul) -> list:
     """First n coefficients of a*b through binary slots of `slot` bytes, the
-    big multiply done on big(.) of the packed operands (int or gmpy2.mpz)."""
-    raw = _window(int(big(_pack(a, slot)) * big(_pack(b, slot))), slot, n)
+    packed operands multiplied by mul(x, y), a function giving their
+    product as an int."""
+    raw = _window(mul(_pack(a, slot), _pack(b, slot)), slot, n)
     return _unpack(raw, slot, n)
+
+
+def _load_libgmp():
+    """A function giving the int product of two ints by GMP's mpz_mul,
+    called through ctypes, or None when libgmp.so.10 does not load.
+
+    The soname is loaded directly: ctypes.util.find_library would start
+    ldconfig or a compiler to look for it."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL("libgmp.so.10")
+    except OSError:
+        return None
+
+    class Mpz(ctypes.Structure):  # mpz_t: limbs allocated, signed size, limbs
+        _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("d", ctypes.c_void_p)]
+
+    mpz, size_t, c_int = ctypes.POINTER(Mpz), ctypes.c_size_t, ctypes.c_int
+    init, import_, mul_, sizeinbase, export, clear = (
+        getattr(lib, "__gmpz_" + name)
+        for name in ("init", "import", "mul", "sizeinbase", "export", "clear"))
+    for fn, argtypes, restype in (
+        (init, [mpz], None),
+        (import_, [mpz, size_t, c_int, size_t, c_int, size_t, ctypes.c_void_p], None),
+        (mul_, [mpz, mpz, mpz], None),
+        (sizeinbase, [mpz, c_int], size_t),
+        (export, [ctypes.c_void_p, ctypes.POINTER(size_t), c_int, size_t, c_int, size_t, mpz], ctypes.c_void_p),
+        (clear, [mpz], None),
+    ):
+        fn.argtypes, fn.restype = argtypes, restype
+
+    def mul(x: int, y: int) -> int:
+        # mpz_import and mpz_export carry magnitudes, here as 8-byte
+        # little-endian words, least significant first; the sign is
+        # restored at the end
+        zs = (Mpz * 3)()
+        for z in zs:
+            init(z)
+        try:
+            for z, v in zip(zs, (x, y)):
+                v = abs(v)
+                words = (v.bit_length() + 63) // 64
+                raw = v.to_bytes(8 * words, "little")
+                del v
+                import_(z, words, -1, 8, -1, 0, raw)
+                del raw
+            mul_(zs[2], zs[0], zs[1])
+            # the operands' limbs are freed before the product is copied out
+            for z in zs[:2]:
+                clear(z)
+                init(z)
+            words = (sizeinbase(zs[2], 2) + 63) // 64
+            buf = ctypes.create_string_buffer(8 * words)
+            count = size_t()
+            export(buf, ctypes.byref(count), -1, 8, -1, 0, zs[2])
+        finally:
+            for z in zs:
+                clear(z)
+        c = int.from_bytes(memoryview(buf)[:8 * count.value], "little")
+        del buf
+        return -c if (x < 0) != (y < 0) else c
+
+    return mul
+
+
+# _load_libgmp's answer, asked for on the first product past the decimal
+# crossover and then kept for the process; _UNTRIED before that
+_UNTRIED = object()
+_libgmp_mul = _UNTRIED
+
+
+def _libgmp():
+    """The libgmp multiply of `_load_libgmp`, or None; loaded once."""
+    global _libgmp_mul
+    if _libgmp_mul is _UNTRIED:
+        _libgmp_mul = _load_libgmp()
+    return _libgmp_mul
 
 
 def _shift_total(exponents: dict, packed: int, n: int, slot: int) -> int:
@@ -401,6 +494,9 @@ def convolve(a: list, b: list, n: int | None = None) -> list:
         if _shift_add_pays(sparse, scan):
             return _shift_add(sparse, dense, n, slot)
         if bits * (len(a) + len(b)) >= _DECIMAL_BITS and bits * short >= _DECIMAL_SHORT_BITS:
+            mul = _libgmp()
+            if mul:
+                return _binary(a, b, n, slot, mul)
             digits = _decimal_slot_digits(bits)
             limit = _int_max_str_digits()
             if not limit or digits < limit:

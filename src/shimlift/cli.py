@@ -346,7 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(sp)
     sp.add_argument("--N", type=int, default=4)
     sp.add_argument("--k", type=int, default=None,
-                    help="integral part of the input weight; read only with --xi")
+                    help="integral part of the input weight; read only with --xi, to derive "
+                         "eps = (-1)^k xi; without --xi it has no effect")
     sp.add_argument("--xi", type=int, choices=(1, -1), default=None)
     sp.add_argument("--epsilon", dest="eps", type=int, choices=(1, -1), default=None)
     sp.add_argument("--two", action="store_true", help="project onto residues {0,2} instead")

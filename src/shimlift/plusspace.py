@@ -52,7 +52,7 @@ def is_plus_space(f: QExp, eps: int) -> bool:
     _check_eps(eps)
     if f.denom != 1:
         raise ValueError("plus-space test needs integer exponents")
-    return {a % 4 for a in f.exponents()} <= {0, eps % 4}
+    return f._residues_mod4() <= {0, eps % 4}
 
 
 def _require_4n(N: int, what: str) -> None:

@@ -66,10 +66,11 @@ class QExp:
     and writer work on the table directly.  A Fraction is built only when a
     caller reads a coefficient: `coeff()`, `coeff_exponent()`, and
     `.coeffs`, a read-only {exponent: Scalar} view built on first access
-    and cached.  `exponents()` reads the support without building it.
+    and cached.  `exponents()` reads the support without building it, and
+    `_residues_mod4()` its classes mod 4, scanned once and cached too.
     """
 
-    __slots__ = ("weight", "denom", "lo", "hi", "metadata", "_table", "cden", "_view")
+    __slots__ = ("weight", "denom", "lo", "hi", "metadata", "_table", "cden", "_view", "_mod4")
 
     def __init__(self, weight, denom: int, coeffs: Mapping[int, object], lo: int, hi: int, metadata: dict | None = None):
         if denom < 1:
@@ -108,6 +109,7 @@ class QExp:
         self._table = table
         self.cden = cden
         self._view = None
+        self._mod4 = None
 
     @classmethod
     def from_numerators(cls, weight, denom: int, numerators: dict, cden: int, lo: int, hi: int, metadata: dict | None = None) -> "QExp":
@@ -172,6 +174,16 @@ class QExp:
         """The exponent numerators of the stored (nonzero) coefficients, in
         no particular order."""
         return self._table.keys()
+
+    def _residues_mod4(self) -> frozenset:
+        """The classes mod 4 of the stored exponent numerators; the table is
+        scanned on the first call only."""
+        if self._mod4 is None:
+            self._mod4 = self._scan_mod4()
+        return self._mod4
+
+    def _scan_mod4(self) -> frozenset:
+        return frozenset({a % 4 for a in self._table})
 
     def support(self) -> list[int]:
         return sorted(self._table)

@@ -673,6 +673,55 @@ def test_cli_commands_do_not_load_numpy(capsys, tmp_path, argv):
     assert len(out.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["level-predict", "--N", "1", "--t", "1", "--plus"],
+        ["lift", "--input", "THETA_E4", "--k", "4", "--prec", "7"],
+        ["fixtures", "--reemit", "THETA_E4"],
+        ["lift", "--fixture", "cohen52", "--t", "5", "--prec", "6"],
+    ],
+    ids=["level-predict", "lift-input", "fixtures-reemit", "lift-fixture"],
+)
+def test_cli_commands_do_not_load_ctypes(capsys, tmp_path, argv):
+    # libgmp is loaded through ctypes only by a product past the decimal
+    # crossover, which none of these requests reaches
+    if "THETA_E4" in argv:
+        path = _theta_e4_file(capsys, tmp_path)
+        argv = [path if a == "THETA_E4" else a for a in argv]
+    proc = _fresh_python(
+        "import sys\n"
+        "from shimlift.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stderr.write('ctypes=%s exit=%d\\n' % ('ctypes' in sys.modules, code))",
+        *argv, "--json")
+    assert proc.stderr.strip().splitlines()[-1] == "ctypes=False exit=0", proc.stderr
+
+
+def test_lift_request_scans_the_plus_space_classes_once(monkeypatch, capsys):
+    # the index gate and the verdict both ask whether the input lies in the
+    # plus space; the series keeps its exponent classes mod 4 from the first
+    from shimlift import shimura
+
+    asked, scans = [], []
+    is_plus_space, scan = shimura.is_plus_space, QExp._scan_mod4
+    monkeypatch.setattr(shimura, "is_plus_space", lambda f, eps: asked.append(eps) or is_plus_space(f, eps))
+    monkeypatch.setattr(QExp, "_scan_mod4", lambda f: scans.append(f.hi) or scan(f))
+    for t in (1, 5):
+        asked.clear()
+        scans.clear()
+        code, payload, _ = run_json(capsys, "lift", "--fixture", "cohen52", "--t", str(t), "--prec", "6", "--json")
+        assert code == 0 and "lift" in payload
+        assert asked == [1, 1] and scans == [t * 36 + 1], (t, asked, scans)
+
+
+def test_project_help_says_k_needs_xi(capsys):
+    with pytest.raises(SystemExit):
+        main(["project", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "read only with --xi" in text and "without --xi it has no effect" in text
+
+
 def test_weil_selftest_loads_numpy_and_passes():
     status, _, out = _cold_start("weil-selftest", "--max-n", "3", "--words", "5", "--json")
     assert status == "numpy=True exit=0", out

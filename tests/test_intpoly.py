@@ -1,18 +1,22 @@
 """Packed integer convolution.
 
 Every big multiplier behind `convolve` (schoolbook, shift-add, binary
-slots on int, decimal-digit slots, binary slots on gmpy2 when it imports)
-is called directly and compared with the O(n^2) definition, on every
-truncation length, so the offset slot format (each slot x + B/2 on the
-way in and c_i + B/2 on the way out, read back without a borrow) is
-checked for each of them, not only for the one this machine picks: at
-every slot width the packing distinguishes, at the largest coefficients a
-slot holds, and across the chunk edges of packing and unpacking.
+slots on int, decimal-digit slots, binary slots on libgmp when
+libgmp.so.10 loads and on gmpy2 when it imports) is called directly and
+compared with the O(n^2) definition, on every truncation length, so the
+offset slot format (each slot x + B/2 on the way in and c_i + B/2 on the
+way out, read back without a borrow) is checked for each of them, not
+only for the one this machine picks: at every slot width the packing
+distinguishes, at the largest coefficients a slot holds, and across the
+chunk edges of packing and unpacking.
 """
 from __future__ import annotations
 
 import decimal
+import operator
+import os
 import random
+import subprocess
 import tracemalloc
 
 import pytest
@@ -52,21 +56,25 @@ def direct(route, *extra):
 
 
 shift_add = direct(_intpoly._shift_add)
-binary_int = direct(_intpoly._binary, int)
+binary_int = direct(_intpoly._binary, operator.mul)
 decimal_slots = direct(_intpoly._decimal)
+# libgmp's multiply, loaded as convolve loads it, or None
+LIBGMP = _intpoly._libgmp()
+needs_libgmp = pytest.mark.skipif(LIBGMP is None, reason="libgmp.so.10 does not load")
 
 MULTIPLIERS = [
     pytest.param(_intpoly._schoolbook, id="schoolbook"),
     pytest.param(shift_add, id="shift_add"),
     pytest.param(binary_int, id="int"),
     pytest.param(decimal_slots, id="decimal"),
+    pytest.param(direct(_intpoly._binary, LIBGMP), id="libgmp", marks=needs_libgmp),
 ]
 try:
     import gmpy2
 except ImportError:
     pass
 else:
-    MULTIPLIERS.append(pytest.param(direct(_intpoly._binary, gmpy2.mpz), id="gmpy2"))
+    MULTIPLIERS.append(pytest.param(direct(_intpoly._binary, lambda x, y: int(gmpy2.mpz(x) * gmpy2.mpz(y))), id="gmpy2"))
 
 coefficient = st.one_of(
     st.integers(-2, 2),
@@ -259,12 +267,109 @@ def test_decimal_route_on_both_sides_of_the_crossover(monkeypatch, floor, decima
     a, b = _full(rng, la, m), _full(rng, lb, m)
     assert _intpoly._slot_bits(_intpoly._scan(a), _intpoly._scan(b)) == bits
     want = _intpoly._schoolbook(a, b, la + lb - 1)
-    # the no-gmpy2 branch, where the decimal route lives; the int route
-    # fails above the crossover and the decimal route below it
+    # the no-gmpy2 branch, where the decimal route lives, on a host where
+    # libgmp does not load; the int route fails above the crossover and the
+    # decimal route below it
     monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
+    monkeypatch.setattr(_intpoly, "_libgmp_mul", None)
     monkeypatch.setattr(_intpoly, "_binary" if decimal_route else "_decimal", _refuse)
     assert _intpoly.convolve(a, b) == want
     assert _intpoly.convolve(b, a) == want
+
+
+def _above_the_decimal_crossover(rng):
+    # 300 x 300 terms of 400 bits: 811-bit slots, 486 600 packed bits
+    # together and 243 300 in the shorter operand
+    a, b = _full(rng, 300, 400), _full(rng, 300, 400)
+    bits = _intpoly._slot_bits(_intpoly._scan(a), _intpoly._scan(b))
+    assert bits * 300 >= _intpoly._DECIMAL_SHORT_BITS and bits * 600 >= _intpoly._DECIMAL_BITS
+    return a, b
+
+
+@needs_libgmp
+@pytest.mark.parametrize("width", range(1, 17))
+def test_libgmp_multiply_against_schoolbook(width):
+    # mixed signs at the largest coefficients a slot of `width` bytes holds
+    # (a column of 24 products stays below B/2), every sign of the two top
+    # terms, so of the two packed operands, and windows below the full
+    # length; three equal top terms give the top columns their largest
+    # sums, and a negative packed product c carries out of the top slot of
+    # (c mod B^n) + H, a carry the window drops
+    rng = random.Random(width)
+    room = 8 * width - 6
+    ma, mb = (1 << (room - room // 2)) - 1, (1 << (room // 2)) - 1
+    for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        a = [rng.randrange(-ma, ma + 1) for _ in range(60)] + [sa * ma] * 3
+        b = [rng.randrange(-mb, mb + 1) for _ in range(21)] + [sb * mb] * 3
+        assert (_intpoly._slot_bits(_intpoly._scan(a), _intpoly._scan(b)) + 7) // 8 == width
+        full = len(a) + len(b) - 1
+        want = _intpoly._schoolbook(a, b, full)
+        for n in (full, full - 1, full - 3, len(a), 25, 1):
+            assert _intpoly._binary(a, b, n, width, LIBGMP) == want[:n], (sa, sb, n)
+    assert LIBGMP(0, -(1 << 200)) == 0
+    assert LIBGMP(-(1 << 64) + 1, (1 << 64) + 1) == -(1 << 128) + 1
+
+
+@needs_libgmp
+@pytest.mark.parametrize("gmpy2_imports", [False, True])
+def test_libgmp_takes_the_decimal_routes_products(monkeypatch, gmpy2_imports):
+    # above the decimal crossover, and past the int-to-str limit where the
+    # decimal route would hand the product to int, libgmp multiplies; below
+    # it the other routes keep their products, and with gmpy2 every product
+    # past schoolbook stays on gmpy2
+    rng = random.Random(5)
+    monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", gmpy2_imports)
+    monkeypatch.setattr(_intpoly, "_decimal", _refuse)
+    # the multiply each `_binary` call is given
+    muls = []
+    binary = _intpoly._binary
+    monkeypatch.setattr(_intpoly, "_binary", lambda a, b, n, slot, mul=_intpoly._big_mul:
+                        muls.append(mul) or binary(a, b, n, slot, mul))
+    a, b = _above_the_decimal_crossover(rng)
+    wide = [rng.randrange(-(1 << 20000), 1 << 20000) for _ in range(20)]
+    assert _intpoly._decimal_slot_digits(2 * 20000 + 6) > 4300
+    small = [rng.randrange(-(1 << 60), 1 << 60) for _ in range(50)]
+    for x, y in ((a, b), (wide, wide[::-1]), (small, small)):
+        n = len(x) + len(y) - 1
+        assert _intpoly.convolve(x, y) == _intpoly._schoolbook(x, y, n)
+        assert _intpoly.convolve(x, y, n // 2) == _intpoly._schoolbook(x, y, n // 2)
+    want = [_intpoly._big_mul] * 6 if gmpy2_imports else [LIBGMP] * 4 + [_intpoly._big_mul] * 2
+    assert muls == want
+
+
+def test_decimal_route_when_libgmp_does_not_load(monkeypatch):
+    # a host without libgmp: the load is tried once, by soname (no
+    # subprocess searches for the library), and above the crossover the
+    # product goes through decimal slots
+    import ctypes
+
+    loads = []
+
+    def no_library(name, *args, **kwargs):
+        loads.append(name)
+        raise OSError("%s: cannot open shared object file" % name)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a subprocess was started")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    for module, name in ((subprocess, "Popen"), (os, "posix_spawn"), (os, "fork"), (os, "system")):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, no_process)
+    monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
+    monkeypatch.setattr(_intpoly, "_libgmp_mul", _intpoly._UNTRIED)
+    monkeypatch.setattr(_intpoly, "_binary", _refuse)
+    decimal_calls = []
+    decimal_route = _intpoly._decimal
+    monkeypatch.setattr(_intpoly, "_decimal", lambda *args: decimal_calls.append(1) or decimal_route(*args))
+    rng = random.Random(6)
+    a, b = _above_the_decimal_crossover(rng)
+    want = _intpoly._schoolbook(a, b, len(a) + len(b) - 1)
+    assert _intpoly.convolve(a, b) == want
+    assert _intpoly.convolve(b, a, 400) == want[:400]
+    assert loads == ["libgmp.so.10"]
+    assert decimal_calls == [1, 1]
+    assert _intpoly._libgmp_mul is None
 
 
 def _extreme_operands(rng, width, length, signs):
