@@ -53,23 +53,24 @@ Routes, in the order `convolve` tries them:
      exponents of each coefficient value of the sparser one, and each sum
      is multiplied by its value once (not at all for 1), so no big
      multiply runs;
-  3. libgmp, without gmpy2, once the two packed operands are large
-     together and the shorter is not small, when the system's
-     libgmp.so.10 loads through ctypes: GMP's mpz_mul on binary slots,
-     the operands and product passed as little-endian words.  The library
-     is loaded on the first product past this crossover, once per process,
-     so a request that never reaches it never imports ctypes;
-  4. decimal, at the same crossover where libgmp does not load: the
-     decimal module (whose libmpdec multiplies large numbers by a
-     number-theoretic transform) on decimal-digit slots.  The transform's
-     cost follows the total size, while int's grows with the longer
-     operand times a power of the shorter, so the total decides, and the
-     floor on the shorter keeps lopsided products on int.  libgmp takes
-     the decimal route's products only: below this crossover the other
-     routes keep theirs;
-  5. int, without gmpy2 otherwise: Python's int on binary slots, and the
-     decimal route's products whose slots are too long for int's
-     int-to-str limit when libgmp does not load;
+  3. libgmp, without gmpy2, once the slot bits times the shorter
+     operand's length reach a floor, when the system's libgmp.so.10 loads
+     through ctypes: GMP's mpz_mul on binary slots, the operands and
+     product passed as little-endian words.  Below the floor the fixed
+     cost of each call through ctypes loses to int.  The library is
+     loaded on the first product past the floor, once per process, so a
+     request that never reaches it never imports ctypes;
+  4. decimal, where libgmp does not load, once the two packed operands
+     are large together and the shorter is not small: the decimal module
+     (whose libmpdec multiplies large numbers by a number-theoretic
+     transform) on decimal-digit slots.  The transform's cost follows the
+     total size, while int's grows with the longer operand times a power
+     of the shorter, so the total decides, and the floor on the shorter
+     keeps lopsided products on int;
+  5. int, without gmpy2 otherwise: Python's int on binary slots, below
+     libgmp's floor, and where libgmp does not load also the products
+     below the decimal crossover and those whose decimal slots are too
+     long for int's int-to-str limit;
   6. gmpy2, whenever it imports, on binary slots.
 Every route gives the same coefficients.
 """
@@ -98,8 +99,12 @@ _SCHOOLBOOK_TERMS = 10
 _SHIFT_ADD_TERMS = 256
 # ... if they also fill at most one slot in this many of it
 _SHIFT_ADD_SPREAD = 4
+# slot bits times the shorter operand's length at least this: libgmp
+# instead of int (below it, its fixed ctypes cost per product loses)
+_LIBGMP_BITS = 8_000
 # both operands pack to at least this many bits together, and the shorter
-# to at least _DECIMAL_SHORT_BITS: decimal instead of int
+# to at least _DECIMAL_SHORT_BITS: decimal instead of int, where libgmp
+# does not load
 _DECIMAL_BITS = 250_000
 _DECIMAL_SHORT_BITS = 50_000
 # coefficients per chunk while packing and unpacking, to bound the
@@ -272,13 +277,15 @@ def _load_libgmp():
         _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("d", ctypes.c_void_p)]
 
     mpz, size_t, c_int = ctypes.POINTER(Mpz), ctypes.c_size_t, ctypes.c_int
-    init, import_, mul_, sizeinbase, export, clear = (
+    init, import_, mul_, neg, fdiv_r_2exp, sizeinbase, export, clear = (
         getattr(lib, "__gmpz_" + name)
-        for name in ("init", "import", "mul", "sizeinbase", "export", "clear"))
+        for name in ("init", "import", "mul", "neg", "fdiv_r_2exp", "sizeinbase", "export", "clear"))
     for fn, argtypes, restype in (
         (init, [mpz], None),
         (import_, [mpz, size_t, c_int, size_t, c_int, size_t, ctypes.c_void_p], None),
         (mul_, [mpz, mpz, mpz], None),
+        (neg, [mpz, mpz], None),
+        (fdiv_r_2exp, [mpz, mpz, ctypes.c_ulong], None),
         (sizeinbase, [mpz, c_int], size_t),
         (export, [ctypes.c_void_p, ctypes.POINTER(size_t), c_int, size_t, c_int, size_t, mpz], ctypes.c_void_p),
         (clear, [mpz], None),
@@ -287,8 +294,10 @@ def _load_libgmp():
 
     def mul(x: int, y: int) -> int:
         # mpz_import and mpz_export carry magnitudes, here as 8-byte
-        # little-endian words, least significant first; the sign is
-        # restored at the end
+        # little-endian words, least significant first; a negative product
+        # -m goes out as its two's complement 2^(64 w) - m on one word more
+        # than m needs, which int.from_bytes reads back signed
+        negative = bool(x and y) and (x < 0) != (y < 0)
         zs = (Mpz * 3)()
         for z in zs:
             init(z)
@@ -305,22 +314,27 @@ def _load_libgmp():
             for z in zs[:2]:
                 clear(z)
                 init(z)
-            words = (sizeinbase(zs[2], 2) + 63) // 64
+            words = (sizeinbase(zs[2], 2) + 63) // 64 + negative
+            if negative:
+                neg(zs[2], zs[2])
+                fdiv_r_2exp(zs[2], zs[2], 64 * words)
             buf = ctypes.create_string_buffer(8 * words)
             count = size_t()
             export(buf, ctypes.byref(count), -1, 8, -1, 0, zs[2])
         finally:
             for z in zs:
                 clear(z)
-        c = int.from_bytes(memoryview(buf)[:8 * count.value], "little")
+        # one copy of the product's words, made before the buffer is freed:
+        # int.from_bytes would copy any buffer that is not bytes
+        raw = ctypes.string_at(buf, 8 * count.value)
         del buf
-        return -c if (x < 0) != (y < 0) else c
+        return int.from_bytes(raw, "little", signed=negative)
 
     return mul
 
 
-# _load_libgmp's answer, asked for on the first product past the decimal
-# crossover and then kept for the process; _UNTRIED before that
+# _load_libgmp's answer, asked for on the first product past _LIBGMP_BITS
+# and then kept for the process; _UNTRIED before that
 _UNTRIED = object()
 _libgmp_mul = _UNTRIED
 
@@ -493,10 +507,11 @@ def convolve(a: list, b: list, n: int | None = None) -> list:
         sparse, dense, scan = (a, b, sa) if sa[2] <= sb[2] else (b, a, sb)
         if _shift_add_pays(sparse, scan):
             return _shift_add(sparse, dense, n, slot)
-        if bits * (len(a) + len(b)) >= _DECIMAL_BITS and bits * short >= _DECIMAL_SHORT_BITS:
+        if bits * short >= _LIBGMP_BITS:
             mul = _libgmp()
             if mul:
                 return _binary(a, b, n, slot, mul)
+        if bits * (len(a) + len(b)) >= _DECIMAL_BITS and bits * short >= _DECIMAL_SHORT_BITS:
             digits = _decimal_slot_digits(bits)
             limit = _int_max_str_digits()
             if not limit or digits < limit:

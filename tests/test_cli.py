@@ -680,15 +680,25 @@ def test_cli_commands_do_not_load_numpy(capsys, tmp_path, argv):
         ["lift", "--input", "THETA_E4", "--k", "4", "--prec", "7"],
         ["fixtures", "--reemit", "THETA_E4"],
         ["lift", "--fixture", "cohen52", "--t", "5", "--prec", "6"],
+        ["verify", "--input", "THETA_E6_LIFT", "--weight", "12", "--mode", "exact"],
+        ["project", "--fixture", "theta_e4", "--N", "4", "--k", "4", "--prec", "4000"],
     ],
-    ids=["level-predict", "lift-input", "fixtures-reemit", "lift-fixture"],
+    ids=["level-predict", "lift-input", "fixtures-reemit", "lift-fixture", "verify-exact", "project"],
 )
 def test_cli_commands_do_not_load_ctypes(capsys, tmp_path, argv):
-    # libgmp is loaded through ctypes only by a product past the decimal
-    # crossover, which none of these requests reaches
+    # libgmp is loaded through ctypes only by a product whose slot bits
+    # times shorter length reach _intpoly._LIBGMP_BITS, which none of these
+    # requests reaches; the largest, the exact check of the weight 12 lift
+    # of theta E6(4 tau) at prec 70 (the largest lift the benchmark's
+    # command-line workload checks), multiplies 48 x 48 terms on 81-bit slots
     if "THETA_E4" in argv:
         path = _theta_e4_file(capsys, tmp_path)
         argv = [path if a == "THETA_E4" else a for a in argv]
+    if "THETA_E6_LIFT" in argv:
+        path = tmp_path / "theta_e6_lift.json"
+        lift = shimura_St(fixture("theta_e6", 70 * 70 + 1), 1, 6, 1, 1, 70)
+        path.write_text(json.dumps({"lift": qexp_to_json(lift)}))
+        argv = [str(path) if a == "THETA_E6_LIFT" else a for a in argv]
     proc = _fresh_python(
         "import sys\n"
         "from shimlift.cli import main\n"

@@ -13,6 +13,8 @@ chunk edges of packing and unpacking.
 from __future__ import annotations
 
 import decimal
+import hashlib
+import json
 import operator
 import os
 import random
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shimlift import _intpoly, fixtures
+from shimlift import _intpoly, fixtures, qseries
 
 
 def naive(a: list, b: list, n: int) -> list:
@@ -308,33 +310,112 @@ def test_libgmp_multiply_against_schoolbook(width):
             assert _intpoly._binary(a, b, n, width, LIBGMP) == want[:n], (sa, sb, n)
     assert LIBGMP(0, -(1 << 200)) == 0
     assert LIBGMP(-(1 << 64) + 1, (1 << 64) + 1) == -(1 << 128) + 1
+    # negative products whose magnitude fills its top word, or just does not
+    for x, y in ((-1, 1), (1 << 63, -1), (-(1 << 64), 1 << 64), ((1 << 64) - 1, -((1 << 64) - 1))):
+        assert LIBGMP(x, y) == x * y == LIBGMP(y, x), (x, y)
+
+
+def _at_the_libgmp_floor(rng, above):
+    # 40 x 60 terms, all nonzero: slots of bits(max a) + bits(max b) + 6 + 1
+    # bits, so that slot bits x 40 reach _LIBGMP_BITS, or fall one slot bit
+    # short of it; far below the decimal crossover
+    short = 40
+    bits = -(-_intpoly._LIBGMP_BITS // short) - (not above)
+    m = bits - 7
+    a, b = _full(rng, short, m - m // 2), _full(rng, 60, m // 2)
+    assert _intpoly._slot_bits(_intpoly._scan(a), _intpoly._scan(b)) == bits
+    assert (bits * short >= _intpoly._LIBGMP_BITS) == above
+    assert bits * (short + 60) < _intpoly._DECIMAL_BITS
+    return a, b
 
 
 @needs_libgmp
 @pytest.mark.parametrize("gmpy2_imports", [False, True])
-def test_libgmp_takes_the_decimal_routes_products(monkeypatch, gmpy2_imports):
-    # above the decimal crossover, and past the int-to-str limit where the
-    # decimal route would hand the product to int, libgmp multiplies; below
-    # it the other routes keep their products, and with gmpy2 every product
-    # past schoolbook stays on gmpy2
+def test_libgmp_takes_every_product_past_its_floor(monkeypatch, gmpy2_imports):
+    # without gmpy2, libgmp multiplies every product that schoolbook and
+    # shift-add leave once slot bits x shorter length reach its floor:
+    # above the decimal crossover, past the int-to-str limit where the
+    # decimal route would hand the product to int, and between the floor
+    # and the decimal crossover; just below the floor int keeps the product
+    # and a sparse operand stays on shift-add.  With gmpy2 every product
+    # past schoolbook goes to gmpy2.
     rng = random.Random(5)
     monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", gmpy2_imports)
     monkeypatch.setattr(_intpoly, "_decimal", _refuse)
-    # the multiply each `_binary` call is given
+    # the multiply each `_binary` call is given, or "shift-add"
     muls = []
-    binary = _intpoly._binary
+    binary, shift_add_route = _intpoly._binary, _intpoly._shift_add
     monkeypatch.setattr(_intpoly, "_binary", lambda a, b, n, slot, mul=_intpoly._big_mul:
                         muls.append(mul) or binary(a, b, n, slot, mul))
+    monkeypatch.setattr(_intpoly, "_shift_add", lambda *args: muls.append("shift-add") or shift_add_route(*args))
     a, b = _above_the_decimal_crossover(rng)
     wide = [rng.randrange(-(1 << 20000), 1 << 20000) for _ in range(20)]
     assert _intpoly._decimal_slot_digits(2 * 20000 + 6) > 4300
-    small = [rng.randrange(-(1 << 60), 1 << 60) for _ in range(50)]
-    for x, y in ((a, b), (wide, wide[::-1]), (small, small)):
+    sparse = _sparse(rng, 1000, 20, 100)
+    dense = _full(rng, 1000, 100)
+    for x, y in ((a, b), (wide, wide[::-1]), _at_the_libgmp_floor(rng, True),
+                 _at_the_libgmp_floor(rng, False), (sparse, dense)):
         n = len(x) + len(y) - 1
         assert _intpoly.convolve(x, y) == _intpoly._schoolbook(x, y, n)
         assert _intpoly.convolve(x, y, n // 2) == _intpoly._schoolbook(x, y, n // 2)
-    want = [_intpoly._big_mul] * 6 if gmpy2_imports else [LIBGMP] * 4 + [_intpoly._big_mul] * 2
+    if gmpy2_imports:
+        want = [_intpoly._big_mul] * 10
+    else:
+        want = [LIBGMP] * 6 + [_intpoly._big_mul] * 2 + ["shift-add"] * 2
     assert muls == want
+
+
+@needs_libgmp
+def test_libgmp_product_peak_memory_stays_within_twice_its_result():
+    # the product leaves GMP as one bytes copy of its words, made before
+    # the export buffer is freed, and a negative one already in two's
+    # complement, so no second int of its size is made to negate it
+    rng = random.Random(13)
+    x, y = rng.getrandbits(8_500_000), rng.getrandbits(8_600_000)
+    # about 2.1 MB; int's own product of these takes seconds
+    product = LIBGMP(x, y)
+    assert product % 1_000_003 == (x % 1_000_003) * (y % 1_000_003) % 1_000_003
+    for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        a, b = sx * x, sy * y
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            c = LIBGMP(a, b)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert c == sx * sy * product
+        assert size - base >= product.bit_length() // 8
+        assert peak - base <= 2 * (size - base), (sx, sy, peak - base, size - base)
+        del c
+
+
+@needs_libgmp
+def test_fixture_outputs_are_the_same_on_every_route(monkeypatch):
+    # j and hj4 at fixture scale multiply on libgmp both below and above
+    # the decimal crossover; with libgmp unavailable the same products run
+    # on int and decimal slots, and the emitted JSON is byte for byte the same
+    def digests():
+        out = []
+        for f in (fixtures.j_invariant(700), fixtures.weakly_holomorphic_product(2601)):
+            text = json.dumps(qseries.qexp_to_json(f), sort_keys=True, separators=(",", ":"))
+            out.append(hashlib.sha256(text.encode()).hexdigest())
+        return out
+
+    monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
+    # (whether libgmp multiplied, whether the shorter operand packs below
+    # the decimal floor) for each `_binary` call
+    calls = []
+    binary = _intpoly._binary
+    monkeypatch.setattr(_intpoly, "_binary", lambda a, b, n, slot, mul=_intpoly._big_mul: calls.append(
+        (mul is LIBGMP, 8 * slot * min(len(a), len(b)) < _intpoly._DECIMAL_SHORT_BITS))
+        or binary(a, b, n, slot, mul))
+    with_libgmp = digests()
+    assert {(True, False), (True, True)} <= set(calls)
+    calls.clear()
+    monkeypatch.setattr(_intpoly, "_libgmp_mul", None)
+    assert digests() == with_libgmp
+    assert calls and not any(gmp for gmp, _ in calls)
 
 
 def test_decimal_route_when_libgmp_does_not_load(monkeypatch):
