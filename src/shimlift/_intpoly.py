@@ -1,49 +1,42 @@
 """Dense integer polynomial multiplication by Kronecker substitution.
 
-A coefficient list is packed into one big integer in fixed-width slots of
-base B (B = 2^(8 w) for binary slots of w bytes, 10^D for decimal slots of
-D digits), wide enough that every coefficient and every column sum of the
-product stays below B/2 in magnitude.  Slots are offset-encoded: slot i
-holds x_i + B/2, which lies in [0, B), so the slots of a signed operand are
-independent unsigned digits U, and the operand is U - H, where H has B/2 in
-every slot.  One big multiply gives the signed product c, and the first n
-slots of (c mod B^n + H) mod B^n are exactly c_i + B/2, again each in
-[0, B): no slot borrows from the next, and a slot reads back by subtracting
-B/2 alone.  Only the first n slots are ever read, and operands are trimmed
-to n terms first.
+A coefficient list is packed into one big integer in fixed-width binary
+slots of w bytes, of base B = 2^(8 w), wide enough that every coefficient
+and every column sum of the product stays below B/2 in magnitude.  Slots
+are offset-encoded: slot i holds x_i + B/2, which lies in [0, B), so the
+slots of a signed operand are independent unsigned digits U, and the
+operand is U - H, where H has B/2 in every slot.  One big multiply gives
+the signed product c, and the first n slots of (c mod B^n + H) mod B^n are
+exactly c_i + B/2, again each in [0, B): no slot borrows from the next,
+and a slot reads back by subtracting B/2 alone.  Only the first n slots
+are ever read, and operands are trimmed to n terms first.
 
-Every binary operand is offset-encoded, whatever its signs: the offset
-costs one xor and one subtraction of H per operand, linear next to the
-multiply.  A decimal operand is offset only when it has a negative term,
-and the product's slots only when either operand has one: a decimal slot
-is formatted as text, x + 10^D/2 always has all D digits, and a
-non-negative operand's plain slots format about a quarter faster, which
-on the decimal route's large operands is worth the exception.
+Every operand is offset-encoded, whatever its signs: the offset costs one
+xor and one subtraction of H per operand, linear next to the multiply.
 
-Binary slots of up to 8 bytes are packed and read by `struct`, in C,
-one call per `_CHUNK` slots each way.  On a binary
-slot, x + B/2 and the two's complement of x differ only in the top bit, so
-for these widths one xor with H turns the whole packed number from one
-form into the other, and `struct` writes and reads two's complement in a
-lane, the narrowest machine word that holds the slot.  A slot of 1, 2, 4
-or 8 bytes is its own lane; one of 3 or 5-7 bytes is cut down from its
-4- or 8-byte lane by one strided byte copy per slot byte, and widened back
-by the same copies into lanes whose upper bytes repeat the slot's sign bit
-(a 256-byte translate table gives them from the slot's top byte).  Shift-
-add splits an operand on slots of 9 or more bytes into two such lanes,
-an 8-byte one for its low bits and one for its high bits, whenever the
-products of both fit 8 bytes, and adds them back per coefficient; other
-wide slots, and every wide slot of `_binary`, go one at a time through
-int.to_bytes and int.from_bytes.  The strings, lists, tuples and lanes of
-every path are built `_CHUNK` coefficients at a time, so apart from the
-packed bytes themselves no temporary grows with the operands.
+Slots of up to 8 bytes are packed and read by `struct`, in C, one call per
+`_CHUNK` slots each way.  On a slot, x + B/2 and the two's complement of x
+differ only in the top bit, so for these widths one xor with H turns the
+whole packed number from one form into the other, and `struct` writes and
+reads two's complement in a lane, the narrowest machine word that holds
+the slot.  A slot of 1, 2, 4 or 8 bytes is its own lane; one of 3 or 5-7
+bytes is cut down from its 4- or 8-byte lane by one strided byte copy per
+slot byte, and widened back by the same copies into lanes whose upper
+bytes repeat the slot's sign bit (a 256-byte translate table gives them
+from the slot's top byte).  Shift-add splits an operand on slots of 9 or
+more bytes into two such lanes, an 8-byte one for its low bits and one for
+its high bits, whenever the products of both fit 8 bytes, and adds them
+back per coefficient; other wide slots, and every wide slot of `_binary`,
+go one at a time through int.to_bytes and int.from_bytes.  The lists,
+tuples and lanes of every path are built `_CHUNK` coefficients at a time,
+so apart from the packed bytes themselves no temporary grows with the
+operands.
 
 `convolve` decides everything about a product once: it trims each operand
-to n terms, scans it once (`_scan`: largest magnitude, sign, nonzero
-count), and from the two scans answers an all-zero product itself and
-picks the route, the slot size (bytes, or decimal digits) and, for
-shift-add, which operand is the sparser.  The routes only pack, multiply
-and read back.
+to n terms, scans it once (`_scan`: largest magnitude, nonzero count),
+and from the two scans answers an all-zero product itself and picks the
+route, the slot size and, for shift-add, which operand is the sparser.
+The routes only pack, multiply and read back.
 
 Routes, in the order `convolve` tries them:
   1. schoolbook, when the shorter operand is short;
@@ -53,34 +46,23 @@ Routes, in the order `convolve` tries them:
      exponents of each coefficient value of the sparser one, and each sum
      is multiplied by its value once (not at all for 1), so no big
      multiply runs;
-  3. libgmp, without gmpy2, once the slot bits times the shorter
-     operand's length reach a floor, when the system's libgmp.so.10 loads
-     through ctypes: GMP's mpz_mul on binary slots, the operands and
-     product passed as little-endian words.  Below the floor the fixed
-     cost of each call through ctypes loses to int.  The library is
-     loaded on the first product past the floor, once per process, so a
-     request that never reaches it never imports ctypes;
-  4. decimal, where libgmp does not load, once the two packed operands
-     are large together and the shorter is not small: the decimal module
-     (whose libmpdec multiplies large numbers by a number-theoretic
-     transform) on decimal-digit slots.  The transform's cost follows the
-     total size, while int's grows with the longer operand times a power
-     of the shorter, so the total decides, and the floor on the shorter
-     keeps lopsided products on int;
-  5. int, without gmpy2 otherwise: Python's int on binary slots, below
-     libgmp's floor, and where libgmp does not load also the products
-     below the decimal crossover and those whose decimal slots are too
-     long for int's int-to-str limit;
-  6. gmpy2, whenever it imports, on binary slots.
+  3. libgmp, without gmpy2, once the slot bits times the shorter operand's
+     length reach a floor, when the system's libgmp.so.10 loads through
+     ctypes: GMP's mpz_mul, the operands and product passed as
+     little-endian words.  Below the floor the fixed cost of each call
+     through ctypes loses to int.  The library is loaded on the first
+     product past the floor, once per process, so a request that never
+     reaches it never imports ctypes;
+  4. int, without gmpy2 otherwise: Python's int, below libgmp's floor,
+     and past it too where libgmp does not load;
+  5. gmpy2, whenever it imports.
 Every route gives the same coefficients.
 """
 
 from __future__ import annotations
 
-import decimal
 import itertools
 import struct
-import sys
 
 __all__ = ["convolve"]
 
@@ -102,13 +84,8 @@ _SHIFT_ADD_SPREAD = 4
 # slot bits times the shorter operand's length at least this: libgmp
 # instead of int (below it, its fixed ctypes cost per product loses)
 _LIBGMP_BITS = 8_000
-# both operands pack to at least this many bits together, and the shorter
-# to at least _DECIMAL_SHORT_BITS: decimal instead of int, where libgmp
-# does not load
-_DECIMAL_BITS = 250_000
-_DECIMAL_SHORT_BITS = 50_000
 # coefficients per chunk while packing and unpacking, to bound the
-# temporary strings, lists and tuples
+# temporary lists and tuples
 _CHUNK = 4096
 # ... and while adding the two lanes of a split shift-add, whose values
 # (unlike a single lane's) are all temporaries
@@ -121,17 +98,6 @@ _LANE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
 # byte b -> 0xFF if its top bit is set, else 0: the bytes that sign-extend
 # a two's complement slot whose top byte is b
 _SIGN_FILL = bytes(128) + b"\xff" * 128
-
-# exact integer arithmetic: any rounding raises instead of losing digits
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
-)
-# int <-> str conversions refuse numbers this long (0: no limit); the
-# decimal route converts every slot
-_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _schoolbook(a: list, b: list, n: int) -> list:
@@ -148,20 +114,18 @@ def _trim(a: list, n: int) -> list:
     return a[:n] if len(a) > n else a
 
 
-def _scan(a: list) -> tuple[int, bool, int]:
-    """(largest magnitude, whether a term is negative, nonzero terms) of a:
-    everything `convolve` reads of an operand besides its terms (the sign
-    only for the decimal route)."""
+def _scan(a: list) -> tuple[int, int]:
+    """(largest magnitude, nonzero terms) of a: everything `convolve` reads
+    of an operand besides its terms."""
     if not a:
-        return 0, False, 0
-    lo, hi = min(a), max(a)
-    return max(hi, -lo), lo < 0, len(a) - a.count(0)
+        return 0, 0
+    return max(max(a), -min(a)), len(a) - a.count(0)
 
 
 def _slot_bits(sa: tuple, sb: tuple) -> int:
     """Bits per slot that hold every column sum below half a slot, or 0 if
     a product of operands with these scans is zero."""
-    (ma, _, ka), (mb, _, kb) = sa, sb
+    (ma, ka), (mb, kb) = sa, sb
     if not ma or not mb:
         return 0
     return ma.bit_length() + mb.bit_length() + min(ka, kb).bit_length() + 1
@@ -413,78 +377,9 @@ def _shift_add_pays(sparse: list, scan: tuple) -> bool:
     """Whether `sparse`, the operand with fewer nonzero terms, is sparse
     enough for `_shift_add` to beat a big multiply (measured crossover
     without gmpy2)."""
-    m, _, k = scan
+    m, k = scan
     k *= 1 + m.bit_length() // 128
     return k <= _SHIFT_ADD_TERMS and k * _SHIFT_ADD_SPREAD <= len(sparse)
-
-
-def _pack_digits(a: list, digits: int, half: int) -> decimal.Decimal:
-    """a on decimal slots of `digits` digits, slot i holding a[i] + half."""
-    fmt = "%0" + str(digits) + "d"
-    chunks = []
-    for end in range(len(a), 0, -_CHUNK):
-        part = a[max(0, end - _CHUNK):end]
-        part.reverse()
-        # one format per chunk, not one string object per slot: thousands of
-        # those at once left partly used allocator arenas behind and raised
-        # the process's resident peak
-        chunks.append((fmt * len(part)) % tuple([x + half for x in part]))
-    return decimal.Decimal("".join(chunks))
-
-
-def _decimal_halves(digits: int, n: int) -> decimal.Decimal:
-    """H = sum of 10^D/2 * 10^(D i) over i < n: 10^D/2 in each of n decimal
-    slots of D digits, doubled up from one slot (parsing n D digits costs
-    about ten times more)."""
-    if n == 1:
-        return decimal.Decimal("5" + "0" * (digits - 1))
-    h = _decimal_halves(digits, n // 2)
-    h = _EXACT.add(h, _EXACT.scaleb(h, n // 2 * digits))
-    if n % 2:
-        h = _EXACT.add(_EXACT.scaleb(h, digits), _decimal_halves(digits, 1))
-    return h
-
-
-def _decimal_slot_digits(bits: int) -> int:
-    """Decimal digits D with 10**D >= 2**bits."""
-    digits = (bits * 30103) // 100000 + 1
-    while 10**digits < 1 << bits:
-        digits += 1
-    return digits
-
-
-def _decimal(a: list, b: list, n: int, digits: int, signed: tuple) -> list:
-    """First n coefficients of a*b through decimal slots of `digits` digits,
-    multiplied as exact Decimals (libmpdec switches to a number-theoretic
-    transform for large operands); `signed` says whether a, and whether b,
-    has a negative term."""
-    # offset slots (see the module docstring) only for an operand with a
-    # negative term: an offset slot always formats all its digits
-    half = 5 * 10 ** (digits - 1) if any(signed) else 0
-    packed = []
-    for x, negative in zip((a, b), signed):
-        if negative:
-            packed.append(_EXACT.subtract(_pack_digits(x, digits, half), _decimal_halves(digits, len(x))))
-        else:
-            packed.append(_pack_digits(x, digits, 0))
-    c = _EXACT.multiply(packed[0], packed[1])
-    del packed
-    # only the n slots of c mod 10^(n D) are formatted; with the offset they
-    # hold c_i + half, and a carry out of the top slot is never read
-    width = n * digits
-    high = _EXACT.scaleb(c, -width).to_integral_value(rounding=decimal.ROUND_FLOOR, context=_EXACT)
-    c = _EXACT.subtract(c, _EXACT.scaleb(high, width))
-    del high
-    if half:
-        c = _EXACT.add(c, _decimal_halves(digits, n))
-    s = _EXACT.to_sci_string(c)
-    del c
-    top = len(s)
-    out = [int(s[max(0, end - digits):end]) - half for end in range(top, max(0, top - width), -digits)]
-    del s
-    # zero slots at the top have no digits; with the offset none is zero
-    out.extend([0] * (n - len(out)))
-    return out
 
 
 def convolve(a: list, b: list, n: int | None = None) -> list:
@@ -504,16 +399,11 @@ def convolve(a: list, b: list, n: int | None = None) -> list:
         return [0] * n
     slot = (bits + 7) // 8
     if not _HAVE_GMPY2:
-        sparse, dense, scan = (a, b, sa) if sa[2] <= sb[2] else (b, a, sb)
+        sparse, dense, scan = (a, b, sa) if sa[1] <= sb[1] else (b, a, sb)
         if _shift_add_pays(sparse, scan):
             return _shift_add(sparse, dense, n, slot)
         if bits * short >= _LIBGMP_BITS:
             mul = _libgmp()
             if mul:
                 return _binary(a, b, n, slot, mul)
-        if bits * (len(a) + len(b)) >= _DECIMAL_BITS and bits * short >= _DECIMAL_SHORT_BITS:
-            digits = _decimal_slot_digits(bits)
-            limit = _int_max_str_digits()
-            if not limit or digits < limit:
-                return _decimal(a, b, n, digits, (sa[1], sb[1]))
     return _binary(a, b, n, slot)

@@ -1,18 +1,16 @@
 """Packed integer convolution.
 
 Every big multiplier behind `convolve` (schoolbook, shift-add, binary
-slots on int, decimal-digit slots, binary slots on libgmp when
-libgmp.so.10 loads and on gmpy2 when it imports) is called directly and
-compared with the O(n^2) definition, on every truncation length, so the
-offset slot format (each slot x + B/2 on the way in and c_i + B/2 on the
-way out, read back without a borrow) is checked for each of them, not
-only for the one this machine picks: at every slot width the packing
-distinguishes, at the largest coefficients a slot holds, and across the
-chunk edges of packing and unpacking.
+slots on int, on libgmp when libgmp.so.10 loads and on gmpy2 when it
+imports) is called directly and compared with the O(n^2) definition, on
+every truncation length, so the offset slot format (each slot x + B/2 on
+the way in and c_i + B/2 on the way out, read back without a borrow) is
+checked for each of them, not only for the one this machine picks: at
+every slot width the packing distinguishes, at the largest coefficients
+a slot holds, and across the chunk edges of packing and unpacking.
 """
 from __future__ import annotations
 
-import decimal
 import hashlib
 import json
 import operator
@@ -41,17 +39,15 @@ def naive(a: list, b: list, n: int) -> list:
 
 def direct(route, *extra):
     """route called as `convolve` calls it: on the operands trimmed to n,
-    with the all-zero answer, the slot size, the sparser operand first for
-    shift-add and the pair of sign bits for decimal decided from the scans."""
+    with the all-zero answer, the slot size and the sparser operand first
+    for shift-add decided from the scans."""
     def mul(a, b, n):
         a, b = _intpoly._trim(a, n), _intpoly._trim(b, n)
         sa, sb = _intpoly._scan(a), _intpoly._scan(b)
         bits = _intpoly._slot_bits(sa, sb)
         if not bits:
             return [0] * n
-        if route is _intpoly._decimal:
-            return route(a, b, n, _intpoly._decimal_slot_digits(bits), (sa[1], sb[1]))
-        if route is _intpoly._shift_add and sa[2] > sb[2]:
+        if route is _intpoly._shift_add and sa[1] > sb[1]:
             a, b = b, a
         return route(a, b, n, (bits + 7) // 8, *extra)
     return mul
@@ -59,7 +55,6 @@ def direct(route, *extra):
 
 shift_add = direct(_intpoly._shift_add)
 binary_int = direct(_intpoly._binary, operator.mul)
-decimal_slots = direct(_intpoly._decimal)
 # libgmp's multiply, loaded as convolve loads it, or None
 LIBGMP = _intpoly._libgmp()
 needs_libgmp = pytest.mark.skipif(LIBGMP is None, reason="libgmp.so.10 does not load")
@@ -68,7 +63,6 @@ MULTIPLIERS = [
     pytest.param(_intpoly._schoolbook, id="schoolbook"),
     pytest.param(shift_add, id="shift_add"),
     pytest.param(binary_int, id="int"),
-    pytest.param(decimal_slots, id="decimal"),
     pytest.param(direct(_intpoly._binary, LIBGMP), id="libgmp", marks=needs_libgmp),
 ]
 try:
@@ -130,8 +124,8 @@ def test_convolve_length_and_truncation():
     [(8, 300, 40), (60, 60, 30), (400, 400, 700), (40, 3000, 60), (20, 20, 20000)],
 )
 def test_convolve_agrees_with_schoolbook_across_routes(la, lb, bits):
-    # shapes on both sides of the schoolbook and decimal crossovers; the last
-    # has slots longer than Python's int-to-str limit and must avoid decimal
+    # shapes on both sides of the schoolbook crossover, past libgmp's floor
+    # and below it; the last has slots longer than Python's int-to-str limit
     rng = random.Random(la * 7919 + lb)
     a = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(la)]
     b = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(lb)]
@@ -139,16 +133,6 @@ def test_convolve_agrees_with_schoolbook_across_routes(la, lb, bits):
     assert _intpoly.convolve(a, b) == want
     n = (la + lb) // 3
     assert _intpoly.convolve(a, b, n) == want[:n]
-
-
-def test_decimal_route_ignores_the_thread_context():
-    a = [(1 << 300) - 1, -(1 << 299), 12345] * 40
-    b = [-(1 << 310), 7, (1 << 305) + 1] * 40
-    want = naive(a, b, len(a) + len(b) - 1)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 5
-        ctx.traps[decimal.Inexact] = False
-        assert decimal_slots(a, b, len(want)) == want
 
 
 def test_fallback_multiplier_is_a_module_function():
@@ -175,7 +159,7 @@ def test_shift_add_long_sparse_operands(nonzero, sparse_bits, dense_bits, int_te
     # 40001 terms, mixed signs; the dense operand ends on a negative
     # coefficient, so its packed int is negative.  The int route multiplies
     # 700-bit slots by Karatsuba (15-20 s at 40001 terms), so it checks a
-    # shorter window there.
+    # shorter window there; libgmp, where it loads, checks the whole.
     n = 40001
     rng = random.Random(nonzero * 7919 + sparse_bits)
     a = _sparse(rng, n, nonzero, sparse_bits)
@@ -183,8 +167,9 @@ def test_shift_add_long_sparse_operands(nonzero, sparse_bits, dense_bits, int_te
     b = [rng.randrange(-(1 << dense_bits), 1 << dense_bits) for _ in range(n)]
     b[-1] = -(1 << dense_bits)
     got = shift_add(a, b, n)
-    assert got == decimal_slots(a, b, n)
     assert got[:int_terms] == binary_int(a, b, int_terms)
+    if LIBGMP:
+        assert got == direct(_intpoly._binary, LIBGMP)(a, b, n)
     assert shift_add(b, a, n - 1) == got[:-1]
 
 
@@ -231,7 +216,7 @@ def test_shift_add_route_on_both_sides_of_the_crossover(monkeypatch, extra, bits
     # when shift-add is due, and shift-add fails when it is not
     monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
     if shift_add:
-        for name in ("_schoolbook", "_decimal", "_binary"):
+        for name in ("_schoolbook", "_binary"):
             monkeypatch.setattr(_intpoly, name, _refuse)
     else:
         monkeypatch.setattr(_intpoly, "_shift_add", _refuse)
@@ -246,45 +231,21 @@ def _full(rng, n, m):
     return out
 
 
-@pytest.mark.parametrize("floor", [False, True], ids=["total", "shorter"])
-@pytest.mark.parametrize("decimal_route", [False, True], ids=["int", "decimal"])
-def test_decimal_route_on_both_sides_of_the_crossover(monkeypatch, floor, decimal_route):
-    rng = random.Random(2 * floor + decimal_route)
-    if floor:
-        # 64-127 terms against 1000, slots of 2 m + 7 + 1 bits: the packed
-        # total is far above _DECIMAL_BITS, the shorter operand at
-        # _DECIMAL_SHORT_BITS
-        m, lb = 296, 1000
-        bits = 2 * m + 8
-        la = -(-_intpoly._DECIMAL_SHORT_BITS // bits) - (not decimal_route)
-        assert bits * (la + lb) >= _intpoly._DECIMAL_BITS
-    else:
-        # two operands of 256-511 terms, slots of 2 m + 9 + 1 bits: the
-        # shorter is far above _DECIMAL_SHORT_BITS, the total at _DECIMAL_BITS
-        m = 200
-        bits = 2 * m + 10
-        total = -(-_intpoly._DECIMAL_BITS // bits) - (not decimal_route)
-        la, lb = total // 2, total - total // 2
-        assert bits * la >= _intpoly._DECIMAL_SHORT_BITS
-    a, b = _full(rng, la, m), _full(rng, lb, m)
-    assert _intpoly._slot_bits(_intpoly._scan(a), _intpoly._scan(b)) == bits
-    want = _intpoly._schoolbook(a, b, la + lb - 1)
-    # the no-gmpy2 branch, where the decimal route lives, on a host where
-    # libgmp does not load; the int route fails above the crossover and the
-    # decimal route below it
-    monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
-    monkeypatch.setattr(_intpoly, "_libgmp_mul", None)
-    monkeypatch.setattr(_intpoly, "_binary" if decimal_route else "_decimal", _refuse)
-    assert _intpoly.convolve(a, b) == want
-    assert _intpoly.convolve(b, a) == want
+def _record_muls(monkeypatch):
+    """The multiply each `_binary` call is given, appended as calls run."""
+    muls = []
+    binary = _intpoly._binary
+    monkeypatch.setattr(_intpoly, "_binary", lambda a, b, n, slot, mul=_intpoly._big_mul:
+                        muls.append(mul) or binary(a, b, n, slot, mul))
+    return muls
 
 
-def _above_the_decimal_crossover(rng):
-    # 300 x 300 terms of 400 bits: 811-bit slots, 486 600 packed bits
-    # together and 243 300 in the shorter operand
+def _far_past_the_libgmp_floor(rng):
+    # 300 x 300 terms of 400 bits: 811-bit slots, 243 300 packed bits in
+    # the shorter operand
     a, b = _full(rng, 300, 400), _full(rng, 300, 400)
     bits = _intpoly._slot_bits(_intpoly._scan(a), _intpoly._scan(b))
-    assert bits * 300 >= _intpoly._DECIMAL_SHORT_BITS and bits * 600 >= _intpoly._DECIMAL_BITS
+    assert bits * 300 >= _intpoly._LIBGMP_BITS
     return a, b
 
 
@@ -318,14 +279,13 @@ def test_libgmp_multiply_against_schoolbook(width):
 def _at_the_libgmp_floor(rng, above):
     # 40 x 60 terms, all nonzero: slots of bits(max a) + bits(max b) + 6 + 1
     # bits, so that slot bits x 40 reach _LIBGMP_BITS, or fall one slot bit
-    # short of it; far below the decimal crossover
+    # short of it
     short = 40
     bits = -(-_intpoly._LIBGMP_BITS // short) - (not above)
     m = bits - 7
     a, b = _full(rng, short, m - m // 2), _full(rng, 60, m // 2)
     assert _intpoly._slot_bits(_intpoly._scan(a), _intpoly._scan(b)) == bits
     assert (bits * short >= _intpoly._LIBGMP_BITS) == above
-    assert bits * (short + 60) < _intpoly._DECIMAL_BITS
     return a, b
 
 
@@ -333,24 +293,18 @@ def _at_the_libgmp_floor(rng, above):
 @pytest.mark.parametrize("gmpy2_imports", [False, True])
 def test_libgmp_takes_every_product_past_its_floor(monkeypatch, gmpy2_imports):
     # without gmpy2, libgmp multiplies every product that schoolbook and
-    # shift-add leave once slot bits x shorter length reach its floor:
-    # above the decimal crossover, past the int-to-str limit where the
-    # decimal route would hand the product to int, and between the floor
-    # and the decimal crossover; just below the floor int keeps the product
-    # and a sparse operand stays on shift-add.  With gmpy2 every product
-    # past schoolbook goes to gmpy2.
+    # shift-add leave once slot bits x shorter length reach its floor: far
+    # past it, on 20 000-bit coefficients, and at it; just below the floor
+    # int keeps the product and a sparse operand stays on shift-add.  With
+    # gmpy2 every product past schoolbook goes to gmpy2.
     rng = random.Random(5)
     monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", gmpy2_imports)
-    monkeypatch.setattr(_intpoly, "_decimal", _refuse)
     # the multiply each `_binary` call is given, or "shift-add"
-    muls = []
-    binary, shift_add_route = _intpoly._binary, _intpoly._shift_add
-    monkeypatch.setattr(_intpoly, "_binary", lambda a, b, n, slot, mul=_intpoly._big_mul:
-                        muls.append(mul) or binary(a, b, n, slot, mul))
+    muls = _record_muls(monkeypatch)
+    shift_add_route = _intpoly._shift_add
     monkeypatch.setattr(_intpoly, "_shift_add", lambda *args: muls.append("shift-add") or shift_add_route(*args))
-    a, b = _above_the_decimal_crossover(rng)
+    a, b = _far_past_the_libgmp_floor(rng)
     wide = [rng.randrange(-(1 << 20000), 1 << 20000) for _ in range(20)]
-    assert _intpoly._decimal_slot_digits(2 * 20000 + 6) > 4300
     sparse = _sparse(rng, 1000, 20, 100)
     dense = _full(rng, 1000, 100)
     for x, y in ((a, b), (wide, wide[::-1]), _at_the_libgmp_floor(rng, True),
@@ -392,9 +346,9 @@ def test_libgmp_product_peak_memory_stays_within_twice_its_result():
 
 @needs_libgmp
 def test_fixture_outputs_are_the_same_on_every_route(monkeypatch):
-    # j and hj4 at fixture scale multiply on libgmp both below and above
-    # the decimal crossover; with libgmp unavailable the same products run
-    # on int and decimal slots, and the emitted JSON is byte for byte the same
+    # j and hj4 at fixture scale multiply on libgmp past its floor; with
+    # libgmp unavailable every product runs on int, and the emitted JSON is
+    # byte for byte the same
     def digests():
         out = []
         for f in (fixtures.j_invariant(700), fixtures.weakly_holomorphic_product(2601)):
@@ -403,25 +357,19 @@ def test_fixture_outputs_are_the_same_on_every_route(monkeypatch):
         return out
 
     monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
-    # (whether libgmp multiplied, whether the shorter operand packs below
-    # the decimal floor) for each `_binary` call
-    calls = []
-    binary = _intpoly._binary
-    monkeypatch.setattr(_intpoly, "_binary", lambda a, b, n, slot, mul=_intpoly._big_mul: calls.append(
-        (mul is LIBGMP, 8 * slot * min(len(a), len(b)) < _intpoly._DECIMAL_SHORT_BITS))
-        or binary(a, b, n, slot, mul))
+    muls = _record_muls(monkeypatch)
     with_libgmp = digests()
-    assert {(True, False), (True, True)} <= set(calls)
-    calls.clear()
+    assert LIBGMP in muls
+    muls.clear()
     monkeypatch.setattr(_intpoly, "_libgmp_mul", None)
     assert digests() == with_libgmp
-    assert calls and not any(gmp for gmp, _ in calls)
+    assert muls and all(mul is _intpoly._big_mul for mul in muls)
 
 
-def test_decimal_route_when_libgmp_does_not_load(monkeypatch):
+def test_int_route_when_libgmp_does_not_load(monkeypatch):
     # a host without libgmp: the load is tried once, by soname (no
-    # subprocess searches for the library), and above the crossover the
-    # product goes through decimal slots
+    # subprocess searches for the library), and a product far past the
+    # floor is multiplied by int
     import ctypes
 
     loads = []
@@ -439,17 +387,14 @@ def test_decimal_route_when_libgmp_does_not_load(monkeypatch):
             monkeypatch.setattr(module, name, no_process)
     monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
     monkeypatch.setattr(_intpoly, "_libgmp_mul", _intpoly._UNTRIED)
-    monkeypatch.setattr(_intpoly, "_binary", _refuse)
-    decimal_calls = []
-    decimal_route = _intpoly._decimal
-    monkeypatch.setattr(_intpoly, "_decimal", lambda *args: decimal_calls.append(1) or decimal_route(*args))
+    muls = _record_muls(monkeypatch)
     rng = random.Random(6)
-    a, b = _above_the_decimal_crossover(rng)
+    a, b = _far_past_the_libgmp_floor(rng)
     want = _intpoly._schoolbook(a, b, len(a) + len(b) - 1)
     assert _intpoly.convolve(a, b) == want
     assert _intpoly.convolve(b, a, 400) == want[:400]
     assert loads == ["libgmp.so.10"]
-    assert decimal_calls == [1, 1]
+    assert muls == [_intpoly._big_mul] * 2
     assert _intpoly._libgmp_mul is None
 
 
@@ -478,8 +423,8 @@ def _extreme_operands(rng, width, length, signs):
 def test_multiplier_at_the_largest_coefficients_of_each_slot_width(mul, width, length):
     # word widths (1, 2, 4, 8) go through struct, 3 and 5-7 through struct
     # lanes of 4 and 8 bytes, the others slot by slot; operand and product
-    # lengths cross a chunk edge; the binary routes offset-encode
-    # non-negative operands like signed ones, decimal packs them plain
+    # lengths cross a chunk edge; non-negative operands are offset-encoded
+    # like signed ones
     for signs in (True, False):
         rng = random.Random(width * 7919 + length)
         dense, sparse = _extreme_operands(rng, width, length, signs)
@@ -539,7 +484,7 @@ def test_cohen52_product_peak_memory_stays_within_twice_its_result(monkeypatch):
     # a quarter of the window, 10001 terms (shift-add without gmpy2);
     # packing and reading back may hold at most as much again as the result
     theta, acc, n = _largest_product(monkeypatch, lambda: fixtures.cohen_eisenstein(2, 40001))
-    assert n == 10001 and _intpoly._scan(theta)[2] == 101
+    assert n == 10001 and _intpoly._scan(theta)[1] == 101
     peak, size = _peak_and_size(_intpoly.convolve, theta, acc, n)
     assert peak <= 2 * size, (peak, size)
 
@@ -551,7 +496,7 @@ def test_theta_e6_product_peak_memory_stays_within_twice_its_result(monkeypatch)
     # that every install measures it) splits into two struct lanes
     a, b, n = _largest_product(monkeypatch, lambda: fixtures.plus_product(6, 40001))
     sa, sb = _intpoly._scan(a), _intpoly._scan(b)
-    assert n == 10001 and min(sa[2], sb[2]) == 101
+    assert n == 10001 and min(sa[1], sb[1]) == 101
     assert (_intpoly._slot_bits(sa, sb) + 7) // 8 == 11
     peak, size = _peak_and_size(shift_add, a, b, n)
     assert peak <= 2 * size, (peak, size)
