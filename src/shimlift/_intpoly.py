@@ -23,45 +23,33 @@ the slot.  A slot of 1, 2, 4 or 8 bytes is its own lane; one of 3 or 5-7
 bytes is cut down from its 4- or 8-byte lane by one strided byte copy per
 slot byte, and widened back by the same copies into lanes whose upper
 bytes repeat the slot's sign bit (a 256-byte translate table gives them
-from the slot's top byte).  Shift-add splits an operand on slots of 9 or
-more bytes into two such lanes, an 8-byte one for its low bits and one for
-its high bits, whenever the products of both fit 8 bytes, and adds them
-back per coefficient; other wide slots, and every wide slot of `_binary`,
-go one at a time through int.to_bytes and int.from_bytes.  The lists,
-tuples and lanes of every path are built `_CHUNK` coefficients at a time,
-so apart from the packed bytes themselves no temporary grows with the
-operands.
+from the slot's top byte).  Wider slots go one at a time through
+int.to_bytes and int.from_bytes.  The lists, tuples and lanes of every
+path are built `_CHUNK` coefficients at a time, so apart from the packed
+bytes themselves no temporary grows with the operands.
 
 `convolve` decides everything about a product once: it trims each operand
 to n terms, scans it once (`_scan`: largest magnitude, nonzero count),
 and from the two scans answers an all-zero product itself and picks the
-route, the slot size and, for shift-add, which operand is the sparser.
-The routes only pack, multiply and read back.
+route and the slot size.  The routes only pack, multiply and read back.
 
 Routes, in the order `convolve` tries them:
   1. schoolbook, when the shorter operand is short;
-  2. shift-add, without gmpy2, when one operand is sparse (few nonzero
-     terms, each weighted by the size of the largest, spread thin): the
-     denser operand is packed once, its shifted copies are summed over the
-     exponents of each coefficient value of the sparser one, and each sum
-     is multiplied by its value once (not at all for 1), so no big
-     multiply runs;
-  3. libgmp, without gmpy2, once the slot bits times the shorter operand's
+  2. libgmp, without gmpy2, once the slot bits times the shorter operand's
      length reach a floor, when the system's libgmp.so.10 loads through
      ctypes: GMP's mpz_mul, the operands and product passed as
      little-endian words.  Below the floor the fixed cost of each call
      through ctypes loses to int.  The library is loaded on the first
      product past the floor, once per process, so a request that never
      reaches it never imports ctypes;
-  4. int, without gmpy2 otherwise: Python's int, below libgmp's floor,
+  3. int, without gmpy2 otherwise: Python's int, below libgmp's floor,
      and past it too where libgmp does not load;
-  5. gmpy2, whenever it imports.
+  4. gmpy2, whenever it imports.
 Every route gives the same coefficients.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 
 __all__ = ["convolve"]
@@ -76,20 +64,12 @@ _HAVE_GMPY2 = _mpz.__module__ != __name__
 
 # shorter operand at most this long: schoolbook
 _SCHOOLBOOK_TERMS = 10
-# sparser operand has at most this many nonzero terms, each counted once
-# per 128 bits of its largest coefficient: shift-add ...
-_SHIFT_ADD_TERMS = 256
-# ... if they also fill at most one slot in this many of it
-_SHIFT_ADD_SPREAD = 4
 # slot bits times the shorter operand's length at least this: libgmp
 # instead of int (below it, its fixed ctypes cost per product loses)
 _LIBGMP_BITS = 8_000
 # coefficients per chunk while packing and unpacking, to bound the
 # temporary lists and tuples
 _CHUNK = 4096
-# ... and while adding the two lanes of a split shift-add, whose values
-# (unlike a single lane's) are all temporaries
-_SPLIT_CHUNK = 1024
 # struct format of a signed machine word of each width; with "<" it is
 # little-endian two's complement on every host
 _WORD = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -137,17 +117,14 @@ def _halves(slot: int, n: int) -> int:
     return int.from_bytes((bytes(slot - 1) + b"\x80") * n, "little")
 
 
-def _pack(a: list, slot: int, transform=None) -> int:
+def _pack(a: list, slot: int) -> int:
     """a on binary slots of `slot` bytes, as one signed int: U - H for the
-    offset slots U; with `transform`, each chunk of terms is packed as
-    transform(chunk), a list of as many terms."""
+    offset slots U."""
     lane = _LANE.get(slot)
     half = 1 << (8 * slot - 1)
     buf = bytearray(len(a) * slot)
     for start in range(0, len(a), _CHUNK):
         part = a[start:start + _CHUNK]
-        if transform:
-            part = transform(part)
         base, end = start * slot, (start + len(part)) * slot
         if lane:
             # two's complement lanes, which are the offset slots xor H, cut
@@ -180,12 +157,15 @@ def _window(c: int, slot: int, n: int) -> bytes:
     return c.to_bytes(n * slot, "little")
 
 
-def _lane_chunks(raw: bytes, slot: int, n: int, chunk: int = _CHUNK):
-    """The n coefficients in the slots of at most 8 bytes that `_window`
-    wrote, as one tuple per `chunk` of them."""
+def _unpack(raw: bytes, slot: int, n: int) -> list:
+    """The n coefficients in the slots `_window` wrote."""
+    if slot not in _LANE:
+        half = 1 << (8 * slot - 1)
+        return [int.from_bytes(raw[i:i + slot], "little") - half for i in range(0, n * slot, slot)]
     lane = _LANE[slot]
-    for start in range(0, n, chunk):
-        k = min(chunk, n - start)
+    out = [0] * n
+    for start in range(0, n, _CHUNK):
+        k = min(_CHUNK, n - start)
         part = raw[start * slot:(start + k) * slot]
         if lane > slot:
             # each slot widened to its lane; the bytes above it repeat the
@@ -197,17 +177,7 @@ def _lane_chunks(raw: bytes, slot: int, n: int, chunk: int = _CHUNK):
             for j in range(slot, lane):
                 wide[j::lane] = fill
             part = wide
-        yield struct.unpack("<%d%s" % (k, _WORD[lane]), part)
-
-
-def _unpack(raw: bytes, slot: int, n: int) -> list:
-    """The n coefficients in the slots `_window` wrote."""
-    if slot not in _LANE:
-        half = 1 << (8 * slot - 1)
-        return [int.from_bytes(raw[i:i + slot], "little") - half for i in range(0, n * slot, slot)]
-    out = [0] * n
-    for start, part in zip(range(0, n, _CHUNK), _lane_chunks(raw, slot, n)):
-        out[start:start + len(part)] = part
+        out[start:start + k] = struct.unpack("<%d%s" % (k, _WORD[lane]), part)
     return out
 
 
@@ -311,77 +281,6 @@ def _libgmp():
     return _libgmp_mul
 
 
-def _shift_total(exponents: dict, packed: int, n: int, slot: int) -> int:
-    """Sum over the values x of `exponents` of x * sum of (packed << e w)
-    mod 2^(n w) over x's exponents e: the packed product mod 2^(n w) of
-    the sparse operand and the one packed on binary slots of w = 8 slot
-    bits."""
-    w = 8 * slot
-    window = (1 << n * w) - 1
-    total = 0
-    for x, es in exponents.items():
-        part = 0
-        for e in es:
-            part += (packed << e * w) & window
-        total += part if x == 1 else x * part
-        del part
-    return total
-
-
-def _shift_add(sparse: list, dense: list, n: int, slot: int) -> list:
-    """First n coefficients of sparse*dense without a big multiply: dense
-    packed on binary slots of w bits, and x * sum of (dense << e w) mod
-    2^(n w) over the exponents e of each value x among the nonzero terms
-    x q^e of sparse, one multiply per value (none for 1).  The sum is the
-    packed product mod 2^(n w), read back like the product of `_binary`.
-
-    On slots of 9 or more bytes, dense is split as lo + hi 2^s with
-    0 <= lo < 2^s, s = 64 - room for the room (in bits) a column sum needs
-    beyond the largest term of dense, so lo's product fills 8-byte slots;
-    when hi's product fits 8 bytes too, both run on `struct` lanes and
-    recombine as lo + (hi << s) per coefficient.  Otherwise dense takes the
-    wide slots, packed and read one at a time.
-    """
-    exponents: dict[int, list] = {}
-    for e in itertools.compress(range(len(sparse)), sparse):
-        exponents.setdefault(sparse[e], []).append(e)
-    if slot not in _LANE:
-        scan = _scan(dense)
-        top = scan[0].bit_length()
-        room = _slot_bits(_scan(sparse), scan) - top
-        # room = 1 + the bits of the sparse operand's largest term and of its
-        # term count, so a column of lo < 2^s stays below 2^(s + room - 1)
-        # = 2^63, and one of |hi| <= 2^(top - s) below 2^(top - s + room - 1)
-        s = 64 - room
-        hi_slot = (top - s + room + 7) // 8
-        if hi_slot <= 8:
-            mask = (1 << s) - 1
-            total = _shift_total(exponents, _pack(dense, hi_slot, lambda part: [x >> s for x in part]), n, hi_slot)
-            raw_hi = _window(total, hi_slot, n)
-            total = _shift_total(exponents, _pack(dense, 8, lambda part: [x & mask for x in part]), n, 8)
-            raw_lo = _window(total, 8, n)
-            del total
-            out = [0] * n
-            lanes = zip(range(0, n, _SPLIT_CHUNK), _lane_chunks(raw_lo, 8, n, _SPLIT_CHUNK),
-                        _lane_chunks(raw_hi, hi_slot, n, _SPLIT_CHUNK))
-            for start, lo, hi in lanes:
-                out[start:start + len(lo)] = [x + (y << s) for x, y in zip(lo, hi)]
-            return out
-    total = _shift_total(exponents, _pack(dense, slot), n, slot)
-    raw = _window(total, slot, n)
-    del total
-    return _unpack(raw, slot, n)
-
-
-def _shift_add_pays(sparse: list, scan: tuple) -> bool:
-    """Whether `sparse`, the operand with fewer nonzero terms, is sparse
-    enough for `_shift_add` to beat a big multiply (measured crossover
-    without gmpy2)."""
-    m, k = scan
-    k *= 1 + m.bit_length() // 128
-    return k <= _SHIFT_ADD_TERMS and k * _SHIFT_ADD_SPREAD <= len(sparse)
-
-
 def convolve(a: list, b: list, n: int | None = None) -> list:
     """Convolution of two integer coefficient lists, any signs: the first n
     coefficients of the product (all len(a) + len(b) - 1 when n is None)."""
@@ -398,12 +297,8 @@ def convolve(a: list, b: list, n: int | None = None) -> list:
     if not bits:
         return [0] * n
     slot = (bits + 7) // 8
-    if not _HAVE_GMPY2:
-        sparse, dense, scan = (a, b, sa) if sa[1] <= sb[1] else (b, a, sb)
-        if _shift_add_pays(sparse, scan):
-            return _shift_add(sparse, dense, n, slot)
-        if bits * short >= _LIBGMP_BITS:
-            mul = _libgmp()
-            if mul:
-                return _binary(a, b, n, slot, mul)
+    if not _HAVE_GMPY2 and bits * short >= _LIBGMP_BITS:
+        mul = _libgmp()
+        if mul:
+            return _binary(a, b, n, slot, mul)
     return _binary(a, b, n, slot)

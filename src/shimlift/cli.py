@@ -237,10 +237,15 @@ def _cmd_verify(args) -> int:
         weight = rational_from_str(args.weight)
     except SchemaError:
         raise SchemaError("--weight must be a rational like 4 or 5/2, got %r" % args.weight) from None
-    f = _load_series(args)
     if args.mode == "exact":
         if weight.denominator != 1:
             raise SchemaError("exact mode decomposes integral weights only")
+    elif weight.denominator not in (1, 2):
+        raise SchemaError("--weight must be integral or half-integral, got %r" % args.weight)
+    elif weight.denominator == 2 and args.level % 4:
+        raise SchemaError("--level must be a multiple of 4 for a half-integral --weight, got %d" % args.level)
+    f = _load_series(args)
+    if args.mode == "exact":
         try:
             dec = level1_exact_check(f, int(weight))
         except VerificationFailure as e:

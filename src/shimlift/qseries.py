@@ -595,8 +595,8 @@ def _divide(f: QExp, g: QExp) -> QExp:
     F, df = _dense(f, H)
     G, dg = _dense(g, H)
     # F up to its last stored term: as an H-long [1, 0, ...] the dividend of
-    # `invert_unit` would send this product down shift-add, which packs Xn
-    # at every level; Xn has h terms, so Y0 still has h
+    # `invert_unit` would make this a packed product at every level, where
+    # [1] is a schoolbook copy of Xn; Xn has h terms, so Y0 still has h
     Y0 = _intpoly.convolve(F[:max(f.exponents(), default=0) + 1], Xn, h)
     # f - g Y0 = (F dg cx - G Y0) / (df dg cx), zero below q^h
     s = dg * cx

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from shimlift import weilrep
+from shimlift import _intpoly, weilrep
 from shimlift.cli import main
 from shimlift.errors import HypothesisError
 from shimlift.fixtures import fixture, fixture_names
@@ -681,9 +681,8 @@ def test_cli_commands_do_not_load_numpy(capsys, tmp_path, argv):
         ["fixtures", "--reemit", "THETA_E4"],
         ["lift", "--fixture", "cohen52", "--t", "5", "--prec", "6"],
         ["verify", "--input", "THETA_E6_LIFT", "--weight", "12", "--mode", "exact"],
-        ["project", "--fixture", "theta_e4", "--N", "4", "--k", "4", "--prec", "4000"],
     ],
-    ids=["level-predict", "lift-input", "fixtures-reemit", "lift-fixture", "verify-exact", "project"],
+    ids=["level-predict", "lift-input", "fixtures-reemit", "lift-fixture", "verify-exact"],
 )
 def test_cli_commands_do_not_load_ctypes(capsys, tmp_path, argv):
     # libgmp is loaded through ctypes only by a product whose slot bits
@@ -691,6 +690,22 @@ def test_cli_commands_do_not_load_ctypes(capsys, tmp_path, argv):
     # requests reaches; the largest, the exact check of the weight 12 lift
     # of theta E6(4 tau) at prec 70 (the largest lift the benchmark's
     # command-line workload checks), multiplies 48 x 48 terms on 81-bit slots
+    assert _ctypes_status(capsys, tmp_path, argv) == "ctypes=False exit=0"
+
+
+def test_cli_project_of_a_long_theta_window_loads_ctypes(capsys, tmp_path):
+    # the theta products of a 4000-term theta E4(4 tau) window pass
+    # _intpoly._LIBGMP_BITS (theta windows do from about 630 to 1390 terms
+    # on), so without gmpy2 they import ctypes to load libgmp, whether or
+    # not it loads; with gmpy2 they multiply there instead
+    argv = ["project", "--fixture", "theta_e4", "--N", "4", "--k", "4", "--prec", "4000"]
+    loaded = not _intpoly._HAVE_GMPY2
+    assert _ctypes_status(capsys, tmp_path, argv) == "ctypes=%s exit=0" % loaded
+
+
+def _ctypes_status(capsys, tmp_path, argv):
+    """'ctypes=<loaded> exit=<code>' of argv run with --json by `main` in a
+    fresh interpreter."""
     if "THETA_E4" in argv:
         path = _theta_e4_file(capsys, tmp_path)
         argv = [path if a == "THETA_E4" else a for a in argv]
@@ -705,7 +720,7 @@ def test_cli_commands_do_not_load_ctypes(capsys, tmp_path, argv):
         "code = main(sys.argv[1:])\n"
         "sys.stderr.write('ctypes=%s exit=%d\\n' % ('ctypes' in sys.modules, code))",
         *argv, "--json")
-    assert proc.stderr.strip().splitlines()[-1] == "ctypes=False exit=0", proc.stderr
+    return proc.stderr.strip().splitlines()[-1]
 
 
 def test_lift_request_scans_the_plus_space_classes_once(monkeypatch, capsys):

@@ -217,6 +217,23 @@ def test_verify_weight_is_parsed_before_the_series_is_built(tmp_path, monkeypatc
                        "message": "--weight must be a rational like 4 or 5/2, got %r" % weight}
 
 
+@pytest.mark.parametrize("weight, level, message", [
+    ("1/3", "4", "--weight must be integral or half-integral, got '1/3'"),
+    ("7/6", "4", "--weight must be integral or half-integral, got '7/6'"),
+    ("1/2", "3", "--level must be a multiple of 4 for a half-integral --weight, got 3"),
+    ("5/2", "6", "--level must be a multiple of 4 for a half-integral --weight, got 6"),
+], ids=["third", "sixth", "level-3", "level-6"])
+def test_verify_weight_and_level_are_refused_before_the_series_is_built(tmp_path, monkeypatch, weight, level,
+                                                                         message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("series built before --weight and --level were checked")
+
+    monkeypatch.setattr("shimlift.fixtures.fixture", no_work)
+    payload = _refusal(tmp_path, ["verify", "--fixture", "theta", "--prec", "50", "--weight", weight,
+                                  "--level", level, "--json"])
+    assert payload == {"error": "SchemaError", "message": message}
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["verify", "--input", "PATH", "--weight", "1/2", "--level", "4", "--json"],
      _series_json([[0, "1" + "0" * 400]], weight=(1, 2))),

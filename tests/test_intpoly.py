@@ -1,10 +1,10 @@
 """Packed integer convolution.
 
-Every big multiplier behind `convolve` (schoolbook, shift-add, binary
-slots on int, on libgmp when libgmp.so.10 loads and on gmpy2 when it
-imports) is called directly and compared with the O(n^2) definition, on
-every truncation length, so the offset slot format (each slot x + B/2 on
-the way in and c_i + B/2 on the way out, read back without a borrow) is
+Every big multiplier behind `convolve` (schoolbook, and binary slots on
+int, on libgmp when libgmp.so.10 loads and on gmpy2 when it imports) is
+called directly and compared with the O(n^2) definition, on every
+truncation length, so the offset slot format (each slot x + B/2 on the
+way in and c_i + B/2 on the way out, read back without a borrow) is
 checked for each of them, not only for the one this machine picks: at
 every slot width the packing distinguishes, at the largest coefficients
 a slot holds, and across the chunk edges of packing and unpacking.
@@ -39,21 +39,17 @@ def naive(a: list, b: list, n: int) -> list:
 
 def direct(route, *extra):
     """route called as `convolve` calls it: on the operands trimmed to n,
-    with the all-zero answer, the slot size and the sparser operand first
-    for shift-add decided from the scans."""
+    with the all-zero answer and the slot size decided from the scans."""
     def mul(a, b, n):
         a, b = _intpoly._trim(a, n), _intpoly._trim(b, n)
         sa, sb = _intpoly._scan(a), _intpoly._scan(b)
         bits = _intpoly._slot_bits(sa, sb)
         if not bits:
             return [0] * n
-        if route is _intpoly._shift_add and sa[1] > sb[1]:
-            a, b = b, a
         return route(a, b, n, (bits + 7) // 8, *extra)
     return mul
 
 
-shift_add = direct(_intpoly._shift_add)
 binary_int = direct(_intpoly._binary, operator.mul)
 # libgmp's multiply, loaded as convolve loads it, or None
 LIBGMP = _intpoly._libgmp()
@@ -61,7 +57,6 @@ needs_libgmp = pytest.mark.skipif(LIBGMP is None, reason="libgmp.so.10 does not 
 
 MULTIPLIERS = [
     pytest.param(_intpoly._schoolbook, id="schoolbook"),
-    pytest.param(shift_add, id="shift_add"),
     pytest.param(binary_int, id="int"),
     pytest.param(direct(_intpoly._binary, LIBGMP), id="libgmp", marks=needs_libgmp),
 ]
@@ -152,76 +147,27 @@ def _sparse(rng, n, k, bits):
 
 @pytest.mark.parametrize(
     "nonzero, sparse_bits, dense_bits, int_terms",
-    [(_intpoly._SHIFT_ADD_TERMS, 20, 20, 40001), (12, 700, 64, 4001)],
+    [(256, 20, 20, 40001), (12, 700, 64, 4001)],
     ids=["many-small", "few-700-bit"],
 )
-def test_shift_add_long_sparse_operands(nonzero, sparse_bits, dense_bits, int_terms):
-    # 40001 terms, mixed signs; the dense operand ends on a negative
-    # coefficient, so its packed int is negative.  The int route multiplies
-    # 700-bit slots by Karatsuba (15-20 s at 40001 terms), so it checks a
-    # shorter window there; libgmp, where it loads, checks the whole.
+def test_int_long_sparse_operands(nonzero, sparse_bits, dense_bits, int_terms):
+    # 40001 terms, mixed signs, one operand sparse like a theta factor; the
+    # dense operand ends on a negative coefficient, so its packed int is
+    # negative.  The int route multiplies 700-bit slots by Karatsuba (15-20
+    # s at 40001 terms), so it checks a shorter window there; libgmp, where
+    # it loads, checks the whole.  Schoolbook skips the sparse operand's
+    # zero terms.
     n = 40001
     rng = random.Random(nonzero * 7919 + sparse_bits)
     a = _sparse(rng, n, nonzero, sparse_bits)
     a[rng.randrange(n)] = -(1 << (sparse_bits - 1)) - 1
     b = [rng.randrange(-(1 << dense_bits), 1 << dense_bits) for _ in range(n)]
     b[-1] = -(1 << dense_bits)
-    got = shift_add(a, b, n)
-    assert got[:int_terms] == binary_int(a, b, int_terms)
+    want = _intpoly._schoolbook(a, b, n)
+    assert binary_int(a, b, int_terms) == want[:int_terms]
+    assert binary_int(b, a, int_terms - 1) == want[:int_terms - 1]
     if LIBGMP:
-        assert got == direct(_intpoly._binary, LIBGMP)(a, b, n)
-    assert shift_add(b, a, n - 1) == got[:-1]
-
-
-def test_shift_add_groups_repeated_values_of_both_signs():
-    # the sparse operand's terms repeat a few values of both signs, so each
-    # value's shifted copies are summed and multiplied once (1 not at all)
-    rng = random.Random(19)
-    length = 160
-    sparse = [0] * length
-    for e in rng.sample(range(length), 32):
-        sparse[e] = rng.choice((-2, -1, 1, 2, 3))
-    sparse[-1] = -2
-    dense = [rng.randrange(-(1 << 40), 1 << 40) for _ in range(length)]
-    for n in range(2 * length):
-        want = naive(sparse, dense, n)
-        assert shift_add(sparse, dense, n) == want, n
-        assert shift_add(dense, sparse, n) == want, n
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("wrong route")
-
-
-@pytest.mark.parametrize(
-    "extra, bits, span, shift_add",
-    [
-        (0, 20, 4 * _intpoly._SHIFT_ADD_TERMS, True),
-        (1, 20, 4 * _intpoly._SHIFT_ADD_TERMS + 4, False),
-        # each nonzero term counts once per 128 bits of the largest
-        (-_intpoly._SHIFT_ADD_TERMS // 2, 128, 4 * _intpoly._SHIFT_ADD_TERMS, True),
-        (-_intpoly._SHIFT_ADD_TERMS // 2 + 1, 128, 4 * _intpoly._SHIFT_ADD_TERMS, False),
-        # at most one slot in _SHIFT_ADD_SPREAD nonzero
-        (-_intpoly._SHIFT_ADD_TERMS // 2, 20, 2 * _intpoly._SHIFT_ADD_TERMS, True),
-        (-_intpoly._SHIFT_ADD_TERMS // 2, 20, 2 * _intpoly._SHIFT_ADD_TERMS - 1, False),
-    ],
-)
-def test_shift_add_route_on_both_sides_of_the_crossover(monkeypatch, extra, bits, span, shift_add):
-    rng = random.Random(span + extra)
-    a = _sparse(rng, span, _intpoly._SHIFT_ADD_TERMS + extra, bits)
-    a[rng.choice([e for e, x in enumerate(a) if x])] = (1 << bits) - 1
-    b = [rng.randrange(-(1 << 30), 1 << 30) for _ in range(span)]
-    want = _intpoly._schoolbook(a, b, span)
-    # the no-gmpy2 branch, where shift-add lives; every other route fails
-    # when shift-add is due, and shift-add fails when it is not
-    monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
-    if shift_add:
-        for name in ("_schoolbook", "_binary"):
-            monkeypatch.setattr(_intpoly, name, _refuse)
-    else:
-        monkeypatch.setattr(_intpoly, "_shift_add", _refuse)
-    assert _intpoly.convolve(a, b, span) == want
-    assert _intpoly.convolve(b, a, span) == want
+        assert direct(_intpoly._binary, LIBGMP)(a, b, n) == want
 
 
 def _full(rng, n, m):
@@ -292,17 +238,14 @@ def _at_the_libgmp_floor(rng, above):
 @needs_libgmp
 @pytest.mark.parametrize("gmpy2_imports", [False, True])
 def test_libgmp_takes_every_product_past_its_floor(monkeypatch, gmpy2_imports):
-    # without gmpy2, libgmp multiplies every product that schoolbook and
-    # shift-add leave once slot bits x shorter length reach its floor: far
-    # past it, on 20 000-bit coefficients, and at it; just below the floor
-    # int keeps the product and a sparse operand stays on shift-add.  With
-    # gmpy2 every product past schoolbook goes to gmpy2.
+    # without gmpy2, libgmp multiplies every product that schoolbook
+    # leaves once slot bits x shorter length reach its floor: far past it,
+    # on 20 000-bit coefficients, at it, and with a sparse operand; just
+    # below the floor int keeps the product.  With gmpy2 every product past
+    # schoolbook goes to gmpy2.
     rng = random.Random(5)
     monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", gmpy2_imports)
-    # the multiply each `_binary` call is given, or "shift-add"
     muls = _record_muls(monkeypatch)
-    shift_add_route = _intpoly._shift_add
-    monkeypatch.setattr(_intpoly, "_shift_add", lambda *args: muls.append("shift-add") or shift_add_route(*args))
     a, b = _far_past_the_libgmp_floor(rng)
     wide = [rng.randrange(-(1 << 20000), 1 << 20000) for _ in range(20)]
     sparse = _sparse(rng, 1000, 20, 100)
@@ -315,7 +258,7 @@ def test_libgmp_takes_every_product_past_its_floor(monkeypatch, gmpy2_imports):
     if gmpy2_imports:
         want = [_intpoly._big_mul] * 10
     else:
-        want = [LIBGMP] * 6 + [_intpoly._big_mul] * 2 + ["shift-add"] * 2
+        want = [LIBGMP] * 6 + [_intpoly._big_mul] * 2 + [LIBGMP] * 2
     assert muls == want
 
 
@@ -481,56 +424,26 @@ def _peak_and_size(mul, a, b, n):
 def test_cohen52_product_peak_memory_stays_within_twice_its_result(monkeypatch):
     # the largest product of cohen_eisenstein(2, 40001) is one plus-space
     # class of its last theta factor: theta's even squares (101 terms) times
-    # a quarter of the window, 10001 terms (shift-add without gmpy2);
-    # packing and reading back may hold at most as much again as the result
+    # a quarter of the window, 10001 terms (libgmp without gmpy2 where it
+    # loads, else int); packing and reading back may hold at most as much
+    # again as the result
     theta, acc, n = _largest_product(monkeypatch, lambda: fixtures.cohen_eisenstein(2, 40001))
     assert n == 10001 and _intpoly._scan(theta)[1] == 101
     peak, size = _peak_and_size(_intpoly.convolve, theta, acc, n)
     assert peak <= 2 * size, (peak, size)
 
 
+@needs_libgmp
 def test_theta_e6_product_peak_memory_stays_within_twice_its_result(monkeypatch):
     # the largest product of theta(tau) E6(4 tau) on 40001 terms is one
-    # residue class of theta (101 terms) times E6 on 10001 terms, whose
-    # 11-byte slots shift-add (the route without gmpy2, called directly so
-    # that every install measures it) splits into two struct lanes
+    # residue class of theta (101 terms) times E6 on 10001 terms, on
+    # 11-byte slots, which libgmp multiplies without gmpy2 (forced here so
+    # that every install measures it); on int the same product peaks at
+    # about 3.1 times its result, so int is not held to this bound
     a, b, n = _largest_product(monkeypatch, lambda: fixtures.plus_product(6, 40001))
     sa, sb = _intpoly._scan(a), _intpoly._scan(b)
     assert n == 10001 and min(sa[1], sb[1]) == 101
     assert (_intpoly._slot_bits(sa, sb) + 7) // 8 == 11
-    peak, size = _peak_and_size(shift_add, a, b, n)
+    monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
+    peak, size = _peak_and_size(_intpoly.convolve, a, b, n)
     assert peak <= 2 * size, (peak, size)
-
-
-@pytest.mark.parametrize("width", range(9, 17))
-def test_shift_add_on_wide_slots_takes_two_lanes_when_they_hold_it(monkeypatch, width):
-    # a sparse operand of three terms x needs room = 4 bits (x = +-1) or 5
-    # (x = 3) of a column sum over the largest term of dense, 2^top: dense
-    # splits as lo + hi 2^(64 - room), lo on 8-byte slots and hi on its own
-    # lane, while top + 2 room <= 128; past that (at 16 bytes) dense keeps
-    # its wide slots.  Every top of the width is tried, so hi's lane is at
-    # each of its byte edges once; constant dense operands put the largest
-    # lo and hi (-2^(top - s) from -(2^top - 1)) in a column of three equal
-    # products; lengths cross a chunk edge of the recombination
-    slots = []
-    pack = _intpoly._pack
-    monkeypatch.setattr(_intpoly, "_pack", lambda a, slot, transform=None: slots.append(slot) or pack(a, slot, transform))
-    length = _intpoly._SPLIT_CHUNK + 3
-    for signs in (True, False):
-        for values, room in (((1, -1 if signs else 1, 1), 4), ((3, 3, 3), 5)):
-            sparse = [0] * length
-            for e, x in zip((0, 7, length - 1), values):
-                sparse[e] = x
-            for top in range(8 * width - 7 - room, 8 * width + 1 - room):
-                split = top + 2 * room <= 128
-                rng = random.Random(width * 31 + top)
-                largest = (1 << top) - 1
-                low = -largest if signs else 0
-                mixed = [rng.randrange(low, largest + 1) for _ in range(length)]
-                mixed[0], mixed[-1] = largest, low
-                for dense in [mixed, [largest] * length] + [[-largest] * length] * signs:
-                    assert (_intpoly._slot_bits(_intpoly._scan(sparse), _intpoly._scan(dense)) + 7) // 8 == width
-                    for n in (2 * length - 1, length, _intpoly._SPLIT_CHUNK - 1):
-                        slots.clear()
-                        assert shift_add(sparse, dense, n) == naive(sparse, dense, n), (values, top, dense[1], n)
-                        assert (max(slots) <= 8) == split and (8 in slots) == split, slots

@@ -20,7 +20,9 @@ holding k, xi and N.
 The `fixture/<name>/<prec>` digests lock the plus-space builders on
 2500- and 40001-term windows; they were taken while the last theta factor
 of a Cohen-Eisenstein series was still formed on all four residue classes
-and while shift-add still packed slots of 9 or more bytes one at a time.
+and while shift-add still packed slots of 9 or more bytes one at a time;
+they held unchanged when shift-add was retired and the theta products
+moved to libgmp or int.
 """
 from __future__ import annotations
 
