@@ -14,16 +14,16 @@ are ever read, and operands are trimmed to n terms first.
 Every operand is offset-encoded, whatever its signs: the offset costs one
 xor and one subtraction of H per operand, linear next to the multiply.
 
-Slots of up to 8 bytes are packed and read by `struct`, in C, one call per
-`_CHUNK` slots each way.  On a slot, x + B/2 and the two's complement of x
-differ only in the top bit, so for these widths one xor with H turns the
-whole packed number from one form into the other, and `struct` writes and
-reads two's complement in a lane, the narrowest machine word that holds
+Every slot is written and read in two's complement: on a slot, x + B/2
+and the two's complement of x differ only in the top bit, so one xor with
+H turns the whole packed number from one form into the other.  Slots of
+up to 8 bytes are packed and read by `struct`, in C, one call per
+`_CHUNK` slots each way, in a lane, the narrowest machine word that holds
 the slot.  A slot of 1, 2, 4 or 8 bytes is its own lane; one of 3 or 5-7
 bytes is cut down from its 4- or 8-byte lane by one strided byte copy per
 slot byte, and widened back by the same copies into lanes whose upper
 bytes repeat the slot's sign bit (a 256-byte translate table gives them
-from the slot's top byte).  Wider slots go one at a time through
+from the slot's top byte).  Wider slots go one at a time through signed
 int.to_bytes and int.from_bytes.  The lists, tuples and lanes of every
 path are built `_CHUNK` coefficients at a time, so apart from the packed
 bytes themselves no temporary grows with the operands.
@@ -119,16 +119,14 @@ def _halves(slot: int, n: int) -> int:
 
 def _pack(a: list, slot: int) -> int:
     """a on binary slots of `slot` bytes, as one signed int: U - H for the
-    offset slots U."""
+    offset slots U, which are the two's complement slots of a xor H."""
     lane = _LANE.get(slot)
-    half = 1 << (8 * slot - 1)
     buf = bytearray(len(a) * slot)
     for start in range(0, len(a), _CHUNK):
         part = a[start:start + _CHUNK]
         base, end = start * slot, (start + len(part)) * slot
         if lane:
-            # two's complement lanes, which are the offset slots xor H, cut
-            # down to their low `slot` bytes
+            # two's complement lanes cut down to their low `slot` bytes
             wide = struct.pack("<%d%s" % (len(part), _WORD[lane]), *part)
             if lane == slot:
                 buf[base:end] = wide
@@ -136,32 +134,28 @@ def _pack(a: list, slot: int) -> int:
                 for j in range(slot):
                     buf[base + j:end:slot] = wide[j::lane]
         else:
-            buf[base:end] = b"".join([(x + half).to_bytes(slot, "little") for x in part])
+            buf[base:end] = b"".join([x.to_bytes(slot, "little", signed=True) for x in part])
     p = int.from_bytes(buf, "little")
     del buf
     h = _halves(slot, len(a))
-    return (p ^ h if lane else p) - h
+    return (p ^ h) - h
 
 
 def _window(c: int, slot: int, n: int) -> bytes:
     """The first n slots of the packed product c, as bytes: (c + H) mod B^n
-    holds c_i + B/2 in slot i, with no borrow between slots; slots of at
-    most 8 bytes are then xored with H into the two's complement of c_i,
-    the form `struct` reads."""
+    holds c_i + B/2 in slot i, with no borrow between slots, which one xor
+    with H turns into the two's complement of c_i, the form read back."""
     window = (1 << 8 * slot * n) - 1
     c &= window
     h = _halves(slot, n)
-    c = (c + h) & window
-    if slot in _LANE:
-        c ^= h
+    c = ((c + h) & window) ^ h
     return c.to_bytes(n * slot, "little")
 
 
 def _unpack(raw: bytes, slot: int, n: int) -> list:
     """The n coefficients in the slots `_window` wrote."""
     if slot not in _LANE:
-        half = 1 << (8 * slot - 1)
-        return [int.from_bytes(raw[i:i + slot], "little") - half for i in range(0, n * slot, slot)]
+        return [int.from_bytes(raw[i:i + slot], "little", signed=True) for i in range(0, n * slot, slot)]
     lane = _LANE[slot]
     out = [0] * n
     for start in range(0, n, _CHUNK):

@@ -315,16 +315,22 @@ def _from_scalars(table: dict) -> tuple[dict, int | None]:
     return {a: c.numerator * (d // c.denominator) for a, c in table.items()}, d
 
 
-def _integers(coeffs: Mapping[int, Fraction]) -> tuple[dict, int]:
-    """Integer numerators over the lcm of the denominators."""
-    d = math.lcm(*[c.denominator for c in coeffs.values()])
-    return {a: c.numerator * (d // c.denominator) for a, c in coeffs.items()}, d
+def _numerators(f: QExp) -> tuple[dict, int] | None:
+    """(integer numerators, common denominator) of a rational series: the
+    stored table in rational form, over the lcm of the denominators, with
+    no cap, in scalar form; None when some coefficient is cyclotomic."""
+    if f.cden is not None:
+        return f._table, f.cden
+    if not all(isinstance(c, Fraction) for c in f._table.values()):
+        return None
+    d = math.lcm(*[c.denominator for c in f._table.values()])
+    return {a: c.numerator * (d // c.denominator) for a, c in f._table.items()}, d
 
 
-def _dense(f: QExp, H: int) -> tuple[list, int]:
-    """The integer numerators of f on [0, H) as a list, and their common
-    denominator; f is rational with integer exponents from 0 on."""
-    table, d = (f._table, f.cden) if f.cden is not None else _integers(f.coeffs)
+def _dense(numerators: tuple[dict, int], H: int) -> tuple[list, int]:
+    """The (table, denominator) pair of `_numerators` with the table as a
+    list on [0, H); its exponents are integers from 0 on."""
+    table, d = numerators
     F = [0] * H
     for a, v in table.items():
         if a < H:
@@ -391,6 +397,18 @@ def _stride(support: list[int]) -> int:
 _SPARSE_FACTOR = 16
 
 
+def _conv_terms(da: dict, db: dict, cap: int) -> dict:
+    """Convolution of {exponent: coefficient} tables term by term,
+    exponents below cap only, zeros dropped."""
+    out: dict = {}
+    for a, x in da.items():
+        for b, y in db.items():
+            n = a + b
+            if n < cap:
+                out[n] = out.get(n, 0) + x * y
+    return {n: v for n, v in out.items() if v}
+
+
 def _conv_int(da: dict, db: dict, cap: int) -> dict:
     """Convolution of nonempty {exponent: int} tables, exponents below cap
     only, zeros dropped.
@@ -403,13 +421,7 @@ def _conv_int(da: dict, db: dict, cap: int) -> dict:
     sb = sorted(db)
     span = min(cap, sa[-1] + sb[-1] + 1) - sa[0] - sb[0]
     if len(sa) * len(sb) * _SPARSE_FACTOR < span:
-        out: dict[int, int] = {}
-        for a, x in da.items():
-            for b, y in db.items():
-                n = a + b
-                if n < cap:
-                    out[n] = out.get(n, 0) + x * y
-        return {n: v for n, v in out.items() if v}
+        return _conv_terms(da, db, cap)
     ga = _stride(sa)
     gb = _stride(sb)
     if ga >= gb:
@@ -443,35 +455,6 @@ def _conv_int(da: dict, db: dict, cap: int) -> dict:
     return out
 
 
-def _conv_rational(da: dict, db: dict, cap: int) -> dict:
-    """`_conv_int` on nonempty {exponent: Fraction} tables."""
-    ia, den_a = _integers(da)
-    ib, den_b = _integers(db)
-    den = den_a * den_b
-    return {n: Fraction(v, den) for n, v in _conv_int(ia, ib, cap).items()}
-
-
-def _conv_generic(da: dict, db: dict, cap: int) -> dict:
-    out: dict[int, Scalar] = {}
-    for a, ca in da.items():
-        for b, cb in db.items():
-            n = a + b
-            if n < cap:
-                out[n] = out.get(n, Fraction(0)) + ca * cb
-    return {n: c for n, c in out.items() if c}
-
-
-def _conv(da: dict, db: dict, cap: int) -> dict:
-    """Convolution of {exponent: Scalar} tables, exponents below cap only."""
-    if not da or not db:
-        return {}
-    if all(isinstance(c, Fraction) for c in da.values()) and all(
-        isinstance(c, Fraction) for c in db.values()
-    ):
-        return _conv_rational(da, db, cap)
-    return _conv_generic(da, db, cap)
-
-
 def mul(f: QExp, g: QExp) -> QExp:
     """Product; weights add.
 
@@ -479,6 +462,10 @@ def mul(f: QExp, g: QExp) -> QExp:
     window shows nothing), the product is complete below
     min(hi_f + S_g, hi_g + S_f): a smaller exponent cannot receive a
     contribution involving any unknown coefficient.
+
+    Rational factors multiply as their `_numerators` through `_conv_int`,
+    into reduced Fractions that the constructor stores if either is in
+    scalar form; a cyclotomic factor makes the product go term by term.
     """
     m = math.lcm(f.denom, g.denom)
     a = f._promoted(m)
@@ -490,11 +477,17 @@ def mul(f: QExp, g: QExp) -> QExp:
     lo = Sa + Sb
     hi = max(lo, min(a.hi + Sb, b.hi + Sa))
     weight = f.weight + g.weight
+    if hi == lo:
+        return QExp.from_numerators(weight, m, {}, 1, lo, hi)
+    # hi > lo: both factors have stored terms
+    na, nb = _numerators(a), _numerators(b)
+    if na is None or nb is None:
+        return QExp(weight, m, _conv_terms(a.coeffs, b.coeffs, hi), lo, hi)
+    out = _conv_int(na[0], nb[0], hi)
+    den = na[1] * nb[1]
     if a.cden is not None and b.cden is not None:
-        out = _conv_int(a._table, b._table, hi) if hi > lo else {}
-        return QExp.from_numerators(weight, m, out, a.cden * b.cden, lo, hi)
-    out = _conv(a.coeffs, b.coeffs, hi) if hi > lo else {}
-    return QExp(weight, m, out, lo, hi)
+        return QExp.from_numerators(weight, m, out, den, lo, hi)
+    return QExp(weight, m, {n: Fraction(v, den) for n, v in out.items()}, lo, hi)
 
 
 def rescale(f: QExp, t: int) -> QExp:
@@ -585,15 +578,15 @@ def _divide(f: QExp, g: QExp) -> QExp:
     """
     if f.denom != 1 or f.lo < 0:
         raise ValueError("division needs a dividend with integer exponents from 0 on")
-    for series in (f, g):
-        if series.cden is None and not all(isinstance(c, Fraction) for c in series.coeffs.values()):
-            raise ValueError("division implemented for rational coefficients only")
+    nf, ng = _numerators(f), _numerators(g)
+    if nf is None or ng is None:
+        raise ValueError("division implemented for rational coefficients only")
     H = min(f.hi, g.hi)
     h = (H + 1) // 2
     inv = invert_unit(g.truncate(max(h, 1)))
-    Xn, cx = _dense(inv, inv.hi)
-    F, df = _dense(f, H)
-    G, dg = _dense(g, H)
+    Xn, cx = _dense(_numerators(inv), inv.hi)
+    F, df = _dense(nf, H)
+    G, dg = _dense(ng, H)
     # F up to its last stored term: as an H-long [1, 0, ...] the dividend of
     # `invert_unit` would make this a packed product at every level, where
     # [1] is a schoolbook copy of Xn; Xn has h terms, so Y0 still has h

@@ -17,11 +17,14 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .arith import power
-from .characters import DirichletCharacter
 from .errors import PrecisionError, TailBoundError, VerificationFailure
-from .qseries import QExp, add, mul, scale
+from .qseries import QExp, _numerators, add, mul, scale
+
+if TYPE_CHECKING:
+    from .characters import DirichletCharacter
 
 __all__ = [
     "ResidualReport",
@@ -181,7 +184,7 @@ def level1_exact_check(f: QExp, weight: int) -> dict:
         raise ValueError("weight must be a nonnegative even integer")
     if f.denom != 1:
         raise ValueError("integer exponents required")
-    if f.cden is None and not all(isinstance(c, Fraction) for c in f.coeffs.values()):
+    if _numerators(f) is None:
         raise ValueError("exact decomposition needs rational coefficients")
     first = f.min_support()
     if first is not None and first < 0:

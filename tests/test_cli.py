@@ -638,7 +638,7 @@ _ALL_MODULES = {"_intpoly", "arith", "characters", "cli", "errors", "fixtures", 
          _ALL_MODULES - {"shimura", "characters", "verify"}),
         (["weil-selftest", "--max-n", "3", "--words", "5"], _ALL_MODULES - {"shimura", "fixtures", "verify"}),
         (["verify", "--fixture", "e4", "--prec", "20", "--weight", "4", "--mode", "exact"],
-         _ALL_MODULES - {"shimura", "plusspace", "weilrep"}),
+         _ALL_MODULES - {"shimura", "characters", "plusspace", "weilrep"}),
     ],
     ids=["level-predict", "fixtures-reemit", "lift-input", "project", "weil-selftest", "verify-exact"],
 )

@@ -403,9 +403,9 @@ def _largest_product(monkeypatch, build):
         calls.append((a, b, n))
         return convolve(a, b, n)
 
-    monkeypatch.setattr(_intpoly, "convolve", record)
-    build()
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(_intpoly, "convolve", record)
+        build()
     return max(calls, key=lambda call: call[2])
 
 

@@ -396,14 +396,15 @@ def test_sparse_rational_product_skips_the_packed_multiplier(monkeypatch):
     b = QExp(0, 1, {0: Fraction(2, 3), 1: 5, 7: -1}, 0, 2 * 10**5)
     with monkeypatch.context() as m:
         m.setattr(qseries, "_SPARSE_FACTOR", 0)  # force the packed route
-        packed = qseries._conv_rational(a.coeffs, b.coeffs, 2 * 10**5)
+        packed = mul(a, b)
 
     def refuse(*args, **kwargs):
         raise AssertionError("packed multiplier called for a sparse product")
 
     monkeypatch.setattr(_intpoly, "convolve", refuse)
     prod = mul(a, b)
-    assert prod.coeffs == packed == util.brute_convolve(a.coeffs, b.coeffs, prod.hi)
+    assert prod == packed
+    assert prod.coeffs == packed.coeffs == util.brute_convolve(a.coeffs, b.coeffs, prod.hi)
     # a dense product of the same length still takes the packed route
     dense = QExp(0, 1, {n: n + 1 for n in range(40)}, 0, 40)
     with pytest.raises(AssertionError, match="packed multiplier"):
@@ -588,6 +589,32 @@ def test_unrelated_denominators_stay_fractions_and_still_compute():
     forty = f.truncate(40)
     assert forty.cden is None
     assert _ref(invert_unit(forty)) == _ref_invert(_ref(forty))
+
+
+def test_products_with_a_scalar_form_factor_match_the_brute_convolution():
+    # rational-form series times the 400-prime scalar-form series, whose
+    # numerators `mul` takes over their uncapped lcm.  With two terms the
+    # product's denominators, 3 p_n p_(n-1), pass the cap again, so it
+    # stays in scalar form; the sums of a dense factor share one large
+    # denominator, so that product is stored in rational form
+    primes = [p for p in range(3, 6000) if all(p % q for q in range(2, int(p**0.5) + 1))][:400]
+    f = QExp(0, 1, {a: Fraction(1, p) for a, p in enumerate(primes)}, 0, 400)
+    two = QExp(0, 1, {0: Fraction(1, 3), 1: 2}, 0, 300)
+    dense = QExp(0, 1, {n: Fraction(n + 1, 3) for n in range(2, 300)}, 0, 300)
+    assert f.cden is None and two.cden == dense.cden == 3
+    for g, lo, rational in ((two, 0, False), (dense, 2, True)):
+        for prod in (mul(f, g), mul(g, f)):
+            assert (prod.lo, prod.hi) == (lo, 300) and (prod.cden is not None) == rational
+            assert dict(prod.coeffs) == util.brute_convolve(f.coeffs, g.coeffs, 300)
+    # a sparse cyclotomic series over a long span times a rational one goes
+    # term by term, in scalar form
+    i = CycScalar.root_of_unity(4, 1)
+    a = QExp(0, 1, {0: i, 3: Fraction(1, 2), 10**5: 1 - i}, 0, 2 * 10**5)
+    b = QExp(0, 1, {0: Fraction(2, 3), 1: 5, 7: -1}, 0, 2 * 10**5)
+    assert a.cden is None and b.cden == 3
+    for prod in (mul(a, b), mul(b, a)):
+        assert (prod.lo, prod.hi) == (0, 2 * 10**5) and prod.cden is None
+        assert dict(prod.coeffs) == util.brute_convolve(a.coeffs, b.coeffs, 2 * 10**5)
 
 
 @settings(max_examples=120, deadline=None)
