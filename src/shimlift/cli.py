@@ -244,6 +244,8 @@ def _cmd_verify(args) -> int:
         raise SchemaError("--weight must be integral or half-integral, got %r" % args.weight)
     elif weight.denominator == 2 and args.level % 4:
         raise SchemaError("--level must be a multiple of 4 for a half-integral --weight, got %d" % args.level)
+    elif not 0 < args.tol < math.inf:  # refuses nan too
+        raise SchemaError("--tol must be a positive finite number, got %s" % args.tol)
     f = _load_series(args)
     if args.mode == "exact":
         try:
@@ -283,9 +285,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_weil_selftest(args) -> int:
+    _check_at_least(0, ("--words", args.words), ("--max-n", args.max_n))
+    # the largest module, d1_n(max_n), has 2 max_n^2 elements
+    check_budget((2 * args.max_n ** 2) ** 2, "the largest Weil matrix (2 max_n^2)^2 of --max-n")
+    check_budget(args.words, "the word count --words")
     from .weilrep import weil_selftest
 
-    _check_at_least(0, ("--words", args.words), ("--max-n", args.max_n))
     report = weil_selftest(max_n=args.max_n, words=args.words)
     report = {k: (v.item() if hasattr(v, "item") else v) for k, v in report.items()}
     _emit(args, report, "weil selftest ok: %r" % (report,))
@@ -375,7 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--level", type=int, default=1)
     sp.add_argument("--character", help="trivial | kronecker:t | json:PATH")
     sp.add_argument("--mode", choices=("exact", "numeric"), default="numeric")
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=float, default=1e-6,
+                    help="numeric mode's residual threshold, a positive finite number")
     sp.add_argument("--terms", type=int, default=200)
     sp.set_defaults(func=_cmd_verify)
 

@@ -8,33 +8,31 @@ sit in a single psi-eigenspace, and its level is that of the corrected
 combination (`shimura.corrected_combination`) rather than of the plain
 lift.
 
-The module needs only `arith` and `errors`, so the `level-predict`
-subcommand loads nothing else of the package.
+The module needs only `arith`, `errors` and `_record`, so the
+`level-predict` subcommand loads nothing else of the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .arith import prime_factors, split_square
 from .errors import SchemaError
 
 __all__ = ["LevelVerdict", "predict_level"]
 
 
-@dataclass(frozen=True)
-class LevelVerdict:
+class LevelVerdict(Record):
     """Outcome of the level prediction: which case matched, the factors of
     the predicted level factor * p_J * lcm(N, s), and whether the case is
     covered.  The level of case viii is that of the corrected combination
     rather than of the plain lift."""
 
-    case_tag: str
-    p_J: int
-    lcm_ns: int
-    factor: int
-    covered: bool
+    __slots__ = ("case_tag", "p_J", "lcm_ns", "factor", "covered")
+
+    def __init__(self, case_tag: str, p_J: int, lcm_ns: int, factor: int, covered: bool):
+        self._init(case_tag, p_J, lcm_ns, factor, covered)
 
     @property
     def level(self) -> int | None:

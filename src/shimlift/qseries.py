@@ -28,7 +28,6 @@ from itertools import compress
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from . import _intpoly
 from .arith import cdiv
 from .errors import PrecisionError, SchemaError
 from .scalars import CycScalar, Scalar, as_exact, rational_parts, scalar_from_json, scalar_to_json
@@ -422,6 +421,9 @@ def _conv_int(da: dict, db: dict, cap: int) -> dict:
     span = min(cap, sa[-1] + sb[-1] + 1) - sa[0] - sb[0]
     if len(sa) * len(sb) * _SPARSE_FACTOR < span:
         return _conv_terms(da, db, cap)
+    # imported here, so a call that multiplies nothing never compiles it
+    from . import _intpoly
+
     ga = _stride(sa)
     gb = _stride(sb)
     if ga >= gb:
@@ -581,6 +583,8 @@ def _divide(f: QExp, g: QExp) -> QExp:
     nf, ng = _numerators(f), _numerators(g)
     if nf is None or ng is None:
         raise ValueError("division implemented for rational coefficients only")
+    from . import _intpoly
+
     H = min(f.hi, g.hi)
     h = (H + 1) // 2
     inv = invert_unit(g.truncate(max(h, 1)))

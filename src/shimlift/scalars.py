@@ -37,6 +37,7 @@ __all__ = [
     "eps_d",
     "kronecker",
     "partial_zeta_neg",
+    "psi_char",
     "quadratic_L_neg",
     "rational_from_str",
     "rational_parts",
@@ -94,6 +95,18 @@ def eps_d(d: int) -> complex:
     if d % 2 == 0:
         raise ValueError("eps_d needs odd d, got %d" % d)
     return 1 + 0j if d % 4 == 1 else 1j
+
+
+def psi_char(a: int, b: int, c: int, d: int, branch: int = 1) -> complex:
+    """The theta multiplier on the metaplectic group over Gamma_0(4):
+    branch * (c/d) * conjugate(eps_d)."""
+    if c % 4 != 0:
+        raise ValueError("psi_char needs 4 | c")
+    if d % 2 == 0:
+        raise ValueError("psi_char needs odd d")
+    if branch not in (1, -1):
+        raise ValueError("branch must be +1 or -1")
+    return branch * kronecker(c, d) * eps_d(d).conjugate()
 
 
 @lru_cache(maxsize=None)

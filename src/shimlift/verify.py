@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .arith import power
 from .errors import PrecisionError, TailBoundError, VerificationFailure
 from .qseries import QExp, _numerators, add, mul, scale
+from .scalars import psi_char
 
 if TYPE_CHECKING:
     from .characters import DirichletCharacter
@@ -75,20 +76,21 @@ def _multiplier(weight: Fraction, mat: tuple[int, int, int, int], character) -> 
     if character is not None:
         out *= complex(character(mat[3]))
     if weight.denominator == 2:
-        from .weilrep import psi_char  # loaded only for half-integral weight
-
         out *= psi_char(*mat) ** int(2 * weight)
     return out
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    matrices: tuple
-    points: tuple
-    max_residual: float
-    truncation: int
-    tail_bound: float
-    residuals: tuple = field(default=(), repr=False)
+class ResidualReport(Record):
+    """Outcome of `modularity_residual`: the sample matrices and points, the
+    largest residual, the window used and the largest tail bound; the
+    residual of each sample is kept, but left out of the repr."""
+
+    __slots__ = ("matrices", "points", "max_residual", "truncation", "tail_bound", "residuals")
+    _hidden = ("residuals",)
+
+    def __init__(self, matrices: tuple, points: tuple, max_residual: float, truncation: int,
+                 tail_bound: float, residuals: tuple = ()):
+        self._init(matrices, points, max_residual, truncation, tail_bound, residuals)
 
     def to_json(self) -> dict:
         return {

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .errors import VerificationFailure
 from .qseries import QExp
-from .scalars import eps_d, kronecker
+from .scalars import psi_char  # re-exported in __all__
 
 __all__ = [
     "FqModule",
@@ -249,18 +249,6 @@ def weil_word(module: FqModule, word: Sequence[str]):
         )
         rho = rho @ rho_gens[token]
     return rho, (a, b, c, d), branch
-
-
-def psi_char(a: int, b: int, c: int, d: int, branch: int = 1) -> complex:
-    """The theta multiplier on the metaplectic group over Gamma_0(4):
-    branch * (c/d) * conjugate(eps_d)."""
-    if c % 4 != 0:
-        raise ValueError("psi_char needs 4 | c")
-    if d % 2 == 0:
-        raise ValueError("psi_char needs odd d")
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    return branch * kronecker(c, d) * eps_d(d).conjugate()
 
 
 def rho1_gamma04(a: int, b: int, c: int, d: int, branch: int = 1, dual: bool = False) -> np.ndarray:

@@ -107,3 +107,33 @@ def test_public_signatures_are_pinned():
                 if not attr.startswith("_") and callable(getattr(obj, attr)):
                     got[name + "." + attr] = _parameters(getattr(obj, attr))
     assert got == SIGNATURES
+
+
+def test_result_records_are_immutable_values():
+    # LevelVerdict and ResidualReport are plain classes, not dataclasses:
+    # they keep value semantics, but never equal a tuple of their fields
+    import copy
+    import pickle
+
+    from shimlift.verify import ResidualReport
+
+    verdict = shimlift.LevelVerdict("i", 1, 1, 1, True)
+    twin = shimlift.LevelVerdict("i", 1, 1, 1, True)
+    assert repr(verdict) == "LevelVerdict(case_tag='i', p_J=1, lcm_ns=1, factor=1, covered=True)"
+    assert verdict == twin and hash(verdict) == hash(twin)
+    assert verdict != shimlift.LevelVerdict("i", 1, 1, 2, True)
+    assert verdict != ("i", 1, 1, 1, True) and ("i", 1, 1, 1, True) != verdict
+    with pytest.raises(AttributeError):
+        verdict.covered = False
+    with pytest.raises(AttributeError):
+        del verdict.p_J
+    assert copy.copy(verdict) == pickle.loads(pickle.dumps(verdict)) == verdict
+
+    report = ResidualReport(((1, 1, 0, 1),), (0.5j,), 1e-15, 10, 1e-20, residuals=(1e-15,))
+    assert repr(report) == ("ResidualReport(matrices=((1, 1, 0, 1),), points=(0.5j,), "
+                            "max_residual=1e-15, truncation=10, tail_bound=1e-20)")
+    assert report.residuals == (1e-15,) and ResidualReport((), (), 0.0, 0, 0.0).residuals == ()
+    assert report == ResidualReport(((1, 1, 0, 1),), (0.5j,), 1e-15, 10, 1e-20, (1e-15,))
+    assert report != ResidualReport(((1, 1, 0, 1),), (0.5j,), 1e-15, 10, 1e-20)
+    with pytest.raises(AttributeError):
+        report.max_residual = 0.0

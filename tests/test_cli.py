@@ -566,14 +566,15 @@ def test_zero_prec_fixture_is_empty_window(capsys):
 
 
 # Runs main(argv) in a fresh interpreter, then reports on stderr whether
-# numpy was imported and, on the next line, which shimlift modules were.
-# With --json, the command's own output is on stdout.
+# numpy, dataclasses and inspect were imported and, on the next line, which
+# shimlift modules were.  With --json, the command's own output is on stdout.
 _COLD_START = """
 import sys
 from shimlift.cli import main
 code = main(sys.argv[1:])
+seen = tuple(m in sys.modules for m in ("numpy", "dataclasses", "inspect"))
 loaded = sorted(m[len("shimlift."):] for m in sys.modules if m.startswith("shimlift."))
-sys.stderr.write("numpy=%s exit=%d\\n%s\\n" % ("numpy" in sys.modules, code, ",".join(loaded)))
+sys.stderr.write("numpy=%s dataclasses=%s inspect=%s exit=%d\\n%s\\n" % (*seen, code, ",".join(loaded)))
 """
 
 
@@ -622,25 +623,30 @@ def test_every_public_name_resolves_lazily():
 
 # each call may load at most the modules listed with it; level-predict
 # loads exactly those
-_ALL_MODULES = {"_intpoly", "arith", "characters", "cli", "errors", "fixtures", "level",
+_ALL_MODULES = {"_intpoly", "_record", "arith", "characters", "cli", "errors", "fixtures", "level",
                 "plusspace", "qseries", "scalars", "shimura", "verify", "weilrep"}
 
 
 @pytest.mark.parametrize(
     "argv, allowed",
     [
-        (["level-predict", "--N", "3", "--t", "5", "--M", "4"], {"cli", "errors", "arith", "level"}),
+        (["level-predict", "--N", "3", "--t", "5", "--M", "4"],
+         {"cli", "errors", "_record", "arith", "level"}),
         (["fixtures", "--reemit", "THETA_E4"],
-         _ALL_MODULES - {"shimura", "characters", "plusspace", "fixtures", "verify", "weilrep"}),
+         _ALL_MODULES - {"_intpoly", "_record", "shimura", "characters", "plusspace", "fixtures",
+                         "verify", "weilrep"}),
         (["lift", "--input", "THETA_E4", "--k", "4", "--prec", "6"],
-         _ALL_MODULES - {"fixtures", "verify", "weilrep"}),
+         _ALL_MODULES - {"_intpoly", "fixtures", "verify", "weilrep"}),
         (["project", "--fixture", "theta_e4", "--N", "4", "--prec", "40"],
          _ALL_MODULES - {"shimura", "characters", "verify"}),
         (["weil-selftest", "--max-n", "3", "--words", "5"], _ALL_MODULES - {"shimura", "fixtures", "verify"}),
         (["verify", "--fixture", "e4", "--prec", "20", "--weight", "4", "--mode", "exact"],
          _ALL_MODULES - {"shimura", "characters", "plusspace", "weilrep"}),
+        (["verify", "--fixture", "theta", "--weight", "1/2", "--level", "4"],
+         _ALL_MODULES - {"shimura", "characters", "plusspace", "weilrep"}),
     ],
-    ids=["level-predict", "fixtures-reemit", "lift-input", "project", "weil-selftest", "verify-exact"],
+    ids=["level-predict", "fixtures-reemit", "lift-input", "project", "weil-selftest", "verify-exact",
+         "verify-numeric-half"],
 )
 def test_cli_commands_load_only_what_they_run(capsys, tmp_path, argv, allowed):
     if "THETA_E4" in argv:
@@ -649,6 +655,9 @@ def test_cli_commands_load_only_what_they_run(capsys, tmp_path, argv, allowed):
     status, loaded, out = _cold_start(*argv, "--json")
     assert status.endswith(" exit=0"), out
     assert {"cli", "errors"} <= loaded <= allowed, sorted(loaded - allowed)
+    # numpy imports inspect, so only weil-selftest may load it
+    if argv[0] != "weil-selftest":
+        assert "dataclasses=False inspect=False" in status
     if argv[0] == "level-predict":
         assert loaded == allowed
 
@@ -669,7 +678,7 @@ def test_cli_commands_do_not_load_numpy(capsys, tmp_path, argv):
         path = _theta_e4_file(capsys, tmp_path)
         argv = [path if a == "REEMIT" else a for a in argv]
     status, _, out = _cold_start(*argv, "--json")
-    assert status == "numpy=False exit=0", out
+    assert status == "numpy=False dataclasses=False inspect=False exit=0", out
     assert len(out.strip().splitlines()) == 1
 
 
@@ -749,7 +758,7 @@ def test_project_help_says_k_needs_xi(capsys):
 
 def test_weil_selftest_loads_numpy_and_passes():
     status, _, out = _cold_start("weil-selftest", "--max-n", "3", "--words", "5", "--json")
-    assert status == "numpy=True exit=0", out
+    assert status.startswith("numpy=True ") and status.endswith(" exit=0"), out
     assert json.loads(out)["modules"] == 5
 
 
@@ -772,6 +781,27 @@ def test_verify_terms_below_one_is_schema_error(capsys, monkeypatch, value):
     assert payload["message"] == "--terms must be a positive integer, got %s" % value
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_verify_tol_outside_the_positive_finite_numbers_is_schema_error(capsys, monkeypatch, value):
+    # nan would fail every check and inf pass every one; -1 and 0 would
+    # surface as a TailBoundError
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --tol was checked")
+
+    monkeypatch.setattr("shimlift.fixtures.fixture", no_work)
+    monkeypatch.setattr("shimlift.verify.modularity_residual", no_work)
+    code, out, _ = run(
+        capsys, "verify", "--fixture", "theta", "--weight", "1/2", "--level", "4",
+        "--tol", value, "--json",
+    )
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "SchemaError"
+    assert payload["message"] == "--tol must be a positive finite number, got %s" % float(value)
+
+
 @pytest.mark.parametrize("value", ["-1", "-2"])
 def test_weil_selftest_negative_max_n_is_schema_error(capsys, monkeypatch, value):
     def no_work(*args, **kwargs):
@@ -784,6 +814,44 @@ def test_weil_selftest_negative_max_n_is_schema_error(capsys, monkeypatch, value
         "error": "SchemaError",
         "message": "--max-n must be a nonnegative integer, got %s" % value,
     }
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["--max-n", "32"], "the largest Weil matrix (2 max_n^2)^2 of --max-n"),
+        (["--words", "4000001"], "the word count --words"),
+    ],
+    ids=["max-n", "words"],
+)
+def test_weil_selftest_over_the_budget_is_refused_before_any_work(capsys, monkeypatch, argv, what):
+    # the largest module has 2 max_n^2 elements and its tables and matrices
+    # grow as max_n^4; --max-n 31 is the largest the budget admits
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the request budget was checked")
+
+    monkeypatch.setattr("shimlift.weilrep.weil_selftest", no_work)
+    code, payload, _ = run_json(capsys, "weil-selftest", *argv, "--json")
+    assert code == 2
+    assert payload == {"error": "SchemaError",
+                       "message": "%s exceeds the request budget of 4000000" % what}
+
+
+def test_weil_selftest_budget_refusal_imports_no_weilrep():
+    # weilrep is made unimportable in the child, so a call that imported it
+    # before the budget check fails with ImportError instead of refusing,
+    # and a call that skipped the check cannot build the matrices
+    proc = _fresh_python("import sys\nsys.modules['shimlift.weilrep'] = None" + _COLD_START,
+                         "weil-selftest", "--max-n", "100", "--json")
+    status = proc.stderr.strip().splitlines()[-2]
+    assert status == "numpy=False dataclasses=False inspect=False exit=2", proc.stderr
+    assert json.loads(proc.stdout)["error"] == "SchemaError"
+
+
+def test_weil_selftest_default_request_is_within_the_budget(capsys):
+    code, payload, _ = run_json(capsys, "weil-selftest", "--json")
+    assert code == 0
+    assert payload["modules"] == 14 and payload["words"] == 100
 
 
 def _outcome(capsys, argv):
