@@ -229,7 +229,7 @@ def _cmd_level_predict(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .scalars import rational_from_str, scalar_to_json
-    from .verify import level1_exact_check, modularity_residual
+    from .verify import _level1_dim, level1_exact_check, modularity_residual
 
     _check_at_least(0, ("--prec", args.prec))
     _check_at_least(1, ("--level", args.level), ("--terms", args.terms))
@@ -246,10 +246,20 @@ def _cmd_verify(args) -> int:
         raise SchemaError("--level must be a multiple of 4 for a half-integral --weight, got %d" % args.level)
     elif not 0 < args.tol < math.inf:  # refuses nan too
         raise SchemaError("--tol must be a positive finite number, got %s" % args.tol)
+    if args.mode == "exact":
+        w = int(weight)
+        # about 3 dim(M_w) products on the window, of coefficients that grow
+        # with dim; odd and negative weights are refused before any product
+        dim = _level1_dim(w)
+        what = "the exact check dim(M_w)^2 x window of --weight"
+        if getattr(args, "fixture", None):
+            check_budget(args.prec, "the --fixture window --prec")
+            check_budget(dim * dim * args.prec, what)
     f = _load_series(args)
     if args.mode == "exact":
+        check_budget(dim * dim * f.hi, what)
         try:
-            dec = level1_exact_check(f, int(weight))
+            dec = level1_exact_check(f, w)
         except VerificationFailure as e:
             payload = {"passed": False, "reason": str(e)}
             if e.first_mismatch is not None:

@@ -2,8 +2,9 @@
 
 Numeric side: evaluate expansions at upper half-plane points and measure
 how far F(gamma tau) is from multiplier * (c tau + d)^kappa * F(tau).
-Exact side: decompose a level-one form over the monomials E4^a E6^b and
-re-verify the decomposition on the whole window.
+Exact side: solve for a level-one form's coordinates in Miller's echelon
+basis, report them over the monomials E4^a E6^b, and re-verify the
+decomposition on the whole window.
 
 Tail control is a heuristic growth model |c_n| <= C n^kappa with C fitted
 from the computed coefficients and doubled; honest for holomorphic forms,
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING
 from ._record import Record
 from .arith import power
 from .errors import PrecisionError, TailBoundError, VerificationFailure
-from .qseries import QExp, _numerators, add, mul, scale
+from .qseries import QExp, _dense, _numerators, add, invert_unit, mul, scale
 from .scalars import psi_char
 
 if TYPE_CHECKING:
@@ -129,7 +130,8 @@ def modularity_residual(
     g = f.truncate(min(f.hi, terms * f.denom))
     L = level
     if samples is None:
-        mats = ((1, 1, 0, 1), (1, 0, L, 1), (1 + L, 1, L, 1))
+        # d = -1 in the last: chi(d) and the theta multiplier are 1 at d = 1
+        mats = ((1, 1, 0, 1), (1, 0, L, 1), (1 + L, 1, L, 1), (-1, 0, L, -1))
         samples = [(m, t) for m in mats for t in _DEFAULT_TAUS]
     worst = 0.0
     tails = 0.0
@@ -165,28 +167,27 @@ def modularity_residual(
     )
 
 
-def _monomials(weight: int) -> list[tuple[int, int]]:
-    out = []
-    for b in range(weight // 6 + 1):
-        rest = weight - 6 * b
-        if rest >= 0 and rest % 4 == 0:
-            out.append((rest // 4, b))
-    return sorted(out)
+def _level1_dim(weight: int) -> int:
+    """dim M_weight(SL2(Z)), 0 unless weight is even and nonnegative."""
+    return weight // 12 + (weight % 12 != 2) if weight >= 0 and weight % 2 == 0 else 0
 
 
 def level1_exact_check(f: QExp, weight: int) -> dict:
     """Exact decomposition over E4^a E6^b with 4a + 6b = weight, or
     VerificationFailure carrying the first mismatching coefficient.
 
-    The linear system uses the first dim(M_weight) coefficients; the
-    candidate combination is then re-expanded and compared across the
-    entire window, so success is a proof at window precision.
+    With weight = 12 m + r and E_r = E4^a E6^b of weight r, Miller's basis
+    Delta^j (E4^3)^(m-j) E_r = q^j + O(q^(j+1)), j <= m, is in echelon
+    form: forward substitution on the first m + 1 = dim coefficients fixes
+    f's coordinates.  The combination is then re-expanded and compared
+    across the entire window, so success is a proof at window precision.
     """
     if weight < 0 or weight % 2:
         raise ValueError("weight must be a nonnegative even integer")
     if f.denom != 1:
         raise ValueError("integer exponents required")
-    if _numerators(f) is None:
+    rational = _numerators(f)
+    if rational is None:
         raise ValueError("exact decomposition needs rational coefficients")
     first = f.min_support()
     if first is not None and first < 0:
@@ -194,9 +195,7 @@ def level1_exact_check(f: QExp, weight: int) -> dict:
             "negative exponent present; not in the holomorphic level-one space",
             first_mismatch=(first, Fraction(0), f.coeff(first)),
         )
-    # dim M_weight, ahead of the monomials so a short window is refused
-    # before any work that grows with the weight
-    dim = weight // 12 + (weight % 12 != 2)
+    dim = _level1_dim(weight)  # a short window is refused before any work
     if f.hi < dim + 1:
         raise PrecisionError(
             "decomposition at weight %d needs %d coefficients; window ends at %d"
@@ -206,29 +205,37 @@ def level1_exact_check(f: QExp, weight: int) -> dict:
         )
     from .fixtures import eisenstein  # loaded only by the exact check
 
-    mons = _monomials(weight)
-    hi = f.hi
-    basis = []
-    if mons:
-        # along the sorted monomials a rises by 3 and b falls by 2, so each
-        # power of E4 (of E6) is the one before it times E4^3 (times E6^2)
-        one = QExp(Fraction(0), 1, {0: 1}, 0, hi)
-        e4, e6 = eisenstein(4, hi), eisenstein(6, hi)
-        e4_pows = [power(e4, mons[0][0], mul, one)]
-        e6_pows = [power(e6, mons[-1][1], mul, one)]
-        if dim > 1:
-            e4_cubed, e6_squared = power(e4, 3, mul), mul(e6, e6)
-            for _ in mons[1:]:
-                e4_pows.append(mul(e4_pows[-1], e4_cubed))
-                e6_pows.append(mul(e6_pows[-1], e6_squared))
-        basis = [mul(g, h) for g, h in zip(e4_pows, reversed(e6_pows))]
-    # solve sum x_j basis_j = f on rows 0..dim-1
-    rows = [[basis[j].coeff(n) for j in range(dim)] + [f.coeff(n)] for n in range(dim)]
-    sol = _solve_exact(rows, dim)
+    hi, m = f.hi, dim - 1
+    r = weight - 12 * m  # 0, 4, 6, 8, 10 or 14 (14 at weight 2, where dim = 0)
+    # c_j = C[j] / den: the basis is integral with unit pivots
+    F, den = _dense(rational, dim)
+    C = F[:1]
     combo = QExp(weight, 1, {}, 0, hi)
-    for x, g in zip(sol, basis):
-        if x:
-            combo = add(combo, scale(g, x))
+    if dim:
+        rest = eisenstein(r, hi) if r else None  # E_r, as dim M_r = 1
+        if m:
+            cube = mul(eisenstein(4, hi), eisenstein(8, hi))  # E4^3 = E4 E8
+            delta = scale(add(cube, scale(power(eisenstein(6, hi), 2, mul), -1)), Fraction(1, 1728))
+            # on q^0 .. q^m the basis is g_0 u^j, u = Delta / E4^3 = q + ...
+            u = mul(delta.truncate(dim), invert_unit(cube.truncate(dim)))
+            g = power(cube.truncate(dim), m, mul, rest.truncate(dim) if rest else None)
+            for n in range(1, dim):
+                for k, v in g.numerators.items():
+                    if k < dim:
+                        F[k] -= C[-1] * v
+                g = mul(g, u)
+                C.append(F[n])
+        # Horner in Delta and E4^3: acc <- acc Delta + C[j] (E4^3)^(m-j)
+        acc = QExp.from_numerators(0, 1, {0: C[m]} if C[m] else {}, 1, 0, hi)
+        for j in range(m - 1, -1, -1):
+            cube_power = cube if j == m - 1 else mul(cube_power, cube)
+            acc = add(mul(acc, delta), scale(cube_power, C[j]))
+        combo = scale(mul(acc, rest) if rest else acc, Fraction(1, den))
+    # Delta = (E4^3 - E6^2) / 1728: E4^(3(m-i)+a) E6^(2i+b) has coordinate
+    # (-1)^i sum_{j >= i} binomial(j, i) c_j / 1728^j; a rises as i falls
+    a, b = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 14: (2, 1)}[r]
+    out = {(3 * (m - i) + a, 2 * i + b): Fraction(s, den * 1728 ** m) for i in range(m, -1, -1)
+           if (s := (-1) ** i * sum(math.comb(j, i) * C[j] * 1728 ** (m - j) for j in range(i, dim)))}
     # off both supports the two sides agree at 0
     lo = max(f.lo, 0)
     for n in sorted(set(f.exponents()) | set(combo.exponents())):
@@ -237,45 +244,4 @@ def level1_exact_check(f: QExp, weight: int) -> dict:
                 "decomposition mismatch at q^%d" % n,
                 first_mismatch=(n, combo.coeff(n), f.coeff(n)),
             )
-    return {mons[j]: sol[j] for j in range(dim) if sol[j] != 0}
-
-
-def _solve_exact(rows: list[list], dim: int) -> list[Fraction]:
-    """The x with sum_j rows[n][j] x_j = rows[n][dim] for n < dim.
-
-    Fraction-free: each row is scaled to integers, forward elimination
-    cross-multiplies and divides each new row by the gcd of its entries
-    (the rows of these bases share large factors, so they stay about as
-    long as the input), and back substitution runs on integers over one
-    common denominator; Fractions are built only for the answer."""
-    # The monomials are a basis of M_weight, and a nonzero form there cannot
-    # vanish at q^0 .. q^(dim-1) (it would be Delta^dim times a form of
-    # weight 2 or below 0), so every column has a pivot.
-    m = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-    for col in range(dim):
-        piv = next(r for r in range(col, dim) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        top = m[col]
-        for r in range(col + 1, dim):
-            if m[r][col] != 0:
-                g = math.gcd(top[col], m[r][col])
-                p, f = top[col] // g, m[r][col] // g
-                row = [p * x - f * y for x, y in zip(m[r], top)]
-                g = math.gcd(*row)
-                m[r] = [x // g for x in row]
-    # x_i = y_i / den (den may be negative), from the last row up
-    den = 1
-    y = [0] * dim
-    for i in range(dim - 1, -1, -1):
-        s = m[i][dim] * den - sum(m[i][j] * y[j] for j in range(i + 1, dim))
-        g = math.gcd(s, m[i][i])
-        s, q = s // g, m[i][i] // g
-        if q != 1:
-            y = [v * q for v in y]
-            den *= q
-        y[i] = s
-    return [Fraction(v, den) for v in y]
+    return out

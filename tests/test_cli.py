@@ -254,6 +254,73 @@ def test_verify_exact_mode_failure_names_mismatch(capsys, tmp_path):
     assert "exponent" in payload["first_mismatch"]
 
 
+def test_verify_numeric_theta_squared_needs_its_character(capsys, tmp_path):
+    # theta^2 is of weight 1 on Gamma_0(4) with the character chi_-4 only;
+    # the default samples include d = -1, where that character is -1
+    th = fixture("theta", 900)
+    p = tmp_path / "theta2.json"
+    p.write_text(json.dumps(qexp_to_json(QExp(1, 1, dict(mul(th, th).coeffs), 0, 900))))
+    argv = ["verify", "--input", str(p), "--weight", "1", "--level", "4", "--json"]
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 1 and payload["passed"] is False
+    assert payload["report"]["matrices"] == [[1, 1, 0, 1], [1, 0, 4, 1], [5, 1, 4, 1], [-1, 0, 4, -1]]
+    code, payload, _ = run_json(capsys, *argv, "--character", "kronecker:-4")
+    assert code == 0 and payload["report"]["max_residual"] < 1e-12
+
+
+_EXACT_BUDGET = "the exact check dim(M_w)^2 x window of --weight exceeds the request budget of 4000000"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--fixture", "e4", "--prec", "322", "--weight", "3840"], _EXACT_BUDGET),
+    (["--fixture", "e4", "--prec", "160", "--weight", "1896"], _EXACT_BUDGET),
+    (["--fixture", "e4", "--prec", "1500000", "--weight", "12"], _EXACT_BUDGET),
+    (["--input", "E4", "--weight", "3840"], _EXACT_BUDGET),
+    (["--fixture", "e4", "--prec", str(10**10), "--weight", "4"],
+     "the --fixture window --prec exceeds the request budget of 4000000"),
+], ids=["weight-3840", "weight-1896", "weight-12-window", "input", "fixture-window"])
+def test_exact_verify_over_the_budget_is_refused_before_any_work(capsys, monkeypatch, tmp_path, argv, message):
+    # dim(M_w)^2 x window: 159^2 x 160 is just over the budget
+    p = tmp_path / "e4.json"
+    p.write_text(json.dumps(qexp_to_json(fixture("e4", 322))))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the request budget was checked")
+
+    monkeypatch.setattr("shimlift.fixtures.fixture", no_work)
+    monkeypatch.setattr("shimlift.verify.level1_exact_check", no_work)
+    argv = [str(p) if a == "E4" else a for a in argv]
+    code, out, _ = run(capsys, "verify", *argv, "--mode", "exact", "--json")
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "SchemaError", "message": message}
+
+
+@pytest.mark.parametrize("weight, prec", [("1894", "159"), ("2", str(10**9)), ("3", str(10**9))])
+def test_exact_verify_within_the_budget_is_admitted(capsys, monkeypatch, tmp_path, weight, prec):
+    # 158^2 x 159 is the largest dim(M_w)^2 x (dim + 1) the budget admits; at
+    # weight 2 (dim 0) and odd weights nothing grows with the window
+    calls = []
+    monkeypatch.setattr("shimlift.verify.level1_exact_check", lambda f, w: calls.append((f.hi, w)) or {})
+    p = tmp_path / "sparse.json"
+    p.write_text(json.dumps(qexp_to_json(QExp(int(weight), 1, {}, 0, int(prec)))))
+    source = ["--fixture", "e4", "--prec", prec] if weight == "1894" else ["--input", str(p)]
+    code, payload, _ = run_json(capsys, "verify", *source, "--weight", weight, "--mode", "exact", "--json")
+    assert (code, payload, calls) == (0, {"passed": True, "decomposition": []}, [(int(prec), int(weight))])
+
+
+def test_fixtures_reemit_reduces_each_rational(capsys, tmp_path):
+    doc = {"weight": {"num": 5, "den": 2}, "exponent_denominator": 1, "window": [0, 7], "metadata": {},
+           "coefficients": [[0, "6/4"], [1, "-3/-6"], [2, "0"], [3, "0/7"],
+                            [4, {"order": 4, "terms": [[0, "1/2"]]}], [5, "10/5"], [6, "2/-8"]]}
+    p = tmp_path / "unreduced.json"
+    p.write_text(json.dumps(doc))
+    code, payload, _ = run_json(capsys, "fixtures", "--reemit", str(p), "--json")
+    assert code == 0
+    assert payload == dict(doc, coefficients=[[0, "3/2"], [1, "1/2"], [4, "1/2"], [5, "2"], [6, "-1/4"]])
+
+
 def test_weil_selftest_cli(capsys, monkeypatch):
     code, payload, _ = run_json(
         capsys, "weil-selftest", "--max-n", "4", "--words", "10", "--json"

@@ -355,6 +355,27 @@ def test_json_refuses_a_bool_for_an_integer(doc, message):
     assert str(exc.value) == message
 
 
+def test_json_reduces_each_rational_and_drops_zeros():
+    # unreduced texts, a sign in the denominator, zero numerators and a
+    # cyclotomic object of rational value land in one canonical table
+    rational_object = {"order": 4, "terms": [[0, "1/2"]]}
+    doc = _series_doc(window=[0, 7], coefficients=[
+        [0, "6/4"], [1, "-3/-6"], [2, "0"], [3, "0/7"], [4, rational_object], [5, "10/5"], [6, "2/-8"]])
+    f = qexp_from_json(doc)
+    assert f.cden == 4
+    assert dict(f.numerators) == {0: 6, 1: 2, 4: 2, 5: 8, 6: -1}
+    want = {0: Fraction(3, 2), 1: Fraction(1, 2), 4: Fraction(1, 2), 5: 2, 6: Fraction(-1, 4)}
+    assert f == QExp(Fraction(5, 2), 1, want, 0, 7)
+    assert [t for _, t in qexp_to_json(f)["coefficients"]] == ["3/2", "1/2", "1/2", "2", "-1/4"]
+
+
+def test_json_refuses_a_duplicate_of_a_zero_coefficient():
+    # zero numerators are dropped only after the duplicate check
+    with pytest.raises(SchemaError) as exc:
+        qexp_from_json(_series_doc(coefficients=[[1, "0"], [1, "2"]]))
+    assert str(exc.value) == "duplicate coefficient at exponent 1"
+
+
 def test_construction_canonicalises_non_fraction_coefficients():
     i = CycScalar.root_of_unity(4, 1)
     f = QExp(0, 1, {

@@ -138,6 +138,39 @@ def test_residual_report_json_shape():
     assert rep.residuals  # detailed values kept on the object
 
 
+def test_default_samples_include_a_matrix_with_d_minus_one():
+    # at d = 1 every character and the theta multiplier are 1
+    rep = modularity_residual(theta(900), Fraction(1, 2), 4)
+    assert rep.matrices == ((1, 1, 0, 1), (1, 0, 4, 1), (5, 1, 4, 1), (-1, 0, 4, -1))
+    assert len(rep.residuals) == 4 * 3
+
+
+def test_residual_sees_the_character_of_theta_squared():
+    # theta^2 lies in M_1(Gamma_0(4), chi_-4), and M_1(Gamma_0(4)) = 0: the
+    # trivial character fails, but only at d = -1, where chi_-4(d) = -1
+    from shimlift.characters import DirichletCharacter
+
+    th = theta(900)
+    f = QExp(1, 1, dict(mul(th, th).coeffs), 0, 900)
+    rep = modularity_residual(f, 1, 4)
+    assert max(rep.residuals[:9]) < 1e-12 and min(rep.residuals[9:]) > 1
+    chi = DirichletCharacter.from_kronecker(-4, 4)
+    assert modularity_residual(f, 1, 4, chi).max_residual < 1e-12
+
+
+def test_residual_sees_a_character_at_half_integral_weight():
+    # theta^3 has the multiplier psi^3 alone; times chi_-4 it is wrong at
+    # d = -1 only, where psi(gamma) = eps_d^(-1) = -i is not 1 either
+    from shimlift.characters import DirichletCharacter
+
+    th = theta(900)
+    f = QExp(Fraction(3, 2), 1, dict(mul(mul(th, th), th).coeffs), 0, 900)
+    assert modularity_residual(f, Fraction(3, 2), 4).max_residual < 1e-12
+    chi = DirichletCharacter.from_kronecker(-4, 4)
+    rep = modularity_residual(f, Fraction(3, 2), 4, chi)
+    assert max(rep.residuals[:9]) < 1e-12 and min(rep.residuals[9:]) > 1
+
+
 def test_level1_exact_on_eisenstein_products():
     e4 = eisenstein(4, 40)
     e6 = eisenstein(6, 40)
@@ -211,22 +244,30 @@ def test_level1_exact_recovers_every_monomial_up_to_weight_120():
 
 @pytest.mark.parametrize("weight", range(4, 121, 2))
 def test_fraction_free_solve_matches_gauss_jordan(weight):
-    # the monomial rows of level1_exact_check against random rational right
-    # sides (non-unit denominators, so each row is scaled before elimination)
-    mons = verify._monomials(weight)
+    # random rational values (non-unit denominators) on q^0 .. q^(dim-1)
+    # fix one form of M_weight; Gauss-Jordan on the monomial rows gives its
+    # coordinates, which level1_exact_check must find from the echelon basis
+    mons = [(a, (weight - 4 * a) // 6) for a in range(weight // 4 + 1) if (weight - 4 * a) % 6 == 0]
     dim = len(mons)
-    one = QExp(0, 1, {0: 1}, 0, dim)
-    basis = [mul(power(eisenstein(4, dim), a, mul, one), power(eisenstein(6, dim), b, mul, one))
+    one = QExp(0, 1, {0: 1}, 0, dim + 1)
+    basis = [mul(power(eisenstein(4, dim + 1), a, mul, one), power(eisenstein(6, dim + 1), b, mul, one))
              for a, b in mons]
     rng = random.Random(weight)
     rows = [[g.coeff(n) for g in basis] + [Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**4))]
             for n in range(dim)]
-    assert verify._solve_exact(rows, dim) == util.gauss_jordan_solve(rows, dim)
+    want = util.gauss_jordan_solve(rows, dim)
+    f = QExp(weight, 1, {}, 0, dim + 1)
+    for x, g in zip(want, basis):
+        f = add(f, scale(g, x))
+    got = level1_exact_check(f, weight)
+    assert got == {m: x for m, x in zip(mons, want) if x}
+    assert list(got) == sorted(got)
 
 
 def test_level1_exact_builds_each_monomial_from_its_predecessor(monkeypatch):
-    # weight 1000 has 84 monomials; one power table each for E4 and E6 costs
-    # about three products per monomial, where one power chain per monomial
+    # weight 1000 has 84 monomials; the echelon basis costs about three
+    # products per monomial (one for the next basis form on the solved rows,
+    # two per Horner step on the window), where one power chain per monomial
     # cost 1633.  E4 is not of weight 1000, so the check fails where the
     # solved rows end, with the same combination as before
     calls = []

@@ -207,3 +207,24 @@ def test_selftest_clean_run_and_negative_control(monkeypatch):
     monkeypatch.setattr(weilrep, "weil_S", perturbed_weil_S(weilrep.weil_S))
     with pytest.raises(VerificationFailure):
         weil_selftest(max_n=2, words=5)
+
+
+def test_selftest_checks_each_module_before_building_the_next(monkeypatch):
+    # only one module of the family d1_n is held at a time
+    events = []
+    build, weil_S = weilrep.FqModule.d1_n, weilrep.weil_S
+
+    def logged_build(n):
+        events.append(("build", n))
+        return build(n)
+
+    def logged_S(mod):
+        events.append(("S", len(mod.orders)))
+        return weil_S(mod)
+
+    monkeypatch.setattr(weilrep.FqModule, "d1_n", logged_build)
+    monkeypatch.setattr(weilrep, "weil_S", logged_S)
+    report = weil_selftest(max_n=3, words=0)
+    assert report["modules"] == 5
+    builds = [i for i, e in enumerate(events) if e[0] == "build"]
+    assert [events[i + 1][0] for i in builds] == ["S", "S", "S"]

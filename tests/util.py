@@ -340,7 +340,8 @@ def numeric_weil_branch(word) -> tuple[tuple[int, int, int, int], int]:
 def gauss_jordan_solve(rows: list[list], dim: int) -> list[Fraction]:
     """The x with sum_j rows[n][j] x_j = rows[n][dim] for n < dim, by
     Gauss-Jordan elimination over Fraction: the reference for the
-    fraction-free `verify._solve_exact`."""
+    coordinates that `verify.level1_exact_check` finds on its echelon
+    basis."""
     m = [[Fraction(x) for x in row] for row in rows]
     for col in range(dim):
         piv = next(r for r in range(col, dim) if m[r][col] != 0)
