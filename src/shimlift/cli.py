@@ -61,14 +61,20 @@ def _read_json_source(path: str):
 
 def _load_series(args, needed_hi: int | None = None) -> QExp:
     """The --input or --fixture series; a fixture is built to needed_hi,
-    which the caller has checked against the budget, or to --prec."""
+    which the lift has checked against the budget, or to --prec.  For the
+    lift the Cohen-Eisenstein fixtures are read-set sources instead
+    (`fixtures._CohenReadSet`): the lift reads only c(t s^2 m^2), and they
+    give those values from the L-value formula without building the
+    window."""
     if getattr(args, "fixture", None):
-        from .fixtures import fixture
+        from . import fixtures
 
         if needed_hi is None:
             needed_hi = args.prec
             check_budget(needed_hi, "the --fixture window --prec")
-        return fixture(args.fixture, needed_hi)
+        elif args.fixture in fixtures._COHEN_READ_SETS:
+            return fixtures._CohenReadSet(fixtures._COHEN_READ_SETS[args.fixture], needed_hi)
+        return fixtures.fixture(args.fixture, needed_hi)
     if getattr(args, "input", None):
         from .qseries import qexp_from_json
 
@@ -296,8 +302,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_weil_selftest(args) -> int:
     _check_at_least(0, ("--words", args.words), ("--max-n", args.max_n))
-    # the largest module, d1_n(max_n), has 2 max_n^2 elements
-    check_budget((2 * args.max_n ** 2) ** 2, "the largest Weil matrix (2 max_n^2)^2 of --max-n")
+    # the largest module, d1_n(max_n), has n = 2 max_n^2 elements, and its
+    # relation checks hold the bytes of seven n x n complex matrices at
+    # once: S, T, the real identity and pairing table (half each) and up
+    # to four products (7.04 n^2 complex entries under tracemalloc at n = 512)
+    check_budget(7 * (2 * args.max_n ** 2) ** 2, "the 7 (2 max_n^2)^2 Weil matrix entries held at once of --max-n")
     check_budget(args.words, "the word count --words")
     from .weilrep import weil_selftest
 

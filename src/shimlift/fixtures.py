@@ -15,6 +15,10 @@ of theta by sparse products.  The last of them is formed only on the two
 residue classes mod 4 of H_k's plus space, where the other two vanish.
 These are the independent side of every comparison; none of them go
 through the lift code.
+
+A lift from the command line reads H_k only at c(T m^2), m <= prec, and
+takes those values from the L-value formula (`_CohenReadSet`) instead of
+building the T prec^2 + 1 terms of the window.
 """
 
 from __future__ import annotations
@@ -166,27 +170,90 @@ def j_invariant(prec: int) -> QExp:
     return QExp.from_numerators(Fraction(0), 1, shifted, series.cden, -1, prec)
 
 
-def _cohen_value(k: int, n: int) -> Fraction:
-    if n == 0:
-        return quadratic_L_neg(1, 2 * k)
-    sign = 1 if k % 2 == 0 else -1
-    m = sign * n
-    if m % 4 not in (0, 1):
-        return Fraction(0)
-    core, f = split_square(abs(m))
-    D0 = core if m > 0 else -core
-    if D0 % 4 != 1:
-        D0 *= 4
-        if f % 2:
-            return Fraction(0)
-        f //= 2
-    total = Fraction(0)
+def _cohen_discriminant(k: int, t: int, f: int) -> tuple[int, int] | None:
+    """(D0, f0) with (-1)^k t f^2 = D0 f0^2 and D0 a fundamental
+    discriminant, for square-free t and f >= 1; None where H(k, t f^2)
+    vanishes, (-1)^k t f^2 = 2 or 3 mod 4."""
+    D0 = t if k % 2 == 0 else -t
+    if D0 % 4 == 1:
+        return D0, f
+    if f % 2:
+        return None
+    return 4 * D0, f // 2
+
+
+def _cohen_divisor_sum(k: int, D0: int, f: int) -> int:
+    """sum over d | f of mu(d) kronecker(D0, d) d^(k-1) sigma_(2k-1)(f / d),
+    the factor of H(k, |D0| f^2) beside L(1-k, (D0/.)) (Cohen 1975)."""
+    total = 0
     for d in divisors(f):
         md = mobius(d)
-        if md == 0:
-            continue
-        total += md * kronecker(D0, d) * d ** (k - 1) * sigma(2 * k - 1, f // d)
-    return quadratic_L_neg(D0, k) * total
+        if md:
+            total += md * kronecker(D0, d) * d ** (k - 1) * sigma(2 * k - 1, f // d)
+    return total
+
+
+def _cohen_value(k: int, n: int) -> Fraction:
+    """H(k, n): zeta(1 - 2k) at n = 0, else L(1 - k, (D0/.)) times the
+    divisor sum, where (-1)^k n = D0 f^2."""
+    if n == 0:
+        return quadratic_L_neg(1, 2 * k)
+    parts = _cohen_discriminant(k, *split_square(n))
+    if parts is None:
+        return Fraction(0)
+    D0, f = parts
+    return quadratic_L_neg(D0, k) * _cohen_divisor_sum(k, D0, f)
+
+
+class _CohenReadSet:
+    """H_k where the lift reads it, from the L-value formula: the values
+    c(T m^2), m = 0 .. prec, of `cohen_eisenstein(k, hi)` for any index T
+    and any prec, with no window built.
+
+    Every m >= 1 shares the fundamental discriminant D0 of (-1)^k t, t the
+    square-free part of T, so a read set costs one L-value L(1 - k, (D0/.)),
+    one zeta(1 - 2k) for c(0), and a divisor sum for each m (`_cohen_value`'s
+    own helpers).  It is not a QExp; it states what the lift's checks read
+    of the series it stands for: the weight k + 1/2, integer exponents, the
+    window [0, hi), and the classes mod 4 of the window's support.
+    """
+
+    __slots__ = ("k", "weight", "denom", "lo", "hi")
+
+    def __init__(self, k: int, hi: int):
+        self.k = k
+        self.weight = Fraction(2 * k + 1, 2)
+        self.denom = 1
+        self.lo = 0
+        self.hi = hi
+
+    def _residues_mod4(self) -> frozenset:
+        """{0, (-1)^k mod 4}, the plus-space classes of H_k; every exponent
+        of either class has a nonzero coefficient, so the second class is
+        left out only when the window ends before its first exponent, 1 or
+        3."""
+        c = 1 if self.k % 2 == 0 else 3
+        return frozenset((0, c) if self.hi > c else (0,))
+
+    def read_set(self, T: int, prec: int) -> tuple[list[int], int]:
+        """(a, D) with D c(T m^2) = a[m] for m = 0 .. prec, all integers."""
+        k = self.k
+        c0 = quadratic_L_neg(1, 2 * k)
+        t, s = split_square(T)
+        L = Fraction(0)  # L(1-k, (D0/.)), once some m >= 1 reads a nonzero value
+        sums = []
+        for m in range(1, prec + 1):
+            parts = _cohen_discriminant(k, t, s * m)
+            if parts is None:
+                sums.append(0)
+                continue
+            D0, f = parts
+            if not L:
+                L = quadratic_L_neg(D0, k)
+            sums.append(_cohen_divisor_sum(k, D0, f))
+        D = math.lcm(c0.denominator, L.denominator)
+        a = L.numerator * (D // L.denominator)
+        return [c0.numerator * (D // c0.denominator)] + [a * v for v in sums], D
 
 
 # Coefficients past the solving prefix that are re-checked against the
@@ -373,6 +440,11 @@ FIXTURES = {
     "hj4": (weakly_holomorphic_product, {"N": 1, "k": 2, "eps": 1}),
     "zero": (zero_form, {"N": 1, "k": 2, "eps": 1}),
 }
+
+
+# the fixtures that a lift from the command line reads through a read-set
+# source (`_CohenReadSet`) instead of a window: name -> k
+_COHEN_READ_SETS = {"cohen52": 2, "cohen72": 3, "cohen92": 4}
 
 
 def fixture_names() -> list[str]:

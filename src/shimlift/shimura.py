@@ -10,9 +10,13 @@ where c(d, n) is the n-th coefficient of the diamond translate <d> f.  The
 lift therefore reads the input only on the read set {T m^2 : 0 <= m <= prec}
 and computes every coefficient at once by one sieve, out[d m] += w(d) a[m]
 (`_lift`); on rational input it runs on the integer numerators over one
-common denominator.  The constant term is a linear combination of the
-c(d, 0) weighted by partial zeta values at 1 - k, one sum over the residues
-h mod P prime to N T,
+common denominator.  `_read_set` is the one read path, and it returns
+those numerators with their denominator: from the table of a QExp, or
+from a series that knows its coefficients by formula and answers for its
+read set alone (`fixtures._CohenReadSet`, which the command line lifts in
+place of a Cohen-Eisenstein window).  The constant term is a linear
+combination of the c(d, 0) weighted by partial zeta values at 1 - k, one
+sum over the residues h mod P prime to N T,
 
     1/2 * sum of kronecker(eps * T, h) * zeta(P, h, 1 - k) * c(h, 0),
 
@@ -209,13 +213,17 @@ def _check_input(f: QExp, orbit: DiamondOrbit, N: int, T: int, prec: int) -> Non
         )
 
 
-def _read_set(g: QExp, T: int, prec: int, D: int) -> list:
-    """D c(T m^2) for m = 0..prec: integer numerators when g is rational
-    and D is a multiple of g.cden, scalars otherwise."""
+def _read_set(g, T: int, prec: int) -> tuple[list, int]:
+    """(a, D) with D c(T m^2) = a[m] for m = 0..prec: integer numerators
+    over g.cden when g is rational, scalars over 1 otherwise.  A series
+    that is not a QExp (`fixtures._CohenReadSet`) answers from its own
+    formula, without a window."""
+    if not isinstance(g, QExp):
+        return g.read_set(T, prec)
     if g.cden is None:
-        return [g.coeff(T * m * m) * D for m in range(prec + 1)]
-    table, s = g.numerators, D // g.cden
-    return [table.get(T * m * m, 0) * s for m in range(prec + 1)]
+        return [g.coeff(T * m * m) for m in range(prec + 1)], 1
+    table = g.numerators
+    return [table.get(T * m * m, 0) for m in range(prec + 1)], g.cden
 
 
 def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOrbit) -> QExp:
@@ -224,7 +232,7 @@ def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOr
     One Dirichlet-convolution sieve, out[d m] += w(d) a_d[m], with
     w(d) = kronecker(eps T, d) d^(k-1) c_d for d prime to N T and
     a_d[m] = D c(g_d, T m^2), where <d> f = c_d g_d (`_translates`) and D
-    is the lcm of the rational g_d's coefficient denominators.  On
+    is the lcm of the denominators of the g_d's reads (`_read_set`).  On
     rational input with rational c_d every term is an integer.  The
     constant term is the partial-zeta sum over h mod P of
     kronecker(eps T, h) c(<h> f, 0), taken from integer power sums.
@@ -233,8 +241,9 @@ def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOr
     modulus, translates = orbit._translates(f)
     translates = {r: (_integral(c), g) for r, (c, g) in translates.items()}
     series = {id(g): g for _, g in translates.values()}
-    D = math.lcm(*[g.cden for g in series.values() if g.cden is not None])
-    reads = {key: _read_set(g, T, prec, D) for key, g in series.items()}
+    reads = {key: _read_set(g, T, prec) for key, g in series.items()}
+    D = math.lcm(*[den for _, den in reads.values()])
+    reads = {key: a if den == D else [v * (D // den) for v in a] for key, (a, den) in reads.items()}
 
     def twisted(d: int):
         """(kronecker(eps T, d) c_d, a_d), or (0, None) off the units."""

@@ -7,6 +7,8 @@ which need a fresh interpreter to see which modules a call imports.
 """
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,8 +16,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shimlift import _intpoly, weilrep
 from shimlift.cli import main
@@ -401,6 +406,7 @@ def test_lift_malformed_kronecker_character_is_schema_error(capsys, monkeypatch,
         raise AssertionError("series built before the character was parsed")
 
     monkeypatch.setattr("shimlift.fixtures.fixture", no_build)
+    monkeypatch.setattr("shimlift.fixtures._CohenReadSet", no_build)
     code, out, _ = run(
         capsys, "lift", "--fixture", "cohen52", "--prec", "5", "--character", spec, "--json"
     )
@@ -422,6 +428,7 @@ def test_lift_invalid_kronecker_character_is_schema_error(capsys, monkeypatch, a
         raise AssertionError("series built before the character was parsed")
 
     monkeypatch.setattr("shimlift.fixtures.fixture", no_build)
+    monkeypatch.setattr("shimlift.fixtures._CohenReadSet", no_build)
     code, out, _ = run(capsys, "lift", "--fixture", "cohen52", "--prec", "5", *args, "--json")
     assert code == 2
     lines = out.strip().splitlines()
@@ -439,6 +446,7 @@ def test_lift_rejects_nonpositive_index_flags(capsys, monkeypatch, flag, value):
         raise AssertionError("series built before the arguments were checked")
 
     monkeypatch.setattr("shimlift.fixtures.fixture", no_build)
+    monkeypatch.setattr("shimlift.fixtures._CohenReadSet", no_build)
     code, payload, _ = run_json(
         capsys, "lift", "--fixture", "cohen52", flag, value, "--prec", "5", "--json"
     )
@@ -453,6 +461,7 @@ def test_lift_weight_beyond_bernoulli_bound_is_schema_error(capsys, monkeypatch,
         raise AssertionError("series built before k was checked")
 
     monkeypatch.setattr("shimlift.fixtures.fixture", no_build)
+    monkeypatch.setattr("shimlift.fixtures._CohenReadSet", no_build)
     code, out, _ = run(capsys, "lift", "--fixture", "cohen52", "--k", k, "--prec", "2", "--json")
     assert code == 2
     lines = out.strip().splitlines()
@@ -577,8 +586,8 @@ def test_requests_over_the_budget_are_refused_before_any_work(capsys, monkeypatc
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the request budget was checked")
 
-    for name in ("fixtures.fixture", "qseries.qexp_from_json", "level.predict_level",
-                 "characters.character_from_json"):
+    for name in ("fixtures.fixture", "fixtures._CohenReadSet", "qseries.qexp_from_json",
+                 "level.predict_level", "characters.character_from_json"):
         monkeypatch.setattr("shimlift." + name, no_work)
     monkeypatch.setattr(DirichletCharacter, "from_kronecker", no_work)
     code, out, _ = run(capsys, *argv, "--json")
@@ -801,19 +810,96 @@ def _ctypes_status(capsys, tmp_path, argv):
 
 def test_lift_request_scans_the_plus_space_classes_once(monkeypatch, capsys):
     # the index gate and the verdict both ask whether the input lies in the
-    # plus space; the series keeps its exponent classes mod 4 from the first
+    # plus space; a window keeps its exponent classes mod 4 from the first
+    # scan, and a Cohen-Eisenstein read-set source knows them without one
     from shimlift import shimura
 
     asked, scans = [], []
     is_plus_space, scan = shimura.is_plus_space, QExp._scan_mod4
     monkeypatch.setattr(shimura, "is_plus_space", lambda f, eps: asked.append(eps) or is_plus_space(f, eps))
     monkeypatch.setattr(QExp, "_scan_mod4", lambda f: scans.append(f.hi) or scan(f))
-    for t in (1, 5):
-        asked.clear()
-        scans.clear()
-        code, payload, _ = run_json(capsys, "lift", "--fixture", "cohen52", "--t", str(t), "--prec", "6", "--json")
-        assert code == 0 and "lift" in payload
-        assert asked == [1, 1] and scans == [t * 36 + 1], (t, asked, scans)
+    for name, windows in (("theta_e4", 1), ("cohen52", 0)):
+        for t in (1, 5):
+            asked.clear()
+            scans.clear()
+            code, payload, _ = run_json(capsys, "lift", "--fixture", name, "--t", str(t), "--prec", "6", "--json")
+            assert code == 0 and "lift" in payload
+            assert asked == [1, 1] and scans == [t * 36 + 1] * windows, (name, t, asked, scans)
+
+
+# sha256 of the stdout of `lift --fixture cohen72 --t 3 --prec 200 --json`,
+# taken while that lift still built the 120001-term window
+_COHEN72_T3_PREC200 = "acf0a89064edd03d61848ba9a41d302fcb9ac6d1c089768ca9c8b485a07ed3ac"
+
+
+def test_cohen_lift_builds_no_window(capsys, monkeypatch):
+    from shimlift import fixtures
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("the lift built a Cohen-Eisenstein window")
+
+    monkeypatch.setattr(fixtures, "cohen_eisenstein", no_window)
+    code, out, _ = run(capsys, "lift", "--fixture", "cohen72", "--t", "3", "--prec", "200", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _COHEN72_T3_PREC200
+
+
+@pytest.mark.parametrize("name, k, eps, t, s, prec", [
+    ("cohen52", 2, 1, 5, 1, 30),
+    ("cohen72", 3, -1, 3, 2, 20),
+    ("cohen92", 4, 1, 1, 3, 25),
+])
+def test_cohen_lift_prints_the_bytes_of_the_lift_of_its_window_file(capsys, tmp_path, name, k, eps, t, s, prec):
+    hi = t * s * s * prec * prec + 1
+    code, window, _ = run(capsys, "fixtures", "--name", name, "--prec", str(hi), "--json")
+    assert code == 0
+    path = tmp_path / ("%s.json" % name)
+    path.write_text(window)
+    flags = ["--t", str(t), "--s", str(s), "--prec", str(prec), "--json"]
+    want = run(capsys, "lift", "--input", str(path), "--k", str(k), "--epsilon", str(eps), *flags)
+    got = run(capsys, "lift", "--fixture", name, *flags)
+    assert got == want and got[0] == 0
+
+
+def _kronecker_defined(d: int, modulus: int) -> bool:
+    from shimlift.characters import DirichletCharacter
+
+    try:
+        DirichletCharacter.from_kronecker(d, modulus)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(deadline=None, max_examples=100)
+@given(name=st.sampled_from(["cohen52", "cohen72", "cohen92"]), t=st.integers(1, 15), s=st.integers(1, 3),
+       M=st.integers(1, 8), prec=st.integers(0, 60), extended=st.booleans(), data=st.data())
+def test_cohen_read_set_lift_is_the_lift_of_the_window(name, t, s, M, prec, extended, data):
+    # the lift of the read-set source against the lift of
+    # fixture(name, t s^2 prec^2 + 1), refusals included: same exit code,
+    # same payload; the source side may not build a window
+    from shimlift import fixtures
+
+    argv = ["lift", "--fixture", name, "--t", str(t), "--s", str(s), "--M", str(M), "--prec", str(prec)]
+    if extended:
+        argv.append("--extended")
+    chars = [d for d in (t, -1, -4, 5, 8) if _kronecker_defined(d, M)]
+    d = data.draw(st.sampled_from([None] + chars))
+    if d is not None:
+        argv += ["--character", "kronecker:%d" % d]
+    argv.append("--json")
+
+    def call():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue()
+
+    with mock.patch.object(fixtures, "cohen_eisenstein", side_effect=AssertionError("window built")):
+        got = call()
+    with mock.patch.dict(fixtures._COHEN_READ_SETS, clear=True):
+        want = call()
+    assert got == want
 
 
 def test_project_help_says_k_needs_xi(capsys):
@@ -886,14 +972,15 @@ def test_weil_selftest_negative_max_n_is_schema_error(capsys, monkeypatch, value
 @pytest.mark.parametrize(
     "argv, what",
     [
-        (["--max-n", "32"], "the largest Weil matrix (2 max_n^2)^2 of --max-n"),
+        (["--max-n", "20"], "the 7 (2 max_n^2)^2 Weil matrix entries held at once of --max-n"),
         (["--words", "4000001"], "the word count --words"),
     ],
     ids=["max-n", "words"],
 )
 def test_weil_selftest_over_the_budget_is_refused_before_any_work(capsys, monkeypatch, argv, what):
-    # the largest module has 2 max_n^2 elements and its tables and matrices
-    # grow as max_n^4; --max-n 31 is the largest the budget admits
+    # the largest module has 2 max_n^2 elements and the relation checks
+    # hold seven matrices of its size at once, so 7 x 800^2 at --max-n 20
+    # is the first request over the budget
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the request budget was checked")
 
@@ -913,6 +1000,13 @@ def test_weil_selftest_budget_refusal_imports_no_weilrep():
     status = proc.stderr.strip().splitlines()[-2]
     assert status == "numpy=False dataclasses=False inspect=False exit=2", proc.stderr
     assert json.loads(proc.stdout)["error"] == "SchemaError"
+
+
+def test_weil_selftest_largest_admitted_max_n_runs(capsys):
+    # 7 x 722^2 at --max-n 19 is the largest request within the budget
+    code, payload, _ = run_json(capsys, "weil-selftest", "--max-n", "19", "--words", "0", "--json")
+    assert code == 0
+    assert payload["modules"] == 21 and payload["max_relation_error"] < 1e-12
 
 
 def test_weil_selftest_default_request_is_within_the_budget(capsys):

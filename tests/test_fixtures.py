@@ -232,6 +232,29 @@ def test_cohen_short_windows(k):
         assert h == QExp(Fraction(2 * k + 1, 2), 1, {n: _cohen_value(k, n) for n in range(prec)}, 0, prec)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_cohen_read_set_is_the_window_on_the_read_set(k):
+    # c(T m^2) of the read-set source against the built window, as the lift
+    # reads both (values over their own denominators)
+    from shimlift.shimura import _read_set
+
+    for T in (1, 2, 3, 4, 5, 6, 7, 8, 12, 15, 18, 27, 45):
+        for prec in (0, 1, 2, 7):
+            hi = T * prec * prec + 1
+            a, D = fixtures._CohenReadSet(k, hi).read_set(T, prec)
+            b, E = _read_set(cohen_eisenstein(k, hi), T, prec)
+            assert all(type(v) is int for v in a)
+            assert [Fraction(v, D) for v in a] == [Fraction(v, E) for v in b], (k, T, prec)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_cohen_read_set_states_the_window_that_it_stands_for(k):
+    for hi in range(1, 12):
+        source, window = fixtures._CohenReadSet(k, hi), cohen_eisenstein(k, hi)
+        assert (source.weight, source.denom, source.lo, source.hi) == (window.weight, 1, 0, hi)
+        assert source._residues_mod4() == window._residues_mod4(), (k, hi)
+
+
 @settings(deadline=None)
 @given(k=st.integers(2, 6), a=st.integers(0, 400), data=st.data())
 def test_cohen_window_rule(k, a, data):
