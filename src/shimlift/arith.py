@@ -1,7 +1,6 @@
 """Small number-theory helpers shared by the lift, the fixtures and the
-checks: trial-division factoring, the units mod m, divisors, the Moebius
-function, divisor power sums, ceiling division and square-and-multiply.
-Standard library only."""
+checks: trial-division factoring, the units mod m, ceiling division and
+square-and-multiply.  Standard library only."""
 
 from __future__ import annotations
 
@@ -48,34 +47,6 @@ def prime_factors(n: int) -> list[int]:
 def units(m: int) -> list[int]:
     """The residues r in [0, m) prime to m >= 1, increasing."""
     return [r for r in range(m) if math.gcd(r, m) == 1]
-
-
-def divisors(n: int) -> list[int]:
-    """The positive divisors of n >= 1, increasing."""
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def mobius(n: int) -> int:
-    """The Moebius function of n >= 1."""
-    mu = 1
-    for _, e in _factorization(n):
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
-def sigma(power: int, n: int) -> int:
-    """Sum of d^power over the positive divisors d of n (0 for n < 1)."""
-    return sum(d**power for d in divisors(n)) if n >= 1 else 0
 
 
 def cdiv(a: int, b: int) -> int:

@@ -41,11 +41,13 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, human) -> None:
+    """The payload under --json, else the text `human`: a string, or a
+    function that builds it, called only then."""
     if getattr(args, "json", False):
         print(_dump(payload))
     else:
-        print(human)
+        print(human() if callable(human) else human)
 
 
 def _read_json_source(path: str):
@@ -186,8 +188,8 @@ def _cmd_lift(args) -> int:
         psi_subspace_known=args.psi_known,
     )
     payload = {"lift": qexp_to_json(out), "verdict": verdict.to_json()}
-    human = "case (%s), level %s\n%s" % (verdict.case_tag, verdict.level, _series_human(out))
-    _emit(args, payload, human)
+    _emit(args, payload,
+          lambda: "case (%s), level %s\n%s" % (verdict.case_tag, verdict.level, _series_human(out)))
     return 0
 
 
@@ -206,7 +208,7 @@ def _cmd_project(args) -> int:
     else:
         eps = _resolve(args, "eps", 1)
     out = project_two(f, args.N) if args.two else project_plus(f, eps, args.N)
-    _emit(args, {"projection": qexp_to_json(out)}, _series_human(out))
+    _emit(args, {"projection": qexp_to_json(out)}, lambda: _series_human(out))
     return 0
 
 

@@ -18,7 +18,9 @@ through the lift code.
 
 A lift from the command line reads H_k only at c(T m^2), m <= prec, and
 takes those values from the L-value formula (`_CohenReadSet`) instead of
-building the T prec^2 + 1 terms of the window.
+building the T prec^2 + 1 terms of the window: one L-value per read set,
+and for each m Cohen's divisor sum as an Euler product over the primes of
+f, factored once by trial division.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from fractions import Fraction
 
 from . import _intpoly
-from .arith import cdiv, divisors, mobius, power, sigma, split_square
+from .arith import _factorization, cdiv, power, split_square
 from .errors import VerificationFailure
 from .qseries import QExp, _divide, add, mul, rescale, scale
 from .scalars import kronecker, quadratic_L_neg
@@ -184,12 +186,19 @@ def _cohen_discriminant(k: int, t: int, f: int) -> tuple[int, int] | None:
 
 def _cohen_divisor_sum(k: int, D0: int, f: int) -> int:
     """sum over d | f of mu(d) kronecker(D0, d) d^(k-1) sigma_(2k-1)(f / d),
-    the factor of H(k, |D0| f^2) beside L(1-k, (D0/.)) (Cohen 1975)."""
-    total = 0
-    for d in divisors(f):
-        md = mobius(d)
-        if md:
-            total += md * kronecker(D0, d) * d ** (k - 1) * sigma(2 * k - 1, f // d)
+    the factor of H(k, |D0| f^2) beside L(1-k, (D0/.)) (Cohen 1975).
+
+    The sum is multiplicative in f, so it is the product over p^e || f of
+    sigma(p^e) - kronecker(D0, p) p^(k-1) sigma(p^(e-1)), sigma = sigma_(2k-1)
+    by sigma(p^e) = p^(2k-1) sigma(p^(e-1)) + 1: f is factored once.
+    """
+    total = 1
+    for p, e in _factorization(f):
+        q = p ** (2 * k - 1)
+        below, top = 0, 1  # sigma(p^(i-1)), sigma(p^i) at i = 0
+        for _ in range(e):
+            below, top = top, q * top + 1
+        total *= top - kronecker(D0, p) * p ** (k - 1) * below
     return total
 
 
@@ -212,10 +221,11 @@ class _CohenReadSet:
 
     Every m >= 1 shares the fundamental discriminant D0 of (-1)^k t, t the
     square-free part of T, so a read set costs one L-value L(1 - k, (D0/.)),
-    one zeta(1 - 2k) for c(0), and a divisor sum for each m (`_cohen_value`'s
-    own helpers).  It is not a QExp; it states what the lift's checks read
-    of the series it stands for: the weight k + 1/2, integer exponents, the
-    window [0, hi), and the classes mod 4 of the window's support.
+    one zeta(1 - 2k) for c(0), and an Euler product for each m
+    (`_cohen_value`'s own helpers).  It is not a QExp; it states what the
+    lift's checks read of the series it stands for: the weight k + 1/2,
+    integer exponents, the window [0, hi), and the classes mod 4 of the
+    window's support.
     """
 
     __slots__ = ("k", "weight", "denom", "lo", "hi")

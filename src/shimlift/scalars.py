@@ -13,6 +13,11 @@ Conventions fixed here and relied on everywhere else:
   n congruent to d mod N of n^(-s), namely -N^(k-1) B_k(d/N) / k.  It is
   defined for every residue 1 <= d <= N, not only units; callers that need
   the coprime-only sums select residues themselves.
+* A weighted sum of those values (`_partial_zeta_sum`, behind
+  `dirichlet_L_neg`, `quadratic_L_neg` and the lift's constant term) runs
+  over the residues in integers: k + 1 power sums of the weights, combined
+  with integer coefficients C(k, j) B_j Q P^j, Q the common denominator of
+  B_0 .. B_k, and one division by -k P Q at the end.
 """
 
 from __future__ import annotations
@@ -360,16 +365,29 @@ def partial_zeta_neg(N: int, d: int, k: int) -> Fraction:
     return -(Fraction(N) ** (k - 1)) * bernoulli_poly(k, Fraction(d, N)) / k
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_integers(k: int) -> tuple[int, tuple[int, ...]]:
+    """(Q, (C(k, j) B_j Q for j = 0 .. k)), Q the lcm of the denominators
+    of B_0 .. B_k: the Bernoulli polynomial's coefficients over one common
+    denominator."""
+    bs = [bernoulli_number(j) for j in range(k + 1)]
+    Q = math.lcm(*(b.denominator for b in bs))
+    return Q, tuple(math.comb(k, j) * b.numerator * (Q // b.denominator) for j, b in enumerate(bs))
+
+
 def _partial_zeta_sum(P: int, k: int, weights) -> Scalar:
     """The sum of w * partial_zeta_neg(P, h, k) over the pairs (h, w) of
     `weights`, 1 <= h <= P, with exact weights (int, Fraction, CycScalar).
 
     B_k(x) = sum_j C(k, j) B_j x^(k-j) is expanded once, so the sum is
 
-        -(1/k) sum_j C(k, j) B_j P^(j-1) S_(k-j),    S_i = sum w h^i,
+        -1/(k P Q) sum_j (C(k, j) B_j Q P^j) S_(k-j),    S_i = sum w h^i,
 
-    and only the k + 1 power sums S_i run over the residues: integer
-    arithmetic for integer weights.  k is bounded as in `bernoulli_poly`.
+    with Q the lcm of the denominators of B_0 .. B_k, so that every
+    coefficient is an integer: only the k + 1 power sums S_i run over the
+    residues, and the only rational step is the one division at the end,
+    the same for every kind of weight.  k is bounded as in
+    `bernoulli_poly`.
     """
     if not 1 <= k <= BERNOULLI_BOUND:
         raise ValueError("Bernoulli degree %d outside [1, %d]" % (k, BERNOULLI_BOUND))
@@ -379,12 +397,14 @@ def _partial_zeta_sum(P: int, k: int, weights) -> Scalar:
             for i in range(k + 1):
                 sums[i] += w
                 w *= h
+    Q, coeffs = _bernoulli_integers(k)
     total = 0
+    p_j = 1  # P^j
     for j in range(k + 1):
-        b = bernoulli_number(j)
-        if b and sums[k - j]:
-            total += math.comb(k, j) * b * Fraction(P) ** (j - 1) * sums[k - j]
-    return total * Fraction(-1, k)
+        if coeffs[j] and sums[k - j]:
+            total += coeffs[j] * p_j * sums[k - j]
+        p_j *= P
+    return total * Fraction(-1, k * P * Q)
 
 
 def dirichlet_L_neg(chi: "DirichletCharacter", k: int) -> Scalar:

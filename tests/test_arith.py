@@ -1,13 +1,16 @@
 """Trial-division helpers against a brute-force reference: the primes
 below the bound by the sieve of Eratosthenes, and each n's factorization
-by repeated division by them."""
+by repeated division by them.  The Moebius function is the test suite's
+own (`util.mobius`, a reference for the Cohen divisor sum), checked here
+the same way."""
 from __future__ import annotations
 
 import math
 
 import pytest
 
-from shimlift.arith import mobius, prime_factors, split_square
+from shimlift.arith import prime_factors, split_square
+from util import mobius
 
 BOUND = 3000
 

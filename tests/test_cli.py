@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shimlift import _intpoly, weilrep
+from shimlift import _intpoly, cli, weilrep
 from shimlift.cli import main
 from shimlift.errors import HypothesisError
 from shimlift.fixtures import fixture, fixture_names
@@ -842,6 +842,46 @@ def test_cohen_lift_builds_no_window(capsys, monkeypatch):
     code, out, _ = run(capsys, "lift", "--fixture", "cohen72", "--t", "3", "--prec", "200", "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _COHEN72_T3_PREC200
+
+
+# sha256 of the stdout of these lifts, taken while the Cohen read sets still
+# summed over the divisors of each f and the partial-zeta sums combined
+# their power sums in Fractions
+_COHEN_READ_SET_PAYLOADS = [
+    (("cohen72", "--t", "3", "--prec", "1000"),
+     "cb4715c1e7927bd90275353ac7f2f515060be271b8dfc620b73b457163429505"),
+    (("cohen92", "--t", "1", "--prec", "1999"),
+     "2112063f91bd69800160eab6313e812c36ca443157cefd0310f5ae638a13c01d"),
+    (("cohen52", "--t", "5", "--s", "3", "--prec", "100"),
+     "9cfd958240d7784202d658b6d648d7666b9742d4185634ac05aa33df02b19356"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _COHEN_READ_SET_PAYLOADS, ids=["cohen72", "cohen92", "cohen52"])
+def test_cohen_read_set_lift_prints_the_pinned_bytes(capsys, monkeypatch, argv, digest):
+    from shimlift import fixtures
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("the lift built a Cohen-Eisenstein window")
+
+    monkeypatch.setattr(fixtures, "cohen_eisenstein", no_window)
+    code, out, _ = run(capsys, "lift", "--fixture", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [
+    ("lift", "--fixture", "cohen52", "--t", "5", "--prec", "40"),
+    ("project", "--fixture", "theta_e4", "--N", "4", "--prec", "50"),
+])
+def test_json_output_builds_no_human_text(capsys, monkeypatch, command):
+    def no_text(*args, **kwargs):
+        raise AssertionError("the human-readable text was built under --json")
+
+    code, want, _ = run(capsys, *command, "--json")
+    monkeypatch.setattr(cli, "_series_human", no_text)
+    code2, got, _ = run(capsys, *command, "--json")
+    assert (code, code2) == (0, 0) and got == want
 
 
 @pytest.mark.parametrize("name, k, eps, t, s, prec", [

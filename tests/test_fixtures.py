@@ -20,6 +20,7 @@ from shimlift import _intpoly, fixtures, qseries
 from shimlift.arith import power
 from shimlift.errors import VerificationFailure
 from shimlift.fixtures import (
+    _cohen_divisor_sum,
     _cohen_value,
     cohen_eisenstein,
     delta,
@@ -37,7 +38,7 @@ from shimlift.fixtures import (
 )
 from shimlift.qseries import QExp, add, invert_unit, mul, qexp_to_json, rescale, scale
 from shimlift.scalars import bernoulli_number
-from util import sigma_sieve_loop
+from util import cohen_divisor_sum, mobius, sigma_sieve_loop
 
 
 def test_theta_counts_square_representations():
@@ -253,6 +254,28 @@ def test_cohen_read_set_states_the_window_that_it_stands_for(k):
         source, window = fixtures._CohenReadSet(k, hi), cohen_eisenstein(k, hi)
         assert (source.weight, source.denom, source.lo, source.hi) == (window.weight, 1, 0, hi)
         assert source._residues_mod4() == window._residues_mod4(), (k, hi)
+
+
+def _is_fundamental(D):
+    # D = 1 mod 4 square-free, or D = 4m with m = 2 or 3 mod 4 square-free
+    if D % 4 == 1:
+        return mobius(abs(D)) != 0
+    return D % 4 == 0 and (D // 4) % 4 in (2, 3) and mobius(abs(D // 4)) != 0
+
+
+_FUNDAMENTAL = [D for D in range(-200, 201) if D and _is_fundamental(D)]
+# prime powers up to 3000 with long runs of the sigma recurrence
+_PRIME_POWERS = [2**11, 3**7, 5**4, 7**4, 13**3, 53**2, 2**5 * 3**4, 2**3 * 3**2 * 5**2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(2, 8),
+    D0=st.sampled_from(_FUNDAMENTAL),
+    f=st.one_of(st.integers(1, 3000), st.sampled_from(_PRIME_POWERS)),
+)
+def test_cohen_euler_product_is_the_divisor_sum(k, D0, f):
+    assert _cohen_divisor_sum(k, D0, f) == cohen_divisor_sum(k, D0, f), (k, D0, f)
 
 
 @settings(deadline=None)

@@ -15,6 +15,7 @@ import util
 from shimlift.characters import DirichletCharacter
 from shimlift.errors import SchemaError
 from shimlift.scalars import (
+    BERNOULLI_BOUND,
     CycScalar,
     _cyclotomic,
     _partial_zeta_sum,
@@ -353,10 +354,10 @@ def test_operators_match_reference_helpers(pair):
 
 @st.composite
 def _weighted_residues(draw):
-    """A modulus P <= 60 and weights on some residues 1..P, all of one
+    """A modulus P <= 10 000 and weights on some residues 1..P, all of one
     kind: int, Fraction, or rational multiples of m-th roots of unity for
     one m (mixed orders would promote every sum to their lcm)."""
-    P = draw(st.integers(1, 60))
+    P = draw(st.integers(1, 10_000))
     m = draw(st.sampled_from([3, 4, 5, 8, 12]))
     cyclotomic = st.builds(lambda r, e: r * CycScalar.root_of_unity(m, e), _small_fractions, st.integers(0, m - 1))
     kind = draw(st.sampled_from([st.integers(-9, 9), _small_fractions, cyclotomic]))
@@ -365,8 +366,10 @@ def _weighted_residues(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=_weighted_residues(), k=st.integers(1, 8))
+@given(case=_weighted_residues(), k=st.integers(1, BERNOULLI_BOUND))
 def test_partial_zeta_sum_matches_one_value_per_residue(case, k):
+    # up to the bound, where the common denominator Q of B_0 .. B_k is
+    # largest
     P, weights = case
     want = Fraction(0)
     for h, w in weights:

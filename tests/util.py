@@ -11,7 +11,6 @@ import random
 from fractions import Fraction
 from typing import Callable
 
-from shimlift.arith import divisors
 from shimlift.characters import DirichletCharacter, kronecker_is_character
 from shimlift.qseries import QExp
 from shimlift.scalars import CycScalar, Scalar, as_exact, kronecker, partial_zeta_neg
@@ -27,6 +26,51 @@ def brute_convolve(da: dict, db: dict, cap: int) -> dict:
             if n < cap:
                 out[n] = out.get(n, Fraction(0)) + ca * cb
     return {n: c for n, c in out.items() if c}
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, increasing."""
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def mobius(n: int) -> int:
+    """The Moebius function of n >= 1, by trial division."""
+    if n < 1:
+        raise ValueError("the Moebius function needs a positive integer")
+    mu = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def sigma(power: int, n: int) -> int:
+    """Sum of d^power over the positive divisors d of n >= 1."""
+    return sum(d**power for d in divisors(n))
+
+
+def cohen_divisor_sum(k: int, D0: int, f: int) -> int:
+    """sum over d | f of mu(d) kronecker(D0, d) d^(k-1) sigma_(2k-1)(f / d)
+    by listing the divisors of f: Cohen's factor beside L(1-k, (D0/.))."""
+    total = 0
+    for d in divisors(f):
+        md = mobius(d)
+        if md:
+            total += md * kronecker(D0, d) * d ** (k - 1) * sigma(2 * k - 1, f // d)
+    return total
 
 
 def sigma_sieve_loop(power: int, prec: int, odd_only: bool = False) -> list[int]:
