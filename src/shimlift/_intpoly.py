@@ -23,10 +23,14 @@ the slot.  A slot of 1, 2, 4 or 8 bytes is its own lane; one of 3 or 5-7
 bytes is cut down from its 4- or 8-byte lane by one strided byte copy per
 slot byte, and widened back by the same copies into lanes whose upper
 bytes repeat the slot's sign bit (a 256-byte translate table gives them
-from the slot's top byte).  Wider slots go one at a time through signed
-int.to_bytes and int.from_bytes.  The lists, tuples and lanes of every
-path are built `_CHUNK` coefficients at a time, so apart from the packed
-bytes themselves no temporary grows with the operands.
+from the slot's top byte).  A slot of 9-16 bytes is read through two
+8-byte lanes, an unsigned one of its low 8 bytes and a signed one of the
+rest, widened the same way, as low + (high << 64); it is packed one slot
+at a time through signed int.to_bytes, as are wider slots, which are also
+read one at a time through int.from_bytes.  The lists, tuples and lanes
+of every path are built `_CHUNK` coefficients at a time (`_WIDE_CHUNK`
+for the two-lane read), so apart from the packed bytes themselves no
+temporary grows with the operands.
 
 `convolve` decides everything about a product once: it trims each operand
 to n terms, scans it once (`_scan`: largest magnitude, nonzero count),
@@ -68,8 +72,12 @@ _SCHOOLBOOK_TERMS = 10
 # instead of int (below it, its fixed ctypes cost per product loses)
 _LIBGMP_BITS = 8_000
 # coefficients per chunk while packing and unpacking, to bound the
-# temporary lists and tuples
+# temporary lists and tuples; slots of 9-16 bytes are read in smaller
+# chunks, as each chunk holds two lanes and a list of wide ints at once
+# (at 4096 slots the largest theta E6(4 tau) product of 40001 terms would
+# peak at more than twice its result)
 _CHUNK = 4096
+_WIDE_CHUNK = 1024
 # struct format of a signed machine word of each width; with "<" it is
 # little-endian two's complement on every host
 _WORD = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -152,26 +160,42 @@ def _window(c: int, slot: int, n: int) -> bytes:
     return c.to_bytes(n * slot, "little")
 
 
+def _widen(part: bytes, slot: int, first: int, lane: int) -> bytearray:
+    """Bytes first, first + 1, ... of each `slot`-byte slot of part, as many
+    as a lane of `lane` bytes holds, each slot's in its own lane; lane bytes
+    past the slot's last byte repeat the slot's sign bit."""
+    k = len(part) // slot
+    wide = bytearray(k * lane)
+    top = min(slot - first, lane)
+    for j in range(top):
+        wide[j::lane] = part[first + j::slot]
+    if top < lane:
+        fill = part[slot - 1::slot].translate(_SIGN_FILL)
+        for j in range(top, lane):
+            wide[j::lane] = fill
+    return wide
+
+
 def _unpack(raw: bytes, slot: int, n: int) -> list:
     """The n coefficients in the slots `_window` wrote."""
-    if slot not in _LANE:
+    if slot > 16:
         return [int.from_bytes(raw[i:i + slot], "little", signed=True) for i in range(0, n * slot, slot)]
-    lane = _LANE[slot]
     out = [0] * n
-    for start in range(0, n, _CHUNK):
-        k = min(_CHUNK, n - start)
+    chunk = _CHUNK if slot <= 8 else _WIDE_CHUNK
+    for start in range(0, n, chunk):
+        k = min(chunk, n - start)
         part = raw[start * slot:(start + k) * slot]
-        if lane > slot:
-            # each slot widened to its lane; the bytes above it repeat the
-            # slot's sign bit
-            wide = bytearray(k * lane)
-            for j in range(slot):
-                wide[j::lane] = part[j::slot]
-            fill = part[slot - 1::slot].translate(_SIGN_FILL)
-            for j in range(slot, lane):
-                wide[j::lane] = fill
-            part = wide
-        out[start:start + k] = struct.unpack("<%d%s" % (k, _WORD[lane]), part)
+        if slot > 8:
+            # an unsigned low lane of the first 8 bytes and a signed high
+            # lane of the rest
+            low = struct.unpack("<%dQ" % k, _widen(part, slot, 0, 8))
+            high = struct.unpack("<%dq" % k, _widen(part, slot, 8, 8))
+            out[start:start + k] = [x + (y << 64) for x, y in zip(low, high)]
+        else:
+            lane = _LANE[slot]
+            if lane > slot:
+                part = _widen(part, slot, 0, lane)
+            out[start:start + k] = struct.unpack("<%d%s" % (k, _WORD[lane]), part)
     return out
 
 

@@ -2,11 +2,14 @@
 
 Everything here is built from scratch: theta functions by enumerating
 squares, Eisenstein series by a multiplicative divisor-power sieve, the
-discriminant and the j-invariant through the pentagonal number expansion
-of the Euler product.  The half-integral weight Eisenstein series H_k lie
-in the span of theta^(2k+1-4j) F^j, F the odd-index part of sum
-sigma_1(n) q^n; quadratic L-values supply the first dim + _CHECK_TERMS
-coefficients, which fix H_k's coordinates in that basis and check them.
+discriminant from the Eisenstein side, and the j-invariant as E4^3 over
+phi^24, phi the Euler product: phi^24 by squaring the sparse cube phi^3
+of Jacobi's identity three times, and E4^3 from Ramanujan's identity on
+phi^24's own coefficients and one sieve of sigma_11.  The half-integral
+weight Eisenstein series H_k lie in the span of theta^(2k+1-4j) F^j, F
+the odd-index part of sum sigma_1(n) q^n; quadratic L-values supply the
+first dim + _CHECK_TERMS coefficients, which fix H_k's coordinates in
+that basis and check them.
 The combination is evaluated as theta^r P(theta^4, F), r = (2k+1) mod 4,
 with P by Horner on integer lists from the start c0 theta^4 + c1 F, which
 Jacobi's four-square formula slices out of one sieve of odd divisor sums
@@ -30,7 +33,7 @@ import math
 from fractions import Fraction
 
 from . import _intpoly
-from .arith import _factorization, cdiv, power, split_square
+from .arith import _factorization, cdiv, split_square
 from .errors import VerificationFailure
 from .qseries import QExp, _divide, add, mul, rescale, scale
 from .scalars import kronecker, quadratic_L_neg
@@ -161,13 +164,55 @@ def delta(prec: int) -> QExp:
     return scale(num, Fraction(1, 1728))
 
 
+def _jacobi_cube(prec: int) -> QExp:
+    """phi^3 = prod (1 - q^n)^3 on [0, prec), by Jacobi's identity
+    phi^3 = sum over n >= 0 of (-1)^n (2n + 1) q^(n(n+1)/2): about
+    sqrt(2 prec) terms.  Weight 0, as in `euler_function`."""
+    coeffs = {}
+    n = e = 0
+    while e < prec:
+        coeffs[e] = -(2 * n + 1) if n % 2 else 2 * n + 1
+        n += 1
+        e += n
+    return QExp.from_numerators(Fraction(0), 1, coeffs, 1, 0, prec)
+
+
+def _e4_cubed(phi24: QExp) -> QExp:
+    """E4^3 on phi24's window [0, prec), from phi24 = phi^24 = Delta / q
+    there, by Ramanujan's identity E4^3 = E12 + (432000/691) Delta: for
+    n >= 1 its coefficient is (65520 sigma_11(n) + 432000 tau(n)) / 691,
+    with tau(n) the coefficient of q^(n-1) in phi24.
+
+    The division is exact by Ramanujan's congruence
+    tau(n) = sigma_11(n) mod 691, which is checked on every coefficient:
+    65520 = -432000 mod 691, so the remainder is nonzero exactly where the
+    congruence fails.
+    """
+    prec = phi24.hi
+    tau = phi24.numerators
+    sigma = _sigma_sieve(11, prec)
+    coeffs = {0: 1} if prec > 0 else {}
+    for n in range(1, prec):
+        t = tau.get(n - 1, 0)
+        v, r = divmod(65520 * sigma[n] + 432000 * t, 691)
+        if r:
+            raise VerificationFailure(
+                "Ramanujan's congruence tau(n) = sigma_11(n) mod 691 fails at q^%d" % n,
+                first_mismatch=(n, t % 691, sigma[n] % 691),
+            )
+        coeffs[n] = v
+    return QExp.from_numerators(Fraction(12), 1, coeffs, 1, 0, prec)
+
+
 def j_invariant(prec: int) -> QExp:
-    """E4^3 / Delta, with Delta through the eta product; window [-1, prec):
-    E4 E8 divided by phi^24, since E4^2 = E8 (dim M_8 = 1) and
-    Delta = q phi^24."""
+    """E4^3 / Delta, with Delta = q phi^24 through the eta product; window
+    [-1, prec): E4^3 (`_e4_cubed`) divided by phi^24, which is Jacobi's
+    cube `_jacobi_cube` squared three times, the first time sparse."""
     span = prec + 1
-    eta24 = power(euler_function(span), 24, mul)
-    series = _divide(mul(eisenstein(4, span), eisenstein(8, span)), eta24)
+    phi24 = _jacobi_cube(span)
+    for _ in range(3):
+        phi24 = mul(phi24, phi24)
+    series = _divide(_e4_cubed(phi24), phi24)
     shifted = {a - 1: v for a, v in series.numerators.items() if a - 1 < prec}
     return QExp.from_numerators(Fraction(0), 1, shifted, series.cden, -1, prec)
 
@@ -184,21 +229,28 @@ def _cohen_discriminant(k: int, t: int, f: int) -> tuple[int, int] | None:
     return 4 * D0, f // 2
 
 
-def _cohen_divisor_sum(k: int, D0: int, f: int) -> int:
+def _cohen_divisor_sum(k: int, D0: int, f: int, chars: dict | None = None) -> int:
     """sum over d | f of mu(d) kronecker(D0, d) d^(k-1) sigma_(2k-1)(f / d),
     the factor of H(k, |D0| f^2) beside L(1-k, (D0/.)) (Cohen 1975).
 
     The sum is multiplicative in f, so it is the product over p^e || f of
     sigma(p^e) - kronecker(D0, p) p^(k-1) sigma(p^(e-1)), sigma = sigma_(2k-1)
     by sigma(p^e) = p^(2k-1) sigma(p^(e-1)) + 1: f is factored once.
+    `chars` holds kronecker(D0, p) by prime p, filled as primes come up, so
+    calls with one D0 that share it evaluate each character value once.
     """
+    if chars is None:
+        chars = {}
     total = 1
     for p, e in _factorization(f):
         q = p ** (2 * k - 1)
         below, top = 0, 1  # sigma(p^(i-1)), sigma(p^i) at i = 0
         for _ in range(e):
             below, top = top, q * top + 1
-        total *= top - kronecker(D0, p) * p ** (k - 1) * below
+        chi = chars.get(p)
+        if chi is None:
+            chi = chars[p] = kronecker(D0, p)
+        total *= top - chi * p ** (k - 1) * below
     return total
 
 
@@ -251,6 +303,7 @@ class _CohenReadSet:
         c0 = quadratic_L_neg(1, 2 * k)
         t, s = split_square(T)
         L = Fraction(0)  # L(1-k, (D0/.)), once some m >= 1 reads a nonzero value
+        chars: dict = {}  # kronecker(D0, p) by prime p; D0 is one for all m
         sums = []
         for m in range(1, prec + 1):
             parts = _cohen_discriminant(k, t, s * m)
@@ -260,7 +313,7 @@ class _CohenReadSet:
             D0, f = parts
             if not L:
                 L = quadratic_L_neg(D0, k)
-            sums.append(_cohen_divisor_sum(k, D0, f))
+            sums.append(_cohen_divisor_sum(k, D0, f, chars))
         D = math.lcm(c0.denominator, L.denominator)
         a = L.numerator * (D // L.denominator)
         return [c0.numerator * (D // c0.denominator)] + [a * v for v in sums], D

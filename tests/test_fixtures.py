@@ -88,7 +88,7 @@ def test_eisenstein_ring_identities():
 
 @pytest.mark.parametrize("n", [1, 2, 50, 701])
 def test_e4_squared_is_e8(n):
-    # dim M_8 = 1; j_invariant forms E4^3 as E4 E8
+    # dim M_8 = 1; delta and the tests' reference for j form E4^3 as E4 E8
     e4 = eisenstein(4, n)
     assert mul(e4, e4) == eisenstein(8, n)
 
@@ -164,12 +164,44 @@ def _j_by_inverse(prec):
     return QExp.from_numerators(Fraction(0), 1, shifted, series.cden, -1, prec)
 
 
-@pytest.mark.parametrize("n", list(range(12)) + [300])
+@pytest.mark.parametrize("n", list(range(12)) + [300, 700, 2000])
 def test_j_invariant_by_division_is_byte_identical_to_the_inverse_product(n):
-    # j divides E4 E8 by phi^24 on a half-length inverse: h = ceil((n+1)/2)
-    # is 1 and 2 for the first windows
+    # j divides E4^3 by phi^24 on a half-length inverse: h = ceil((n+1)/2)
+    # is 1 and 2 for the first windows; 700 and 2000 are the ends of the
+    # benchmark's j builds
     got = json.dumps(qexp_to_json(j_invariant(n)))
     assert got == json.dumps(qexp_to_json(_j_by_inverse(n)))
+
+
+def test_jacobi_cube_is_the_euler_function_cubed():
+    # every window up to 400 terms, the first ones ending on or just past
+    # a triangular number 0, 1, 3, 6, 10
+    for n in range(401):
+        phi = euler_function(n)
+        assert fixtures._jacobi_cube(n) == mul(mul(phi, phi), phi), n
+
+
+def test_ramanujan_numerators_are_e4_times_e8():
+    # E4^3 from sigma_11 and phi^24's coefficients is E4 E8 (E4^2 = E8)
+    n = 1200
+    phi24 = power(euler_function(n), 24, mul)
+    assert fixtures._e4_cubed(phi24) == mul(eisenstein(4, n), eisenstein(8, n))
+
+
+def test_ramanujan_congruence_failure_is_typed(monkeypatch):
+    # sigma_11 raised by 1 at one index breaks tau(n) = sigma_11(n) mod 691
+    # there, and j names that exponent
+    sieve = fixtures._sigma_sieve
+
+    def raised(power, prec, odd_only=False):
+        out = sieve(power, prec, odd_only)
+        out[37] += 1
+        return out
+
+    monkeypatch.setattr(fixtures, "_sigma_sieve", raised)
+    with pytest.raises(VerificationFailure) as info:
+        j_invariant(100)
+    assert info.value.first_mismatch[0] == 37
 
 
 @pytest.mark.parametrize("build, prec", [(j_invariant, 50), (weakly_holomorphic_product, 101)])

@@ -362,12 +362,12 @@ def _extreme_operands(rng, width, length, signs):
 
 @pytest.mark.parametrize("mul", MULTIPLIERS)
 @pytest.mark.parametrize("length", [_intpoly._CHUNK - 1, _intpoly._CHUNK, _intpoly._CHUNK + 1])
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17])
 def test_multiplier_at_the_largest_coefficients_of_each_slot_width(mul, width, length):
     # word widths (1, 2, 4, 8) go through struct, 3 and 5-7 through struct
-    # lanes of 4 and 8 bytes, the others slot by slot; operand and product
-    # lengths cross a chunk edge; non-negative operands are offset-encoded
-    # like signed ones
+    # lanes of 4 and 8 bytes, 9-16 through two 8-byte lanes, wider slots
+    # slot by slot; operand and product lengths cross a chunk edge;
+    # non-negative operands are offset-encoded like signed ones
     for signs in (True, False):
         rng = random.Random(width * 7919 + length)
         dense, sparse = _extreme_operands(rng, width, length, signs)
@@ -381,7 +381,7 @@ def test_slots_pack_and_read_back_at_every_width():
     # not a term is negative, and a product's slots read back as its
     # coefficients
     rng = random.Random(12)
-    for width in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16):
+    for width in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17):
         half = 1 << (8 * width - 1)
         signed = [-half, half - 1, 0, -1] + [rng.randrange(-half, half) for _ in range(2 * _intpoly._CHUNK)]
         plain = [abs(x) % half for x in signed]
@@ -391,6 +391,29 @@ def test_slots_pack_and_read_back_at_every_width():
             for n in (len(values), _intpoly._CHUNK + 1):
                 raw = _intpoly._window(c, width, n)
                 assert _intpoly._unpack(raw, width, n) == values[:n]
+
+
+@pytest.mark.parametrize("width", range(9, 17))
+def test_wide_slots_read_through_two_lanes(width):
+    # slots of 9-16 bytes read as an unsigned low lane of 8 bytes plus a
+    # signed high lane of the rest, sign-extended, in chunks of
+    # _WIDE_CHUNK slots: random signed values and the extremes of a slot,
+    # across a chunk edge
+    rng = random.Random(width)
+    half = 1 << (8 * width - 1)
+    edges = [half - 1, -(half - 1), -half, 0, -1, 1 << 63, -(1 << 64)]
+    values = edges + [rng.randrange(-half, half) for _ in range(2 * _intpoly._WIDE_CHUNK + 1)]
+    raw = b"".join(x.to_bytes(width, "little", signed=True) for x in values)
+    want = [int.from_bytes(raw[i:i + width], "little", signed=True) for i in range(0, len(raw), width)]
+    assert want == values
+    for n in (len(values), _intpoly._WIDE_CHUNK, _intpoly._WIDE_CHUNK + 1, 3):
+        assert _intpoly._unpack(raw, width, n) == values[:n], n
+    # whole products on these slots, mixed-sign and non-negative
+    for signs in (True, False):
+        dense, sparse = _extreme_operands(rng, width, _intpoly._CHUNK + 1, signs)
+        assert (_intpoly._slot_bits(_intpoly._scan(sparse), _intpoly._scan(dense)) + 7) // 8 == width
+        n = len(sparse) + len(dense) - 1
+        assert _intpoly.convolve(sparse, dense) == _intpoly._schoolbook(sparse, dense, n), signs
 
 
 def _largest_product(monkeypatch, build):
