@@ -64,18 +64,19 @@ def _read_json_source(path: str):
 def _load_series(args, needed_hi: int | None = None) -> QExp:
     """The --input or --fixture series; a fixture is built to needed_hi,
     which the lift has checked against the budget, or to --prec.  For the
-    lift the Cohen-Eisenstein fixtures are read-set sources instead
-    (`fixtures._CohenReadSet`): the lift reads only c(t s^2 m^2), and they
-    give those values from the L-value formula without building the
-    window."""
+    lift the fixtures of `fixtures._READ_SETS` are read-set sources instead
+    (`fixtures._CohenReadSet`): the lift reads only c(t s^2 m^2), and the
+    three Cohen-Eisenstein series and theta_e4 = 240 H_(9/2) give those
+    values from the L-value formula without building the window."""
     if getattr(args, "fixture", None):
         from . import fixtures
 
         if needed_hi is None:
             needed_hi = args.prec
             check_budget(needed_hi, "the --fixture window --prec")
-        elif args.fixture in fixtures._COHEN_READ_SETS:
-            return fixtures._CohenReadSet(fixtures._COHEN_READ_SETS[args.fixture], needed_hi)
+        elif args.fixture in fixtures._READ_SETS:
+            k, scale = fixtures._READ_SETS[args.fixture]
+            return fixtures._CohenReadSet(k, needed_hi, scale)
         return fixtures.fixture(args.fixture, needed_hi)
     if getattr(args, "input", None):
         from .qseries import qexp_from_json

@@ -23,7 +23,10 @@ A lift from the command line reads H_k only at c(T m^2), m <= prec, and
 takes those values from the L-value formula (`_CohenReadSet`) instead of
 building the T prec^2 + 1 terms of the window: one L-value per read set,
 and for each m Cohen's divisor sum as an Euler product over the primes of
-f, factored once by trial division.
+f, factored once by trial division.  So does theta(tau) E_4(4 tau), which
+is 240 H_4: Kohnen's plus space of weight 9/2 is one-dimensional
+(`_READ_SETS`).  Its window, as every other fixture's, is still built by
+`fixture`.
 """
 
 from __future__ import annotations
@@ -267,9 +270,12 @@ def _cohen_value(k: int, n: int) -> Fraction:
 
 
 class _CohenReadSet:
-    """H_k where the lift reads it, from the L-value formula: the values
-    c(T m^2), m = 0 .. prec, of `cohen_eisenstein(k, hi)` for any index T
-    and any prec, with no window built.
+    """scale H_k where the lift reads it, from the L-value formula: the
+    values c(T m^2), m = 0 .. prec, of scale times `cohen_eisenstein(k, hi)`
+    for any index T and any prec, with no window built.  The scale is 1 for
+    the Cohen-Eisenstein fixtures, and 1 / zeta(1 - 2k) for the multiple of
+    H_k with constant term 1 where the plus space is one-dimensional
+    (`_READ_SETS`: theta_e4 = 240 H_4).
 
     Every m >= 1 shares the fundamental discriminant D0 of (-1)^k t, t the
     square-free part of T, so a read set costs one L-value L(1 - k, (D0/.)),
@@ -280,10 +286,11 @@ class _CohenReadSet:
     window's support.
     """
 
-    __slots__ = ("k", "weight", "denom", "lo", "hi")
+    __slots__ = ("k", "scale", "weight", "denom", "lo", "hi")
 
-    def __init__(self, k: int, hi: int):
+    def __init__(self, k: int, hi: int, scale: int = 1):
         self.k = k
+        self.scale = scale
         self.weight = Fraction(2 * k + 1, 2)
         self.denom = 1
         self.lo = 0
@@ -298,9 +305,10 @@ class _CohenReadSet:
         return frozenset((0, c) if self.hi > c else (0,))
 
     def read_set(self, T: int, prec: int) -> tuple[list[int], int]:
-        """(a, D) with D c(T m^2) = a[m] for m = 0 .. prec, all integers."""
+        """(a, D) with D c(T m^2) = a[m] for m = 0 .. prec, all integers:
+        c(0) and the one L-value are scaled before D is formed."""
         k = self.k
-        c0 = quadratic_L_neg(1, 2 * k)
+        c0 = quadratic_L_neg(1, 2 * k) * self.scale
         t, s = split_square(T)
         L = Fraction(0)  # L(1-k, (D0/.)), once some m >= 1 reads a nonzero value
         chars: dict = {}  # kronecker(D0, p) by prime p; D0 is one for all m
@@ -312,7 +320,7 @@ class _CohenReadSet:
                 continue
             D0, f = parts
             if not L:
-                L = quadratic_L_neg(D0, k)
+                L = quadratic_L_neg(D0, k) * self.scale
             sums.append(_cohen_divisor_sum(k, D0, f, chars))
         D = math.lcm(c0.denominator, L.denominator)
         a = L.numerator * (D // L.denominator)
@@ -506,8 +514,12 @@ FIXTURES = {
 
 
 # the fixtures that a lift from the command line reads through a read-set
-# source (`_CohenReadSet`) instead of a window: name -> k
-_COHEN_READ_SETS = {"cohen52": 2, "cohen72": 3, "cohen92": 4}
+# source instead of a window: name -> (k, scale) of `_CohenReadSet`.
+# theta(tau) E_4(4 tau) lies in Kohnen's plus space M+_{9/2}(Gamma_0(4)),
+# which is isomorphic to M_8(SL_2(Z)) and so one-dimensional: it is H_4 over
+# H_4's constant term zeta(-7) = 1/240, and 240 = -2k / B_2k at k = 4.
+# theta E_6(4 tau) is not a multiple of H_6: M+_{13/2} also holds a cusp form.
+_READ_SETS = {"cohen52": (2, 1), "cohen72": (3, 1), "cohen92": (4, 1), "theta_e4": (4, 240)}
 
 
 def fixture_names() -> list[str]:

@@ -811,14 +811,15 @@ def _ctypes_status(capsys, tmp_path, argv):
 def test_lift_request_scans_the_plus_space_classes_once(monkeypatch, capsys):
     # the index gate and the verdict both ask whether the input lies in the
     # plus space; a window keeps its exponent classes mod 4 from the first
-    # scan, and a Cohen-Eisenstein read-set source knows them without one
+    # scan, and a read-set source (a Cohen-Eisenstein series, or theta_e4 =
+    # 240 H_(9/2)) knows them without one
     from shimlift import shimura
 
     asked, scans = [], []
     is_plus_space, scan = shimura.is_plus_space, QExp._scan_mod4
     monkeypatch.setattr(shimura, "is_plus_space", lambda f, eps: asked.append(eps) or is_plus_space(f, eps))
     monkeypatch.setattr(QExp, "_scan_mod4", lambda f: scans.append(f.hi) or scan(f))
-    for name, windows in (("theta_e4", 1), ("cohen52", 0)):
+    for name, windows in (("theta_e6", 1), ("theta_e4", 0), ("cohen52", 0)):
         for t in (1, 5):
             asked.clear()
             scans.clear()
@@ -870,6 +871,33 @@ def test_cohen_read_set_lift_prints_the_pinned_bytes(capsys, monkeypatch, argv, 
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `lift --fixture theta_e4 ... --json`, taken while
+# that lift still built the window theta(tau) E_4(4 tau) through
+# `plus_product`
+_THETA_E4_PAYLOADS = [
+    (("--t", "1", "--prec", "200"), "dba45eef079f0dc7bef9d3512c6352b9fc1777e81df6410bfe18372a8996dff4"),
+    (("--t", "5", "--prec", "89"), "85e2e38b16d442ae53596800d0f11eec5adab716cafbc29dd329d75303f22256"),
+    (("--t", "13", "--prec", "55"), "9247c72ff9624fbcb57d2900551c0327a2c850857a59fc39efa62d9fadbb9ee6"),
+    (("--t", "1", "--prec", "1999"), "0e89863224c98adbe056a9a80ca85b0c0aba594ea6b9d6e8824b05028cba6b38"),
+    (("--t", "5", "--prec", "400"), "8af6b7bdc3839e84f27e29c76104ca6cb6d1c62dc33f533cad6c8ce9938a46ce"),
+    (("--t", "1", "--s", "2", "--prec", "300"), "ebb8ab6abc10cd4a6eb694551ec9f8d1ad966048e3cfa4eea412801cb416ef32"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _THETA_E4_PAYLOADS,
+                         ids=["t1-prec200", "t5-prec89", "t13-prec55", "t1-prec1999", "t5-prec400", "t1-s2-prec300"])
+def test_theta_e4_read_set_lift_prints_the_pinned_bytes(capsys, monkeypatch, argv, digest):
+    from shimlift import fixtures
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("the lift built the theta_e4 window")
+
+    monkeypatch.setattr(fixtures, "plus_product", no_window)
+    code, out, _ = run(capsys, "lift", "--fixture", "theta_e4", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", [
     ("lift", "--fixture", "cohen52", "--t", "5", "--prec", "40"),
     ("project", "--fixture", "theta_e4", "--N", "4", "--prec", "50"),
@@ -888,6 +916,7 @@ def test_json_output_builds_no_human_text(capsys, monkeypatch, command):
     ("cohen52", 2, 1, 5, 1, 30),
     ("cohen72", 3, -1, 3, 2, 20),
     ("cohen92", 4, 1, 1, 3, 25),
+    ("theta_e4", 4, 1, 5, 1, 30),
 ])
 def test_cohen_lift_prints_the_bytes_of_the_lift_of_its_window_file(capsys, tmp_path, name, k, eps, t, s, prec):
     hi = t * s * s * prec * prec + 1
@@ -911,13 +940,15 @@ def _kronecker_defined(d: int, modulus: int) -> bool:
     return True
 
 
-@settings(deadline=None, max_examples=100)
-@given(name=st.sampled_from(["cohen52", "cohen72", "cohen92"]), t=st.integers(1, 15), s=st.integers(1, 3),
+# 134 examples over four names: each keeps the share of 100 over three
+@settings(deadline=None, max_examples=134)
+@given(name=st.sampled_from(["cohen52", "cohen72", "cohen92", "theta_e4"]), t=st.integers(1, 15), s=st.integers(1, 3),
        M=st.integers(1, 8), prec=st.integers(0, 60), extended=st.booleans(), data=st.data())
 def test_cohen_read_set_lift_is_the_lift_of_the_window(name, t, s, M, prec, extended, data):
     # the lift of the read-set source against the lift of
     # fixture(name, t s^2 prec^2 + 1), refusals included: same exit code,
-    # same payload; the source side may not build a window
+    # same payload; the source side may not build a window, neither a
+    # Cohen-Eisenstein one nor theta_e4's
     from shimlift import fixtures
 
     argv = ["lift", "--fixture", name, "--t", str(t), "--s", str(s), "--M", str(M), "--prec", str(prec)]
@@ -935,9 +966,10 @@ def test_cohen_read_set_lift_is_the_lift_of_the_window(name, t, s, M, prec, exte
             code = main(argv)
         return code, out.getvalue()
 
-    with mock.patch.object(fixtures, "cohen_eisenstein", side_effect=AssertionError("window built")):
+    with mock.patch.object(fixtures, "cohen_eisenstein", side_effect=AssertionError("window built")), \
+            mock.patch.object(fixtures, "plus_product", side_effect=AssertionError("window built")):
         got = call()
-    with mock.patch.dict(fixtures._COHEN_READ_SETS, clear=True):
+    with mock.patch.dict(fixtures._READ_SETS, clear=True):
         want = call()
     assert got == want
 

@@ -37,7 +37,7 @@ from shimlift.fixtures import (
     zero_form,
 )
 from shimlift.qseries import QExp, add, invert_unit, mul, qexp_to_json, rescale, scale
-from shimlift.scalars import bernoulli_number
+from shimlift.scalars import bernoulli_number, quadratic_L_neg
 from util import cohen_divisor_sum, mobius, sigma_sieve_loop
 
 
@@ -286,6 +286,23 @@ def test_cohen_read_set_states_the_window_that_it_stands_for(k):
         source, window = fixtures._CohenReadSet(k, hi), cohen_eisenstein(k, hi)
         assert (source.weight, source.denom, source.lo, source.hi) == (window.weight, 1, 0, hi)
         assert source._residues_mod4() == window._residues_mod4(), (k, hi)
+
+
+def test_theta_e4_is_240_times_the_cohen_eisenstein_series_of_weight_nine_halves():
+    # Kohnen: M+_{9/2}(Gamma_0(4)) = M_8(SL_2(Z)) is one-dimensional, and the
+    # constant terms are 1 and zeta(-7) = 1/240 = -B_8 / 8
+    assert fixtures._READ_SETS["theta_e4"] == (4, 240)
+    assert 240 == 1 / quadratic_L_neg(1, 8) == -8 / bernoulli_number(8)
+    for n in [*range(13), 40001]:
+        assert plus_product(4, n) == scale(cohen_eisenstein(4, n), 240), n
+
+
+def test_scaled_read_set_states_the_theta_e4_window_that_it_stands_for():
+    k, c = fixtures._READ_SETS["theta_e4"]
+    for hi in range(1, 12):
+        source, window = fixtures._CohenReadSet(k, hi, c), plus_product(4, hi)
+        assert (source.weight, source.denom, source.lo, source.hi) == (window.weight, window.denom, window.lo, window.hi)
+        assert source._residues_mod4() == window._residues_mod4(), hi
 
 
 def _is_fundamental(D):

@@ -349,9 +349,14 @@ def _extreme_operands(rng, width, length, signs):
     room = 8 * width - 4
     ma, mb = (1 << (room - room // 2)) - 1, (1 << (room // 2)) - 1
     dense = [rng.choice((-ma, ma, rng.randrange(-ma, ma + 1))) for _ in range(length)]
-    # runs of one sign across the chunk edge give the largest column sums
-    dense[_intpoly._CHUNK - 3:_intpoly._CHUNK + 3] = [ma, ma, ma, -ma, -ma, -ma]
+    # runs of one sign across the chunk edge give the largest column sums;
+    # they are written only below `length`, so that the operand crosses the
+    # edge only when `length` does
+    edge = _intpoly._CHUNK - 3
+    run = [ma, ma, ma, -ma, -ma, -ma][:max(length - edge, 0)]
+    dense[edge:edge + len(run)] = run
     dense[-1] = -ma
+    assert len(dense) == length
     sparse = [0] * length
     for e, x in zip((0, 1, length // 2, length - 1), (mb, -mb, -mb, mb)):
         sparse[e] = x
