@@ -25,8 +25,12 @@ building the T prec^2 + 1 terms of the window: one L-value per read set,
 and for each m Cohen's divisor sum as an Euler product over the primes of
 f, factored once by trial division.  So does theta(tau) E_4(4 tau), which
 is 240 H_4: Kohnen's plus space of weight 9/2 is one-dimensional
-(`_READ_SETS`).  Its window, as every other fixture's, is still built by
-`fixture`.
+(`_READ_SETS`).  theta(tau) E_6(4 tau) is 32760/691 H_6 plus the
+plus-space Hecke eigenform of Delta, whose c(|D0| f^2) Kohnen and Zagier
+give from c(|D0|) and tau: the read set adds one theta sum for c(|D0|),
+Delta on s prec + 1 terms (`delta`) and a second Euler product for each
+m, and re-checks one value by its own theta sum.  Their windows, as every
+other fixture's, are still built by `fixture`.
 """
 
 from __future__ import annotations
@@ -257,6 +261,44 @@ def _cohen_divisor_sum(k: int, D0: int, f: int, chars: dict | None = None) -> in
     return total
 
 
+def _delta_divisor_sum(k: int, f: int, tau, chars: dict) -> int:
+    """sum over d | f of mu(d) kronecker(D0, d) d^(k-1) tau(f / d), the
+    factor of c(|D0| f^2) beside c(|D0|) for the plus-space eigenform whose
+    Shimura image is Delta (Kohnen-Zagier 1981), with tau(n) = tau[n] and
+    chars filled with kronecker(D0, p) for every prime p of f
+    (`_cohen_divisor_sum`): the product over p^e || f of
+    tau(p^e) - kronecker(D0, p) p^(k-1) tau(p^(e-1))."""
+    total = 1
+    for p, e in _factorization(f):
+        q = p**e
+        total *= tau.get(q, 0) - chars[p] * p ** (k - 1) * tau.get(q // p, 0)
+    return total
+
+
+def _sigma(power: int, n: int) -> int:
+    """sigma_power(n) for n >= 1, by factoring n."""
+    total = 1
+    for p, e in _factorization(n):
+        q = p**power
+        total *= (q ** (e + 1) - 1) // (q - 1)
+    return total
+
+
+def _theta_e_value(w: int, n: int) -> int:
+    """c(n) of theta(tau) E_w(4 tau) by its theta sum: b((n - j^2) / 4)
+    over the integers j with j^2 <= n and j^2 = n mod 4, b the coefficients
+    of E_w (`eisenstein`) and each sigma by factoring its index; about
+    sqrt(n) / 2 terms, none when n = 2 or 3 mod 4."""
+    if n % 4 > 1:
+        return 0
+    total = 0
+    for j in range(n % 4, math.isqrt(n) + 1, 2):
+        m = (n - j * j) // 4
+        b = _EISENSTEIN[w] * _sigma(w - 1, m) if m else 1
+        total += 2 * b if j else b
+    return total
+
+
 def _cohen_value(k: int, n: int) -> Fraction:
     """H(k, n): zeta(1 - 2k) at n = 0, else L(1 - k, (D0/.)) times the
     divisor sum, where (-1)^k n = D0 f^2."""
@@ -277,30 +319,43 @@ class _CohenReadSet:
     H_k with constant term 1 where the plus space is one-dimensional
     (`_READ_SETS`: theta_e4 = 240 H_4).
 
+    With `cusp` (k = 6 only) it stands for theta(tau) E_6(4 tau) instead,
+    scale H_6 plus h, the eigenform of M+_{13/2} = M_12 = <E_12, Delta>
+    (as Hecke modules) that corresponds to Delta.  By Kohnen-Zagier,
+    c_h(|D0| f^2) = c_h(|D0|) S_tau(f), S_tau the Delta divisor sum
+    (`_delta_divisor_sum`), and c_h(|D0|) is the source's c(|D0|), one
+    theta sum (`_theta_e_value`), less scale L(1 - k, (D0/.)).
+
     Every m >= 1 shares the fundamental discriminant D0 of (-1)^k t, t the
     square-free part of T, so a read set costs one L-value L(1 - k, (D0/.)),
     one zeta(1 - 2k) for c(0), and an Euler product for each m
-    (`_cohen_value`'s own helpers).  It is not a QExp; it states what the
-    lift's checks read of the series it stands for: the weight k + 1/2,
-    integer exponents, the window [0, hi), and the classes mod 4 of the
-    window's support.
+    (`_cohen_value`'s own helpers); the cusp part adds one theta sum, Delta
+    up to q^(s prec), a second Euler product for each m, and the theta
+    sum of the value at the least m with f > 1, which must agree
+    (`VerificationFailure` otherwise).  It is not a QExp; it states what
+    the lift's checks read of the series it stands for: the weight
+    k + 1/2, integer exponents, the window [0, hi), and the classes mod 4
+    of the window's support.
     """
 
-    __slots__ = ("k", "scale", "weight", "denom", "lo", "hi")
+    __slots__ = ("k", "scale", "cusp", "weight", "denom", "lo", "hi")
 
-    def __init__(self, k: int, hi: int, scale: int = 1):
+    def __init__(self, k: int, hi: int, scale: int | Fraction = 1, cusp: bool = False):
+        if cusp and k != 6:
+            raise ValueError("a cusp part needs k = 6, where Delta spans S_12")
         self.k = k
         self.scale = scale
+        self.cusp = cusp
         self.weight = Fraction(2 * k + 1, 2)
         self.denom = 1
         self.lo = 0
         self.hi = hi
 
     def _residues_mod4(self) -> frozenset:
-        """{0, (-1)^k mod 4}, the plus-space classes of H_k; every exponent
-        of either class has a nonzero coefficient, so the second class is
-        left out only when the window ends before its first exponent, 1 or
-        3."""
+        """{0, (-1)^k mod 4}, the plus-space classes of the series; c(0)
+        and the coefficient at the first exponent of the second class, 1
+        or 3, are nonzero, so that class is left out only when the window
+        ends before it."""
         c = 1 if self.k % 2 == 0 else 3
         return frozenset((0, c) if self.hi > c else (0,))
 
@@ -312,19 +367,46 @@ class _CohenReadSet:
         t, s = split_square(T)
         L = Fraction(0)  # L(1-k, (D0/.)), once some m >= 1 reads a nonzero value
         chars: dict = {}  # kronecker(D0, p) by prime p; D0 is one for all m
-        sums = []
+        sums, fs = [], [0]  # fs[m] = f, or 0 where c(T m^2) vanishes
         for m in range(1, prec + 1):
             parts = _cohen_discriminant(k, t, s * m)
             if parts is None:
                 sums.append(0)
+                fs.append(0)
                 continue
             D0, f = parts
             if not L:
                 L = quadratic_L_neg(D0, k) * self.scale
             sums.append(_cohen_divisor_sum(k, D0, f, chars))
+            fs.append(f)
         D = math.lcm(c0.denominator, L.denominator)
         a = L.numerator * (D // L.denominator)
-        return [c0.numerator * (D // c0.denominator)] + [a * v for v in sums], D
+        values = [c0.numerator * (D // c0.denominator)] + [a * v for v in sums]
+        if self.cusp and L:
+            self._add_cusp(values, D, a, T, D0, fs, chars)
+        return values, D
+
+    def _add_cusp(self, values: list[int], D: int, a: int, T: int, D0: int, fs: list[int],
+                  chars: dict) -> None:
+        """Add the cusp part to the numerators over D of scale H_k's read
+        set, in place: c_h(|D0|) S_tau(f) at each m with f = fs[m] > 0,
+        where c_h(|D0|) = c(|D0|) - a / D, c(|D0|) from the theta sum.
+        Then re-check the value at the least m with f > 1 by its own theta
+        sum."""
+        b = _theta_e_value(self.k, abs(D0)) * D - a
+        tau = delta(max(fs) + 1).numerators  # Delta's coefficients are integers
+        for m, f in enumerate(fs):
+            if f:
+                values[m] += b * _delta_divisor_sum(self.k, f, tau, chars)
+        m = next((m for m, f in enumerate(fs) if f > 1), None)
+        if m is not None:
+            n = T * m * m
+            want = _theta_e_value(self.k, n)
+            if values[m] != want * D:
+                raise VerificationFailure(
+                    "Hecke read set of theta E_%d(4 tau) disagrees with its theta sum at q^%d" % (self.k, n),
+                    first_mismatch=(n, Fraction(values[m], D), want),
+                )
 
 
 # Coefficients past the solving prefix that are re-checked against the
@@ -382,19 +464,21 @@ def _cohen_combination(k: int, nums: list[int], n: int) -> list[int]:
     P = sum_j nums[j] (theta^4)^(m-j) F^j, evaluated by Horner as
     acc <- acc theta^4 + nums[j] F^j on integer lists, from the start
     nums[0] theta^4 + nums[1] F; theta^4 itself is built only when there is
-    a further step (dim >= 3), from the same sieve.  The r - 1 factors of
+    a further step (dim >= 3), from the same sieve.  F = q G(q^2) lives on
+    odd exponents, so F^j = q^j G(q^2)^j is kept as the half-length power
+    G^j and added on the exponents = j mod 2 alone.  The r - 1 factors of
     theta are sparse products.
     """
     if len(nums) > 2:
         th4, f = _theta4_and_f(n)
+        g = g_power = f[1::2]
     else:
         f = _sigma_sieve(1, n, odd_only=True)
     acc = _theta4_combination(f, nums[0], nums[1])
-    f_power = f
-    for c in nums[2:]:
+    for j, c in enumerate(nums[2:], 2):
         acc = _intpoly.convolve(acc, th4, n)
-        f_power = _intpoly.convolve(f_power, f, n)
-        acc = [v + c * x for v, x in zip(acc, f_power)]
+        g_power = _intpoly.convolve(g_power, g, len(range(j, n, 2)))
+        acc[j::2] = [v + c * x for v, x in zip(acc[j::2], g_power)]
     if (2 * k + 1) % 4 == 3:
         th = _theta_list(n)
         for _ in range(2):
@@ -518,8 +602,16 @@ FIXTURES = {
 # theta(tau) E_4(4 tau) lies in Kohnen's plus space M+_{9/2}(Gamma_0(4)),
 # which is isomorphic to M_8(SL_2(Z)) and so one-dimensional: it is H_4 over
 # H_4's constant term zeta(-7) = 1/240, and 240 = -2k / B_2k at k = 4.
-# theta E_6(4 tau) is not a multiple of H_6: M+_{13/2} also holds a cusp form.
-_READ_SETS = {"cohen52": (2, 1), "cohen72": (3, 1), "cohen92": (4, 1), "theta_e4": (4, 240)}
+# theta(tau) E_6(4 tau) lies in M+_{13/2}, isomorphic as a Hecke module to
+# M_12 = <E_12, Delta>: it is H_6 over zeta(-11) = 691/32760 plus the cusp
+# eigenform of Delta, so its entry, (k, scale, cusp), has a cusp part.
+_READ_SETS = {
+    "cohen52": (2, 1),
+    "cohen72": (3, 1),
+    "cohen92": (4, 1),
+    "theta_e4": (4, 240),
+    "theta_e6": (6, Fraction(32760, 691), True),
+}
 
 
 def fixture_names() -> list[str]:

@@ -26,7 +26,7 @@ from shimlift import _intpoly, cli, weilrep
 from shimlift.cli import main
 from shimlift.errors import HypothesisError
 from shimlift.fixtures import fixture, fixture_names
-from shimlift.qseries import QExp, mul, qexp_from_json, qexp_to_json, rescale
+from shimlift.qseries import QExp, add, mul, qexp_from_json, qexp_to_json, rescale
 from shimlift.shimura import shimura_general, shimura_St
 from util import perturbed_weil_S
 
@@ -810,16 +810,16 @@ def _ctypes_status(capsys, tmp_path, argv):
 
 def test_lift_request_scans_the_plus_space_classes_once(monkeypatch, capsys):
     # the index gate and the verdict both ask whether the input lies in the
-    # plus space; a window keeps its exponent classes mod 4 from the first
-    # scan, and a read-set source (a Cohen-Eisenstein series, or theta_e4 =
-    # 240 H_(9/2)) knows them without one
+    # plus space; a window (hj4) keeps its exponent classes mod 4 from the
+    # first scan, and a read-set source (a Cohen-Eisenstein series, theta_e4
+    # = 240 H_(9/2), or theta_e6 with its cusp part) knows them without one
     from shimlift import shimura
 
     asked, scans = [], []
     is_plus_space, scan = shimura.is_plus_space, QExp._scan_mod4
     monkeypatch.setattr(shimura, "is_plus_space", lambda f, eps: asked.append(eps) or is_plus_space(f, eps))
     monkeypatch.setattr(QExp, "_scan_mod4", lambda f: scans.append(f.hi) or scan(f))
-    for name, windows in (("theta_e6", 1), ("theta_e4", 0), ("cohen52", 0)):
+    for name, windows in (("hj4", 1), ("theta_e6", 0), ("theta_e4", 0), ("cohen52", 0)):
         for t in (1, 5):
             asked.clear()
             scans.clear()
@@ -898,6 +898,52 @@ def test_theta_e4_read_set_lift_prints_the_pinned_bytes(capsys, monkeypatch, arg
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `lift --fixture theta_e6 ... --json`, taken while
+# that lift still built the window theta(tau) E_6(4 tau) through
+# `plus_product`
+_THETA_E6_PAYLOADS = [
+    (("--t", "1", "--prec", "200"), "4d5b99905f128e50f6376307da2fca29afae263d877e1eb36850fb73b2a4e324"),
+    (("--t", "5", "--prec", "89"), "327e2162c0a0c6c2c8f3e475d7d2a80d6a2fe8ed2d9f4d6a811c45b8fe58e608"),
+    (("--t", "13", "--prec", "55"), "de70ebcdd52645209e4216984a675d335fb7883c548a21a582e088d5998ef365"),
+    (("--t", "1", "--s", "2", "--prec", "100"), "ecb946d54c81ddc589a969886edec1e94c095a37512336981e3d7f5eb96450d5"),
+    (("--t", "1", "--prec", "1999"), "43993de6238f7d73338d91ea021f951eab5c8077a5e9d1adc0a0b1d80e6f67c7"),
+    (("--t", "3", "--prec", "60", "--extended"), "a095e82e74e682585f768f429fdbaaca3c601d7b610f62d514b663033816e075"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _THETA_E6_PAYLOADS,
+                         ids=["t1-prec200", "t5-prec89", "t13-prec55", "t1-s2-prec100", "t1-prec1999",
+                              "t3-prec60-extended"])
+def test_theta_e6_read_set_lift_prints_the_pinned_bytes(capsys, monkeypatch, argv, digest):
+    from shimlift import fixtures
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("the lift built the theta_e6 window")
+
+    monkeypatch.setattr(fixtures, "plus_product", no_window)
+    code, out, _ = run(capsys, "lift", "--fixture", "theta_e6", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_theta_e6_read_set_checks_its_cusp_part_against_the_theta_sum(capsys, monkeypatch):
+    # tau(2) off by one: every c(m^2) with m even moves, and the read set's
+    # one re-check, at c(4) (m = 2, the least m with f > 1), catches it
+    from shimlift import fixtures
+
+    delta = fixtures.delta
+
+    def wrong_delta(prec):
+        d = delta(prec)
+        return add(d, QExp(d.weight, 1, {2: 1}, 0, d.hi))
+
+    monkeypatch.setattr(fixtures, "delta", wrong_delta)
+    code, payload, _ = run_json(capsys, "lift", "--fixture", "theta_e6", "--t", "1", "--prec", "10", "--json")
+    assert code == 1
+    assert payload["error"] == "VerificationFailure"
+    assert "q^4" in payload["message"]
+
+
 @pytest.mark.parametrize("command", [
     ("lift", "--fixture", "cohen52", "--t", "5", "--prec", "40"),
     ("project", "--fixture", "theta_e4", "--N", "4", "--prec", "50"),
@@ -917,6 +963,7 @@ def test_json_output_builds_no_human_text(capsys, monkeypatch, command):
     ("cohen72", 3, -1, 3, 2, 20),
     ("cohen92", 4, 1, 1, 3, 25),
     ("theta_e4", 4, 1, 5, 1, 30),
+    ("theta_e6", 6, 1, 1, 2, 25),
 ])
 def test_cohen_lift_prints_the_bytes_of_the_lift_of_its_window_file(capsys, tmp_path, name, k, eps, t, s, prec):
     hi = t * s * s * prec * prec + 1
@@ -940,15 +987,16 @@ def _kronecker_defined(d: int, modulus: int) -> bool:
     return True
 
 
-# 134 examples over four names: each keeps the share of 100 over three
-@settings(deadline=None, max_examples=134)
-@given(name=st.sampled_from(["cohen52", "cohen72", "cohen92", "theta_e4"]), t=st.integers(1, 15), s=st.integers(1, 3),
+# 167 examples over five names: each keeps the share of 100 over three
+@settings(deadline=None, max_examples=167)
+@given(name=st.sampled_from(["cohen52", "cohen72", "cohen92", "theta_e4", "theta_e6"]),
+       t=st.integers(1, 15), s=st.integers(1, 3),
        M=st.integers(1, 8), prec=st.integers(0, 60), extended=st.booleans(), data=st.data())
 def test_cohen_read_set_lift_is_the_lift_of_the_window(name, t, s, M, prec, extended, data):
     # the lift of the read-set source against the lift of
     # fixture(name, t s^2 prec^2 + 1), refusals included: same exit code,
     # same payload; the source side may not build a window, neither a
-    # Cohen-Eisenstein one nor theta_e4's
+    # Cohen-Eisenstein one nor a theta E_w(4 tau) one
     from shimlift import fixtures
 
     argv = ["lift", "--fixture", name, "--t", str(t), "--s", str(s), "--M", str(M), "--prec", str(prec)]

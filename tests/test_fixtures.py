@@ -305,6 +305,51 @@ def test_scaled_read_set_states_the_theta_e4_window_that_it_stands_for():
         assert source._residues_mod4() == window._residues_mod4(), hi
 
 
+def test_theta_e6_is_h6_over_zeta_minus_11_plus_a_cusp_part():
+    # Kohnen: M+_{13/2}(Gamma_0(4)) = M_12(SL_2(Z)) = <E_12, Delta>; the
+    # constant terms are 1 and zeta(-11) = 691/32760 = -B_12 / 12, so
+    # theta_e6 - scale H_6 is a cusp form, not zero
+    k, c, cusp = fixtures._READ_SETS["theta_e6"]
+    assert (k, c, cusp) == (6, Fraction(32760, 691), True)
+    assert c == 1 / quadratic_L_neg(1, 12) == -12 / bernoulli_number(12)
+    rest = add(plus_product(6, 200), scale(cohen_eisenstein(6, 200), -c))
+    assert rest.coeff(0) == 0 and rest.coeff(1) != 0
+
+
+def test_theta_e_value_is_the_window():
+    for w in (4, 6):
+        window = plus_product(w, 3000)
+        assert [fixtures._theta_e_value(w, n) for n in range(3000)] == [window.coeff(n) for n in range(3000)], w
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 8, 12, 13, 20, 28, 45])
+def test_theta_e6_read_set_is_the_window_on_the_read_set(T):
+    # c(T m^2) of the source, scale H_6 plus the Delta eigenform, against
+    # the built window theta(tau) E_6(4 tau)
+    from shimlift.shimura import _read_set
+
+    k, c, cusp = fixtures._READ_SETS["theta_e6"]
+    for prec in (0, 1, 2, 3, 9):
+        hi = T * prec * prec + 1
+        a, D = fixtures._CohenReadSet(k, hi, c, cusp).read_set(T, prec)
+        b, E = _read_set(plus_product(6, hi), T, prec)
+        assert all(type(v) is int for v in a)
+        assert [Fraction(v, D) for v in a] == [Fraction(v, E) for v in b], (T, prec)
+
+
+def test_cusp_read_set_states_the_theta_e6_window_that_it_stands_for():
+    k, c, cusp = fixtures._READ_SETS["theta_e6"]
+    for hi in range(1, 12):
+        source, window = fixtures._CohenReadSet(k, hi, c, cusp), plus_product(6, hi)
+        assert (source.weight, source.denom, source.lo, source.hi) == (window.weight, window.denom, window.lo, window.hi)
+        assert source._residues_mod4() == window._residues_mod4(), hi
+
+
+def test_cusp_part_needs_k_6():
+    with pytest.raises(ValueError, match="k = 6"):
+        fixtures._CohenReadSet(4, 10, 240, True)
+
+
 def _is_fundamental(D):
     # D = 1 mod 4 square-free, or D = 4m with m = 2 or 3 mod 4 square-free
     if D % 4 == 1:
