@@ -65,11 +65,8 @@ def _load_series(args, needed_hi: int | None = None) -> QExp:
     """The --input or --fixture series; a fixture is built to needed_hi,
     which the lift has checked against the budget, or to --prec.  For the
     lift the fixtures of `fixtures._READ_SETS` are read-set sources instead
-    (`fixtures._CohenReadSet`): the lift reads only c(t s^2 m^2), and the
-    three Cohen-Eisenstein series and theta_e4 = 240 H_(9/2) give those
-    values from the L-value formula without building the window, as does
-    theta_e6, a multiple of H_(13/2) plus a cusp part taken from Delta's
-    coefficients."""
+    (`fixtures._CohenReadSet`): the lift reads only c(t s^2 m^2), and those
+    values come without the window."""
     if getattr(args, "fixture", None):
         from . import fixtures
 
@@ -77,8 +74,8 @@ def _load_series(args, needed_hi: int | None = None) -> QExp:
             needed_hi = args.prec
             check_budget(needed_hi, "the --fixture window --prec")
         elif args.fixture in fixtures._READ_SETS:
-            k, *rest = fixtures._READ_SETS[args.fixture]
-            return fixtures._CohenReadSet(k, needed_hi, *rest)
+            k = fixtures.FIXTURES[args.fixture][1]["k"]
+            return fixtures._CohenReadSet(k, needed_hi, fixtures._READ_SETS[args.fixture])
         return fixtures.fixture(args.fixture, needed_hi)
     if getattr(args, "input", None):
         from .qseries import qexp_from_json

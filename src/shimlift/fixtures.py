@@ -19,18 +19,11 @@ residue classes mod 4 of H_k's plus space, where the other two vanish.
 These are the independent side of every comparison; none of them go
 through the lift code.
 
-A lift from the command line reads H_k only at c(T m^2), m <= prec, and
-takes those values from the L-value formula (`_CohenReadSet`) instead of
-building the T prec^2 + 1 terms of the window: one L-value per read set,
-and for each m Cohen's divisor sum as an Euler product over the primes of
-f, factored once by trial division.  So does theta(tau) E_4(4 tau), which
-is 240 H_4: Kohnen's plus space of weight 9/2 is one-dimensional
-(`_READ_SETS`).  theta(tau) E_6(4 tau) is 32760/691 H_6 plus the
-plus-space Hecke eigenform of Delta, whose c(|D0| f^2) Kohnen and Zagier
-give from c(|D0|) and tau: the read set adds one theta sum for c(|D0|),
-Delta on s prec + 1 terms (`delta`) and a second Euler product for each
-m, and re-checks one value by its own theta sum.  Their windows, as every
-other fixture's, are still built by `fixture`.
+A lift from the command line reads H_k, theta(tau) E_4(4 tau) and
+theta(tau) E_6(4 tau) only at c(T m^2), m <= prec, and takes those values
+from L-values and Hecke sums (`_CohenReadSet`, which gives the identities)
+instead of building the T prec^2 + 1 terms of the window.  Their windows,
+as every other fixture's, are still built by `fixture`.
 """
 
 from __future__ import annotations
@@ -236,43 +229,45 @@ def _cohen_discriminant(k: int, t: int, f: int) -> tuple[int, int] | None:
     return 4 * D0, f // 2
 
 
-def _cohen_divisor_sum(k: int, D0: int, f: int, chars: dict | None = None) -> int:
-    """sum over d | f of mu(d) kronecker(D0, d) d^(k-1) sigma_(2k-1)(f / d),
-    the factor of H(k, |D0| f^2) beside L(1-k, (D0/.)) (Cohen 1975).
+def _hecke_sums(k: int, D0: int, fs: list[int], tau: dict | None = None) -> list[tuple[int, int]]:
+    """(S_sigma(f), S_tau(f)) for each f in fs, with S_a(f) the sum over
+    d | f of mu(d) kronecker(D0, d) d^(k-1) a(f / d): for a = sigma_(2k-1)
+    Cohen's factor of H(k, |D0| f^2) beside L(1-k, (D0/.)) (Cohen 1975), for
+    a = tau the coefficients tau[n] of a weight 2k Hecke eigenform (Delta's,
+    at k = 6) Kohnen and Zagier's factor of c(|D0| f^2) beside c(|D0|) for
+    its plus-space eigenform.  S_tau is 0 without tau, and f = 0, where a
+    read value vanishes, gives (0, 0).
 
-    The sum is multiplicative in f, so it is the product over p^e || f of
-    sigma(p^e) - kronecker(D0, p) p^(k-1) sigma(p^(e-1)), sigma = sigma_(2k-1)
-    by sigma(p^e) = p^(2k-1) sigma(p^(e-1)) + 1: f is factored once.
-    `chars` holds kronecker(D0, p) by prime p, filled as primes come up, so
-    calls with one D0 that share it evaluate each character value once.
+    Both sums are multiplicative in f, so f is factored once and each is
+    the product over p^e || f of a(p^e) - kronecker(D0, p) p^(k-1) a(p^(e-1)),
+    sigma(p^e) = p^(2k-1) sigma(p^(e-1)) + 1 and
+    tau(p^(i+1)) = tau(p) tau(p^i) - p^(2k-1) tau(p^(i-1)) (Hecke).  Each
+    kronecker(D0, p) is evaluated once for all of fs.
     """
-    if chars is None:
-        chars = {}
-    total = 1
-    for p, e in _factorization(f):
-        q = p ** (2 * k - 1)
-        below, top = 0, 1  # sigma(p^(i-1)), sigma(p^i) at i = 0
-        for _ in range(e):
-            below, top = top, q * top + 1
-        chi = chars.get(p)
-        if chi is None:
-            chi = chars[p] = kronecker(D0, p)
-        total *= top - chi * p ** (k - 1) * below
-    return total
-
-
-def _delta_divisor_sum(k: int, f: int, tau, chars: dict) -> int:
-    """sum over d | f of mu(d) kronecker(D0, d) d^(k-1) tau(f / d), the
-    factor of c(|D0| f^2) beside c(|D0|) for the plus-space eigenform whose
-    Shimura image is Delta (Kohnen-Zagier 1981), with tau(n) = tau[n] and
-    chars filled with kronecker(D0, p) for every prime p of f
-    (`_cohen_divisor_sum`): the product over p^e || f of
-    tau(p^e) - kronecker(D0, p) p^(k-1) tau(p^(e-1))."""
-    total = 1
-    for p, e in _factorization(f):
-        q = p**e
-        total *= tau.get(q, 0) - chars[p] * p ** (k - 1) * tau.get(q // p, 0)
-    return total
+    chars: dict[int, int] = {}
+    out = []
+    for f in fs:
+        if not f:
+            out.append((0, 0))
+            continue
+        s_sigma = s_tau = 1
+        for p, e in _factorization(f):
+            q = p ** (2 * k - 1)
+            chi = chars.get(p)
+            if chi is None:
+                chi = chars[p] = kronecker(D0, p)
+            w = chi * p ** (k - 1)
+            below, top = 0, 1  # sigma(p^(i-1)), sigma(p^i) at i = 0
+            for _ in range(e):
+                below, top = top, q * top + 1
+            s_sigma *= top - w * below
+            if tau is not None:
+                tp, below, top = tau.get(p, 0), 0, 1  # tau(p^(i-1)), tau(p^i) at i = 0
+                for _ in range(e):
+                    below, top = top, tp * top - q * below
+                s_tau *= top - w * below
+        out.append((s_sigma, s_tau if tau is not None else 0))
+    return out
 
 
 def _sigma(power: int, n: int) -> int:
@@ -308,44 +303,47 @@ def _cohen_value(k: int, n: int) -> Fraction:
     if parts is None:
         return Fraction(0)
     D0, f = parts
-    return quadratic_L_neg(D0, k) * _cohen_divisor_sum(k, D0, f)
+    return quadratic_L_neg(D0, k) * _hecke_sums(k, D0, [f])[0][0]
 
 
 class _CohenReadSet:
-    """scale H_k where the lift reads it, from the L-value formula: the
-    values c(T m^2), m = 0 .. prec, of scale times `cohen_eisenstein(k, hi)`
-    for any index T and any prec, with no window built.  The scale is 1 for
-    the Cohen-Eisenstein fixtures, and 1 / zeta(1 - 2k) for the multiple of
-    H_k with constant term 1 where the plus space is one-dimensional
-    (`_READ_SETS`: theta_e4 = 240 H_4).
-
-    With `cusp` (k = 6 only) it stands for theta(tau) E_6(4 tau) instead,
-    scale H_6 plus h, the eigenform of M+_{13/2} = M_12 = <E_12, Delta>
-    (as Hecke modules) that corresponds to Delta.  By Kohnen-Zagier,
-    c_h(|D0| f^2) = c_h(|D0|) S_tau(f), S_tau the Delta divisor sum
-    (`_delta_divisor_sum`), and c_h(|D0|) is the source's c(|D0|), one
-    theta sum (`_theta_e_value`), less scale L(1 - k, (D0/.)).
+    """The values c(T m^2), m = 0 .. prec, that a lift reads of H_k
+    (`cohen_eisenstein(k, hi)`), or with `theta` of theta(tau) E_k(4 tau)
+    (`plus_product(k, hi)`, k = 4 or 6), for any index T and any prec,
+    from L-values and Hecke sums, with no window built.
 
     Every m >= 1 shares the fundamental discriminant D0 of (-1)^k t, t the
-    square-free part of T, so a read set costs one L-value L(1 - k, (D0/.)),
-    one zeta(1 - 2k) for c(0), and an Euler product for each m
-    (`_cohen_value`'s own helpers); the cusp part adds one theta sum, Delta
-    up to q^(s prec), a second Euler product for each m, and the theta
-    sum of the value at the least m with f > 1, which must agree
-    (`VerificationFailure` otherwise).  It is not a QExp; it states what
-    the lift's checks read of the series it stands for: the weight
-    k + 1/2, integer exponents, the window [0, hi), and the classes mod 4
-    of the window's support.
+    square-free part of T, and T m^2 = |D0| f^2 with f by
+    `_cohen_discriminant`.  Cohen's formula H(k, |D0| f^2) =
+    L(1 - k, (D0/.)) S_sigma(f) (`_hecke_sums`) makes H_k's read set one
+    L-value, one zeta(1 - 2k) for c(0) and one Euler product for each m.
+
+    theta(tau) E_k(4 tau) lies in Kohnen's plus space M+_{k+1/2}(Gamma_0(4)),
+    which is isomorphic to M_2k(SL_2(Z)) as a Hecke module.  Its constant
+    term is 1 and H_k's is zeta(1 - 2k), so it is H_k / zeta(1 - 2k) plus a
+    cusp form h of the plus space, a multiple of the eigenform that
+    corresponds to the eigenform tau of S_2k.  By Kohnen-Zagier (1981)
+    c_h(|D0| f^2) = c_h(|D0|) S_tau(f), and c_h(|D0|) is the source's
+    c(|D0|), one theta sum (`_theta_e_value`), less
+    L(1 - k, (D0/.)) / zeta(1 - 2k).  S_8 = 0, so at k = 4 that coefficient
+    must vanish (`VerificationFailure` at q^|D0| otherwise): theta E_4(4 tau)
+    is H_4 / zeta(-7).  S_12 is spanned by Delta, so at k = 6 tau is Delta's
+    coefficients (`delta`, to q^(max f)), and both sums come from one
+    factoring of f.  Either theta source re-checks the value at the least m
+    with f > 1 against its own theta sum (`VerificationFailure` otherwise).
+
+    It is not a QExp; it states what the lift's checks read of the series
+    it stands for: the weight k + 1/2, integer exponents, the window
+    [0, hi), and the classes mod 4 of the window's support.
     """
 
-    __slots__ = ("k", "scale", "cusp", "weight", "denom", "lo", "hi")
+    __slots__ = ("k", "theta", "weight", "denom", "lo", "hi")
 
-    def __init__(self, k: int, hi: int, scale: int | Fraction = 1, cusp: bool = False):
-        if cusp and k != 6:
-            raise ValueError("a cusp part needs k = 6, where Delta spans S_12")
+    def __init__(self, k: int, hi: int, theta: bool = False):
+        if theta and k not in (4, 6):
+            raise ValueError("a theta source needs k = 4 or 6, where S_2k is 0 or spanned by Delta")
         self.k = k
-        self.scale = scale
-        self.cusp = cusp
+        self.theta = theta
         self.weight = Fraction(2 * k + 1, 2)
         self.denom = 1
         self.lo = 0
@@ -363,50 +361,42 @@ class _CohenReadSet:
         """(a, D) with D c(T m^2) = a[m] for m = 0 .. prec, all integers:
         c(0) and the one L-value are scaled before D is formed."""
         k = self.k
-        c0 = quadratic_L_neg(1, 2 * k) * self.scale
+        zeta = quadratic_L_neg(1, 2 * k)
+        scale = 1 / zeta if self.theta else 1
         t, s = split_square(T)
-        L = Fraction(0)  # L(1-k, (D0/.)), once some m >= 1 reads a nonzero value
-        chars: dict = {}  # kronecker(D0, p) by prime p; D0 is one for all m
-        sums, fs = [], [0]  # fs[m] = f, or 0 where c(T m^2) vanishes
+        D0, fs = 0, [0] * (prec + 1)  # fs[m] = f, or 0 where c(T m^2) vanishes
         for m in range(1, prec + 1):
             parts = _cohen_discriminant(k, t, s * m)
-            if parts is None:
-                sums.append(0)
-                fs.append(0)
-                continue
-            D0, f = parts
-            if not L:
-                L = quadratic_L_neg(D0, k) * self.scale
-            sums.append(_cohen_divisor_sum(k, D0, f, chars))
-            fs.append(f)
+            if parts is not None:
+                D0, fs[m] = parts
+        c0 = zeta * scale
+        L = quadratic_L_neg(D0, k) * scale if D0 else Fraction(0)
         D = math.lcm(c0.denominator, L.denominator)
         a = L.numerator * (D // L.denominator)
-        values = [c0.numerator * (D // c0.denominator)] + [a * v for v in sums]
-        if self.cusp and L:
-            self._add_cusp(values, D, a, T, D0, fs, chars)
-        return values, D
-
-    def _add_cusp(self, values: list[int], D: int, a: int, T: int, D0: int, fs: list[int],
-                  chars: dict) -> None:
-        """Add the cusp part to the numerators over D of scale H_k's read
-        set, in place: c_h(|D0|) S_tau(f) at each m with f = fs[m] > 0,
-        where c_h(|D0|) = c(|D0|) - a / D, c(|D0|) from the theta sum.
-        Then re-check the value at the least m with f > 1 by its own theta
-        sum."""
-        b = _theta_e_value(self.k, abs(D0)) * D - a
-        tau = delta(max(fs) + 1).numerators  # Delta's coefficients are integers
-        for m, f in enumerate(fs):
-            if f:
-                values[m] += b * _delta_divisor_sum(self.k, f, tau, chars)
-        m = next((m for m, f in enumerate(fs) if f > 1), None)
-        if m is not None:
-            n = T * m * m
-            want = _theta_e_value(self.k, n)
-            if values[m] != want * D:
+        b, tau = 0, None  # D c_h(|D0|), Delta's coefficients
+        if self.theta and D0:
+            b = _theta_e_value(k, abs(D0)) * D - a
+            if k == 6:
+                tau = delta(max(fs) + 1).numerators  # Delta's coefficients are integers
+            elif b:
                 raise VerificationFailure(
-                    "Hecke read set of theta E_%d(4 tau) disagrees with its theta sum at q^%d" % (self.k, n),
-                    first_mismatch=(n, Fraction(values[m], D), want),
+                    "theta E_%d(4 tau) is not H_%d / zeta(%d) at q^%d, though S_%d = 0"
+                    % (k, k, 1 - 2 * k, abs(D0), 2 * k),
+                    first_mismatch=(abs(D0), Fraction(a + b, D), Fraction(a, D)),
                 )
+        values = [a * s_sigma + b * s_tau for s_sigma, s_tau in _hecke_sums(k, D0, fs, tau)]
+        values[0] = c0.numerator * (D // c0.denominator)
+        if self.theta:
+            m = next((m for m, f in enumerate(fs) if f > 1), None)
+            if m is not None:
+                n = T * m * m
+                want = _theta_e_value(k, n)
+                if values[m] != want * D:
+                    raise VerificationFailure(
+                        "Hecke read set of theta E_%d(4 tau) disagrees with its theta sum at q^%d" % (k, n),
+                        first_mismatch=(n, Fraction(values[m], D), want),
+                    )
+        return values, D
 
 
 # Coefficients past the solving prefix that are re-checked against the
@@ -598,19 +588,14 @@ FIXTURES = {
 
 
 # the fixtures that a lift from the command line reads through a read-set
-# source instead of a window: name -> (k, scale) of `_CohenReadSet`.
-# theta(tau) E_4(4 tau) lies in Kohnen's plus space M+_{9/2}(Gamma_0(4)),
-# which is isomorphic to M_8(SL_2(Z)) and so one-dimensional: it is H_4 over
-# H_4's constant term zeta(-7) = 1/240, and 240 = -2k / B_2k at k = 4.
-# theta(tau) E_6(4 tau) lies in M+_{13/2}, isomorphic as a Hecke module to
-# M_12 = <E_12, Delta>: it is H_6 over zeta(-11) = 691/32760 plus the cusp
-# eigenform of Delta, so its entry, (k, scale, cusp), has a cusp part.
+# source instead of a window: name -> the `theta` flag of `_CohenReadSet`,
+# whose docstring gives the identities; k is the fixture's own.
 _READ_SETS = {
-    "cohen52": (2, 1),
-    "cohen72": (3, 1),
-    "cohen92": (4, 1),
-    "theta_e4": (4, 240),
-    "theta_e6": (6, Fraction(32760, 691), True),
+    "cohen52": False,
+    "cohen72": False,
+    "cohen92": False,
+    "theta_e4": True,
+    "theta_e6": True,
 }
 
 

@@ -14,11 +14,9 @@ common denominator.  `_read_set` is the one read path, and it returns
 those numerators with their denominator: from the table of a QExp, or
 from a series that knows its coefficients by formula and answers for its
 read set alone (`fixtures._CohenReadSet`, which the command line lifts in
-place of the window of a Cohen-Eisenstein series, of theta(tau) E_4(4 tau)
-= 240 H_(9/2), or of theta(tau) E_6(4 tau), a multiple of H_(13/2) plus the
-plus-space eigenform of Delta).  The constant term is a linear
-combination of the c(d, 0) weighted by partial zeta values at 1 - k, one
-sum over the residues h mod P prime to N T,
+place of the windows of `fixtures._READ_SETS`).  The constant term is a
+linear combination of the c(d, 0) weighted by partial zeta values at
+1 - k, one sum over the residues h mod P prime to N T,
 
     1/2 * sum of kronecker(eps * T, h) * zeta(P, h, 1 - k) * c(h, 0),
 
@@ -218,9 +216,8 @@ def _check_input(f: QExp, orbit: DiamondOrbit, N: int, T: int, prec: int) -> Non
 def _read_set(g, T: int, prec: int) -> tuple[list, int]:
     """(a, D) with D c(T m^2) = a[m] for m = 0..prec: integer numerators
     over g.cden when g is rational, scalars over 1 otherwise.  A series
-    that is not a QExp (`fixtures._CohenReadSet`, a multiple of H_k, plus a
-    cusp part for theta_e6) answers from its own formula, without a
-    window."""
+    that is not a QExp (`fixtures._CohenReadSet`) answers from its own
+    formula, without a window."""
     if not isinstance(g, QExp):
         return g.read_set(T, prec)
     if g.cden is None:

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -942,6 +943,21 @@ def test_theta_e6_read_set_checks_its_cusp_part_against_the_theta_sum(capsys, mo
     assert code == 1
     assert payload["error"] == "VerificationFailure"
     assert "q^4" in payload["message"]
+
+
+@pytest.mark.parametrize("n", [5, 20], ids=["D0", "recheck"])
+def test_theta_e4_read_set_checks_its_identity_against_the_theta_sum(capsys, monkeypatch, n):
+    # theta E_4(4 tau) = H_(9/2) / zeta(-7), since S_8 = 0: at t = 5 a theta
+    # sum off by one at |D0| = 5 leaves a cusp coefficient that must be 0,
+    # and one off at c(20) (m = 2, the least m with f > 1) fails the re-check
+    from shimlift import fixtures
+
+    theta_e_value = fixtures._theta_e_value
+    monkeypatch.setattr(fixtures, "_theta_e_value", lambda w, m: theta_e_value(w, m) + (m == n))
+    code, payload, _ = run_json(capsys, "lift", "--fixture", "theta_e4", "--t", "5", "--prec", "10", "--json")
+    assert code == 1
+    assert payload["error"] == "VerificationFailure"
+    assert re.search(r"q\^%d\b" % n, payload["message"]), payload["message"]
 
 
 @pytest.mark.parametrize("command", [

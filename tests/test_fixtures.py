@@ -20,8 +20,8 @@ from shimlift import _intpoly, fixtures, qseries
 from shimlift.arith import power
 from shimlift.errors import VerificationFailure
 from shimlift.fixtures import (
-    _cohen_divisor_sum,
     _cohen_value,
+    _hecke_sums,
     cohen_eisenstein,
     delta,
     eisenstein,
@@ -38,7 +38,7 @@ from shimlift.fixtures import (
 )
 from shimlift.qseries import QExp, add, invert_unit, mul, qexp_to_json, rescale, scale
 from shimlift.scalars import bernoulli_number, quadratic_L_neg
-from util import cohen_divisor_sum, mobius, sigma_sieve_loop
+from util import cohen_divisor_sum, delta_divisor_sum, mobius, sigma_sieve_loop
 
 
 def test_theta_counts_square_representations():
@@ -265,52 +265,61 @@ def test_cohen_short_windows(k):
         assert h == QExp(Fraction(2 * k + 1, 2), 1, {n: _cohen_value(k, n) for n in range(prec)}, 0, prec)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-def test_cohen_read_set_is_the_window_on_the_read_set(k):
+# (k, theta) of every read-set source, by test id: H_k for k = 2 .. 6, of
+# which cohen52, cohen72 and cohen92 are fixtures, and the theta sources of
+# `_READ_SETS`
+_SOURCES = {
+    **{str(k): (k, False) for k in range(2, 7)},
+    **{name: (fixture_defaults(name)["k"], True) for name, theta in fixtures._READ_SETS.items() if theta},
+}
+
+
+def _source_window(k, theta, hi):
+    return plus_product(k, hi) if theta else cohen_eisenstein(k, hi)
+
+
+@pytest.mark.parametrize("source", sorted(_SOURCES))
+def test_cohen_read_set_is_the_window_on_the_read_set(source):
     # c(T m^2) of the read-set source against the built window, as the lift
     # reads both (values over their own denominators)
     from shimlift.shimura import _read_set
 
-    for T in (1, 2, 3, 4, 5, 6, 7, 8, 12, 15, 18, 27, 45):
-        for prec in (0, 1, 2, 7):
+    k, theta = _SOURCES[source]
+    for T in (1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 15, 18, 20, 27, 28, 45):
+        for prec in (0, 1, 2, 3, 7, 9):
             hi = T * prec * prec + 1
-            a, D = fixtures._CohenReadSet(k, hi).read_set(T, prec)
-            b, E = _read_set(cohen_eisenstein(k, hi), T, prec)
+            a, D = fixtures._CohenReadSet(k, hi, theta).read_set(T, prec)
+            b, E = _read_set(_source_window(k, theta, hi), T, prec)
             assert all(type(v) is int for v in a)
-            assert [Fraction(v, D) for v in a] == [Fraction(v, E) for v in b], (k, T, prec)
+            assert [Fraction(v, D) for v in a] == [Fraction(v, E) for v in b], (source, T, prec)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-def test_cohen_read_set_states_the_window_that_it_stands_for(k):
+@pytest.mark.parametrize("source", sorted(_SOURCES))
+def test_cohen_read_set_states_the_window_that_it_stands_for(source):
+    k, theta = _SOURCES[source]
     for hi in range(1, 12):
-        source, window = fixtures._CohenReadSet(k, hi), cohen_eisenstein(k, hi)
-        assert (source.weight, source.denom, source.lo, source.hi) == (window.weight, 1, 0, hi)
-        assert source._residues_mod4() == window._residues_mod4(), (k, hi)
+        read_set, window = fixtures._CohenReadSet(k, hi, theta), _source_window(k, theta, hi)
+        want = (window.weight, 1, 0, hi)
+        assert (read_set.weight, read_set.denom, read_set.lo, read_set.hi) == want
+        assert (window.weight, window.denom, window.lo, window.hi) == want
+        assert read_set._residues_mod4() == window._residues_mod4(), (source, hi)
 
 
 def test_theta_e4_is_240_times_the_cohen_eisenstein_series_of_weight_nine_halves():
     # Kohnen: M+_{9/2}(Gamma_0(4)) = M_8(SL_2(Z)) is one-dimensional, and the
     # constant terms are 1 and zeta(-7) = 1/240 = -B_8 / 8
-    assert fixtures._READ_SETS["theta_e4"] == (4, 240)
+    assert fixtures._READ_SETS["theta_e4"] is True and fixture_defaults("theta_e4")["k"] == 4
     assert 240 == 1 / quadratic_L_neg(1, 8) == -8 / bernoulli_number(8)
     for n in [*range(13), 40001]:
         assert plus_product(4, n) == scale(cohen_eisenstein(4, n), 240), n
-
-
-def test_scaled_read_set_states_the_theta_e4_window_that_it_stands_for():
-    k, c = fixtures._READ_SETS["theta_e4"]
-    for hi in range(1, 12):
-        source, window = fixtures._CohenReadSet(k, hi, c), plus_product(4, hi)
-        assert (source.weight, source.denom, source.lo, source.hi) == (window.weight, window.denom, window.lo, window.hi)
-        assert source._residues_mod4() == window._residues_mod4(), hi
 
 
 def test_theta_e6_is_h6_over_zeta_minus_11_plus_a_cusp_part():
     # Kohnen: M+_{13/2}(Gamma_0(4)) = M_12(SL_2(Z)) = <E_12, Delta>; the
     # constant terms are 1 and zeta(-11) = 691/32760 = -B_12 / 12, so
     # theta_e6 - scale H_6 is a cusp form, not zero
-    k, c, cusp = fixtures._READ_SETS["theta_e6"]
-    assert (k, c, cusp) == (6, Fraction(32760, 691), True)
+    assert fixtures._READ_SETS["theta_e6"] is True and fixture_defaults("theta_e6")["k"] == 6
+    c = Fraction(32760, 691)
     assert c == 1 / quadratic_L_neg(1, 12) == -12 / bernoulli_number(12)
     rest = add(plus_product(6, 200), scale(cohen_eisenstein(6, 200), -c))
     assert rest.coeff(0) == 0 and rest.coeff(1) != 0
@@ -322,32 +331,10 @@ def test_theta_e_value_is_the_window():
         assert [fixtures._theta_e_value(w, n) for n in range(3000)] == [window.coeff(n) for n in range(3000)], w
 
 
-@pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 8, 12, 13, 20, 28, 45])
-def test_theta_e6_read_set_is_the_window_on_the_read_set(T):
-    # c(T m^2) of the source, scale H_6 plus the Delta eigenform, against
-    # the built window theta(tau) E_6(4 tau)
-    from shimlift.shimura import _read_set
-
-    k, c, cusp = fixtures._READ_SETS["theta_e6"]
-    for prec in (0, 1, 2, 3, 9):
-        hi = T * prec * prec + 1
-        a, D = fixtures._CohenReadSet(k, hi, c, cusp).read_set(T, prec)
-        b, E = _read_set(plus_product(6, hi), T, prec)
-        assert all(type(v) is int for v in a)
-        assert [Fraction(v, D) for v in a] == [Fraction(v, E) for v in b], (T, prec)
-
-
-def test_cusp_read_set_states_the_theta_e6_window_that_it_stands_for():
-    k, c, cusp = fixtures._READ_SETS["theta_e6"]
-    for hi in range(1, 12):
-        source, window = fixtures._CohenReadSet(k, hi, c, cusp), plus_product(6, hi)
-        assert (source.weight, source.denom, source.lo, source.hi) == (window.weight, window.denom, window.lo, window.hi)
-        assert source._residues_mod4() == window._residues_mod4(), hi
-
-
-def test_cusp_part_needs_k_6():
-    with pytest.raises(ValueError, match="k = 6"):
-        fixtures._CohenReadSet(4, 10, 240, True)
+@pytest.mark.parametrize("k", [2, 3, 5, 7, 8])
+def test_theta_source_needs_k_4_or_6(k):
+    with pytest.raises(ValueError, match="k = 4 or 6"):
+        fixtures._CohenReadSet(k, 10, True)
 
 
 def _is_fundamental(D):
@@ -369,7 +356,21 @@ _PRIME_POWERS = [2**11, 3**7, 5**4, 7**4, 13**3, 53**2, 2**5 * 3**4, 2**3 * 3**2
     f=st.one_of(st.integers(1, 3000), st.sampled_from(_PRIME_POWERS)),
 )
 def test_cohen_euler_product_is_the_divisor_sum(k, D0, f):
-    assert _cohen_divisor_sum(k, D0, f) == cohen_divisor_sum(k, D0, f), (k, D0, f)
+    assert _hecke_sums(k, D0, [f])[0][0] == cohen_divisor_sum(k, D0, f), (k, D0, f)
+
+
+_TAU = delta(301).numerators
+
+
+@settings(max_examples=300, deadline=None)
+@given(D0=st.sampled_from(_FUNDAMENTAL), fs=st.lists(st.integers(0, 300), max_size=4))
+def test_hecke_sums_are_the_divisor_sums_of_sigma_and_tau(D0, fs):
+    # the tau sum runs Hecke's recurrence from tau(p); the reference reads
+    # tau at every divisor of f.  The fs share one table of character values,
+    # and f = 0 stands for a vanishing value
+    want = [(cohen_divisor_sum(6, D0, f), delta_divisor_sum(6, D0, f, _TAU)) if f else (0, 0) for f in fs]
+    assert _hecke_sums(6, D0, fs, _TAU) == want, (D0, fs)
+    assert _hecke_sums(6, D0, fs) == [(s, 0) for s, _ in want], (D0, fs)
 
 
 @settings(deadline=None)

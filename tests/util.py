@@ -73,6 +73,19 @@ def cohen_divisor_sum(k: int, D0: int, f: int) -> int:
     return total
 
 
+def delta_divisor_sum(k: int, D0: int, f: int, tau: dict) -> int:
+    """sum over d | f of mu(d) kronecker(D0, d) d^(k-1) tau(f / d) by
+    listing the divisors of f, tau(n) = tau[n] (Delta's coefficients, from
+    `fixtures.delta`, at k = 6): Kohnen and Zagier's factor of
+    c(|D0| f^2) beside c(|D0|) for the plus-space eigenform of Delta."""
+    total = 0
+    for d in divisors(f):
+        md = mobius(d)
+        if md:
+            total += md * kronecker(D0, d) * d ** (k - 1) * tau.get(f // d, 0)
+    return total
+
+
 def sigma_sieve_loop(power: int, prec: int, odd_only: bool = False) -> list[int]:
     """sigma_power(n) for 0 < n < prec (odd n only, if odd_only; 0 at every
     other index) by adding d^power at every multiple n of every d."""
