@@ -294,6 +294,21 @@ def test_cohen_read_set_is_the_window_on_the_read_set(source):
             assert [Fraction(v, D) for v in a] == [Fraction(v, E) for v in b], (source, T, prec)
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 8, 12, 13, 20, 28, 45])
+def test_theta_e6_read_set_is_the_window_on_the_read_set(T):
+    # c(T m^2) of the theta_e6 source, the Hecke sum of theta E_6(4 tau)
+    # with its cusp part, against the built window
+    from shimlift.shimura import _read_set
+
+    k = fixture_defaults("theta_e6")["k"]
+    for prec in (0, 1, 2, 3, 9):
+        hi = T * prec * prec + 1
+        a, D = fixtures._CohenReadSet(k, hi, True).read_set(T, prec)
+        b, E = _read_set(plus_product(6, hi), T, prec)
+        assert all(type(v) is int for v in a)
+        assert [Fraction(v, D) for v in a] == [Fraction(v, E) for v in b], (T, prec)
+
+
 @pytest.mark.parametrize("source", sorted(_SOURCES))
 def test_cohen_read_set_states_the_window_that_it_stands_for(source):
     k, theta = _SOURCES[source]
