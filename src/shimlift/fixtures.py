@@ -2,14 +2,15 @@
 
 Everything here is built from scratch: theta functions by enumerating
 squares, Eisenstein series by a multiplicative divisor-power sieve, the
-discriminant from the Eisenstein side, and the j-invariant as E4^3 over
-phi^24, phi the Euler product: phi^24 by squaring the sparse cube phi^3
-of Jacobi's identity three times, and E4^3 from Ramanujan's identity on
-phi^24's own coefficients and one sieve of sigma_11.  The half-integral
-weight Eisenstein series H_k lie in the span of theta^(2k+1-4j) F^j, F
-the odd-index part of sum sigma_1(n) q^n; quadratic L-values supply the
-first dim + _CHECK_TERMS coefficients, which fix H_k's coordinates in
-that basis and check them.
+discriminant as q phi^24 (phi the Euler product, phi^24 the sparse cube
+phi^3 of Jacobi's identity squared three times; the level-one exact check
+forms its own from the Eisenstein side), and the j-invariant as E4^3
+over phi^24, E4^3 from Ramanujan's identity on phi^24's own coefficients
+and one sieve of sigma_11.  The half-integral weight Eisenstein series
+H_k lie in the span of theta^(2k+1-4j) F^j, F the odd-index part of
+sum sigma_1(n) q^n; quadratic L-values supply the first
+dim + _CHECK_TERMS coefficients, which fix H_k's coordinates in that
+basis and check them.
 The combination is evaluated as theta^r P(theta^4, F), r = (2k+1) mod 4,
 with P by Horner on integer lists from the start c0 theta^4 + c1 F, which
 Jacobi's four-square formula slices out of one sieve of odd divisor sums
@@ -35,7 +36,7 @@ from fractions import Fraction
 from . import _intpoly
 from .arith import _factorization, cdiv, split_square
 from .errors import VerificationFailure
-from .qseries import QExp, _divide, add, mul, rescale, scale
+from .qseries import QExp, _divide, mul, rescale
 from .scalars import kronecker, quadratic_L_neg
 
 __all__ = [
@@ -156,14 +157,6 @@ def euler_function(prec: int) -> QExp:
     return QExp.from_numerators(Fraction(0), 1, coeffs, 1, 0, prec)
 
 
-def delta(prec: int) -> QExp:
-    """The discriminant from the Eisenstein side: (E4^3 - E6^2) / 1728, with
-    E4^3 formed as E4 E8, since E4^2 = E8 (dim M_8 = 1)."""
-    e6 = eisenstein(6, prec)
-    num = add(mul(eisenstein(4, prec), eisenstein(8, prec)), scale(mul(e6, e6), -1))
-    return scale(num, Fraction(1, 1728))
-
-
 def _jacobi_cube(prec: int) -> QExp:
     """phi^3 = prod (1 - q^n)^3 on [0, prec), by Jacobi's identity
     phi^3 = sum over n >= 0 of (-1)^n (2n + 1) q^(n(n+1)/2): about
@@ -175,6 +168,16 @@ def _jacobi_cube(prec: int) -> QExp:
         n += 1
         e += n
     return QExp.from_numerators(Fraction(0), 1, coeffs, 1, 0, prec)
+
+
+def delta(prec: int) -> QExp:
+    """The discriminant q phi^24, phi the Euler product: phi^24 is Jacobi's
+    cube `_jacobi_cube` squared three times, the first time sparse."""
+    phi24 = _jacobi_cube(max(prec - 1, 0))
+    for _ in range(3):
+        phi24 = mul(phi24, phi24)
+    shifted = {a + 1: v for a, v in phi24.numerators.items()}
+    return QExp.from_numerators(Fraction(12), 1, shifted, 1, 0, prec)
 
 
 def _e4_cubed(phi24: QExp) -> QExp:
@@ -205,13 +208,10 @@ def _e4_cubed(phi24: QExp) -> QExp:
 
 
 def j_invariant(prec: int) -> QExp:
-    """E4^3 / Delta, with Delta = q phi^24 through the eta product; window
-    [-1, prec): E4^3 (`_e4_cubed`) divided by phi^24, which is Jacobi's
-    cube `_jacobi_cube` squared three times, the first time sparse."""
-    span = prec + 1
-    phi24 = _jacobi_cube(span)
-    for _ in range(3):
-        phi24 = mul(phi24, phi24)
+    """E4^3 / Delta; window [-1, prec): E4^3 (`_e4_cubed`) divided by
+    phi^24 = Delta / q, both from the coefficients of `delta`."""
+    tau = delta(prec + 2).numerators
+    phi24 = QExp.from_numerators(Fraction(0), 1, {a - 1: v for a, v in tau.items()}, 1, 0, prec + 1)
     series = _divide(_e4_cubed(phi24), phi24)
     shifted = {a - 1: v for a, v in series.numerators.items() if a - 1 < prec}
     return QExp.from_numerators(Fraction(0), 1, shifted, series.cden, -1, prec)
@@ -612,6 +612,8 @@ def _entry(name: str) -> tuple:
 
 
 def fixture(name: str, prec: int) -> QExp:
+    if prec < 0:
+        raise ValueError("fixture precision %d is negative" % prec)
     f = _entry(name)[0](prec)
     f.metadata.setdefault("fixture", name)
     return f

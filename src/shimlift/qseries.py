@@ -118,6 +118,8 @@ class QExp:
         and cden >= 1; the table is reduced to canonical form and then
         owned by the series, so it must not be changed afterwards.
         """
+        if hi < lo:
+            raise ValueError("window [%d, %d) is inverted" % (lo, hi))
         f = cls.__new__(cls)
         f._fill(weight, denom, numerators, cden, lo, hi, metadata)
         return f

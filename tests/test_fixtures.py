@@ -88,7 +88,7 @@ def test_eisenstein_ring_identities():
 
 @pytest.mark.parametrize("n", [1, 2, 50, 701])
 def test_e4_squared_is_e8(n):
-    # dim M_8 = 1; delta and the tests' reference for j form E4^3 as E4 E8
+    # dim M_8 = 1; the tests' references for delta and j form E4^3 as E4 E8
     e4 = eisenstein(4, n)
     assert mul(e4, e4) == eisenstein(8, n)
 
@@ -136,6 +136,12 @@ def test_delta_two_routes():
     eta24 = QExp(12, 1, {a + 1: c for a, c in p24.coeffs.items()}, 1, 60)
     assert d.agrees_with(eta24)
     assert d.coeff(0) == 0
+    # Eisenstein route: (E4^3 - E6^2) / 1728, with E4^3 as E4 E8; delta
+    # shifts phi^24 by q, so windows 0-3 are the shift's edges
+    for n in (0, 1, 2, 3, 60, 2001):
+        e6 = eisenstein(6, n)
+        cube = mul(eisenstein(4, n), eisenstein(8, n))
+        assert delta(n) == scale(add(cube, scale(mul(e6, e6), -1)), Fraction(1, 1728)), n
 
 
 def test_j_invariant_expansion():
@@ -542,6 +548,12 @@ def test_every_fixture_obeys_the_window_rule(name, a, data):
 def test_every_fixture_builds_an_empty_window(name):
     f = fixture(name, 0)
     assert f.hi == 0 and all(e < 0 for e in f.coeffs)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_every_fixture_refuses_a_negative_precision(name):
+    with pytest.raises(ValueError, match="fixture precision -3 is negative"):
+        fixture(name, -3)
 
 
 def test_fixture_builder_stamps_name():

@@ -46,6 +46,12 @@ def test_construction_drops_zeros_and_validates_window():
         QExp(2, 0, {}, 0, 3)
 
 
+def test_from_numerators_refuses_an_inverted_window():
+    # refused as QExp() refuses it
+    with pytest.raises(ValueError, match=r"window \[0, -3\) is inverted"):
+        QExp.from_numerators(2, 1, {}, 1, 0, -3)
+
+
 def test_coeff_contract_zero_below_window_error_above():
     f = QExp(0, 1, {2: 7}, 1, 6)
     assert f.coeff(0) == 0

@@ -181,6 +181,25 @@ def test_level1_exact_on_eisenstein_products():
     assert out_d == {(3, 0): Fraction(1, 1728), (0, 2): Fraction(-1, 1728)}
 
 
+def test_level1_exact_check_builds_its_basis_without_fixtures_delta(monkeypatch):
+    # Delta off by one at q^2: the check still decomposes E4 E8 from its
+    # own Eisenstein basis, and refuses the patched Delta at q^2
+    from shimlift import fixtures
+
+    right = fixtures.delta
+
+    def wrong_delta(prec):
+        d = right(prec)
+        return add(d, QExp(d.weight, 1, {2: 1}, 0, d.hi))
+
+    monkeypatch.setattr(fixtures, "delta", wrong_delta)
+    e4e8 = mul(eisenstein(4, 40), eisenstein(8, 40))
+    assert level1_exact_check(e4e8, 12) == {(3, 0): Fraction(1)}
+    with pytest.raises(VerificationFailure) as exc:
+        level1_exact_check(fixtures.delta(40), 12)
+    assert exc.value.first_mismatch[0] == 2
+
+
 def test_level1_exact_random_combinations_round_trip():
     rng = random.Random(23)
     e4 = eisenstein(4, 60)
