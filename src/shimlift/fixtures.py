@@ -1,24 +1,18 @@
 """Reference expansions used by the tests and the command line.
 
 Everything here is built from scratch: theta functions by enumerating
-squares, Eisenstein series by a multiplicative divisor-power sieve, the
-discriminant as q phi^24 (phi the Euler product, phi^24 the sparse cube
-phi^3 of Jacobi's identity squared three times; the level-one exact check
-forms its own from the Eisenstein side), and the j-invariant as E4^3
-over phi^24, E4^3 from Ramanujan's identity on phi^24's own coefficients
-and one sieve of sigma_11.  The half-integral weight Eisenstein series
-H_k lie in the span of theta^(2k+1-4j) F^j, F the odd-index part of
-sum sigma_1(n) q^n; quadratic L-values supply the first
-dim + _CHECK_TERMS coefficients, which fix H_k's coordinates in that
-basis and check them.
-The combination is evaluated as theta^r P(theta^4, F), r = (2k+1) mod 4,
-with P by Horner on integer lists from the start c0 theta^4 + c1 F, which
-Jacobi's four-square formula slices out of one sieve of odd divisor sums
-(as it does theta^4 when Horner takes a further step), and the r factors
-of theta by sparse products.  The last of them is formed only on the two
-residue classes mod 4 of H_k's plus space, where the other two vanish.
-These are the independent side of every comparison; none of them go
-through the lift code.
+squares, the Eisenstein series E_w of every even weight 4 <= w <= 64 by a
+multiplicative divisor-power sieve times -2w / B_w, the discriminant as
+q phi^24 (phi the Euler product, phi^24 the sparse cube phi^3 of Jacobi's
+identity squared three times; the level-one exact check forms its own from
+the Eisenstein side), and the j-invariant as E12 / Delta + 432000/691 by
+Ramanujan's identity, with one integrality check per coefficient.  The
+half-integral weight Eisenstein series H_k lie in the span of
+theta^(2k+1-4j) F^j, F the odd-index part of sum sigma_1(n) q^n; quadratic
+L-values supply the first dim + _CHECK_TERMS coefficients, which fix H_k's
+coordinates in that basis and check them, and `cohen_eisenstein` evaluates
+the combination on integer lists.  These are the independent side of every
+comparison; none of them go through the lift code.
 
 A lift from the command line reads H_k, theta(tau) E_4(4 tau) and
 theta(tau) E_6(4 tau) only at c(T m^2), m <= prec, and takes those values
@@ -37,7 +31,7 @@ from . import _intpoly
 from .arith import _factorization, cdiv, split_square
 from .errors import VerificationFailure
 from .qseries import QExp, _divide, mul, rescale
-from .scalars import kronecker, quadratic_L_neg
+from .scalars import BERNOULLI_BOUND, bernoulli_number, kronecker, quadratic_L_neg
 
 __all__ = [
     "FIXTURES",
@@ -124,20 +118,31 @@ def _sigma_sieve(power: int, prec: int, odd_only: bool = False) -> list[int]:
     return out
 
 
-# -2w / B_w for the weights w with dim M_w = 1
-_EISENSTEIN = {4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
+def _eisenstein_constant(weight: int) -> Fraction:
+    """-2w / B_w, the coefficient of sum sigma_{w-1}(n) q^n in E_w, for
+    even w with 4 <= w <= BERNOULLI_BOUND."""
+    if weight % 2 or not 4 <= weight <= BERNOULLI_BOUND:
+        raise ValueError("weight must be even, 4 <= weight <= %d" % BERNOULLI_BOUND)
+    return -2 * weight / bernoulli_number(weight)
+
+
+def _eisenstein_numerators(weight: int, prec: int) -> tuple[dict[int, int], Fraction]:
+    """(a, c) with c = -2w / B_w and d E_w = sum a[n] q^n on [0, prec), d
+    the denominator of c: a[0] = d and a[n] = d c sigma_{w-1}(n)."""
+    c = _eisenstein_constant(weight)
+    a = c.numerator
+    coeffs = {n: a * v for n, v in enumerate(_sigma_sieve(weight - 1, prec)) if v}
+    if prec > 0:
+        coeffs[0] = c.denominator
+    return coeffs, c
 
 
 def eisenstein(weight: int, prec: int) -> QExp:
     """Level 1 Eisenstein series E_w = 1 - (2w / B_w) sum sigma_{w-1}(n) q^n
-    for w in {4, 6, 8, 10, 14} (the one-dimensional weights)."""
-    if weight not in _EISENSTEIN:
-        raise ValueError("weight must be one of %r" % (tuple(_EISENSTEIN),))
-    c = _EISENSTEIN[weight]
-    coeffs = {n: c * v for n, v in enumerate(_sigma_sieve(weight - 1, prec)) if v}
-    if prec > 0:
-        coeffs[0] = 1
-    return QExp.from_numerators(Fraction(weight), 1, coeffs, 1, 0, prec)
+    for every even w with 4 <= w <= BERNOULLI_BOUND; integer numerators
+    where -2w / B_w is an integer (w = 4, 6, 8, 10, 14)."""
+    coeffs, c = _eisenstein_numerators(weight, prec)
+    return QExp.from_numerators(Fraction(weight), 1, coeffs, c.denominator, 0, prec)
 
 
 def euler_function(prec: int) -> QExp:
@@ -180,41 +185,32 @@ def delta(prec: int) -> QExp:
     return QExp.from_numerators(Fraction(12), 1, shifted, 1, 0, prec)
 
 
-def _e4_cubed(phi24: QExp) -> QExp:
-    """E4^3 on phi24's window [0, prec), from phi24 = phi^24 = Delta / q
-    there, by Ramanujan's identity E4^3 = E12 + (432000/691) Delta: for
-    n >= 1 its coefficient is (65520 sigma_11(n) + 432000 tau(n)) / 691,
-    with tau(n) the coefficient of q^(n-1) in phi24.
-
-    The division is exact by Ramanujan's congruence
-    tau(n) = sigma_11(n) mod 691, which is checked on every coefficient:
-    65520 = -432000 mod 691, so the remainder is nonzero exactly where the
-    congruence fails.
-    """
-    prec = phi24.hi
-    tau = phi24.numerators
-    sigma = _sigma_sieve(11, prec)
-    coeffs = {0: 1} if prec > 0 else {}
-    for n in range(1, prec):
-        t = tau.get(n - 1, 0)
-        v, r = divmod(65520 * sigma[n] + 432000 * t, 691)
-        if r:
-            raise VerificationFailure(
-                "Ramanujan's congruence tau(n) = sigma_11(n) mod 691 fails at q^%d" % n,
-                first_mismatch=(n, t % 691, sigma[n] % 691),
-            )
-        coeffs[n] = v
-    return QExp.from_numerators(Fraction(12), 1, coeffs, 1, 0, prec)
-
-
 def j_invariant(prec: int) -> QExp:
-    """E4^3 / Delta; window [-1, prec): E4^3 (`_e4_cubed`) divided by
-    phi^24 = Delta / q, both from the coefficients of `delta`."""
+    """E4^3 / Delta on [-1, prec), as 691 j = 691 E12 / Delta + 432000 by
+    Ramanujan's identity E4^3 = E12 + (432000/691) Delta, with 432000/691 =
+    3 c4 - c12 from the constants c_w = -2w / B_w: the integer series
+    691 E12 divided by phi^24 = Delta / q (`delta`'s coefficients), then one
+    divmod by 691 per term.  phi^24 is monic and integral, so the first
+    remainder, at q^(n-1), is the first n where E4^3 is not integral: where
+    Ramanujan's congruence tau(n) = sigma_11(n) mod 691 fails.
+    """
     tau = delta(prec + 2).numerators
     phi24 = QExp.from_numerators(Fraction(0), 1, {a - 1: v for a, v in tau.items()}, 1, 0, prec + 1)
-    series = _divide(_e4_cubed(phi24), phi24)
-    shifted = {a - 1: v for a, v in series.numerators.items() if a - 1 < prec}
-    return QExp.from_numerators(Fraction(0), 1, shifted, series.cden, -1, prec)
+    e12, c12 = _eisenstein_numerators(12, prec + 1)
+    den = c12.denominator
+    extra = (den * (3 * _eisenstein_constant(4) - c12)).numerator
+    series = _divide(QExp.from_numerators(Fraction(12), 1, e12, 1, 0, prec + 1), phi24).numerators
+    shifted = {}
+    for n in range(prec + 1):
+        v, r = divmod(series.get(n, 0) + (extra if n == 1 else 0), den)
+        if r:
+            raise VerificationFailure(
+                "Ramanujan's congruence tau(n) = sigma_11(n) mod %d fails at q^%d" % (den, n),
+                first_mismatch=(n, tau.get(n, 0) % den, e12.get(n, 0) // c12.numerator % den),
+            )
+        if v:
+            shifted[n - 1] = v
+    return QExp.from_numerators(Fraction(0), 1, shifted, 1, -1, prec)
 
 
 def _cohen_discriminant(k: int, t: int, f: int) -> tuple[int, int] | None:
@@ -286,10 +282,11 @@ def _theta_e_value(w: int, n: int) -> int:
     sqrt(n) / 2 terms, none when n = 2 or 3 mod 4."""
     if n % 4 > 1:
         return 0
+    c = _eisenstein_constant(w).numerator  # an integer at w = 4, 6, the theta sources
     total = 0
     for j in range(n % 4, math.isqrt(n) + 1, 2):
         m = (n - j * j) // 4
-        b = _EISENSTEIN[w] * _sigma(w - 1, m) if m else 1
+        b = c * _sigma(w - 1, m) if m else 1
         total += 2 * b if j else b
     return total
 
@@ -321,7 +318,9 @@ class _CohenReadSet:
     theta(tau) E_k(4 tau) lies in Kohnen's plus space M+_{k+1/2}(Gamma_0(4)),
     which is isomorphic to M_2k(SL_2(Z)) as a Hecke module.  Its constant
     term is 1 and H_k's is zeta(1 - 2k), so it is H_k / zeta(1 - 2k) plus a
-    cusp form h of the plus space, a multiple of the eigenform that
+    cusp form h of the plus space (the scale 1 / zeta(1 - 2k), 240 at k = 4
+    and 32760/691 at k = 6, from `quadratic_L_neg`, and the theta sums'
+    -2k / B_k from `_eisenstein_constant`), a multiple of the eigenform that
     corresponds to the eigenform tau of S_2k.  By Kohnen-Zagier (1981)
     c_h(|D0| f^2) = c_h(|D0|) S_tau(f), and c_h(|D0|) is the source's
     c(|D0|), one theta sum (`_theta_e_value`), less

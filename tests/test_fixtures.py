@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shimlift import _intpoly, fixtures, qseries
+from shimlift import _intpoly, fixtures, qseries, verify
 from shimlift.arith import power
 from shimlift.errors import VerificationFailure
 from shimlift.fixtures import (
@@ -104,14 +104,21 @@ def test_sigma_sieve_matches_the_divisor_loop(odd_only):
     assert fixtures._sigma_sieve(5, 10001) == sigma_sieve_loop(5, 10001)
 
 
-def test_eisenstein_table_is_minus_2w_over_bernoulli():
-    assert set(fixtures._EISENSTEIN) == {4, 6, 8, 10, 14}
-    for w, c in fixtures._EISENSTEIN.items():
-        assert c == Fraction(-2 * w) / bernoulli_number(w), w
+def test_eisenstein_leading_terms_are_1_and_minus_2w_over_bernoulli():
+    for w in range(4, 65, 2):
+        e = eisenstein(w, 2)
+        assert (e.coeff(0), e.coeff(1)) == (1, Fraction(-2 * w) / bernoulli_number(w)), w
 
 
-def test_eisenstein_rejects_weights_outside_table():
-    for w in (2, 3, 12):
+def test_eisenstein_12_is_441_e4_cubed_plus_250_e6_squared_over_691():
+    # E12 has a rational constant 65520/691; the exact check decomposes it
+    # in its own E4^a E6^b basis
+    want = {(3, 0): Fraction(441, 691), (0, 2): Fraction(250, 691)}
+    assert verify.level1_exact_check(eisenstein(12, 300), 12) == want
+
+
+def test_eisenstein_rejects_odd_and_out_of_range_weights():
+    for w in (-4, 0, 2, 3, 5, 66):
         with pytest.raises(ValueError):
             eisenstein(w, 10)
 
@@ -187,11 +194,12 @@ def test_jacobi_cube_is_the_euler_function_cubed():
         assert fixtures._jacobi_cube(n) == mul(mul(phi, phi), phi), n
 
 
-def test_ramanujan_numerators_are_e4_times_e8():
-    # E4^3 from sigma_11 and phi^24's coefficients is E4 E8 (E4^2 = E8)
+def test_e4_cubed_is_e12_plus_432000_over_691_delta():
+    # Ramanujan's identity, the one j rests on, from the public builders
     n = 1200
-    phi24 = power(euler_function(n), 24, mul)
-    assert fixtures._e4_cubed(phi24) == mul(eisenstein(4, n), eisenstein(8, n))
+    e4 = eisenstein(4, n)
+    rhs = add(eisenstein(12, n), scale(delta(n), Fraction(432000, 691)))
+    assert mul(mul(e4, e4), e4) == rhs
 
 
 def test_ramanujan_congruence_failure_is_typed(monkeypatch):
@@ -208,6 +216,23 @@ def test_ramanujan_congruence_failure_is_typed(monkeypatch):
     with pytest.raises(VerificationFailure) as info:
         j_invariant(100)
     assert info.value.first_mismatch[0] == 37
+
+
+def test_ramanujan_congruence_failure_from_delta_is_typed(monkeypatch):
+    # tau raised by 1 at one index breaks the congruence from Delta's side:
+    # j divides by the patched phi^24 and names that exponent
+    build = fixtures.delta
+
+    def raised(prec):
+        d = build(prec)
+        table = dict(d.numerators)
+        table[29] += 1
+        return QExp.from_numerators(d.weight, 1, table, 1, d.lo, d.hi)
+
+    monkeypatch.setattr(fixtures, "delta", raised)
+    with pytest.raises(VerificationFailure) as info:
+        j_invariant(100)
+    assert info.value.first_mismatch[0] == 29
 
 
 @pytest.mark.parametrize("build, prec", [(j_invariant, 50), (weakly_holomorphic_product, 101)])
