@@ -12,25 +12,40 @@ and a slot reads back by subtracting B/2 alone.  Only the first n slots
 are ever read, and operands are trimmed to n terms first.
 
 Every operand is offset-encoded, whatever its signs: the offset costs one
-xor and one subtraction of H per operand, linear next to the multiply.
+pass over each operand and one subtraction of H, linear next to the
+multiply.
 
-Every slot is written and read in two's complement: on a slot, x + B/2
-and the two's complement of x differ only in the top bit, so one xor with
-H turns the whole packed number from one form into the other.  Slots of
-up to 8 bytes are packed and read by `struct`, in C, one call per
-`_CHUNK` slots each way, in a lane, the narrowest machine word that holds
-the slot.  A slot of 1, 2, 4 or 8 bytes is its own lane; one of 3 or 5-7
-bytes is cut down from its 4- or 8-byte lane by one strided byte copy per
-slot byte, and widened back by the same copies into lanes whose upper
-bytes repeat the slot's sign bit (a 256-byte translate table gives them
-from the slot's top byte).  A slot of 9-16 bytes is read through two
+The binary routes meet at one seam, `_binary`: the slot bytes of each
+operand (`_slots`), a multiplier mapping (operand bytes, operand bytes,
+slot, n) to the bytes of the product's first n slots, and `_unpack`,
+which reads those back.  Slot bytes on both sides of the seam are in two's
+complement, padded with zero bytes to whole 8-byte words: on a slot, x +
+B/2 and the two's complement of x differ only in the top bit.  The int
+multiplier (`_int_mul`, the multiply itself by gmpy2 when it imports)
+reads each operand's bytes as one int, turns it into U - H by one xor and
+one subtraction of H, and writes (c mod B^n + H) mod B^n xor H back as
+bytes.  The libgmp multiplier keeps the product inside GMP from end to
+end: it flips each operand slot's top bit with one strided `translate`,
+which gives U, imports U and H as words, subtracts, multiplies, reduces
+mod B^n, adds H, reduces again, exports the window straight into its
+bytes and flips their top bits back.  Both multipliers empty the operand
+bytes once they have read them, so no operand is held twice.
+
+Slots of up to 8 bytes are packed and read by `struct`, in C, one call
+per `_CHUNK` slots each way, in a lane, the narrowest machine word that
+holds the slot.  A slot of 1, 2, 4 or 8 bytes is its own lane; one of 3
+or 5-7 bytes is cut down from its 4- or 8-byte lane by one strided byte
+copy per slot byte, and widened back by the same copies into lanes whose
+upper bytes repeat the slot's sign bit (a 256-byte translate table gives
+them from the slot's top byte).  A slot of 9-16 bytes is read through two
 8-byte lanes, an unsigned one of its low 8 bytes and a signed one of the
 rest, widened the same way, as low + (high << 64); it is packed one slot
 at a time through signed int.to_bytes, as are wider slots, which are also
 read one at a time through int.from_bytes.  The lists, tuples and lanes
 of every path are built `_CHUNK` coefficients at a time (`_WIDE_CHUNK`
-for the two-lane read), so apart from the packed bytes themselves no
-temporary grows with the operands.
+for the two-lane read, at most `_PACK_BYTES` bytes for packing slots of
+more than 8 bytes), so apart from the slot bytes themselves no temporary
+grows with the operands.
 
 `convolve` decides everything about a product once: it trims each operand
 to n terms, scans it once (`_scan`: largest magnitude, nonzero count),
@@ -41,14 +56,14 @@ Routes, in the order `convolve` tries them:
   1. schoolbook, when the shorter operand is short;
   2. libgmp, without gmpy2, once the slot bits times the shorter operand's
      length reach a floor, when the system's libgmp.so.10 loads through
-     ctypes: GMP's mpz_mul, the operands and product passed as
-     little-endian words.  Below the floor the fixed cost of each call
-     through ctypes loses to int.  The library is loaded on the first
-     product past the floor, once per process, so a request that never
-     reaches it never imports ctypes;
+     ctypes: GMP's mpz_mul on the slot bytes, as above.  Below the floor
+     the fixed cost of each call through ctypes loses to int, and loading
+     ctypes at all costs more than the products just past it gain.  The
+     library is loaded on the first product past the floor, once per
+     process, so a request that never reaches it never imports ctypes;
   3. int, without gmpy2 otherwise: Python's int, below libgmp's floor,
      and past it too where libgmp does not load;
-  4. gmpy2, whenever it imports.
+  4. gmpy2, whenever it imports, through the int multiplier.
 Every route gives the same coefficients.
 """
 
@@ -69,7 +84,11 @@ _HAVE_GMPY2 = _mpz.__module__ != __name__
 # shorter operand at most this long: schoolbook
 _SCHOOLBOOK_TERMS = 10
 # slot bits times the shorter operand's length at least this: libgmp
-# instead of int (below it, its fixed ctypes cost per product loses)
+# instead of int.  Below about 5 000-5 500 on square shapes its fixed
+# ctypes cost per product loses; the floor also stays above the 6 248 of
+# the largest product of a command-line exact check (weight 12, prec 70),
+# so that such a call never imports ctypes, whose load alone outweighs
+# what products just past the crossover gain
 _LIBGMP_BITS = 8_000
 # coefficients per chunk while packing and unpacking, to bound the
 # temporary lists and tuples; slots of 9-16 bytes are read in smaller
@@ -78,6 +97,10 @@ _LIBGMP_BITS = 8_000
 # peak at more than twice its result)
 _CHUNK = 4096
 _WIDE_CHUNK = 1024
+# slots wider than 8 bytes are packed at most this many bytes at a time
+# (at 4096 slots, the slots of up to 323 bytes of j's division on 10130
+# terms would make more than 2 MB of temporary bytes per chunk)
+_PACK_BYTES = 1 << 16
 # struct format of a signed machine word of each width; with "<" it is
 # little-endian two's complement on every host
 _WORD = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -86,6 +109,8 @@ _LANE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
 # byte b -> 0xFF if its top bit is set, else 0: the bytes that sign-extend
 # a two's complement slot whose top byte is b
 _SIGN_FILL = bytes(128) + b"\xff" * 128
+# byte b -> b with its top bit flipped
+_FLIP = bytes(b ^ 0x80 for b in range(256))
 
 
 def _schoolbook(a: list, b: list, n: int) -> list:
@@ -119,19 +144,21 @@ def _slot_bits(sa: tuple, sb: tuple) -> int:
     return ma.bit_length() + mb.bit_length() + min(ka, kb).bit_length() + 1
 
 
-def _halves(slot: int, n: int) -> int:
-    """H = sum of B/2 * B^i over i < n, B = 2^(8 slot): B/2 in each of n
-    binary slots."""
-    return int.from_bytes((bytes(slot - 1) + b"\x80") * n, "little")
+def _halves(slot: int, k: int) -> bytes:
+    """H = sum of B/2 * B^i over i < k, B = 2^(8 slot): B/2 in each of k
+    binary slots, as little-endian bytes."""
+    return (bytes(slot - 1) + b"\x80") * k
 
 
-def _pack(a: list, slot: int) -> int:
-    """a on binary slots of `slot` bytes, as one signed int: U - H for the
-    offset slots U, which are the two's complement slots of a xor H."""
+def _slots(a: list, slot: int) -> bytearray:
+    """a on binary slots of `slot` bytes, each coefficient in two's
+    complement, zero-padded to whole 8-byte words: the slots of the padding
+    are zero coefficients."""
     lane = _LANE.get(slot)
-    buf = bytearray(len(a) * slot)
-    for start in range(0, len(a), _CHUNK):
-        part = a[start:start + _CHUNK]
+    chunk = _CHUNK if lane else min(_CHUNK, max(1, _PACK_BYTES // slot))
+    buf = bytearray(-(-len(a) * slot // 8) * 8)
+    for start in range(0, len(a), chunk):
+        part = a[start:start + chunk]
         base, end = start * slot, (start + len(part)) * slot
         if lane:
             # two's complement lanes cut down to their low `slot` bytes
@@ -143,9 +170,22 @@ def _pack(a: list, slot: int) -> int:
                     buf[base + j:end:slot] = wide[j::lane]
         else:
             buf[base:end] = b"".join([x.to_bytes(slot, "little", signed=True) for x in part])
-    p = int.from_bytes(buf, "little")
-    del buf
-    h = _halves(slot, len(a))
+    return buf
+
+
+def _flip(raw: bytearray, slot: int, k: int) -> None:
+    """Flip the top bit of each of the first k slots of raw, in place: on a
+    slot, x + B/2 and the two's complement of x differ only there."""
+    top = raw[slot - 1:k * slot:slot]
+    raw[slot - 1:k * slot:slot] = top.translate(_FLIP)
+
+
+def _signed(raw: bytearray, slot: int) -> int:
+    """The signed int of the two's complement slots raw: U - H for the
+    offset slots U, which are raw xor H.  raw is emptied once read."""
+    p = int.from_bytes(raw, "little")
+    h = int.from_bytes(_halves(slot, len(raw) // slot), "little")
+    raw.clear()
     return (p ^ h) - h
 
 
@@ -155,7 +195,7 @@ def _window(c: int, slot: int, n: int) -> bytes:
     with H turns into the two's complement of c_i, the form read back."""
     window = (1 << 8 * slot * n) - 1
     c &= window
-    h = _halves(slot, n)
+    h = int.from_bytes(_halves(slot, n), "little")
     c = ((c + h) & window) ^ h
     return c.to_bytes(n * slot, "little")
 
@@ -177,7 +217,7 @@ def _widen(part: bytes, slot: int, first: int, lane: int) -> bytearray:
 
 
 def _unpack(raw: bytes, slot: int, n: int) -> list:
-    """The n coefficients in the slots `_window` wrote."""
+    """The coefficients in the first n two's complement slots of raw."""
     if slot > 16:
         return [int.from_bytes(raw[i:i + slot], "little", signed=True) for i in range(0, n * slot, slot)]
     out = [0] * n
@@ -199,22 +239,24 @@ def _unpack(raw: bytes, slot: int, n: int) -> list:
     return out
 
 
-def _big_mul(x: int, y: int) -> int:
-    """x * y as an int, multiplied by gmpy2 when it imports."""
-    return int(_mpz(x) * _mpz(y))
+def _int_mul(x: bytearray, y: bytearray, slot: int, n: int) -> bytes:
+    """The first n slots of the product of the slot bytes x and y, by int
+    arithmetic, the multiply itself by gmpy2 when it imports."""
+    c = int(_mpz(_signed(x, slot)) * _mpz(_signed(y, slot)))
+    return _window(c, slot, n)
 
 
-def _binary(a: list, b: list, n: int, slot: int, mul=_big_mul) -> list:
-    """First n coefficients of a*b through binary slots of `slot` bytes, the
-    packed operands multiplied by mul(x, y), a function giving their
-    product as an int."""
-    raw = _window(mul(_pack(a, slot), _pack(b, slot)), slot, n)
-    return _unpack(raw, slot, n)
+def _binary(a: list, b: list, n: int, slot: int, mul=_int_mul) -> list:
+    """First n coefficients of a*b through binary slots of `slot` bytes:
+    the slot bytes of each operand, mul(x, y, slot, n) giving the slot
+    bytes of the product's first n coefficients (and emptying x and y once
+    it has read them), and those read back."""
+    return _unpack(mul(_slots(a, slot), _slots(b, slot), slot, n), slot, n)
 
 
 def _load_libgmp():
-    """A function giving the int product of two ints by GMP's mpz_mul,
-    called through ctypes, or None when libgmp.so.10 does not load.
+    """A multiplier for `_binary` that keeps the product inside GMP, called
+    through ctypes, or None when libgmp.so.10 does not load.
 
     The soname is loaded directly: ctypes.util.find_library would start
     ldconfig or a compiler to look for it."""
@@ -228,59 +270,72 @@ def _load_libgmp():
     class Mpz(ctypes.Structure):  # mpz_t: limbs allocated, signed size, limbs
         _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("d", ctypes.c_void_p)]
 
-    mpz, size_t, c_int = ctypes.POINTER(Mpz), ctypes.c_size_t, ctypes.c_int
-    init, import_, mul_, neg, fdiv_r_2exp, sizeinbase, export, clear = (
+    mpz, size_t, c_int, void_p = ctypes.POINTER(Mpz), ctypes.c_size_t, ctypes.c_int, ctypes.c_void_p
+    init, clear, import_, export, add, sub, mul_, fdiv_r_2exp = (
         getattr(lib, "__gmpz_" + name)
-        for name in ("init", "import", "mul", "neg", "fdiv_r_2exp", "sizeinbase", "export", "clear"))
+        for name in ("init", "clear", "import", "export", "add", "sub", "mul", "fdiv_r_2exp"))
     for fn, argtypes, restype in (
         (init, [mpz], None),
-        (import_, [mpz, size_t, c_int, size_t, c_int, size_t, ctypes.c_void_p], None),
-        (mul_, [mpz, mpz, mpz], None),
-        (neg, [mpz, mpz], None),
-        (fdiv_r_2exp, [mpz, mpz, ctypes.c_ulong], None),
-        (sizeinbase, [mpz, c_int], size_t),
-        (export, [ctypes.c_void_p, ctypes.POINTER(size_t), c_int, size_t, c_int, size_t, mpz], ctypes.c_void_p),
         (clear, [mpz], None),
+        (import_, [mpz, size_t, c_int, size_t, c_int, size_t, void_p], None),
+        (export, [void_p, ctypes.POINTER(size_t), c_int, size_t, c_int, size_t, mpz], void_p),
+        (add, [mpz, mpz, mpz], None),
+        (sub, [mpz, mpz, mpz], None),
+        (mul_, [mpz, mpz, mpz], None),
+        (fdiv_r_2exp, [mpz, mpz, ctypes.c_ulong], None),
     ):
         fn.argtypes, fn.restype = argtypes, restype
 
-    def mul(x: int, y: int) -> int:
-        # mpz_import and mpz_export carry magnitudes, here as 8-byte
-        # little-endian words, least significant first; a negative product
-        # -m goes out as its two's complement 2^(64 w) - m on one word more
-        # than m needs, which int.from_bytes reads back signed
-        negative = bool(x and y) and (x < 0) != (y < 0)
-        zs = (Mpz * 3)()
+    # mpz_import and mpz_export move 8-byte little-endian words, least
+    # significant first, which on a little-endian host with word-aligned
+    # buffers is one copy of the words.  A bytearray is passed by reference
+    # to its first byte: an array type of its length would be a new ctypes
+    # type, cached for the life of the process, for every length
+    def load(z, raw: bytes) -> None:
+        words = len(raw) // 8
+        if isinstance(raw, bytearray):
+            raw = ctypes.byref(ctypes.c_char.from_buffer(raw))
+        import_(z, words, -1, 8, -1, 0, raw)
+
+    def mul(x: bytearray, y: bytearray, slot: int, n: int) -> bytearray:
+        # with U the offset slots of an operand (its slot bytes with each
+        # top bit flipped) and H B/2 in every slot, the operand is U - H;
+        # the product c leaves as (c mod B^n + H) mod B^n, its top bits
+        # flipped back
+        kx, ky = len(x) // slot, len(y) // slot
+        zs = (Mpz * 5)()
         for z in zs:
             init(z)
+        zx, zy, zc, zh, zt = zs
         try:
-            for z, v in zip(zs, (x, y)):
-                v = abs(v)
-                words = (v.bit_length() + 63) // 64
-                raw = v.to_bytes(8 * words, "little")
-                del v
-                import_(z, words, -1, 8, -1, 0, raw)
-                del raw
-            mul_(zs[2], zs[0], zs[1])
-            # the operands' limbs are freed before the product is copied out
-            for z in zs[:2]:
+            for z, raw, k in ((zx, x, kx), (zy, y, ky)):
+                _flip(raw, slot, k)
+                load(z, raw)
+                raw.clear()
+            # H on as many slots as the longest of x, y and the window,
+            # rounded up to a multiple of 8, which fills whole words; H on
+            # k slots is its remainder mod B^k
+            load(zh, _halves(slot, -(-max(kx, ky, n) // 8) * 8))
+            for z, k in ((zx, kx), (zy, ky)):
+                fdiv_r_2exp(zt, zh, 8 * slot * k)
+                sub(z, z, zt)
+            mul_(zc, zx, zy)
+            # the operands' limbs are freed before the window is made
+            for z in (zx, zy):
                 clear(z)
                 init(z)
-            words = (sizeinbase(zs[2], 2) + 63) // 64 + negative
-            if negative:
-                neg(zs[2], zs[2])
-                fdiv_r_2exp(zs[2], zs[2], 64 * words)
-            buf = ctypes.create_string_buffer(8 * words)
-            count = size_t()
-            export(buf, ctypes.byref(count), -1, 8, -1, 0, zs[2])
+            bits = 8 * slot * n
+            fdiv_r_2exp(zc, zc, bits)
+            fdiv_r_2exp(zt, zh, bits)
+            add(zc, zc, zt)
+            fdiv_r_2exp(zc, zc, bits)
+            out = bytearray(-(-n * slot // 8) * 8)
+            export(ctypes.byref(ctypes.c_char.from_buffer(out)), ctypes.byref(size_t()), -1, 8, -1, 0, zc)
         finally:
             for z in zs:
                 clear(z)
-        # one copy of the product's words, made before the buffer is freed:
-        # int.from_bytes would copy any buffer that is not bytes
-        raw = ctypes.string_at(buf, 8 * count.value)
-        del buf
-        return int.from_bytes(raw, "little", signed=negative)
+        _flip(out, slot, n)
+        return out
 
     return mul
 
@@ -292,7 +347,7 @@ _libgmp_mul = _UNTRIED
 
 
 def _libgmp():
-    """The libgmp multiply of `_load_libgmp`, or None; loaded once."""
+    """The libgmp multiplier of `_load_libgmp`, or None; loaded once."""
     global _libgmp_mul
     if _libgmp_mul is _UNTRIED:
         _libgmp_mul = _load_libgmp()

@@ -775,7 +775,8 @@ def test_cli_commands_do_not_load_ctypes(capsys, tmp_path, argv):
     # times shorter length reach _intpoly._LIBGMP_BITS, which none of these
     # requests reaches; the largest, the exact check of the weight 12 lift
     # of theta E6(4 tau) at prec 70 (the largest lift the benchmark's
-    # command-line workload checks), multiplies 48 x 48 terms on 81-bit slots
+    # command-line workload checks), multiplies 71 x 71 terms on 88-bit
+    # slots, 6 248 bits times the shorter length
     assert _ctypes_status(capsys, tmp_path, argv) == "ctypes=False exit=0"
 
 

@@ -7,13 +7,15 @@ truncation length, so the offset slot format (each slot x + B/2 on the
 way in and c_i + B/2 on the way out, read back without a borrow) is
 checked for each of them, not only for the one this machine picks: at
 every slot width the packing distinguishes, at the largest coefficients
-a slot holds, and across the chunk edges of packing and unpacking.
+a slot holds, and across the chunk edges of packing and unpacking.  The
+binary routes share one seam, `_binary`: slot bytes of each operand go to
+a multiplier, which gives the slot bytes of the product's window; the
+route tests record the multiplier that each `_binary` call is given.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import os
 import random
 import subprocess
@@ -37,6 +39,12 @@ def naive(a: list, b: list, n: int) -> list:
     return out
 
 
+def int_mul(x, y, slot, n):
+    """The int multiplier of `_binary`, multiplying by Python's int whether
+    or not gmpy2 imports."""
+    return _intpoly._window(_intpoly._signed(x, slot) * _intpoly._signed(y, slot), slot, n)
+
+
 def direct(route, *extra):
     """route called as `convolve` calls it: on the operands trimmed to n,
     with the all-zero answer and the slot size decided from the scans."""
@@ -50,8 +58,8 @@ def direct(route, *extra):
     return mul
 
 
-binary_int = direct(_intpoly._binary, operator.mul)
-# libgmp's multiply, loaded as convolve loads it, or None
+binary_int = direct(_intpoly._binary, int_mul)
+# libgmp's multiplier, loaded as convolve loads it, or None
 LIBGMP = _intpoly._libgmp()
 needs_libgmp = pytest.mark.skipif(LIBGMP is None, reason="libgmp.so.10 does not load")
 
@@ -65,7 +73,8 @@ try:
 except ImportError:
     pass
 else:
-    MULTIPLIERS.append(pytest.param(direct(_intpoly._binary, lambda x, y: int(gmpy2.mpz(x) * gmpy2.mpz(y))), id="gmpy2"))
+    # with gmpy2 importing, the int multiplier multiplies by gmpy2
+    MULTIPLIERS.append(pytest.param(direct(_intpoly._binary, _intpoly._int_mul), id="gmpy2"))
 
 coefficient = st.one_of(
     st.integers(-2, 2),
@@ -178,10 +187,10 @@ def _full(rng, n, m):
 
 
 def _record_muls(monkeypatch):
-    """The multiply each `_binary` call is given, appended as calls run."""
+    """The multiplier each `_binary` call is given, appended as calls run."""
     muls = []
     binary = _intpoly._binary
-    monkeypatch.setattr(_intpoly, "_binary", lambda a, b, n, slot, mul=_intpoly._big_mul:
+    monkeypatch.setattr(_intpoly, "_binary", lambda a, b, n, slot, mul=_intpoly._int_mul:
                         muls.append(mul) or binary(a, b, n, slot, mul))
     return muls
 
@@ -196,30 +205,39 @@ def _far_past_the_libgmp_floor(rng):
 
 
 @needs_libgmp
-@pytest.mark.parametrize("width", range(1, 17))
+@pytest.mark.parametrize("width", [*range(1, 25), 80, 144])
 def test_libgmp_multiply_against_schoolbook(width):
     # mixed signs at the largest coefficients a slot of `width` bytes holds
     # (a column of 24 products stays below B/2), every sign of the two top
-    # terms, so of the two packed operands, and windows below the full
-    # length; three equal top terms give the top columns their largest
-    # sums, and a negative packed product c carries out of the top slot of
-    # (c mod B^n) + H, a carry the window drops
+    # terms, so of the two packed operands, a long operand on both sides of
+    # each chunk edge and windows below the full length; j's division at
+    # 2000 terms runs on slots of up to 144 bytes.  Three equal top terms give the top columns
+    # their largest sums.  A window whose highest nonzero coefficient is
+    # negative is a negative c mod B^n, so (c mod B^n) + H carries out of
+    # its top slot, a carry the window drops; a window of leading zeros is
+    # H alone.  The multiplier is called at `_binary`'s seam, so that the
+    # bytes of its window past the n slots are checked too
     rng = random.Random(width)
     room = 8 * width - 6
     ma, mb = (1 << (room - room // 2)) - 1, (1 << (room // 2)) - 1
+    carries = 0
     for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        a = [rng.randrange(-ma, ma + 1) for _ in range(60)] + [sa * ma] * 3
-        b = [rng.randrange(-mb, mb + 1) for _ in range(21)] + [sb * mb] * 3
-        assert (_intpoly._slot_bits(_intpoly._scan(a), _intpoly._scan(b)) + 7) // 8 == width
-        full = len(a) + len(b) - 1
-        want = _intpoly._schoolbook(a, b, full)
-        for n in (full, full - 1, full - 3, len(a), 25, 1):
-            assert _intpoly._binary(a, b, n, width, LIBGMP) == want[:n], (sa, sb, n)
-    assert LIBGMP(0, -(1 << 200)) == 0
-    assert LIBGMP(-(1 << 64) + 1, (1 << 64) + 1) == -(1 << 128) + 1
-    # negative products whose magnitude fills its top word, or just does not
-    for x, y in ((-1, 1), (1 << 63, -1), (-(1 << 64), 1 << 64), ((1 << 64) - 1, -((1 << 64) - 1))):
-        assert LIBGMP(x, y) == x * y == LIBGMP(y, x), (x, y)
+        for length in (_intpoly._WIDE_CHUNK - 1, _intpoly._WIDE_CHUNK + 1, _intpoly._CHUNK - 1, _intpoly._CHUNK + 1):
+            a = [rng.randrange(-ma, ma + 1) for _ in range(length - 3)] + [sa * ma] * 3
+            b = [rng.randrange(-mb, mb + 1) for _ in range(21)] + [sb * mb] * 3
+            assert (_intpoly._slot_bits(_intpoly._scan(a), _intpoly._scan(b)) + 7) // 8 == width
+            full = len(a) + len(b) - 1
+            want = _intpoly._schoolbook(b, a, full)
+            for n in (full, full - 1, full - 3, len(a), 25, 1):
+                raw = LIBGMP(_intpoly._slots(a, width), _intpoly._slots(b, width), width, n)
+                assert _intpoly._unpack(raw, width, n) == want[:n], (sa, sb, length, n)
+                # the padding past the window holds no carry
+                assert not any(raw[n * width:]), (sa, sb, length, n)
+                carries += next((c for c in reversed(want[:n]) if c), 0) < 0
+    assert carries
+    zeros = [0, 0, 0] + a
+    for n in (1, 3, 4):
+        assert _intpoly._binary(zeros, b, n, width, LIBGMP) == [0, 0, 0, a[0] * b[0]][:n]
 
 
 def _at_the_libgmp_floor(rng, above):
@@ -256,35 +274,57 @@ def test_libgmp_takes_every_product_past_its_floor(monkeypatch, gmpy2_imports):
         assert _intpoly.convolve(x, y) == _intpoly._schoolbook(x, y, n)
         assert _intpoly.convolve(x, y, n // 2) == _intpoly._schoolbook(x, y, n // 2)
     if gmpy2_imports:
-        want = [_intpoly._big_mul] * 10
+        want = [_intpoly._int_mul] * 10
     else:
-        want = [LIBGMP] * 6 + [_intpoly._big_mul] * 2 + [LIBGMP] * 2
+        want = [LIBGMP] * 6 + [_intpoly._int_mul] * 2 + [LIBGMP] * 2
     assert muls == want
 
 
 @needs_libgmp
 def test_libgmp_product_peak_memory_stays_within_twice_its_result():
-    # the product leaves GMP as one bytes copy of its words, made before
-    # the export buffer is freed, and a negative one already in two's
-    # complement, so no second int of its size is made to negate it
+    # the libgmp multiplier empties each operand's slot bytes once GMP holds
+    # them, before it makes H, and exports the product straight into the
+    # window's bytes: with its operands it never holds more than twice its
+    # window, at every sign pair, and the operands' bytes are gone when it
+    # returns
     rng = random.Random(13)
-    x, y = rng.getrandbits(8_500_000), rng.getrandbits(8_600_000)
-    # about 2.1 MB; int's own product of these takes seconds
-    product = LIBGMP(x, y)
-    assert product % 1_000_003 == (x % 1_000_003) * (y % 1_000_003) % 1_000_003
+    # 1016-bit coefficients, whose column sums fit 256-byte slots
+    slot, la, lb = 256, 4000, 4100
+    bits = 4 * slot - 8
+    assert 2 * bits + la.bit_length() + 1 <= 8 * slot
+    x0 = [rng.randrange(1 << bits) for _ in range(la)]
+    y0 = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(lb)]
+    n = la + lb - 1
+    # the window checked at a point mod a prime, as int's own product of
+    # these 1 MB operands takes seconds
+    p, r = 1_000_003, 12_345
     for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        a, b = sx * x, sy * y
+        a, b = [sx * v for v in x0], [sy * v for v in y0]
+        # the operands are made while tracing, so that their release counts
         tracemalloc.start()
         try:
+            x, y = _intpoly._slots(a, slot), _intpoly._slots(b, slot)
+            operands = len(x) + len(y)
             base = tracemalloc.get_traced_memory()[0]
-            c = LIBGMP(a, b)
+            out = LIBGMP(x, y, slot, n)
             size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert c == sx * sy * product
-        assert size - base >= product.bit_length() // 8
-        assert peak - base <= 2 * (size - base), (sx, sy, peak - base, size - base)
-        del c
+        assert not x and not y
+        assert len(out) >= n * slot
+        assert peak - base + operands <= 2 * len(out), (sx, sy, peak - base, operands, len(out))
+        assert size - base <= len(out) - operands + 4096, (sx, sy, size - base, len(out), operands)
+        c = _intpoly._unpack(out, slot, n)
+        assert _at(c, r, p) == _at(a, r, p) * _at(b, r, p) % p, (sx, sy)
+        del out, c
+
+
+def _at(a, r, p):
+    """a(r) mod p."""
+    v = 0
+    for x in reversed(a):
+        v = (v * r + x) % p
+    return v
 
 
 @needs_libgmp
@@ -306,7 +346,7 @@ def test_fixture_outputs_are_the_same_on_every_route(monkeypatch):
     muls.clear()
     monkeypatch.setattr(_intpoly, "_libgmp_mul", None)
     assert digests() == with_libgmp
-    assert muls and all(mul is _intpoly._big_mul for mul in muls)
+    assert muls and all(mul is _intpoly._int_mul for mul in muls)
 
 
 def test_int_route_when_libgmp_does_not_load(monkeypatch):
@@ -337,7 +377,7 @@ def test_int_route_when_libgmp_does_not_load(monkeypatch):
     assert _intpoly.convolve(a, b) == want
     assert _intpoly.convolve(b, a, 400) == want[:400]
     assert loads == ["libgmp.so.10"]
-    assert muls == [_intpoly._big_mul] * 2
+    assert muls == [_intpoly._int_mul] * 2
     assert _intpoly._libgmp_mul is None
 
 
@@ -382,9 +422,9 @@ def test_multiplier_at_the_largest_coefficients_of_each_slot_width(mul, width, l
 
 
 def test_slots_pack_and_read_back_at_every_width():
-    # the packed int of a coefficient list is its value at q = B, whether or
-    # not a term is negative, and a product's slots read back as its
-    # coefficients
+    # the slot bytes of a coefficient list, padded to whole words, are its
+    # value at q = B, whether or not a term is negative, and a product's
+    # slots read back as its coefficients
     rng = random.Random(12)
     for width in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17):
         half = 1 << (8 * width - 1)
@@ -392,10 +432,16 @@ def test_slots_pack_and_read_back_at_every_width():
         plain = [abs(x) % half for x in signed]
         for values in (signed, plain):
             c = sum(x << (8 * width * i) for i, x in enumerate(values))
-            assert _intpoly._pack(values, width) == c
+            raw = _intpoly._slots(values, width)
+            assert len(raw) % 8 == 0 and len(raw) - len(values) * width < 8
+            assert _intpoly._signed(raw, width) == c and not raw
             for n in (len(values), _intpoly._CHUNK + 1):
-                raw = _intpoly._window(c, width, n)
-                assert _intpoly._unpack(raw, width, n) == values[:n]
+                window = _intpoly._window(c, width, n)
+                assert _intpoly._unpack(window, width, n) == values[:n]
+                # libgmp's window of values times 1 is the same
+                if LIBGMP:
+                    one = LIBGMP(_intpoly._slots(values, width), _intpoly._slots([1], width), width, n)
+                    assert one[:n * width] == window
 
 
 @pytest.mark.parametrize("width", range(9, 17))
@@ -475,3 +521,23 @@ def test_theta_e6_product_peak_memory_stays_within_twice_its_result(monkeypatch)
     monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
     peak, size = _peak_and_size(_intpoly.convolve, a, b, n)
     assert peak <= 2 * size, (peak, size)
+
+
+@needs_libgmp
+def test_j_invariant_peak_memory_stays_within_four_and_a_half_times_its_size(monkeypatch):
+    # j's division on 10130 terms multiplies on libgmp (forced here so that
+    # every install measures it); the operands' slot bytes are emptied once
+    # GMP holds them and the product goes straight into the window's bytes,
+    # so the build peaks at about 3.6 times the j it keeps, where packed
+    # Python ints around each product took it to about 6.2 times
+    monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
+    fixtures.j_invariant(50)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        j = fixtures.j_invariant(10130)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert j.hi == 10130
+    assert peak - base <= 4.5 * (size - base), (peak - base, size - base)
