@@ -64,9 +64,9 @@ def _read_json_source(path: str):
 def _load_series(args, needed_hi: int | None = None) -> QExp:
     """The --input or --fixture series; a fixture is built to needed_hi,
     which the lift has checked against the budget, or to --prec.  For the
-    lift the fixtures of `fixtures._READ_SETS` are read-set sources instead
-    (`fixtures._CohenReadSet`): the lift reads only c(t s^2 m^2), and those
-    values come without the window."""
+    lift the fixtures of `fixtures._READ_SETS` load as their formula
+    source (`fixtures._CohenReadSet`), which answers c(t s^2 m^2) without
+    building the window."""
     if getattr(args, "fixture", None):
         from . import fixtures
 
@@ -194,11 +194,13 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    from .plusspace import epsilon_for, project_plus, project_two
+    from .plusspace import _require_4n, epsilon_for, project_plus, project_two
     from .qseries import qexp_to_json
 
     _check_at_least(0, ("--prec", args.prec))
     _check_at_least(1, ("--N", args.N))
+    # before any series is built or read
+    _require_4n(args.N, "mod-two projection" if args.two else "plus projection")
     f = _load_series(args)
     if args.xi is not None:
         k = _resolve(args, "k")

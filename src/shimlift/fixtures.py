@@ -331,12 +331,14 @@ class _CohenReadSet:
     factoring of f.  Either theta source re-checks the value at the least m
     with f > 1 against its own theta sum (`VerificationFailure` otherwise).
 
-    It is not a QExp; it states what the lift's checks read of the series
-    it stands for: the weight k + 1/2, integer exponents, the window
-    [0, hi), and the classes mod 4 of the window's support.
+    It is the lift's formula source: it answers the calls that a QExp
+    window answers (`_check_reads`, `_read_set`, `weight`, `denom`,
+    `_residues_mod4`) and holds only k, the theta flag, the weight and the
+    window [0, hi) that it stands for, which sets its classes mod 4.
     """
 
-    __slots__ = ("k", "theta", "weight", "denom", "lo", "hi")
+    __slots__ = ("k", "theta", "weight", "hi")
+    denom = 1
 
     def __init__(self, k: int, hi: int, theta: bool = False):
         if theta and k not in (4, 6):
@@ -344,8 +346,6 @@ class _CohenReadSet:
         self.k = k
         self.theta = theta
         self.weight = Fraction(2 * k + 1, 2)
-        self.denom = 1
-        self.lo = 0
         self.hi = hi
 
     def _residues_mod4(self) -> frozenset:
@@ -356,7 +356,10 @@ class _CohenReadSet:
         c = 1 if self.k % 2 == 0 else 3
         return frozenset((0, c) if self.hi > c else (0,))
 
-    def read_set(self, T: int, prec: int) -> tuple[list[int], int]:
+    def _check_reads(self, T: int, prec: int) -> None:
+        """Nothing to check: the formula answers every read."""
+
+    def _read_set(self, T: int, prec: int) -> tuple[list[int], int]:
         """(a, D) with D c(T m^2) = a[m] for m = 0 .. prec, all integers:
         c(0) and the one L-value are scaled before D is formed."""
         k = self.k

@@ -66,7 +66,8 @@ class QExp:
     caller reads a coefficient: `coeff()`, `coeff_exponent()`, and
     `.coeffs`, a read-only {exponent: Scalar} view built on first access
     and cached.  `exponents()` reads the support without building it, and
-    `_residues_mod4()` its classes mod 4, scanned once and cached too.
+    `_residues_mod4()` its classes mod 4, scanned once and cached too.  The
+    lift reads a QExp as its window source (`_check_reads`, `_read_set`).
     """
 
     __slots__ = ("weight", "denom", "lo", "hi", "metadata", "_table", "cden", "_view", "_mod4")
@@ -185,6 +186,23 @@ class QExp:
 
     def _scan_mod4(self) -> frozenset:
         return frozenset({a % 4 for a in self._table})
+
+    def _check_reads(self, T: int, prec: int) -> None:
+        """PrecisionError unless the window holds the lift's reads c(T m^2), m <= prec."""
+        needed = T * prec * prec + 1
+        if self.hi < needed:
+            raise PrecisionError(
+                "lift to q^%d with index %d reads input coefficients up to %d; window ends at %d"
+                % (prec, T, needed - 1, self.hi),
+                required_lo=min(self.lo, 0),
+                required_hi=needed,
+            )
+
+    def _read_set(self, T: int, prec: int) -> tuple[list, int]:
+        """(a, D) with D c(T m^2) = a[m] for m = 0 .. prec: numerators over
+        cden, or scalars over 1 in scalar form; unchecked (`_check_reads`)."""
+        table = self._table
+        return [table.get(T * m * m, 0) for m in range(prec + 1)], self.cden or 1
 
     def support(self) -> list[int]:
         return sorted(self._table)
@@ -601,7 +619,7 @@ def _divide(f: QExp, g: QExp) -> QExp:
     s = dg * cx
     GY = _intpoly.convolve(G, Y0, H)
     R = [F[i] * s - GY[i] for i in range(h, H)]
-    del GY
+    del GY, F, G, nf, ng, inv  # not read past R: freed before the last product
     # Y0 over df cx is Y0 s over df cx s, the denominator of X R
     if s != 1:
         Y0 = [v * s for v in Y0]

@@ -10,13 +10,13 @@ where c(d, n) is the n-th coefficient of the diamond translate <d> f.  The
 lift therefore reads the input only on the read set {T m^2 : 0 <= m <= prec}
 and computes every coefficient at once by one sieve, out[d m] += w(d) a[m]
 (`_lift`); on rational input it runs on the integer numerators over one
-common denominator.  `_read_set` is the one read path, and it returns
-those numerators with their denominator: from the table of a QExp, or
-from a series that knows its coefficients by formula and answers for its
-read set alone (`fixtures._CohenReadSet`, which the command line lifts in
-place of the windows of `fixtures._READ_SETS`).  The constant term is a
-linear combination of the c(d, 0) weighted by partial zeta values at
-1 - k, one sum over the residues h mod P prime to N T,
+common denominator.  Every input answers the lift through the same calls,
+`_check_reads` and `_read_set`, which gives those numerators with their
+denominator: a QExp from its window, a formula source from its formula
+(`fixtures._CohenReadSet`, which the command line lifts in place of the
+windows of `fixtures._READ_SETS`).  The constant term is a linear
+combination of the c(d, 0) weighted by partial zeta values at 1 - k, one
+sum over the residues h mod P prime to N T,
 
     1/2 * sum of kronecker(eps * T, h) * zeta(P, h, 1 - k) * c(h, 0),
 
@@ -51,7 +51,7 @@ from fractions import Fraction
 
 from .arith import prime_factors, split_square, units
 from .characters import DirichletCharacter, _require_eta, kronecker_is_character
-from .errors import HypothesisError, PrecisionError, SchemaError
+from .errors import HypothesisError, SchemaError
 from .level import LevelVerdict, predict_level
 from .plusspace import is_plus_space
 from .qseries import QExp, add, rescale, scale
@@ -197,35 +197,6 @@ def _check_args(N: int, k: int, prec: int, eps: int = 1, t: int = 1, s: int = 1,
         raise SchemaError("s must be positive")
 
 
-def _check_input(f: QExp, orbit: DiamondOrbit, N: int, T: int, prec: int) -> None:
-    """The checks that depend on the series: exponents, orbit, window."""
-    if f.denom != 1:
-        raise SchemaError("lift input needs integer exponents")
-    orbit.validate_for(f, N)
-    needed = T * prec * prec + 1
-    have = orbit.min_hi(f)
-    if have < needed:
-        raise PrecisionError(
-            "lift to q^%d with index %d reads input coefficients up to %d; window ends at %d"
-            % (prec, T, needed - 1, have),
-            required_lo=min(f.lo, 0),
-            required_hi=needed,
-        )
-
-
-def _read_set(g, T: int, prec: int) -> tuple[list, int]:
-    """(a, D) with D c(T m^2) = a[m] for m = 0..prec: integer numerators
-    over g.cden when g is rational, scalars over 1 otherwise.  A series
-    that is not a QExp (`fixtures._CohenReadSet`) answers from its own
-    formula, without a window."""
-    if not isinstance(g, QExp):
-        return g.read_set(T, prec)
-    if g.cden is None:
-        return [g.coeff(T * m * m) for m in range(prec + 1)], 1
-    table = g.numerators
-    return [table.get(T * m * m, 0) for m in range(prec + 1)], g.cden
-
-
 def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOrbit) -> QExp:
     """The index-T lift to q^prec, without support gating.
 
@@ -237,11 +208,15 @@ def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOr
     constant term is the partial-zeta sum over h mod P of
     kronecker(eps T, h) c(<h> f, 0), taken from integer power sums.
     """
-    _check_input(f, orbit, N, T, prec)
+    if f.denom != 1:
+        raise SchemaError("lift input needs integer exponents")
+    orbit.validate_for(f, N)
     modulus, translates = orbit._translates(f)
     translates = {r: (_integral(c), g) for r, (c, g) in translates.items()}
     series = {id(g): g for _, g in translates.values()}
-    reads = {key: _read_set(g, T, prec) for key, g in series.items()}
+    for g in series.values():
+        g._check_reads(T, prec)
+    reads = {key: g._read_set(T, prec) for key, g in series.items()}
     D = math.lcm(*[den for _, den in reads.values()])
     reads = {key: a if den == D else [v * (D // den) for v in a] for key, (a, den) in reads.items()}
 

@@ -155,6 +155,28 @@ def test_project_requires_4n_exit_2(capsys):
     assert "4" in payload["obstruction"]
 
 
+@pytest.mark.parametrize("two", [False, True], ids=["plus", "two"])
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 6])
+@pytest.mark.parametrize("source", [
+    ["--fixture", "theta_e4", "--k", "4", "--prec", "4000000"],
+    ["--input", "INPUT"],
+], ids=["fixture", "input"])
+def test_project_below_level_four_is_refused_before_any_work(capsys, monkeypatch, tmp_path, source, N, two):
+    def no_work(*args, **kwargs):
+        raise AssertionError("series built or read before 4 | N was checked")
+
+    path = tmp_path / "theta_e4.json"
+    path.write_text(json.dumps(qexp_to_json(fixture("theta_e4", 40))))
+    for name in ("fixtures.fixture", "fixtures._CohenReadSet", "qseries.qexp_from_json"):
+        monkeypatch.setattr("shimlift." + name, no_work)
+    argv = [str(path) if a == "INPUT" else a for a in source] + ["--N", str(N)] + ["--two"] * two
+    code, payload, _ = run_json(capsys, "project", *argv, "--json")
+    assert code == 2
+    assert payload["error"] == "HypothesisError"
+    assert payload["obstruction"] == "projection-needs-4|N"
+    assert payload["message"].startswith("%s projection at level N = %d:" % ("mod-two" if two else "plus", N))
+
+
 @pytest.mark.parametrize("value", ["0", "-4"])
 def test_project_nonpositive_level_is_schema_error(capsys, monkeypatch, value):
     def no_work(*args, **kwargs):

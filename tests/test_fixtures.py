@@ -7,6 +7,7 @@ not use internally.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -38,6 +39,7 @@ from shimlift.fixtures import (
 )
 from shimlift.qseries import QExp, add, invert_unit, mul, qexp_to_json, rescale, scale
 from shimlift.scalars import bernoulli_number, quadratic_L_neg
+from shimlift.shimura import shimura_general, shimura_St
 from util import cohen_divisor_sum, delta_divisor_sum, mobius, sigma_sieve_loop
 
 
@@ -309,33 +311,49 @@ def _source_window(k, theta, hi):
     return plus_product(k, hi) if theta else cohen_eisenstein(k, hi)
 
 
+def _outcome(lift, f):
+    """The lift of f, or its refusal: error type, obstruction, and the
+    window that a PrecisionError asks for."""
+    try:
+        return lift(f)
+    except ValueError as e:
+        return type(e), getattr(e, "obstruction", None), getattr(e, "required_window", None)
+
+
 @pytest.mark.parametrize("source", sorted(_SOURCES))
 def test_cohen_read_set_is_the_window_on_the_read_set(source):
     # c(T m^2) of the read-set source against the built window, as the lift
-    # reads both (values over their own denominators)
-    from shimlift.shimura import _read_set
-
+    # reads both (values over their own denominators); then the lifts of
+    # both at level 1, refusals included, where prec 0 leaves the second
+    # plus-space class out of both windows' residues
     k, theta = _SOURCES[source]
     for T in (1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 15, 18, 20, 27, 28, 45):
         for prec in (0, 1, 2, 3, 7, 9):
             hi = T * prec * prec + 1
-            a, D = fixtures._CohenReadSet(k, hi, theta).read_set(T, prec)
-            b, E = _read_set(_source_window(k, theta, hi), T, prec)
+            read_set, window = fixtures._CohenReadSet(k, hi, theta), _source_window(k, theta, hi)
+            read_set._check_reads(T, prec)
+            window._check_reads(T, prec)
+            a, D = read_set._read_set(T, prec)
+            b, E = window._read_set(T, prec)
             assert all(type(v) is int for v in a)
             assert [Fraction(v, D) for v in a] == [Fraction(v, E) for v in b], (source, T, prec)
+    for t, s, eps, prec in itertools.product((1, 2, 3, 5), (1, 2), (1, -1), (0, 1, 2, 5)):
+        hi = t * s * s * prec * prec + 1
+        read_set, window = fixtures._CohenReadSet(k, hi, theta), _source_window(k, theta, hi)
+        for lift in (lambda f: shimura_St(f, 1, k, t * s * s, eps, prec),
+                     lambda f: shimura_general(f, 1, k, t, s, eps, prec)):
+            assert _outcome(lift, read_set) == _outcome(lift, window), (source, t, s, eps, prec)
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 8, 12, 13, 20, 28, 45])
 def test_theta_e6_read_set_is_the_window_on_the_read_set(T):
     # c(T m^2) of the theta_e6 source, the Hecke sum of theta E_6(4 tau)
     # with its cusp part, against the built window
-    from shimlift.shimura import _read_set
-
     k = fixture_defaults("theta_e6")["k"]
     for prec in (0, 1, 2, 3, 9):
         hi = T * prec * prec + 1
-        a, D = fixtures._CohenReadSet(k, hi, True).read_set(T, prec)
-        b, E = _read_set(plus_product(6, hi), T, prec)
+        a, D = fixtures._CohenReadSet(k, hi, True)._read_set(T, prec)
+        b, E = plus_product(6, hi)._read_set(T, prec)
         assert all(type(v) is int for v in a)
         assert [Fraction(v, D) for v in a] == [Fraction(v, E) for v in b], (T, prec)
 
@@ -345,9 +363,8 @@ def test_cohen_read_set_states_the_window_that_it_stands_for(source):
     k, theta = _SOURCES[source]
     for hi in range(1, 12):
         read_set, window = fixtures._CohenReadSet(k, hi, theta), _source_window(k, theta, hi)
-        want = (window.weight, 1, 0, hi)
-        assert (read_set.weight, read_set.denom, read_set.lo, read_set.hi) == want
-        assert (window.weight, window.denom, window.lo, window.hi) == want
+        assert (read_set.weight, read_set.denom, read_set.hi) == (window.weight, 1, hi)
+        assert (window.denom, window.lo) == (1, 0)
         assert read_set._residues_mod4() == window._residues_mod4(), (source, hi)
 
 
