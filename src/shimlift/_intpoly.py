@@ -31,21 +31,14 @@ mod B^n, adds H, reduces again, exports the window straight into its
 bytes and flips their top bits back.  Both multipliers empty the operand
 bytes once they have read them, so no operand is held twice.
 
-Slots of up to 8 bytes are packed and read by `struct`, in C, one call
-per `_CHUNK` slots each way, in a lane, the narrowest machine word that
-holds the slot.  A slot of 1, 2, 4 or 8 bytes is its own lane; one of 3
-or 5-7 bytes is cut down from its 4- or 8-byte lane by one strided byte
-copy per slot byte, and widened back by the same copies into lanes whose
-upper bytes repeat the slot's sign bit (a 256-byte translate table gives
-them from the slot's top byte).  A slot of 9-16 bytes is read through two
-8-byte lanes, an unsigned one of its low 8 bytes and a signed one of the
-rest, widened the same way, as low + (high << 64); it is packed one slot
-at a time through signed int.to_bytes, as are wider slots, which are also
-read one at a time through int.from_bytes.  The lists, tuples and lanes
-of every path are built `_CHUNK` coefficients at a time (`_WIDE_CHUNK`
-for the two-lane read, at most `_PACK_BYTES` bytes for packing slots of
-more than 8 bytes), so apart from the slot bytes themselves no temporary
-grows with the operands.
+A slot is either a machine word or whole bytes.  `convolve` gives a
+product whose slot bits fit in 64 the smallest word of 1, 2, 4 or 8 bytes
+that holds them, and a wider one ceil(bits / 8) bytes.  Word slots are
+packed and read by `struct`, in C, one call per `_CHUNK` slots each way,
+written and read in place in the slot bytes.  Any other width is packed
+and read one slot at a time, through signed int.to_bytes and
+int.from_bytes, at most `_PACK_BYTES` bytes per packing chunk, so apart
+from the slot bytes themselves no temporary grows with the operands.
 
 `convolve` decides everything about a product once: it trims each operand
 to n terms, scans it once (`_scan`: largest magnitude, nonzero count),
@@ -90,25 +83,16 @@ _SCHOOLBOOK_TERMS = 10
 # so that such a call never imports ctypes, whose load alone outweighs
 # what products just past the crossover gain
 _LIBGMP_BITS = 8_000
-# coefficients per chunk while packing and unpacking, to bound the
-# temporary lists and tuples; slots of 9-16 bytes are read in smaller
-# chunks, as each chunk holds two lanes and a list of wide ints at once
-# (at 4096 slots the largest theta E6(4 tau) product of 40001 terms would
-# peak at more than twice its result)
+# word slots per struct call while packing and unpacking, to bound the
+# temporary lists and tuples
 _CHUNK = 4096
-_WIDE_CHUNK = 1024
-# slots wider than 8 bytes are packed at most this many bytes at a time
+# slots that are not words are packed at most this many bytes at a time
 # (at 4096 slots, the slots of up to 323 bytes of j's division on 10130
 # terms would make more than 2 MB of temporary bytes per chunk)
 _PACK_BYTES = 1 << 16
 # struct format of a signed machine word of each width; with "<" it is
 # little-endian two's complement on every host
 _WORD = {1: "b", 2: "h", 4: "i", 8: "q"}
-# the narrowest machine word (lane) that holds a slot of each width
-_LANE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
-# byte b -> 0xFF if its top bit is set, else 0: the bytes that sign-extend
-# a two's complement slot whose top byte is b
-_SIGN_FILL = bytes(128) + b"\xff" * 128
 # byte b -> b with its top bit flipped
 _FLIP = bytes(b ^ 0x80 for b in range(256))
 
@@ -154,22 +138,18 @@ def _slots(a: list, slot: int) -> bytearray:
     """a on binary slots of `slot` bytes, each coefficient in two's
     complement, zero-padded to whole 8-byte words: the slots of the padding
     are zero coefficients."""
-    lane = _LANE.get(slot)
-    chunk = _CHUNK if lane else min(_CHUNK, max(1, _PACK_BYTES // slot))
     buf = bytearray(-(-len(a) * slot // 8) * 8)
-    for start in range(0, len(a), chunk):
-        part = a[start:start + chunk]
-        base, end = start * slot, (start + len(part)) * slot
-        if lane:
-            # two's complement lanes cut down to their low `slot` bytes
-            wide = struct.pack("<%d%s" % (len(part), _WORD[lane]), *part)
-            if lane == slot:
-                buf[base:end] = wide
-            else:
-                for j in range(slot):
-                    buf[base + j:end:slot] = wide[j::lane]
-        else:
-            buf[base:end] = b"".join([x.to_bytes(slot, "little", signed=True) for x in part])
+    word = _WORD.get(slot)
+    if word:
+        for start in range(0, len(a), _CHUNK):
+            part = a[start:start + _CHUNK]
+            struct.pack_into("<%d%s" % (len(part), word), buf, start * slot, *part)
+    else:
+        chunk = min(_CHUNK, max(1, _PACK_BYTES // slot))
+        for start in range(0, len(a), chunk):
+            part = a[start:start + chunk]
+            buf[start * slot:(start + len(part)) * slot] = b"".join(
+                [x.to_bytes(slot, "little", signed=True) for x in part])
     return buf
 
 
@@ -200,42 +180,15 @@ def _window(c: int, slot: int, n: int) -> bytes:
     return c.to_bytes(n * slot, "little")
 
 
-def _widen(part: bytes, slot: int, first: int, lane: int) -> bytearray:
-    """Bytes first, first + 1, ... of each `slot`-byte slot of part, as many
-    as a lane of `lane` bytes holds, each slot's in its own lane; lane bytes
-    past the slot's last byte repeat the slot's sign bit."""
-    k = len(part) // slot
-    wide = bytearray(k * lane)
-    top = min(slot - first, lane)
-    for j in range(top):
-        wide[j::lane] = part[first + j::slot]
-    if top < lane:
-        fill = part[slot - 1::slot].translate(_SIGN_FILL)
-        for j in range(top, lane):
-            wide[j::lane] = fill
-    return wide
-
-
 def _unpack(raw: bytes, slot: int, n: int) -> list:
     """The coefficients in the first n two's complement slots of raw."""
-    if slot > 16:
+    word = _WORD.get(slot)
+    if not word:
         return [int.from_bytes(raw[i:i + slot], "little", signed=True) for i in range(0, n * slot, slot)]
     out = [0] * n
-    chunk = _CHUNK if slot <= 8 else _WIDE_CHUNK
-    for start in range(0, n, chunk):
-        k = min(chunk, n - start)
-        part = raw[start * slot:(start + k) * slot]
-        if slot > 8:
-            # an unsigned low lane of the first 8 bytes and a signed high
-            # lane of the rest
-            low = struct.unpack("<%dQ" % k, _widen(part, slot, 0, 8))
-            high = struct.unpack("<%dq" % k, _widen(part, slot, 8, 8))
-            out[start:start + k] = [x + (y << 64) for x, y in zip(low, high)]
-        else:
-            lane = _LANE[slot]
-            if lane > slot:
-                part = _widen(part, slot, 0, lane)
-            out[start:start + k] = struct.unpack("<%d%s" % (k, _WORD[lane]), part)
+    for start in range(0, n, _CHUNK):
+        k = min(_CHUNK, n - start)
+        out[start:start + k] = struct.unpack_from("<%d%s" % (k, word), raw, start * slot)
     return out
 
 
@@ -370,6 +323,9 @@ def convolve(a: list, b: list, n: int | None = None) -> list:
     if not bits:
         return [0] * n
     slot = (bits + 7) // 8
+    if slot < 8:
+        # the smallest machine word that holds the slot bits
+        slot = 1 << (slot - 1).bit_length()
     if not _HAVE_GMPY2 and bits * short >= _LIBGMP_BITS:
         mul = _libgmp()
         if mul:

@@ -92,10 +92,6 @@ class DiamondOrbit:
         """The pair (<m> f, orbit of <m> f)."""
         raise NotImplementedError
 
-    def min_hi(self, f: QExp) -> int:
-        """The shortest window among the translates."""
-        return min(g.hi for _, g in self._translates(f)[1].values())
-
     def validate_for(self, f: QExp, N: int) -> None:
         """SchemaError unless the orbit lives at level N, its translate at 1
         is f itself and every translate has integer exponents."""

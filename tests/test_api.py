@@ -52,7 +52,7 @@ SIGNATURES = {
     "CycScalar": "order terms", "CycScalar.from_rational": "r", "CycScalar.root_of_unity": "m e",
     "CycScalar.is_rational": "", "CycScalar.as_rational": "", "CycScalar.conjugate": "",
     "DiamondOrbit": "",
-    "DiamondOrbit.twist": "f m", "DiamondOrbit.min_hi": "f", "DiamondOrbit.validate_for": "f N",
+    "DiamondOrbit.twist": "f m", "DiamondOrbit.validate_for": "f N",
     "DirichletCharacter": "modulus values", "DirichletCharacter.trivial": "modulus",
     "DirichletCharacter.from_function": "modulus fn period",
     "DirichletCharacter.from_kronecker": "t modulus", "DirichletCharacter.parity": "",

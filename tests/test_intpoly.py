@@ -186,12 +186,19 @@ def _full(rng, n, m):
     return out
 
 
-def _record_muls(monkeypatch):
-    """The multiplier each `_binary` call is given, appended as calls run."""
+def _record_muls(monkeypatch, slots=None):
+    """The multiplier each `_binary` call is given, appended as calls run;
+    beside it, the call's slot width is appended to `slots` when given."""
     muls = []
     binary = _intpoly._binary
-    monkeypatch.setattr(_intpoly, "_binary", lambda a, b, n, slot, mul=_intpoly._int_mul:
-                        muls.append(mul) or binary(a, b, n, slot, mul))
+
+    def record(a, b, n, slot, mul=_intpoly._int_mul):
+        muls.append(mul)
+        if slots is not None:
+            slots.append(slot)
+        return binary(a, b, n, slot, mul)
+
+    monkeypatch.setattr(_intpoly, "_binary", record)
     return muls
 
 
@@ -222,7 +229,10 @@ def test_libgmp_multiply_against_schoolbook(width):
     ma, mb = (1 << (room - room // 2)) - 1, (1 << (room // 2)) - 1
     carries = 0
     for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        for length in (_intpoly._WIDE_CHUNK - 1, _intpoly._WIDE_CHUNK + 1, _intpoly._CHUNK - 1, _intpoly._CHUNK + 1):
+        # word slots are packed _CHUNK at a time, wider ones at most
+        # _PACK_BYTES at a time
+        chunk = min(_intpoly._CHUNK, _intpoly._PACK_BYTES // width)
+        for length in sorted({chunk - 1, chunk + 1, _intpoly._CHUNK - 1, _intpoly._CHUNK + 1}):
             a = [rng.randrange(-ma, ma + 1) for _ in range(length - 3)] + [sa * ma] * 3
             b = [rng.randrange(-mb, mb + 1) for _ in range(21)] + [sb * mb] * 3
             assert (_intpoly._slot_bits(_intpoly._scan(a), _intpoly._scan(b)) + 7) // 8 == width
@@ -238,6 +248,15 @@ def test_libgmp_multiply_against_schoolbook(width):
     zeros = [0, 0, 0] + a
     for n in (1, 3, 4):
         assert _intpoly._binary(zeros, b, n, width, LIBGMP) == [0, 0, 0, a[0] * b[0]][:n]
+
+
+def _on_slot_bits(rng, bits):
+    # 400 x 450 terms, all nonzero: slots of bits(max a) + bits(max b) + 9 + 1
+    # bits, past libgmp's floor from 20 slot bits up
+    m = bits - 10
+    a, b = _full(rng, 400, m - m // 2), _full(rng, 450, m // 2)
+    assert _intpoly._slot_bits(_intpoly._scan(a), _intpoly._scan(b)) == bits
+    return a, b
 
 
 def _at_the_libgmp_floor(rng, above):
@@ -260,24 +279,31 @@ def test_libgmp_takes_every_product_past_its_floor(monkeypatch, gmpy2_imports):
     # leaves once slot bits x shorter length reach its floor: far past it,
     # on 20 000-bit coefficients, at it, and with a sparse operand; just
     # below the floor int keeps the product.  With gmpy2 every product past
-    # schoolbook goes to gmpy2.
+    # schoolbook goes to gmpy2.  On every route, slot bits that fit in 64
+    # go on the smallest word of 1, 2, 4 or 8 bytes that holds them, wider
+    # ones on whole bytes: 20, 40, 41, 56, 65 and 128 slot bits on 4, 8,
+    # 8, 8, 9 and 16 bytes.
     rng = random.Random(5)
     monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", gmpy2_imports)
-    muls = _record_muls(monkeypatch)
+    slots = []
+    muls = _record_muls(monkeypatch, slots)
     a, b = _far_past_the_libgmp_floor(rng)
     wide = [rng.randrange(-(1 << 20000), 1 << 20000) for _ in range(20)]
     sparse = _sparse(rng, 1000, 20, 100)
     dense = _full(rng, 1000, 100)
+    rule = {20: 4, 40: 8, 41: 8, 56: 8, 65: 9, 128: 16}
     for x, y in ((a, b), (wide, wide[::-1]), _at_the_libgmp_floor(rng, True),
-                 _at_the_libgmp_floor(rng, False), (sparse, dense)):
+                 _at_the_libgmp_floor(rng, False), (sparse, dense),
+                 *(_on_slot_bits(rng, bits) for bits in rule)):
         n = len(x) + len(y) - 1
         assert _intpoly.convolve(x, y) == _intpoly._schoolbook(x, y, n)
         assert _intpoly.convolve(x, y, n // 2) == _intpoly._schoolbook(x, y, n // 2)
     if gmpy2_imports:
-        want = [_intpoly._int_mul] * 10
+        want = [_intpoly._int_mul] * 22
     else:
-        want = [LIBGMP] * 6 + [_intpoly._int_mul] * 2 + [LIBGMP] * 2
+        want = [LIBGMP] * 6 + [_intpoly._int_mul] * 2 + [LIBGMP] * 14
     assert muls == want
+    assert slots[10:] == [slot for slot in rule.values() for _ in range(2)]
 
 
 @needs_libgmp
@@ -409,9 +435,10 @@ def _extreme_operands(rng, width, length, signs):
 @pytest.mark.parametrize("length", [_intpoly._CHUNK - 1, _intpoly._CHUNK, _intpoly._CHUNK + 1])
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17])
 def test_multiplier_at_the_largest_coefficients_of_each_slot_width(mul, width, length):
-    # word widths (1, 2, 4, 8) go through struct, 3 and 5-7 through struct
-    # lanes of 4 and 8 bytes, 9-16 through two 8-byte lanes, wider slots
-    # slot by slot; operand and product lengths cross a chunk edge;
+    # the multipliers are called at each width itself: word widths (1, 2,
+    # 4, 8) go through struct, every other width slot by slot (convolve
+    # would widen 3 and 5-7 to a word); operand and product lengths cross a
+    # chunk edge;
     # non-negative operands are offset-encoded like signed ones
     for signs in (True, False):
         rng = random.Random(width * 7919 + length)
@@ -424,47 +451,33 @@ def test_multiplier_at_the_largest_coefficients_of_each_slot_width(mul, width, l
 def test_slots_pack_and_read_back_at_every_width():
     # the slot bytes of a coefficient list, padded to whole words, are its
     # value at q = B, whether or not a term is negative, and a product's
-    # slots read back as its coefficients
+    # slots read back as its coefficients: random values, the extremes of a
+    # slot and, on slots wider than a word, of a word's unsigned and signed
+    # range, across a chunk edge; and whole products at the largest
+    # coefficients of each width, mixed-sign and non-negative
     rng = random.Random(12)
-    for width in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17):
+    for width in range(1, 18):
         half = 1 << (8 * width - 1)
-        signed = [-half, half - 1, 0, -1] + [rng.randrange(-half, half) for _ in range(2 * _intpoly._CHUNK)]
+        edges = [-half, half - 1, -(half - 1), 0, -1] + [1 << 63, -(1 << 64)] * (width > 8)
+        signed = edges + [rng.randrange(-half, half) for _ in range(2 * _intpoly._CHUNK)]
         plain = [abs(x) % half for x in signed]
         for values in (signed, plain):
             c = sum(x << (8 * width * i) for i, x in enumerate(values))
             raw = _intpoly._slots(values, width)
             assert len(raw) % 8 == 0 and len(raw) - len(values) * width < 8
             assert _intpoly._signed(raw, width) == c and not raw
-            for n in (len(values), _intpoly._CHUNK + 1):
+            for n in (len(values), _intpoly._CHUNK + 1, 3):
                 window = _intpoly._window(c, width, n)
                 assert _intpoly._unpack(window, width, n) == values[:n]
                 # libgmp's window of values times 1 is the same
                 if LIBGMP:
                     one = LIBGMP(_intpoly._slots(values, width), _intpoly._slots([1], width), width, n)
                     assert one[:n * width] == window
-
-
-@pytest.mark.parametrize("width", range(9, 17))
-def test_wide_slots_read_through_two_lanes(width):
-    # slots of 9-16 bytes read as an unsigned low lane of 8 bytes plus a
-    # signed high lane of the rest, sign-extended, in chunks of
-    # _WIDE_CHUNK slots: random signed values and the extremes of a slot,
-    # across a chunk edge
-    rng = random.Random(width)
-    half = 1 << (8 * width - 1)
-    edges = [half - 1, -(half - 1), -half, 0, -1, 1 << 63, -(1 << 64)]
-    values = edges + [rng.randrange(-half, half) for _ in range(2 * _intpoly._WIDE_CHUNK + 1)]
-    raw = b"".join(x.to_bytes(width, "little", signed=True) for x in values)
-    want = [int.from_bytes(raw[i:i + width], "little", signed=True) for i in range(0, len(raw), width)]
-    assert want == values
-    for n in (len(values), _intpoly._WIDE_CHUNK, _intpoly._WIDE_CHUNK + 1, 3):
-        assert _intpoly._unpack(raw, width, n) == values[:n], n
-    # whole products on these slots, mixed-sign and non-negative
-    for signs in (True, False):
-        dense, sparse = _extreme_operands(rng, width, _intpoly._CHUNK + 1, signs)
-        assert (_intpoly._slot_bits(_intpoly._scan(sparse), _intpoly._scan(dense)) + 7) // 8 == width
-        n = len(sparse) + len(dense) - 1
-        assert _intpoly.convolve(sparse, dense) == _intpoly._schoolbook(sparse, dense, n), signs
+        for signs in (True, False):
+            dense, sparse = _extreme_operands(rng, width, _intpoly._CHUNK + 1, signs)
+            assert (_intpoly._slot_bits(_intpoly._scan(sparse), _intpoly._scan(dense)) + 7) // 8 == width
+            n = len(sparse) + len(dense) - 1
+            assert _intpoly.convolve(sparse, dense) == _intpoly._schoolbook(sparse, dense, n), (width, signs)
 
 
 def _largest_product(monkeypatch, build):
