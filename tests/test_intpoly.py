@@ -451,15 +451,12 @@ def test_multiplier_at_the_largest_coefficients_of_each_slot_width(mul, width, l
 def test_slots_pack_and_read_back_at_every_width():
     # the slot bytes of a coefficient list, padded to whole words, are its
     # value at q = B, whether or not a term is negative, and a product's
-    # slots read back as its coefficients: random values, the extremes of a
-    # slot and, on slots wider than a word, of a word's unsigned and signed
-    # range, across a chunk edge; and whole products at the largest
-    # coefficients of each width, mixed-sign and non-negative
+    # slots read back as its coefficients: random values and the extremes
+    # of a slot, across a chunk edge
     rng = random.Random(12)
     for width in range(1, 18):
         half = 1 << (8 * width - 1)
-        edges = [-half, half - 1, -(half - 1), 0, -1] + [1 << 63, -(1 << 64)] * (width > 8)
-        signed = edges + [rng.randrange(-half, half) for _ in range(2 * _intpoly._CHUNK)]
+        signed = [-half, half - 1, -(half - 1), 0, -1] + [rng.randrange(-half, half) for _ in range(2 * _intpoly._CHUNK)]
         plain = [abs(x) % half for x in signed]
         for values in (signed, plain):
             c = sum(x << (8 * width * i) for i, x in enumerate(values))
@@ -473,11 +470,29 @@ def test_slots_pack_and_read_back_at_every_width():
                 if LIBGMP:
                     one = LIBGMP(_intpoly._slots(values, width), _intpoly._slots([1], width), width, n)
                     assert one[:n * width] == window
-        for signs in (True, False):
-            dense, sparse = _extreme_operands(rng, width, _intpoly._CHUNK + 1, signs)
-            assert (_intpoly._slot_bits(_intpoly._scan(sparse), _intpoly._scan(dense)) + 7) // 8 == width
-            n = len(sparse) + len(dense) - 1
-            assert _intpoly.convolve(sparse, dense) == _intpoly._schoolbook(sparse, dense, n), (width, signs)
+
+
+@pytest.mark.parametrize("width", range(9, 17))
+def test_wide_slots_read_through_two_lanes(width):
+    # a slot of 9-16 bytes spans two 8-byte lanes of the slot bytes, and is
+    # packed and read whole, one slot at a time: random signed values, the
+    # extremes of a slot and of the low lane's unsigned and signed range,
+    # across a packing chunk edge, read back whole and as a short window
+    rng = random.Random(width)
+    half = 1 << (8 * width - 1)
+    edges = [half - 1, -(half - 1), -half, 0, -1, 1 << 63, -(1 << 64)]
+    chunk = _intpoly._PACK_BYTES // width
+    values = edges + [rng.randrange(-half, half) for _ in range(2 * chunk + 1)]
+    raw = _intpoly._slots(values, width)
+    assert raw[:len(values) * width] == b"".join(x.to_bytes(width, "little", signed=True) for x in values)
+    for n in (len(values), chunk, chunk + 1, 3):
+        assert _intpoly._unpack(raw, width, n) == values[:n], n
+    # whole products on these slots, mixed-sign and non-negative
+    for signs in (True, False):
+        dense, sparse = _extreme_operands(rng, width, _intpoly._CHUNK + 1, signs)
+        assert (_intpoly._slot_bits(_intpoly._scan(sparse), _intpoly._scan(dense)) + 7) // 8 == width
+        n = len(sparse) + len(dense) - 1
+        assert _intpoly.convolve(sparse, dense) == _intpoly._schoolbook(sparse, dense, n), signs
 
 
 def _largest_product(monkeypatch, build):
