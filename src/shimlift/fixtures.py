@@ -293,14 +293,10 @@ def _theta_e_value(w: int, n: int) -> int:
 
 def _cohen_value(k: int, n: int) -> Fraction:
     """H(k, n): zeta(1 - 2k) at n = 0, else L(1 - k, (D0/.)) times the
-    divisor sum, where (-1)^k n = D0 f^2."""
-    if n == 0:
-        return quadratic_L_neg(1, 2 * k)
-    parts = _cohen_discriminant(k, *split_square(n))
-    if parts is None:
-        return Fraction(0)
-    D0, f = parts
-    return quadratic_L_neg(D0, k) * _hecke_sums(k, D0, [f])[0][0]
+    divisor sum, where (-1)^k n = D0 f^2, as the formula source reads it at
+    index n and m = 1 (c(0) at index 1 and m = 0)."""
+    a, D = _CohenReadSet(k, n + 1)._read_set(n or 1, 1)
+    return Fraction(a[1 if n else 0], D)
 
 
 class _CohenReadSet:
@@ -332,9 +328,11 @@ class _CohenReadSet:
     with f > 1 against its own theta sum (`VerificationFailure` otherwise).
 
     It is the lift's formula source: it answers the calls that a QExp
-    window answers (`_check_reads`, `_read_set`, `weight`, `denom`,
-    `_residues_mod4`) and holds only k, the theta flag, the weight and the
-    window [0, hi) that it stands for, which sets its classes mod 4.
+    window answers (`_read_set`, `weight`, `denom`, `_residues_mod4`;
+    its formula answers every read, so it never raises `PrecisionError`)
+    and holds only k, the theta flag, the weight and the window [0, hi)
+    that it stands for, which sets its classes mod 4.  `_cohen_value` reads
+    H(k, n) from it.
     """
 
     __slots__ = ("k", "theta", "weight", "hi")
@@ -355,9 +353,6 @@ class _CohenReadSet:
         ends before it."""
         c = 1 if self.k % 2 == 0 else 3
         return frozenset((0, c) if self.hi > c else (0,))
-
-    def _check_reads(self, T: int, prec: int) -> None:
-        """Nothing to check: the formula answers every read."""
 
     def _read_set(self, T: int, prec: int) -> tuple[list[int], int]:
         """(a, D) with D c(T m^2) = a[m] for m = 0 .. prec, all integers:
@@ -434,13 +429,6 @@ def _theta4_combination(f: list[int], a: int, b: int) -> list[int]:
     return out
 
 
-def _theta4_and_f(n: int) -> tuple[list[int], list[int]]:
-    """theta^4 and F = sum over odd m of sigma_1(m) q^m on n terms, both
-    from one sieve of odd divisor sums."""
-    f = _sigma_sieve(1, n, odd_only=True)
-    return _theta4_combination(f, 1, 0), f
-
-
 def _theta_list(n: int) -> list[int]:
     th = [0] * n
     for m, c in _theta_terms(n).items():
@@ -461,11 +449,10 @@ def _cohen_combination(k: int, nums: list[int], n: int) -> list[int]:
     G^j and added on the exponents = j mod 2 alone.  The r - 1 factors of
     theta are sparse products.
     """
+    f = _sigma_sieve(1, n, odd_only=True)
     if len(nums) > 2:
-        th4, f = _theta4_and_f(n)
+        th4 = _theta4_combination(f, 1, 0)
         g = g_power = f[1::2]
-    else:
-        f = _sigma_sieve(1, n, odd_only=True)
     acc = _theta4_combination(f, nums[0], nums[1])
     for j, c in enumerate(nums[2:], 2):
         acc = _intpoly.convolve(acc, th4, n)

@@ -67,7 +67,7 @@ class QExp:
     `.coeffs`, a read-only {exponent: Scalar} view built on first access
     and cached.  `exponents()` reads the support without building it, and
     `_residues_mod4()` its classes mod 4, scanned once and cached too.  The
-    lift reads a QExp as its window source (`_check_reads`, `_read_set`).
+    lift reads a QExp as its window source (`_read_set`).
     """
 
     __slots__ = ("weight", "denom", "lo", "hi", "metadata", "_table", "cden", "_view", "_mod4")
@@ -187,8 +187,10 @@ class QExp:
     def _scan_mod4(self) -> frozenset:
         return frozenset({a % 4 for a in self._table})
 
-    def _check_reads(self, T: int, prec: int) -> None:
-        """PrecisionError unless the window holds the lift's reads c(T m^2), m <= prec."""
+    def _read_set(self, T: int, prec: int) -> tuple[list, int]:
+        """(a, D) with D c(T m^2) = a[m] for m = 0 .. prec: numerators over
+        cden, or scalars over 1 in scalar form; PrecisionError unless the
+        window holds every read."""
         needed = T * prec * prec + 1
         if self.hi < needed:
             raise PrecisionError(
@@ -197,10 +199,6 @@ class QExp:
                 required_lo=min(self.lo, 0),
                 required_hi=needed,
             )
-
-    def _read_set(self, T: int, prec: int) -> tuple[list, int]:
-        """(a, D) with D c(T m^2) = a[m] for m = 0 .. prec: numerators over
-        cden, or scalars over 1 in scalar form; unchecked (`_check_reads`)."""
         table = self._table
         return [table.get(T * m * m, 0) for m in range(prec + 1)], self.cden or 1
 

@@ -10,13 +10,14 @@ where c(d, n) is the n-th coefficient of the diamond translate <d> f.  The
 lift therefore reads the input only on the read set {T m^2 : 0 <= m <= prec}
 and computes every coefficient at once by one sieve, out[d m] += w(d) a[m]
 (`_lift`); on rational input it runs on the integer numerators over one
-common denominator.  Every input answers the lift through the same calls,
-`_check_reads` and `_read_set`, which gives those numerators with their
-denominator: a QExp from its window, a formula source from its formula
-(`fixtures._CohenReadSet`, which the command line lifts in place of the
-windows of `fixtures._READ_SETS`).  The constant term is a linear
-combination of the c(d, 0) weighted by partial zeta values at 1 - k, one
-sum over the residues h mod P prime to N T,
+common denominator.  Every input answers the lift through one call,
+`_read_set`, which gives those numerators with their denominator: a QExp
+from its window, raising its `PrecisionError` when the window is short,
+and a formula source from its formula (`fixtures._CohenReadSet`, which the
+command line lifts in place of the windows of `fixtures._READ_SETS`).
+The constant term is a linear combination of the c(d, 0) weighted by
+partial zeta values at 1 - k, one sum over the residues h mod P prime
+to N T,
 
     1/2 * sum of kronecker(eps * T, h) * zeta(P, h, 1 - k) * c(h, 0),
 
@@ -199,8 +200,9 @@ def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOr
     One Dirichlet-convolution sieve, out[d m] += w(d) a_d[m], with
     w(d) = kronecker(eps T, d) d^(k-1) c_d for d prime to N T and
     a_d[m] = D c(g_d, T m^2), where <d> f = c_d g_d (`_translates`) and D
-    is the lcm of the denominators of the g_d's reads (`_read_set`).  On
-    rational input with rational c_d every term is an integer.  The
+    is the lcm of the denominators of the g_d's reads (`_read_set`, once
+    for each distinct g_d in table order: the first short window raises).
+    On rational input with rational c_d every term is an integer.  The
     constant term is the partial-zeta sum over h mod P of
     kronecker(eps T, h) c(<h> f, 0), taken from integer power sums.
     """
@@ -210,8 +212,6 @@ def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOr
     modulus, translates = orbit._translates(f)
     translates = {r: (_integral(c), g) for r, (c, g) in translates.items()}
     series = {id(g): g for _, g in translates.values()}
-    for g in series.values():
-        g._check_reads(T, prec)
     reads = {key: g._read_set(T, prec) for key, g in series.items()}
     D = math.lcm(*[den for _, den in reads.values()])
     reads = {key: a if den == D else [v * (D // den) for v in a] for key, (a, den) in reads.items()}

@@ -408,6 +408,32 @@ def test_human_error_goes_to_stderr(capsys):
     assert "eta-conductor-8" in err or "conductor" in err
 
 
+def _refusal(message):
+    return '{"error":"SchemaError","message":"%s"}' % message
+
+
+@pytest.mark.parametrize("argv, code, stream, line", [
+    (["lift", "--input", "THETA_E4", "--prec", "5", "--json"], 2, "out",
+     _refusal("weight parameter k is not fixed by the input; pass --k")),
+    (["project", "--json"], 2, "out", _refusal("need --input PATH or --fixture NAME")),
+    (["verify", "--weight", "4", "--json"], 2, "out", _refusal("need --input PATH or --fixture NAME")),
+    (["fixtures", "--json"], 2, "out", _refusal("need --name, --list, or --reemit")),
+    (["lift", "--fixture", "cohen52", "--prec", "5", "--character", "nonsense", "--json"], 2, "out",
+     _refusal("character spec 'nonsense'; use trivial, kronecker:t, or json:PATH")),
+    (["fixtures", "--name", "zero", "--prec", "3"], 0, "out", "  0"),
+    (["lift", "--input", "THETA_E4", "--k", "4", "--prec", "8"], 3, "err", "required window: [0, 65)"),
+], ids=["lift-no-k", "project-no-source", "verify-no-source", "fixtures-no-name", "character-spec",
+        "zero-human", "precision-human"])
+def test_cli_branch_prints_its_line(capsys, tmp_path, argv, code, stream, line):
+    # THETA_E4 stands for a 50-term theta_e4 file
+    if "THETA_E4" in argv:
+        path = _theta_e4_file(capsys, tmp_path)
+        argv = [path if a == "THETA_E4" else a for a in argv]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert line in (out if stream == "out" else err).splitlines()
+
+
 def test_character_json_with_string_residue_is_schema_error(capsys, tmp_path):
     p = tmp_path / "chi.json"
     p.write_text(json.dumps({"modulus": 5, "kind": "explicit", "values": [["1", "1"], [2, "1"]]}))

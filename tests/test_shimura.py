@@ -451,6 +451,24 @@ def test_explicit_orbit_validate_for_checks_base_and_lattice():
         good.validate_for(f, 2)
 
 
+def test_explicit_orbit_refusal_reports_the_first_short_translate():
+    # prec 5 reads c(m^2) up to 25 from every translate, in table order;
+    # the first window that ends before 26 raises, with its own lo
+    w = Fraction(5, 2)
+    f = QExp(w, 1, {0: 1, 1: 2, 4: 3, 25: 5}, 0, 30)
+    g = QExp(w, 1, {-2: 1, 0: 2, 9: -1}, -2, 20)
+    for table, window in (({1: f, 3: g}, (-2, 26)), ({1: f.truncate(20), 3: g}, (0, 26))):
+        with pytest.raises(PrecisionError) as exc:
+            shimura_S1(table[1], 4, 2, 5, ExplicitOrbit(4, table))
+        assert exc.value.required_window == window
+
+
+def test_general_lift_refuses_fractional_exponents():
+    h = QExp(Fraction(5, 2), 4, {0: 1, 1: 1}, 0, 40)
+    with pytest.raises(SchemaError, match="lift input needs integer exponents"):
+        shimura_general(h, 1, 2, 1, 1, 1, 3)
+
+
 def test_explicit_orbit_twist_shifts_table():
     f = QExp(Fraction(5, 2), 1, {0: 1, 1: 4}, 0, 10)
     g = QExp(Fraction(5, 2), 1, {0: 2, 1: -4}, 0, 10)
