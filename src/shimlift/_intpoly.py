@@ -31,6 +31,14 @@ mod B^n, adds H, reduces again, exports the window straight into its
 bytes and flips their top bits back.  Both multipliers empty the operand
 bytes once they have read them, so no operand is held twice.
 
+A square is a square all the way down: `convolve(a, a, n)`, with the same
+list as both operands, trims, scans and packs a once, and the multiplier
+gets the one slot buffer as both x and y.  Since it empties what it reads,
+it reads that buffer once and then squares: v * v on int and gmpy2,
+mpz_mul(zc, zx, zx) on libgmp, each of which runs as a squaring, cheaper
+than a product of two operands.  `qseries.mul(f, f)` passes its one array
+so, which is how the discriminant's three squarings get here.
+
 A slot is either a machine word or whole bytes.  `convolve` gives a
 product whose slot bits fit in 64 the smallest word of 1, 2, 4 or 8 bytes
 that holds them, and a wider one ceil(bits / 8) bytes.  Word slots are
@@ -194,8 +202,11 @@ def _unpack(raw: bytes, slot: int, n: int) -> list:
 
 def _int_mul(x: bytearray, y: bytearray, slot: int, n: int) -> bytes:
     """The first n slots of the product of the slot bytes x and y, by int
-    arithmetic, the multiply itself by gmpy2 when it imports."""
-    c = int(_mpz(_signed(x, slot)) * _mpz(_signed(y, slot)))
+    arithmetic, the multiply itself by gmpy2 when it imports.  A square (x
+    is y) reads its one buffer once and multiplies the int by itself, which
+    both int and gmpy2 run as a squaring."""
+    v = _mpz(_signed(x, slot))
+    c = int(v * v if y is x else v * _mpz(_signed(y, slot)))
     return _window(c, slot, n)
 
 
@@ -203,8 +214,10 @@ def _binary(a: list, b: list, n: int, slot: int, mul=_int_mul) -> list:
     """First n coefficients of a*b through binary slots of `slot` bytes:
     the slot bytes of each operand, mul(x, y, slot, n) giving the slot
     bytes of the product's first n coefficients (and emptying x and y once
-    it has read them), and those read back."""
-    return _unpack(mul(_slots(a, slot), _slots(b, slot), slot, n), slot, n)
+    it has read them), and those read back.  A square (b is a) is packed
+    once, and the multiplier gets the one buffer as both x and y."""
+    x = _slots(a, slot)
+    return _unpack(mul(x, x if b is a else _slots(b, slot), slot, n), slot, n)
 
 
 def _load_libgmp():
@@ -255,13 +268,16 @@ def _load_libgmp():
         # top bit flipped) and H B/2 in every slot, the operand is U - H;
         # the product c leaves as (c mod B^n + H) mod B^n, its top bits
         # flipped back
+        # a square (y is x) loads its one buffer once and multiplies zx by
+        # itself, which mpz_mul runs as a squaring
         kx, ky = len(x) // slot, len(y) // slot
+        operands = ((x, kx),) if y is x else ((x, kx), (y, ky))
         zs = (Mpz * 5)()
         for z in zs:
             init(z)
         zx, zy, zc, zh, zt = zs
         try:
-            for z, raw, k in ((zx, x, kx), (zy, y, ky)):
+            for z, (raw, k) in zip((zx, zy), operands):
                 _flip(raw, slot, k)
                 load(z, raw)
                 raw.clear()
@@ -269,10 +285,10 @@ def _load_libgmp():
             # rounded up to a multiple of 8, which fills whole words; H on
             # k slots is its remainder mod B^k
             load(zh, _halves(slot, -(-max(kx, ky, n) // 8) * 8))
-            for z, k in ((zx, kx), (zy, ky)):
+            for z, (_, k) in zip((zx, zy), operands):
                 fdiv_r_2exp(zt, zh, 8 * slot * k)
                 sub(z, z, zt)
-            mul_(zc, zx, zy)
+            mul_(zc, zx, zx if y is x else zy)
             # the operands' limbs are freed before the window is made
             for z in (zx, zy):
                 clear(z)
@@ -314,11 +330,15 @@ def convolve(a: list, b: list, n: int | None = None) -> list:
         return []
     full = len(a) + len(b) - 1
     n = full if n is None else max(0, min(n, full))
-    a, b = _trim(a, n), _trim(b, n)
+    # a square (b is a) is trimmed, scanned and packed once
+    square = b is a
+    a = _trim(a, n)
+    b = a if square else _trim(b, n)
     short = min(len(a), len(b))
     if short <= _SCHOOLBOOK_TERMS:
         return _schoolbook(a, b, n)
-    sa, sb = _scan(a), _scan(b)
+    sa = _scan(a)
+    sb = sa if square else _scan(b)
     bits = _slot_bits(sa, sb)
     if not bits:
         return [0] * n

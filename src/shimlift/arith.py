@@ -1,6 +1,18 @@
 """Small number-theory helpers shared by the lift, the fixtures and the
-checks: trial-division factoring, the units mod m, ceiling division and
-square-and-multiply.  Standard library only."""
+checks: trial-division factoring of single numbers, the least-prime-factor
+table, the units mod m, ceiling division and square-and-multiply.
+Standard library only.
+
+Every multiplicative table over a range of arguments is derived from one
+least-prime-factor table (`least_prime_table`): the divisor-power sums of
+the Eisenstein series (`fixtures._sigma_sieve`), the Kronecker symbols of
+the lift's twist and of the quadratic L-values
+(`scalars._kronecker_table`), and the factorizations behind the Hecke
+sums of a read set (`fixtures._hecke_sums`), which walk the table: p =
+lpf[n], or n itself at a prime, then on from n / p^e.  Trial division
+stays for single numbers: a request's index, level and square parts, and
+the theta sums' indices.
+"""
 
 from __future__ import annotations
 
@@ -27,6 +39,26 @@ def _factorization(n: int) -> Iterator[tuple[int, int]]:
         p += 1 if p == 2 else 2
     if n > 1:
         yield n, 1
+
+
+def least_prime_table(n: int, odd_only: bool = False) -> list[int]:
+    """The least prime factor of each composite m < n (each odd composite
+    m, if odd_only), and 0 at every other index, the primes included, as a
+    list of max(n, 0) entries.
+
+    Each prime r with r^2 < n marks r^2, r^2 + step r, ... (step 2 if
+    odd_only, else 1) by one slice assignment, the largest r first, so that
+    the least prime is written last."""
+    lpf = [0] * max(n, 0)
+    if n < 2:
+        return lpf
+    step = 2 if odd_only else 1
+    root = math.isqrt(n - 1)
+    small = [r for r in range(3 if odd_only else 2, root + 1)
+             if all(r % d for d in range(2, math.isqrt(r) + 1))]
+    for r in reversed(small):
+        lpf[r * r::step * r] = [r] * len(range(r * r, n, step * r))
+    return lpf
 
 
 def split_square(T: int) -> tuple[int, int]:

@@ -3,14 +3,18 @@
 Subcommands: lift, project, level-predict, verify, weil-selftest, fixtures.
 Exit codes are a stable contract: 0 success, 1 a verification ran and
 failed, 2 invalid input or a violated theorem hypothesis (the payload names
-it), 3 precision shortfall (the payload carries the required window).
+it), 3 precision shortfall (the payload carries the required window), 141
+(128 + SIGPIPE) stdout closed by its reader before the output was written,
+with nothing on stderr.
 
 With --json all output is a single deterministic JSON object on stdout
 (sorted keys, no whitespace), suitable for byte-exact round trips.
 
 Each subcommand imports the modules it calls when it runs, so a call loads
 only what its own branch uses: `level-predict` loads `level` and `arith`,
-`fixtures --reemit` only `qseries` and what `qseries` needs.
+`fixtures --reemit` only `qseries` and what `qseries` needs, and a call
+that forms no product (a numeric `verify` of theta, a lift refused by its
+gate) never loads the convolution backend `_intpoly`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -35,6 +40,10 @@ if TYPE_CHECKING:
     from .qseries import QExp
 
 __all__ = ["main"]
+
+# the exit status of a call whose reader closed stdout, as a shell reports
+# a process that SIGPIPE ended
+EXIT_CLOSED_STDOUT = 128 + 13
 
 
 def _dump(obj) -> str:
@@ -438,23 +447,42 @@ def _error_payload(e: Exception) -> dict:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, OSError) as e:
-        if isinstance(e, PrecisionError):
-            code = 3
-        elif isinstance(e, (VerificationFailure, TailBoundError)):
-            code = 1
-        else:
-            code = 2
-        if getattr(args, "json", False):
-            print(_dump(_error_payload(e)))
-        else:
-            print("error: %s" % e, file=sys.stderr)
-            if isinstance(e, PrecisionError):
-                print("required window: [%d, %d)" % e.required_window, file=sys.stderr)
-            if isinstance(e, HypothesisError) and e.case:
-                print("level theorem case (%s)" % e.case, file=sys.stderr)
+        try:
+            code = args.func(args)
+        except BrokenPipeError:
+            raise
+        except (ValueError, OSError) as e:
+            code = _report(args, e)
+        # a reader that has closed stdout is seen here, not at exit
+        sys.stdout.flush()
         return code
+    except BrokenPipeError:
+        # stdout is a closed pipe: nothing more can reach the reader, and
+        # the flush at exit goes to the null device, so the exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
+
+
+def _report(args, e: Exception) -> int:
+    """The exit code of the typed error e, which is reported on stdout as
+    JSON under --json and on stderr otherwise."""
+    if isinstance(e, PrecisionError):
+        code = 3
+    elif isinstance(e, (VerificationFailure, TailBoundError)):
+        code = 1
+    else:
+        code = 2
+    if getattr(args, "json", False):
+        print(_dump(_error_payload(e)))
+    else:
+        print("error: %s" % e, file=sys.stderr)
+        if isinstance(e, PrecisionError):
+            print("required window: [%d, %d)" % e.required_window, file=sys.stderr)
+        if isinstance(e, HypothesisError) and e.case:
+            print("level theorem case (%s)" % e.case, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -17,8 +17,15 @@ comparison; none of them go through the lift code.
 A lift from the command line reads H_k, theta(tau) E_4(4 tau) and
 theta(tau) E_6(4 tau) only at c(T m^2), m <= prec, and takes those values
 from L-values and Hecke sums (`_CohenReadSet`, which gives the identities)
-instead of building the T prec^2 + 1 terms of the window.  Their windows,
-as every other fixture's, are still built by `fixture`.
+instead of building the T prec^2 + 1 terms of the window.  The read set's
+indices follow one rule: with T = t s^2, t square-free, the discriminant
+D0 of (-1)^k t is fixed once, and c(T m^2) is read at |D0| f^2 with
+f = s m, or f = s m / 2 (zero at odd s m) when (-1)^k t = 2 or 3 mod 4,
+where D0 = 4 (-1)^k t (`_cohen_indices`).  Each f is factored by walking
+one least-prime-factor table.  Their windows, as every other fixture's,
+are still built by `fixture`.  The convolution backend `_intpoly` is
+imported by the builders that convolve lists, when they run, so a call
+that multiplies nothing never loads it.
 """
 
 from __future__ import annotations
@@ -27,8 +34,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from . import _intpoly
-from .arith import _factorization, cdiv, split_square
+from .arith import _factorization, cdiv, least_prime_table, split_square
 from .errors import VerificationFailure
 from .qseries import QExp, _divide, mul, rescale
 from .scalars import BERNOULLI_BOUND, bernoulli_number, kronecker, quadratic_L_neg
@@ -85,7 +91,8 @@ def _sigma_sieve(power: int, prec: int, odd_only: bool = False) -> list[int]:
     other index), as a list of max(prec, 0) entries.
 
     One pass over n, in increasing order, from the least prime p of each
-    n = p m: with k = power, sigma_k(n) = 1 + n^k for a prime n,
+    n = p m (`arith.least_prime_table`, 0 at the primes): with k = power,
+    sigma_k(n) = 1 + n^k for a prime n,
     sigma_k(m) sigma_k(p) when p does not divide m, and
     sigma_k(m) sigma_k(p) - p^k sigma_k(m / p) when it does (multiplicativity
     and the recurrence of sigma_k over the powers of p), where
@@ -95,15 +102,7 @@ def _sigma_sieve(power: int, prec: int, odd_only: bool = False) -> list[int]:
     if prec < 2:
         return out
     step = 2 if odd_only else 1
-    # least prime factor of each composite n (odd n, if odd_only), 0 at the
-    # primes: each prime r with r^2 < prec marks r^2, r^2 + step r, ...,
-    # the largest r first, so that the least prime is written last
-    lpf = [0] * prec
-    root = math.isqrt(prec - 1)
-    small = [r for r in range(3 if odd_only else 2, root + 1)
-             if all(r % d for d in range(2, math.isqrt(r) + 1))]
-    for r in reversed(small):
-        lpf[r * r::step * r] = [r] * len(range(r * r, prec, step * r))
+    lpf = least_prime_table(prec, odd_only)
     out[1] = 1
     for n in range(1 + step, prec, step):
         p = lpf[n]
@@ -213,16 +212,24 @@ def j_invariant(prec: int) -> QExp:
     return QExp.from_numerators(Fraction(0), 1, shifted, 1, -1, prec)
 
 
-def _cohen_discriminant(k: int, t: int, f: int) -> tuple[int, int] | None:
-    """(D0, f0) with (-1)^k t f^2 = D0 f0^2 and D0 a fundamental
-    discriminant, for square-free t and f >= 1; None where H(k, t f^2)
-    vanishes, (-1)^k t f^2 = 2 or 3 mod 4."""
+def _cohen_indices(k: int, T: int, prec: int) -> tuple[int, list[int]]:
+    """(D0, fs) with (-1)^k T m^2 = D0 fs[m]^2 for m = 1 .. prec and D0 a
+    fundamental discriminant, T = t s^2 with t square-free, and fs[m] = 0
+    where H(k, T m^2) vanishes, (-1)^k T m^2 = 2 or 3 mod 4; fs[0] = 0.
+
+    D0 is fixed once by t: (-1)^k t when that is 1 mod 4, and then
+    fs[m] = s m; else 4 (-1)^k t, and fs[m] = s m / 2, which vanishes at
+    odd s m.  D0 = 0 when every fs[m] is 0 (prec = 0, or prec = 1 with the
+    second rule and s odd)."""
+    t, s = split_square(T)
     D0 = t if k % 2 == 0 else -t
+    fs = range(0, s * prec + 1, s)  # s m
     if D0 % 4 == 1:
-        return D0, f
-    if f % 2:
-        return None
-    return 4 * D0, f // 2
+        fs = list(fs)
+    else:
+        D0 *= 4
+        fs = [f // 2 if f % 2 == 0 else 0 for f in fs]
+    return (D0 if any(fs) else 0), fs
 
 
 def _hecke_sums(k: int, D0: int, fs: list[int], tau: dict | None = None) -> list[tuple[int, int]]:
@@ -234,36 +241,54 @@ def _hecke_sums(k: int, D0: int, fs: list[int], tau: dict | None = None) -> list
     its plus-space eigenform.  S_tau is 0 without tau, and f = 0, where a
     read value vanishes, gives (0, 0).
 
-    Both sums are multiplicative in f, so f is factored once and each is
-    the product over p^e || f of a(p^e) - kronecker(D0, p) p^(k-1) a(p^(e-1)),
+    Both sums are multiplicative in f, so each f is factored once, by
+    walking one least-prime-factor table to max(fs)
+    (`arith.least_prime_table`), and each is the product over p^e || f of
+    a(p^e) - kronecker(D0, p) p^(k-1) a(p^(e-1)), with
     sigma(p^e) = p^(2k-1) sigma(p^(e-1)) + 1 and
     tau(p^(i+1)) = tau(p) tau(p^i) - p^(2k-1) tau(p^(i-1)) (Hecke).  Each
-    kronecker(D0, p) is evaluated once for all of fs.
+    factor at p^e, with its kronecker(D0, p), is formed once for all of fs.
     """
-    chars: dict[int, int] = {}
+    lpf = least_prime_table(max(fs, default=0) + 1)
+    factors: dict[int, tuple[int, int]] = {}  # p^e -> factors of S_sigma, S_tau
     out = []
     for f in fs:
         if not f:
             out.append((0, 0))
             continue
         s_sigma = s_tau = 1
-        for p, e in _factorization(f):
-            q = p ** (2 * k - 1)
-            chi = chars.get(p)
-            if chi is None:
-                chi = chars[p] = kronecker(D0, p)
-            w = chi * p ** (k - 1)
-            below, top = 0, 1  # sigma(p^(i-1)), sigma(p^i) at i = 0
-            for _ in range(e):
-                below, top = top, q * top + 1
-            s_sigma *= top - w * below
-            if tau is not None:
-                tp, below, top = tau.get(p, 0), 0, 1  # tau(p^(i-1)), tau(p^i) at i = 0
-                for _ in range(e):
-                    below, top = top, tp * top - q * below
-                s_tau *= top - w * below
+        while f > 1:  # q = p^e || f, p the least prime of what is left of f
+            p = lpf[f] or f
+            f //= p
+            q, e = p, 1
+            while f % p == 0:
+                f //= p
+                q *= p
+                e += 1
+            factor = factors.get(q)
+            if factor is None:
+                factor = factors[q] = _hecke_factors(k, D0, p, e, tau)
+            s_sigma *= factor[0]
+            s_tau *= factor[1]
         out.append((s_sigma, s_tau if tau is not None else 0))
     return out
+
+
+def _hecke_factors(k: int, D0: int, p: int, e: int, tau: dict | None) -> tuple[int, int]:
+    """The factors at p^e of `_hecke_sums`' two products, the second 1
+    without tau."""
+    q = p ** (2 * k - 1)
+    w = kronecker(D0, p) * p ** (k - 1)
+    below, top = 0, 1  # sigma(p^(i-1)), sigma(p^i) at i = 0
+    for _ in range(e):
+        below, top = top, q * top + 1
+    s_sigma = top - w * below
+    if tau is None:
+        return s_sigma, 1
+    tp, below, top = tau.get(p, 0), 0, 1  # tau(p^(i-1)), tau(p^i) at i = 0
+    for _ in range(e):
+        below, top = top, tp * top - q * below
+    return s_sigma, top - w * below
 
 
 def _sigma(power: int, n: int) -> int:
@@ -306,8 +331,9 @@ class _CohenReadSet:
     from L-values and Hecke sums, with no window built.
 
     Every m >= 1 shares the fundamental discriminant D0 of (-1)^k t, t the
-    square-free part of T, and T m^2 = |D0| f^2 with f by
-    `_cohen_discriminant`.  Cohen's formula H(k, |D0| f^2) =
+    square-free part of T, fixed once, and T m^2 = |D0| f^2 with f by rule
+    (`_cohen_indices`): f = s m when (-1)^k t = 1 mod 4, else f = s m / 2,
+    and the value vanishes at odd s m.  Cohen's formula H(k, |D0| f^2) =
     L(1 - k, (D0/.)) S_sigma(f) (`_hecke_sums`) makes H_k's read set one
     L-value, one zeta(1 - 2k) for c(0) and one Euler product for each m.
 
@@ -360,12 +386,7 @@ class _CohenReadSet:
         k = self.k
         zeta = quadratic_L_neg(1, 2 * k)
         scale = 1 / zeta if self.theta else 1
-        t, s = split_square(T)
-        D0, fs = 0, [0] * (prec + 1)  # fs[m] = f, or 0 where c(T m^2) vanishes
-        for m in range(1, prec + 1):
-            parts = _cohen_discriminant(k, t, s * m)
-            if parts is not None:
-                D0, fs[m] = parts
+        D0, fs = _cohen_indices(k, T, prec)
         c0 = zeta * scale
         L = quadratic_L_neg(D0, k) * scale if D0 else Fraction(0)
         D = math.lcm(c0.denominator, L.denominator)
@@ -449,6 +470,9 @@ def _cohen_combination(k: int, nums: list[int], n: int) -> list[int]:
     G^j and added on the exponents = j mod 2 alone.  The r - 1 factors of
     theta are sparse products.
     """
+    # imported here, so a call that multiplies nothing never compiles it
+    from . import _intpoly
+
     f = _sigma_sieve(1, n, odd_only=True)
     if len(nums) > 2:
         th4 = _theta4_combination(f, 1, 0)
@@ -476,6 +500,8 @@ def _theta_plus(acc: list[int], n: int, eps: int) -> dict[int, int]:
     acc[3::4] one index lower: four quarter-length products for the two
     classes kept, half the work of the full product.
     """
+    from . import _intpoly
+
     quarter = len(range(0, n, 4))
     even, odd = [0] * quarter, [0] * quarter
     for m, c in _theta_terms(n).items():
@@ -512,6 +538,8 @@ def cohen_eisenstein(k: int, prec: int) -> QExp:
     """
     if k < 2:
         raise ValueError("need k >= 2")
+    from . import _intpoly
+
     dim = (2 * k + 1) // 4 + 1
     terms = dim + _CHECK_TERMS
     th = _theta_list(terms)

@@ -432,16 +432,28 @@ def _conv_int(da: dict, db: dict, cap: int) -> dict:
 
     Exploits the coarser of the two support strides and runs the integer
     convolutions through the packed multiplier, which computes only the
-    terms below cap.  Sparse products go term by term.
+    terms below cap.  Sparse products go term by term.  A square (da is
+    db) walks its one table once: one sorted support, one stride, and one
+    array, which the multiplier packs once and squares.
     """
     sa = sorted(da)
-    sb = sorted(db)
+    sb = sa if db is da else sorted(db)
     span = min(cap, sa[-1] + sb[-1] + 1) - sa[0] - sb[0]
     if len(sa) * len(sb) * _SPARSE_FACTOR < span:
         return _conv_terms(da, db, cap)
     # imported here, so a call that multiplies nothing never compiles it
     from . import _intpoly
 
+    if db is da:
+        # one residue class mod the stride: the product's support starts at
+        # 2 base and steps by the stride
+        H = _stride(sa)
+        base = 2 * sa[0]
+        arr = [0] * ((sa[-1] - sa[0]) // H + 1)
+        for a, v in da.items():
+            arr[(a - sa[0]) // H] = v
+        conv = _intpoly.convolve(arr, arr, cdiv(cap - base, H))
+        return dict(zip(compress(range(base, base + len(conv) * H, H), conv), compress(conv, conv)))
     ga = _stride(sa)
     gb = _stride(sb)
     if ga >= gb:
@@ -486,12 +498,13 @@ def mul(f: QExp, g: QExp) -> QExp:
     Rational factors multiply as their `_numerators` through `_conv_int`,
     into reduced Fractions that the constructor stores if either is in
     scalar form; a cyclotomic factor makes the product go term by term.
+    A square, mul(f, f), reads f's numerators once and squares them.
     """
     m = math.lcm(f.denom, g.denom)
     a = f._promoted(m)
     b = g._promoted(m)
     sa = a.min_support()
-    sb = b.min_support()
+    sb = sa if b is a else b.min_support()
     Sa = sa if sa is not None else a.hi
     Sb = sb if sb is not None else b.hi
     lo = Sa + Sb
@@ -500,7 +513,8 @@ def mul(f: QExp, g: QExp) -> QExp:
     if hi == lo:
         return QExp.from_numerators(weight, m, {}, 1, lo, hi)
     # hi > lo: both factors have stored terms
-    na, nb = _numerators(a), _numerators(b)
+    na = _numerators(a)
+    nb = na if b is a else _numerators(b)
     if na is None or nb is None:
         return QExp(weight, m, _conv_terms(a.coeffs, b.coeffs, hi), lo, hi)
     out = _conv_int(na[0], nb[0], hi)

@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Union
 
+from .arith import least_prime_table
 from .errors import SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -90,6 +91,32 @@ def kronecker(t: int, d: int) -> int:
             k = -k
         t %= d
     return k if d == 1 else 0
+
+
+def _kronecker_table(t: int, n: int) -> list[int]:
+    """kronecker(t, d) for 0 <= d < n and t != 0, as a list of max(n, 0)
+    entries.
+
+    The symbol is completely multiplicative in d > 0, so one `kronecker`
+    per prime d gives the rest: chi(d) = chi(p) chi(d / p) with p the least
+    prime factor of a composite d (`arith.least_prime_table`).  Unless
+    t = 3 mod 4 it is also periodic in d > 0, with period |t| for
+    t = 0, 1 mod 4 (a character mod |t|) and 4 |t| for t = 2 mod 4, so only
+    d up to one period is sieved and the rest repeats it."""
+    period = n if t % 4 == 3 else abs(t) * (4 if t % 4 == 2 else 1)
+    m = min(n, period + 1)
+    chi = [0] * max(m, 0)
+    if m < 1:
+        return chi
+    chi[0] = kronecker(t, 0)
+    lpf = least_prime_table(m)
+    for d in range(1, m):
+        p = lpf[d]
+        chi[d] = chi[p] * chi[d // p] if p else kronecker(t, d)
+    if m < n:
+        # d = period + 1, period + 2, ... repeat d = 1, 2, ...
+        chi += (chi[1:] * -(-(n - m) // period))[:n - m]
+    return chi
 
 
 def eps_d(d: int) -> complex:
@@ -470,13 +497,18 @@ def scalar_from_json(obj) -> Scalar:
     raise SchemaError("scalar must be a rational string or a cyclotomic object")
 
 
+@lru_cache(maxsize=None)
 def quadratic_L_neg(D: int, k: int) -> Fraction:
     """L(1-k, (D/.)) at modulus |D|: the generalized Bernoulli number
     B_(k, chi) = |D|^(k-1) sum_a chi(a) B_k(a/|D|) from integer power sums
-    (`_partial_zeta_sum`).  For fundamental D it is the same value as
-    dirichlet_L_neg of the Kronecker character mod |D|.
+    (`_partial_zeta_sum`), with chi(a) for a <= |D| from one character
+    sieve (`_kronecker_table`).  For fundamental D it is the same value as
+    dirichlet_L_neg of the Kronecker character mod |D|.  Computed once per
+    (D, k) and process, as `bernoulli_number` is.
     """
     if D == 0:
         raise ValueError("discriminant must be nonzero")
     F = abs(D)
-    return _partial_zeta_sum(F, k, ((a, kronecker(D, a)) for a in range(1, F + 1)))
+    chi = _kronecker_table(D, F + 1)
+    chi[0] = 0  # the residues run from 1 to |D|
+    return _partial_zeta_sum(F, k, enumerate(chi))

@@ -56,7 +56,7 @@ from .errors import HypothesisError, SchemaError
 from .level import LevelVerdict, predict_level
 from .plusspace import is_plus_space
 from .qseries import QExp, add, rescale, scale
-from .scalars import BERNOULLI_BOUND, Scalar, _partial_zeta_sum, kronecker
+from .scalars import BERNOULLI_BOUND, Scalar, _kronecker_table, _partial_zeta_sum, kronecker
 
 __all__ = [
     "CONSTANT_TERM_SIGN",
@@ -96,14 +96,19 @@ class DiamondOrbit:
     def validate_for(self, f: QExp, N: int) -> None:
         """SchemaError unless the orbit lives at level N, its translate at 1
         is f itself and every translate has integer exponents."""
-        modulus, translates = self._translates(f)
-        if N % modulus != 0:
-            raise SchemaError("orbit modulus %d does not divide the level %d" % (modulus, N))
-        c, g = translates[1 % modulus]
-        if c != 1 or (g is not f and g != f):
-            raise SchemaError("orbit entry at 1 disagrees with the input expansion")
-        if any(g.denom != 1 for _, g in translates.values()):
-            raise SchemaError("orbit entries need integer exponents")
+        _validate_translates(f, N, *self._translates(f))
+
+
+def _validate_translates(f: QExp, N: int, modulus: int, translates: dict) -> None:
+    """`DiamondOrbit.validate_for` on a table that `_translates` gave, so
+    that the lift validates the one table it reads."""
+    if N % modulus != 0:
+        raise SchemaError("orbit modulus %d does not divide the level %d" % (modulus, N))
+    c, g = translates[1 % modulus]
+    if c != 1 or (g is not f and g != f):
+        raise SchemaError("orbit entry at 1 disagrees with the input expansion")
+    if any(g.denom != 1 for _, g in translates.values()):
+        raise SchemaError("orbit entries need integer exponents")
 
 
 class CharacterOrbit(DiamondOrbit):
@@ -198,7 +203,8 @@ def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOr
     """The index-T lift to q^prec, without support gating.
 
     One Dirichlet-convolution sieve, out[d m] += w(d) a_d[m], with
-    w(d) = kronecker(eps T, d) d^(k-1) c_d for d prime to N T and
+    w(d) = kronecker(eps T, d) d^(k-1) c_d for d prime to N T (the symbols
+    from one character sieve, `scalars._kronecker_table`) and
     a_d[m] = D c(g_d, T m^2), where <d> f = c_d g_d (`_translates`) and D
     is the lcm of the denominators of the g_d's reads (`_read_set`, once
     for each distinct g_d in table order: the first short window raises).
@@ -208,20 +214,29 @@ def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOr
     """
     if f.denom != 1:
         raise SchemaError("lift input needs integer exponents")
-    orbit.validate_for(f, N)
     modulus, translates = orbit._translates(f)
-    translates = {r: (_integral(c), g) for r, (c, g) in translates.items()}
+    _validate_translates(f, N, modulus, translates)
     series = {id(g): g for _, g in translates.values()}
     reads = {key: g._read_set(T, prec) for key, g in series.items()}
     D = math.lcm(*[den for _, den in reads.values()])
     reads = {key: a if den == D else [v * (D // den) for v in a] for key, (a, den) in reads.items()}
+    # (c_d, a_d) for each unit class d mod the orbit's modulus, in place of
+    # (c_d, g_d), so that one table of phi(modulus) entries is held
+    translates = {r: (_integral(c), reads[id(g)]) for r, (c, g) in translates.items()}
+    P = N * T if kronecker_is_character(N, T, eps) else 4 * N * T
+    # kronecker(eps T, d) for every d either sum reads, from one sieve, with
+    # the multiples of N's primes set to 0 too: nonzero exactly on the units
+    # of N T
+    chi = _kronecker_table(eps * T, max(prec, P) + 1)
+    for p in prime_factors(N):
+        chi[p::p] = [0] * len(range(p, len(chi), p))
 
     def twisted(d: int):
         """(kronecker(eps T, d) c_d, a_d), or (0, None) off the units."""
-        if math.gcd(d, N * T) != 1:
+        if not chi[d]:
             return 0, None
-        c, g = translates[d % modulus]
-        return kronecker(eps * T, d) * c, reads[id(g)]
+        c, a = translates[d % modulus]
+        return chi[d] * c, a
 
     out = [0] * (prec + 1)
     for d in range(1, prec + 1):
@@ -231,7 +246,6 @@ def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOr
             for m in range(1, prec // d + 1):
                 if a[m]:
                     out[d * m] += w * a[m]
-    P = N * T if kronecker_is_character(N, T, eps) else 4 * N * T
     weights = []
     for h in range(1, P + 1):
         w, a = twisted(h)

@@ -746,45 +746,69 @@ def test_every_public_name_resolves_lazily():
     assert proc.stdout.strip() == "[] 53", proc.stderr
 
 
-# each call may load at most the modules listed with it; level-predict
-# loads exactly those
+# each call may load at most the modules listed with it, and exits with
+# the code given; level-predict loads exactly those.  Only a call that
+# forms a product loads `_intpoly`: neither a numeric verify nor a lift
+# refused by its gate does
 _ALL_MODULES = {"_intpoly", "_record", "arith", "characters", "cli", "errors", "fixtures", "level",
                 "plusspace", "qseries", "scalars", "shimura", "verify", "weilrep"}
 
 
 @pytest.mark.parametrize(
-    "argv, allowed",
+    "argv, allowed, code",
     [
         (["level-predict", "--N", "3", "--t", "5", "--M", "4"],
-         {"cli", "errors", "_record", "arith", "level"}),
+         {"cli", "errors", "_record", "arith", "level"}, 0),
         (["fixtures", "--reemit", "THETA_E4"],
          _ALL_MODULES - {"_intpoly", "_record", "shimura", "characters", "plusspace", "fixtures",
-                         "verify", "weilrep"}),
+                         "verify", "weilrep"}, 0),
         (["lift", "--input", "THETA_E4", "--k", "4", "--prec", "6"],
-         _ALL_MODULES - {"_intpoly", "fixtures", "verify", "weilrep"}),
+         _ALL_MODULES - {"_intpoly", "fixtures", "verify", "weilrep"}, 0),
         (["project", "--fixture", "theta_e4", "--N", "4", "--prec", "40"],
-         _ALL_MODULES - {"shimura", "characters", "verify"}),
-        (["weil-selftest", "--max-n", "3", "--words", "5"], _ALL_MODULES - {"shimura", "fixtures", "verify"}),
+         _ALL_MODULES - {"shimura", "characters", "verify"}, 0),
+        (["weil-selftest", "--max-n", "3", "--words", "5"], _ALL_MODULES - {"shimura", "fixtures", "verify"}, 0),
         (["verify", "--fixture", "e4", "--prec", "20", "--weight", "4", "--mode", "exact"],
-         _ALL_MODULES - {"shimura", "characters", "plusspace", "weilrep"}),
+         _ALL_MODULES - {"shimura", "characters", "plusspace", "weilrep"}, 0),
         (["verify", "--fixture", "theta", "--weight", "1/2", "--level", "4"],
-         _ALL_MODULES - {"shimura", "characters", "plusspace", "weilrep"}),
+         _ALL_MODULES - {"_intpoly", "shimura", "characters", "plusspace", "weilrep"}, 0),
+        (["lift", "--fixture", "cohen52", "--t", "2"],
+         _ALL_MODULES - {"_intpoly", "verify", "weilrep"}, 2),
     ],
     ids=["level-predict", "fixtures-reemit", "lift-input", "project", "weil-selftest", "verify-exact",
-         "verify-numeric-half"],
+         "verify-numeric-half", "lift-fixture-refused"],
 )
-def test_cli_commands_load_only_what_they_run(capsys, tmp_path, argv, allowed):
+def test_cli_commands_load_only_what_they_run(capsys, tmp_path, argv, allowed, code):
     if "THETA_E4" in argv:
         path = _theta_e4_file(capsys, tmp_path)
         argv = [path if a == "THETA_E4" else a for a in argv]
     status, loaded, out = _cold_start(*argv, "--json")
-    assert status.endswith(" exit=0"), out
+    assert status.endswith(" exit=%d" % code), out
     assert {"cli", "errors"} <= loaded <= allowed, sorted(loaded - allowed)
     # numpy imports inspect, so only weil-selftest may load it
     if argv[0] != "weil-selftest":
         assert "dataclasses=False inspect=False" in status
     if argv[0] == "level-predict":
         assert loaded == allowed
+
+
+def test_closed_stdout_exits_141_with_nothing_on_stderr():
+    # a reader that closes stdout (`shimlift ... | head -c 1`) gets the
+    # shell's SIGPIPE status and no traceback, neither from the output nor
+    # from the error report nor from the flush at exit
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        for argv in (["fixtures", "--name", "theta_e4", "--prec", "50", "--json"],
+                     ["lift", "--fixture", "cohen52", "--t", "2", "--json"]):
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from shimlift.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            )
+            assert (proc.returncode, proc.stderr) == (141, ""), argv
+    finally:
+        os.close(write)
 
 
 @pytest.mark.parametrize(

@@ -306,6 +306,34 @@ def test_libgmp_takes_every_product_past_its_floor(monkeypatch, gmpy2_imports):
     assert slots[10:] == [slot for slot in rule.values() for _ in range(2)]
 
 
+@pytest.mark.parametrize("route", ["int", pytest.param("libgmp", marks=needs_libgmp)])
+@pytest.mark.parametrize("m", [20, 44, 300], ids=["word-8", "wide-13", "wide-77"])
+def test_square_is_the_product_of_two_copies(monkeypatch, route, m):
+    # convolve(a, a, n) packs a once and the multiplier squares its one
+    # buffer, also where a is cut to n terms first; a product with a copy
+    # of a packs and reads two.  300 or 400 terms of m bits give 2 m + 10
+    # slot bits: an 8-byte word at m = 20, 13 and 77 whole bytes at m = 44
+    # and 300, each past libgmp's floor
+    rng = random.Random(m)
+    monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
+    if route == "int":
+        monkeypatch.setattr(_intpoly, "_libgmp_mul", None)
+    seen = []
+    binary = _intpoly._binary
+
+    def record(a, b, n, slot, mul=_intpoly._int_mul):
+        seen.append((mul, b is a))
+        return binary(a, b, n, slot, mul)
+
+    monkeypatch.setattr(_intpoly, "_binary", record)
+    a = _full(rng, 400, m)
+    for n in (799, 400, 300):
+        assert _intpoly.convolve(a, a, n) == _intpoly.convolve(a, list(a), n), n
+    assert _intpoly.convolve(a, a, 799) == _intpoly._schoolbook(a, a, 799)
+    mul = LIBGMP if route == "libgmp" else _intpoly._int_mul
+    assert seen[:6] == [(mul, True), (mul, False)] * 3
+
+
 @needs_libgmp
 def test_libgmp_product_peak_memory_stays_within_twice_its_result():
     # the libgmp multiplier empties each operand's slot bytes once GMP holds

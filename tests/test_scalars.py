@@ -18,6 +18,7 @@ from shimlift.scalars import (
     BERNOULLI_BOUND,
     CycScalar,
     _cyclotomic,
+    _kronecker_table,
     _partial_zeta_sum,
     as_exact,
     bernoulli_number,
@@ -175,6 +176,35 @@ def test_quadratic_L_assembled_from_partial_zetas():
                 for d in range(1, mod + 1)
             )
             assert quadratic_L_neg(D, k) == assembled, (D, k)
+
+
+def test_kronecker_table_is_the_symbol():
+    # one kronecker per prime, products elsewhere: every t with 0 < |t| <=
+    # 200 covers each class mod 8 and t with square factors, d = 0 included
+    for t in itertools.chain(range(-200, 0), range(1, 201)):
+        assert _kronecker_table(t, 2001) == [kronecker(t, d) for d in range(2001)], t
+    assert _kronecker_table(5, 0) == [] and _kronecker_table(-4, 1) == [0]
+
+
+def _is_fundamental(D):
+    # D = 1 mod 4 square-free, or D = 4m with m = 2 or 3 mod 4 square-free
+    if D % 4 == 1:
+        return util.mobius(abs(D)) != 0
+    return D % 4 == 0 and (D // 4) % 4 in (2, 3) and util.mobius(abs(D // 4)) != 0
+
+
+_FUNDAMENTAL = [D for D in range(-10**4, 10**4 + 1) if D and _is_fundamental(D)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=st.sampled_from(_FUNDAMENTAL), k=st.integers(1, 16))
+def test_quadratic_L_from_the_character_sieve_is_the_residue_sum(D, k):
+    # the sieved characters against one kronecker per residue, through
+    # the cache and past it
+    F = abs(D)
+    want = _partial_zeta_sum(F, k, ((a, kronecker(D, a)) for a in range(1, F + 1)))
+    assert quadratic_L_neg.__wrapped__(D, k) == want, (D, k)
+    assert quadratic_L_neg(D, k) == want == quadratic_L_neg(D, k), (D, k)
 
 
 def test_dirichlet_L_matches_quadratic_for_kronecker_characters():
