@@ -5,7 +5,8 @@ Exit codes are a stable contract: 0 success, 1 a verification ran and
 failed, 2 invalid input or a violated theorem hypothesis (the payload names
 it), 3 precision shortfall (the payload carries the required window), 141
 (128 + SIGPIPE) stdout closed by its reader before the output was written,
-with nothing on stderr.
+with nothing on stderr.  A stdout that takes no output for another reason
+(a full device) exits 2 with the error on stderr.
 
 With --json all output is a single deterministic JSON object on stdout
 (sorted keys, no whitespace), suitable for byte-exact round trips.
@@ -459,10 +460,20 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # stdout is a closed pipe: nothing more can reach the reader, and
         # the flush at exit goes to the null device, so the exit is quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.close(devnull)
+        _stdout_to_devnull()
         return EXIT_CLOSED_STDOUT
+    except OSError as e:
+        # stdout takes no more output (a full device, say): the error goes
+        # to stderr, what is left for stdout to the null device
+        _stdout_to_devnull()
+        print("error: %s" % e, file=sys.stderr)
+        return 2
+
+
+def _stdout_to_devnull() -> None:
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
 
 
 def _report(args, e: Exception) -> int:

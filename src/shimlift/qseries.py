@@ -433,8 +433,8 @@ def _conv_int(da: dict, db: dict, cap: int) -> dict:
     Exploits the coarser of the two support strides and runs the integer
     convolutions through the packed multiplier, which computes only the
     terms below cap.  Sparse products go term by term.  A square (da is
-    db) walks its one table once: one sorted support, one stride, and one
-    array, which the multiplier packs once and squares.
+    db) walks its one table once: one sorted support, and one array as
+    both operands, which the multiplier packs once and squares.
     """
     sa = sorted(da)
     sb = sa if db is da else sorted(db)
@@ -444,16 +444,6 @@ def _conv_int(da: dict, db: dict, cap: int) -> dict:
     # imported here, so a call that multiplies nothing never compiles it
     from . import _intpoly
 
-    if db is da:
-        # one residue class mod the stride: the product's support starts at
-        # 2 base and steps by the stride
-        H = _stride(sa)
-        base = 2 * sa[0]
-        arr = [0] * ((sa[-1] - sa[0]) // H + 1)
-        for a, v in da.items():
-            arr[(a - sa[0]) // H] = v
-        conv = _intpoly.convolve(arr, arr, cdiv(cap - base, H))
-        return dict(zip(compress(range(base, base + len(conv) * H, H), conv), compress(conv, conv)))
     ga = _stride(sa)
     gb = _stride(sb)
     if ga >= gb:
@@ -475,9 +465,13 @@ def _conv_int(da: dict, db: dict, cap: int) -> dict:
         n = cdiv(cap - base, H)
         if n <= 0:
             continue
-        arr_o = [0] * ((members[-1] - base_o) // H + 1)
-        for b in members:
-            arr_o[(b - base_o) // H] = other[b]
+        if other is strider:
+            # a square: its support is one class, whose array is arr_s
+            arr_o = arr_s
+        else:
+            arr_o = [0] * ((members[-1] - base_o) // H + 1)
+            for b in members:
+                arr_o[(b - base_o) // H] = other[b]
         conv = _intpoly.convolve(arr_o, arr_s, n)
         part = dict(zip(compress(range(base, base + len(conv) * H, H), conv), compress(conv, conv)))
         if out:

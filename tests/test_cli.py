@@ -811,6 +811,25 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr():
         os.close(write)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
+@pytest.mark.parametrize("prec", [3, 2000], ids=["buffered", "written"])
+@pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "text"])
+def test_full_stdout_exits_2_with_one_error_line(prec, json_flag):
+    # a stdout that refuses its bytes (ENOSPC) is reported once on stderr
+    # with exit 2, not as a traceback with exit 1, whether the output
+    # fails while it is written or only at the final flush
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from shimlift.cli import main; sys.exit(main(sys.argv[1:]))",
+             "fixtures", "--name", "theta_e4", "--prec", str(prec), *json_flag],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "No space left on device" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

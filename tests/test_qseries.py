@@ -438,6 +438,35 @@ def test_sparse_rational_product_skips_the_packed_multiplier(monkeypatch):
         mul(dense, dense)
 
 
+@pytest.mark.parametrize("lo", [0, 3])
+@pytest.mark.parametrize("stride", [1, 4])
+def test_square_reaches_convolve_as_one_array(monkeypatch, lo, stride):
+    # mul(f, f) hands the packed multiplier one array as both operands, so
+    # it is packed once and squared; a product with a copy of f gives the
+    # same series through two arrays.  The product's window ends at
+    # hi + lo, below the square of the support's end, so the cap cuts it
+    rng = random.Random(17 * lo + stride)
+    coeffs = {lo + stride * i: Fraction(rng.randrange(-10**6, 10**6), rng.choice([1, 3, 4]))
+              for i in range(300)}
+    seen = []
+    convolve = _intpoly.convolve
+
+    def record(a, b, n=None):
+        seen.append(b is a)
+        return convolve(a, b, n)
+
+    monkeypatch.setattr(_intpoly, "convolve", record)
+    for hi in (lo + stride * 300, lo + stride * 170):
+        table = {a: c for a, c in coeffs.items() if a < hi}
+        f = QExp(0, 1, table, lo, hi)
+        square = mul(f, f)
+        assert seen[-1] is True
+        twin = mul(f, QExp(0, 1, dict(table), lo, hi))
+        assert seen[-1] is False
+        assert square == twin and square.coeffs == twin.coeffs
+        assert square.coeffs == util.brute_convolve(f.coeffs, f.coeffs, square.hi)
+
+
 # -- storage: integer numerators over one coefficient denominator ----------
 #
 # Every series below is also kept as a plain reference: (weight, denom, lo,
