@@ -9,7 +9,10 @@ operand is U - H, where H has B/2 in every slot.  One big multiply gives
 the signed product c, and the first n slots of (c mod B^n + H) mod B^n are
 exactly c_i + B/2, again each in [0, B): no slot borrows from the next,
 and a slot reads back by subtracting B/2 alone.  Only the first n slots
-are ever read, and operands are trimmed to n terms first.
+are ever formed, and operands are trimmed to n terms first; of those,
+`convolve(a, b, n, lo)` reads back slots lo .. n-1 only, for a caller
+that knows the lower ones already (the Karp-Markstein step of
+`qseries._karp_markstein` asks G Y0 for its upper half alone).
 
 Every operand is offset-encoded, whatever its signs: the offset costs one
 pass over each operand and one subtraction of H, linear next to the
@@ -30,6 +33,15 @@ which gives U, imports U and H as words, subtracts, multiplies, reduces
 mod B^n, adds H, reduces again, exports the window straight into its
 bytes and flips their top bits back.  Both multipliers empty the operand
 bytes once they have read them, so no operand is held twice.
+
+The libgmp multiplier keeps its five mpz_t per thread (a
+`threading.local`), initialised on the thread's first product and cleared
+when that thread's state goes, instead of initialising and clearing them
+on every product: between products they hold the limbs GMP allocated for
+the largest product of that thread so far (operands, product, H and one
+temporary), which the next product reuses, and no value that any later
+product reads, since each writes every mpz_t before reading it.  ctypes
+releases the GIL during each GMP call, so threads do not share them.
 
 A square is a square all the way down: `convolve(a, a, n)`, with the same
 list as both operands, trims, scans and packs a once, and the multiplier
@@ -105,11 +117,13 @@ _WORD = {1: "b", 2: "h", 4: "i", 8: "q"}
 _FLIP = bytes(b ^ 0x80 for b in range(256))
 
 
-def _schoolbook(a: list, b: list, n: int) -> list:
-    out = [0] * n
+def _schoolbook(a: list, b: list, n: int, lo: int = 0) -> list:
+    """Coefficients lo .. n-1 of a*b, term by term."""
+    out = [0] * (n - lo)
     for i, x in enumerate(a[:n]):
         if x:
-            for j, y in enumerate(b[:n - i], i):
+            skip = max(lo - i, 0)
+            for j, y in enumerate(b[skip:n - i], i + skip - lo):
                 out[j] += x * y
     return out
 
@@ -188,15 +202,15 @@ def _window(c: int, slot: int, n: int) -> bytes:
     return c.to_bytes(n * slot, "little")
 
 
-def _unpack(raw: bytes, slot: int, n: int) -> list:
-    """The coefficients in the first n two's complement slots of raw."""
+def _unpack(raw: bytes, slot: int, n: int, lo: int = 0) -> list:
+    """The coefficients in the two's complement slots lo .. n-1 of raw."""
     word = _WORD.get(slot)
     if not word:
-        return [int.from_bytes(raw[i:i + slot], "little", signed=True) for i in range(0, n * slot, slot)]
-    out = [0] * n
-    for start in range(0, n, _CHUNK):
+        return [int.from_bytes(raw[i:i + slot], "little", signed=True) for i in range(lo * slot, n * slot, slot)]
+    out = [0] * (n - lo)
+    for start in range(lo, n, _CHUNK):
         k = min(_CHUNK, n - start)
-        out[start:start + k] = struct.unpack_from("<%d%s" % (k, word), raw, start * slot)
+        out[start - lo:start - lo + k] = struct.unpack_from("<%d%s" % (k, word), raw, start * slot)
     return out
 
 
@@ -210,14 +224,15 @@ def _int_mul(x: bytearray, y: bytearray, slot: int, n: int) -> bytes:
     return _window(c, slot, n)
 
 
-def _binary(a: list, b: list, n: int, slot: int, mul=_int_mul) -> list:
-    """First n coefficients of a*b through binary slots of `slot` bytes:
+def _binary(a: list, b: list, n: int, slot: int, mul=_int_mul, lo: int = 0) -> list:
+    """Coefficients lo .. n-1 of a*b through binary slots of `slot` bytes:
     the slot bytes of each operand, mul(x, y, slot, n) giving the slot
     bytes of the product's first n coefficients (and emptying x and y once
-    it has read them), and those read back.  A square (b is a) is packed
-    once, and the multiplier gets the one buffer as both x and y."""
+    it has read them), and slots lo .. n-1 of those read back.  A square (b
+    is a) is packed once, and the multiplier gets the one buffer as both x
+    and y."""
     x = _slots(a, slot)
-    return _unpack(mul(x, x if b is a else _slots(b, slot), slot, n), slot, n)
+    return _unpack(mul(x, x if b is a else _slots(b, slot), slot, n), slot, n, lo)
 
 
 def _load_libgmp():
@@ -227,6 +242,7 @@ def _load_libgmp():
     The soname is loaded directly: ctypes.util.find_library would start
     ldconfig or a compiler to look for it."""
     import ctypes
+    import threading
 
     try:
         lib = ctypes.CDLL("libgmp.so.10")
@@ -263,6 +279,25 @@ def _load_libgmp():
             raw = ctypes.byref(ctypes.c_char.from_buffer(raw))
         import_(z, words, -1, 8, -1, 0, raw)
 
+    class State:
+        """Five mpz_t of one thread, initialised once and cleared when the
+        thread's state goes, so repeated products reuse their limbs.  They
+        hold allocations only: every product writes each before reading
+        it."""
+
+        def __init__(self):
+            self.zs = (Mpz * 5)()
+            for z in self.zs:
+                init(z)
+
+        def __del__(self):
+            for z in self.zs:
+                clear(z)
+
+    # ctypes releases the GIL during each GMP call, so two threads must
+    # not share the mpz_t
+    local = threading.local()
+
     def mul(x: bytearray, y: bytearray, slot: int, n: int) -> bytearray:
         # with U the offset slots of an operand (its slot bytes with each
         # top bit flipped) and H B/2 in every slot, the operand is U - H;
@@ -272,37 +307,29 @@ def _load_libgmp():
         # itself, which mpz_mul runs as a squaring
         kx, ky = len(x) // slot, len(y) // slot
         operands = ((x, kx),) if y is x else ((x, kx), (y, ky))
-        zs = (Mpz * 5)()
-        for z in zs:
-            init(z)
-        zx, zy, zc, zh, zt = zs
-        try:
-            for z, (raw, k) in zip((zx, zy), operands):
-                _flip(raw, slot, k)
-                load(z, raw)
-                raw.clear()
-            # H on as many slots as the longest of x, y and the window,
-            # rounded up to a multiple of 8, which fills whole words; H on
-            # k slots is its remainder mod B^k
-            load(zh, _halves(slot, -(-max(kx, ky, n) // 8) * 8))
-            for z, (_, k) in zip((zx, zy), operands):
-                fdiv_r_2exp(zt, zh, 8 * slot * k)
-                sub(z, z, zt)
-            mul_(zc, zx, zx if y is x else zy)
-            # the operands' limbs are freed before the window is made
-            for z in (zx, zy):
-                clear(z)
-                init(z)
-            bits = 8 * slot * n
-            fdiv_r_2exp(zc, zc, bits)
-            fdiv_r_2exp(zt, zh, bits)
-            add(zc, zc, zt)
-            fdiv_r_2exp(zc, zc, bits)
-            out = bytearray(-(-n * slot // 8) * 8)
-            export(ctypes.byref(ctypes.c_char.from_buffer(out)), ctypes.byref(size_t()), -1, 8, -1, 0, zc)
-        finally:
-            for z in zs:
-                clear(z)
+        state = getattr(local, "state", None)
+        if state is None:
+            state = local.state = State()
+        zx, zy, zc, zh, zt = state.zs
+        for z, (raw, k) in zip((zx, zy), operands):
+            _flip(raw, slot, k)
+            load(z, raw)
+            raw.clear()
+        # H on as many slots as the longest of x, y and the window,
+        # rounded up to a multiple of 8, which fills whole words; H on
+        # k slots is its remainder mod B^k
+        load(zh, _halves(slot, -(-max(kx, ky, n) // 8) * 8))
+        for z, (_, k) in zip((zx, zy), operands):
+            fdiv_r_2exp(zt, zh, 8 * slot * k)
+            sub(z, z, zt)
+        mul_(zc, zx, zx if y is x else zy)
+        bits = 8 * slot * n
+        fdiv_r_2exp(zc, zc, bits)
+        fdiv_r_2exp(zt, zh, bits)
+        add(zc, zc, zt)
+        fdiv_r_2exp(zc, zc, bits)
+        out = bytearray(-(-n * slot // 8) * 8)
+        export(ctypes.byref(ctypes.c_char.from_buffer(out)), ctypes.byref(size_t()), -1, 8, -1, 0, zc)
         _flip(out, slot, n)
         return out
 
@@ -323,25 +350,29 @@ def _libgmp():
     return _libgmp_mul
 
 
-def convolve(a: list, b: list, n: int | None = None) -> list:
-    """Convolution of two integer coefficient lists, any signs: the first n
-    coefficients of the product (all len(a) + len(b) - 1 when n is None)."""
+def convolve(a: list, b: list, n: int | None = None, lo: int = 0) -> list:
+    """Convolution of two integer coefficient lists, any signs: the
+    coefficients lo .. n-1 of the product (n = len(a) + len(b) - 1, all of
+    them, when None), as a list of n - lo, or none when lo >= n.  The
+    product is formed below n as always; only slots lo .. n-1 are read
+    back."""
     if not a or not b:
         return []
     full = len(a) + len(b) - 1
     n = full if n is None else max(0, min(n, full))
+    lo = min(lo, n)
     # a square (b is a) is trimmed, scanned and packed once
     square = b is a
     a = _trim(a, n)
     b = a if square else _trim(b, n)
     short = min(len(a), len(b))
     if short <= _SCHOOLBOOK_TERMS:
-        return _schoolbook(a, b, n)
+        return _schoolbook(a, b, n, lo)
     sa = _scan(a)
     sb = sa if square else _scan(b)
     bits = _slot_bits(sa, sb)
     if not bits:
-        return [0] * n
+        return [0] * (n - lo)
     slot = (bits + 7) // 8
     if slot < 8:
         # the smallest machine word that holds the slot bits
@@ -349,5 +380,5 @@ def convolve(a: list, b: list, n: int | None = None) -> list:
     if not _HAVE_GMPY2 and bits * short >= _LIBGMP_BITS:
         mul = _libgmp()
         if mul:
-            return _binary(a, b, n, slot, mul)
-    return _binary(a, b, n, slot)
+            return _binary(a, b, n, slot, mul, lo)
+    return _binary(a, b, n, slot, _int_mul, lo)

@@ -13,7 +13,9 @@ With --json all output is a single deterministic JSON object on stdout
 
 Each subcommand imports the modules it calls when it runs, so a call loads
 only what its own branch uses: `level-predict` loads `level` and `arith`,
-`fixtures --reemit` only `qseries` and what `qseries` needs, and a call
+`fixtures --reemit` only `qseries` and what `qseries` needs,
+`weil-selftest` `weilrep` and `scalars` but no series code, a `project`
+refused at its level (4 does not divide --N) only `plusspace`, and a call
 that forms no product (a numeric `verify` of theta, a lift refused by its
 gate) never loads the convolution backend `_intpoly`.
 """
@@ -205,12 +207,13 @@ def _cmd_lift(args) -> int:
 
 def _cmd_project(args) -> int:
     from .plusspace import _require_4n, epsilon_for, project_plus, project_two
-    from .qseries import qexp_to_json
 
     _check_at_least(0, ("--prec", args.prec))
     _check_at_least(1, ("--N", args.N))
-    # before any series is built or read
+    # before any series is built or read, or its code compiled
     _require_4n(args.N, "mod-two projection" if args.two else "plus projection")
+    from .qseries import qexp_to_json
+
     f = _load_series(args)
     if args.xi is not None:
         k = _resolve(args, "k")

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .arith import _factorization, cdiv, least_prime_table, split_square
 from .errors import VerificationFailure
-from .qseries import QExp, _divide, mul, rescale
+from .qseries import QExp, _divide_lists, _table, mul, rescale
 from .scalars import BERNOULLI_BOUND, bernoulli_number, kronecker, quadratic_L_neg
 
 __all__ = [
@@ -125,23 +125,23 @@ def _eisenstein_constant(weight: int) -> Fraction:
     return -2 * weight / bernoulli_number(weight)
 
 
-def _eisenstein_numerators(weight: int, prec: int) -> tuple[dict[int, int], Fraction]:
+def _eisenstein_numerators(weight: int, prec: int) -> tuple[list[int], Fraction]:
     """(a, c) with c = -2w / B_w and d E_w = sum a[n] q^n on [0, prec), d
-    the denominator of c: a[0] = d and a[n] = d c sigma_{w-1}(n)."""
+    the denominator of c, as a list: a[0] = d and a[n] = d c sigma_{w-1}(n)."""
     c = _eisenstein_constant(weight)
-    a = c.numerator
-    coeffs = {n: a * v for n, v in enumerate(_sigma_sieve(weight - 1, prec)) if v}
-    if prec > 0:
-        coeffs[0] = c.denominator
-    return coeffs, c
+    p = c.numerator
+    a = [p * v for v in _sigma_sieve(weight - 1, prec)]
+    if a:
+        a[0] = c.denominator
+    return a, c
 
 
 def eisenstein(weight: int, prec: int) -> QExp:
     """Level 1 Eisenstein series E_w = 1 - (2w / B_w) sum sigma_{w-1}(n) q^n
     for every even w with 4 <= w <= BERNOULLI_BOUND; integer numerators
     where -2w / B_w is an integer (w = 4, 6, 8, 10, 14)."""
-    coeffs, c = _eisenstein_numerators(weight, prec)
-    return QExp.from_numerators(Fraction(weight), 1, coeffs, c.denominator, 0, prec)
+    a, c = _eisenstein_numerators(weight, prec)
+    return QExp.from_numerators(Fraction(weight), 1, _table(a), c.denominator, 0, prec)
 
 
 def euler_function(prec: int) -> QExp:
@@ -189,23 +189,28 @@ def j_invariant(prec: int) -> QExp:
     Ramanujan's identity E4^3 = E12 + (432000/691) Delta, with 432000/691 =
     3 c4 - c12 from the constants c_w = -2w / B_w: the integer series
     691 E12 divided by phi^24 = Delta / q (`delta`'s coefficients), then one
-    divmod by 691 per term.  phi^24 is monic and integral, so the first
-    remainder, at q^(n-1), is the first n where E4^3 is not integral: where
-    Ramanujan's congruence tau(n) = sigma_11(n) mod 691 fails.
+    divmod by 691 per term.  phi^24 is monic and integral, so the quotient
+    is integral, and the first remainder, at q^(n-1), is the first n where
+    E4^3 is not integral: where Ramanujan's congruence
+    tau(n) = sigma_11(n) mod 691 fails.  phi^24, 691 E12 and the quotient
+    stay integer lists from the division to the check.
     """
+    H = prec + 1
     tau = delta(prec + 2).numerators
-    phi24 = QExp.from_numerators(Fraction(0), 1, {a - 1: v for a, v in tau.items()}, 1, 0, prec + 1)
-    e12, c12 = _eisenstein_numerators(12, prec + 1)
+    phi24 = [tau.get(a, 0) for a in range(1, H + 1)]
+    e12, c12 = _eisenstein_numerators(12, H)
     den = c12.denominator
     extra = (den * (3 * _eisenstein_constant(4) - c12)).numerator
-    series = _divide(QExp.from_numerators(Fraction(12), 1, e12, 1, 0, prec + 1), phi24).numerators
+    series = _divide_lists(e12, 1, phi24, 1, H)[0]
+    if H > 1:
+        series[1] += extra
     shifted = {}
-    for n in range(prec + 1):
-        v, r = divmod(series.get(n, 0) + (extra if n == 1 else 0), den)
+    for n, v in enumerate(series):
+        v, r = divmod(v, den)
         if r:
             raise VerificationFailure(
                 "Ramanujan's congruence tau(n) = sigma_11(n) mod %d fails at q^%d" % (den, n),
-                first_mismatch=(n, tau.get(n, 0) % den, e12.get(n, 0) // c12.numerator % den),
+                first_mismatch=(n, tau.get(n, 0) % den, e12[n] // c12.numerator % den),
             )
         if v:
             shifted[n - 1] = v

@@ -6,8 +6,11 @@ eps plus space when its coefficients are supported on exponents 0 and
 eps mod 4, with eps = (-1)^k xi (`epsilon_for`).  Every function here takes
 that sign, and the projections also the level N, as plain arguments.
 
-Only `lift_L` builds vector-valued forms, and it imports `weilrep` itself,
-so the membership test and the projections load nothing beyond `qseries`.
+Every function imports the series code it uses when it runs: the
+membership test and the level check `_require_4n` load nothing beyond
+`errors`, so a projection refused at its level compiles no series code;
+the projections import `qseries`, and only `lift_L`, which builds
+vector-valued forms, imports `weilrep`.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import HypothesisError
-from .qseries import QExp, add, decompose_mod4, filter_residues, rescale
 
 if TYPE_CHECKING:
+    from .qseries import QExp
     from .weilrep import VVQExp
 
 __all__ = [
@@ -69,6 +72,8 @@ def _require_4n(N: int, what: str) -> None:
 
 def project_plus(f: QExp, eps: int, N: int) -> QExp:
     """Coefficient projection onto the eps plus-space at level N; 4 | N only."""
+    from .qseries import filter_residues
+
     _check_eps(eps)
     _require_4n(N, "plus projection")
     return filter_residues(f, 4, {0, eps % 4})
@@ -77,6 +82,8 @@ def project_plus(f: QExp, eps: int, N: int) -> QExp:
 def project_two(f: QExp, N: int) -> QExp:
     """The companion projection keeping exponents 0 and 2 mod 4; same
     level confinement as project_plus."""
+    from .qseries import filter_residues
+
     _require_4n(N, "mod-two projection")
     return filter_residues(f, 4, {0, 2})
 
@@ -89,6 +96,7 @@ def lift_L(f: QExp, eps: int) -> VVQExp:
     one module for eps = +1 and its negative for eps = -1, matching the
     support law Q(1) = 1/4 resp. 3/4.
     """
+    from .qseries import decompose_mod4
     from .weilrep import FqModule, VVQExp
 
     _check_eps(eps)
@@ -111,6 +119,8 @@ def lift_L_inverse(vv: VVQExp) -> QExp:
     The sign is read from the module: Q(1) = 1/4 for eps = +1 and 3/4
     for eps = -1.
     """
+    from .qseries import add, rescale
+
     if vv.module.orders != (2,):
         raise ValueError("inverse lift expects a rank-one module")
     parts = []

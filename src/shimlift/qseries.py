@@ -344,6 +344,11 @@ def _numerators(f: QExp) -> tuple[dict, int] | None:
     return {a: c.numerator * (d // c.denominator) for a, c in f._table.items()}, d
 
 
+def _table(values: list) -> dict:
+    """{i: values[i]} over the nonzero entries of a list."""
+    return dict(zip(compress(range(len(values)), values), compress(values, values)))
+
+
 def _dense(numerators: tuple[dict, int], H: int) -> tuple[list, int]:
     """The (table, denominator) pair of `_numerators` with the table as a
     list on [0, H); its exponents are integers from 0 on."""
@@ -403,8 +408,17 @@ def scale(f: QExp, c) -> QExp:
 
 
 def _stride(support: list[int]) -> int:
+    """The gcd of the support's offsets from its first exponent (1 for a
+    single term).  The first offsets are read one at a time, stopping at a
+    gcd of 1, where a dense or sparse support shows it; a support still
+    above 1 there, such as f(4 tau)'s, takes the rest in one gcd call."""
     base = support[0]
-    return math.gcd(*[a - base for a in support]) or 1
+    g = 0
+    for a in support[1:8]:
+        g = math.gcd(g, a - base)
+        if g == 1:
+            return 1
+    return math.gcd(g, *[a - base for a in support[8:]]) or 1
 
 
 # An integer product goes term by term when its term pairs number fewer
@@ -445,18 +459,20 @@ def _conv_int(da: dict, db: dict, cap: int) -> dict:
     from . import _intpoly
 
     ga = _stride(sa)
-    gb = _stride(sb)
+    gb = ga if db is da else _stride(sb)
     if ga >= gb:
         strider, s_sup, other, o_sup, H = da, sa, db, sb, ga
     else:
         strider, s_sup, other, o_sup, H = db, sb, da, sa, gb
     base_s = s_sup[0]
-    arr_s = [0] * ((s_sup[-1] - base_s) // H + 1)
-    for a, v in strider.items():
-        arr_s[(a - base_s) // H] = v
-    classes: dict[int, list[int]] = {}
-    for b in o_sup:
-        classes.setdefault(b % H, []).append(b)
+    arr_s = _strided(strider, s_sup, H)
+    if other is strider:
+        # a square: its support is one class, whose array is arr_s
+        classes = {base_s % H: s_sup}
+    else:
+        classes = {}
+        for b in o_sup:
+            classes.setdefault(b % H, []).append(b)
     out = {}
     # the classes sit in distinct residues mod H, so no exponent is hit twice
     for members in classes.values():
@@ -465,13 +481,7 @@ def _conv_int(da: dict, db: dict, cap: int) -> dict:
         n = cdiv(cap - base, H)
         if n <= 0:
             continue
-        if other is strider:
-            # a square: its support is one class, whose array is arr_s
-            arr_o = arr_s
-        else:
-            arr_o = [0] * ((members[-1] - base_o) // H + 1)
-            for b in members:
-                arr_o[(b - base_o) // H] = other[b]
+        arr_o = arr_s if other is strider else _strided(other, members, H)
         conv = _intpoly.convolve(arr_o, arr_s, n)
         part = dict(zip(compress(range(base, base + len(conv) * H, H), conv), compress(conv, conv)))
         if out:
@@ -479,6 +489,21 @@ def _conv_int(da: dict, db: dict, cap: int) -> dict:
         else:
             out = part
     return out
+
+
+def _strided(table: dict, keys: list, H: int) -> list:
+    """table's values at keys[0], keys[0] + H, ..., keys[-1], 0 where
+    absent, for sorted keys of table, all in one class mod H: one lookup
+    per slot when the keys fill at least half the slots, else one store
+    per key."""
+    first, last = keys[0], keys[-1]
+    if 2 * len(keys) > (last - first) // H:
+        get = table.get
+        return [get(a, 0) for a in range(first, last + 1, H)]
+    arr = [0] * ((last - first) // H + 1)
+    for a in keys:
+        arr[(a - first) // H] = table[a]
+    return arr
 
 
 def mul(f: QExp, g: QExp) -> QExp:
@@ -572,66 +597,102 @@ def decompose_mod4(f: QExp) -> tuple[QExp, QExp, QExp, QExp]:
 def invert_unit(f: QExp) -> QExp:
     """Multiplicative inverse of a series with unit constant term.
 
-    The quotient 1/f by `_divide`, which inverts f to half the window by
-    calling this function: Newton doubling, with the one Karp-Markstein
-    step written once in `_divide`, down to the window [0, 1), where the
-    inverse is 1/c0.  Each level's result is in canonical form, so no
-    power of c0 is carried up.  Rational coefficients only, integer
-    exponents, lo = 0.
+    Newton doubling on integer lists (`_inverse`), from f's numerators to
+    one QExp at the end.  Rational coefficients only, integer exponents,
+    lo = 0.
     """
     if f.denom != 1 or f.lo != 0:
         raise ValueError("inversion needs integer exponents starting at 0")
     c0 = f.coeff(0) if 0 in f.exponents() else None
     if c0 is None or not isinstance(c0, Fraction):
         raise ValueError("inversion needs a nonzero rational constant term")
-    if f.hi == 1:
-        return QExp(-f.weight, 1, {0: 1 / c0}, 0, 1)
-    return _divide(QExp.from_numerators(0, 1, {0: 1}, 1, 0, f.hi), f)
+    nf = _numerators(f)
+    if nf is None:
+        raise ValueError("inversion implemented for rational coefficients only")
+    X, cx = _inverse(*_dense(nf, f.hi), f.hi)
+    return QExp.from_numerators(-f.weight, 1, _table(X), cx, 0, f.hi)
+
+
+def _inverse(G: list, dg: int, H: int) -> tuple[list, int]:
+    """(X, cx) with X / cx = dg / G below q^H, in lowest terms with cx > 0,
+    for a list G of at least H terms with G[0] != 0 and H >= 1.
+
+    Newton doubling: the windows are H, ceil(H/2), ..., 1; on [0, 1) the
+    inverse is dg / G[0], and each larger window is one `_karp_markstein`
+    step with the dividend 1 from the one below it.  Each level is reduced
+    by its gcd, so no power of G[0] is carried up.
+    """
+    windows = [H]
+    while windows[-1] > 1:
+        windows.append((windows[-1] + 1) // 2)
+    X, cx = ([dg], G[0]) if G[0] > 0 else ([-dg], -G[0])
+    for w in reversed(windows):
+        if w > 1:
+            X, cx = _karp_markstein([1], G[:w], dg, X, cx, w)
+        if cx != 1:
+            g = math.gcd(cx, *X)
+            if g != 1:
+                X = [v // g for v in X]
+                cx //= g
+    return X, cx
+
+
+def _karp_markstein(F: list, G: list, dg: int, X: list, cx: int, H: int) -> tuple[list, int]:
+    """(Q, e) with Q / e = F / (G / dg) below q^H, Q a list of H terms,
+    given X / cx = dg / G below q^h, h = ceil(H/2), X at least h terms;
+    G has at least H terms, F any number of terms.
+
+    Karp-Markstein division: the quotient is Y0 = F X below q^h, and
+    F - (G / dg) (Y0 / cx) = q^h R / s, s = dg cx, vanishes there, so
+    above it the quotient is q^h (X R mod q^(H-h)) / (cx s), since
+    H - h <= h.  The inverse runs to h only and no H x H product is
+    formed; of G Y0, which is F s below q^h by construction, only the
+    slots from h on are read back.
+    """
+    from . import _intpoly
+
+    h = (H + 1) // 2
+    s = dg * cx
+    Y0 = _intpoly.convolve(F, X, h)
+    GY = _intpoly.convolve(G, Y0, H, h)
+    R = [v * s - y for v, y in zip(F[h:H], GY)]
+    R += [-y for y in GY[len(R):]]
+    del GY  # not read past R: freed before the last product
+    # Y0 over cx is Y0 s over cx s, the denominator of X R
+    if s != 1:
+        Y0 = [v * s for v in Y0]
+    return Y0 + _intpoly.convolve(X, R, H - h), cx * s
+
+
+def _divide_lists(F: list, df: int, G: list, dg: int, H: int) -> tuple[list, int]:
+    """(Q, d) with Q / d = (F / df) / (G / dg) below q^H, Q a list of H
+    terms, for integer lists with G[0] != 0; G has at least max(H, 1)
+    terms.  The inverse of G / dg to ceil(H/2) is one call of the module
+    attribute `invert_unit`, so a wrapper installed there (the benchmark's
+    tracer) sees each division; the rest is one `_karp_markstein` step."""
+    h = max((H + 1) // 2, 1)
+    inv = invert_unit(QExp.from_numerators(0, 1, _table(G[:h]), dg, 0, h))
+    X, cx = _dense(_numerators(inv), h)
+    Q, e = _karp_markstein(F, G, dg, X, cx, H)
+    return Q, df * e
 
 
 def _divide(f: QExp, g: QExp) -> QExp:
-    """f / g on [0, min(f.hi, g.hi)), for g with a unit constant term.
-
-    Karp-Markstein division: with h = ceil(H/2) and X = 1/g mod q^h, the
-    quotient is Y0 = f X mod q^h below q^h, and f - g Y0 = q^h R vanishes
-    there, so above it the quotient is q^h (X R mod q^(H-h)), since
-    H - h <= h.  The inverse runs to h only and no H x H product is formed,
-    where f * invert_unit(g) needs both.  X comes from `invert_unit`, which
-    is the quotient 1/g through this function, so the two recurse down to
-    a one-term window.  The call reads the module attribute `invert_unit`
-    at every level, so a wrapper installed there (the benchmark's tracer)
-    sees each inversion.  This works on raw integer coefficients (f =
-    F/df, g = G/dg, X = Xn/cx) and stamps the window; rational
-    coefficients only, integer exponents, f.lo >= 0 and g.lo = 0.
-    """
+    """f / g on [0, min(f.hi, g.hi)), for g with a unit constant term, by
+    `_divide_lists` on the numerators of f and g.  Rational coefficients
+    only, integer exponents, f.lo >= 0 and g.lo = 0."""
     if f.denom != 1 or f.lo < 0:
         raise ValueError("division needs a dividend with integer exponents from 0 on")
+    if g.denom != 1 or g.lo != 0:
+        raise ValueError("division needs a divisor with integer exponents starting at 0")
     nf, ng = _numerators(f), _numerators(g)
     if nf is None or ng is None:
         raise ValueError("division implemented for rational coefficients only")
-    from . import _intpoly
-
     H = min(f.hi, g.hi)
-    h = (H + 1) // 2
-    inv = invert_unit(g.truncate(max(h, 1)))
-    Xn, cx = _dense(_numerators(inv), inv.hi)
     F, df = _dense(nf, H)
-    G, dg = _dense(ng, H)
-    # F up to its last stored term: as an H-long [1, 0, ...] the dividend of
-    # `invert_unit` would make this a packed product at every level, where
-    # [1] is a schoolbook copy of Xn; Xn has h terms, so Y0 still has h
-    Y0 = _intpoly.convolve(F[:max(f.exponents(), default=0) + 1], Xn, h)
-    # f - g Y0 = (F dg cx - G Y0) / (df dg cx), zero below q^h
-    s = dg * cx
-    GY = _intpoly.convolve(G, Y0, H)
-    R = [F[i] * s - GY[i] for i in range(h, H)]
-    del GY, F, G, nf, ng, inv  # not read past R: freed before the last product
-    # Y0 over df cx is Y0 s over df cx s, the denominator of X R
-    if s != 1:
-        Y0 = [v * s for v in Y0]
-    quotient = Y0 + _intpoly.convolve(Xn, R, H - h)
-    table = dict(zip(compress(range(H), quotient), compress(quotient, quotient)))
-    return QExp.from_numerators(f.weight - g.weight, 1, table, df * cx * s, 0, H)
+    G, dg = _dense(ng, max(H, 1))
+    Q, d = _divide_lists(F, df, G, dg, H)
+    return QExp.from_numerators(f.weight - g.weight, 1, _table(Q), d, 0, H)
 
 
 # -- JSON forms ----------------------------------------------------------

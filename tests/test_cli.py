@@ -749,7 +749,8 @@ def test_every_public_name_resolves_lazily():
 # each call may load at most the modules listed with it, and exits with
 # the code given; level-predict loads exactly those.  Only a call that
 # forms a product loads `_intpoly`: neither a numeric verify nor a lift
-# refused by its gate does
+# refused by its gate does.  Neither a projection refused at its level nor
+# the Weil self-test loads `qseries`
 _ALL_MODULES = {"_intpoly", "_record", "arith", "characters", "cli", "errors", "fixtures", "level",
                 "plusspace", "qseries", "scalars", "shimura", "verify", "weilrep"}
 
@@ -766,7 +767,9 @@ _ALL_MODULES = {"_intpoly", "_record", "arith", "characters", "cli", "errors", "
          _ALL_MODULES - {"_intpoly", "fixtures", "verify", "weilrep"}, 0),
         (["project", "--fixture", "theta_e4", "--N", "4", "--prec", "40"],
          _ALL_MODULES - {"shimura", "characters", "verify"}, 0),
-        (["weil-selftest", "--max-n", "3", "--words", "5"], _ALL_MODULES - {"shimura", "fixtures", "verify"}, 0),
+        (["project", "--fixture", "theta_e4", "--N", "3", "--k", "4", "--prec", "100"],
+         {"cli", "errors", "plusspace"}, 2),
+        (["weil-selftest", "--max-n", "3", "--words", "5"], {"cli", "errors", "weilrep", "scalars", "arith"}, 0),
         (["verify", "--fixture", "e4", "--prec", "20", "--weight", "4", "--mode", "exact"],
          _ALL_MODULES - {"shimura", "characters", "plusspace", "weilrep"}, 0),
         (["verify", "--fixture", "theta", "--weight", "1/2", "--level", "4"],
@@ -774,7 +777,8 @@ _ALL_MODULES = {"_intpoly", "_record", "arith", "characters", "cli", "errors", "
         (["lift", "--fixture", "cohen52", "--t", "2"],
          _ALL_MODULES - {"_intpoly", "verify", "weilrep"}, 2),
     ],
-    ids=["level-predict", "fixtures-reemit", "lift-input", "project", "weil-selftest", "verify-exact",
+    ids=["level-predict", "fixtures-reemit", "lift-input", "project", "project-refused", "weil-selftest",
+         "verify-exact",
          "verify-numeric-half", "lift-fixture-refused"],
 )
 def test_cli_commands_load_only_what_they_run(capsys, tmp_path, argv, allowed, code):

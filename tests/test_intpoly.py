@@ -19,6 +19,8 @@ import json
 import os
 import random
 import subprocess
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -192,11 +194,11 @@ def _record_muls(monkeypatch, slots=None):
     muls = []
     binary = _intpoly._binary
 
-    def record(a, b, n, slot, mul=_intpoly._int_mul):
+    def record(a, b, n, slot, mul=_intpoly._int_mul, lo=0):
         muls.append(mul)
         if slots is not None:
             slots.append(slot)
-        return binary(a, b, n, slot, mul)
+        return binary(a, b, n, slot, mul, lo)
 
     monkeypatch.setattr(_intpoly, "_binary", record)
     return muls
@@ -321,9 +323,9 @@ def test_square_is_the_product_of_two_copies(monkeypatch, route, m):
     seen = []
     binary = _intpoly._binary
 
-    def record(a, b, n, slot, mul=_intpoly._int_mul):
+    def record(a, b, n, slot, mul=_intpoly._int_mul, lo=0):
         seen.append((mul, b is a))
-        return binary(a, b, n, slot, mul)
+        return binary(a, b, n, slot, mul, lo)
 
     monkeypatch.setattr(_intpoly, "_binary", record)
     a = _full(rng, 400, m)
@@ -597,3 +599,74 @@ def test_j_invariant_peak_memory_stays_within_four_and_a_half_times_its_size(mon
         tracemalloc.stop()
     assert j.hi == 10130
     assert peak - base <= 4.5 * (size - base), (peak - base, size - base)
+
+
+# (route, terms of a, terms of b, bits of their largest coefficient): word
+# slots (m = 3: 2-byte, m = 20: 8-byte) and wide slots (m = 300); the int
+# cases sit below libgmp's floor, the libgmp ones past it
+_READ_BACK_CASES = [
+    ("schoolbook", 8, 60, 20),
+    ("schoolbook", 8, 60, 300),
+    ("int", 100, 100, 3),
+    ("int", 100, 100, 20),
+    ("int", 12, 12, 300),
+    pytest.param("libgmp", 700, 700, 3, marks=needs_libgmp),
+    pytest.param("libgmp", 300, 300, 20, marks=needs_libgmp),
+    pytest.param("libgmp", 300, 300, 300, marks=needs_libgmp),
+]
+
+
+@pytest.mark.parametrize("square", [False, True], ids=["product", "square"])
+@pytest.mark.parametrize("route, la, lb, m", _READ_BACK_CASES)
+def test_read_back_from_lo_is_the_slice_on_every_route(monkeypatch, route, la, lb, m, square):
+    monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
+    rng = random.Random(la * m)
+    a = _full(rng, la, m)
+    b = a if square else _full(rng, lb, m)
+    muls = _record_muls(monkeypatch)
+    full = len(a) + len(b) - 1
+    for n in (full, full // 2, 1):
+        whole = _intpoly.convolve(a, b, n)
+        assert whole == naive(a, b, n)
+        for lo in sorted({0, 1, n - 1, n}):
+            assert _intpoly.convolve(a, b, n, lo) == whole[lo:], (n, lo)
+    want = {"schoolbook": None, "int": _intpoly._int_mul, "libgmp": LIBGMP}[route]
+    assert set(muls) <= {want} and (want is None) == (not muls), muls
+
+
+@needs_libgmp
+def test_libgmp_products_from_threads_at_once(monkeypatch):
+    # ctypes releases the GIL inside each GMP call, so the threads' products
+    # overlap; each thread has its own mpz_t, and every answer is the one a
+    # single thread gets.  Four threads on a short switch interval
+    monkeypatch.setattr(_intpoly, "_HAVE_GMPY2", False)
+    rng = random.Random(7)
+    jobs = [(_full(rng, 300, 400), _full(rng, 200, 400), 499), (_full(rng, 300, 20), _full(rng, 300, 20), 400),
+            (_full(rng, 400, 90), None, 799)]
+    jobs = [(a, a if b is None else b, n) for a, b, n in jobs]
+    muls = _record_muls(monkeypatch)
+    want = [_intpoly.convolve(a, b, n) for a, b, n in jobs]
+    assert set(muls) == {LIBGMP}
+    start = threading.Barrier(4)
+    done, wrong = [], []
+
+    def work():
+        start.wait()
+        for _ in range(20):
+            for (a, b, n), w in zip(jobs, want):
+                if _intpoly.convolve(a, b, n) != w:
+                    wrong.append(n)
+        done.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == 4 and not wrong, wrong

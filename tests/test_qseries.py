@@ -748,9 +748,10 @@ def test_invert_unit_matches_fraction_recurrence(p, c0, h):
     _assert_window_sound(invert_unit(f.truncate(h)), inv)
 
 
-def test_invert_unit_recurses_through_the_module_attribute_on_a_long_rational_series(monkeypatch):
-    # 300 terms, c0 = 3/2 and denominators up to 12: windows 300, 150, ..., 2
-    # divide and the window 1 is the base case, ten inversions in all
+def test_invert_unit_is_one_call_of_the_module_attribute_on_a_long_rational_series(monkeypatch):
+    # 300 terms, c0 = 3/2 and denominators up to 12: the Newton levels
+    # 300, 150, ..., 2, 1 run on integer lists inside the one call, which
+    # neither re-enters the module attribute nor carries a power of c0 up
     rng = random.Random(300)
     t = {0: Fraction(3, 2)}
     t.update((a, Fraction(rng.randint(-50, 50), rng.randint(1, 12))) for a in range(1, 300))
@@ -764,8 +765,26 @@ def test_invert_unit_recurses_through_the_module_attribute_on_a_long_rational_se
 
     monkeypatch.setattr(qseries, "invert_unit", counted)
     inv = qseries.invert_unit(f)
-    assert windows == [300, 150, 75, 38, 19, 10, 5, 3, 2, 1]
+    assert windows == [300]
     assert _ref(inv) == _ref_invert((0, 1, 0, 300, t))
+    _assert_canonical(inv)
+
+
+@settings(max_examples=25, deadline=None)
+@given(c0=st.tuples(st.integers(-12, 12), st.integers(1, 12)).map(lambda pq: Fraction(*pq))
+       .filter(lambda c: c not in (0, 1, -1)),
+       hi=st.integers(1, 300), seed=st.integers(0, 2**32), density=st.sampled_from([0.05, 0.5, 1.0]))
+def test_invert_unit_on_integer_lists_matches_fraction_recurrence(c0, hi, seed, density):
+    # the Newton levels run on (numerator list, denominator) pairs with one
+    # gcd reduction each: c0 != +-1 makes every level's denominator a power
+    # of c0's numerator times the coefficients' denominators, up to 12
+    rng = random.Random(seed)
+    t = {0: c0}
+    t.update((a, Fraction(rng.randint(-50, 50), rng.randint(1, 12)))
+             for a in range(1, hi) if rng.random() < density)
+    f = QExp(Fraction(3, 2), 1, t, 0, hi)
+    inv = invert_unit(f)
+    assert _ref(inv) == _ref_invert((Fraction(3, 2), 1, 0, hi, t))
     _assert_canonical(inv)
 
 
