@@ -206,7 +206,9 @@ def _unpack(raw: bytes, slot: int, n: int, lo: int = 0) -> list:
     """The coefficients in the two's complement slots lo .. n-1 of raw."""
     word = _WORD.get(slot)
     if not word:
-        return [int.from_bytes(raw[i:i + slot], "little", signed=True) for i in range(lo * slot, n * slot, slot)]
+        # the method read once, not once per slot
+        from_bytes = int.from_bytes
+        return [from_bytes(raw[i:i + slot], "little", signed=True) for i in range(lo * slot, n * slot, slot)]
     out = [0] * (n - lo)
     for start in range(lo, n, _CHUNK):
         k = min(_CHUNK, n - start)
