@@ -2,8 +2,8 @@
 the lift bookkeeping needs (the mod-4N extension omega_chi, the quadratic
 family chi_t, and the twisted character eta attached to an index and a sign).
 
-Moduli here are desk-sized, so characters are stored as complete tables on
-the units; nothing is represented through generators.
+Characters are complete value tables on the units, not generators: time
+and memory linear in the modulus, which the command line admits to 10^6.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 from .arith import units
 from .errors import HypothesisError, SchemaError, check_budget
-from .scalars import Scalar, as_exact, kronecker, scalar_from_json, scalar_to_json
+from .scalars import Scalar, _kronecker_table, as_exact, kronecker, scalar_from_json, scalar_to_json
 
 __all__ = [
     "DirichletCharacter",
@@ -99,25 +99,20 @@ class DirichletCharacter:
 
     @classmethod
     def from_kronecker(cls, t: int, modulus: int) -> "DirichletCharacter":
-        """The character d -> kronecker(t, d) at the stated modulus.
+        """The character d -> kronecker(t, d) at the stated modulus m.
 
-        Scans classes up to the period lcm(modulus, 8|t|) or to 8 * modulus,
-        whichever is shorter.  On units the symbol has period dividing
-        8 rad(t), so the scan is complete when every prime of t divides the
-        modulus; otherwise the part u > 1 of |t| prime to the modulus is a
-        unit where the symbol vanishes, though not at u + modulus."""
-        if t == 0:
-            raise ValueError("kronecker character needs nonzero t")
-        period = min(8 * modulus, math.lcm(modulus, 8 * abs(t)))
-        chi = cls.from_function(modulus, lambda d: kronecker(t, d), period)
-        u = abs(t)
-        while (g := math.gcd(u, modulus)) > 1:
-            u //= g
-        if u > 1:
-            raise ValueError(
-                "function is not defined modulo %d: kronecker(%d, .) vanishes at the unit %d" % (modulus, t, u)
-            )
-        return chi
+        The symbol is a character mod m exactly when every prime of t
+        divides m and so does the conductor of Q(sqrt t): m is divisible by
+        1, 4 or 8 according as t, with its factors of 4 removed, is 1, 3
+        or 2 mod 4 (`_kronecker_character`).  The rule is checked before
+        any table is built; the values on the units are then read from one
+        Kronecker sieve (`scalars._kronecker_table`)."""
+        reason = _kronecker_character(t, modulus)
+        if reason:
+            raise ValueError("function is not defined modulo %d: %s" % (modulus, reason))
+        # mod 1 the one class is 0, and kronecker(1, 0) = 1
+        chi = _kronecker_table(t, modulus)
+        return cls(modulus, {r: chi[r] for r in units(modulus)})
 
     def __call__(self, n: int) -> Scalar:
         r = n % self.modulus
@@ -188,15 +183,30 @@ def chi_t(t: int) -> DirichletCharacter:
     return DirichletCharacter.from_kronecker(t, 8 * (t // (t & -t)))
 
 
-def kronecker_is_character(N: int, T: int, eps: int) -> bool:
-    """Whether d -> kronecker(eps * T, d) is a character modulo N * T.
+def _kronecker_character(t: int, m: int) -> str | None:
+    """None when the rule of `DirichletCharacter.from_kronecker` holds at
+    (t, m), else why not.  u is the part of |t| prime to m, so t is never
+    factored; 4 or 8 is the power of 2 in the conductor of Q(sqrt t)."""
+    if t == 0:
+        raise ValueError("kronecker character needs nonzero t")
+    u = abs(t)
+    while (g := math.gcd(u, m)) > 1:
+        u //= g
+    if u > 1:
+        return "kronecker(%d, .) vanishes at the unit %d" % (t, u)
+    t0 = t
+    while t0 % 4 == 0:
+        t0 //= 4
+    need = {1: 1, 3: 4, 2: 8}[t0 % 4]
+    return "kronecker(%d, .) has conductor divisible by %d" % (t, need) if m % need else None
 
-    The symbol is periodic mod |eps T| when eps T = 0 or 1 mod 4, and only
-    mod 4 |eps T| otherwise, a period N * T contains exactly when 4 | N.
-    The lift's constant-term modulus and the obstruction its gate shares
-    with eta_char (`_require_eta`) read this test.
-    """
-    return (eps * T) % 4 in (0, 1) or N % 4 == 0
+
+def kronecker_is_character(N: int, T: int, eps: int) -> bool:
+    """Whether d -> kronecker(eps * T, d) is a character mod N * T, the rule
+    of `DirichletCharacter.from_kronecker` at (eps T, N T): since T | N T,
+    (eps * T) % 4 in (0, 1) or 4 | N.  The lift's constant-term modulus and
+    the obstruction its gate shares with eta_char (`_require_eta`) read it."""
+    return _kronecker_character(eps * T, N * T) is None
 
 
 def _require_eta(N: int, t: int, eps: int) -> None:

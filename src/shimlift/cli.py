@@ -173,7 +173,7 @@ def _cmd_lift(args) -> int:
     level = args.M * N
     T = args.t * args.s * args.s
     needed_hi = T * args.prec * args.prec + 1
-    # before the character scans the level and before any series is built
+    # before the character table is built and before any series is built
     check_budget(4 * level * T, "the constant-term modulus 4 M N t s^2 of --M, --N, --t and --s")
     if args.fixture:
         check_budget(needed_hi, "the --fixture window t s^2 prec^2 + 1 of --t, --s and --prec")

@@ -115,10 +115,14 @@ class QExp:
     def from_numerators(cls, weight, denom: int, numerators: dict, cden: int, lo: int, hi: int, metadata: dict | None = None) -> "QExp":
         """The series sum (numerators[a] / cden) q^(a/denom) on [lo, hi).
 
-        The caller guarantees nonzero integer numerators inside the window
-        and cden >= 1; the table is reduced to canonical form and then
-        owned by the series, so it must not be changed afterwards.
+        The caller guarantees nonzero integer numerators inside the window;
+        the table is reduced to canonical form and then owned by the
+        series, so it must not be changed afterwards.
         """
+        if denom < 1:
+            raise ValueError("exponent denominator must be positive")
+        if cden < 1:
+            raise ValueError("coefficient denominator must be positive")
         if hi < lo:
             raise ValueError("window [%d, %d) is inverted" % (lo, hi))
         f = cls.__new__(cls)
@@ -675,24 +679,6 @@ def _divide_lists(F: list, df: int, G: list, dg: int, H: int) -> tuple[list, int
     X, cx = _dense(_numerators(inv), h)
     Q, e = _karp_markstein(F, G, dg, X, cx, H)
     return Q, df * e
-
-
-def _divide(f: QExp, g: QExp) -> QExp:
-    """f / g on [0, min(f.hi, g.hi)), for g with a unit constant term, by
-    `_divide_lists` on the numerators of f and g.  Rational coefficients
-    only, integer exponents, f.lo >= 0 and g.lo = 0."""
-    if f.denom != 1 or f.lo < 0:
-        raise ValueError("division needs a dividend with integer exponents from 0 on")
-    if g.denom != 1 or g.lo != 0:
-        raise ValueError("division needs a divisor with integer exponents starting at 0")
-    nf, ng = _numerators(f), _numerators(g)
-    if nf is None or ng is None:
-        raise ValueError("division implemented for rational coefficients only")
-    H = min(f.hi, g.hi)
-    F, df = _dense(nf, H)
-    G, dg = _dense(ng, max(H, 1))
-    Q, d = _divide_lists(F, df, G, dg, H)
-    return QExp.from_numerators(f.weight - g.weight, 1, _table(Q), d, 0, H)
 
 
 # -- JSON forms ----------------------------------------------------------

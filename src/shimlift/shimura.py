@@ -99,16 +99,19 @@ class DiamondOrbit:
         _validate_translates(f, N, *self._translates(f))
 
 
-def _validate_translates(f: QExp, N: int, modulus: int, translates: dict) -> None:
+def _validate_translates(f: QExp, N: int, modulus: int, translates: dict) -> dict:
     """`DiamondOrbit.validate_for` on a table that `_translates` gave, so
-    that the lift validates the one table it reads."""
+    that the lift validates the one table it reads; returns its distinct
+    series {id(g): g}, each checked once."""
     if N % modulus != 0:
         raise SchemaError("orbit modulus %d does not divide the level %d" % (modulus, N))
     c, g = translates[1 % modulus]
     if c != 1 or (g is not f and g != f):
         raise SchemaError("orbit entry at 1 disagrees with the input expansion")
-    if any(g.denom != 1 for _, g in translates.values()):
+    series = {id(g): g for _, g in translates.values()}
+    if any(g.denom != 1 for g in series.values()):
         raise SchemaError("orbit entries need integer exponents")
+    return series
 
 
 class CharacterOrbit(DiamondOrbit):
@@ -215,8 +218,7 @@ def _lift(f: QExp, N: int, k: int, T: int, eps: int, prec: int, orbit: DiamondOr
     if f.denom != 1:
         raise SchemaError("lift input needs integer exponents")
     modulus, translates = orbit._translates(f)
-    _validate_translates(f, N, modulus, translates)
-    series = {id(g): g for _, g in translates.values()}
+    series = _validate_translates(f, N, modulus, translates)
     reads = {key: g._read_set(T, prec) for key, g in series.items()}
     D = math.lcm(*[den for _, den in reads.values()])
     reads = {key: a if den == D else [v * (D // den) for v in a] for key, (a, den) in reads.items()}

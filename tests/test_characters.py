@@ -7,6 +7,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shimlift.characters import (
     DirichletCharacter,
@@ -297,7 +299,7 @@ def test_character_json_rejects_malformed():
     ({"modulus": 5, "kind": "kronecker", "t": "5"}, "invalid character: kronecker character needs integer 't'"),
     ({"modulus": 5, "kind": "kronecker", "t": 0}, "invalid character: kronecker character needs nonzero t"),
     ({"modulus": 6, "kind": "kronecker", "t": 5},
-     "invalid character: function is not defined modulo 6: class 1 takes two values"),
+     "invalid character: function is not defined modulo 6: kronecker(5, .) vanishes at the unit 5"),
     ({"modulus": 5, "kind": "explicit"}, "invalid character: explicit character needs 'values'"),
     ({"modulus": 5, "kind": "explicit", "values": [[True, "1"]]},
      "invalid character: explicit character value must be [residue, scalar] with an integer residue"),
@@ -333,6 +335,46 @@ def test_from_kronecker_agrees_with_the_full_period_scan():
                 except ValueError:
                     outcomes.append(None)
             assert outcomes[0] == outcomes[1], (t, modulus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.integers(-200, 200).filter(bool), m=st.integers(1, 500), multiple=st.booleans())
+def test_conductor_rule_agrees_with_the_full_period_scan(t, m, multiple):
+    # half the draws take a multiple of |t|, where every prime of t divides
+    # the modulus and the power of 2 in the conductor decides
+    if multiple and abs(t) <= m:
+        m -= m % abs(t)
+    outcomes = []
+    for build in (DirichletCharacter.from_kronecker, _scan_from_kronecker):
+        try:
+            outcomes.append(build(t, m))
+        except ValueError:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_kronecker_is_character_is_the_mod_4_rule_at_the_lift():
+    for N in range(1, 41):
+        for T in range(1, 121):
+            for eps in (1, -1):
+                want = (eps * T) % 4 in (0, 1) or N % 4 == 0
+                assert kronecker_is_character(N, T, eps) == want, (N, T, eps)
+
+
+def test_kronecker_characters_are_built_without_a_scan(monkeypatch):
+    want = [_scan_from_kronecker(-3, 6), _scan_from_kronecker(5, 40),
+            omega_chi_scan(DirichletCharacter.trivial(3)),
+            eta_char_scan(DirichletCharacter.trivial(4), 3, 1)]
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a Kronecker character was built by a scan")
+
+    monkeypatch.setattr(DirichletCharacter, "from_function", no_scan)
+    got = [DirichletCharacter.from_kronecker(-3, 6), chi_t(5),
+           omega_chi(DirichletCharacter.trivial(3)), eta_char(DirichletCharacter.trivial(4), 3, 1)]
+    assert got == want
+    with pytest.raises(ValueError, match="^function is not defined modulo 6: kronecker[(]3, [.][)] has conductor divisible by 4$"):
+        DirichletCharacter.from_kronecker(3, 6)
 
 
 def test_from_kronecker_scan_is_bounded_by_the_modulus():

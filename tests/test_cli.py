@@ -434,6 +434,17 @@ def test_cli_branch_prints_its_line(capsys, tmp_path, argv, code, stream, line):
     assert line in (out if stream == "out" else err).splitlines()
 
 
+@pytest.mark.parametrize("metadata", [[], "k=2", 4, None])
+def test_lift_input_with_metadata_not_an_object_is_schema_error(capsys, tmp_path, metadata):
+    doc = qexp_to_json(fixture("cohen52", 10))
+    doc["metadata"] = metadata
+    p = tmp_path / "metadata.json"
+    p.write_text(json.dumps(doc))
+    argv = ["lift", "--input", str(p), "--k", "2", "--prec", "3"]
+    assert run(capsys, *argv, "--json") == (2, _refusal("metadata must be an object") + "\n", "")
+    assert run(capsys, *argv) == (2, "", "error: metadata must be an object\n")
+
+
 def test_character_json_with_string_residue_is_schema_error(capsys, tmp_path):
     p = tmp_path / "chi.json"
     p.write_text(json.dumps({"modulus": 5, "kind": "explicit", "values": [["1", "1"], [2, "1"]]}))
@@ -681,6 +692,18 @@ def test_kronecker_character_modulus_over_the_budget_is_refused_before_the_scan(
     assert code == 2
     assert payload == {"error": "SchemaError",
                        "message": "the modulus of --character kronecker:t exceeds the request budget of 4000000"}
+
+
+def test_lift_kronecker_character_is_built_without_a_scan(capsys, monkeypatch):
+    from shimlift.characters import DirichletCharacter
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a Kronecker character was built by a scan")
+
+    monkeypatch.setattr(DirichletCharacter, "from_function", no_scan)
+    code, payload, _ = run_json(capsys, "lift", "--fixture", "cohen52", "--N", "15", "--prec", "8",
+                                "--character", "kronecker:-15", "--json")
+    assert code == 0 and payload["verdict"]["level"] == 15
 
 
 def test_zero_prec_fixture_is_empty_window(capsys):

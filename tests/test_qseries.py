@@ -52,6 +52,19 @@ def test_from_numerators_refuses_an_inverted_window():
         QExp.from_numerators(2, 1, {}, 1, 0, -3)
 
 
+@pytest.mark.parametrize("denom, cden, message", [
+    (0, 1, "exponent denominator must be positive"),
+    (-1, 1, "exponent denominator must be positive"),
+    (1, 0, "coefficient denominator must be positive"),
+    (1, -2, "coefficient denominator must be positive"),
+])
+def test_from_numerators_refuses_a_denominator_below_one(denom, cden, message):
+    # no series is built on the lattice (1/0)Z, and no c(0) reads as 1/0
+    # or -1/2 from the numerator 1
+    with pytest.raises(ValueError, match="^%s$" % message):
+        QExp.from_numerators(0, denom, {0: 1}, cden, 0, 2)
+
+
 def test_coeff_contract_zero_below_window_error_above():
     f = QExp(0, 1, {2: 7}, 1, 6)
     assert f.coeff(0) == 0
@@ -803,8 +816,9 @@ def test_invert_unit_base_case_and_first_steps(c0, hi):
 @given(p=series_with_reference(denoms=(1,), lo=0, max_len=40),
        q=series_with_reference(denoms=(1,), lo=0, max_len=40), c0=unit, data=st.data())
 def test_divide_is_the_product_with_the_inverse(p, q, c0, data):
-    # a constant term of g other than 1, a coefficient denominator above 1
-    # and windows of 0 to 40 terms, so the half-length inverse runs to 1-20
+    # _divide_lists on the numerator lists of f and g, with a constant term
+    # of g other than 1, a coefficient denominator above 1 and windows of 0
+    # to 40 terms, so the half-length inverse runs to 1-20
     f, _ = p
     g, (w, _, _, hi, t) = q
     t = dict(t)
@@ -814,27 +828,16 @@ def test_divide_is_the_product_with_the_inverse(p, q, c0, data):
         t[1] = t.get(1, Fraction(0)) + Fraction(1, 3)
     g = QExp(w, 1, t, 0, hi)
     H = min(f.hi, g.hi)
-    out = qseries._divide(f, g)
-    assert (out.lo, out.hi, out.weight) == (0, H, f.weight - g.weight)
-    _assert_canonical(out)
+    F, df = qseries._dense(qseries._numerators(f), H)
+    G, dg = qseries._dense(qseries._numerators(g), max(H, 1))
+    Q, d = qseries._divide_lists(F, df, G, dg, H)
+    assert len(Q) == H and d > 0
     ref = mul(f, invert_unit(g))
-    assert all(out.coeff(n) == ref.coeff(n) for n in range(H))
-    # dividing truncations agrees on the shorter window
-    h1 = data.draw(st.integers(0, f.hi))
-    h2 = data.draw(st.integers(1, g.hi))
-    short = qseries._divide(f.truncate(h1), g.truncate(h2))
-    assert short.hi == min(h1, h2)
-    _assert_window_sound(short, out)
-
-
-def test_divide_rejects_what_it_cannot_divide():
-    g = QExp(0, 1, {0: 2, 1: 1}, 0, 5)
-    with pytest.raises(ValueError):
-        qseries._divide(QExp(0, 1, {0: CycScalar.root_of_unity(4, 1)}, 0, 5), g)
-    with pytest.raises(ValueError):
-        qseries._divide(QExp(0, 2, {0: 1}, 0, 5), g)
-    with pytest.raises(ValueError):
-        qseries._divide(g, QExp(0, 1, {1: 1}, 0, 5))
+    assert [Fraction(v, d) for v in Q] == [ref.coeff(n) for n in range(H)]
+    # dividing to a shorter window gives the first terms of the quotient
+    h = data.draw(st.integers(0, H))
+    short, e = qseries._divide_lists(F[:h], df, G, dg, h)
+    assert [Fraction(v, e) for v in short] == [Fraction(v, d) for v in Q[:h]]
 
 
 @settings(max_examples=120, deadline=None)
