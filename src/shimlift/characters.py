@@ -4,6 +4,8 @@ family chi_t, and the twisted character eta attached to an index and a sign).
 
 Characters are complete value tables on the units, not generators: time
 and memory linear in the modulus, which the command line admits to 10^6.
+A table from outside (the constructor, `from_function`, JSON) is checked
+once; those the program derives (`from_kronecker`, `trivial`, products) are not.
 """
 
 from __future__ import annotations
@@ -38,24 +40,12 @@ class DirichletCharacter:
     __slots__ = ("modulus", "values")
 
     def __init__(self, modulus: int, values: Mapping[int, object]):
-        if modulus < 1:
-            raise ValueError("modulus must be positive")
-        table: dict[int, Scalar] = {}
-        for d, v in values.items():
-            r = d % modulus
-            if math.gcd(r, modulus) != 1:
-                raise ValueError("value given at non-unit residue %d" % d)
-            if r in table:
-                raise ValueError("duplicate residue %d" % d)
-            table[r] = as_exact(v)
-        residues = units(modulus)
-        missing = [r for r in residues if r not in table]
-        if missing:
-            raise ValueError("value table misses units %r mod %d" % (missing, modulus))
+        table = {r: as_exact(v) for r, v in _unit_table(modulus, values, "value").items()}
         if table[1 % modulus] != 1:
             raise ValueError("chi(1) must be 1")
         # chi(a g) = chi(a) chi(g) for g in a generating set gives it for
         # every unit b, by induction on a word in the generators for b
+        residues = sorted(table)
         gens = _unit_generators(residues, modulus)
         for a in residues:
             if not table[a]:
@@ -69,8 +59,15 @@ class DirichletCharacter:
         self.values = table
 
     @classmethod
+    def _proved(cls, modulus: int, table: dict[int, Scalar]) -> "DirichletCharacter":
+        """The character on a table its construction proves, stored unchecked."""
+        chi = cls.__new__(cls)
+        chi.modulus, chi.values = modulus, table
+        return chi
+
+    @classmethod
     def trivial(cls, modulus: int) -> "DirichletCharacter":
-        return cls(modulus, {r: 1 for r in units(modulus)})
+        return cls.from_kronecker(1, modulus)
 
     @classmethod
     def from_function(cls, modulus: int, fn: Callable[[int], object], period: int) -> "DirichletCharacter":
@@ -88,13 +85,8 @@ class DirichletCharacter:
                 continue
             v = as_exact(fn(h))
             r = h % modulus
-            if r in seen:
-                if seen[r] != v:
-                    raise ValueError(
-                        "function is not defined modulo %d: class %d takes two values" % (modulus, r)
-                    )
-            else:
-                seen[r] = v
+            if seen.setdefault(r, v) != v:
+                raise ValueError("function is not defined modulo %d: class %d takes two values" % (modulus, r))
         return cls(modulus, seen)
 
     @classmethod
@@ -104,15 +96,16 @@ class DirichletCharacter:
         The symbol is a character mod m exactly when every prime of t
         divides m and so does the conductor of Q(sqrt t): m is divisible by
         1, 4 or 8 according as t, with its factors of 4 removed, is 1, 3
-        or 2 mod 4 (`_kronecker_character`).  The rule is checked before
-        any table is built; the values on the units are then read from one
-        Kronecker sieve (`scalars._kronecker_table`)."""
+        or 2 mod 4 (`_kronecker_character`).  That rule, checked before any
+        table is built, proves the values at the units (read from one
+        Kronecker sieve, `scalars._kronecker_table`) a character."""
         reason = _kronecker_character(t, modulus)
         if reason:
             raise ValueError("function is not defined modulo %d: %s" % (modulus, reason))
         # mod 1 the one class is 0, and kronecker(1, 0) = 1
         chi = _kronecker_table(t, modulus)
-        return cls(modulus, {r: chi[r] for r in units(modulus)})
+        value = {1: Fraction(1), -1: Fraction(-1)}
+        return cls._proved(modulus, {r: value[chi[r]] for r in units(modulus)})
 
     def __call__(self, n: int) -> Scalar:
         r = n % self.modulus
@@ -130,7 +123,7 @@ class DirichletCharacter:
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
         m = math.lcm(self.modulus, other.modulus)
-        return DirichletCharacter(m, {r: self(r) * other(r) for r in units(m)})
+        return DirichletCharacter._proved(m, {r: self(r) * other(r) for r in units(m)})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirichletCharacter):
@@ -141,6 +134,25 @@ class DirichletCharacter:
 
     def __repr__(self) -> str:
         return "DirichletCharacter(mod %d)" % self.modulus
+
+
+def _unit_table(modulus: int, table: Mapping[int, object], what: str) -> dict:
+    """`table` with its keys reduced mod `modulus`; ValueError unless they
+    are the units, each once.  `what` names an entry in the refusals."""
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    reduced = {}
+    for d, v in table.items():
+        r = d % modulus
+        if math.gcd(r, modulus) != 1:
+            raise ValueError("%s given at non-unit residue %d" % (what, d))
+        if r in reduced:
+            raise ValueError("duplicate residue %d" % d)
+        reduced[r] = v
+    missing = [r for r in units(modulus) if r not in reduced]
+    if missing:
+        raise ValueError("%s table misses units %r mod %d" % (what, missing, modulus))
+    return reduced
 
 
 def _unit_generators(units: list[int], modulus: int) -> list[int]:
@@ -189,6 +201,8 @@ def _kronecker_character(t: int, m: int) -> str | None:
     factored; 4 or 8 is the power of 2 in the conductor of Q(sqrt t)."""
     if t == 0:
         raise ValueError("kronecker character needs nonzero t")
+    if m < 1:
+        raise ValueError("modulus must be positive")
     u = abs(t)
     while (g := math.gcd(u, m)) > 1:
         u //= g

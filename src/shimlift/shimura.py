@@ -50,8 +50,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .arith import prime_factors, split_square, units
-from .characters import DirichletCharacter, _require_eta, kronecker_is_character
+from .arith import prime_factors, split_square
+from .characters import DirichletCharacter, _require_eta, _unit_table, kronecker_is_character
 from .errors import HypothesisError, SchemaError
 from .level import LevelVerdict, predict_level
 from .plusspace import is_plus_space
@@ -135,24 +135,10 @@ class ExplicitOrbit(DiamondOrbit):
     __slots__ = ("modulus", "table")
 
     def __init__(self, modulus: int, table: dict):
-        if modulus < 1:
-            raise ValueError("modulus must be positive")
-        residues = set(units(modulus))
-        reduced = {}
-        for d, g in table.items():
-            r = d % modulus
-            if r not in residues:
-                raise ValueError("orbit entry at non-unit %d" % d)
-            if r in reduced:
-                raise ValueError("duplicate orbit entry at %d" % d)
-            if not isinstance(g, QExp):
-                raise TypeError("orbit entries must be QExp")
-            reduced[r] = g
-        missing = residues - set(reduced)
-        if missing:
-            raise ValueError("orbit table misses units %r" % sorted(missing))
+        self.table = _unit_table(modulus, table, "orbit entry")
+        if not all(isinstance(g, QExp) for g in self.table.values()):
+            raise TypeError("orbit entries must be QExp")
         self.modulus = modulus
-        self.table = reduced
 
     def _translates(self, f):
         return self.modulus, {r: (1, g) for r, g in self.table.items()}

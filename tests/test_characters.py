@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shimlift import characters
 from shimlift.characters import (
     DirichletCharacter,
     character_from_json,
@@ -20,7 +21,7 @@ from shimlift.characters import (
     omega_chi,
 )
 from shimlift.errors import REQUEST_BUDGET, HypothesisError, SchemaError
-from shimlift.scalars import CycScalar, kronecker
+from shimlift.scalars import CycScalar, as_exact, kronecker
 from util import eta_char_scan, exact_eq, omega_chi_scan
 
 
@@ -405,3 +406,46 @@ def test_values_given_at_mixed_cyclotomic_orders_make_a_character():
     chi = DirichletCharacter(7, vals)
     assert chi.parity() == -1
     assert chi(2) == CycScalar.root_of_unity(6, 2)
+
+
+@pytest.mark.parametrize("build, args", [
+    (DirichletCharacter.from_kronecker, (1, 0)),
+    (DirichletCharacter.from_kronecker, (1, -5)),
+    (DirichletCharacter.from_kronecker, (5, -5)),
+    (DirichletCharacter.trivial, (0,)),
+])
+def test_kronecker_and_trivial_refuse_a_modulus_below_one(build, args):
+    # the conductor rule refuses it before any table is built
+    with pytest.raises(ValueError, match="^modulus must be positive$"):
+        build(*args)
+
+
+def test_derived_characters_skip_the_table_check_and_pass_it(monkeypatch):
+    """from_kronecker, trivial and products store the tables their
+    construction proves without the constructor's check; rebuilt through
+    that check, each is the same character, its values already exact."""
+    quartic = _chi5_order4()
+
+    def no_check(*args):
+        raise AssertionError("a derived character reached the table check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "_unit_generators", no_check)
+        kron = [DirichletCharacter.from_kronecker(t, m) for t in range(-60, 61) for m in range(1, 241)
+                if t and characters._kronecker_character(t, m) is None]
+        small = [chi for chi in kron if chi.modulus <= 24]
+        trivial = [DirichletCharacter.trivial(m) for m in range(1, 241)]
+        derived = kron + trivial + [chi_t(t) for t in range(1, 61)]
+        derived += [a * b for a, b in zip(small, reversed(small))] + [quartic * chi for chi in small + [quartic]]
+        derived += [omega_chi(chi) for chi in small + trivial[:40] + [quartic]]
+        for chi in trivial[:12] + [quartic]:
+            for t in range(1, 13):
+                for eps in (1, -1):
+                    try:
+                        derived.append(eta_char(chi, t, eps))
+                    except HypothesisError:
+                        pass
+    assert len(kron) == 2014
+    for chi in derived:
+        assert all(as_exact(v) is v for v in chi.values.values()), chi
+        assert DirichletCharacter(chi.modulus, dict(chi.values)) == chi

@@ -23,6 +23,11 @@ of a Cohen-Eisenstein series was still formed on all four residue classes
 and while shift-add still packed slots of 9 or more bytes one at a time;
 they held unchanged when shift-add was retired and the theta products
 moved to libgmp or int.
+
+The `lift/cohen52/N99995/kronecker:5` digest locks the in-process stdout of
+a lift through a character with 68 544 units; it was taken while the
+Kronecker table still went through the constructor's multiplicativity
+check.
 """
 from __future__ import annotations
 
@@ -161,6 +166,7 @@ DIGESTS = {
     "general/theta_e4/20": "f4da7b4982e8de5575638d56e591495def29de474d83e83218bff960a4701472",
     "general/theta_e4/4": "3ac3295f1e4c12e07d8ba598a71b2fa5e6a44144ddb4719aeaa151d23700636f",
     "general/theta_e4/45": "64c81b5e113daeadade6a8465f78f44f775ecf53271d369079902d1ac9032037",
+    "lift/cohen52/N99995/kronecker:5": "9690c9e7c0ee0fdbc2baa95f5f4f09df22c2101216fdfecc8a317a491ef16386",
     "level_change_rhs/5": "6104d67a0e09f8b66da4320b2f01f0f046b37ee1b48eccada217c8a181b1914f",
     "level_change_rhs/7": "a01a6c71ba07130bfc46efb078f73dbe09475bc665dcef8c2a9a0a0034b05722",
     "quadratic/S1/cohen52": "295e18e2c800845e8eeafb5a42b964cff58bc4b2b8bf8eb1fca7ee231a3d2b47",
@@ -225,6 +231,13 @@ def _orbit_lifts(inputs) -> dict:
 def test_orbit_lift_digests(inputs):
     got = {key: _sha(f) for key, f in _orbit_lifts(inputs).items()}
     assert got == {key: DIGESTS.get(key) for key in got}
+
+
+def test_large_level_kronecker_lift_digest(capsys):
+    argv = ["lift", "--fixture", "cohen52", "--N", "99995", "--prec", "30", "--character", "kronecker:5", "--json"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == DIGESTS["lift/cohen52/N99995/kronecker:5"]
 
 
 @pytest.mark.parametrize("name", ["cohen72", "cohen92", "j"])

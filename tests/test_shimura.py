@@ -435,6 +435,20 @@ def test_explicit_orbit_construction_rejects_bad_tables():
         ExplicitOrbit(4, {1: f, 3: "series"})
 
 
+@pytest.mark.parametrize("modulus, keys, message", [
+    (0, (), "modulus must be positive"),
+    (4, (1,), "orbit entry table misses units [3] mod 4"),
+    (4, (1, 2, 3), "orbit entry given at non-unit residue 2"),
+    (4, (1, 3, 5), "duplicate residue 5"),
+])
+def test_explicit_orbit_refusals_are_the_character_table_refusals(modulus, keys, message):
+    # one unit-table check serves orbits and characters
+    f = QExp(Fraction(5, 2), 1, {0: 1}, 0, 10)
+    with pytest.raises(ValueError) as exc:
+        ExplicitOrbit(modulus, dict.fromkeys(keys, f))
+    assert str(exc.value) == message
+
+
 def test_explicit_orbit_validate_for_checks_base_and_lattice():
     f = QExp(Fraction(5, 2), 1, {0: 1}, 0, 200)
     other = scale(f, 2)
